@@ -41,7 +41,10 @@ def _load_presentation(args) -> KnotPresentation:
         with open(args.pres) as fh:
             return parse_presentation(fh.read())
     if getattr(args, "knot", None):
-        return knots.presentation(args.knot)
+        try:
+            return knots.presentation(args.knot)
+        except KeyError:
+            raise UsageError(f"no fixture for knot {args.knot!r}") from None
     raise UsageError("need one of --braid, --pres, --knot")
 
 

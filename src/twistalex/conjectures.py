@@ -16,7 +16,8 @@ from .cyclo import CYC, is_cyclotomic_irreducible_mod_p
 from .domains import GF, ZZ
 from .factorint import factor_integer_poly, verify_factorization
 from .laurent import LaurentPoly, RationalFunction
-from .metabelian import (DihedralData, SeifertData, alexander_polynomial,
+from .knots import TREFOIL_SEIFERT
+from .metabelian import (DihedralData, alexander_polynomial,
                          branched_cover_homology, characters_of_quotient,
                          monodromy_orbit_values, normalize_integer_poly)
 from .presentation import KnotPresentation
@@ -174,10 +175,6 @@ def check_conjecture_Aprime(pres: KnotPresentation, m: int, p0: int, k: int,
 
 # ----------------------------------------------------------- Conjecture B(1)
 
-def _neg_t(f: LaurentPoly) -> LaurentPoly:
-    return f.subs_neg_t()
-
-
 def _pairing_search(F: LaurentPoly):
     """Exhaustive search for integer f with f(t) f(-t) = ± t^(2j) F(t).
 
@@ -194,7 +191,7 @@ def _pairing_search(F: LaurentPoly):
             for (g, _), s in zip(factors, mults):
                 for _ in range(s):
                     cand = cand * g
-            prod = cand * _neg_t(cand)
+            prod = cand * cand.subs_neg_t()
             c = _scalar_ratio(ZZ, prod, target)
             if c in (1, -1):
                 shift = (target.low() - prod.low())
@@ -202,17 +199,13 @@ def _pairing_search(F: LaurentPoly):
     # obstruction: self-paired irreducible factors of odd multiplicity
     obstruction = []
     for g, e in factors:
-        gneg = normalize_integer_poly(_neg_t(g))
+        gneg = normalize_integer_poly(g.subs_neg_t())
         gnorm = normalize_integer_poly(g)
-        if gneg == gnorm and e % 2 == 1 and not _is_even_square_shape(g):
+        if gneg == gnorm and e % 2 == 1:
             obstruction.append(g)
     if not content_ok:
         obstruction.append(LaurentPoly.const(ZZ, content))
     return None, None, None, obstruction
-
-
-def _is_even_square_shape(g: LaurentPoly) -> bool:
-    return False
 
 
 def _sqrt_witness(g: LaurentPoly) -> str:
@@ -259,7 +252,7 @@ def check_conjecture_B1(pres: KnotPresentation, coloring: DihedralData,
     if f_wit is not None:
         witnesses["f"] = f_wit.to_text()
         witnesses["sign"] = sign
-        check = f_wit * _neg_t(f_wit)
+        check = f_wit * f_wit.subs_neg_t()
         ok2 = _scalar_ratio(ZZ, check, F) in (1, -1)
         witnesses["f_reverifies"] = ok2
         return ConjectureReport("B(1)", knot, spec, "holds" if ok2 else "fails", witnesses)
@@ -333,9 +326,6 @@ def check_conjecture_B2(pres: KnotPresentation, coloring: DihedralData,
 
 
 # -------------------------------------------------------- the Wada experiment
-
-TREFOIL_SEIFERT = SeifertData(((-1, 0), (-1, -1)))
-
 
 def wada_experiment(trefoil: KnotPresentation, delta_c: LaurentPoly,
                     delta_cprime: LaurentPoly, names=("C", "C'"),

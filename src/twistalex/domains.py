@@ -15,6 +15,37 @@ class ExactDivisionError(ArithmeticError):
     """Raised when an exact division does not come out exact."""
 
 
+_MR_BASES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37)
+# smallest strong pseudoprime to all of _MR_BASES (Sorenson-Webster psi_12)
+_MR_BOUND = 318_665_857_834_031_151_167_461
+
+
+def is_prime(n: int) -> bool:
+    """Miller-Rabin with the prime bases <= 37; deterministic below _MR_BOUND."""
+    if n >= _MR_BOUND:
+        raise ValueError(f"{n} is beyond the deterministic primality bound")
+    if n < 2:
+        return False
+    for p in _MR_BASES:
+        if n % p == 0:
+            return n == p
+    d, s = n - 1, 0
+    while d % 2 == 0:
+        d //= 2
+        s += 1
+    for a in _MR_BASES:
+        x = pow(a, d, n)
+        if x in (1, n - 1):
+            continue
+        for _ in range(s - 1):
+            x = x * x % n
+            if x == n - 1:
+                break
+        else:
+            return False
+    return True
+
+
 class Domain:
     is_field = False
     name = "?"
@@ -146,7 +177,7 @@ class PrimeField(Domain):
     is_field = True
 
     def __init__(self, p: int):
-        if p < 2 or any(p % q == 0 for q in range(2, int(p**0.5) + 1)):
+        if not is_prime(p):
             raise ValueError(f"{p} is not prime")
         self.p = p
         self.name = f"GF({p})"

@@ -7,10 +7,12 @@ capped at 64; everything this package needs to factor has degree <= 10.
 """
 from __future__ import annotations
 
+from itertools import combinations
 from math import gcd, isqrt
 
-from .domains import ZZ, QQ
+from .domains import GF, ZZ, QQ
 from .laurent import LaurentPoly
+from .matrix import nullspace
 
 DEGREE_CAP = 64
 
@@ -112,10 +114,6 @@ def _zmul(a, b):
     return _trim(out)
 
 
-def _zderiv(a):
-    return _trim([i * a[i] for i in range(1, len(a))])
-
-
 def _sym_mod(a, m):
     out = []
     for x in a:
@@ -172,7 +170,7 @@ def _berlekamp(f, p):
         cur = _pdivmod(_pmul(cur, xp, p), f, p)[1]
     # v is Frobenius-fixed iff (Q - I) v = 0, Q[i][j] = coeff_i of x^(jp)
     q = [[(cols[j][i] - (1 if i == j else 0)) % p for j in range(n)] for i in range(n)]
-    basis = _nullspace_mod_p(q, p)
+    basis = nullspace(GF(p), q, n)
     if len(basis) == 1:
         return [list(f)]
     factors = [list(f)]
@@ -205,34 +203,6 @@ def _berlekamp(f, p):
     return factors
 
 
-def _nullspace_mod_p(m, p):
-    n = len(m)
-    a = [row[:] for row in m]
-    pivots = {}
-    r = 0
-    for c in range(n):
-        piv = next((i for i in range(r, n) if a[i][c] % p), None)
-        if piv is None:
-            continue
-        a[r], a[piv] = a[piv], a[r]
-        inv = pow(a[r][c], -1, p)
-        a[r] = [x * inv % p for x in a[r]]
-        for i in range(n):
-            if i != r and a[i][c] % p:
-                f = a[i][c]
-                a[i] = [(x - f * y) % p for x, y in zip(a[i], a[r])]
-        pivots[c] = r
-        r += 1
-    basis = []
-    for fc in (c for c in range(n) if c not in pivots):
-        v = [0] * n
-        v[fc] = 1
-        for c, row in pivots.items():
-            v[c] = (-a[row][fc]) % p
-        basis.append(v)
-    return basis
-
-
 def _hensel_lift_linear(f, facs, p, target):
     """Lift monic coprime factors of monic f from mod p to mod p^k >= target.
 
@@ -260,15 +230,11 @@ def _hensel_lift_linear(f, facs, p, target):
         _trim(e)
         if e:
             for i in range(r):
-                di = _pdivmod(_pmul(e, invs[i], p), G_mod_p(G[i], p), p)[1]
+                di = _pdivmod(_pmul(e, invs[i], p), G[i], p)[1]
                 for k, v in enumerate(di):
                     G[i][k] += m * (v % p)
         m *= p
     return G, m
-
-
-def G_mod_p(g, p):
-    return [x % p for x in g]
 
 
 def _factor_squarefree_primitive(f):
@@ -323,7 +289,7 @@ def _factor_squarefree_monic(f):
     size = 1
     while 2 * size <= len(remaining):
         progress = False
-        for subset in _subsets(remaining, size):
+        for subset in combinations(remaining, size):
             cand = [1]
             for i in subset:
                 cand = _sym_mod(_zmul(cand, lifted[i]), m)
@@ -340,12 +306,6 @@ def _factor_squarefree_monic(f):
         found.append(fcur)
     found.sort(key=lambda g: (len(g), g))
     return found
-
-
-def _subsets(items, size):
-    from itertools import combinations
-
-    yield from combinations(items, size)
 
 
 # ----------------------------------------------------------------- public API

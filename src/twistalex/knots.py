@@ -68,10 +68,6 @@ BRAID_10_164 = "1 -2 3 3 -2 1 -2 -3 -2 1 -2"
 COLORING_10_164 = (2, 0, 2, 1, 1, 2, 0, 1, 0, 1, 2)
 
 
-def knot_names() -> tuple[str, ...]:
-    return tuple(f.name for f in KNOT_TABLE)
-
-
 def fixture(name: str) -> KnotFixture:
     if name not in _BY_NAME:
         raise KeyError(f"no fixture for knot {name!r}")

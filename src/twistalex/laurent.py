@@ -41,10 +41,6 @@ class LaurentPoly:
     def const(cls, dom: Domain, v) -> "LaurentPoly":
         return cls(dom, {0: dom.coerce(v)})
 
-    @classmethod
-    def from_coeffs(cls, dom: Domain, coeffs, low: int = 0) -> "LaurentPoly":
-        return cls(dom, {low + i: dom.coerce(v) for i, v in enumerate(coeffs)})
-
     def copy_to(self, dst: Domain) -> "LaurentPoly":
         return LaurentPoly(dst, {e: convert(v, self.dom, dst) for e, v in self.c.items()})
 
@@ -273,22 +269,6 @@ class LaurentPoly:
             return a
         a = a.shift(-a.low())
         return a.scale(d.inv(a.c[a.deg()]))
-
-    # -------------------------------------------------------------- ZZ tools
-    def content(self) -> int:
-        """Positive gcd of integer coefficients (ZZ domain only)."""
-        from math import gcd
-
-        g = 0
-        for v in self.c.values():
-            g = gcd(g, v)
-        return g
-
-    def primitive_part(self) -> "LaurentPoly":
-        g = self.content()
-        if g in (0, 1):
-            return self
-        return LaurentPoly(self.dom, {e: v // g for e, v in self.c.items()})
 
     # ------------------------------------------------------------------ text
     def to_text(self) -> str:

@@ -5,6 +5,9 @@ metacyclic, metabelian block, tensor/sum combinations) is monomial: each
 column holds a single nonzero entry.  Monomial ops are O(n) instead of O(n^3),
 which is what keeps relator checks on 50-dimensional representations cheap.
 Dense matrices appear only after conjugation by arbitrary change of basis.
+
+The package's one field echelon kernel (rref, with nullspace and the field
+inverse built on it) and its one fraction-free Bareiss elimination live here.
 """
 from __future__ import annotations
 
@@ -47,18 +50,6 @@ def mat_mul(dom: Domain, a: Dense, b: Dense) -> Dense:
     return tuple(out)
 
 
-def mat_add(dom: Domain, a: Dense, b: Dense) -> Dense:
-    return tuple(tuple(dom.add(x, y) for x, y in zip(ra, rb)) for ra, rb in zip(a, b))
-
-
-def mat_neg(dom: Domain, a: Dense) -> Dense:
-    return tuple(tuple(dom.neg(x) for x in row) for row in a)
-
-
-def mat_scale(dom: Domain, a: Dense, v) -> Dense:
-    return tuple(tuple(dom.mul(x, v) for x in row) for row in a)
-
-
 def transpose(a: Dense) -> Dense:
     return tuple(zip(*a))
 
@@ -80,8 +71,71 @@ def direct_sum(dom: Domain, a: Dense, b: Dense) -> Dense:
     return tuple(out)
 
 
+def rref(dom: Domain, rows, ncols: int):
+    """Reduced row echelon form over a field domain (Gauss-Jordan).
+
+    Returns (rows, pivots): the nonzero rows of the echelon form, as lists,
+    and the pivot column of each row in increasing order.
+    """
+    a = [list(row) for row in rows]
+    pivots = []
+    for c in range(ncols):
+        r = len(pivots)
+        piv = next((i for i in range(r, len(a)) if not dom.is_zero(a[i][c])), None)
+        if piv is None:
+            continue
+        a[r], a[piv] = a[piv], a[r]
+        inv = dom.inv(a[r][c])
+        a[r] = [dom.mul(x, inv) for x in a[r]]
+        for i in range(len(a)):
+            if i != r and not dom.is_zero(a[i][c]):
+                f = a[i][c]
+                a[i] = [dom.sub(x, dom.mul(f, y)) for x, y in zip(a[i], a[r])]
+        pivots.append(c)
+    return a[: len(pivots)], pivots
+
+
+def nullspace(dom: Domain, rows, ncols: int):
+    """Basis of {v : A v = 0}, one vector per free column in increasing order."""
+    red, pivots = rref(dom, rows, ncols)
+    pivot_set = set(pivots)
+    basis = []
+    for fc in (c for c in range(ncols) if c not in pivot_set):
+        v = [dom.zero()] * ncols
+        v[fc] = dom.one()
+        for row, c in zip(red, pivots):
+            v[c] = dom.neg(row[fc])
+        basis.append(v)
+    return basis
+
+
+def bareiss(m, one, div):
+    """Fraction-free determinant (Bareiss 1968) of a square list of lists.
+
+    Works in place over any integral domain whose elements support + - * and
+    truthiness; div(a, b) is the exact division of the domain.
+    """
+    n = len(m)
+    if n == 0:
+        return one
+    negate = False
+    prev = one
+    for k in range(n - 1):
+        if not m[k][k]:
+            piv = next((i for i in range(k + 1, n) if m[i][k]), None)
+            if piv is None:
+                return m[k][k]  # the zero of the domain
+            m[k], m[piv] = m[piv], m[k]
+            negate = not negate
+        for i in range(k + 1, n):
+            for j in range(k + 1, n):
+                m[i][j] = div(m[i][j] * m[k][k] - m[i][k] * m[k][j], prev)
+        prev = m[k][k]
+    return -m[n - 1][n - 1] if negate else m[n - 1][n - 1]
+
+
 def mat_inverse(dom: Domain, a: Dense) -> Dense:
-    """Inverse over a field domain by Gaussian elimination.
+    """Inverse over a field domain: the right half of rref([A | I]).
 
     For non-field domains the inverse is computed in the obvious fraction
     field and must land back in the domain (raises ExactDivisionError
@@ -89,19 +143,11 @@ def mat_inverse(dom: Domain, a: Dense) -> Dense:
     """
     n = len(a)
     if dom.is_field:
-        m = [list(row) + list(idrow) for row, idrow in zip(a, identity(dom, n))]
-        for col in range(n):
-            piv = next((r for r in range(col, n) if not dom.is_zero(m[r][col])), None)
-            if piv is None:
-                raise ZeroDivisionError("matrix not invertible")
-            m[col], m[piv] = m[piv], m[col]
-            inv = dom.inv(m[col][col])
-            m[col] = [dom.mul(x, inv) for x in m[col]]
-            for r in range(n):
-                if r != col and not dom.is_zero(m[r][col]):
-                    f = m[r][col]
-                    m[r] = [dom.sub(x, dom.mul(f, y)) for x, y in zip(m[r], m[col])]
-        return tuple(tuple(row[n:]) for row in m)
+        red, pivots = rref(dom, [list(row) + list(e) for row, e in zip(a, identity(dom, n))],
+                           2 * n)
+        if pivots[:n] != list(range(n)):
+            raise ZeroDivisionError("matrix not invertible")
+        return tuple(tuple(row[n:]) for row in red)
     from .domains import QQ
     from fractions import Fraction
 

@@ -17,9 +17,10 @@ from math import gcd, lcm
 
 from . import words
 from .cyclo import CYC, cyclotomic_polynomial
-from .domains import GF, ZZ
+from .domains import GF, QQ, ZZ
 from .fox import alexander_fox_matrix
 from .laurent import LaurentPoly
+from .matrix import identity, mat_inverse, mat_mul, nullspace, rref
 from .polydet import det_poly_matrix
 from .presentation import KnotPresentation, PresentationError
 from .snf import AbelianGroupStructure, cokernel_structure, resultant
@@ -71,9 +72,6 @@ class SeifertData:
                 "use the module presentation route instead"
             )
         n = self.genus2
-        from .matrix import mat_inverse, mat_mul
-        from .domains import QQ
-
         vq = tuple(tuple(Fraction(x) for x in row) for row in self.v)
         inv = mat_inverse(QQ, vq)
         vt = tuple(tuple(Fraction(self.v[j][i]) for j in range(n)) for i in range(n))
@@ -248,9 +246,9 @@ def branched_cover_homology(src, k: int) -> FiniteQuotientModule:
     if isinstance(src, SeifertData):
         m = src.monodromy()
         n = len(m)
-        mk = [[1 if i == j else 0 for j in range(n)] for i in range(n)]
+        mk = identity(ZZ, n)
         for _ in range(k):
-            mk = [[sum(mk[i][l] * m[l][j] for l in range(n)) for j in range(n)] for i in range(n)]
+            mk = mat_mul(ZZ, mk, m)
         a = [[(1 if i == j else 0) - mk[i][j] for j in range(n)] for i in range(n)]
         structure, U, diag = cokernel_structure(a)
         return FiniteQuotientModule(
@@ -423,34 +421,6 @@ def _require_wirtinger(pres: KnotPresentation):
         )
 
 
-def _nullspace_gf(rows, p: int, nvars: int):
-    """Nullspace basis of a system over GF(p) given as coefficient rows."""
-    a = [[x % p for x in row] for row in rows]
-    pivots = {}
-    r = 0
-    for c in range(nvars):
-        piv = next((i for i in range(r, len(a)) if a[i][c]), None)
-        if piv is None:
-            continue
-        a[r], a[piv] = a[piv], a[r]
-        inv = pow(a[r][c], -1, p)
-        a[r] = [x * inv % p for x in a[r]]
-        for i in range(len(a)):
-            if i != r and a[i][c]:
-                f = a[i][c]
-                a[i] = [(x - f * y) % p for x, y in zip(a[i], a[r])]
-        pivots[c] = r
-        r += 1
-    basis = []
-    for fc in (c for c in range(nvars) if c not in pivots):
-        v = [0] * nvars
-        v[fc] = 1
-        for c, row in pivots.items():
-            v[c] = (-a[row][fc]) % p
-        basis.append(v)
-    return basis
-
-
 def _enumerate_span(basis, p: int):
     dim = len(basis)
     if p**dim > _ENUM_CAP:
@@ -466,32 +436,14 @@ def _enumerate_span(basis, p: int):
 def find_dihedral_epis(pres: KnotPresentation, p0: int) -> list[DihedralData]:
     """All nontrivial p0-colorings up to translation and scaling.
 
-    A relator, flattened to letters s_1 ... s_2m (signs are irrelevant since
-    reflections are involutions), imposes sum_j (-1)^j c(s_j) = 0 mod p0.
+    D_p0 = G(2, p0 | -1), so these are the metacyclic epimorphisms with
+    m = 2 and k = -1: a relator s_1 ... s_2m imposes
+    sum_j (-1)^j c(s_j) = 0 mod p0.
     """
-    _require_wirtinger(pres)
     if p0 < 3 or p0 % 2 == 0:
         raise ValueError("p0 must be an odd prime")
     GF(p0)  # validates primality
-    n = pres.generator_count
-    rows = []
-    for r in pres.relators:
-        row = [0] * n
-        for pos, (g, _sign) in enumerate(words.letters(r)):
-            row[g] += -1 if pos % 2 == 0 else 1
-        rows.append(row)
-    basis = _nullspace_gf(rows, p0, n)
-    seen = set()
-    out = []
-    for v in _enumerate_span(basis, p0):
-        if len(set(v)) <= 1:
-            continue  # constant = not surjective
-        norm = _normalize_coloring(v, p0)
-        if norm not in seen:
-            seen.add(norm)
-            out.append(DihedralData(p0, norm))
-    out.sort(key=lambda d: d.colors)
-    return out
+    return [DihedralData(p0, c) for c in find_metacyclic_epis(pres, 2, p0, p0 - 1)]
 
 
 def _normalize_coloring(v, p: int):
@@ -532,7 +484,7 @@ def find_metacyclic_epis(pres: KnotPresentation, m: int, p0: int, k: int):
         if exp % m:
             raise PresentationError("relator not balanced in the cyclic part")
         rows.append(coeff)
-    basis = _nullspace_gf(rows, p0, n)
+    basis = nullspace(GF(p0), rows, n)
     seen = set()
     out = []
     for v in _enumerate_span(basis, p0):
@@ -627,7 +579,7 @@ def find_zn_apn_epis(pres: KnotPresentation, n: int, p0: int):
                 for cc in range(d):
                     row[i * d + cc] = blocks[i][rr][cc]
             rows.append(row)
-    basis = _nullspace_gf(rows, p0, nvars)
+    basis = nullspace(GF(p0), rows, nvars)
     seen = set()
     out = []
     for v in _enumerate_span(basis, p0):
@@ -651,7 +603,7 @@ def _normalize_apn(ais, d, comp, n, p0):
         if all(x == 0 for x in u):
             continue
         mu = _apn_mul_matrix(list(u), comp, p0)
-        if _matrank_gf(mu, p0) != d:
+        if len(rref(GF(p0), mu, d)[1]) != d:
             continue
         cand = tuple(
             tuple(sum(mu[i][j] * a[j] for j in range(d)) % p0 for i in range(d))
@@ -660,39 +612,3 @@ def _normalize_apn(ais, d, comp, n, p0):
         if best is None or cand < best:
             best = cand
     return best
-
-
-def _matinv_gf(m, p):
-    n = len(m)
-    a = [row[:] + [1 if i == j else 0 for j in range(n)] for i, row in enumerate(m)]
-    for c in range(n):
-        piv = next((i for i in range(c, n) if a[i][c] % p), None)
-        if piv is None:
-            raise ValueError("matrix not invertible mod p")
-        a[c], a[piv] = a[piv], a[c]
-        inv = pow(a[c][c], -1, p)
-        a[c] = [x * inv % p for x in a[c]]
-        for i in range(n):
-            if i != c and a[i][c] % p:
-                f = a[i][c]
-                a[i] = [(x - f * y) % p for x, y in zip(a[i], a[c])]
-    return [row[n:] for row in a]
-
-
-def _matrank_gf(m, p):
-    a = [[x % p for x in row] for row in m]
-    rank = 0
-    ncols = len(a[0]) if a else 0
-    for c in range(ncols):
-        piv = next((i for i in range(rank, len(a)) if a[i][c]), None)
-        if piv is None:
-            continue
-        a[rank], a[piv] = a[piv], a[rank]
-        inv = pow(a[rank][c], -1, p)
-        a[rank] = [x * inv % p for x in a[rank]]
-        for i in range(len(a)):
-            if i != rank and a[i][c]:
-                f = a[i][c]
-                a[i] = [(x - f * y) % p for x, y in zip(a[i], a[rank])]
-        rank += 1
-    return rank

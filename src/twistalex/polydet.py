@@ -4,10 +4,19 @@ Negative exponents are cleared row by row (multiplying by t-powers, with the
 correction unit restored at the end).  Three engines:
 
 * cofactor expansion - the brute-force oracle for small sizes;
-* fraction-free Bareiss elimination over D[t] - works over any exact domain;
+* fraction-free Bareiss elimination over D[t] - works over any exact domain
+  (the elimination itself is matrix.bareiss, shared with snf.det_int);
 * evaluation/interpolation - over ZZ/QQ/GF(p) through word-size primes and
   numpy row reduction (CRT-certified by an a-priori coefficient bound), and
   over cyclotomic fields through exact field elimination at integer points.
+  Both recover the polynomial with the one Newton interpolation _interpolate,
+  over GF(q) per prime or over the field itself.
+
+The two forward-elimination kernels _det_mod_q (numpy, mod q) and _det_field
+(field elements) stay separate from the shared echelon kernel matrix.rref:
+they do nearly all of the work on the twisted-polynomial hot path, and they
+only need a determinant, not the reduced form.  Word-size primes are tested
+with domains.is_prime.
 
 The twisted-polynomial pipeline produces matrices up to ~70x70 over ZZ[t];
 pure Bareiss is too slow there, which is what the modular engine is for.
@@ -18,39 +27,17 @@ from fractions import Fraction
 
 import numpy as np
 
-from .domains import Domain, ZZ, QQ, PrimeField
+from .domains import GF, Domain, ZZ, QQ, PrimeField, is_prime
 from .laurent import LaurentPoly
+from .matrix import bareiss
 
 
 # --------------------------------------------------------------------- primes
 
-def _is_prime(n: int) -> bool:
-    if n < 2:
-        return False
-    for p in (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37):
-        if n % p == 0:
-            return n == p
-    d, s = n - 1, 0
-    while d % 2 == 0:
-        d //= 2
-        s += 1
-    for a in (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37):
-        x = pow(a, d, n)
-        if x in (1, n - 1):
-            continue
-        for _ in range(s - 1):
-            x = x * x % n
-            if x == n - 1:
-                break
-        else:
-            return False
-    return True
-
-
 def _prime_stream():
     q = 2**31 - 1
     while q > 2**30:
-        if _is_prime(q):
+        if is_prime(q):
             yield q
         q -= 2
 
@@ -93,28 +80,10 @@ def det_cofactor(rows, dom: Domain) -> LaurentPoly:
 
 def det_bareiss(rows, dom: Domain) -> LaurentPoly:
     """Fraction-free elimination over D[t] after clearing negative exponents."""
-    n = len(rows)
-    if n == 0:
-        return LaurentPoly.one(dom)
     m, shift = _shift_rows(rows)
     if m is None:
         return LaurentPoly.zero(dom)
-    sign = 1
-    prev = LaurentPoly.one(dom)
-    for k in range(n - 1):
-        if m[k][k].is_zero():
-            piv = next((i for i in range(k + 1, n) if not m[i][k].is_zero()), None)
-            if piv is None:
-                return LaurentPoly.zero(dom)
-            m[k], m[piv] = m[piv], m[k]
-            sign = -sign
-        for i in range(k + 1, n):
-            for j in range(k + 1, n):
-                m[i][j] = (m[i][j] * m[k][k] - m[i][k] * m[k][j]).exact_div(prev)
-            m[i][k] = LaurentPoly.zero(dom)
-        prev = m[k][k]
-    out = m[n - 1][n - 1].shift(shift)
-    return -out if sign < 0 else out
+    return bareiss(m, LaurentPoly.one(dom), LaurentPoly.exact_div).shift(shift)
 
 
 def _det_mod_q(a: np.ndarray, q: int) -> int:
@@ -140,24 +109,25 @@ def _det_mod_q(a: np.ndarray, q: int) -> int:
     return det
 
 
-def _newton_interp_mod(ys, q: int):
-    """Coefficients of the poly with values ys at x = 0..len(ys)-1, mod q."""
+def _interpolate(dom: Domain, ys):
+    """Coefficients of the poly with values ys at x = 0..len(ys)-1 (Newton)."""
     k = len(ys)
-    dd = [y % q for y in ys]  # divided differences, built in place
+    dd = list(ys)  # divided differences, built in place
     for level in range(1, k):
+        # equally spaced points: x_i - x_{i-level} = level at every i
+        inv = dom.inv(dom.coerce(level))
         for i in range(k - 1, level - 1, -1):
-            dd[i] = (dd[i] - dd[i - 1]) * pow(level, q - 2, q) % q
-        # note: for equally spaced points x_i = i, the denominator at this
-        # level is (x_i - x_{i-level}) = level
-    coeffs = [0] * k
-    basis = [1]  # prod_{i<j}(t - i)
+            dd[i] = dom.mul(dom.sub(dd[i], dd[i - 1]), inv)
+    coeffs = [dom.zero()] * k
+    basis = [dom.one()]  # prod_{i<j}(t - i)
     for j in range(k):
         for i, b in enumerate(basis):
-            coeffs[i] = (coeffs[i] + dd[j] * b) % q
-        nb = [0] * (len(basis) + 1)
+            coeffs[i] = dom.add(coeffs[i], dom.mul(dd[j], b))
+        nb = [dom.zero()] * (len(basis) + 1)
+        mj = dom.neg(dom.coerce(j))
         for i, b in enumerate(basis):
-            nb[i] = (nb[i] - j * b) % q
-            nb[i + 1] = (nb[i + 1] + b) % q
+            nb[i] = dom.add(nb[i], dom.mul(mj, b))
+            nb[i + 1] = dom.add(nb[i + 1], b)
         basis = nb
     return coeffs
 
@@ -202,7 +172,7 @@ def det_modular_int(rows) -> LaurentPoly:
             for layer in reversed(np_layers[:-1]):
                 acc = (acc * x + layer) % q
             vals.append(_det_mod_q(acc, q))
-        residues.append(_newton_interp_mod(vals, q))
+        residues.append(_interpolate(GF(q), vals))
     # CRT per coefficient, symmetric range
     coeffs = {}
     for d in range(npoints):
@@ -234,25 +204,7 @@ def _det_field_at_points(rows, dom: Domain) -> LaurentPoly:
     for x in xs:
         a = [[f.evaluate(x) for f in row] for row in m]
         vals.append(_det_field(a, dom))
-    # Newton interpolation over the field at x = 0..deg_bound
-    k = npoints
-    dd = list(vals)
-    for level in range(1, k):
-        inv = dom.inv(dom.coerce(level))
-        for i in range(k - 1, level - 1, -1):
-            dd[i] = dom.mul(dom.sub(dd[i], dd[i - 1]), inv)
-    coeffs = [dom.zero()] * k
-    basis = [dom.one()]
-    for j in range(k):
-        for i, b in enumerate(basis):
-            coeffs[i] = dom.add(coeffs[i], dom.mul(dd[j], b))
-        nb = [dom.zero()] * (len(basis) + 1)
-        mj = dom.neg(dom.coerce(j))
-        for i, b in enumerate(basis):
-            nb[i] = dom.add(nb[i], dom.mul(mj, b))
-            nb[i + 1] = dom.add(nb[i + 1], b)
-        basis = nb
-    return LaurentPoly(dom, dict(enumerate(coeffs))).shift(shift)
+    return LaurentPoly(dom, dict(enumerate(_interpolate(dom, vals)))).shift(shift)
 
 
 def _det_field(a, dom: Domain):
@@ -274,21 +226,15 @@ def _det_field(a, dom: Domain):
     return det
 
 
-def det_poly_matrix(rows, dom: Domain, method: str | None = None) -> LaurentPoly:
+def det_poly_matrix(rows, dom: Domain) -> LaurentPoly:
     """Exact determinant of a square matrix of LaurentPoly over dom."""
     n = len(rows)
     for row in rows:
         if len(row) != n:
             raise ValueError("matrix is not square")
-    if method == "cofactor":
-        return det_cofactor(rows, dom)
-    if method == "bareiss":
-        return det_bareiss(rows, dom)
-    if method is None:
-        method = "auto"
-    if dom is ZZ or dom.name == "ZZ":
+    if dom.name == "ZZ":
         return det_modular_int(rows)
-    if dom is QQ or dom.name == "QQ":
+    if dom.name == "QQ":
         # clear denominators row by row, run the integer engine, scale back
         from math import lcm
 

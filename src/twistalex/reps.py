@@ -13,7 +13,8 @@ from math import comb, gcd, lcm
 
 from . import words
 from .cyclo import CYC, CyclotomicField, is_cyclotomic_irreducible_mod_p
-from .domains import Domain, GF, QQ, ZZ, convert, domain_join
+from .domains import (Domain, ExactDivisionError, GF, QQ, ZZ, convert, domain_join,
+                      is_prime)
 from .matrix import (Dense, Monomial, as_monomial, gen_inv, gen_mul, identity,
                      mat_convert, mat_eq, mat_mul, to_dense)
 from .metabelian import (Character, DihedralData, apn_field,
@@ -140,8 +141,10 @@ def rep_onedim(pres: KnotPresentation, z, dom: Domain | None = None) -> Represen
         if dom is None:
             raise TypeError("pass the coefficient domain for non-rational z")
     z = dom.coerce(z) if isinstance(z, (int, Fraction)) else z
-    if dom.is_zero(z):
-        raise RepresentationError("z must be invertible")
+    try:
+        dom.inv(z)
+    except (ExactDivisionError, ZeroDivisionError):
+        raise RepresentationError(f"z = {dom.to_str(z)} is not a unit of {dom.name}") from None
     images = {}
     for g in range(pres.generator_count):
         e = pres.phi[g]
@@ -183,6 +186,7 @@ def rep_metacyclic(pres: KnotPresentation, m: int, p: int, k: int, colors) -> Re
 
 def rep_dihedral(pres: KnotPresentation, data: DihedralData) -> Representation:
     """D_p = G(2, p | -1); generator g_i -> x y^(c_i) as a permutation of Z/p."""
+    _check_odd_prime(data.p)
     rep = rep_metacyclic(pres, 2, data.p, -1 % data.p, data.colors)
     rep.label = f"dihedral(p={data.p})"
     return rep
@@ -516,9 +520,8 @@ def triangular_form_expected(p: int):
 
 
 def _check_odd_prime(p: int):
-    GF(p)
-    if p == 2:
-        raise ValueError("p must be an odd prime")
+    if p == 2 or not is_prime(p):
+        raise RepresentationError(f"p must be an odd prime, got {p}")
 
 
 # ------------------------------------------------------------ spec strings

@@ -6,7 +6,10 @@ the thousands appear in the 6-fold covers).
 """
 from __future__ import annotations
 
+import operator
 from dataclasses import dataclass
+
+from .matrix import bareiss
 
 
 def smith_normal_form(a):
@@ -150,25 +153,7 @@ def cokernel_structure(a):
 
 def det_int(a) -> int:
     """Exact determinant of an integer matrix (fraction-free Bareiss)."""
-    m = [list(row) for row in a]
-    n = len(m)
-    if n == 0:
-        return 1
-    sign = 1
-    prev = 1
-    for k in range(n - 1):
-        if m[k][k] == 0:
-            piv = next((i for i in range(k + 1, n) if m[i][k]), None)
-            if piv is None:
-                return 0
-            m[k], m[piv] = m[piv], m[k]
-            sign = -sign
-        for i in range(k + 1, n):
-            for j in range(k + 1, n):
-                m[i][j] = (m[i][j] * m[k][k] - m[i][k] * m[k][j]) // prev
-            m[i][k] = 0
-        prev = m[k][k]
-    return sign * m[n - 1][n - 1]
+    return bareiss([list(row) for row in a], 1, operator.floordiv)
 
 
 def resultant(f_coeffs, g_coeffs) -> int:

@@ -9,7 +9,6 @@ image).  doteq comparison and canonical text forms quotient that unit out.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from fractions import Fraction
 
 from .cyclo import CyclotomicField
 from .domains import Domain, QQ, convert
@@ -87,8 +86,7 @@ def unit_subgroup(dom: Domain, gens) -> tuple:
     return tuple(elems.values())
 
 
-def wada_invariant(pres: KnotPresentation, rep, column: int | None = None,
-                   _precomputed_fox=None) -> TwistedPolynomial:
+def wada_invariant(pres: KnotPresentation, rep, column: int | None = None) -> TwistedPolynomial:
     """Wada's invariant of (pres, rep), reduced over the coefficient field.
 
     The column defaults to the first generator with phi != 0 whose denominator
@@ -97,7 +95,7 @@ def wada_invariant(pres: KnotPresentation, rep, column: int | None = None,
     """
     dom = rep.dom
     field = _field_of(dom)
-    fox = _precomputed_fox if _precomputed_fox is not None else alexander_fox_matrix(pres)
+    fox = alexander_fox_matrix(pres)
     n = rep.dim
 
     def denominator_for(j: int) -> LaurentPoly:
@@ -212,20 +210,10 @@ def canonical_pair(value: RationalFunction, units) -> tuple[LaurentPoly, Laurent
 
 def satellite_scale_factor(delta_c: LaurentPoly, eigen_dom: CyclotomicField, eigenvalues):
     """prod Delta_C(z_i), computed exactly in eigen_dom."""
+    f = delta_c.copy_to(eigen_dom)
     acc = eigen_dom.one()
     for z in eigenvalues:
-        val = eigen_dom.zero()
-        for e, v in delta_c.c.items():
-            ze = eigen_dom.one()
-            if e >= 0:
-                for _ in range(e):
-                    ze = eigen_dom.mul(ze, z)
-            else:
-                zi = eigen_dom.inv(z)
-                for _ in range(-e):
-                    ze = eigen_dom.mul(ze, zi)
-            val = eigen_dom.add(val, eigen_dom.scale(ze, Fraction(v)))
-        acc = eigen_dom.mul(acc, val)
+        acc = eigen_dom.mul(acc, f.evaluate(z))
     return acc
 
 

@@ -32,11 +32,6 @@ def word(*syls) -> Word:
     return reduce_syllables(syls)
 
 
-def from_letters(letters) -> Word:
-    """Build a word from (generator, ±1) letters."""
-    return reduce_syllables((g, s) for g, s in letters)
-
-
 def mul(u: Word, v: Word) -> Word:
     return reduce_syllables(list(u) + list(v))
 

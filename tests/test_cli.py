@@ -129,6 +129,15 @@ def test_usage_errors(capsys):
     assert code == 2
     code, _, _ = run(capsys, "nonsense")
     assert code == 2
+    for argv, message in (
+        (("--knot", "nosuch", "--rep", "trivial"), "no fixture for knot 'nosuch'"),
+        (("--knot", "3_1", "--rep", "onedim:z=2"), "not a unit of ZZ"),
+        (("--knot", "3_1", "--rep", "dihedral:p=9:colors=0,1,2"), "p must be an odd prime"),
+    ):
+        code, _, err = run(capsys, "twisted", *argv)
+        assert code == 2
+        assert err.startswith("error: ") and message in err
+        assert len(err.strip().splitlines()) == 1
 
 
 def test_batch_mode(tmp_path, capsys):

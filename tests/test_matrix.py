@@ -6,7 +6,7 @@ import pytest
 from twistalex.domains import GF, QQ, ZZ, ExactDivisionError
 from twistalex.matrix import (Monomial, as_monomial, direct_sum, gen_inv, gen_mul,
                               identity, kron, mat_eq, mat_inverse, mat_mul,
-                              perm_sign, to_dense)
+                              nullspace, perm_sign, rref, to_dense, transpose)
 
 
 def rand_monomial(rng, dom, n):
@@ -82,3 +82,49 @@ def test_gen_mul_dispatch():
     assert out == mat_mul(ZZ, a.to_dense(ZZ), dense)
     out2 = gen_mul(ZZ, a, a)
     assert isinstance(out2, Monomial)
+
+
+def _dot(dom, row, v):
+    acc = dom.zero()
+    for x, y in zip(row, v):
+        acc = dom.add(acc, dom.mul(x, y))
+    return acc
+
+
+@pytest.mark.parametrize("dom", [GF(2), GF(7), QQ], ids=lambda d: d.name)
+def test_rref_and_nullspace_random_systems(dom):
+    rng = random.Random(2718)
+    cases = [([], 3)]  # no equations: every column is free
+    for _ in range(60):
+        nrows, ncols = rng.randint(1, 6), rng.randint(1, 6)
+        rows = [[dom.coerce(rng.randint(-3, 3)) if rng.random() < 0.7 else dom.zero()
+                 for _ in range(ncols)] for _ in range(nrows)]
+        if rng.random() < 0.3:
+            rows[rng.randrange(nrows)] = [dom.zero()] * ncols
+        cases.append((rows, ncols))
+    for rows, ncols in cases:
+        red, pivots = rref(dom, rows, ncols)
+        basis = nullspace(dom, rows, ncols)
+        assert len(pivots) + len(basis) == ncols
+        assert pivots == sorted(set(pivots))
+        if rows:
+            assert len(rref(dom, transpose(rows), len(rows))[1]) == len(pivots)
+        for i, (row, c) in enumerate(zip(red, pivots)):
+            assert dom.eq(row[c], dom.one())
+            assert all(dom.is_zero(other[c]) for k, other in enumerate(red) if k != i)
+        for v in basis:
+            assert any(not dom.is_zero(x) for x in v)
+            assert all(dom.is_zero(_dot(dom, row, v)) for row in rows)
+        if rows and len(rows) == ncols:
+            n = ncols
+            try:
+                inv = mat_inverse(dom, rows)
+            except ZeroDivisionError:
+                assert len(pivots) < n
+                continue
+            assert len(pivots) == n
+            assert mat_eq(dom, mat_mul(dom, rows, inv), identity(dom, n))
+            aug, _ = rref(dom, [list(r) + list(e) for r, e in zip(rows, identity(dom, n))],
+                          2 * n)
+            assert mat_eq(dom, tuple(tuple(r[:n]) for r in aug), identity(dom, n))
+            assert mat_eq(dom, tuple(tuple(r[n:]) for r in aug), inv)

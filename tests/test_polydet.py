@@ -1,10 +1,11 @@
 import random
 from fractions import Fraction
+from math import isqrt
 
 import pytest
 
 from twistalex.cyclo import CYC
-from twistalex.domains import GF, QQ, ZZ
+from twistalex.domains import GF, QQ, ZZ, is_prime
 from twistalex.laurent import LaurentPoly, parse_poly
 from twistalex.polydet import det_bareiss, det_cofactor, det_modular_int, det_poly_matrix
 
@@ -108,3 +109,17 @@ def test_huge_coefficients_need_multiple_primes():
     rows = [[LaurentPoly(ZZ, {e: rng.randint(-big, big) for e in range(2)})
              for _ in range(3)] for _ in range(3)]
     assert det_modular_int(rows) == det_cofactor(rows, ZZ)
+
+
+def test_is_prime_against_trial_division():
+    def trial(n):
+        return n >= 2 and all(n % d for d in range(2, isqrt(n) + 1))
+
+    assert all(is_prime(n) == trial(n) for n in range(20000))
+    for carmichael in (561, 41041, 825265):
+        assert not is_prime(carmichael)
+    assert is_prime(2**31 - 1) and is_prime(2**61 - 1)
+    assert not is_prime(2**67 - 1)  # 193707721 * 761838257287
+    # strong pseudoprime to every base <= 37: refused, not guessed
+    with pytest.raises(ValueError):
+        is_prime(318665857834031151167461)

@@ -34,6 +34,8 @@ def test_trivial_and_onedim():
     assert rho.check_relators()
     with pytest.raises(RepresentationError):
         rep_onedim(pres, 0)
+    with pytest.raises(RepresentationError, match="not a unit of ZZ"):
+        rep_onedim(pres, 2)
 
 
 def test_dihedral_paper_assignment_valid():
@@ -67,6 +69,9 @@ def test_dihedral_invalid_coloring_rejected():
     pres = presentation("3_1")
     with pytest.raises(RepresentationError):
         rep_dihedral(pres, DihedralData(3, (0, 1, 1)))
+    for p in (2, 4, 9):
+        with pytest.raises(RepresentationError, match="p must be an odd prime"):
+            rep_dihedral(pres, DihedralData(p, (0, 1, 2)))
 
 
 def test_metacyclic_coincides_with_dihedral():
