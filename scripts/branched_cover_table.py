@@ -10,7 +10,6 @@ def main() -> int:
     rows = []
     for fx in knots.corpus():
         pres = knots.presentation(fx.name)
-        mp = None
         delta = alexander_polynomial(pres)
         rows.append((fx.name, pres, delta))
     for name in ("9_30", "11a359"):

@@ -2,21 +2,27 @@
 
 Subcommands: present, alexander, twisted, colorings, epis, branched,
 satellite, conj-a, conj-a-prime, conj-b1, conj-b2, wada-experiment.
+`COMMANDS` maps each one to its handler and the flags that handler reads;
+a subcommand accepts no other flag.  The knot comes from exactly one of
+--braid, --pres, --knot and --batch (alexander and branched also take
+--seifert).  Every flag is defined once in `_FLAGS`.
+
 Exit codes: 0 success / conjecture holds, 1 conjecture fails, 2 usage or
-precondition errors.  Identical invocations print identical bytes: every
-enumeration below is in a fixed deterministic order and nothing is ever
-randomized.
+precondition errors: a flag error prints argparse's usage line, a library
+error one `error:` line.  Identical invocations print identical bytes:
+every enumeration below is in a fixed deterministic order and nothing is
+ever randomized.
 """
 from __future__ import annotations
 
 import argparse
 import json
 import sys
+from math import lcm
 
 from . import knots
 from .conjectures import (check_conjecture_A, check_conjecture_Aprime,
                           check_conjecture_B1, check_conjecture_B2, wada_experiment)
-from .cyclo import CYC
 from .domains import ZZ
 from .factorint import factor_integer_poly
 from .laurent import LaurentPoly, parse_poly
@@ -24,10 +30,10 @@ from .metabelian import (alexander_polynomial, branched_cover_homology,
                          find_dihedral_epis, find_metacyclic_epis,
                          find_zn_apn_epis, parse_seifert_file)
 from .presentation import (KnotPresentation, PresentationError,
-                           braid_closure_presentation, parse_braid,
+                           braid_closure_presentation, format_word, parse_braid,
                            parse_presentation, serialize_presentation)
-from .reps import parse_rep_spec, rep_spec_of_coloring
-from .twisted import WadaError, wada_invariant
+from .reps import parse_rep_spec, parse_scalars, rep_spec_of_coloring
+from .twisted import WadaError, satellite_twisted, wada_invariant
 
 
 class UsageError(Exception):
@@ -35,17 +41,17 @@ class UsageError(Exception):
 
 
 def _load_presentation(args) -> KnotPresentation:
-    if getattr(args, "braid", None):
+    if args.braid is not None:
+        if not args.braid:
+            raise UsageError("empty braid word")
         return braid_closure_presentation(parse_braid(args.braid))
-    if getattr(args, "pres", None):
+    if args.pres is not None:
         with open(args.pres) as fh:
             return parse_presentation(fh.read())
-    if getattr(args, "knot", None):
-        try:
-            return knots.presentation(args.knot)
-        except KeyError:
-            raise UsageError(f"no fixture for knot {args.knot!r}") from None
-    raise UsageError("need one of --braid, --pres, --knot")
+    try:
+        return knots.presentation(args.knot)
+    except KeyError:
+        raise UsageError(f"no fixture for knot {args.knot!r}") from None
 
 
 def _twisted_json(tw) -> dict:
@@ -63,17 +69,24 @@ def _twisted_json(tw) -> dict:
 
 
 def _emit(args, text: str, obj) -> None:
-    if getattr(args, "json", False):
+    if args.json:
         print(json.dumps(obj, sort_keys=True))
     else:
         print(text)
 
 
+def _emit_lines(args, lines) -> None:
+    """A JSON list of the lines with --json, else one line each."""
+    if args.json:
+        print(json.dumps(lines))
+    else:
+        for line in lines:
+            print(line)
+
+
 def _cmd_present(args) -> int:
     pres = _load_presentation(args)
     if args.json:
-        from .presentation import format_word
-
         obj = {
             "generators": list(pres.generator_names),
             "relators": [format_word(r, pres.generator_names) for r in pres.relators],
@@ -86,7 +99,7 @@ def _cmd_present(args) -> int:
 
 
 def _cmd_alexander(args) -> int:
-    if args.seifert:
+    if args.seifert is not None:
         with open(args.seifert) as fh:
             delta = parse_seifert_file(fh.read()).alexander_polynomial()
     else:
@@ -97,18 +110,12 @@ def _cmd_alexander(args) -> int:
 
 def _cmd_twisted(args) -> int:
     pres = _load_presentation(args)
-    if not args.rep:
-        raise UsageError("--rep SPEC is required")
     rep = parse_rep_spec(args.rep, pres)
     tw = wada_invariant(pres, rep, column=args.column)
     if args.factored and tw.dom.name == "QQ":
         c = tw.canonical()
         num = c.value.num
-        from math import lcm
-
-        den_l = 1
-        for v in num.c.values():
-            den_l = lcm(den_l, v.denominator)
+        den_l = lcm(*(v.denominator for v in num.c.values()))
         zn = LaurentPoly(ZZ, {e: int(v * den_l) for e, v in num.c.items()})
         unit, content, tpow, factors = factor_integer_poly(zn)
         parts = []
@@ -128,32 +135,26 @@ def _cmd_twisted(args) -> int:
 
 def _cmd_colorings(args) -> int:
     pres = _load_presentation(args)
-    found = find_dihedral_epis(pres, args.p)
-    if args.json:
-        print(json.dumps([rep_spec_of_coloring(d) for d in found]))
-    else:
-        for d in found:
-            print(rep_spec_of_coloring(d))
+    _emit_lines(args, [rep_spec_of_coloring(d) for d in find_dihedral_epis(pres, args.p)])
     return 0
 
 
 def _cmd_epis(args) -> int:
     pres = _load_presentation(args)
     if args.m:
-        out = find_metacyclic_epis(pres, args.m, args.p, args.k)
-        for colors in out:
-            print(f"metacyclic:m={args.m}:p={args.p}:k={args.k}:colors="
-                  + ",".join(map(str, colors)))
+        lines = [f"metacyclic:m={args.m}:p={args.p}:k={args.k}:colors="
+                 + ",".join(map(str, colors))
+                 for colors in find_metacyclic_epis(pres, args.m, args.p, args.k)]
     else:
-        out = find_zn_apn_epis(pres, args.n, args.p)
-        for assignment in out:
-            atext = ",".join(".".join(map(str, a)) for a in assignment)
-            print(f"gamma:p={args.p}:n={args.n}:a={atext}")
+        lines = ["gamma:p={}:n={}:a={}".format(
+                     args.p, args.n, ",".join(".".join(map(str, a)) for a in assignment))
+                 for assignment in find_zn_apn_epis(pres, args.n, args.p)]
+    _emit_lines(args, lines)
     return 0
 
 
 def _cmd_branched(args) -> int:
-    if args.seifert:
+    if args.seifert is not None:
         with open(args.seifert) as fh:
             src = parse_seifert_file(fh.read())
     else:
@@ -172,28 +173,8 @@ def _cmd_satellite(args) -> int:
     rep = parse_rep_spec(args.rep, pres)
     tw = wada_invariant(pres, rep, column=args.column)
     delta_c = parse_poly(args.companion_delta)
-    eigen = []
-    m = 1
-    for tok in args.eigenvalues.split(","):
-        tok = tok.strip()
-        from .reps import _parse_scalar
-
-        val, dom = _parse_scalar(tok)
-        if hasattr(dom, "m"):
-            from math import lcm
-
-            m = lcm(m, dom.m)
-        eigen.append((val, dom))
-    F = CYC(m)
-    vals = []
-    for val, dom in eigen:
-        if hasattr(dom, "m"):
-            vals.append(F.embed(val, dom))
-        else:
-            vals.append(F.coerce(val))
-    from .twisted import satellite_twisted
-
-    out = satellite_twisted(tw, delta_c, F, vals)
+    field, vals = parse_scalars(args.eigenvalues.split(","))
+    out = satellite_twisted(tw, delta_c, field, vals)
     _emit(args, out.to_text(), _twisted_json(out))
     return 0
 
@@ -268,22 +249,47 @@ def _cmd_wada_experiment(args) -> int:
     return 0 if r.holds else 1
 
 
-def _run_single(args) -> int:
-    handler = {
-        "present": _cmd_present,
-        "alexander": _cmd_alexander,
-        "twisted": _cmd_twisted,
-        "colorings": _cmd_colorings,
-        "epis": _cmd_epis,
-        "branched": _cmd_branched,
-        "satellite": _cmd_satellite,
-        "conj-a": _cmd_conj_a,
-        "conj-a-prime": _cmd_conj_a_prime,
-        "conj-b1": lambda a: _cmd_conj_b(a, 1),
-        "conj-b2": lambda a: _cmd_conj_b(a, 2),
-        "wada-experiment": _cmd_wada_experiment,
-    }[args.cmd]
-    return handler(args)
+# every flag once: name -> add_argument keywords
+_FLAGS = {
+    "braid": dict(help="whitespace-separated braid word"),
+    "pres": dict(help="presentation file"),
+    "seifert": dict(help="Seifert matrix file (integer rows)"),
+    "knot": dict(help="corpus knot name, e.g. 3_1 or 10_164"),
+    "batch": dict(help="batch file: one name<TAB>braid per line"),
+    "name": dict(default="", help="label used in reports"),
+    "rep": dict(required=True, help="representation spec string"),
+    "p": dict(type=int, default=3),
+    "n": dict(type=int, default=2),
+    "m": dict(type=int, default=0),
+    "k": dict(type=int, default=2),
+    "column": dict(type=int, default=None),
+    "json": dict(action="store_true"),
+    "factored": dict(action="store_true"),
+    "companion-delta": dict(required=True,
+                            help="Alexander polynomial of the companion (canonical text)"),
+    "eigenvalues": dict(required=True,
+                        help="comma-separated exact eigenvalues, e.g. z3^1,z3^2"),
+}
+_KNOT = ("braid", "pres", "knot", "batch")
+# the knot sources: a subcommand that declares any of them needs exactly one
+_SOURCES = _KNOT + ("seifert",)
+
+# subcommand -> (handler, the flags it reads)
+COMMANDS = {
+    "present": (_cmd_present, _KNOT + ("json",)),
+    "alexander": (_cmd_alexander, _KNOT + ("seifert", "json")),
+    "twisted": (_cmd_twisted, _KNOT + ("rep", "column", "factored", "json")),
+    "colorings": (_cmd_colorings, _KNOT + ("p", "json")),
+    "epis": (_cmd_epis, _KNOT + ("m", "n", "p", "k", "json")),
+    "branched": (_cmd_branched, _KNOT + ("seifert", "k", "json")),
+    "satellite": (_cmd_satellite, _KNOT + ("rep", "column", "companion-delta",
+                                           "eigenvalues", "json")),
+    "conj-a": (_cmd_conj_a, _KNOT + ("n", "p", "name", "json")),
+    "conj-a-prime": (_cmd_conj_a_prime, _KNOT + ("m", "p", "k", "name", "json")),
+    "conj-b1": (lambda a: _cmd_conj_b(a, 1), _KNOT + ("p", "name", "json")),
+    "conj-b2": (lambda a: _cmd_conj_b(a, 2), _KNOT + ("p", "name", "json")),
+    "wada-experiment": (_cmd_wada_experiment, ("json",)),
+}
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -293,30 +299,26 @@ def build_parser() -> argparse.ArgumentParser:
                     "finite metabelian, dihedral and metacyclic representations.",
     )
     sub = parser.add_subparsers(dest="cmd", required=True)
-    cmds = ("present", "alexander", "twisted", "colorings", "epis", "branched",
-            "satellite", "conj-a", "conj-a-prime", "conj-b1", "conj-b2",
-            "wada-experiment")
-    for name in cmds:
+    for name, (handler, flags) in COMMANDS.items():
         p = sub.add_parser(name)
-        p.add_argument("--braid", help="whitespace-separated braid word")
-        p.add_argument("--pres", help="presentation file")
-        p.add_argument("--seifert", help="Seifert matrix file (integer rows)")
-        p.add_argument("--knot", help="corpus knot name, e.g. 3_1 or 10_164")
-        p.add_argument("--name", default="", help="label used in reports")
-        p.add_argument("--rep", help="representation spec string")
-        p.add_argument("--p", type=int, default=3)
-        p.add_argument("--n", type=int, default=2)
-        p.add_argument("--m", type=int, default=0)
-        p.add_argument("--k", type=int, default=2)
-        p.add_argument("--column", type=int, default=None)
-        p.add_argument("--json", action="store_true")
-        p.add_argument("--factored", action="store_true")
-        p.add_argument("--batch", help="batch file: one name<TAB>braid per line")
-        p.add_argument("--companion-delta", dest="companion_delta",
-                       help="Alexander polynomial of the companion (canonical text)")
-        p.add_argument("--eigenvalues", help="comma-separated exact eigenvalues, "
-                                             "e.g. z3^1,z3^2")
+        p.set_defaults(handler=handler)
+        if any(f in _SOURCES for f in flags):
+            sources = p.add_mutually_exclusive_group(required=True)
+        for flag in flags:
+            (sources if flag in _SOURCES else p).add_argument(f"--{flag}", **_FLAGS[flag])
     return parser
+
+
+# the user-caused failures: each becomes exit 2 and one error line
+_USER_ERRORS = (UsageError, PresentationError, WadaError, ValueError, OSError)
+
+
+def _guarded(run, args, file) -> int:
+    try:
+        return run(args)
+    except _USER_ERRORS as exc:
+        print(f"error: {exc}", file=file)
+        return 2
 
 
 def main(argv=None) -> int:
@@ -325,33 +327,21 @@ def main(argv=None) -> int:
         args = parser.parse_args(argv)
     except SystemExit as exc:
         return 2 if exc.code else 0
-    try:
-        if args.batch:
-            return _run_batch(args)
-        return _run_single(args)
-    except (UsageError, PresentationError, WadaError, ValueError, OSError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
+    run = args.handler if getattr(args, "batch", None) is None else _run_batch
+    return _guarded(run, args, sys.stderr)
 
 
 def _run_batch(args) -> int:
+    """Run the command once per `name<TAB>braid` row, errors inline on stdout."""
     worst = 0
     with open(args.batch) as fh:
         rows = [line.rstrip("\n") for line in fh if line.strip()]
     for row in rows:
         name, _, braid = row.partition("\t")
-        sub_args = argparse.Namespace(**vars(args))
-        sub_args.batch = None
-        sub_args.braid = braid
-        sub_args.knot = None
-        sub_args.name = name
+        sub_args = argparse.Namespace(**{**vars(args), "batch": None, "braid": braid,
+                                         "name": name})
         print(f"# {name}")
-        try:
-            code = _run_single(sub_args)
-        except (UsageError, PresentationError, WadaError, ValueError) as exc:
-            print(f"error: {exc}")
-            code = 2
-        worst = max(worst, code)
+        worst = max(worst, _guarded(args.handler, sub_args, sys.stdout))
     return worst
 
 

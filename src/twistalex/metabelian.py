@@ -332,10 +332,6 @@ class Character:
             tuple(self.value_basis(j, s) for s in range(n)) for j in range(rank)
         )
 
-    def t_shift(self, power: int = 1) -> "Character":
-        """The character h -> chi(t^power h)."""
-        return _ShiftedCharacter(self, power)
-
     def orbit_size(self, rank: int) -> int:
         base = self.table(rank)
         n = self.period
@@ -348,16 +344,6 @@ class Character:
             if shifted == base:
                 return s
         return n
-
-
-class _ShiftedCharacter(Character):
-    def __init__(self, base: Character, power: int):
-        object.__setattr__(self, "components", base.components)
-        object.__setattr__(self, "_base", base)
-        object.__setattr__(self, "_power", power)
-
-    def value_basis(self, j: int, shift: int = 0):
-        return self._base.value_basis(j, shift + self._power)
 
 
 def characters_of_quotient(q: FiniteQuotientModule, m: int):
@@ -454,6 +440,14 @@ def _normalize_coloring(v, p: int):
     return tuple(x * inv % p for x in shifted)
 
 
+def check_primitive_root(k: int, m: int, p: int, error: type = ValueError) -> None:
+    """Raise `error` unless m >= 1 and k has multiplicative order exactly m mod p."""
+    if m < 1:
+        raise error(f"m must be >= 1, got {m}")
+    if pow(k, m, p) != 1 or any(pow(k, l, p) == 1 for l in range(1, m)):
+        raise error(f"{k} is not a primitive {m}-th root of unity mod {p}")
+
+
 def find_metacyclic_epis(pres: KnotPresentation, m: int, p0: int, k: int):
     """Meridian assignments g_i -> x y^(c_i) in G(m, p0 | k), up to symmetry.
 
@@ -462,8 +456,7 @@ def find_metacyclic_epis(pres: KnotPresentation, m: int, p0: int, k: int):
     conditions on the colors.
     """
     _require_wirtinger(pres)
-    if pow(k, m, p0) != 1 or any(pow(k, l, p0) == 1 for l in range(1, m)):
-        raise ValueError(f"{k} is not a primitive {m}-th root of unity mod {p0}")
+    check_primitive_root(k, m, p0)
     n = pres.generator_count
     kinv = pow(k, -1, p0)
     rows = []

@@ -17,8 +17,8 @@ from .domains import (Domain, ExactDivisionError, GF, QQ, ZZ, convert, domain_jo
                       is_prime)
 from .matrix import (Dense, Monomial, as_monomial, gen_inv, gen_mul, identity,
                      mat_convert, mat_eq, mat_mul, to_dense)
-from .metabelian import (Character, DihedralData, apn_field,
-                         branched_cover_homology, characters_of_quotient)
+from .metabelian import (Character, DihedralData, apn_field, branched_cover_homology,
+                         characters_of_quotient, check_primitive_root, find_zn_apn_epis)
 from .presentation import KnotPresentation
 
 
@@ -167,11 +167,11 @@ def metacyclic_gen_images(m: int, p: int, k: int):
     return x, y
 
 
-def rep_metacyclic(pres: KnotPresentation, m: int, p: int, k: int, colors) -> Representation:
+def rep_metacyclic(pres: KnotPresentation, m: int, p: int, k: int, colors,
+                   label: str = "") -> Representation:
     """The p-dimensional permutation representation of an epimorphism onto
     G(m,p|k): generator g_i -> x^phi(g_i) y^(colors[i])."""
-    if pow(k, m, p) != 1 or any(pow(k, l, p) == 1 for l in range(1, m)):
-        raise RepresentationError(f"{k} is not a primitive {m}-th root of 1 mod {p}")
+    check_primitive_root(k, m, p, RepresentationError)
     if len(colors) != pres.generator_count:
         raise RepresentationError("one color per generator required")
     images = {}
@@ -181,15 +181,15 @@ def rep_metacyclic(pres: KnotPresentation, m: int, p: int, k: int, colors) -> Re
         # x^e y^c acting on Z/p: n -> k^e (n - c)
         ke = pow(k, e, p)
         images[g] = Monomial.permutation(ZZ, tuple((ke * (n - c)) % p for n in range(p)))
-    return Representation(p, ZZ, images, pres, label=f"metacyclic(m={m},p={p},k={k})")
+    return Representation(p, ZZ, images, pres,
+                          label=label or f"metacyclic(m={m},p={p},k={k})")
 
 
 def rep_dihedral(pres: KnotPresentation, data: DihedralData) -> Representation:
     """D_p = G(2, p | -1); generator g_i -> x y^(c_i) as a permutation of Z/p."""
     _check_odd_prime(data.p)
-    rep = rep_metacyclic(pres, 2, data.p, -1 % data.p, data.colors)
-    rep.label = f"dihedral(p={data.p})"
-    return rep
+    return rep_metacyclic(pres, 2, data.p, -1 % data.p, data.colors,
+                          label=f"dihedral(p={data.p})")
 
 
 # --------------------------------------------------------------- gamma reps
@@ -240,9 +240,7 @@ def rep_gamma_compose(pres: KnotPresentation, n: int, p0: int, assignment) -> Re
     if len(assignment) != pres.generator_count:
         raise RepresentationError("one A-element per generator required")
     images = {g: gam.image(pres.phi[g], assignment[g]) for g in range(pres.generator_count)}
-    rep = Representation(gam.dim, ZZ, images, pres, label=f"gamma(p={p0},n={n})")
-    rep.gamma = gam
-    return rep
+    return Representation(gam.dim, ZZ, images, pres, label=f"gamma(p={p0},n={n})")
 
 
 class GammaSummand:
@@ -526,6 +524,17 @@ def _check_odd_prime(p: int):
 
 # ------------------------------------------------------------ spec strings
 
+# kind -> (required keys, optional keys)
+_SPEC_KEYS = {
+    "trivial": ((), ()),
+    "onedim": ((), ("z",)),
+    "dihedral": (("p", "colors"), ()),
+    "metacyclic": (("m", "p", "k", "colors"), ()),
+    "gamma": (("p", "n"), ("a",)),
+    "metabelian": (("n", "m"), ("chi", "z")),
+}
+
+
 def parse_rep_spec(spec: str, pres: KnotPresentation) -> Representation:
     """Parse CLI representation spec strings.
 
@@ -534,31 +543,36 @@ def parse_rep_spec(spec: str, pres: KnotPresentation) -> Representation:
     metabelian:n=N:m=M:chi=I[:z=Z] | tensor(A,B) | sum(A,B) | modp(A,P)
     """
     spec = spec.strip()
-    for comb_name in ("tensor", "sum", "modp"):
-        if spec.startswith(comb_name + "(") and spec.endswith(")"):
-            inner = spec[len(comb_name) + 1 : -1]
-            parts = _split_top_level(inner)
-            if comb_name == "modp":
-                return rep_mod_p(parse_rep_spec(",".join(parts[:-1]), pres), int(parts[-1]))
-            # inner specs may themselves contain commas (colors lists); try
-            # every top-level split point until both halves parse
-            combine = rep_tensor if comb_name == "tensor" else rep_direct_sum
-            last_err = None
-            for i in range(1, len(parts)):
-                left = ",".join(parts[:i])
-                right = ",".join(parts[i:])
-                try:
-                    return combine(parse_rep_spec(left, pres), parse_rep_spec(right, pres))
-                except (RepresentationError, ValueError, KeyError) as exc:
-                    last_err = exc
-            raise RepresentationError(f"cannot split combinator arguments in {spec!r}") \
-                from last_err
-    fields = spec.split(":")
-    kind = fields[0]
+    head, paren, body = spec.partition("(")
+    if head in ("tensor", "sum", "modp") and paren and body.endswith(")"):
+        parts = _split_top_level(body[:-1])
+        if head == "modp":
+            return rep_mod_p(parse_rep_spec(",".join(parts[:-1]), pres), int(parts[-1]))
+        # colors, assignments and values are integers, so a top-level comma
+        # starts the next spec exactly when a letter follows it
+        args = []
+        for part in parts:
+            if args and not part[:1].isalpha():
+                args[-1] += "," + part
+            else:
+                args.append(part)
+        if len(args) != 2:
+            raise RepresentationError(f"{head} takes two specs, got {len(args)} in {spec!r}")
+        combine = rep_tensor if head == "tensor" else rep_direct_sum
+        return combine(parse_rep_spec(args[0], pres), parse_rep_spec(args[1], pres))
+    kind, *fields = spec.split(":")
+    if kind not in _SPEC_KEYS:
+        raise RepresentationError(f"unknown representation spec {spec!r}")
+    required, optional = _SPEC_KEYS[kind]
     kv = {}
-    for f in fields[1:]:
+    for f in fields:
         key, _, val = f.partition("=")
+        if key not in required + optional:
+            raise RepresentationError(f"{kind} spec has no key {key!r}")
         kv[key] = val
+    for key in required:
+        if key not in kv:
+            raise RepresentationError(f"{kind} spec is missing key {key!r}")
     if kind == "trivial":
         return rep_trivial(pres)
     if kind == "onedim":
@@ -574,53 +588,45 @@ def parse_rep_spec(spec: str, pres: KnotPresentation) -> Representation:
     if kind == "gamma":
         p0, n = int(kv["p"]), int(kv["n"])
         if "a" in kv:
-            d, _ = apn_field(n, p0)
             assignment = tuple(
                 tuple(int(x) for x in part.split(".")) for part in kv["a"].split(",")
             )
         else:
-            from .metabelian import find_zn_apn_epis
-
             epis = find_zn_apn_epis(pres, n, p0)
             if not epis:
                 raise RepresentationError(f"no epimorphism onto Z/{n} x| A_{{{p0},{n}}}")
             assignment = epis[0]
         return rep_gamma_compose(pres, n, p0, assignment)
-    if kind == "metabelian":
-        n = int(kv["n"])
-        m = int(kv["m"])
-        idx = int(kv.get("chi", "1"))
-        q = branched_cover_homology(pres, n)
-        chars = characters_of_quotient(q, m)
-        if idx >= len(chars):
-            raise RepresentationError(f"chi index {idx} out of range ({len(chars)} characters)")
-        z = None
-        if "z" in kv:
-            zval, zdom = _parse_scalar(kv["z"])
-            mchi = chars[idx].modulus
-            dom = CYC(lcm(mchi, zdom.m if isinstance(zdom, CyclotomicField) else 1))
-            z = convert(zval, zdom, dom) if isinstance(zdom, CyclotomicField) else dom.coerce(zval)
-            return rep_metabelian(pres, n, chars[idx], z, dom)
+    # metabelian
+    n, m = int(kv["n"]), int(kv["m"])
+    idx = int(kv.get("chi", "1"))
+    chars = characters_of_quotient(branched_cover_homology(pres, n), m)
+    if not 0 <= idx < len(chars):
+        raise RepresentationError(f"chi index {idx} out of range ({len(chars)} characters)")
+    if "z" not in kv:
         return rep_metabelian(pres, n, chars[idx])
-    raise RepresentationError(f"unknown representation spec {spec!r}")
+    dom, (z,) = parse_scalars([kv["z"]], chars[idx].modulus)
+    return rep_metabelian(pres, n, chars[idx], z, dom)
 
 
 def _split_top_level(s: str):
-    parts = []
-    depth = 0
-    cur = []
-    for ch in s:
-        if ch == "(":
-            depth += 1
-        elif ch == ")":
-            depth -= 1
+    """Split at the commas outside parentheses."""
+    parts, depth, start = [], 0, 0
+    for i, ch in enumerate(s):
+        depth += {"(": 1, ")": -1}.get(ch, 0)
         if ch == "," and depth == 0:
-            parts.append("".join(cur))
-            cur = []
-        else:
-            cur.append(ch)
-    parts.append("".join(cur))
-    return [p.strip() for p in parts]
+            parts.append(s[start:i].strip())
+            start = i + 1
+    return parts + [s[start:].strip()]
+
+
+def parse_scalars(tokens, m: int = 1):
+    """Scalar tokens as elements of one field Q(zeta_M), M the lcm of m and the
+    orders of the root-of-unity tokens; returns (field, values)."""
+    parsed = [_parse_scalar(t) for t in tokens]
+    field = CYC(lcm(m, *(d.m for _, d in parsed if isinstance(d, CyclotomicField))))
+    return field, [field.embed(v, d) if isinstance(d, CyclotomicField) else field.coerce(v)
+                   for v, d in parsed]
 
 
 def _parse_scalar(text: str):
@@ -640,7 +646,10 @@ def _parse_scalar(text: str):
             m, k = int(body), 1
         return CYC(m).zeta(k), CYC(m)
     if "/" in t:
-        return Fraction(t), QQ
+        try:
+            return Fraction(t), QQ
+        except ZeroDivisionError:
+            raise RepresentationError(f"zero denominator in {t!r}") from None
     return int(t), ZZ
 
 

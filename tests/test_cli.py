@@ -1,8 +1,9 @@
+import argparse
 import json
 
 import pytest
 
-from twistalex.cli import main
+from twistalex.cli import COMMANDS, build_parser, main
 
 PAPER_BRAID = "1 -2 3 3 -2 1 -2 -3 -2 1 -2"
 PAPER_REP = "dihedral:p=3:colors=2,0,2,1,1,2,0,1,0,1,2"
@@ -133,11 +134,19 @@ def test_usage_errors(capsys):
         (("--knot", "nosuch", "--rep", "trivial"), "no fixture for knot 'nosuch'"),
         (("--knot", "3_1", "--rep", "onedim:z=2"), "not a unit of ZZ"),
         (("--knot", "3_1", "--rep", "dihedral:p=9:colors=0,1,2"), "p must be an odd prime"),
+        (("--knot", "3_1", "--rep", "dihedral:p=3"), "missing key 'colors'"),
+        (("--knot", "3_1", "--rep", "gamma:p=3"), "missing key 'n'"),
+        (("--knot", "3_1", "--rep", "metacyclic:m=2:p=3:colors=0,1,2"), "missing key 'k'"),
+        (("--knot", "3_1", "--rep", "sum(trivial,bogus)"), "'bogus'"),
+        (("--knot", "3_1", "--rep", "dihedral:p=5:colors=0,1,1"), "dihedral(p=5)"),
+        (("--braid", "", "--rep", "trivial"), "empty braid word"),
     ):
         code, _, err = run(capsys, "twisted", *argv)
         assert code == 2
         assert err.startswith("error: ") and message in err
         assert len(err.strip().splitlines()) == 1
+    code, out, err = run(capsys, "conj-a-prime", "--knot", "3_1")  # --m defaults to 0
+    assert code == 2 and out == "" and err == "error: m must be >= 1, got 0\n"
 
 
 def test_batch_mode(tmp_path, capsys):
@@ -153,3 +162,40 @@ def test_batch_mode(tmp_path, capsys):
     assert lines[4] == "# fig8"
     assert lines[5] == "1 - 3*t + t^2"
     assert code == 2  # worst row status
+
+
+@pytest.mark.parametrize("argv", [
+    ("satellite", "--knot", "3_1", "--rep", "trivial", "--eigenvalues", "1"),
+    ("satellite", "--knot", "3_1", "--rep", "trivial", "--companion-delta", "1"),
+    ("wada-experiment", "--knot", "4_1"),
+    ("alexander", "--braid", "1 1 1", "--knot", "4_1"),
+    ("branched", "--knot", "3_1", "--rep", "trivial"),
+    ("present",),
+])
+def test_flag_errors_print_usage(capsys, argv):
+    code, out, err = run(capsys, *argv)
+    assert code == 2 and out == ""
+    assert err.startswith("usage: ") and "error: " in err and "Traceback" not in err
+
+
+def test_epis_json_matches_text(capsys):
+    for argv in (("epis", "--knot", "3_1"),
+                 ("epis", "--knot", "10_164", "--m", "2", "--p", "3", "--k", "2")):
+        code, text, _ = run(capsys, *argv)
+        assert code == 0 and text
+        code, js, _ = run(capsys, *argv, "--json")
+        assert code == 0
+        assert json.loads(js) == text.splitlines()
+
+
+def test_each_subcommand_registers_exactly_its_flags():
+    parser = build_parser()
+    (subparsers,) = [a for a in parser._actions if isinstance(a, argparse._SubParsersAction)]
+    assert list(subparsers.choices) == list(COMMANDS)
+    pairs = 0
+    for name, sub in subparsers.choices.items():
+        flags = [a.option_strings[0][2:] for a in sub._actions
+                 if not isinstance(a, argparse._HelpAction)]
+        assert sorted(flags) == sorted(COMMANDS[name][1]), name
+        pairs += len(flags)
+    assert pairs == 82

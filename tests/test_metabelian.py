@@ -220,6 +220,8 @@ def test_metacyclic_parameter_validation():
     pres = presentation("3_1")
     with pytest.raises(ValueError):
         find_metacyclic_epis(pres, 3, 7, 6)  # 6 has order 2 mod 7
+    with pytest.raises(ValueError, match="m must be >= 1, got 0"):
+        find_metacyclic_epis(pres, 0, 3, 1)  # the old check passed m = 0
     assert find_metacyclic_epis(pres, 3, 7, 2) == []  # trefoil has no G(3,7|2) epi
 
 

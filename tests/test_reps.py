@@ -1,4 +1,5 @@
 import random
+import re
 from fractions import Fraction
 from math import gcd
 
@@ -69,6 +70,8 @@ def test_dihedral_invalid_coloring_rejected():
     pres = presentation("3_1")
     with pytest.raises(RepresentationError):
         rep_dihedral(pres, DihedralData(3, (0, 1, 1)))
+    with pytest.raises(RepresentationError, match=re.escape("under dihedral(p=5)")):
+        rep_dihedral(pres, DihedralData(5, (0, 1, 1)))
     for p in (2, 4, 9):
         with pytest.raises(RepresentationError, match="p must be an odd prime"):
             rep_dihedral(pres, DihedralData(p, (0, 1, 2)))
@@ -91,6 +94,10 @@ def test_metacyclic_k_validation():
     assert find_metacyclic_epis(pres, 3, 7, 2) == []
     with pytest.raises(RepresentationError):
         rep_metacyclic(pres, 3, 7, 6, (0, 0, 0))
+    with pytest.raises(RepresentationError, match="m must be >= 1, got 0"):
+        rep_metacyclic(pres, 0, 3, 1, (0, 1, 2))
+    with pytest.raises(RepresentationError, match=re.escape("metacyclic(m=2,p=5,k=4)")):
+        rep_metacyclic(pres, 2, 5, 4, (0, 1, 1))
 
 
 def test_trefoil_all_colorings_give_reps():
@@ -407,6 +414,28 @@ def test_parse_rep_specs():
     assert m.dom.name == "GF(3)"
     meta = parse_rep_spec("metacyclic:m=2:p=3:k=-1:colors=0,1,2", tre)
     assert meta.dim == 3
+    nested = parse_rep_spec("tensor(sum(trivial,trivial),onedim:z=-1)", tre)
+    assert nested.dim == 2
+    assert nested.images[0].scales == (-1, -1)
+    both = parse_rep_spec("sum(dihedral:p=3:colors=0,1,2, metacyclic:m=2:p=3:k=2:colors=0,1,2)",
+                          tre)
+    assert both.dim == 6
+
+
+@pytest.mark.parametrize("spec, message", [
+    ("dihedral:p=3", "dihedral spec is missing key 'colors'"),
+    ("gamma:p=3", "gamma spec is missing key 'n'"),
+    ("metacyclic:m=2:p=3:colors=0,1,2", "metacyclic spec is missing key 'k'"),
+    ("trivial:z=1", "trivial spec has no key 'z'"),
+    ("sum(trivial,bogus)", "unknown representation spec 'bogus'"),
+    ("tensor(trivial,trivial,trivial)", "tensor takes two specs, got 3"),
+    ("metacyclic:m=0:p=3:k=1:colors=0,1,2", "m must be >= 1, got 0"),
+    ("onedim:z=1/0", "zero denominator in '1/0'"),
+    ("metabelian:n=2:m=3:chi=-1", "chi index -1 out of range"),
+])
+def test_parse_rep_spec_errors_name_the_fault(spec, message):
+    with pytest.raises(RepresentationError, match=re.escape(message)):
+        parse_rep_spec(spec, presentation("3_1"))
 
 
 def test_gamma_summand_homomorphism_on_all_pairs():
