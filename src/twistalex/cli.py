@@ -42,8 +42,6 @@ class UsageError(Exception):
 
 def _load_presentation(args) -> KnotPresentation:
     if args.braid is not None:
-        if not args.braid:
-            raise UsageError("empty braid word")
         return braid_closure_presentation(parse_braid(args.braid))
     if args.pres is not None:
         with open(args.pres) as fh:
@@ -111,8 +109,10 @@ def _cmd_alexander(args) -> int:
 def _cmd_twisted(args) -> int:
     pres = _load_presentation(args)
     rep = parse_rep_spec(args.rep, pres)
+    if args.factored and rep.dom.name not in ("ZZ", "QQ"):
+        raise UsageError(f"--factored factors over QQ only; this invariant is over {rep.dom.name}")
     tw = wada_invariant(pres, rep, column=args.column)
-    if args.factored and tw.dom.name == "QQ":
+    if args.factored:
         c = tw.canonical()
         num = c.value.num
         den_l = lcm(*(v.denominator for v in num.c.values()))

@@ -17,7 +17,7 @@ from math import gcd, lcm
 
 from . import words
 from .cyclo import CYC, cyclotomic_polynomial
-from .domains import GF, QQ, ZZ
+from .domains import GF, QQ, ZZ, is_prime
 from .fox import alexander_fox_matrix
 from .laurent import LaurentPoly
 from .matrix import identity, mat_inverse, mat_mul, nullspace, rref
@@ -440,6 +440,11 @@ def _normalize_coloring(v, p: int):
     return tuple(x * inv % p for x in shifted)
 
 
+def _check_prime(p0: int) -> None:
+    if not is_prime(p0):
+        raise ValueError(f"p must be a prime, got {p0}")
+
+
 def check_primitive_root(k: int, m: int, p: int, error: type = ValueError) -> None:
     """Raise `error` unless m >= 1 and k has multiplicative order exactly m mod p."""
     if m < 1:
@@ -455,6 +460,7 @@ def find_metacyclic_epis(pres: KnotPresentation, m: int, p0: int, k: int):
     (e, c) * (e', c') = (e + e', c k^(-e') + c'); relators give F_p0-linear
     conditions on the colors.
     """
+    _check_prime(p0)
     _require_wirtinger(pres)
     check_primitive_root(k, m, p0)
     n = pres.generator_count
@@ -533,6 +539,7 @@ def find_zn_apn_epis(pres: KnotPresentation, n: int, p0: int):
     an A-linear condition sum_i L_i a_i = 0, solved as a GF(p0) system on the
     coordinate vectors of the a_i.
     """
+    _check_prime(p0)
     _require_wirtinger(pres)
     if n < 2:
         raise ValueError("n must be >= 2")

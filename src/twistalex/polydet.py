@@ -5,41 +5,98 @@ correction unit restored at the end).  Three engines:
 
 * cofactor expansion - the brute-force oracle for small sizes;
 * fraction-free Bareiss elimination over D[t] - works over any exact domain
-  (the elimination itself is matrix.bareiss, shared with snf.det_int);
-* evaluation/interpolation - over ZZ/QQ/GF(p) through word-size primes and
-  numpy row reduction (CRT-certified by an a-priori coefficient bound), and
-  over cyclotomic fields through exact field elimination at integer points.
-  Both recover the polynomial with the one Newton interpolation _interpolate,
-  over GF(q) per prime or over the field itself.
+  (the elimination itself is matrix.bareiss, shared with snf.det_int); it
+  serves the domains the multimodular engine does not cover;
+* multimodular evaluation/interpolation over Z[zeta_m][t] - the one engine
+  for ZZ, QQ and GF(p) (as m = 1) and for the cyclotomic fields Q(zeta_m).
 
-The two forward-elimination kernels _det_mod_q (numpy, mod q) and _det_field
-(field elements) stay separate from the shared echelon kernel matrix.rref:
-they do nearly all of the work on the twisted-polynomial hot path, and they
-only need a determinant, not the reduced form.  Word-size primes are tested
-with domains.is_prime.
+The multimodular engine (_det_multimodular).  Each row is scaled by one lcm
+of the denominators of every power-basis coordinate of every coefficient, so
+the matrix lies over Z[zeta_m][t].  A word-size prime q = 1 (mod m) splits
+Phi_m into distinct linear factors, so each primitive m-th root of unity w^k
+in GF(q) (gcd(k, m) = 1) is a ring map Z[zeta_m] -> GF(q).  Per prime the
+integer coordinate array goes through all phi(m) maps at once, is evaluated
+by Horner at x = 0..deg_bound, and one batched numpy forward elimination
+(_det_mod_q, a pivot per matrix, at most _CHUNK_CELLS cells at a time) gives
+every determinant value.  A phi(m) x phi(m) Vandermonde solve mod q turns
+the embedding values back into power-basis coordinates, the one Newton
+interpolation _interpolate gives the coefficients in t, and CRT across the
+primes, into the symmetric range, gives the exact integer coordinates; the
+row scales and the t-shift are then undone.  GF(p) entries are lifted to
+0..p-1, so their determinant is the integer one reduced mod p.
 
-The twisted-polynomial pipeline produces matrices up to ~70x70 over ZZ[t];
-pure Bareiss is too slow there, which is what the modular engine is for.
+Certification.  Let c in Z[zeta_m] be a coefficient of the scaled
+determinant and iota any complex embedding.  |iota(zeta)| = 1, so
+|iota(a)| <= ||a||_1 (the l1-norm of the coordinates), and expanding the
+permutation sum inside prod_rows (sum of the row's ||coefficient||_1) gives
+|iota(c)| <= H := prod_rows sum_{entries, exponents} ||coefficient||_1.
+With {beta_j} the trace-dual basis of {zeta^j} (Tr(zeta^i beta_j) = delta_ij),
+the coordinates of c are x_j = Tr(c beta_j) = sum_iota iota(c) iota(beta_j),
+so |x_j| <= H * phi(m) * ||beta_j||_1 <= C_m * H with
+C_m = phi(m) * max_j ||beta_j||_1.  The beta_j are the rows of the inverse of
+the integer trace matrix Tr(zeta^(i+k)); C_m is an exact rational computed
+once per m (_coordinate_bound).  C_1 = 1, so over ZZ the bound is the
+classical prod of row l1-norms; C_12, C_20, C_28, C_76 = 2, 4, 6, 18.  Primes
+are taken until their product exceeds 2 C_m H + 1, so the symmetric CRT
+residue is the coordinate itself: no heuristic stopping.  Primes lie below
+2^31, so every product of two residues fits in int64.
+
+The twisted-polynomial pipeline produces matrices up to ~70x70 over ZZ[t]
+and ~40x40 over Q(zeta_m)[t]; Bareiss over D[t] is far too slow there.
 """
 from __future__ import annotations
 
 from fractions import Fraction
+from functools import lru_cache, partial
+from itertools import count
+from math import gcd, lcm
 
 import numpy as np
 
-from .domains import GF, Domain, ZZ, QQ, PrimeField, is_prime
+from .cyclo import CYC, CyclotomicField
+from .domains import GF, Domain, PrimeField, QQ, ZZ, is_prime
 from .laurent import LaurentPoly
-from .matrix import bareiss
+from .matrix import bareiss, mat_inverse
+
+# int64 cells per batched evaluation/elimination chunk (512 KiB): bounds the
+# peak memory of the engine whatever the matrix size and number of points
+_CHUNK_CELLS = 1 << 16
 
 
 # --------------------------------------------------------------------- primes
 
-def _prime_stream():
-    q = 2**31 - 1
-    while q > 2**30:
-        if is_prime(q):
-            yield q
-        q -= 2
+@lru_cache(maxsize=None)
+def _prime(m: int, i: int) -> int:
+    """The i-th prime q = 1 (mod m) below 2^31, counting down from 2^31."""
+    step = lcm(2, m)
+    q = _prime(m, i - 1) - step if i else 2**31 - 1 - (2**31 - 2) % step
+    while not is_prime(q):
+        q -= step
+    if q < 2**30:
+        raise ArithmeticError(f"ran out of word-size primes = 1 mod {m}")
+    return q
+
+
+@lru_cache(maxsize=None)
+def _embeddings(m: int, q: int):
+    """(V, V^-1) mod q as int64 arrays, V[e][j] = w^(k_e j) for the phi(m)
+    exponents k_e coprime to m and the least-base primitive m-th root w."""
+    factors = [r for r in range(2, m + 1) if m % r == 0 and is_prime(r)]
+    w = next(w for w in (pow(g, (q - 1) // m, q) for g in range(2, q))
+             if all(pow(w, m // r, q) != 1 for r in factors))
+    ks = [k for k in range(1, m + 1) if gcd(k, m) == 1]
+    v = [[pow(w, k * j, q) for j in range(len(ks))] for k in ks]
+    return np.array(v, dtype=np.int64), np.array(mat_inverse(GF(q), v), dtype=np.int64)
+
+
+@lru_cache(maxsize=None)
+def _coordinate_bound(m: int) -> Fraction:
+    """C_m = phi(m) * max_j ||beta_j||_1, {beta_j} trace-dual to {zeta_m^j}."""
+    F = CYC(m)
+    d = F.degree
+    tr = [sum(F.zeta(s + i)[i] for i in range(d)) for s in range(2 * d - 1)]
+    dual = mat_inverse(QQ, [[tr[i + k] for k in range(d)] for i in range(d)])
+    return d * max(sum(abs(x) for x in row) for row in dual)
 
 
 # ----------------------------------------------------------------- row shifts
@@ -86,144 +143,136 @@ def det_bareiss(rows, dom: Domain) -> LaurentPoly:
     return bareiss(m, LaurentPoly.one(dom), LaurentPoly.exact_div).shift(shift)
 
 
-def _det_mod_q(a: np.ndarray, q: int) -> int:
-    """Determinant of an int64 matrix mod q (q an odd word-size prime)."""
-    m = a % q
-    n = m.shape[0]
-    det = 1
+def _det_mod_q(a: np.ndarray, q: int) -> np.ndarray:
+    """Determinants mod q of a (b, n, n) int64 stack with entries in [0, q).
+
+    Forward elimination with a pivot per matrix; a is overwritten.
+    """
+    b, n, _ = a.shape
+    det = np.ones(b, dtype=np.int64)
+    every = np.arange(b)
     for i in range(n):
-        col = m[i:, i]
-        nz = np.nonzero(col)[0]
-        if nz.size == 0:
-            return 0
-        p = int(nz[0]) + i
-        if p != i:
-            m[[i, p]] = m[[p, i]]
-            det = -det % q
-        piv = int(m[i, i])
+        nonzero = a[:, i:, i] != 0
+        p = nonzero.argmax(axis=1) + i
+        swap = p != i
+        if swap.any():
+            row = a[every, i].copy()
+            a[every, i] = a[every, p]
+            a[every, p] = row
+            det[swap] = -det[swap] % q
+        piv = a[:, i, i].copy()
+        dead = ~nonzero.any(axis=1)
+        det[dead] = 0
+        piv[dead] = 1
         det = det * piv % q
         if i + 1 < n:
-            inv = pow(piv, -1, q)
-            factors = m[i + 1 :, i] * inv % q
-            m[i + 1 :, i:] = (m[i + 1 :, i:] - np.outer(factors, m[i, i:])) % q
+            inv = np.array([pow(v, -1, q) for v in piv.tolist()], dtype=np.int64)
+            f = a[:, i + 1 :, i] * inv[:, None] % q
+            rest = a[:, i + 1 :, i + 1 :]  # a view: updated in place
+            rest -= f[:, :, None] * a[:, i, None, i + 1 :]
+            rest %= q
     return det
 
 
-def _interpolate(dom: Domain, ys):
-    """Coefficients of the poly with values ys at x = 0..len(ys)-1 (Newton)."""
+def _interpolate(ys: np.ndarray, q: int) -> np.ndarray:
+    """Coefficients mod q of the polys with values ys[x] at x = 0..len(ys)-1.
+
+    Newton's divided differences; ys is (points, k), one poly per column.
+    """
     k = len(ys)
-    dd = list(ys)  # divided differences, built in place
+    dd = ys.copy()
     for level in range(1, k):
         # equally spaced points: x_i - x_{i-level} = level at every i
-        inv = dom.inv(dom.coerce(level))
-        for i in range(k - 1, level - 1, -1):
-            dd[i] = dom.mul(dom.sub(dd[i], dd[i - 1]), inv)
-    coeffs = [dom.zero()] * k
-    basis = [dom.one()]  # prod_{i<j}(t - i)
+        dd[level:] = (dd[level:] - dd[level - 1 : -1]) * pow(level, -1, q) % q
+    coeffs = np.zeros_like(dd)
+    basis = np.ones(1, dtype=np.int64)  # prod_{i<j}(t - i)
     for j in range(k):
-        for i, b in enumerate(basis):
-            coeffs[i] = dom.add(coeffs[i], dom.mul(dd[j], b))
-        nb = [dom.zero()] * (len(basis) + 1)
-        mj = dom.neg(dom.coerce(j))
-        for i, b in enumerate(basis):
-            nb[i] = dom.add(nb[i], dom.mul(mj, b))
-            nb[i + 1] = dom.add(nb[i + 1], b)
+        coeffs[: j + 1] = (coeffs[: j + 1] + basis[:, None] * dd[j]) % q
+        nb = np.zeros(j + 2, dtype=np.int64)
+        nb[1:] = basis
+        nb[:-1] = (nb[:-1] - j * basis) % q
         basis = nb
     return coeffs
 
 
-def det_modular_int(rows) -> LaurentPoly:
-    """Determinant over ZZ[t^±1] via CRT over word-size primes."""
-    n = len(rows)
-    if n == 0:
-        return LaurentPoly.one(ZZ)
-    m, shift = _shift_rows(rows)
-    if m is None:
-        return LaurentPoly.zero(ZZ)
-    deg_bound = 0
-    coeff_bound = 1
-    for row in m:
-        deg_bound += max(f.deg() for f in row if not f.is_zero())
-        coeff_bound *= sum(abs(v) for f in row for v in f.c.values())
-    if coeff_bound == 0:
-        return LaurentPoly.zero(ZZ)
-    npoints = deg_bound + 1
-    # dense layers: layer[d][i][j] = coefficient of t^d
-    max_deg = max((f.deg() for row in m for f in row if not f.is_zero()), default=0)
-    layers = [[[0] * n for _ in range(n)] for _ in range(max_deg + 1)]
-    for i, row in enumerate(m):
-        for j, f in enumerate(row):
-            for e, v in f.c.items():
-                layers[e][i][j] = v
-    primes = []
-    prod = 1
-    for q in _prime_stream():
-        primes.append(q)
-        prod *= q
-        if prod > 2 * coeff_bound + 1:
-            break
-    residues = []  # per prime: coefficient list mod q
-    for q in primes:
-        np_layers = [np.array([[v % q for v in row] for row in layer], dtype=np.int64)
-                     for layer in layers]
-        vals = []
-        for x in range(npoints):
-            acc = np_layers[-1].copy()
-            for layer in reversed(np_layers[:-1]):
-                acc = (acc * x + layer) % q
-            vals.append(_det_mod_q(acc, q))
-        residues.append(_interpolate(GF(q), vals))
-    # CRT per coefficient, symmetric range
-    coeffs = {}
-    for d in range(npoints):
-        x, mod = 0, 1
-        for q, res in zip(primes, residues):
-            r = res[d] if d < len(res) else 0
-            t = (r - x) * pow(mod, -1, q) % q
-            x += mod * t
-            mod *= q
-        if x > mod // 2:
-            x -= mod
-        if x:
-            coeffs[d] = x
-    return LaurentPoly(ZZ, coeffs).shift(shift)
+def _coords_mod_q(a, m: int, q: int, npoints: int) -> np.ndarray:
+    """(npoints, phi) power-basis coordinates mod q of the determinant's
+    coefficients, from the (deg+1, phi, n, n) integer coordinate array a."""
+    v, vinv = _embeddings(m, q)
+    aq = (a % q).astype(np.int64)
+    phi, n = aq.shape[1], aq.shape[2]
+    emb = np.zeros_like(aq)  # emb[d, e] = e-th embedding of the t^d layer
+    for j in range(phi):
+        emb = (emb + aq[:, j, None] * v[None, :, j, None, None]) % q
+    dets = np.empty((npoints, phi), dtype=np.int64)
+    step = max(1, _CHUNK_CELLS // (phi * n * n))
+    for x0 in range(0, npoints, step):
+        xs = np.arange(x0, min(x0 + step, npoints), dtype=np.int64)
+        acc = np.repeat(emb[-1][None], len(xs), axis=0)
+        for layer in emb[-2::-1]:
+            acc *= xs[:, None, None, None]
+            acc += layer
+            acc %= q
+        dets[x0 : x0 + len(xs)] = _det_mod_q(acc.reshape(-1, n, n), q).reshape(-1, phi)
+    vals = np.zeros_like(dets)
+    for e in range(phi):
+        vals = (vals + dets[:, e, None] * vinv[None, :, e]) % q
+    return _interpolate(vals, q)
 
 
-def _det_field_at_points(rows, dom: Domain) -> LaurentPoly:
-    """Evaluation/interpolation determinant over a field domain (exact)."""
+def _det_multimodular(rows, dom: Domain) -> LaurentPoly:
+    """Exact determinant over ZZ, QQ, GF(p) or Q(zeta_m); see the module doc."""
     n = len(rows)
     if n == 0:
         return LaurentPoly.one(dom)
-    m, shift = _shift_rows(rows)
-    if m is None:
+    shifted, shift = _shift_rows(rows)
+    if shifted is None:
         return LaurentPoly.zero(dom)
-    deg_bound = sum(max(f.deg() for f in row if not f.is_zero()) for row in m)
+    cyclo = isinstance(dom, CyclotomicField)
+    m = dom.m if cyclo else 1
+    phi = dom.degree if cyclo else 1
+    top = max(f.deg() for row in shifted for f in row if not f.is_zero())
+    cells = [[[[0] * n for _ in range(n)] for _ in range(phi)] for _ in range(top + 1)]
+    bound, scale, deg_bound, widest = _coordinate_bound(m), 1, 0, 0
+    for i, row in enumerate(shifted):
+        terms = [(j, e, v if cyclo else (v,)) for j, f in enumerate(row) for e, v in f.c.items()]
+        l = lcm(*(x.denominator for _, _, xs in terms for x in xs))
+        norm = 0  # the row's l1-norm, at least each of its coordinates
+        for j, e, xs in terms:
+            for k, x in enumerate(xs):
+                y = x.numerator * (l // x.denominator)
+                cells[e][k][i][j] = y
+                norm += abs(y)
+        scale *= l
+        bound *= norm
+        widest = max(widest, norm)
+        deg_bound += max(e for _, e, _ in terms)
+    a = np.array(cells, dtype=np.int64 if widest < 2**62 else object)
     npoints = deg_bound + 1
-    xs = [dom.coerce(x) for x in range(npoints)]
-    vals = []
-    for x in xs:
-        a = [[f.evaluate(x) for f in row] for row in m]
-        vals.append(_det_field(a, dom))
-    return LaurentPoly(dom, dict(enumerate(_interpolate(dom, vals)))).shift(shift)
+    x, mod = np.zeros((npoints, phi), dtype=object), 1
+    for q in map(partial(_prime, m), count()):
+        r = _coords_mod_q(a, m, q, npoints).astype(object)
+        x += mod * ((r - x) * pow(mod, -1, q) % q)
+        mod *= q
+        if mod > 2 * bound + 1:
+            break
+    x[x > mod // 2] -= mod
+    coeffs = {}
+    for d, xs in enumerate(x.tolist()):
+        if any(xs):
+            c = tuple(Fraction(v, scale) for v in xs)
+            coeffs[d] = dom.coerce(c if cyclo else c[0])
+    return LaurentPoly(dom, coeffs).shift(shift)
 
 
-def _det_field(a, dom: Domain):
-    n = len(a)
-    det = dom.one()
-    for i in range(n):
-        piv = next((r for r in range(i, n) if not dom.is_zero(a[r][i])), None)
-        if piv is None:
-            return dom.zero()
-        if piv != i:
-            a[i], a[piv] = a[piv], a[i]
-            det = dom.neg(det)
-        det = dom.mul(det, a[i][i])
-        inv = dom.inv(a[i][i])
-        for r in range(i + 1, n):
-            if not dom.is_zero(a[r][i]):
-                f = dom.mul(a[r][i], inv)
-                a[r] = [dom.sub(x, dom.mul(f, y)) for x, y in zip(a[r], a[i])]
-    return det
+def det_modular_int(rows) -> LaurentPoly:
+    """Determinant over ZZ[t^±1]: the multimodular engine with m = 1."""
+    return _det_multimodular(rows, ZZ)
+
+
+def det_matrix(a, dom: Domain):
+    """Exact determinant of a square matrix of dom elements."""
+    return _det_multimodular([[LaurentPoly(dom, {0: x}) for x in row] for row in a], dom)[0]
 
 
 def det_poly_matrix(rows, dom: Domain) -> LaurentPoly:
@@ -232,27 +281,6 @@ def det_poly_matrix(rows, dom: Domain) -> LaurentPoly:
     for row in rows:
         if len(row) != n:
             raise ValueError("matrix is not square")
-    if dom.name == "ZZ":
-        return det_modular_int(rows)
-    if dom.name == "QQ":
-        # clear denominators row by row, run the integer engine, scale back
-        from math import lcm
-
-        int_rows = []
-        scale = Fraction(1)
-        for row in rows:
-            dens = [v.denominator for f in row for v in f.c.values()]
-            l = lcm(*dens) if dens else 1
-            scale /= l
-            int_rows.append(
-                [LaurentPoly(ZZ, {e: int(v * l) for e, v in f.c.items()}) for f in row]
-            )
-        d = det_modular_int(int_rows)
-        return LaurentPoly(QQ, {e: Fraction(v) * scale for e, v in d.c.items()})
-    if isinstance(dom, PrimeField):
-        int_rows = [[LaurentPoly(ZZ, dict(f.c)) for f in row] for row in rows]
-        d = det_modular_int(int_rows)
-        return LaurentPoly(dom, {e: v % dom.p for e, v in d.c.items()})
-    if n <= 4:
-        return det_bareiss(rows, dom)
-    return _det_field_at_points(rows, dom) if dom.is_field else det_bareiss(rows, dom)
+    if dom is ZZ or dom is QQ or isinstance(dom, (PrimeField, CyclotomicField)):
+        return _det_multimodular(rows, dom)
+    return det_bareiss(rows, dom)

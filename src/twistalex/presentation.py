@@ -52,7 +52,13 @@ _BRAID_TOKEN = re.compile(r"^s(\d+)(\^-1)?$")
 
 
 def parse_braid(text: str, strands: int | None = None) -> BraidWord:
-    """Parse whitespace-separated signed indices or s<i> / s<i>^-1 tokens."""
+    """Parse whitespace-separated signed indices or s<i> / s<i>^-1 tokens.
+
+    A word with no letters is the trivial braid only with a declared strand
+    count; without one it is refused.
+    """
+    if strands is None and not text.split():
+        raise PresentationError("empty braid word")
     letters = []
     for tok in text.split():
         m = _BRAID_TOKEN.match(tok)
@@ -68,7 +74,7 @@ def parse_braid(text: str, strands: int | None = None) -> BraidWord:
         raise PresentationError("braid generator index 0 is not allowed")
     need = 1 + max((abs(x) for x in letters), default=0)
     if strands is None:
-        strands = max(need, 1)
+        strands = need
     elif strands < need:
         raise PresentationError(f"index >= declared strand count {strands}")
     return BraidWord(strands, tuple(letters))

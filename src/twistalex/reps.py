@@ -19,6 +19,7 @@ from .matrix import (Dense, Monomial, as_monomial, gen_inv, gen_mul, identity,
                      mat_convert, mat_eq, mat_mul, to_dense)
 from .metabelian import (Character, DihedralData, apn_field, branched_cover_homology,
                          characters_of_quotient, check_primitive_root, find_zn_apn_epis)
+from .polydet import det_matrix
 from .presentation import KnotPresentation
 
 
@@ -113,18 +114,7 @@ class Representation:
 
 
 def _dense_det(dom: Domain, m: Dense):
-    n = len(m)
-    if n == 0:
-        return dom.one()
-    if dom.is_field:
-        from .polydet import _det_field
-
-        return _det_field([list(r) for r in m], dom)
-    from .snf import det_int
-
-    if dom.name == "ZZ":
-        return det_int([list(r) for r in m])
-    raise TypeError(f"determinant over {dom.name} not supported for dense matrices")
+    return det_matrix(m, dom)
 
 
 # ------------------------------------------------------- simple constructors
@@ -547,7 +537,8 @@ def parse_rep_spec(spec: str, pres: KnotPresentation) -> Representation:
     if head in ("tensor", "sum", "modp") and paren and body.endswith(")"):
         parts = _split_top_level(body[:-1])
         if head == "modp":
-            return rep_mod_p(parse_rep_spec(",".join(parts[:-1]), pres), int(parts[-1]))
+            return rep_mod_p(parse_rep_spec(",".join(parts[:-1]), pres),
+                             _int("modp", "p", parts[-1]))
         # colors, assignments and values are integers, so a top-level comma
         # starts the next spec exactly when a letter follows it
         args = []
@@ -578,19 +569,18 @@ def parse_rep_spec(spec: str, pres: KnotPresentation) -> Representation:
     if kind == "onedim":
         z, dom = _parse_scalar(kv.get("z", "1"))
         return rep_onedim(pres, z, dom)
+    ints = {key: _int(kind, key, kv[key]) for key in ("p", "m", "k", "n", "chi") if key in kv}
+    if "colors" in kv:
+        colors = tuple(_int(kind, "colors", c) for c in kv["colors"].split(","))
     if kind == "dihedral":
-        p = int(kv["p"])
-        colors = tuple(int(c) for c in kv["colors"].split(","))
-        return rep_dihedral(pres, DihedralData(p, colors))
+        return rep_dihedral(pres, DihedralData(ints["p"], colors))
     if kind == "metacyclic":
-        return rep_metacyclic(pres, int(kv["m"]), int(kv["p"]), int(kv["k"]),
-                              tuple(int(c) for c in kv["colors"].split(",")))
+        return rep_metacyclic(pres, ints["m"], ints["p"], ints["k"], colors)
     if kind == "gamma":
-        p0, n = int(kv["p"]), int(kv["n"])
+        p0, n = ints["p"], ints["n"]
         if "a" in kv:
-            assignment = tuple(
-                tuple(int(x) for x in part.split(".")) for part in kv["a"].split(",")
-            )
+            assignment = tuple(tuple(_int(kind, "a", x) for x in part.split("."))
+                               for part in kv["a"].split(","))
         else:
             epis = find_zn_apn_epis(pres, n, p0)
             if not epis:
@@ -598,8 +588,8 @@ def parse_rep_spec(spec: str, pres: KnotPresentation) -> Representation:
             assignment = epis[0]
         return rep_gamma_compose(pres, n, p0, assignment)
     # metabelian
-    n, m = int(kv["n"]), int(kv["m"])
-    idx = int(kv.get("chi", "1"))
+    n, m = ints["n"], ints["m"]
+    idx = ints.get("chi", 1)
     chars = characters_of_quotient(branched_cover_homology(pres, n), m)
     if not 0 <= idx < len(chars):
         raise RepresentationError(f"chi index {idx} out of range ({len(chars)} characters)")
@@ -607,6 +597,14 @@ def parse_rep_spec(spec: str, pres: KnotPresentation) -> Representation:
         return rep_metabelian(pres, n, chars[idx])
     dom, (z,) = parse_scalars([kv["z"]], chars[idx].modulus)
     return rep_metabelian(pres, n, chars[idx], z, dom)
+
+
+def _int(kind: str, key: str, text: str) -> int:
+    try:
+        return int(text)
+    except ValueError:
+        raise RepresentationError(
+            f"{kind} spec key {key!r} is not an integer: {text!r}") from None
 
 
 def _split_top_level(s: str):
@@ -636,21 +634,24 @@ def _parse_scalar(text: str):
         return CYC(4).zeta(1), CYC(4)
     if t == "-i":
         return CYC(4).zeta(3), CYC(4)
-    if t.startswith("z") or t.startswith("zeta"):
-        body = t[4:] if t.startswith("zeta") else t[1:]
-        body = body.lstrip("_")
-        if "^" in body:
-            mtext, _, ktext = body.partition("^")
-            m, k = int(mtext), int(ktext)
-        else:
-            m, k = int(body), 1
-        return CYC(m).zeta(k), CYC(m)
-    if "/" in t:
-        try:
+    try:
+        if t.startswith("z") or t.startswith("zeta"):
+            body = t[4:] if t.startswith("zeta") else t[1:]
+            body = body.lstrip("_")
+            if "^" in body:
+                mtext, _, ktext = body.partition("^")
+                m, k = int(mtext), int(ktext)
+            else:
+                m, k = int(body), 1
+            return CYC(m).zeta(k), CYC(m)
+        if "/" in t:
             return Fraction(t), QQ
-        except ZeroDivisionError:
-            raise RepresentationError(f"zero denominator in {t!r}") from None
-    return int(t), ZZ
+        return int(t), ZZ
+    except ZeroDivisionError:
+        raise RepresentationError(f"zero denominator in {t!r}") from None
+    except ValueError:
+        raise RepresentationError(f"malformed scalar {t!r}: expected an integer, a "
+                                  "fraction, i or z<m>^<k>") from None
 
 
 def rep_spec_of_coloring(d: DihedralData) -> str:

@@ -9,9 +9,10 @@ image).  doteq comparison and canonical text forms quotient that unit out.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from math import lcm
 
 from .cyclo import CyclotomicField
-from .domains import Domain, QQ, convert
+from .domains import Domain, PrimeField, QQ, convert
 from .fox import GroupRingElement, alexander_fox_matrix, specialize_element, specialize_matrix
 from .laurent import LaurentPoly, RationalFunction
 from .polydet import det_poly_matrix
@@ -63,12 +64,32 @@ def _field_of(dom: Domain) -> Domain:
     raise TypeError(f"no fraction field wired for {dom.name}")
 
 
+def _torsion_exponent(dom: Domain) -> int:
+    """N with u^N = 1 for every root of unity u in dom."""
+    if isinstance(dom, CyclotomicField):
+        return lcm(2, dom.m)
+    if isinstance(dom, PrimeField):
+        return dom.p - 1
+    return 2
+
+
 def unit_subgroup(dom: Domain, gens) -> tuple:
-    """Closure of the subgroup of dom* generated by gens (all finite here)."""
+    """Closure of the subgroup of dom* generated by gens.
+
+    Each generator must be a root of unity (g^N = 1 for dom's torsion
+    exponent N); any other generator is refused before enumerating.
+    """
     one = dom.one()
+    n = _torsion_exponent(dom)
+    # conjugate meridians share a determinant: drop repeats, keeping the
+    # first of each, which leaves the enumeration order unchanged
+    gens = list({dom.sort_key(g): g for g in gens}.values())
+    for g in gens:
+        if not dom.eq(_power(dom, g, n), one):
+            raise WadaError(f"determinant generator {dom.to_str(g)} has infinite order "
+                            f"in {dom.name}; the determinant subgroup must be finite")
     elems = {dom.sort_key(one): one}
     frontier = [one]
-    gens = [g for g in gens]
     inv_gens = [dom.inv(g) for g in gens]
     cap = 20000
     while frontier:
@@ -81,9 +102,19 @@ def unit_subgroup(dom: Domain, gens) -> tuple:
                     elems[k] = y
                     nxt.append(y)
                     if len(elems) > cap:
-                        raise WadaError("determinant subgroup is not finite enough")
+                        raise WadaError(f"determinant subgroup has more than {cap} elements")
         frontier = nxt
     return tuple(elems.values())
+
+
+def _power(dom: Domain, g, n: int):
+    acc = dom.one()
+    while n:
+        if n & 1:
+            acc = dom.mul(acc, g)
+        g = dom.mul(g, g)
+        n >>= 1
+    return acc
 
 
 def wada_invariant(pres: KnotPresentation, rep, column: int | None = None) -> TwistedPolynomial:

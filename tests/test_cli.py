@@ -140,6 +140,15 @@ def test_usage_errors(capsys):
         (("--knot", "3_1", "--rep", "sum(trivial,bogus)"), "'bogus'"),
         (("--knot", "3_1", "--rep", "dihedral:p=5:colors=0,1,1"), "dihedral(p=5)"),
         (("--braid", "", "--rep", "trivial"), "empty braid word"),
+        (("--braid", " ", "--rep", "trivial"), "empty braid word"),
+        (("--knot", "3_1", "--rep", "modp(dihedral:p=3:colors=0,1,2,3)", "--factored"),
+         "--factored factors over QQ only; this invariant is over GF(3)"),
+        (("--knot", "3_1", "--rep", "metabelian:n=2:m=3:chi=1", "--factored"),
+         "--factored factors over QQ only; this invariant is over Q(zeta_12)"),
+        (("--knot", "3_1", "--rep", "dihedral:p=x:colors=0,1,2"),
+         "dihedral spec key 'p' is not an integer: 'x'"),
+        (("--knot", "3_1", "--rep", "onedim:z=1/2"),
+         "determinant generator 1/2 has infinite order in QQ"),
     ):
         code, _, err = run(capsys, "twisted", *argv)
         assert code == 2
@@ -147,11 +156,19 @@ def test_usage_errors(capsys):
         assert len(err.strip().splitlines()) == 1
     code, out, err = run(capsys, "conj-a-prime", "--knot", "3_1")  # --m defaults to 0
     assert code == 2 and out == "" and err == "error: m must be >= 1, got 0\n"
+    for argv in (("conj-a-prime", "--knot", "3_1", "--m", "2", "--p", "0", "--k", "1"),
+                 ("epis", "--knot", "3_1", "--p", "0"),
+                 ("epis", "--knot", "3_1", "--m", "2", "--p", "9", "--k", "8")):
+        code, out, err = run(capsys, *argv)
+        p = argv[argv.index("--p") + 1]
+        assert code == 2 and out == "" and err == f"error: p must be a prime, got {p}\n"
+    code, out, err = run(capsys, "present", "--braid", " ")
+    assert code == 2 and out == "" and err == "error: empty braid word\n"
 
 
 def test_batch_mode(tmp_path, capsys):
     table = tmp_path / "batch.tsv"
-    table.write_text("trefoil\t1 1 1\nbroken\t1 0\nfig8\t1 -2 1 -2\n")
+    table.write_text("trefoil\t1 1 1\nbroken\t1 0\nfig8\t1 -2 1 -2\nblank\t \n")
     code, out, _ = run(capsys, "alexander", "--batch", str(table))
     lines = out.strip().splitlines()
     # one record per row, errors inline, batch never aborts
@@ -161,6 +178,7 @@ def test_batch_mode(tmp_path, capsys):
     assert lines[3].startswith("error")
     assert lines[4] == "# fig8"
     assert lines[5] == "1 - 3*t + t^2"
+    assert lines[6:] == ["# blank", "error: empty braid word"]
     assert code == 2  # worst row status
 
 

@@ -223,6 +223,11 @@ def test_metacyclic_parameter_validation():
     with pytest.raises(ValueError, match="m must be >= 1, got 0"):
         find_metacyclic_epis(pres, 0, 3, 1)  # the old check passed m = 0
     assert find_metacyclic_epis(pres, 3, 7, 2) == []  # trefoil has no G(3,7|2) epi
+    for p in (0, 1, 9, -3):
+        with pytest.raises(ValueError, match=f"p must be a prime, got {p}"):
+            find_metacyclic_epis(pres, 2, p, 1)
+        with pytest.raises(ValueError, match=f"p must be a prime, got {p}"):
+            find_zn_apn_epis(pres, 2, p)
 
 
 def test_zn_apn_matches_dihedral_for_n2():

@@ -29,6 +29,9 @@ def test_parse_braid_forms():
     b2 = parse_braid("s1 s2^-1 s3 s3 s2^-1 s1 s2^-1 s3^-1 s2^-1 s1 s2^-1")
     assert b2 == b
     assert parse_braid("", strands=1) == BraidWord(1, ())
+    for blank in ("", " ", "\t \n"):
+        with pytest.raises(PresentationError, match="empty braid word"):
+            parse_braid(blank)
     assert parse_braid("1 1 1").strands == 2
 
 

@@ -432,6 +432,14 @@ def test_parse_rep_specs():
     ("metacyclic:m=0:p=3:k=1:colors=0,1,2", "m must be >= 1, got 0"),
     ("onedim:z=1/0", "zero denominator in '1/0'"),
     ("metabelian:n=2:m=3:chi=-1", "chi index -1 out of range"),
+    ("dihedral:p=x:colors=0,1,2", "dihedral spec key 'p' is not an integer: 'x'"),
+    ("dihedral:p=3:colors=0,1,y", "dihedral spec key 'colors' is not an integer: 'y'"),
+    ("metacyclic:m=2:p=3:k=2.5:colors=0,1,2", "metacyclic spec key 'k' is not an integer"),
+    ("gamma:p=3:n=2:a=0.1,x", "gamma spec key 'a' is not an integer: 'x'"),
+    ("metabelian:n=two:m=3", "metabelian spec key 'n' is not an integer: 'two'"),
+    ("modp(trivial,q)", "modp spec key 'p' is not an integer: 'q'"),
+    ("onedim:z=x", "malformed scalar 'x'"),
+    ("metabelian:n=2:m=3:chi=1:z=z3^y", "malformed scalar 'z3^y'"),
 ])
 def test_parse_rep_spec_errors_name_the_fault(spec, message):
     with pytest.raises(RepresentationError, match=re.escape(message)):

@@ -14,7 +14,7 @@ from twistalex.presentation import parse_presentation
 from twistalex.reps import (rep_dihedral, rep_direct_sum, rep_metabelian,
                             rep_mod_p, rep_onedim, rep_trivial)
 from twistalex.twisted import (TwistedPolynomial, WadaError, doteq_equal, doteq_poly,
-                               satellite_twisted, wada_invariant)
+                               satellite_twisted, unit_subgroup, wada_invariant)
 
 PAPER_COLORING = DihedralData(3, (2, 0, 2, 1, 1, 2, 0, 1, 0, 1, 2))
 
@@ -88,9 +88,26 @@ def test_doteq_units():
 def test_doteq_incomparable_units():
     pres = presentation("3_1")
     tw = wada_invariant(pres, rep_trivial(pres))
-    other = TwistedPolynomial(tw.value, (QQ.coerce(Fraction(2)),), tw.column)
-    with pytest.raises(WadaError):
+    other = TwistedPolynomial(tw.value, (QQ.coerce(-1),), tw.column)
+    with pytest.raises(WadaError, match="incomparable"):
         doteq_equal(tw, other)
+
+
+def test_infinite_order_det_generator_refused():
+    pres = presentation("3_1")
+    tw = wada_invariant(pres, rep_trivial(pres))
+    for gen in (QQ.coerce(Fraction(2)), QQ.coerce(Fraction(1, 2))):
+        other = TwistedPolynomial(tw.value, (gen,), tw.column)
+        with pytest.raises(WadaError, match=f"generator {gen} has infinite order"):
+            other.units()
+    F = CYC(4)
+    one_plus_i = F.add(F.one(), F.zeta(1))  # |1 + i| = sqrt(2): not a root of unity
+    with pytest.raises(WadaError, match="infinite order in Q\\(zeta_4\\)"):
+        unit_subgroup(F, (F.zeta(1), one_plus_i))
+    # roots of unity pass: the full torsion of Q(zeta_4) and of GF(7)
+    assert len(unit_subgroup(F, (F.zeta(1),))) == 4
+    assert len(unit_subgroup(CYC(3), (CYC(3).neg(CYC(3).zeta(1)),))) == 6
+    assert len(unit_subgroup(GF(7), (3,))) == 6
 
 
 def test_column_independence():
