@@ -18,11 +18,13 @@ from __future__ import annotations
 import argparse
 import json
 import sys
+from fractions import Fraction
 from math import lcm
 
 from . import knots
 from .conjectures import (check_conjecture_A, check_conjecture_Aprime,
                           check_conjecture_B1, check_conjecture_B2, wada_experiment)
+from .cyclo import CyclotomicField
 from .domains import ZZ
 from .factorint import factor_integer_poly
 from .laurent import LaurentPoly, parse_poly
@@ -106,17 +108,28 @@ def _cmd_alexander(args) -> int:
     return 0
 
 
+def _rational_reader(dom):
+    """Coefficient -> Fraction for the fields of degree 1 over QQ (ZZ, QQ,
+    Q(zeta_1), Q(zeta_2)); None for every other domain."""
+    if dom.name in ("ZZ", "QQ"):
+        return Fraction
+    if isinstance(dom, CyclotomicField) and dom.degree == 1:
+        return dom.rational_value
+    return None
+
+
 def _cmd_twisted(args) -> int:
     pres = _load_presentation(args)
     rep = parse_rep_spec(args.rep, pres)
-    if args.factored and rep.dom.name not in ("ZZ", "QQ"):
+    rational = _rational_reader(rep.dom)
+    if args.factored and rational is None:
         raise UsageError(f"--factored factors over QQ only; this invariant is over {rep.dom.name}")
     tw = wada_invariant(pres, rep, column=args.column)
     if args.factored:
         c = tw.canonical()
-        num = c.value.num
-        den_l = lcm(*(v.denominator for v in num.c.values()))
-        zn = LaurentPoly(ZZ, {e: int(v * den_l) for e, v in num.c.items()})
+        num = {e: rational(v) for e, v in c.value.num.c.items()}
+        den_l = lcm(*(v.denominator for v in num.values()))
+        zn = LaurentPoly(ZZ, {e: int(v * den_l) for e, v in num.items()})
         unit, content, tpow, factors = factor_integer_poly(zn)
         parts = []
         if unit < 0:
@@ -127,9 +140,9 @@ def _cmd_twisted(args) -> int:
             f"({g.to_text()})" + (f"^{m}" if m > 1 else "") for g, m in factors
         )
         text = " * ".join(parts) + f" / ({c.value.den.to_text()})"
-        _emit(args, text, _twisted_json(tw))
     else:
-        _emit(args, tw.to_text(), _twisted_json(tw))
+        text = tw.to_text()
+    _emit(args, text, _twisted_json(tw) if args.json else None)
     return 0
 
 
@@ -175,7 +188,7 @@ def _cmd_satellite(args) -> int:
     delta_c = parse_poly(args.companion_delta)
     field, vals = parse_scalars(args.eigenvalues.split(","))
     out = satellite_twisted(tw, delta_c, field, vals)
-    _emit(args, out.to_text(), _twisted_json(out))
+    _emit(args, out.to_text(), _twisted_json(out) if args.json else None)
     return 0
 
 

@@ -3,12 +3,17 @@
 Elements are tuples of Fractions of length deg(Phi_m), the coordinates in the
 basis 1, x, ..., x^(deg-1) modulo the m-th cyclotomic polynomial.  Roots of
 unity never degrade to floats anywhere in this package.
+
+Products run on integer numerators: `CyclotomicField.dot` (and `mul`, a
+one-term `dot`) scales each factor to integer coordinates, convolves over one
+common denominator, reduces once with the integer table of Phi_m (monic, so
+the table is integral) and builds one Fraction per output coordinate.
 """
 from __future__ import annotations
 
 from fractions import Fraction
 from functools import lru_cache
-from math import gcd
+from math import gcd, lcm
 
 from .domains import Domain
 from .laurent import LaurentPoly
@@ -65,6 +70,19 @@ def is_cyclotomic_irreducible_mod_p(n: int, p: int) -> bool:
     return multiplicative_order(p, n) == _euler_phi(n)
 
 
+def _integral(a):
+    """(nonzero (index, integer numerator) pairs, denominator) of a coordinate
+    tuple: a = numerators / denominator."""
+    ratios = [x.as_integer_ratio() for x in a]
+    den = lcm(*[q for _, q in ratios])
+    if den == 1:
+        return [(i, p) for i, (p, _) in enumerate(ratios) if p], 1
+    return [(i, p * (den // q)) for i, (p, q) in enumerate(ratios) if p], den
+
+
+_ZERO = Fraction(0)
+
+
 class CyclotomicField(Domain):
     """Q(zeta_m); elements are coordinate tuples in the power basis mod Phi_m."""
 
@@ -81,21 +99,18 @@ class CyclotomicField(Domain):
             self.degree = 1
         coeffs, _ = phi.coeff_list()
         self._phi = [Fraction(v) for v in coeffs]
-        # reduction table: x^(deg+j) expressed in the power basis
+        # reduction table: x^(deg+j) in the power basis.  Phi_m is monic, so
+        # the entries are integers; each row keeps its nonzero (i, c) pairs.
         d = self.degree
-        self._red: list[tuple[Fraction, ...]] = []
-        cur = [Fraction(0)] * d
-        if d > 0:
-            # x^d = -(phi - x^d)
-            base = [-c for c in self._phi[:d]]
-            cur = list(base)
-            self._red.append(tuple(cur))
-            for _ in range(d - 1):
-                top = cur[d - 1]
-                cur = [Fraction(0)] + cur[: d - 1]
-                if top:
-                    cur = [c + top * b for c, b in zip(cur, base)]
-                self._red.append(tuple(cur))
+        base = [-v for v in coeffs[:d]]
+        cur = base
+        self._red: list[tuple[tuple[int, int], ...]] = []
+        for _ in range(d):
+            self._red.append(tuple((i, c) for i, c in enumerate(cur) if c))
+            top = cur[-1]
+            cur = [0] + cur[:-1]
+            if top:
+                cur = [c + top * b for c, b in zip(cur, base)]
         # powers of zeta_m in the basis, for fast root-of-unity access
         self._zeta_pows: list[tuple[Fraction, ...]] = []
         z = self.one() if m == 1 else self._monomial(1)
@@ -108,8 +123,10 @@ class CyclotomicField(Domain):
         v = [Fraction(0)] * self.degree
         if k < self.degree:
             v[k] = Fraction(1)
-            return tuple(v)
-        return self._red[k - self.degree]
+        else:
+            for i, c in self._red[k - self.degree]:
+                v[i] = Fraction(c)
+        return tuple(v)
 
     # ------------------------------------------------------------- domain API
     def zero(self):
@@ -142,23 +159,45 @@ class CyclotomicField(Domain):
         return tuple(x - y for x, y in zip(a, b))
 
     def mul(self, a, b):
+        return self.dot((a,), (b,))
+
+    def dot(self, xs, ys):
+        """sum_k xs[k] * ys[k] on integer numerators.
+
+        Each factor's coordinates are scaled to integers by their common
+        denominator; the products are convolved into one integer accumulator
+        over the running common denominator of all products, reduced once
+        mod Phi_m, and turned into Fractions once per output coordinate.
+        """
         d = self.degree
-        prod = [Fraction(0)] * (2 * d - 1)
-        for i, x in enumerate(a):
-            if not x:
+        acc = [0] * (2 * d - 1)
+        den = 1
+        for a, b in zip(xs, ys):
+            an, ad = _integral(a)
+            if not an:
                 continue
-            for j, y in enumerate(b):
-                if y:
-                    prod[i + j] += x * y
-        out = list(prod[:d])
-        for j in range(d, 2 * d - 1):
-            c = prod[j]
+            bn, bd = _integral(b)
+            if not bn:
+                continue
+            e = ad * bd
+            if den % e:
+                grown = lcm(den, e)
+                f = grown // den
+                acc = [c * f for c in acc]
+                den = grown
+            s = den // e
+            for i, x in an:
+                x *= s
+                for j, y in bn:
+                    acc[i + j] += x * y
+        out = acc[:d]
+        for row, c in zip(self._red, acc[d:]):
             if c:
-                red = self._red[j - d]
-                for i in range(d):
-                    if red[i]:
-                        out[i] += c * red[i]
-        return tuple(out)
+                for i, r in row:
+                    out[i] += c * r
+        if den == 1:
+            return tuple(Fraction(c) if c else _ZERO for c in out)
+        return tuple(Fraction(c, den) if c else _ZERO for c in out)
 
     def is_zero(self, a):
         return all(not x for x in a)

@@ -71,6 +71,14 @@ class Domain:
     def sub(self, a, b):
         return self.add(a, self.neg(b))
 
+    def dot(self, xs, ys):
+        """sum_k xs[k] * ys[k]; the one inner-product kernel behind mat_mul."""
+        acc = self.zero()
+        for x, y in zip(xs, ys):
+            if not self.is_zero(x):
+                acc = self.add(acc, self.mul(x, y))
+        return acc
+
     def is_zero(self, a):
         return a == self.zero()
 

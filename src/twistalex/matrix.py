@@ -32,22 +32,8 @@ def mat_eq(dom: Domain, a: Dense, b: Dense) -> bool:
 
 
 def mat_mul(dom: Domain, a: Dense, b: Dense) -> Dense:
-    n, k = len(a), len(b)
-    m = len(b[0]) if b else 0
-    bt = list(zip(*b))
-    out = []
-    for i in range(n):
-        row = a[i]
-        orow = []
-        for j in range(m):
-            col = bt[j]
-            acc = dom.zero()
-            for l in range(k):
-                if not dom.is_zero(row[l]):
-                    acc = dom.add(acc, dom.mul(row[l], col[l]))
-            orow.append(acc)
-        out.append(tuple(orow))
-    return tuple(out)
+    bt = tuple(zip(*b))
+    return tuple(tuple(dom.dot(row, col) for col in bt) for row in a)
 
 
 def transpose(a: Dense) -> Dense:

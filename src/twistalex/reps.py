@@ -4,6 +4,12 @@ Everything built here is monomial (permutation blocks times diagonal scalings)
 until a conjugation makes it dense, so word evaluation and relator checks stay
 linear in the dimension.  Constructors attached to a presentation verify every
 relator at build time.
+
+Each rep caches the image of every word prefix it has evaluated, so the
+relator check fills the cache that Fox-matrix specialization reads (Fox
+words of a Wirtinger presentation are relator prefixes).  A conjugated rep
+P^-1 rho P receives its inverse images as P^-1 rho(g)^-1 P from the base
+rep, so no generator is inverted over the dense field.
 """
 from __future__ import annotations
 
@@ -31,13 +37,14 @@ class Representation:
     """Finite-dimensional exact-matrix assignment to the generators."""
 
     def __init__(self, dim: int, dom: Domain, images: dict, pres: KnotPresentation | None,
-                 label: str = "", check: bool = True):
+                 label: str = "", check: bool = True, inverses: dict | None = None):
         self.dim = dim
         self.dom = dom
         self.images = images
         self.pres = pres
         self.label = label
-        self._inv_cache: dict = {}
+        self._inv_cache: dict = dict(inverses or {})
+        self._word_cache: dict = {}
         if check and pres is not None:
             bad = self.failing_relator()
             if bad is not None:
@@ -60,10 +67,19 @@ class Representation:
         return out
 
     def image_of_word(self, w: words.Word):
-        out: object = Monomial.identity(self.dom, self.dim)
-        for g, e in w:
-            out = gen_mul(self.dom, out, self.image_of_gen(g, e))
-        return out
+        """rho(w), extending the longest prefix of w already evaluated one
+        syllable at a time and caching every new prefix (images never change,
+        so the cache cannot go stale)."""
+        cache = self._word_cache
+        k = len(w)
+        while k and w[:k] not in cache:
+            k -= 1
+        out = cache[w[:k]] if k else None
+        for i in range(k, len(w)):
+            img = self.image_of_gen(*w[i])
+            out = img if out is None else gen_mul(self.dom, out, img)
+            cache[w[:i + 1]] = out
+        return Monomial.identity(self.dom, self.dim) if out is None else out
 
     def failing_relator(self):
         if self.pres is None:
@@ -94,14 +110,19 @@ class Representation:
 
     # ----------------------------------------------------------- combinators
     def conjugate(self, pmat: Dense) -> "Representation":
-        pinv = gen_inv(self.dom, pmat)
-        images = {
-            g: mat_mul(self.dom, mat_mul(self.dom, to_dense(self.dom, pinv),
-                                         to_dense(self.dom, img)), to_dense(self.dom, pmat))
-            for g, img in self.images.items()
-        }
-        return Representation(self.dim, self.dom, images, self.pres,
-                              label=f"conj({self.label})")
+        """P^-1 rho P.  Its inverse images are P^-1 rho(g)^-1 P, from this
+        rep's cached inverses, so no field inversion runs per generator."""
+        dom = self.dom
+        pinv = to_dense(dom, gen_inv(dom, pmat))
+        pmat = to_dense(dom, pmat)
+
+        def conj(img):
+            return mat_mul(dom, mat_mul(dom, pinv, to_dense(dom, img)), pmat)
+
+        images = {g: conj(img) for g, img in self.images.items()}
+        inverses = {g: conj(self.image_of_gen(g, -1)) for g in self.images}
+        return Representation(self.dim, dom, images, self.pres,
+                              label=f"conj({self.label})", inverses=inverses)
 
     def convert_domain(self, dst: Domain) -> "Representation":
         images = {}

@@ -9,6 +9,7 @@ image).  doteq comparison and canonical text forms quotient that unit out.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 from math import lcm
 
 from .cyclo import CyclotomicField
@@ -35,9 +36,18 @@ class TwistedPolynomial:
         return self.value.dom
 
     def units(self):
-        return unit_subgroup(self.dom, self.det_subgroup)
+        return self._units
 
     def canonical(self) -> "TwistedPolynomial":
+        return self._canonical
+
+    # computed once per instance: the instance is frozen, so they cannot go stale
+    @cached_property
+    def _units(self):
+        return unit_subgroup(self.dom, self.det_subgroup)
+
+    @cached_property
+    def _canonical(self) -> "TwistedPolynomial":
         num, den = canonical_pair(self.value, self.units())
         return TwistedPolynomial(RationalFunction(num, den, reduce=False),
                                  self.det_subgroup, self.column, self.label)

@@ -217,3 +217,29 @@ def test_each_subcommand_registers_exactly_its_flags():
         assert sorted(flags) == sorted(COMMANDS[name][1]), name
         pairs += len(flags)
     assert pairs == 82
+
+
+def test_factored_over_degree_one_cyclotomic_field(capsys):
+    # a character of order 2 gives a rep over Q(zeta_2), which is QQ
+    argv = ("twisted", "--knot", "3_1", "--rep", "metabelian:n=3:m=2:chi=1")
+    code, out, _ = run(capsys, *argv)
+    assert code == 0 and out == "1 - t^3\n"
+    code, out, _ = run(capsys, *argv, "--factored")
+    assert code == 0 and out == "-1 * (-1 + t) * (1 + t + t^2) / (1)\n"
+
+
+@pytest.mark.parametrize("flags", [(), ("--json",)], ids=["text", "json"])
+def test_twisted_enumerates_units_once(capsys, monkeypatch, flags):
+    from twistalex import twisted
+
+    calls = []
+    orig = twisted.unit_subgroup
+
+    def counted(*args):
+        calls.append(args)
+        return orig(*args)
+
+    monkeypatch.setattr(twisted, "unit_subgroup", counted)
+    code, _, _ = run(capsys, "twisted", "--knot", "3_1", "--rep",
+                     "metabelian:n=2:m=3:chi=1", *flags)
+    assert code == 0 and len(calls) == 1

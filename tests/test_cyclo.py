@@ -114,3 +114,47 @@ def test_galois_product_equals_resultant():
         phi_coeffs, _ = cyclotomic_polynomial(m).coeff_list()
         res = resultant(coeffs, phi_coeffs)
         assert abs(val) == abs(res)
+
+
+def _schoolbook(F, a, b):
+    """a * b by a Fraction convolution, reduced by long division by Phi_m."""
+    phi, _ = cyclotomic_polynomial(F.m).coeff_list()
+    d = F.degree
+    prod = [Fraction(0)] * (2 * d - 1)
+    for i, x in enumerate(a):
+        for j, y in enumerate(b):
+            prod[i + j] += x * y
+    for k in range(len(prod) - 1, d - 1, -1):
+        c = prod[k]
+        for i, p in enumerate(phi):
+            prod[k - d + i] -= c * p
+    return tuple(prod[:d])
+
+
+def _random_element(rng, F):
+    kind = rng.random()
+    if kind < 0.15:
+        return F.zero()
+    if kind < 0.4:
+        return F.zeta(rng.randrange(F.m))
+    return tuple(Fraction(rng.randint(-9, 9), rng.choice((1, 1, 2, 3, 7, 12)))
+                 if rng.random() < 0.7 else Fraction(0) for _ in range(F.degree))
+
+
+@pytest.mark.parametrize("m", [1, 2, 3, 4, 5, 12, 20, 28])
+def test_mul_and_dot_match_schoolbook(m):
+    F = CYC(m)
+    rng = random.Random(m)
+    for _ in range(60):
+        a, b = _random_element(rng, F), _random_element(rng, F)
+        assert F.mul(a, b) == _schoolbook(F, a, b)
+    assert F.dot((), ()) == F.zero()
+    for length in range(1, 6):
+        xs = [_random_element(rng, F) for _ in range(length)]
+        ys = [_random_element(rng, F) for _ in range(length)]
+        expected = F.zero()
+        for x, y in zip(xs, ys):
+            expected = F.add(expected, _schoolbook(F, x, y))
+        got = F.dot(xs, ys)
+        assert got == expected
+        assert all(isinstance(v, Fraction) for v in got)

@@ -3,6 +3,7 @@ from fractions import Fraction
 
 import pytest
 
+from twistalex.cyclo import CYC, CyclotomicField
 from twistalex.domains import GF, QQ, ZZ, ExactDivisionError
 from twistalex.matrix import (Monomial, as_monomial, direct_sum, gen_inv, gen_mul,
                               identity, kron, mat_eq, mat_inverse, mat_mul,
@@ -128,3 +129,30 @@ def test_rref_and_nullspace_random_systems(dom):
                           2 * n)
             assert mat_eq(dom, tuple(tuple(r[:n]) for r in aug), identity(dom, n))
             assert mat_eq(dom, tuple(tuple(r[n:]) for r in aug), inv)
+
+
+@pytest.mark.parametrize("dom", [ZZ, QQ, GF(7), CYC(12), CYC(20)], ids=lambda d: d.name)
+def test_mat_mul_is_entrywise_dot(dom):
+    rng = random.Random(31)
+
+    def entry():
+        if rng.random() < 0.3:
+            return dom.zero()
+        if isinstance(dom, CyclotomicField):
+            return tuple(Fraction(rng.randint(-4, 4), rng.choice((1, 2, 5)))
+                         for _ in range(dom.degree))
+        return dom.coerce(rng.randint(-4, 4) if dom is not QQ
+                          else Fraction(rng.randint(-4, 4), rng.randint(1, 5)))
+
+    for _ in range(25):
+        n, k, m = rng.randint(1, 4), rng.randint(1, 4), rng.randint(1, 4)
+        a = tuple(tuple(entry() for _ in range(k)) for _ in range(n))
+        b = tuple(tuple(entry() for _ in range(m)) for _ in range(k))
+        out = mat_mul(dom, a, b)
+        assert len(out) == n and all(len(row) == m for row in out)
+        for i in range(n):
+            for j in range(m):
+                col = [b[l][j] for l in range(k)]
+                assert dom.eq(out[i][j], _dot(dom, a[i], col))
+                assert dom.eq(out[i][j], dom.dot(a[i], col))
+    assert mat_mul(dom, (), ()) == ()

@@ -1,14 +1,17 @@
 import random
 import re
+import sys
 from fractions import Fraction
 from math import gcd
 
 import pytest
 
+from twistalex import matrix, words
 from twistalex.cyclo import CYC
 from twistalex.domains import GF, QQ, ZZ
 from twistalex.knots import presentation
-from twistalex.matrix import Monomial, as_monomial, gen_mul, identity, mat_eq, mat_mul, to_dense
+from twistalex.matrix import (Monomial, as_monomial, gen_inv, gen_mul, identity, mat_eq,
+                              mat_inverse, mat_mul, to_dense)
 from twistalex.metabelian import (DihedralData, branched_cover_homology,
                                   characters_of_quotient, find_dihedral_epis,
                                   find_zn_apn_epis)
@@ -20,6 +23,7 @@ from twistalex.reps import (GammaRep, RepresentationError, default_sl_z,
                             rep_trivial, summand_compose,
                             tensor_metabelian_identity, triangular_form,
                             triangular_form_expected, vandermonde_basis)
+from twistalex.twisted import wada_invariant
 
 PAPER_COLORING = DihedralData(3, (2, 0, 2, 1, 1, 2, 0, 1, 0, 1, 2))
 
@@ -492,3 +496,102 @@ def test_metabelian_trivial_character_z1_block():
         img = rep.images[g]
         assert img.perm == (1, 0)
         assert all(dom.eq(s, dom.one()) for s in img.scales)
+
+
+# ------------------------------------------------ word cache and conjugation
+
+def _dense_p(dom):
+    """A conjugating matrix with no zero entry and a fractional inverse."""
+    return tuple(tuple(dom.coerce(x) for x in row) for row in ((2, -1), (1, 1)))
+
+
+def _fold(rep, w):
+    """rho(w) as a left fold of gen_mul over the syllables, from rep.images."""
+    dom = rep.dom
+    acc = Monomial.identity(dom, rep.dim)
+    for g, e in w:
+        base = rep.images[g] if e > 0 else gen_inv(dom, rep.images[g])
+        for _ in range(abs(e)):
+            acc = gen_mul(dom, acc, base)
+    return to_dense(dom, acc)
+
+
+def _random_word(rng, gens, length):
+    w, last = [], None
+    for _ in range(length):
+        g = rng.choice([x for x in range(gens) if x != last])
+        w.append((g, rng.choice((-3, -2, -1, -1, 1, 1, 2, 3))))
+        last = g
+    return tuple(w)
+
+
+def _word_rep(kind):
+    pres = presentation("4_1")
+    rep = rep_metabelian(pres, 2, _chi(pres, 2, 5))
+    return rep if kind == "monomial" else rep.conjugate(_dense_p(rep.dom))
+
+
+@pytest.mark.parametrize("kind", ["monomial", "dense"])
+def test_image_of_word_cache_matches_fold(kind):
+    rng = random.Random(kind)
+    rep, fresh = _word_rep(kind), _word_rep(kind)
+    gens = rep.pres.generator_count
+    queries = list(rep.pres.relators) + [()]
+    for _ in range(30):
+        w = _random_word(rng, gens, rng.randint(1, 7))
+        k = rng.randint(0, len(w))
+        queries += [w, w[:k], words.mul(w[:k], _random_word(rng, gens, 3))]
+    rng.shuffle(queries)
+    for w in queries:
+        img = rep.image_of_word(w)
+        assert isinstance(img, Monomial) == (kind == "monomial" or not w)
+        assert mat_eq(rep.dom, to_dense(rep.dom, img), _fold(rep, w)), w
+        assert mat_eq(rep.dom, to_dense(rep.dom, fresh.image_of_word(w)), _fold(rep, w))
+    assert rep.image_of_word(()) == Monomial.identity(rep.dom, rep.dim)
+
+
+def test_conjugate_inverse_images_are_inverses():
+    pres = presentation("8_20")
+    base = rep_metabelian(pres, 2, _chi(pres, 2, 3))
+    conj = base.conjugate(_dense_p(base.dom))
+    dom = conj.dom
+    assert sorted(conj._inv_cache) == sorted(conj.images)
+    for g, inv in conj._inv_cache.items():
+        assert mat_eq(dom, inv, mat_inverse(dom, conj.images[g]))
+        assert mat_eq(dom, mat_mul(dom, inv, conj.images[g]), identity(dom, conj.dim))
+
+
+def _count_calls(monkeypatch, name):
+    """Count calls to matrix.<name> through every twistalex module binding it."""
+    orig = getattr(matrix, name)
+    calls = []
+
+    def counted(*args, **kwargs):
+        calls.append(name)
+        return orig(*args, **kwargs)
+
+    for mod in list(sys.modules.values()):
+        if getattr(mod, "__name__", "").startswith("twistalex") and \
+                getattr(mod, name, None) is orig:
+            monkeypatch.setattr(mod, name, counted)
+    return calls
+
+
+def test_wada_of_conjugated_rep_multiplies_and_inverts_nothing(monkeypatch):
+    # every Fox word of a Wirtinger presentation is a relator prefix, so the
+    # relator check at construction fills the word cache that wada_invariant
+    # reads; counts are asserted, never times
+    pres = presentation("8_20")
+    base = rep_metabelian(pres, 2, _chi(pres, 2, 3))
+    assert base.dom.m == 12
+    p = _dense_p(base.dom)
+    # warms the determinant engine's per-prime tables, which it keeps per process
+    expected = wada_invariant(pres, base.conjugate(p))
+    inversions = _count_calls(monkeypatch, "mat_inverse")
+    conj = base.conjugate(p)
+    assert len(inversions) == 1  # P^-1 only: no generator is inverted over Q(zeta_12)
+    products = _count_calls(monkeypatch, "mat_mul")
+    del inversions[:]
+    tw = wada_invariant(pres, conj)
+    assert (len(products), len(inversions)) == (0, 0)
+    assert tw.to_text() == expected.to_text()
