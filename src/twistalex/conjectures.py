@@ -158,7 +158,7 @@ def check_conjecture_Aprime(pres: KnotPresentation, m: int, p0: int, k: int,
     delta = alexander_polynomial(pres)
     try:
         rep = rep_metacyclic(pres, m, p0, k, colors)
-    except Exception as exc:
+    except ValueError as exc:
         return ConjectureReport("A'", knot, spec, "precondition-unmet",
                                 {"reason": str(exc)})
     tw = wada_invariant(pres, rep)
@@ -327,9 +327,12 @@ def check_conjecture_B2(pres: KnotPresentation, coloring: DihedralData,
 
 # -------------------------------------------------------- the Wada experiment
 
+# class of the satellite axis in H_1 of the trefoil's fiber, in the basis of TREFOIL_SEIFERT
+_AXIS_CLASS = (1, 0)
+
+
 def wada_experiment(trefoil: KnotPresentation, delta_c: LaurentPoly,
-                    delta_cprime: LaurentPoly, names=("C", "C'"),
-                    axis_class=(1, 0)) -> ConjectureReport:
+                    delta_cprime: LaurentPoly, names=("C", "C'")) -> ConjectureReport:
     """The tensor-product counterexample: two companions whose twisted
     polynomials agree for alpha_1 and alpha_2 separately but differ for the
     tensor product.
@@ -342,10 +345,9 @@ def wada_experiment(trefoil: KnotPresentation, delta_c: LaurentPoly,
     V = TREFOIL_SEIFERT
     q2 = branched_cover_homology(V, 2)
     q3 = branched_cover_homology(V, 3)
-    e = list(axis_class)
     F3, F2, F6 = CYC(3), CYC(2), CYC(6)
     chi1 = next(c for c in characters_of_quotient(q2, 3) if not c.is_trivial())
-    z1_vals = monodromy_orbit_values(V, e, 2, chi1)
+    z1_vals = monodromy_orbit_values(V, _AXIS_CLASS, 2, chi1)
     # the orbit sequence (-1, -1, 1) pins the character choice
     chi2 = None
     z2_vals = None
@@ -353,7 +355,7 @@ def wada_experiment(trefoil: KnotPresentation, delta_c: LaurentPoly,
     for c in characters_of_quotient(q3, 2):
         if c.is_trivial():
             continue
-        vals = monodromy_orbit_values(V, e, 3, c)
+        vals = monodromy_orbit_values(V, _AXIS_CLASS, 3, c)
         if vals == [minus1, minus1, plus1]:
             chi2 = c
             z2_vals = vals

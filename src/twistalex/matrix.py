@@ -7,7 +7,8 @@ which is what keeps relator checks on 50-dimensional representations cheap.
 Dense matrices appear only after conjugation by arbitrary change of basis.
 
 The package's one field echelon kernel (rref, with nullspace and the field
-inverse built on it) and its one fraction-free Bareiss elimination live here.
+inverse built on it) lives here.  Dense determinants go through
+polydet.det_matrix, the package's one determinant engine.
 """
 from __future__ import annotations
 
@@ -93,31 +94,6 @@ def nullspace(dom: Domain, rows, ncols: int):
             v[c] = dom.neg(row[fc])
         basis.append(v)
     return basis
-
-
-def bareiss(m, one, div):
-    """Fraction-free determinant (Bareiss 1968) of a square list of lists.
-
-    Works in place over any integral domain whose elements support + - * and
-    truthiness; div(a, b) is the exact division of the domain.
-    """
-    n = len(m)
-    if n == 0:
-        return one
-    negate = False
-    prev = one
-    for k in range(n - 1):
-        if not m[k][k]:
-            piv = next((i for i in range(k + 1, n) if m[i][k]), None)
-            if piv is None:
-                return m[k][k]  # the zero of the domain
-            m[k], m[piv] = m[piv], m[k]
-            negate = not negate
-        for i in range(k + 1, n):
-            for j in range(k + 1, n):
-                m[i][j] = div(m[i][j] * m[k][k] - m[i][k] * m[k][j], prev)
-        prev = m[k][k]
-    return -m[n - 1][n - 1] if negate else m[n - 1][n - 1]
 
 
 def mat_inverse(dom: Domain, a: Dense) -> Dense:

@@ -11,16 +11,15 @@ what characters and orbit values are read from.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from fractions import Fraction
 from itertools import product as iproduct
 from math import gcd, lcm
 
 from . import words
 from .cyclo import CYC, cyclotomic_polynomial
-from .domains import GF, QQ, ZZ, is_prime
+from .domains import GF, ZZ, ExactDivisionError, is_prime
 from .fox import alexander_fox_matrix
 from .laurent import LaurentPoly
-from .matrix import identity, mat_inverse, mat_mul, nullspace, rref
+from .matrix import identity, mat_inverse, mat_mul, nullspace, rref, transpose
 from .polydet import det_poly_matrix
 from .presentation import KnotPresentation, PresentationError
 from .snf import AbelianGroupStructure, cokernel_structure, resultant
@@ -56,27 +55,18 @@ class SeifertData:
     def genus2(self) -> int:
         return len(self.v)
 
-    def det(self) -> int:
-        from .snf import det_int
-
-        return det_int([list(r) for r in self.v])
-
     def monodromy(self):
         """M = V^-1 V^t; only available when V is unimodular over Z."""
-        d = self.det()
-        if d == 0:
-            raise ValueError("Seifert matrix is singular")
-        if abs(d) != 1:
+        try:
+            inv = mat_inverse(ZZ, self.v)
+        except ZeroDivisionError:
+            raise ValueError("Seifert matrix is singular") from None
+        except ExactDivisionError:
             raise ValueError(
                 "monodromy route needs a unimodular Seifert matrix; "
                 "use the module presentation route instead"
-            )
-        n = self.genus2
-        vq = tuple(tuple(Fraction(x) for x in row) for row in self.v)
-        inv = mat_inverse(QQ, vq)
-        vt = tuple(tuple(Fraction(self.v[j][i]) for j in range(n)) for i in range(n))
-        m = mat_mul(QQ, inv, vt)
-        return [[int(x) for x in row] for row in m]
+            ) from None
+        return [list(row) for row in mat_mul(ZZ, inv, transpose(self.v))]
 
     def module_presentation(self) -> ModulePresentation:
         """H is presented by tV - V^t for any Seifert matrix V."""
@@ -325,11 +315,10 @@ class Character:
     def is_trivial(self) -> bool:
         return all(all(e % c.m == 0 for e in c.zeta_exponents) for c in self.components)
 
-    def table(self, rank: int, period: int | None = None):
+    def table(self, rank: int):
         """Values chi(t^s v_j) as a tuple of tuples; the comparison key."""
-        n = period or self.period
         return tuple(
-            tuple(self.value_basis(j, s) for s in range(n)) for j in range(rank)
+            tuple(self.value_basis(j, s) for s in range(self.period)) for j in range(rank)
         )
 
     def orbit_size(self, rank: int) -> int:

@@ -1,14 +1,11 @@
 """Exact determinants of matrices of Laurent polynomials.
 
 Negative exponents are cleared row by row (multiplying by t-powers, with the
-correction unit restored at the end).  Three engines:
-
-* cofactor expansion - the brute-force oracle for small sizes;
-* fraction-free Bareiss elimination over D[t] - works over any exact domain
-  (the elimination itself is matrix.bareiss, shared with snf.det_int); it
-  serves the domains the multimodular engine does not cover;
-* multimodular evaluation/interpolation over Z[zeta_m][t] - the one engine
-  for ZZ, QQ and GF(p) (as m = 1) and for the cyclotomic fields Q(zeta_m).
+correction unit restored at the end).  One engine computes every
+determinant: multimodular evaluation/interpolation over Z[zeta_m][t], for ZZ,
+QQ and GF(p) (as m = 1) and for the cyclotomic fields Q(zeta_m), the only
+coefficient domains the package defines.  Any other domain is a TypeError.
+Cofactor expansion (det_cofactor) stays as the brute-force test oracle.
 
 The multimodular engine (_det_multimodular).  Each row is scaled by one lcm
 of the denominators of every power-basis coordinate of every coefficient, so
@@ -42,7 +39,7 @@ residue is the coordinate itself: no heuristic stopping.  Primes lie below
 2^31, so every product of two residues fits in int64.
 
 The twisted-polynomial pipeline produces matrices up to ~70x70 over ZZ[t]
-and ~40x40 over Q(zeta_m)[t]; Bareiss over D[t] is far too slow there.
+and ~40x40 over Q(zeta_m)[t].
 """
 from __future__ import annotations
 
@@ -56,7 +53,7 @@ import numpy as np
 from .cyclo import CYC, CyclotomicField
 from .domains import GF, Domain, PrimeField, QQ, ZZ, is_prime
 from .laurent import LaurentPoly
-from .matrix import bareiss, mat_inverse
+from .matrix import mat_inverse
 
 # int64 cells per batched evaluation/elimination chunk (512 KiB): bounds the
 # peak memory of the engine whatever the matrix size and number of points
@@ -133,14 +130,6 @@ def det_cofactor(rows, dom: Domain) -> LaurentPoly:
         term = rows[0][j] * det_cofactor(minor, dom)
         acc = acc + term if j % 2 == 0 else acc - term
     return acc
-
-
-def det_bareiss(rows, dom: Domain) -> LaurentPoly:
-    """Fraction-free elimination over D[t] after clearing negative exponents."""
-    m, shift = _shift_rows(rows)
-    if m is None:
-        return LaurentPoly.zero(dom)
-    return bareiss(m, LaurentPoly.one(dom), LaurentPoly.exact_div).shift(shift)
 
 
 def _det_mod_q(a: np.ndarray, q: int) -> np.ndarray:
@@ -265,11 +254,6 @@ def _det_multimodular(rows, dom: Domain) -> LaurentPoly:
     return LaurentPoly(dom, coeffs).shift(shift)
 
 
-def det_modular_int(rows) -> LaurentPoly:
-    """Determinant over ZZ[t^±1]: the multimodular engine with m = 1."""
-    return _det_multimodular(rows, ZZ)
-
-
 def det_matrix(a, dom: Domain):
     """Exact determinant of a square matrix of dom elements."""
     return _det_multimodular([[LaurentPoly(dom, {0: x}) for x in row] for row in a], dom)[0]
@@ -281,6 +265,6 @@ def det_poly_matrix(rows, dom: Domain) -> LaurentPoly:
     for row in rows:
         if len(row) != n:
             raise ValueError("matrix is not square")
-    if dom is ZZ or dom is QQ or isinstance(dom, (PrimeField, CyclotomicField)):
-        return _det_multimodular(rows, dom)
-    return det_bareiss(rows, dom)
+    if not (dom is ZZ or dom is QQ or isinstance(dom, (PrimeField, CyclotomicField))):
+        raise TypeError(f"no determinant engine for {dom.name}")
+    return _det_multimodular(rows, dom)

@@ -430,12 +430,21 @@ def tensor_metabelian_identity(pres: KnotPresentation, k1: int, chi1: Character,
 
 # ------------------------------------------------------------- combinators
 
-def rep_tensor(a: Representation, b: Representation) -> Representation:
+def _common_domain(a: Representation, b: Representation, what: str):
+    """(dom, a', b'): both factors converted to the smallest common domain."""
     if a.pres is not b.pres:
-        raise RepresentationError("tensor factors must share a presentation")
-    dom = domain_join(a.dom, b.dom)
-    aa = a if a.dom is dom else a.convert_domain(dom)
-    bb = b if b.dom is dom else b.convert_domain(dom)
+        raise RepresentationError(f"{what} must share a presentation")
+    try:
+        dom = domain_join(a.dom, b.dom)
+    except TypeError:
+        raise RepresentationError(
+            f"{what} have no common domain: {a.dom.name} and {b.dom.name}") from None
+    return (dom, a if a.dom is dom else a.convert_domain(dom),
+            b if b.dom is dom else b.convert_domain(dom))
+
+
+def rep_tensor(a: Representation, b: Representation) -> Representation:
+    dom, aa, bb = _common_domain(a, b, "tensor factors")
     images = {}
     for g in aa.images:
         x, y = aa.images[g], bb.images[g]
@@ -450,11 +459,7 @@ def rep_tensor(a: Representation, b: Representation) -> Representation:
 
 
 def rep_direct_sum(a: Representation, b: Representation) -> Representation:
-    if a.pres is not b.pres:
-        raise RepresentationError("summands must share a presentation")
-    dom = domain_join(a.dom, b.dom)
-    aa = a if a.dom is dom else a.convert_domain(dom)
-    bb = b if b.dom is dom else b.convert_domain(dom)
+    dom, aa, bb = _common_domain(a, b, "summands")
     images = {}
     for g in aa.images:
         x, y = aa.images[g], bb.images[g]

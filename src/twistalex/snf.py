@@ -3,13 +3,15 @@
 Pivot selection always takes a nonzero entry of smallest absolute value, which
 keeps coefficient growth tolerable on the branched-cover matrices (entries in
 the thousands appear in the 6-fold covers).
+
+resultant keeps its own fraction-free elimination (_det_int) rather than going
+through polydet.det_matrix: one set-up of the branched-covers benchmark takes
+some 250 Sylvester determinants of size at most 16, and the multimodular
+engine's numpy set-up per call roughly doubled that set-up time.
 """
 from __future__ import annotations
 
-import operator
 from dataclasses import dataclass
-
-from .matrix import bareiss
 
 
 def smith_normal_form(a):
@@ -151,9 +153,24 @@ def cokernel_structure(a):
     return AbelianGroupStructure(factors, free), U, diag
 
 
-def det_int(a) -> int:
-    """Exact determinant of an integer matrix (fraction-free Bareiss)."""
-    return bareiss([list(row) for row in a], 1, operator.floordiv)
+def _det_int(a) -> int:
+    """Determinant of a nonempty square integer matrix, fraction-free (Bareiss
+    1968)."""
+    m = [list(row) for row in a]
+    n = len(m)
+    sign, prev = 1, 1
+    for k in range(n - 1):
+        if not m[k][k]:
+            piv = next((i for i in range(k + 1, n) if m[i][k]), None)
+            if piv is None:
+                return 0
+            m[k], m[piv] = m[piv], m[k]
+            sign = -sign
+        for i in range(k + 1, n):
+            for j in range(k + 1, n):
+                m[i][j] = (m[i][j] * m[k][k] - m[i][k] * m[k][j]) // prev
+        prev = m[k][k]
+    return sign * m[n - 1][n - 1]
 
 
 def resultant(f_coeffs, g_coeffs) -> int:
@@ -179,4 +196,4 @@ def resultant(f_coeffs, g_coeffs) -> int:
         rows.append([0] * i + frev + [0] * (n - df - 1 - i))
     for i in range(df):
         rows.append([0] * i + grev + [0] * (n - dg - 1 - i))
-    return det_int(rows)
+    return _det_int(rows)

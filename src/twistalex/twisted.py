@@ -268,7 +268,11 @@ def satellite_twisted(dk: TwistedPolynomial, delta_c: LaurentPoly,
     """
     factor = satellite_scale_factor(delta_c, eigen_dom, eigenvalues)
     if eigen_dom.is_rational(factor):
-        c = dk.dom.coerce(eigen_dom.rational_value(factor))
+        c = eigen_dom.rational_value(factor)
+        try:
+            c = dk.dom.coerce(c)
+        except (ZeroDivisionError, TypeError):
+            raise WadaError(f"scale factor {c} has no image in {dk.dom.name}") from None
         return dk.scale(c)
     if isinstance(dk.dom, CyclotomicField):
         target = dk.dom

@@ -149,6 +149,10 @@ def test_usage_errors(capsys):
          "dihedral spec key 'p' is not an integer: 'x'"),
         (("--knot", "3_1", "--rep", "onedim:z=1/2"),
          "determinant generator 1/2 has infinite order in QQ"),
+        (("--knot", "3_1", "--rep", "tensor(metabelian:n=2:m=3,modp(trivial,3))"),
+         "tensor factors have no common domain: Q(zeta_12) and GF(3)"),
+        (("--knot", "3_1", "--rep", "sum(modp(trivial,3),modp(trivial,5))"),
+         "summands have no common domain: GF(3) and GF(5)"),
     ):
         code, _, err = run(capsys, "twisted", *argv)
         assert code == 2
@@ -164,6 +168,10 @@ def test_usage_errors(capsys):
         assert code == 2 and out == "" and err == f"error: p must be a prime, got {p}\n"
     code, out, err = run(capsys, "present", "--braid", " ")
     assert code == 2 and out == "" and err == "error: empty braid word\n"
+    code, out, err = run(capsys, "satellite", "--knot", "3_1",
+                         "--rep", "modp(dihedral:p=3:colors=0,1,2,3)",
+                         "--companion-delta", "1 - t + t^2", "--eigenvalues", "1/3")
+    assert code == 2 and out == "" and err == "error: scale factor 7/9 has no image in GF(3)\n"
 
 
 def test_batch_mode(tmp_path, capsys):

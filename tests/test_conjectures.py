@@ -3,6 +3,7 @@ from itertools import product as iproduct
 
 import pytest
 
+from twistalex import conjectures
 from twistalex.conjectures import (ConjectureReport, _pairing_search,
                                    check_conjecture_A, check_conjecture_Aprime,
                                    check_conjecture_B1, check_conjecture_B2,
@@ -95,6 +96,20 @@ def test_conjecture_a_prime_m2_matches_dihedral_route():
     tw = wada_invariant(pres, rep_dihedral(pres, d))
     F, ok = extract_f_polynomial(tw, alexander_polynomial(pres))
     assert ok and r.witnesses["F"] == F.to_text()
+
+
+def test_conjecture_a_prime_engine_errors_propagate(monkeypatch):
+    # invalid input is a precondition verdict; an engine defect is not
+    pres = presentation("3_1")
+    r = check_conjecture_Aprime(pres, 2, 3, -1, (0, 1, 1), knot="3_1")
+    assert r.verdict == "precondition-unmet"
+
+    def broken(*args):
+        raise RuntimeError("engine defect")
+
+    monkeypatch.setattr(conjectures, "rep_metacyclic", broken)
+    with pytest.raises(RuntimeError, match="engine defect"):
+        check_conjecture_Aprime(pres, 2, 3, -1, (0, 1, 2), knot="3_1")
 
 
 def test_b1_counterexample_10_164():

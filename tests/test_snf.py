@@ -3,8 +3,10 @@ import random
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from twistalex.snf import (AbelianGroupStructure, cokernel_structure, det_int,
-                           resultant, smith_normal_form)
+from twistalex.domains import ZZ
+from twistalex.polydet import det_matrix
+from twistalex.snf import (AbelianGroupStructure, _det_int, cokernel_structure, resultant,
+                           smith_normal_form)
 
 
 def mat_mul_int(a, b):
@@ -16,8 +18,8 @@ def check_snf(a):
     rows, cols = len(a), len(a[0])
     uav = mat_mul_int(mat_mul_int(u, [list(r) for r in a]), v)
     assert uav == d
-    assert abs(det_int(u)) == 1
-    assert abs(det_int(v)) == 1
+    assert abs(det_matrix(u, ZZ)) == 1
+    assert abs(det_matrix(v, ZZ)) == 1
     diag = [d[i][i] for i in range(min(rows, cols))]
     for x, y in zip(diag, diag[1:]):
         if x == 0:
@@ -94,7 +96,7 @@ def test_det_int_vs_cofactor():
     for _ in range(40):
         n = rng.randint(1, 5)
         a = [[rng.randint(-6, 6) for _ in range(n)] for _ in range(n)]
-        assert det_int(a) == cof(a)
+        assert _det_int(a) == cof(a)
 
 
 def test_resultant_known_values():
