@@ -23,9 +23,9 @@ from .metabelian import (DihedralData, alexander_polynomial,
 from .presentation import KnotPresentation
 from .reps import (gamma_summands, rep_dihedral, rep_gamma_compose,
                    rep_metabelian, rep_metacyclic, rep_mod_p, rep_onedim,
-                   rep_tensor, summand_compose)
-from .twisted import (TwistedPolynomial, WadaError, _scalar_ratio, doteq_equal,
-                      satellite_scale_factor, wada_invariant)
+                   rep_tensor, summand_compose, tensor_metabelian_identity)
+from .twisted import (TwistedPolynomial, WadaError, _scalar_ratio, canonical_pair,
+                      doteq_equal, satellite_scale_factor, wada_invariant)
 
 
 @dataclass
@@ -76,8 +76,6 @@ def extract_f_polynomial(tw: TwistedPolynomial, delta: LaurentPoly):
     fpoly = f_rf.num
     # canonical unit normalization, then integrality
     units = tw.units()
-    from .twisted import canonical_pair
-
     fnorm, _ = canonical_pair(RationalFunction(fpoly, LaurentPoly.one(field), reduce=False),
                               units)
     ints = {}
@@ -393,8 +391,6 @@ def wada_experiment(trefoil: KnotPresentation, delta_c: LaurentPoly,
     tw2 = wada_invariant(trefoil, a2)
     tw12 = wada_invariant(trefoil, a12)
     # tensor structure: alpha_1 (x) alpha_2 is conjugate to alpha_(6, chi1*chi2)
-    from .reps import tensor_metabelian_identity
-
     tensor_ok = tensor_metabelian_identity(trefoil, 2, chi1f, 3, chi2f)
     eq1 = pc[0] == pcp[0]
     eq2 = abs(pc[1]) == abs(pcp[1])

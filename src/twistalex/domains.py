@@ -9,6 +9,7 @@ from __future__ import annotations
 
 from fractions import Fraction
 from functools import lru_cache
+from math import lcm
 
 
 class ExactDivisionError(ArithmeticError):
@@ -249,8 +250,6 @@ def domain_join(a: Domain, b: Domain) -> Domain:
         others = [d for d in (a, b) if not isinstance(d, CyclotomicField)]
         if others and others[0].name not in ("ZZ", "QQ"):
             raise TypeError(f"no common domain for {a} and {b}")
-        from math import lcm
-
         return CYC(lcm(*ms)) if len(ms) == 2 else CYC(ms[0])
     raise TypeError(f"no common domain for {a} and {b}")
 

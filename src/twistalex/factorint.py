@@ -8,7 +8,7 @@ capped at 64; everything this package needs to factor has degree <= 10.
 from __future__ import annotations
 
 from itertools import combinations
-from math import gcd, isqrt
+from math import gcd, isqrt, lcm
 
 from .domains import GF, ZZ, QQ
 from .laurent import LaurentPoly
@@ -341,8 +341,6 @@ def factor_integer_poly(f: LaurentPoly):
     else:
         quot = fq.exact_div(g)
         qc, _ = quot.coeff_list()
-        from math import lcm
-
         den = 1
         for v in qc:
             den = lcm(den, v.denominator)

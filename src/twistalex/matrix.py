@@ -13,8 +13,9 @@ polydet.det_matrix, the package's one determinant engine.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from fractions import Fraction
 
-from .domains import Domain, ExactDivisionError
+from .domains import Domain, ExactDivisionError, QQ, convert
 
 
 Dense = tuple  # tuple of row tuples
@@ -110,9 +111,6 @@ def mat_inverse(dom: Domain, a: Dense) -> Dense:
         if pivots[:n] != list(range(n)):
             raise ZeroDivisionError("matrix not invertible")
         return tuple(tuple(row[n:]) for row in red)
-    from .domains import QQ
-    from fractions import Fraction
-
     aq = tuple(tuple(Fraction(x) for x in row) for row in a)
     invq = mat_inverse(QQ, aq)
     try:
@@ -122,8 +120,6 @@ def mat_inverse(dom: Domain, a: Dense) -> Dense:
 
 
 def mat_convert(a: Dense, src: Domain, dst: Domain) -> Dense:
-    from .domains import convert
-
     return tuple(tuple(convert(x, src, dst) for x in row) for row in a)
 
 
@@ -196,8 +192,6 @@ class Monomial:
         return tuple(tuple(r) for r in rows)
 
     def convert(self, src: Domain, dst: Domain) -> "Monomial":
-        from .domains import convert
-
         return Monomial(self.perm, tuple(convert(s, src, dst) for s in self.scales))
 
 

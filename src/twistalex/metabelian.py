@@ -2,22 +2,27 @@
 epimorphism searches onto D_p, G(m,p|k) and Z/n x| A_{p,n}.
 
 The module H = H_1 of the infinite cyclic cover is presented by the
-abelianized Fox matrix with the base meridian's column deleted; for a
-presentation with all phi = 1 the j-th basis vector of that presentation is
-exactly the class of g_j g_0^{-1}.  Finite quotients H/(t^k - 1) are integer
-cokernels of the companion blow-up and carry the t-action with them, which is
-what characters and orbit values are read from.
+Alexander matrix (the abelianized Fox matrix, read off each relator in one
+pass) with the base meridian's column deleted; for a presentation with all
+phi = 1 the j-th basis vector of that presentation is exactly the class of
+g_j g_0^{-1}.  Finite quotients H/(t^k - 1) are integer cokernels of the
+companion blow-up and carry the t-action with them, which is what characters
+and orbit values are read from.
+
+The three epimorphism searches are kernels of the same matrix: meridians
+sent to (1, a_j) in Z/m x| A define a homomorphism exactly when the a_j solve
+the Alexander matrix at t -> T, the action of Z/m on A = F_p^d (a Fox
+coloring).
 """
 from __future__ import annotations
 
 from dataclasses import dataclass
-from itertools import product as iproduct
+from itertools import chain, product as iproduct
 from math import gcd, lcm
 
 from . import words
 from .cyclo import CYC, cyclotomic_polynomial
 from .domains import GF, ZZ, ExactDivisionError, is_prime
-from .fox import alexander_fox_matrix
 from .laurent import LaurentPoly
 from .matrix import identity, mat_inverse, mat_mul, nullspace, rref, transpose
 from .polydet import det_poly_matrix
@@ -25,6 +30,8 @@ from .presentation import KnotPresentation, PresentationError
 from .snf import AbelianGroupStructure, cokernel_structure, resultant
 
 _ENUM_CAP = 500_000
+# largest side rank * k of a companion blow-up; its SNF grows about as n^3
+_BLOWUP_CAP = 2048
 
 
 # ------------------------------------------------------------ module objects
@@ -94,21 +101,28 @@ def parse_seifert_file(text: str) -> SeifertData:
     return SeifertData(tuple(rows))
 
 
-def _abelianized_deleted_matrix(pres: KnotPresentation, base: int):
-    fox = alexander_fox_matrix(pres)
+def _alexander_matrix(pres: KnotPresentation):
+    """The abelianized Fox matrix (dr_i/dg_j)^phi over Z[t^±1], one pass per relator.
+
+    With s the phi-exponent of the prefix read so far, a letter g adds t^s to
+    column g and a letter g^-1 adds -t^(s - phi(g)).
+    """
     rows = []
-    for r in fox:
-        row = []
-        for j, entry in enumerate(r):
-            if j == base:
-                continue
-            c: dict[int, int] = {}
-            for w, coeff in entry.terms.items():
-                e = pres.word_phi(w)
-                c[e] = c.get(e, 0) + coeff
-            row.append(LaurentPoly(ZZ, c))
-        rows.append(tuple(row))
+    for r in pres.relators:
+        cols = [{} for _ in range(pres.generator_count)]
+        s = 0
+        for g, sign in words.letters(r):
+            if sign < 0:
+                s -= pres.phi[g]
+            cols[g][s] = cols[g].get(s, 0) + sign
+            if sign > 0:
+                s += pres.phi[g]
+        rows.append(tuple(LaurentPoly(ZZ, c) for c in cols))
     return tuple(rows)
+
+
+def _abelianized_deleted_matrix(pres: KnotPresentation, base: int):
+    return tuple(row[:base] + row[base + 1:] for row in _alexander_matrix(pres))
 
 
 def alexander_module(pres: KnotPresentation) -> ModulePresentation:
@@ -245,6 +259,10 @@ def branched_cover_homology(src, k: int) -> FiniteQuotientModule:
             k, structure, tuple(tuple(r) for r in U), tuple(diag),
             tuple(tuple(r) for r in m), n, source="monodromy",
         )
+    if src.rank * k > _BLOWUP_CAP:
+        raise ValueError(
+            f"cover blow-up too large: rank {src.rank} * k {k} = {src.rank * k} "
+            f"exceeds the cap {_BLOWUP_CAP}")
     blow = _companion_blowup(src, k)
     structure, U, diag = cokernel_structure(blow)
     r = src.rank
@@ -397,11 +415,14 @@ def _require_wirtinger(pres: KnotPresentation):
 
 
 def _enumerate_span(basis, p: int):
+    """Every F_p-combination of the basis vectors; refused above the cap."""
     dim = len(basis)
     if p**dim > _ENUM_CAP:
-        raise ValueError("coloring solution space too large to enumerate")
+        raise ValueError(
+            "coloring solution space too large to enumerate: "
+            f"p^dim = {p}^{dim} = {p**dim} exceeds the cap {_ENUM_CAP}")
     for combo in iproduct(range(p), repeat=dim):
-        v = [0] * len(basis[0]) if basis else []
+        v = [0] * len(basis[0])
         for c, b in zip(combo, basis):
             if c:
                 v = [(x + c * y) % p for x, y in zip(v, b)]
@@ -412,21 +433,12 @@ def find_dihedral_epis(pres: KnotPresentation, p0: int) -> list[DihedralData]:
     """All nontrivial p0-colorings up to translation and scaling.
 
     D_p0 = G(2, p0 | -1), so these are the metacyclic epimorphisms with
-    m = 2 and k = -1: a relator s_1 ... s_2m imposes
-    sum_j (-1)^j c(s_j) = 0 mod p0.
+    m = 2 and k = -1: the colors solve the Alexander matrix at t = -1 mod p0.
     """
     if p0 < 3 or p0 % 2 == 0:
         raise ValueError("p0 must be an odd prime")
     GF(p0)  # validates primality
     return [DihedralData(p0, c) for c in find_metacyclic_epis(pres, 2, p0, p0 - 1)]
-
-
-def _normalize_coloring(v, p: int):
-    base = v[0]
-    shifted = [(x - base) % p for x in v]
-    first = next(x for x in shifted if x)
-    inv = pow(first, -1, p)
-    return tuple(x * inv % p for x in shifted)
 
 
 def _check_prime(p0: int) -> None:
@@ -445,44 +457,14 @@ def check_primitive_root(k: int, m: int, p: int, error: type = ValueError) -> No
 def find_metacyclic_epis(pres: KnotPresentation, m: int, p0: int, k: int):
     """Meridian assignments g_i -> x y^(c_i) in G(m, p0 | k), up to symmetry.
 
-    Words evaluate through the normal form x^e y^c with
-    (e, c) * (e', c') = (e + e', c k^(-e') + c'); relators give F_p0-linear
-    conditions on the colors.
+    G(m, p0 | k) = Z/m x| F_p0 with the generator of Z/m acting by k, so the
+    colors c_i are the F_p0-valued solutions of the Alexander matrix at t = k.
+    Each class is given with c_0 = 0 and first nonzero color 1.
     """
     _check_prime(p0)
     _require_wirtinger(pres)
     check_primitive_root(k, m, p0)
-    n = pres.generator_count
-    kinv = pow(k, -1, p0)
-    rows = []
-    for r in pres.relators:
-        coeff = [0] * n  # accumulated linear form
-        exp = 0
-        for g, sign in words.letters(r):
-            if sign > 0:
-                # (exp, L) * (1, c_g): L*k^-1 + c_g
-                coeff = [c * kinv % p0 for c in coeff]
-                coeff[g] = (coeff[g] + 1) % p0
-                exp += 1
-            else:
-                # inverse of (1, c_g) is (-1, -c_g * k)
-                coeff = [c * k % p0 for c in coeff]
-                coeff[g] = (coeff[g] - k) % p0
-                exp -= 1
-        if exp % m:
-            raise PresentationError("relator not balanced in the cyclic part")
-        rows.append(coeff)
-    basis = nullspace(GF(p0), rows, n)
-    seen = set()
-    out = []
-    for v in _enumerate_span(basis, p0):
-        if len(set(v)) <= 1:
-            continue
-        norm = _normalize_coloring(v, p0)
-        if norm not in seen:
-            seen.add(norm)
-            out.append(norm)
-    return sorted(out)
+    return [tuple(chain.from_iterable(sol)) for sol in _kernel_epis(pres, p0, [[k % p0]], m)]
 
 
 def apn_field(n: int, p0: int):
@@ -521,83 +503,67 @@ def _apn_mul_matrix(poly_class, comp, p0):
     return [[cols[j][i] for j in range(d)] for i in range(d)]
 
 
+class _UnitTable(dict):
+    """a -> u*a for one unit u of A (its matrix mu), filled as elements turn up."""
+
+    def __init__(self, mu, p0):
+        super().__init__()
+        self.mu, self.p0 = mu, p0
+
+    def __missing__(self, a):
+        b = self[a] = tuple(sum(x * y for x, y in zip(row, a)) % self.p0 for row in self.mu)
+        return b
+
+
+def _kernel_epis(pres: KnotPresentation, p0: int, comp, order: int):
+    """Meridian images (1, a_j) in Z/order x| A, A = F_p0^d with t acting by comp.
+
+    The law (j, a)(j', a') = (j + j', a + t^j a') makes them the A-valued
+    solutions of the Alexander matrix at t -> comp (comp^order = 1).  The
+    constants always solve it (its rows sum to 0) and are the conjugation
+    orbit of a_0 = 0, so the kernel without column 0 holds one solution per
+    class.  Each nonzero one is reported as its least multiple by a unit of A.
+    """
+    d = len(comp)
+    F = GF(p0)
+    zero = [[0] * d] * d
+    rows = []
+    for r in _abelianized_deleted_matrix(pres, 0):
+        blocks = []
+        for f in r:
+            cls = [0] * order
+            for e, c in f.c.items():
+                cls[e % order] += c
+            blocks.append(zero if f.is_zero() else _apn_mul_matrix(cls, comp, p0))
+        rows.extend([x for b in blocks for x in b[i]] for i in range(d))
+    basis = nullspace(F, rows, d * (pres.generator_count - 1))
+    if not basis:
+        return []
+    units = [_UnitTable(mu, p0) for u in iproduct(range(p0), repeat=d) if any(u)
+             for mu in [_apn_mul_matrix(u, comp, p0)] if len(rref(F, mu, d)[1]) == d]
+    least = {}  # first nonzero a_j -> the units taking it to its least multiple
+    out = set()
+    for v in _enumerate_span(basis, p0):
+        if not any(v):
+            continue
+        ais = [(0,) * d, *zip(*[iter(v)] * d)]
+        first = next(a for a in ais if any(a))
+        if first not in least:
+            low = min(u[first] for u in units)
+            least[first] = [u for u in units if u[first] == low]
+        out.add(min(tuple(map(u.__getitem__, ais)) for u in least[first]))
+    return sorted(out)
+
+
 def find_zn_apn_epis(pres: KnotPresentation, n: int, p0: int):
     """Epimorphisms onto Z/n x| A_{p0,n} with meridians mapping to (1, a_i).
 
-    Composition law (j, a)(j', a') = (j + j', a + t^j a'); each relator yields
-    an A-linear condition sum_i L_i a_i = 0, solved as a GF(p0) system on the
-    coordinate vectors of the a_i.
+    The a_i are the A_{p0,n}-valued solutions of the Alexander matrix at
+    t -> t mod phi_n, given with a_0 = 0 and as least multiples by units.
     """
     _check_prime(p0)
     _require_wirtinger(pres)
     if n < 2:
         raise ValueError("n must be >= 2")
-    d, comp = apn_field(n, p0)
-    ng = pres.generator_count
-    nvars = d * ng
-    # t^e as matrices, e in a window large enough for the relator sweeps
-    rows = []
-    for r in pres.relators:
-        # L: per generator, a polynomial class in t (dict exp -> count)
-        L = [dict() for _ in range(ng)]
-        j = 0
-        for g, sign in words.letters(r):
-            if sign > 0:
-                L[g][j] = L[g].get(j, 0) + 1
-                j += 1
-            else:
-                j -= 1
-                L[g][j] = L[g].get(j, 0) - 1
-        if j != 0:
-            raise PresentationError("relator not phi-balanced")
-        # expand to d rows over GF(p0); t^e for negative e uses e mod n
-        blocks = []
-        for i in range(ng):
-            if not L[i]:
-                blocks.append(None)
-                continue
-            cls = [0] * n
-            for e, c in L[i].items():
-                cls[e % n] = (cls[e % n] + c) % p0
-            blocks.append(_apn_mul_matrix(cls, comp, p0))
-        for rr in range(d):
-            row = [0] * nvars
-            for i in range(ng):
-                if blocks[i] is None:
-                    continue
-                for cc in range(d):
-                    row[i * d + cc] = blocks[i][rr][cc]
-            rows.append(row)
-    basis = nullspace(GF(p0), rows, nvars)
-    seen = set()
-    out = []
-    for v in _enumerate_span(basis, p0):
-        ais = [tuple(v[i * d : (i + 1) * d]) for i in range(ng)]
-        if len(set(ais)) <= 1:
-            continue  # A-part not generated
-        norm = _normalize_apn(ais, d, comp, n, p0)
-        if norm not in seen:
-            seen.add(norm)
-            out.append(norm)
-    return sorted(out)
-
-
-def _normalize_apn(ais, d, comp, n, p0):
-    """Translate so a_0 = 0 (conjugation by (0,c) adds (1-t)c to every a_i,
-    and 1-t is invertible on A for n >= 2 coprime to p0, so subtracting a_0 is
-    realizable) and scale by units of A to a lex-min representative."""
-    moved = [tuple((x - y) % p0 for x, y in zip(a, ais[0])) for a in ais]
-    best = None
-    for u in iproduct(range(p0), repeat=d):
-        if all(x == 0 for x in u):
-            continue
-        mu = _apn_mul_matrix(list(u), comp, p0)
-        if len(rref(GF(p0), mu, d)[1]) != d:
-            continue
-        cand = tuple(
-            tuple(sum(mu[i][j] * a[j] for j in range(d)) % p0 for i in range(d))
-            for a in moved
-        )
-        if best is None or cand < best:
-            best = cand
-    return best
+    _, comp = apn_field(n, p0)
+    return _kernel_epis(pres, p0, comp, n)

@@ -21,8 +21,8 @@ from . import words
 from .cyclo import CYC, CyclotomicField, is_cyclotomic_irreducible_mod_p
 from .domains import (Domain, ExactDivisionError, GF, QQ, ZZ, convert, domain_join,
                       is_prime)
-from .matrix import (Dense, Monomial, as_monomial, gen_inv, gen_mul, identity,
-                     mat_convert, mat_eq, mat_mul, to_dense)
+from .matrix import (Dense, Monomial, as_monomial, direct_sum, gen_inv, gen_mul, identity,
+                     kron, mat_convert, mat_eq, mat_mul, to_dense)
 from .metabelian import (Character, DihedralData, apn_field, branched_cover_homology,
                          characters_of_quotient, check_primitive_root, find_zn_apn_epis)
 from .polydet import det_matrix
@@ -451,8 +451,6 @@ def rep_tensor(a: Representation, b: Representation) -> Representation:
         if isinstance(x, Monomial) and isinstance(y, Monomial):
             images[g] = x.kron(y, dom)
         else:
-            from .matrix import kron
-
             images[g] = kron(dom, to_dense(dom, x), to_dense(dom, y))
     return Representation(a.dim * b.dim, dom, images, a.pres,
                           label=f"tensor({a.label},{b.label})")
@@ -466,8 +464,6 @@ def rep_direct_sum(a: Representation, b: Representation) -> Representation:
         if isinstance(x, Monomial) and isinstance(y, Monomial):
             images[g] = x.direct_sum(y, dom)
         else:
-            from .matrix import direct_sum
-
             images[g] = direct_sum(dom, to_dense(dom, x), to_dense(dom, y))
     return Representation(a.dim + b.dim, dom, images, a.pres,
                           label=f"sum({a.label},{b.label})")

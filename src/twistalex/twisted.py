@@ -13,7 +13,7 @@ from functools import cached_property
 from math import lcm
 
 from .cyclo import CyclotomicField
-from .domains import Domain, PrimeField, QQ, convert
+from .domains import Domain, ExactDivisionError, PrimeField, QQ, convert
 from .fox import GroupRingElement, alexander_fox_matrix, specialize_element, specialize_matrix
 from .laurent import LaurentPoly, RationalFunction
 from .polydet import det_poly_matrix
@@ -187,8 +187,6 @@ def _scalar_ratio(dom: Domain, p: LaurentPoly, q: LaurentPoly):
     q = q.shift(-lq)
     if p.c.keys() != q.c.keys():
         return None
-    from .domains import ExactDivisionError
-
     try:
         c = dom.div(p.c[0], q.c[0])
     except (ExactDivisionError, ZeroDivisionError):

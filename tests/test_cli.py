@@ -166,6 +166,9 @@ def test_usage_errors(capsys):
         code, out, err = run(capsys, *argv)
         p = argv[argv.index("--p") + 1]
         assert code == 2 and out == "" and err == f"error: p must be a prime, got {p}\n"
+    code, out, err = run(capsys, "branched", "--knot", "3_1", "--k", "100000")
+    assert code == 2 and out == "" and err == (
+        "error: cover blow-up too large: rank 2 * k 100000 = 200000 exceeds the cap 2048\n")
     code, out, err = run(capsys, "present", "--braid", " ")
     assert code == 2 and out == "" and err == "error: empty braid word\n"
     code, out, err = run(capsys, "satellite", "--knot", "3_1",

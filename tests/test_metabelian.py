@@ -5,15 +5,53 @@ import pytest
 
 from twistalex import words
 from twistalex.cyclo import CYC
-from twistalex.knots import TREFOIL_SEIFERT, alexander_fixture, presentation
-from twistalex.laurent import parse_poly
+from twistalex.domains import ZZ
+from twistalex.fox import alexander_fox_matrix
+from twistalex.knots import TREFOIL_SEIFERT, alexander_fixture, corpus, presentation
+from twistalex.laurent import LaurentPoly, parse_poly
 from twistalex.metabelian import (DihedralData, ModulePresentation, SeifertData,
-                                  alexander_module, alexander_polynomial,
+                                  _alexander_matrix, alexander_module,
+                                  alexander_polynomial, apn_field,
                                   branched_cover_homology, characters_of_quotient,
                                   find_dihedral_epis, find_metacyclic_epis,
                                   find_zn_apn_epis, monodromy_orbit_values,
                                   order_from_alexander, parse_seifert_file)
-from twistalex.presentation import PresentationError, parse_presentation
+from twistalex.presentation import (BraidWord, PresentationError, braid_closure_presentation,
+                                    parse_braid, parse_presentation)
+
+
+def random_braid_presentation(rng, strands, crossings):
+    """A seeded braid word whose closure is a knot, drawn letter by letter."""
+    while True:
+        letters = tuple(rng.choice((1, -1)) * rng.randint(1, strands - 1)
+                        for _ in range(crossings))
+        braid = BraidWord(strands, letters)
+        if braid.closure_is_knot():
+            return braid_closure_presentation(braid)
+
+
+def test_alexander_matrix_matches_fox():
+    # the one-pass walk against the group-ring Fox matrix sent through w -> t^phi(w)
+    rng = random.Random(2012)
+    cases = [presentation(fx.name) for fx in corpus()]
+    cells = [(4, c) for c in range(17, 30, 2)] + [(5, c) for c in range(16, 31, 2)]
+    cases += [random_braid_presentation(rng, strands, crossings) for strands, crossings in cells]
+    cases += [parse_presentation("gens: a b; rels: a a B B B; phi: a=3 b=2"),
+              parse_presentation("gens: a b; rels: a a B B B B B; phi: a=5 b=2"),
+              parse_presentation("gens: a b; rels: a b a B A B; phi: a=-1 b=-1")]
+    for pres in cases:
+        fox = tuple(
+            tuple(LaurentPoly(ZZ, _abelianize(entry, pres)) for entry in row)
+            for row in alexander_fox_matrix(pres))
+        assert _alexander_matrix(pres) == fox, pres
+
+
+def _abelianize(entry, pres):
+    c = {}
+    for w, coeff in entry.terms.items():
+        e = pres.word_phi(w)
+        c[e] = c.get(e, 0) + coeff
+    return c
 
 
 def test_alexander_polynomials_match_fixtures():
@@ -157,37 +195,93 @@ def test_monodromy_orbit_values_lemma():
     assert monodromy_orbit_values(TREFOIL_SEIFERT, [1, 0], 3, triv) == [p1, p1, p1]
 
 
-def brute_force_colorings(pres, p):
-    """All colorings by direct evaluation of the dihedral relations."""
-    n = pres.generator_count
-    out = []
-    for colors in iproduct(range(p), repeat=n):
-        ok = True
-        for r in pres.relators:
-            total = 0
-            for pos, (g, _s) in enumerate(words.letters(r)):
-                total += (1 if pos % 2 else -1) * colors[g]
-            if total % p:
-                ok = False
-                break
-        if ok:
-            out.append(colors)
+def _act(mat, a, p):
+    return tuple(sum(x * y for x, y in zip(row, a)) % p for row in mat)
+
+
+def _powers(T, p, count):
+    """I, T, ..., T^(count - 1) over F_p."""
+    d = len(T)
+    transpose = list(zip(*T))
+    out = [[[int(i == j) for j in range(d)] for i in range(d)]]
+    for _ in range(count - 1):
+        out.append([_act(transpose, row, p) for row in out[-1]])  # rows of T^k * T
     return out
 
 
-@pytest.mark.parametrize("name,p", [("3_1", 3), ("3_1", 5), ("4_1", 3), ("4_1", 5),
-                                    ("5_1", 5), ("5_2", 3)])
-def test_colorings_match_brute_force(name, p):
+def brute_force_colorings(pres, p, T, m):
+    """All meridian images (1, a_j) in Z/m x| F_p^d, T the d x d action of 1 in Z/m.
+
+    Each relator is evaluated in the group, (j, a)(j', a') = (j + j', a + T^j a'),
+    with no Fox calculus.
+    """
+    powers = _powers(T, p, m)
+
+    def relator_is_trivial(r, a):
+        j, acc = 0, (0,) * len(T)
+        for g, sign in words.letters(r):
+            # (1, a)^-1 = (-1, -T^-1 a)
+            j += sign
+            step = _act(powers[(j if sign < 0 else j - 1) % m], a[g], p)
+            acc = tuple((x + sign * y) % p for x, y in zip(acc, step))
+        return j % m == 0 and not any(acc)
+
+    elements = list(iproduct(range(p), repeat=len(T)))
+    return [a for a in iproduct(elements, repeat=pres.generator_count)
+            if all(relator_is_trivial(r, a) for r in pres.relators)]
+
+
+def normalize_by_group_law(solutions, p, T):
+    """Nonconstant solutions up to conjugation (a_0 = 0) and units of F_p[T]."""
+    d = len(T)
+    elements = list(iproduct(range(p), repeat=d))
+    powers = _powers(T, p, d)
+    mats = [[[sum(c * pw[i][j] for c, pw in zip(u, powers)) % p for j in range(d)]
+             for i in range(d)] for u in elements]
+    units = [mat for mat in mats if len({_act(mat, a, p) for a in elements}) == len(elements)]
+    out = set()
+    for a in solutions:
+        if len(set(a)) == 1:
+            continue
+        moved = [tuple((x - y) % p for x, y in zip(ai, a[0])) for ai in a]
+        out.add(min(tuple(_act(mat, ai, p) for ai in moved) for mat in units))
+    return out
+
+
+def _dihedral_colors(pres, p):
+    return [d.colors for d in find_dihedral_epis(pres, p)]
+
+
+@pytest.mark.parametrize("name,p,m,T,search", [
+    *(pytest.param(name, p, 2, [[p - 1]], _dihedral_colors, id=f"{name}-{p}")
+      for name, p in (("3_1", 3), ("3_1", 5), ("4_1", 3), ("4_1", 5), ("5_1", 5), ("5_2", 3))),
+    pytest.param("3_1", 7, 6, [[3]], lambda pres, p: find_metacyclic_epis(pres, 6, p, 3),
+                 id="3_1-G(6,7|3)"),
+    *(pytest.param(name, 2, 3, apn_field(3, 2)[1], lambda pres, p: find_zn_apn_epis(pres, 3, p),
+                   id=f"{name}-Z/3xA(2,3)") for name in ("3_1", "4_1")),
+])
+def test_colorings_match_brute_force(name, p, m, T, search):
     pres = presentation(name)
     if pres.generator_count > 6:
         pytest.skip("brute force capped at 6 generators")
-    brute = brute_force_colorings(pres, p)
-    found = find_dihedral_epis(pres, p)
-    # brute count = p * (p-1) * #classes + p constants
-    nontrivial = len(brute) - p
-    assert nontrivial == len(found) * p * (p - 1)
-    for d in found:
-        assert d.colors in brute
+    brute = brute_force_colorings(pres, p, T, m)
+    found = search(pres, p)
+    d = len(T)
+    as_elements = [tuple(x if d > 1 else (x,) for x in f) for f in found]
+    assert set(as_elements) <= set(brute)
+    assert len(as_elements) == len(set(as_elements))
+    assert set(as_elements) == normalize_by_group_law(brute, p, T)
+    if name == "3_1" and m == 6:
+        assert found == [(0, 1, 3)]
+
+
+def test_enumeration_cap_names_its_numbers():
+    # the connected sum of 12 trefoils: a 12-dimensional space of 3-colorings
+    # with a_0 = 0, over the 500000 cap
+    pres = braid_closure_presentation(parse_braid(
+        " ".join(f"{i} {i} {i}" for i in range(1, 13))))
+    with pytest.raises(ValueError, match=r"p\^dim = 3\^12 = 531441 exceeds the cap 500000"):
+        find_dihedral_epis(pres, 3)
 
 
 def test_paper_coloring_found():
