@@ -10,7 +10,7 @@ from .snf import AbelianGroupStructure, smith_normal_form
 from .polydet import det_poly_matrix
 from .presentation import (BraidWord, KnotPresentation, braid_closure_presentation,
                            parse_braid, parse_presentation, serialize_presentation)
-from .fox import GroupRingElement, alexander_fox_matrix, fox_derivative, specialize
+from .fox import alexander_fox_matrix, specialize_matrix
 from .metabelian import (Character, DihedralData, SeifertData, alexander_module,
                          alexander_polynomial, branched_cover_homology,
                          characters_of_quotient, find_dihedral_epis,

@@ -1,182 +1,76 @@
-"""Fox free differential calculus and specialization through a representation.
+"""Fox free differential calculus, specialized through rho tensor t^phi.
 
-Group-ring elements are finite Z-linear combinations of freely reduced words.
-Derivatives are computed in one left-to-right pass accumulating prefixes, via
+Wada's numerator and the Alexander matrix are the Fox Jacobian (dr_i/dg_j)
+sent through rho tensor t^phi (Fox 1953; Wada 1994).  It is read off each
+relator in one left-to-right pass, never as a group-ring element: with P the
+prefix read so far and s = phi(P),
 
-    d(g^e)/dg = 1 + g + ... + g^(e-1)          (e > 0)
-    d(g^e)/dg = -(g^-1 + g^-2 + ... + g^e)     (e < 0)
+    a letter g       adds   rho(P) t^s                    to block column g
+    a letter g^-1    adds  -rho(P g^-1) t^(s - phi(g))    to block column g
 
-Specialization sends each word w to rho(w) * t^phi(w) and is the bridge from
-presentations to polynomial matrices.
+(d(Pg)/dg = dP/dg + P and d(Pg^-1)/dg = dP/dg - Pg^-1).  A syllable g^e is
+walked from rho(P) (e > 0) or rho(P g^e) (e < 0), both relator prefixes that
+the relator check has already put in the rep's word cache, by right
+multiplication with rho(g).  The Alexander matrix over Z[t^±1] is the case of
+the 1 x 1 trivial image over ZZ.
 """
 from __future__ import annotations
 
-from . import words
+from .domains import ZZ
 from .laurent import LaurentPoly
-from .matrix import Monomial
-from .words import EMPTY, Word
+from .matrix import Monomial, gen_mul
+from .words import Word
 
 
-class GroupRingElement:
-    """Map from reduced free words to nonzero integer coefficients."""
+class _Trivial:
+    """The 1 x 1 trivial image over ZZ: every word maps to (1)."""
 
-    __slots__ = ("terms",)
+    dim, dom = 1, ZZ
+    _one = Monomial.identity(ZZ, 1)
 
-    def __init__(self, terms: dict[Word, int] | None = None):
-        self.terms = {w: c for w, c in (terms or {}).items() if c}
+    def image_of_word(self, w: Word):
+        return self._one
 
-    @classmethod
-    def zero(cls) -> "GroupRingElement":
-        return cls()
-
-    @classmethod
-    def one(cls) -> "GroupRingElement":
-        return cls({EMPTY: 1})
-
-    @classmethod
-    def from_word(cls, w: Word, c: int = 1) -> "GroupRingElement":
-        return cls({w: c})
-
-    def __add__(self, other):
-        t = dict(self.terms)
-        for w, c in other.terms.items():
-            v = t.get(w, 0) + c
-            if v:
-                t[w] = v
-            else:
-                t.pop(w, None)
-        return GroupRingElement(t)
-
-    def __neg__(self):
-        return GroupRingElement({w: -c for w, c in self.terms.items()})
-
-    def __sub__(self, other):
-        return self + (-other)
-
-    def __mul__(self, other):
-        out: dict[Word, int] = {}
-        for w1, c1 in self.terms.items():
-            for w2, c2 in other.terms.items():
-                w = words.mul(w1, w2)
-                v = out.get(w, 0) + c1 * c2
-                if v:
-                    out[w] = v
-                else:
-                    out.pop(w, None)
-        return GroupRingElement(out)
-
-    def scale(self, c: int):
-        return GroupRingElement({w: c * v for w, v in self.terms.items()})
-
-    def __eq__(self, other):
-        return isinstance(other, GroupRingElement) and self.terms == other.terms
-
-    def __hash__(self):
-        return hash(frozenset(self.terms.items()))
-
-    def is_zero(self):
-        return not self.terms
-
-    def __repr__(self):
-        return f"GroupRingElement({self.terms!r})"
+    def image_of_gen(self, g: int, e: int):
+        return self._one
 
 
-def fox_derivative(w: Word, j: int) -> GroupRingElement:
-    """The Fox derivative d(w)/d(g_j) as a group-ring element."""
-    terms: dict[Word, int] = {}
+def specialize_element(r: Word, rep, pres) -> list[list[LaurentPoly]]:
+    """One relator's Fox row through rho tensor t^phi: an n x (generators * n)
+    LaurentPoly block row, block column j holding (dr/dg_j)^(rho tensor t^phi)."""
+    n, dom = rep.dim, rep.dom
+    acc = [[{} for _ in range(pres.generator_count * n)] for _ in range(n)]
 
-    def add(word_, c):
-        v = terms.get(word_, 0) + c
-        if v:
-            terms[word_] = v
-        else:
-            terms.pop(word_, None)
-
-    prefix: Word = EMPTY
-    for g, e in w:
-        if g == j:
-            if e > 0:
-                for l in range(e):
-                    add(words.mul(prefix, ((g, l),) if l else EMPTY), 1)
-            else:
-                for l in range(1, -e + 1):
-                    add(words.mul(prefix, ((g, -l),)), -1)
-        prefix = words.mul(prefix, ((g, e),))
-    return GroupRingElement(terms)
-
-
-def alexander_fox_matrix(pres) -> list[list[GroupRingElement]]:
-    """The k x (k+1) matrix of Fox derivatives of the relators."""
-    return [
-        [fox_derivative(r, j) for j in range(pres.generator_count)]
-        for r in pres.relators
-    ]
-
-
-def fox_identity_holds(pres, r: Word) -> bool:
-    """Fundamental identity: sum_j (dr/dg_j)(g_j - 1) = r - 1 in the group ring."""
-    acc = GroupRingElement.zero()
-    for j in range(pres.generator_count):
-        dj = fox_derivative(r, j)
-        gj = GroupRingElement.from_word(((j, 1),))
-        acc = acc + dj * (gj - GroupRingElement.one())
-    target = GroupRingElement.from_word(r) - GroupRingElement.one()
-    return acc == target
-
-
-# ------------------------------------------------------------- specialization
-
-def specialize_element(x: GroupRingElement, rep, pres) -> list[list[LaurentPoly]]:
-    """Apply rho tensor t^phi entrywise: returns an n x n LaurentPoly matrix."""
-    n = rep.dim
-    dom = rep.dom
-    acc: list[list[dict]] = [[{} for _ in range(n)] for _ in range(n)]
-
-    def put(i, j, e, v):
-        row = acc[i][j]
-        w = dom.add(row.get(e, dom.zero()), v)
+    def put(cell, x, v):
+        w = dom.add(cell[x], v) if x in cell else v
         if dom.is_zero(w):
-            row.pop(e, None)
+            del cell[x]
         else:
-            row[e] = w
+            cell[x] = w
 
-    for w, c in x.terms.items():
-        e = pres.word_phi(w)
-        img = rep.image_of_word(w)
-        cv = dom.coerce(c)
-        if isinstance(img, Monomial):
-            for j in range(n):
-                put(img.perm[j], j, e, dom.mul(cv, img.scales[j]))
-        else:
-            for i in range(n):
-                for j in range(n):
-                    if not dom.is_zero(img[i][j]):
-                        put(i, j, e, dom.mul(cv, img[i][j]))
-    return [[LaurentPoly(dom, acc[i][j]) for j in range(n)] for i in range(n)]
-
-
-def specialize_matrix(m: list[list[GroupRingElement]], rep, pres) -> list[list[LaurentPoly]]:
-    """Blockwise specialization of a Fox matrix: (k*n) x ((k+1)*n) LaurentPolys."""
-    n = rep.dim
-    dom = rep.dom
-    rows = len(m)
-    cols = len(m[0]) if rows else 0
-    out = [[LaurentPoly.zero(dom) for _ in range(cols * n)] for _ in range(rows * n)]
-    for bi, row in enumerate(m):
-        for bj, entry in enumerate(row):
-            if entry.is_zero():
-                continue
-            block = specialize_element(entry, rep, pres)
-            for i in range(n):
-                orow = out[bi * n + i]
-                for j in range(n):
-                    if not block[i][j].is_zero():
-                        orow[bj * n + j] = block[i][j]
-    return out
+    s = 0
+    for i, (g, e) in enumerate(r):
+        f, off = pres.phi[g], g * n
+        img = rep.image_of_word(r[:i] if e > 0 else r[:i + 1])
+        for l in range(abs(e)):
+            if l:
+                img = gen_mul(dom, img, rep.image_of_gen(g, 1))
+            x = s + (min(e, 0) + l) * f
+            entries = (zip(img.perm, range(n), img.scales) if isinstance(img, Monomial)
+                       else ((p, j, v) for p, row in enumerate(img)
+                             for j, v in enumerate(row) if not dom.is_zero(v)))
+            for p, j, v in entries:
+                put(acc[p][off + j], x, v if e > 0 else dom.neg(v))
+        s += e * f
+    return [[LaurentPoly(dom, cell) for cell in row] for row in acc]
 
 
-def specialize(x, rep, pres):
-    """Specialize a GroupRingElement or a Fox matrix through rho tensor t^phi."""
-    if isinstance(x, GroupRingElement):
-        return specialize_element(x, rep, pres)
-    return specialize_matrix(x, rep, pres)
+def specialize_matrix(rep, pres) -> list[list[LaurentPoly]]:
+    """The Fox matrix through rho tensor t^phi, the relators' block rows
+    stacked: (relators * n) x (generators * n) LaurentPolys."""
+    return [row for r in pres.relators for row in specialize_element(r, rep, pres)]
+
+
+def alexander_fox_matrix(pres) -> tuple[tuple[LaurentPoly, ...], ...]:
+    """The Alexander matrix (dr_i/dg_j)^phi over Z[t^±1], one row per relator."""
+    return tuple(tuple(row) for row in specialize_matrix(_Trivial(), pres))

@@ -2,12 +2,12 @@
 epimorphism searches onto D_p, G(m,p|k) and Z/n x| A_{p,n}.
 
 The module H = H_1 of the infinite cyclic cover is presented by the
-Alexander matrix (the abelianized Fox matrix, read off each relator in one
-pass) with the base meridian's column deleted; for a presentation with all
-phi = 1 the j-th basis vector of that presentation is exactly the class of
-g_j g_0^{-1}.  Finite quotients H/(t^k - 1) are integer cokernels of the
-companion blow-up and carry the t-action with them, which is what characters
-and orbit values are read from.
+Alexander matrix (`fox.alexander_fox_matrix`, the Fox walker under the
+trivial 1 x 1 image) with the base meridian's column deleted; for a
+presentation with all phi = 1 the j-th basis vector of that presentation is
+exactly the class of g_j g_0^{-1}.  Finite quotients H/(t^k - 1) are integer
+cokernels of the companion blow-up and carry the t-action with them, which is
+what characters and orbit values are read from.
 
 The three epimorphism searches are kernels of the same matrix: meridians
 sent to (1, a_j) in Z/m x| A define a homomorphism exactly when the a_j solve
@@ -20,9 +20,9 @@ from dataclasses import dataclass
 from itertools import chain, product as iproduct
 from math import gcd, lcm
 
-from . import words
 from .cyclo import CYC, cyclotomic_polynomial
 from .domains import GF, ZZ, ExactDivisionError, is_prime
+from .fox import alexander_fox_matrix
 from .laurent import LaurentPoly
 from .matrix import identity, mat_inverse, mat_mul, nullspace, rref, transpose
 from .polydet import det_poly_matrix
@@ -30,7 +30,8 @@ from .presentation import KnotPresentation, PresentationError
 from .snf import AbelianGroupStructure, cokernel_structure, resultant
 
 _ENUM_CAP = 500_000
-# largest side rank * k of a companion blow-up; its SNF grows about as n^3
+# largest rank * k of a cover: the side of a companion blow-up, whose SNF grows
+# about as n^3, and for a Seifert matrix 2g * k, bounding the digits of M^k
 _BLOWUP_CAP = 2048
 
 
@@ -101,28 +102,8 @@ def parse_seifert_file(text: str) -> SeifertData:
     return SeifertData(tuple(rows))
 
 
-def _alexander_matrix(pres: KnotPresentation):
-    """The abelianized Fox matrix (dr_i/dg_j)^phi over Z[t^±1], one pass per relator.
-
-    With s the phi-exponent of the prefix read so far, a letter g adds t^s to
-    column g and a letter g^-1 adds -t^(s - phi(g)).
-    """
-    rows = []
-    for r in pres.relators:
-        cols = [{} for _ in range(pres.generator_count)]
-        s = 0
-        for g, sign in words.letters(r):
-            if sign < 0:
-                s -= pres.phi[g]
-            cols[g][s] = cols[g].get(s, 0) + sign
-            if sign > 0:
-                s += pres.phi[g]
-        rows.append(tuple(LaurentPoly(ZZ, c) for c in cols))
-    return tuple(rows)
-
-
 def _abelianized_deleted_matrix(pres: KnotPresentation, base: int):
-    return tuple(row[:base] + row[base + 1:] for row in _alexander_matrix(pres))
+    return tuple(row[:base] + row[base + 1:] for row in alexander_fox_matrix(pres))
 
 
 def alexander_module(pres: KnotPresentation) -> ModulePresentation:
@@ -152,13 +133,15 @@ def alexander_polynomial(src) -> LaurentPoly:
     cofactor 1 + t + ... + t^(e-1) is divided back out.
     """
     if isinstance(src, KnotPresentation):
-        base = next((i for i, v in enumerate(src.phi) if abs(v) == 1), None)
-        if base is not None or src.generator_count == 1:
+        if any(abs(v) == 1 for v in src.phi):
             src = alexander_module(src)
         else:
             e = next((v for v in src.phi if v != 0), None)
             if e is None:
                 raise PresentationError("no generator with phi != 0")
+            g = gcd(*src.phi)
+            if g != 1:  # (t^e - 1)/(t - 1) divides the determinant only if phi is onto Z
+                raise PresentationError(f"phi is not onto Z: its values have gcd {g}")
             col = src.phi.index(e)
             d = det_poly_matrix(
                 [list(r) for r in _abelianized_deleted_matrix(src, col)], ZZ)
@@ -241,12 +224,18 @@ def branched_cover_homology(src, k: int) -> FiniteQuotientModule:
 
     Module route: companion blow-up of the presentation matrix, integer
     cokernel via Smith normal form.  Monodromy route (SeifertData with
-    unimodular V): cokernel of id - M^k with M = V^-1 V^t.
+    unimodular V): cokernel of id - M^k with M = V^-1 V^t.  Both refuse
+    rank * k > _BLOWUP_CAP (rank 2g for Seifert data) before any allocation.
     """
     if k < 1:
         raise ValueError("cover degree must be >= 1")
     if isinstance(src, KnotPresentation):
         src = alexander_module(src)
+    rank = src.genus2 if isinstance(src, SeifertData) else src.rank
+    if rank * k > _BLOWUP_CAP:
+        raise ValueError(
+            f"cover blow-up too large: rank {rank} * k {k} = {rank * k} "
+            f"exceeds the cap {_BLOWUP_CAP}")
     if isinstance(src, SeifertData):
         m = src.monodromy()
         n = len(m)
@@ -259,10 +248,6 @@ def branched_cover_homology(src, k: int) -> FiniteQuotientModule:
             k, structure, tuple(tuple(r) for r in U), tuple(diag),
             tuple(tuple(r) for r in m), n, source="monodromy",
         )
-    if src.rank * k > _BLOWUP_CAP:
-        raise ValueError(
-            f"cover blow-up too large: rank {src.rank} * k {k} = {src.rank * k} "
-            f"exceeds the cap {_BLOWUP_CAP}")
     blow = _companion_blowup(src, k)
     structure, U, diag = cokernel_structure(blow)
     r = src.rank

@@ -6,10 +6,10 @@ linear in the dimension.  Constructors attached to a presentation verify every
 relator at build time.
 
 Each rep caches the image of every word prefix it has evaluated, so the
-relator check fills the cache that Fox-matrix specialization reads (Fox
-words of a Wirtinger presentation are relator prefixes).  A conjugated rep
-P^-1 rho P receives its inverse images as P^-1 rho(g)^-1 P from the base
-rep, so no generator is inverted over the dense field.
+relator check fills the cache that the Fox walker reads (it starts every
+syllable from a relator prefix).  A conjugated rep P^-1 rho P receives its
+inverse images as P^-1 rho(g)^-1 P from the base rep, so no generator is
+inverted over the dense field.
 """
 from __future__ import annotations
 

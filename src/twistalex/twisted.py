@@ -5,6 +5,8 @@ for an admissible deleted column j, as a reduced rational function over the
 coefficient field, together with the unit subgroup {± t^k r} describing its
 indeterminacy (r ranges over the subgroup generated by determinants of the
 image).  doteq comparison and canonical text forms quotient that unit out.
+The numerator's matrix comes from the Fox walker (`fox.specialize_matrix`);
+the denominator block I - rho(g_j) t^phi_j is read off the generator image.
 """
 from __future__ import annotations
 
@@ -14,8 +16,9 @@ from math import lcm
 
 from .cyclo import CyclotomicField
 from .domains import Domain, ExactDivisionError, PrimeField, QQ, convert
-from .fox import GroupRingElement, alexander_fox_matrix, specialize_element, specialize_matrix
+from .fox import specialize_matrix
 from .laurent import LaurentPoly, RationalFunction
+from .matrix import to_dense
 from .polydet import det_poly_matrix
 from .presentation import KnotPresentation
 
@@ -136,12 +139,14 @@ def wada_invariant(pres: KnotPresentation, rep, column: int | None = None) -> Tw
     """
     dom = rep.dom
     field = _field_of(dom)
-    fox = alexander_fox_matrix(pres)
     n = rep.dim
 
     def denominator_for(j: int) -> LaurentPoly:
-        one_minus = GroupRingElement.one() - GroupRingElement.from_word(((j, 1),))
-        block = specialize_element(one_minus, rep, pres)
+        # I - rho(g_j) t^phi_j, with phi_j != 0
+        img = to_dense(dom, rep.image_of_gen(j, 1))
+        block = [[LaurentPoly(dom, {0: dom.one() if a == b else dom.zero(),
+                                    pres.phi[j]: dom.neg(img[a][b])})
+                  for b in range(n)] for a in range(n)]
         return det_poly_matrix(block, dom)
 
     if column is not None and not 0 <= column < pres.generator_count:
@@ -160,7 +165,7 @@ def wada_invariant(pres: KnotPresentation, rep, column: int | None = None) -> Tw
             break
     if chosen is None:
         raise WadaError("no admissible column: every denominator determinant vanishes")
-    big = specialize_matrix(fox, rep, pres)
+    big = specialize_matrix(rep, pres)
     cols = [c for c in range(pres.generator_count * n)
             if not chosen * n <= c < (chosen + 1) * n]
     minor = [[row[c] for c in cols] for row in big]

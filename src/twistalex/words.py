@@ -1,15 +1,13 @@
 """Freely reduced words in a free group.
 
 A word is a tuple of syllables (generator index, nonzero exponent) with
-adjacent syllables on distinct generators.  Tuples keep words hashable so they
-can key group-ring dictionaries.
+adjacent syllables on distinct generators.  Tuples keep words hashable so
+their prefixes can key a representation's image cache.
 """
 from __future__ import annotations
 
 Syllable = tuple[int, int]
 Word = tuple[Syllable, ...]
-
-EMPTY: Word = ()
 
 
 def reduce_syllables(syls) -> Word:
@@ -30,23 +28,6 @@ def reduce_syllables(syls) -> Word:
 
 def word(*syls) -> Word:
     return reduce_syllables(syls)
-
-
-def mul(u: Word, v: Word) -> Word:
-    return reduce_syllables(list(u) + list(v))
-
-
-def inv(u: Word) -> Word:
-    return tuple((g, -e) for g, e in reversed(u))
-
-
-def letters(u: Word):
-    """Expand to single-exponent letters (g, ±1)."""
-    out = []
-    for g, e in u:
-        s = 1 if e > 0 else -1
-        out.extend((g, s) for _ in range(abs(e)))
-    return out
 
 
 def exponent_sum(u: Word, weights) -> int:

@@ -123,7 +123,7 @@ def test_satellite_cli(capsys):
     assert out.strip() == "484 + 484*t^2"
 
 
-def test_usage_errors(capsys):
+def test_usage_errors(capsys, tmp_path):
     code, _, err = run(capsys, "twisted", "--braid", "1 1 1")
     assert code == 2 and "error" in err
     code, _, err = run(capsys, "alexander", "--braid", "1 0")
@@ -169,6 +169,15 @@ def test_usage_errors(capsys):
     code, out, err = run(capsys, "branched", "--knot", "3_1", "--k", "100000")
     assert code == 2 and out == "" and err == (
         "error: cover blow-up too large: rank 2 * k 100000 = 200000 exceeds the cap 2048\n")
+    seifert = tmp_path / "fig8.seifert"
+    seifert.write_text("1 0\n1 -1\n")
+    code, out, err = run(capsys, "branched", "--seifert", str(seifert), "--k", "30000")
+    assert code == 2 and out == "" and err == (
+        "error: cover blow-up too large: rank 2 * k 30000 = 60000 exceeds the cap 2048\n")
+    pres = tmp_path / "phi2.pres"
+    pres.write_text("gens: a b\nrels: a a B B\nphi: a=2 b=2\n")
+    code, out, err = run(capsys, "alexander", "--pres", str(pres))
+    assert code == 2 and out == "" and err == "error: phi is not onto Z: its values have gcd 2\n"
     code, out, err = run(capsys, "present", "--braid", " ")
     assert code == 2 and out == "" and err == "error: empty braid word\n"
     code, out, err = run(capsys, "satellite", "--knot", "3_1",

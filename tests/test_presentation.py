@@ -132,7 +132,4 @@ def test_word_phi():
 def test_word_utilities():
     w = words.word((0, 1), (1, -2), (1, 2), (0, -1))
     assert w == ()
-    u = words.word((0, 2), (1, -1))
-    assert words.inv(u) == ((1, 1), (0, -2))
-    assert words.mul(u, words.inv(u)) == ()
-    assert words.letters(u) == [(0, 1), (0, 1), (1, -1)]
+    assert words.word((0, 2), (1, -1), (1, 1), (0, 1)) == ((0, 3),)

@@ -540,7 +540,7 @@ def test_image_of_word_cache_matches_fold(kind):
     for _ in range(30):
         w = _random_word(rng, gens, rng.randint(1, 7))
         k = rng.randint(0, len(w))
-        queries += [w, w[:k], words.mul(w[:k], _random_word(rng, gens, 3))]
+        queries += [w, w[:k], words.reduce_syllables(w[:k] + _random_word(rng, gens, 3))]
     rng.shuffle(queries)
     for w in queries:
         img = rep.image_of_word(w)
