@@ -117,11 +117,7 @@ def alexander_module(pres: KnotPresentation) -> ModulePresentation:
     if base is None:
         base = next((i for i, v in enumerate(pres.phi) if v == -1), None)
     if base is None:
-        if pres.generator_count == 1:
-            base = 0
-        else:
-            raise PresentationError(
-                "module presentation needs a generator with phi = ±1")
+        raise PresentationError("module presentation needs a generator with phi = ±1")
     return ModulePresentation(_abelianized_deleted_matrix(pres, base), pres, base)
 
 

@@ -4,6 +4,23 @@ Pivot selection always takes a nonzero entry of smallest absolute value, which
 keeps coefficient growth tolerable on the branched-cover matrices (entries in
 the thousands appear in the 6-fold covers).
 
+_eliminate runs one fixed sequence of pivot choices, row operations and column
+operations, and does only the work its result needs; each short cut leaves
+that sequence, and so D, U and V, unchanged:
+
+- The pivot scan stops at the first entry of absolute value 1: the scan keeps
+  the first minimum in row-major order, and nothing later can be smaller.
+- A pivot of absolute value 1 divides every entry, so the divisibility sweep
+  over the block is skipped.
+- Before step t, rows and columns < t are zero outside the diagonal, so row
+  operations and column swaps touch only columns and rows >= t.
+- A column operation runs only after the row loop has cleared column t below
+  the pivot, so column t is zero outside row t and the operation changes only
+  the entry in row t.
+- Column operations are logged rather than applied to V; smith_normal_form
+  replays the log onto the identity, and cokernel_structure, which has no use
+  for V, never builds it.
+
 resultant keeps its own fraction-free elimination (_det_int) rather than going
 through polydet.det_matrix: one set-up of the branched-covers benchmark takes
 some 250 Sylvester determinants of size at most 16, and the multimodular
@@ -14,28 +31,20 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 
-def smith_normal_form(a):
-    """Return (D, U, V) with U*a*V = D diagonal with divisibility chain.
-
-    U and V are unimodular (determinant ±1); a is a sequence of integer rows.
-    """
+def _eliminate(a):
+    """Return (D, U, log) with U*a*V = D, where V is the product of the column
+    operations in log: (i, j, f) is col_i -= f*col_j, and (i, j, None) swaps
+    columns i and j."""
     m = [list(row) for row in a]
     rows = len(m)
     cols = len(m[0]) if rows else 0
     U = [[int(i == j) for j in range(rows)] for i in range(rows)]
-    V = [[int(i == j) for j in range(cols)] for i in range(cols)]
+    log = []
 
     def row_op(i, j, f):  # row_i -= f*row_j
         if f:
-            m[i] = [x - f * y for x, y in zip(m[i], m[j])]
+            m[i][t:] = [x - f * y for x, y in zip(m[i][t:], m[j][t:])]
             U[i] = [x - f * y for x, y in zip(U[i], U[j])]
-
-    def col_op(i, j, f):  # col_i -= f*col_j
-        if f:
-            for r in range(rows):
-                m[r][i] -= f * m[r][j]
-            for r in range(cols):
-                V[r][i] -= f * V[r][j]
 
     def row_swap(i, j):
         if i != j:
@@ -44,51 +53,65 @@ def smith_normal_form(a):
 
     def col_swap(i, j):
         if i != j:
-            for r in range(rows):
-                m[r][i], m[r][j] = m[r][j], m[r][i]
-            for r in range(cols):
-                V[r][i], V[r][j] = V[r][j], V[r][i]
+            for r in range(t, rows):
+                mr = m[r]
+                mr[i], mr[j] = mr[j], mr[i]
+            log.append((i, j, None))
 
     n = min(rows, cols)
     t = 0
     while t < n:
-        # pivot: smallest |entry| in the remaining block
-        best = None
+        # pivot: first entry of smallest |entry| in the remaining block
+        best, bv = None, 0
         for i in range(t, rows):
+            mi = m[i]
             for j in range(t, cols):
-                v = m[i][j]
-                if v and (best is None or abs(v) < abs(m[best[0]][best[1]])):
-                    best = (i, j)
+                v = mi[j]
+                if v and (not bv or abs(v) < bv):
+                    best, bv = (i, j), abs(v)
+                    if bv == 1:
+                        break
+            if bv == 1:
+                break
         if best is None:
             break
         row_swap(t, best[0])
         col_swap(t, best[1])
+        mt = m[t]
         while True:
             # Euclidean clearing of column t and row t
             restart = False
             for i in range(t + 1, rows):
                 if m[i][t]:
-                    row_op(i, t, m[i][t] // m[t][t])
+                    row_op(i, t, m[i][t] // mt[t])
                     if m[i][t]:  # nonzero remainder is a smaller pivot
                         row_swap(t, i)
+                        mt = m[t]
                         restart = True
                         break
             if restart:
                 continue
             for j in range(t + 1, cols):
-                if m[t][j]:
-                    col_op(j, t, m[t][j] // m[t][t])
-                    if m[t][j]:
+                if mt[j]:
+                    f = mt[j] // mt[t]
+                    if f:  # col_j -= f*col_t; column t is zero below row t
+                        mt[j] -= f * mt[t]
+                        log.append((j, t, f))
+                    if mt[j]:
                         col_swap(t, j)
                         restart = True
                         break
             if restart:
                 continue
             # row and column are clear; force pivot | block for the chain
+            p = mt[t]
+            if p in (1, -1):
+                break
             viol = None
             for i in range(t + 1, rows):
+                mi = m[i]
                 for j in range(t + 1, cols):
-                    if m[i][j] % m[t][t]:
+                    if mi[j] % p:
                         viol = i
                         break
                 if viol is not None:
@@ -96,11 +119,27 @@ def smith_normal_form(a):
             if viol is None:
                 break
             row_op(t, viol, -1)  # pulls a non-multiple into row t; redo clearing
-        if m[t][t] < 0:
-            m[t] = [-x for x in m[t]]
+        if mt[t] < 0:
+            mt[t] = -mt[t]
             U[t] = [-x for x in U[t]]
         t += 1
-    return m, U, V
+    return m, U, log
+
+
+def smith_normal_form(a):
+    """Return (D, U, V) with U*a*V = D diagonal with divisibility chain.
+
+    U and V are unimodular (determinant ±1); a is a sequence of integer rows.
+    """
+    D, U, log = _eliminate(a)
+    cols = len(D[0]) if D else 0
+    Vt = [[int(i == j) for j in range(cols)] for i in range(cols)]  # columns of V
+    for i, j, f in log:
+        if f is None:
+            Vt[i], Vt[j] = Vt[j], Vt[i]
+        else:
+            Vt[i] = [x - f * y for x, y in zip(Vt[i], Vt[j])]
+    return D, U, [list(r) for r in zip(*Vt)]
 
 
 @dataclass(frozen=True)
@@ -145,7 +184,7 @@ def cokernel_structure(a):
     rows = len(a)
     if rows == 0:
         return AbelianGroupStructure((), 0), [], []
-    D, U, V = smith_normal_form(a)
+    D, U, _ = _eliminate(a)
     cols = len(a[0])
     diag = [D[i][i] for i in range(min(rows, cols))] + [0] * max(0, rows - cols)
     factors = tuple(d for d in diag if d not in (0, 1))

@@ -1,9 +1,16 @@
 import argparse
+import io
 import json
+from contextlib import redirect_stderr, redirect_stdout
+from math import prod
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from twistalex.cli import COMMANDS, build_parser, main
+from twistalex.metabelian import alexander_polynomial, order_from_alexander
+from twistalex.presentation import braid_closure_presentation, parse_braid
 
 PAPER_BRAID = "1 -2 3 3 -2 1 -2 -3 -2 1 -2"
 PAPER_REP = "dihedral:p=3:colors=2,0,2,1,1,2,0,1,0,1,2"
@@ -178,6 +185,14 @@ def test_usage_errors(capsys, tmp_path):
     pres.write_text("gens: a b\nrels: a a B B\nphi: a=2 b=2\n")
     code, out, err = run(capsys, "alexander", "--pres", str(pres))
     assert code == 2 and out == "" and err == "error: phi is not onto Z: its values have gcd 2\n"
+    lone = tmp_path / "lone.pres"
+    lone.write_text("gens: a\nrels:\nphi: a=2\n")
+    code, out, err = run(capsys, "branched", "--pres", str(lone), "--k", "2")
+    assert code == 2 and out == "" and err == (
+        "error: module presentation needs a generator with phi = ±1\n")
+    lone.write_text("gens: a\nrels:\nphi: a=1\n")
+    code, out, err = run(capsys, "branched", "--pres", str(lone), "--k", "2")
+    assert code == 0 and out == "trivial\n"
     code, out, err = run(capsys, "present", "--braid", " ")
     assert code == 2 and out == "" and err == "error: empty braid word\n"
     code, out, err = run(capsys, "satellite", "--knot", "3_1",
@@ -263,3 +278,25 @@ def test_twisted_enumerates_units_once(capsys, monkeypatch, flags):
     code, _, _ = run(capsys, "twisted", "--knot", "3_1", "--rep",
                      "metabelian:n=2:m=3:chi=1", *flags)
     assert code == 0 and len(calls) == 1
+
+
+_braid_words = st.integers(2, 5).flatmap(lambda strands: st.lists(
+    st.integers(1, strands - 1).flatmap(lambda i: st.sampled_from((i, -i))),
+    min_size=1, max_size=20)).map(lambda letters: " ".join(map(str, letters)))
+
+
+@given(_braid_words, st.integers(1, 8))
+@settings(max_examples=50, deadline=None)
+def test_branched_fuzz(word, k):
+    # links exit 2; a knot's cover has |H| = |Res(Delta, t^k - 1)|, 0 when infinite
+    out, err = io.StringIO(), io.StringIO()
+    with redirect_stdout(out), redirect_stderr(err):
+        code = main(["branched", "--braid", word, "--k", str(k), "--json"])
+    assert code in (0, 2) and "Traceback" not in err.getvalue()
+    if code == 2:
+        assert err.getvalue().startswith("error: ") and out.getvalue() == ""
+        return
+    got = json.loads(out.getvalue())
+    delta = alexander_polynomial(braid_closure_presentation(parse_braid(word)))
+    expected = order_from_alexander(delta, k)
+    assert (0 if got["free_rank"] else prod(got["invariant_factors"])) == expected

@@ -9,7 +9,7 @@ from twistalex.fox import alexander_fox_matrix
 from twistalex.knots import TREFOIL_SEIFERT, alexander_fixture, corpus, presentation
 from twistalex.laurent import LaurentPoly, parse_poly
 from twistalex.metabelian import (DihedralData, ModulePresentation, SeifertData,
-                                  alexander_module,
+                                  _companion_blowup, alexander_module,
                                   alexander_polynomial, apn_field,
                                   branched_cover_homology, characters_of_quotient,
                                   find_dihedral_epis, find_metacyclic_epis,
@@ -29,13 +29,24 @@ def random_braid_presentation(rng, strands, crossings):
             return braid_closure_presentation(braid)
 
 
+def seeded_braid_presentations():
+    """One seeded braid closure per (strands, crossings) cell."""
+    rng = random.Random(2012)
+    cells = [(4, c) for c in range(17, 30, 2)] + [(5, c) for c in range(16, 31, 2)]
+    return [random_braid_presentation(rng, strands, crossings) for strands, crossings in cells]
+
+
+@pytest.fixture(scope="module")
+def cover_cases():
+    """(presentation, k, H/(t^k - 1)) over the corpus and the seeded braids."""
+    cases = [presentation(fx.name) for fx in corpus()] + seeded_braid_presentations()
+    return [(pres, k, branched_cover_homology(pres, k)) for pres in cases for k in range(2, 7)]
+
+
 def test_alexander_matrix_matches_fox():
     # the Fox fundamental formula sum_j A_ij (t^phi_j - 1) = 0, and at t = 1
     # the exponent sum of g_j in r_i (Fox derivatives under the augmentation)
-    rng = random.Random(2012)
-    cases = [presentation(fx.name) for fx in corpus()]
-    cells = [(4, c) for c in range(17, 30, 2)] + [(5, c) for c in range(16, 31, 2)]
-    cases += [random_braid_presentation(rng, strands, crossings) for strands, crossings in cells]
+    cases = [presentation(fx.name) for fx in corpus()] + seeded_braid_presentations()
     cases += [parse_presentation("gens: a b; rels: a a B B B; phi: a=3 b=2"),
               parse_presentation("gens: a b; rels: a a B B B B B; phi: a=5 b=2"),
               parse_presentation("gens: a b; rels: a b a B A B; phi: a=-1 b=-1")]
@@ -123,18 +134,30 @@ def test_companion_fixture_covers():
             assert q.structure.order() == order_from_alexander(delta, k)
 
 
-def test_order_formula_against_structures():
-    for name in ("3_1", "4_1", "5_2", "6_2", "7_1"):
-        pres = presentation(name)
-        delta = alexander_polynomial(pres)
-        for k in range(2, 7):
-            q = branched_cover_homology(pres, k)
-            order = q.structure.order()
-            formula = order_from_alexander(delta, k)
-            if formula == 0:
-                assert order is None  # infinite quotient
-            else:
-                assert order == formula
+def test_order_formula_against_structures(cover_cases):
+    # |H/(t^k - 1)| = |Res(Delta, t^k - 1)|, a route that runs no SNF
+    for pres, k, q in cover_cases:
+        order = q.structure.order()
+        formula = order_from_alexander(alexander_polynomial(pres), k)
+        if formula == 0:
+            assert order is None  # infinite quotient
+        else:
+            assert order == formula
+
+
+def test_snf_transform_kills_every_relation(cover_cases):
+    # U maps each blow-up column (a relation of H/(t^k - 1)) into
+    # diag_1 Z + ... + diag_n Z, so every character read off U is well defined
+    for pres, k, q in cover_cases:
+        blow = _companion_blowup(alexander_module(pres), k)
+        u_cols = list(zip(*q.U))
+        for col in zip(*blow):
+            image = [0] * len(q.U)
+            for j, c in enumerate(col):
+                if c:
+                    image = [x + c * u for x, u in zip(image, u_cols[j])]
+            for x, d in zip(image, q.diag):
+                assert (x % d == 0) if d else x == 0, (pres, k)
 
 
 def test_t_action_has_order_k():
@@ -361,6 +384,11 @@ def test_torus_presentation_with_nonmeridional_generators():
     for text in ("gens: a b; rels: a a B B; phi: a=2 b=2", "gens: a; rels: ; phi: a=2"):
         with pytest.raises(PresentationError, match="phi is not onto Z"):
             alexander_polynomial(parse_presentation(text))
+    # a lone generator with phi = 2 is no meridian: the module route refuses it
+    lone = parse_presentation("gens: a; rels: ; phi: a=2")
+    for route in (alexander_module, lambda pres: branched_cover_homology(pres, 2)):
+        with pytest.raises(PresentationError, match="needs a generator with phi = ±1"):
+            route(lone)
 
 
 def test_torus_t25_presentation():

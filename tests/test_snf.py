@@ -4,9 +4,108 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from twistalex.domains import ZZ
+from twistalex.knots import corpus, presentation
+from twistalex.metabelian import _companion_blowup, alexander_module
 from twistalex.polydet import det_matrix
 from twistalex.snf import (AbelianGroupStructure, _det_int, cokernel_structure, resultant,
                            smith_normal_form)
+
+
+def _reference_smith_normal_form(a):
+    """The Smith normal form with every operation applied in full (test oracle).
+
+    smith_normal_form must reproduce its pivot choices, row operations and
+    column operations, so D, U and V agree entry for entry.
+    """
+    m = [list(row) for row in a]
+    rows = len(m)
+    cols = len(m[0]) if rows else 0
+    U = [[int(i == j) for j in range(rows)] for i in range(rows)]
+    V = [[int(i == j) for j in range(cols)] for i in range(cols)]
+
+    def row_op(i, j, f):  # row_i -= f*row_j
+        if f:
+            m[i] = [x - f * y for x, y in zip(m[i], m[j])]
+            U[i] = [x - f * y for x, y in zip(U[i], U[j])]
+
+    def col_op(i, j, f):  # col_i -= f*col_j
+        if f:
+            for r in range(rows):
+                m[r][i] -= f * m[r][j]
+            for r in range(cols):
+                V[r][i] -= f * V[r][j]
+
+    def row_swap(i, j):
+        if i != j:
+            m[i], m[j] = m[j], m[i]
+            U[i], U[j] = U[j], U[i]
+
+    def col_swap(i, j):
+        if i != j:
+            for r in range(rows):
+                m[r][i], m[r][j] = m[r][j], m[r][i]
+            for r in range(cols):
+                V[r][i], V[r][j] = V[r][j], V[r][i]
+
+    n = min(rows, cols)
+    t = 0
+    while t < n:
+        # pivot: smallest |entry| in the remaining block
+        best = None
+        for i in range(t, rows):
+            for j in range(t, cols):
+                v = m[i][j]
+                if v and (best is None or abs(v) < abs(m[best[0]][best[1]])):
+                    best = (i, j)
+        if best is None:
+            break
+        row_swap(t, best[0])
+        col_swap(t, best[1])
+        while True:
+            # Euclidean clearing of column t and row t
+            restart = False
+            for i in range(t + 1, rows):
+                if m[i][t]:
+                    row_op(i, t, m[i][t] // m[t][t])
+                    if m[i][t]:  # nonzero remainder is a smaller pivot
+                        row_swap(t, i)
+                        restart = True
+                        break
+            if restart:
+                continue
+            for j in range(t + 1, cols):
+                if m[t][j]:
+                    col_op(j, t, m[t][j] // m[t][t])
+                    if m[t][j]:
+                        col_swap(t, j)
+                        restart = True
+                        break
+            if restart:
+                continue
+            # row and column are clear; force pivot | block for the chain
+            viol = None
+            for i in range(t + 1, rows):
+                for j in range(t + 1, cols):
+                    if m[i][j] % m[t][t]:
+                        viol = i
+                        break
+                if viol is not None:
+                    break
+            if viol is None:
+                break
+            row_op(t, viol, -1)  # pulls a non-multiple into row t; redo clearing
+        if m[t][t] < 0:
+            m[t] = [-x for x in m[t]]
+            U[t] = [-x for x in U[t]]
+        t += 1
+    return m, U, V
+
+
+def _assert_matches_reference(a):
+    d, u, v = smith_normal_form(a)
+    assert (d, u, v) == _reference_smith_normal_form(a)
+    _, cu, _ = cokernel_structure(a)
+    assert cu == u
 
 
 def mat_mul_int(a, b):
@@ -104,3 +203,29 @@ def test_resultant_known_values():
     assert abs(resultant([1, 0, 1], [-2, 0, 1])) == 9
     # Res(t-2, t^3-1) = 2^3 - 1
     assert abs(resultant([-2, 1], [-1, 0, 0, 1])) == 7
+
+
+def test_snf_matches_reference_on_random_matrices():
+    # unit, small and large entries, so both unit pivots and the divisibility
+    # sweep of non-unit pivots are exercised
+    rng = random.Random(2012)
+    for _ in range(2000):
+        rows, cols = rng.randint(1, 8), rng.randint(1, 8)
+        density = rng.choice((0.2, 0.5, 1.0))
+        bound = rng.choice((1, 3, 30))
+        a = [[rng.randint(-bound, bound) if rng.random() < density else 0
+              for _ in range(cols)] for _ in range(rows)]
+        if rng.random() < 0.2:
+            a[rng.randrange(rows)] = [0] * cols
+        if rng.random() < 0.2:
+            j = rng.randrange(cols)
+            for row in a:
+                row[j] = 0
+        _assert_matches_reference(a)
+
+
+def test_snf_matches_reference_on_corpus_blowups():
+    for fx in corpus():
+        mp = alexander_module(presentation(fx.name))
+        for k in range(2, 7):
+            _assert_matches_reference(_companion_blowup(mp, k))
