@@ -2,8 +2,7 @@
 dihedral, metacyclic and Z/n x| A_{p,n} representations."""
 
 from .domains import GF, QQ, ZZ
-from .cyclo import CYC, cyclotomic_polynomial, evaluate_at_root_of_unity, \
-    is_cyclotomic_irreducible_mod_p
+from .cyclo import CYC, cyclotomic_polynomial, is_cyclotomic_irreducible_mod_p
 from .laurent import LaurentPoly, RationalFunction, parse_poly
 from .factorint import factor_integer_poly, is_irreducible
 from .snf import AbelianGroupStructure, smith_normal_form
@@ -17,7 +16,7 @@ from .metabelian import (Character, DihedralData, SeifertData, alexander_module,
                          find_metacyclic_epis, find_zn_apn_epis,
                          monodromy_orbit_values)
 from .reps import (Representation, gamma_summands, parse_rep_spec, rep_dihedral,
-                   rep_direct_sum, rep_gamma, rep_gamma_compose, rep_metabelian,
+                   rep_direct_sum, rep_gamma_compose, rep_metabelian,
                    rep_metacyclic, rep_mod_p, rep_onedim, rep_tensor, rep_trivial,
                    triangular_form, vandermonde_basis)
 from .twisted import TwistedPolynomial, doteq_equal, satellite_twisted, wada_invariant

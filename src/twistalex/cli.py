@@ -9,9 +9,10 @@ a subcommand accepts no other flag.  The knot comes from exactly one of
 
 Exit codes: 0 success / conjecture holds, 1 conjecture fails, 2 usage or
 precondition errors: a flag error prints argparse's usage line, a library
-error one `error:` line.  Identical invocations print identical bytes:
-every enumeration below is in a fixed deterministic order and nothing is
-ever randomized.
+error one `error:` line.  Flags must be spelled out: argparse's prefix
+matching is off, so `--k` is never read as `--knot`.  Identical invocations
+print identical bytes: every enumeration below is in a fixed deterministic
+order and nothing is ever randomized.
 """
 from __future__ import annotations
 
@@ -310,10 +311,11 @@ def build_parser() -> argparse.ArgumentParser:
         prog="twistalex",
         description="Exact twisted Alexander polynomials of knots under "
                     "finite metabelian, dihedral and metacyclic representations.",
+        allow_abbrev=False,
     )
     sub = parser.add_subparsers(dest="cmd", required=True)
     for name, (handler, flags) in COMMANDS.items():
-        p = sub.add_parser(name)
+        p = sub.add_parser(name, allow_abbrev=False)
         p.set_defaults(handler=handler)
         if any(f in _SOURCES for f in flags):
             sources = p.add_mutually_exclusive_group(required=True)

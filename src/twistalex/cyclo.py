@@ -94,9 +94,7 @@ class CyclotomicField(Domain):
         self.m = m
         self.name = f"Q(zeta_{m})"
         phi = cyclotomic_polynomial(m)
-        self.degree = phi.deg() if m > 1 else 1
-        if m == 1:
-            self.degree = 1
+        self.degree = phi.deg()
         coeffs, _ = phi.coeff_list()
         self._phi = [Fraction(v) for v in coeffs]
         # reduction table: x^(deg+j) in the power basis.  Phi_m is monic, so
@@ -113,7 +111,7 @@ class CyclotomicField(Domain):
                 cur = [c + top * b for c, b in zip(cur, base)]
         # powers of zeta_m in the basis, for fast root-of-unity access
         self._zeta_pows: list[tuple[Fraction, ...]] = []
-        z = self.one() if m == 1 else self._monomial(1)
+        z = self._monomial(1)
         w = self.one()
         for _ in range(m):
             self._zeta_pows.append(w)
@@ -237,23 +235,13 @@ class CyclotomicField(Domain):
                 if qv:
                     for j, sv in enumerate(s1):
                         s2[i + j] -= qv * sv
-            while s2 and not s2[-1]:
-                s2.pop()
             r0, r1, s0, s1 = r1, r, s1, s2
         # r0 = gcd (a nonzero constant since Phi_m is irreducible)
         if len(r0) != 1:
             raise ArithmeticError("gcd with Phi_m not constant; element not invertible")
         c = r0[0]
-        inv = [v / c for v in s0]
-        inv = inv[: self.degree] + [Fraction(0)] * max(0, self.degree - len(inv))
-        # s0 may have degree >= deg; reduce just in case
-        if len(s0) > self.degree:
-            acc = self.zero()
-            for k, v in enumerate(s0):
-                if v:
-                    acc = self.add(acc, self.scale(self._monomial(k), v / c))
-            return acc
-        return tuple(inv)
+        # every quotient has degree >= 1, so deg s0 < deg Phi_m
+        return tuple([v / c for v in s0] + [Fraction(0)] * (self.degree - len(s0)))
 
     def scale(self, a, q: Fraction):
         return tuple(x * q for x in a)
@@ -306,12 +294,3 @@ class CyclotomicField(Domain):
 @lru_cache(maxsize=None)
 def CYC(m: int) -> CyclotomicField:
     return CyclotomicField(m)
-
-
-def evaluate_at_root_of_unity(f: LaurentPoly, m: int, k: int = 1):
-    """f(zeta_m^k) computed exactly in Q(zeta_m); returns a CYC(m) element."""
-    F = CYC(m)
-    acc = F.zero()
-    for e, v in f.c.items():
-        acc = F.add(acc, F.scale(F.zeta(k * e), Fraction(v)))
-    return acc

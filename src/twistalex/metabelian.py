@@ -3,11 +3,14 @@ epimorphism searches onto D_p, G(m,p|k) and Z/n x| A_{p,n}.
 
 The module H = H_1 of the infinite cyclic cover is presented by the
 Alexander matrix (`fox.alexander_fox_matrix`, the Fox walker under the
-trivial 1 x 1 image) with the base meridian's column deleted; for a
-presentation with all phi = 1 the j-th basis vector of that presentation is
-exactly the class of g_j g_0^{-1}.  Finite quotients H/(t^k - 1) are integer
-cokernels of the companion blow-up and carry the t-action with them, which is
-what characters and orbit values are read from.
+trivial 1 x 1 image) with one meridian's column deleted.  One function,
+`deleted_column`, picks that column for every caller (the module, Delta_K,
+the epimorphism searches and `reps.rep_metabelian`): the first generator with
+phi = 1, else phi = -1, else phi != 0.  For a presentation with all phi = 1
+it is column 0, and the j-th basis vector of the module is exactly the class
+of g_{j+1} g_0^{-1}.  Finite quotients H/(t^k - 1) are integer cokernels of
+the companion blow-up and carry the t-action with them, which is what
+characters and orbit values are read from.
 
 The three epimorphism searches are kernels of the same matrix: meridians
 sent to (1, a_j) in Z/m x| A define a homomorphism exactly when the a_j solve
@@ -42,8 +45,6 @@ class ModulePresentation:
     """Square presentation matrix of H over Z[t^±1]."""
 
     matrix: tuple  # tuple of tuples of LaurentPoly over ZZ
-    pres: KnotPresentation | None = None
-    deleted_column: int = 0
 
     @property
     def rank(self) -> int:
@@ -102,8 +103,20 @@ def parse_seifert_file(text: str) -> SeifertData:
     return SeifertData(tuple(rows))
 
 
-def _abelianized_deleted_matrix(pres: KnotPresentation, base: int):
-    return tuple(row[:base] + row[base + 1:] for row in alexander_fox_matrix(pres))
+def deleted_column(pres: KnotPresentation) -> int:
+    """The meridian column the Alexander module deletes: the first generator
+    with phi = 1, else phi = -1, else phi != 0."""
+    for wanted in (1, -1):
+        if wanted in pres.phi:
+            return pres.phi.index(wanted)
+    col = next((i for i, v in enumerate(pres.phi) if v), None)
+    if col is None:
+        raise PresentationError("no generator with phi != 0")
+    return col
+
+
+def _deleted_matrix(pres: KnotPresentation, col: int):
+    return tuple(row[:col] + row[col + 1:] for row in alexander_fox_matrix(pres))
 
 
 def alexander_module(pres: KnotPresentation) -> ModulePresentation:
@@ -113,37 +126,27 @@ def alexander_module(pres: KnotPresentation) -> ModulePresentation:
     remaining basis vectors are then the classes g_j g_base^(-phi_j)); a
     presentation without a meridional generator has no module route here.
     """
-    base = next((i for i, v in enumerate(pres.phi) if v == 1), None)
-    if base is None:
-        base = next((i for i, v in enumerate(pres.phi) if v == -1), None)
-    if base is None:
+    if 1 not in pres.phi and -1 not in pres.phi:
         raise PresentationError("module presentation needs a generator with phi = ±1")
-    return ModulePresentation(_abelianized_deleted_matrix(pres, base), pres, base)
+    return ModulePresentation(_deleted_matrix(pres, deleted_column(pres)))
 
 
 def alexander_polynomial(src) -> LaurentPoly:
     """Delta_K normalized to lowest exponent 0 and positive lowest coefficient.
 
-    For a presentation, any column with phi = e != 0 serves: the deleted
+    For a presentation, the deleted column has phi = e != 0: the deleted
     determinant is Delta * (t^e - 1)/(t - 1) up to units, and the cyclotomic
-    cofactor 1 + t + ... + t^(e-1) is divided back out.
+    cofactor 1 + t + ... + t^(|e|-1), which is 1 for a meridian, is divided
+    back out.
     """
     if isinstance(src, KnotPresentation):
-        if any(abs(v) == 1 for v in src.phi):
-            src = alexander_module(src)
-        else:
-            e = next((v for v in src.phi if v != 0), None)
-            if e is None:
-                raise PresentationError("no generator with phi != 0")
-            g = gcd(*src.phi)
-            if g != 1:  # (t^e - 1)/(t - 1) divides the determinant only if phi is onto Z
-                raise PresentationError(f"phi is not onto Z: its values have gcd {g}")
-            col = src.phi.index(e)
-            d = det_poly_matrix(
-                [list(r) for r in _abelianized_deleted_matrix(src, col)], ZZ)
-            d = normalize_integer_poly(d)
-            cofactor = LaurentPoly(ZZ, {j: 1 for j in range(abs(e))})
-            return normalize_integer_poly(d.exact_div(cofactor))
+        col = deleted_column(src)
+        g = gcd(*src.phi)
+        if g != 1:  # (t^e - 1)/(t - 1) divides the determinant only if phi is onto Z
+            raise PresentationError(f"phi is not onto Z: its values have gcd {g}")
+        d = det_poly_matrix([list(r) for r in _deleted_matrix(src, col)], ZZ)
+        cofactor = LaurentPoly(ZZ, {j: 1 for j in range(abs(src.phi[col]))})
+        return normalize_integer_poly(d.exact_div(cofactor))
     if isinstance(src, SeifertData):
         src = src.module_presentation()
     d = det_poly_matrix([list(r) for r in src.matrix], ZZ)
@@ -502,14 +505,15 @@ def _kernel_epis(pres: KnotPresentation, p0: int, comp, order: int):
     The law (j, a)(j', a') = (j + j', a + t^j a') makes them the A-valued
     solutions of the Alexander matrix at t -> comp (comp^order = 1).  The
     constants always solve it (its rows sum to 0) and are the conjugation
-    orbit of a_0 = 0, so the kernel without column 0 holds one solution per
-    class.  Each nonzero one is reported as its least multiple by a unit of A.
+    orbit of a_0 = 0, so the kernel of the module matrix (column 0 deleted)
+    holds one solution per class.  Each nonzero one is reported as its least
+    multiple by a unit of A.
     """
     d = len(comp)
     F = GF(p0)
     zero = [[0] * d] * d
     rows = []
-    for r in _abelianized_deleted_matrix(pres, 0):
+    for r in alexander_module(pres).matrix:
         blocks = []
         for f in r:
             cls = [0] * order

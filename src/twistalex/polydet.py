@@ -1,10 +1,11 @@
 """Exact determinants of matrices of Laurent polynomials.
 
-Negative exponents are cleared row by row (multiplying by t-powers, with the
-correction unit restored at the end).  One engine computes every
-determinant: multimodular evaluation/interpolation over Z[zeta_m][t], for ZZ,
-QQ and GF(p) (as m = 1) and for the cyclotomic fields Q(zeta_m), the only
-coefficient domains the package defines.  Any other domain is a TypeError.
+Negative exponents are cleared row by row (each row's lowest exponent is
+subtracted as its cells are filled, and the total restored at the end).  One
+engine computes every determinant: multimodular evaluation/interpolation
+over Z[zeta_m][t], for ZZ, QQ and GF(p) (as m = 1) and for the cyclotomic
+fields Q(zeta_m), the only coefficient domains the package defines.  Any
+other domain is a TypeError.
 Cofactor expansion (det_cofactor) stays as the brute-force test oracle.
 
 The multimodular engine (_det_multimodular).  Each row is scaled by one lcm
@@ -94,24 +95,6 @@ def _coordinate_bound(m: int) -> Fraction:
     tr = [sum(F.zeta(s + i)[i] for i in range(d)) for s in range(2 * d - 1)]
     dual = mat_inverse(QQ, [[tr[i + k] for k in range(d)] for i in range(d)])
     return d * max(sum(abs(x) for x in row) for row in dual)
-
-
-# ----------------------------------------------------------------- row shifts
-
-def _shift_rows(rows):
-    """Clear negative exponents per row; returns (shifted rows, total shift)."""
-    out = []
-    total = 0
-    for row in rows:
-        lows = [f.low() for f in row if not f.is_zero()]
-        if not lows:
-            return None, 0  # a zero row: determinant is zero
-        lo = min(lows)
-        if lo:
-            row = [f.shift(-lo) for f in row]
-            total += lo
-        out.append(list(row))
-    return out, total
 
 
 # ------------------------------------------------------------------- engines
@@ -214,28 +197,33 @@ def _det_multimodular(rows, dom: Domain) -> LaurentPoly:
     n = len(rows)
     if n == 0:
         return LaurentPoly.one(dom)
-    shifted, shift = _shift_rows(rows)
-    if shifted is None:
-        return LaurentPoly.zero(dom)
     cyclo = isinstance(dom, CyclotomicField)
     m = dom.m if cyclo else 1
     phi = dom.degree if cyclo else 1
-    top = max(f.deg() for row in shifted for f in row if not f.is_zero())
+    # each row's (column, exponent, coordinates) terms and lowest exponent
+    rows_terms, shift = [], 0
+    for row in rows:
+        terms = [(j, e, v if cyclo else (v,)) for j, f in enumerate(row) for e, v in f.c.items()]
+        if not terms:
+            return LaurentPoly.zero(dom)  # a zero row
+        lo = min(e for _, e, _ in terms)
+        rows_terms.append((terms, lo))
+        shift += lo
+    top = max(e - lo for terms, lo in rows_terms for _, e, _ in terms)
     cells = [[[[0] * n for _ in range(n)] for _ in range(phi)] for _ in range(top + 1)]
     bound, scale, deg_bound, widest = _coordinate_bound(m), 1, 0, 0
-    for i, row in enumerate(shifted):
-        terms = [(j, e, v if cyclo else (v,)) for j, f in enumerate(row) for e, v in f.c.items()]
+    for i, (terms, lo) in enumerate(rows_terms):
         l = lcm(*(x.denominator for _, _, xs in terms for x in xs))
         norm = 0  # the row's l1-norm, at least each of its coordinates
         for j, e, xs in terms:
             for k, x in enumerate(xs):
                 y = x.numerator * (l // x.denominator)
-                cells[e][k][i][j] = y
+                cells[e - lo][k][i][j] = y
                 norm += abs(y)
         scale *= l
         bound *= norm
         widest = max(widest, norm)
-        deg_bound += max(e for _, e, _ in terms)
+        deg_bound += max(e for _, e, _ in terms) - lo
     a = np.array(cells, dtype=np.int64 if widest < 2**62 else object)
     npoints = deg_bound + 1
     x, mod = np.zeros((npoints, phi), dtype=object), 1

@@ -24,7 +24,8 @@ from .domains import (Domain, ExactDivisionError, GF, QQ, ZZ, convert, domain_jo
 from .matrix import (Dense, Monomial, as_monomial, direct_sum, gen_inv, gen_mul, identity,
                      kron, mat_convert, mat_eq, mat_mul, to_dense)
 from .metabelian import (Character, DihedralData, apn_field, branched_cover_homology,
-                         characters_of_quotient, check_primitive_root, find_zn_apn_epis)
+                         characters_of_quotient, check_primitive_root, deleted_column,
+                         find_zn_apn_epis)
 from .polydet import det_matrix
 from .presentation import KnotPresentation
 
@@ -241,10 +242,6 @@ class GammaRep:
                 yield (j, a)
 
 
-def rep_gamma(p: int, n: int) -> GammaRep:
-    return GammaRep(p, n)
-
-
 def rep_gamma_compose(pres: KnotPresentation, n: int, p0: int, assignment) -> Representation:
     """gamma composed with the epimorphism sending meridian i to (1, a_i)."""
     gam = GammaRep(p0, n)
@@ -360,9 +357,7 @@ def rep_metabelian(pres: KnotPresentation, n: int, chi: Character, z=None,
     z = dom.coerce(z) if isinstance(z, (int, Fraction)) else z
     if dom.is_zero(z):
         raise RepresentationError("z must be nonzero")
-    base = chi.components[0].quotient
-    mp_rank = base.rank
-    deleted = pres_deleted_column(pres)
+    deleted = deleted_column(pres)
     shift_perm = tuple((i + 1) % n for i in range(n))
     images = {}
     for g in range(pres.generator_count):
@@ -385,10 +380,6 @@ def rep_metabelian(pres: KnotPresentation, n: int, chi: Character, z=None,
     return Representation(n, dom, images, pres, label=label)
 
 
-def pres_deleted_column(pres: KnotPresentation) -> int:
-    return next(i for i, v in enumerate(pres.phi) if v != 0)
-
-
 def is_irreducible_metabelian(chi: Character, n: int, rank: int) -> bool:
     """alpha_(n,chi) is irreducible iff chi, t chi, ..., t^(n-1) chi are distinct."""
     return chi.orbit_size(rank) == n
@@ -408,10 +399,8 @@ def tensor_metabelian_identity(pres: KnotPresentation, k1: int, chi1: Character,
     a2 = rep_metabelian(pres, k2, chi2)
     a12 = rep_tensor(a1, a2)
     dom = a12.dom
-    z1 = convert(default_sl_z(k1, a1.dom), a1.dom, dom) if isinstance(a1.dom, CyclotomicField) \
-        else dom.coerce(1)
-    z2 = convert(default_sl_z(k2, a2.dom), a2.dom, dom) if isinstance(a2.dom, CyclotomicField) \
-        else dom.coerce(1)
+    z1 = convert(default_sl_z(k1, a1.dom), a1.dom, dom)
+    z2 = convert(default_sl_z(k2, a2.dom), a2.dom, dom)
     z12 = dom.mul(z1, z2)
     chi12 = chi1.mul(chi2)
     a6 = rep_metabelian(pres, k1 * k2, chi12, z=z12, dom=dom)

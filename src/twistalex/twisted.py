@@ -69,14 +69,6 @@ class TwistedPolynomial:
         return num if den == "1" else f"({num}) / ({den})"
 
 
-def _field_of(dom: Domain) -> Domain:
-    if dom.is_field:
-        return dom
-    if dom.name == "ZZ":
-        return QQ
-    raise TypeError(f"no fraction field wired for {dom.name}")
-
-
 def _torsion_exponent(dom: Domain) -> int:
     """N with u^N = 1 for every root of unity u in dom."""
     if isinstance(dom, CyclotomicField):
@@ -138,7 +130,7 @@ def wada_invariant(pres: KnotPresentation, rep, column: int | None = None) -> Tw
     an error rather than a division by zero.
     """
     dom = rep.dom
-    field = _field_of(dom)
+    field = dom if dom.is_field else QQ  # ZZ is the only non-field domain
     n = rep.dim
 
     def denominator_for(j: int) -> LaurentPoly:
@@ -218,15 +210,6 @@ def doteq_equal(a: TwistedPolynomial, b: TwistedPolynomial) -> bool:
         return False
     negc = dom.neg(c)
     return dom.sort_key(c) in ua or dom.sort_key(negc) in ua
-
-
-def doteq_poly(a: TwistedPolynomial, f: LaurentPoly) -> bool:
-    """a doteq a plain Laurent polynomial (coerced to a's field)."""
-    field = a.dom
-    fc = f if f.dom is field else f.copy_to(field)
-    b = TwistedPolynomial(RationalFunction(fc, LaurentPoly.one(field)),
-                          a.det_subgroup, a.column)
-    return doteq_equal(a, b)
 
 
 def canonical_pair(value: RationalFunction, units) -> tuple[LaurentPoly, LaurentPoly]:

@@ -224,11 +224,89 @@ def test_batch_mode(tmp_path, capsys):
     ("alexander", "--braid", "1 1 1", "--knot", "4_1"),
     ("branched", "--knot", "3_1", "--rep", "trivial"),
     ("present",),
+    # no prefix matching: an abbreviation is an unknown flag, never another one
+    ("alexander", "--knot", "3_1", "--k", "2"),
+    ("alexander", "--bra", "1 1 1"),
+    ("twisted", "--knot", "3_1", "--rep", "trivial", "--fact"),
 ])
 def test_flag_errors_print_usage(capsys, argv):
     code, out, err = run(capsys, *argv)
     assert code == 2 and out == ""
     assert err.startswith("usage: ") and "error: " in err and "Traceback" not in err
+
+
+def test_conj_a_prime_cli(capsys):
+    code, out, err = run(capsys, "conj-a-prime", "--knot", "3_1", "--m", "2", "--p", "3",
+                         "--k", "2")
+    assert (code, out, err) == (
+        0, "[A']  metacyclic:m=2:p=3:k=2:colors=0,1,2: holds\n    F = 1 - t^2\n", "")
+
+
+@pytest.mark.parametrize("argv, message", [
+    (("conj-a-prime", "--knot", "4_1", "--m", "2", "--p", "3", "--k", "2"),
+     "no metacyclic epimorphisms"),
+    (("conj-a", "--knot", "4_1", "--n", "2", "--p", "3"),
+     "no epimorphisms onto Z/2 x| A_{3,2}"),
+])
+def test_conj_without_epimorphisms(capsys, argv, message):
+    assert run(capsys, *argv) == (2, "", message + "\n")
+
+
+def test_present_json(capsys):
+    code, out, _ = run(capsys, "present", "--knot", "3_1", "--json")
+    assert code == 0 and out == (
+        '{"generators": ["a", "b", "c"], "phi": [1, 1, 1], '
+        '"relators": ["b^-1 a^-1 c a", "a^-1 c^-1 b c"]}\n')
+
+
+def test_alexander_seifert_file(tmp_path, capsys):
+    f = tmp_path / "trefoil.mat"
+    f.write_text("-1 0\n-1 -1\n")
+    assert run(capsys, "alexander", "--seifert", str(f)) == (0, "1 - t + t^2\n", "")
+
+
+def _json_reports(text):
+    """The concatenated JSON objects of a --json conjecture run."""
+    decoder, reports, i = json.JSONDecoder(), [], 0
+    while i < len(text):
+        if text[i].isspace():
+            i += 1
+            continue
+        obj, i = decoder.raw_decode(text, i)
+        reports.append(obj)
+    return reports
+
+
+@pytest.mark.parametrize("cmd, flags", [
+    ("conj-a", ("--n", "2", "--p", "3")),
+    ("conj-b1", ("--p", "3")),
+    ("conj-b2", ("--p", "3")),
+])
+def test_conj_json_verdicts_match_text(capsys, cmd, flags):
+    for knot in ("3_1", "10_164"):
+        code, text, _ = run(capsys, cmd, "--knot", knot, *flags)
+        code_js, js, _ = run(capsys, cmd, "--knot", knot, *flags, "--json")
+        assert code_js == code
+        verdicts = [line.rsplit(": ", 1)[1] for line in text.splitlines()
+                    if line.startswith("[")]
+        reports = _json_reports(js)
+        assert verdicts and [r["verdict"] for r in reports] == verdicts
+
+
+def test_wada_experiment_text(capsys):
+    code, out, _ = run(capsys, "wada-experiment")
+    assert code == 0
+    assert out.splitlines()[0] == (
+        "[wada-question] satellites of the trefoil by 9_30, 11a359: holds")
+
+
+@pytest.mark.parametrize("eigenvalue, expected", [
+    ("z3^1", (0, "(2 - 2*z12^2) + (2 - 2*z12^2)*t^2\n", "")),
+    ("z5^1", (2, "", "error: eigenvalue field does not embed into the polynomial's field\n")),
+])
+def test_satellite_eigenvalue_field(capsys, eigenvalue, expected):
+    assert run(capsys, "satellite", "--knot", "3_1", "--rep", "metabelian:n=2:m=3:chi=1",
+               "--companion-delta", "1-t+t^2", "--eigenvalues", eigenvalue) == expected
 
 
 def test_epis_json_matches_text(capsys):

@@ -3,10 +3,16 @@ from fractions import Fraction
 
 import pytest
 
-from twistalex.cyclo import (CYC, cyclotomic_polynomial, evaluate_at_root_of_unity,
-                             is_cyclotomic_irreducible_mod_p, multiplicative_order)
+from twistalex.cyclo import (CYC, cyclotomic_polynomial, is_cyclotomic_irreducible_mod_p,
+                             multiplicative_order)
 from twistalex.laurent import parse_poly
 from twistalex.snf import resultant
+
+
+def evaluate_at_root_of_unity(f, m, k=1):
+    """f(zeta_m^k) in Q(zeta_m), through LaurentPoly.evaluate."""
+    F = CYC(m)
+    return f.copy_to(F).evaluate(F.zeta(k))
 
 
 def test_cyclotomic_small():

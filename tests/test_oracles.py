@@ -7,17 +7,30 @@
   a permutation matrix times roots of unity, and so is a one-dimensional
   rep onto a root of unity; they are unitary, and complex conjugation is the
   Galois map zeta -> zeta^-1, applied coefficientwise.
+- The reduced Burau route (Birman 1974, Thm 3.11): for a closed s-braid
+  beta, Delta_K = (1 - t) det(I - B(beta)) / (1 - t^s) up to units, with B
+  the reduced Burau matrix.  It shares no Fox calculus with
+  `alexander_polynomial`; it runs over the corpus, the seeded braids of
+  `tests/test_metabelian.py` and the `branched-covers` braids of seeds 1-3.
 
 A mismatch here is an engine defect, not a reason to change the check.
 """
+import importlib.util
+import random
+import sys
 from math import lcm
+from pathlib import Path
 
 import pytest
 
 from twistalex.cyclo import CYC
+from twistalex.domains import ZZ
 from twistalex.knots import KNOT_TABLE, alexander_fixture, presentation
 from twistalex.laurent import LaurentPoly, RationalFunction, parse_poly
-from twistalex.metabelian import branched_cover_homology, characters_of_quotient
+from twistalex.metabelian import (alexander_polynomial, branched_cover_homology,
+                                  characters_of_quotient, normalize_integer_poly)
+from twistalex.polydet import det_cofactor
+from twistalex.presentation import BraidWord, braid_closure_presentation, parse_braid
 from twistalex.reps import rep_metabelian, rep_onedim, rep_trivial
 from twistalex.twisted import TwistedPolynomial, doteq_equal, wada_invariant
 
@@ -97,3 +110,89 @@ def test_unitary_duality_for_root_of_unity_characters(name, m):
     dual, conj = _dual_and_conjugate(tw)
     assert doteq_equal(dual, conj)
     assert not doteq_equal(dual, tw)
+
+
+# ------------------------------------------------------------ Burau route
+
+def _burau(strands, letter):
+    """Reduced Burau matrix of sigma_i^(+-1), i = |letter|, over Z[t^+-1]."""
+    one, zero, t = LaurentPoly.one(ZZ), LaurentPoly.zero(ZZ), LaurentPoly.t(ZZ)
+    n, k = strands - 1, abs(letter) - 1
+    b = [[one if r == c else zero for c in range(n)] for r in range(n)]
+    if letter > 0:
+        diagonal, above, below = -t, t, one
+    else:
+        tinv = LaurentPoly.t(ZZ, -1)
+        diagonal, above, below = -tinv, one, tinv
+    b[k][k] = diagonal
+    if k > 0:
+        b[k - 1][k] = above
+    if k < n - 1:
+        b[k + 1][k] = below
+    return b
+
+
+def _mat_mul(a, b):
+    zero = LaurentPoly.zero(ZZ)
+    return [[sum((x * y for x, y in zip(row, col)), zero) for col in zip(*b)] for row in a]
+
+
+def burau_alexander(braid: BraidWord) -> LaurentPoly:
+    """(1 - t) det(I - B(beta)) / (1 - t^s), normalized; no Fox calculus."""
+    s = braid.strands
+    one, zero, t = LaurentPoly.one(ZZ), LaurentPoly.zero(ZZ), LaurentPoly.t(ZZ)
+    eye = [[one if r == c else zero for c in range(s - 1)] for r in range(s - 1)]
+    m = eye
+    for letter in braid.letters:
+        m = _mat_mul(m, _burau(s, letter))
+    i_minus_b = [[e - x for e, x in zip(erow, mrow)] for erow, mrow in zip(eye, m)]
+    d = det_cofactor(i_minus_b, ZZ) * (one - t)
+    return normalize_integer_poly(d.exact_div(one - LaurentPoly.t(ZZ, s)))
+
+
+def _seeded_braids():
+    """The braids of `tests/test_metabelian.seeded_braid_presentations`."""
+    rng = random.Random(2012)
+    out = []
+    for strands, crossings in [(4, c) for c in range(17, 30, 2)] + \
+            [(5, c) for c in range(16, 31, 2)]:
+        while True:
+            letters = tuple(rng.choice((1, -1)) * rng.randint(1, strands - 1)
+                            for _ in range(crossings))
+            braid = BraidWord(strands, letters)
+            if braid.closure_is_knot():
+                out.append(braid)
+                break
+    return out
+
+
+def _cover_workload_braids():
+    """The 15 random braids of each `branched-covers` set-up, seeds 1-3."""
+    path = Path(__file__).resolve().parents[1] / "perfbench" / "workloads.py"
+    spec = importlib.util.spec_from_file_location("perfbench_workloads", path)
+    workloads = importlib.util.module_from_spec(spec)
+    sys.modules[spec.name] = workloads  # its dataclasses look their module up
+    spec.loader.exec_module(workloads)
+    out = []
+    for seed in (1, 2, 3):
+        rng = random.Random(f"branched-covers:{seed}")
+        out += [workloads.random_braid(rng, s, c)[0] for s, c in workloads.BRAID_CELLS]
+    return out
+
+
+@pytest.mark.parametrize("name", KNOTS)
+def test_burau_route_matches_alexander_on_the_corpus(name):
+    braid = parse_braid(next(f.braid for f in KNOT_TABLE if f.name == name))
+    delta = burau_alexander(braid)
+    assert delta == alexander_polynomial(braid_closure_presentation(braid))
+    assert delta == alexander_fixture(name)
+
+
+@pytest.mark.parametrize("source", [_seeded_braids, _cover_workload_braids],
+                         ids=["seed-2012", "branched-covers-seeds-1-3"])
+def test_burau_route_matches_alexander_on_random_braids(source):
+    braids = source()
+    assert len(braids) == (15 if source is _seeded_braids else 45)
+    for braid in braids:
+        assert burau_alexander(braid) == alexander_polynomial(
+            braid_closure_presentation(braid)), braid.letters

@@ -595,3 +595,25 @@ def test_wada_of_conjugated_rep_multiplies_and_inverts_nothing(monkeypatch):
     tw = wada_invariant(pres, conj)
     assert (len(products), len(inversions)) == (0, 0)
     assert tw.to_text() == expected.to_text()
+
+
+def test_dense_arms_of_the_combinators():
+    # Wada's invariant is conjugation invariant and
+    # (P^-1 rho P) (x) sigma = (P (x) 1)^-1 (rho (x) sigma) (P (x) 1), so every
+    # combinator must give the same canonical text on a dense conjugate of rho
+    # (its dense arm) as on the monomial rho itself
+    pres = presentation("4_1")
+    rho = rep_dihedral(pres, find_dihedral_epis(pres, 5)[0])
+    p = tuple(tuple(1 if j in (i, i + 1) else 0 for j in range(5)) for i in range(5))
+    dense = rho.conjugate(p)
+    assert not any(isinstance(img, Monomial) for img in dense.images.values())
+    sigma = rep_onedim(pres, -1)
+
+    def text(rep):
+        return wada_invariant(pres, rep).to_text()
+
+    assert text(rep_tensor(dense, sigma)) == text(rep_tensor(rho, sigma))
+    assert text(rep_direct_sum(dense, sigma)) == text(rep_direct_sum(rho, sigma))
+    assert text(rep_mod_p(dense, 5)) == text(rep_mod_p(rho, 5))
+    converted = dense.convert_domain(QQ)
+    assert converted.dom is QQ and text(converted) == text(rho)

@@ -13,7 +13,7 @@ from twistalex.metabelian import (DihedralData, alexander_polynomial,
 from twistalex.presentation import parse_presentation
 from twistalex.reps import (rep_dihedral, rep_direct_sum, rep_metabelian,
                             rep_mod_p, rep_onedim, rep_trivial)
-from twistalex.twisted import (TwistedPolynomial, WadaError, doteq_equal, doteq_poly,
+from twistalex.twisted import (TwistedPolynomial, WadaError, doteq_equal,
                                satellite_twisted, unit_subgroup, wada_invariant)
 
 PAPER_COLORING = DihedralData(3, (2, 0, 2, 1, 1, 2, 0, 1, 0, 1, 2))
