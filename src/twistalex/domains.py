@@ -93,6 +93,19 @@ class Domain:
     def inv(self, a):
         return self.div(self.one(), a)
 
+    def pow(self, a, k: int):
+        """a^k by repeated squaring; for k < 0, the inverse of a to the -k."""
+        if k < 0:
+            a, k = self.inv(a), -k
+        acc = self.one()
+        while k:
+            if k & 1:
+                acc = self.mul(acc, a)
+            k >>= 1
+            if k:
+                a = self.mul(a, a)
+        return acc
+
     def to_str(self, a) -> str:
         return str(a)
 

@@ -8,9 +8,11 @@ trivial 1 x 1 image) with one meridian's column deleted.  One function,
 the epimorphism searches and `reps.rep_metabelian`): the first generator with
 phi = 1, else phi = -1, else phi != 0.  For a presentation with all phi = 1
 it is column 0, and the j-th basis vector of the module is exactly the class
-of g_{j+1} g_0^{-1}.  Finite quotients H/(t^k - 1) are integer cokernels of
-the companion blow-up and carry the t-action with them, which is what
-characters and orbit values are read from.
+of g_{j+1} g_0^{-1}.  Delta_K is the determinant of the same deleted
+matrix, read off the substitution walker's much smaller reduced matrix
+(`fox.alexander_reduced_matrix`).  Finite quotients H/(t^k - 1) are integer
+cokernels of the companion blow-up and carry the t-action with them, which
+is what characters and orbit values are read from.
 
 The three epimorphism searches are kernels of the same matrix: meridians
 sent to (1, a_j) in Z/m x| A define a homomorphism exactly when the a_j solve
@@ -25,7 +27,7 @@ from math import gcd, lcm
 
 from .cyclo import CYC, cyclotomic_polynomial
 from .domains import GF, ZZ, ExactDivisionError, is_prime
-from .fox import alexander_fox_matrix
+from .fox import alexander_fox_matrix, alexander_reduced_matrix
 from .laurent import LaurentPoly
 from .matrix import identity, mat_inverse, mat_mul, nullspace, rref, transpose
 from .polydet import det_poly_matrix
@@ -105,18 +107,11 @@ def parse_seifert_file(text: str) -> SeifertData:
 
 def deleted_column(pres: KnotPresentation) -> int:
     """The meridian column the Alexander module deletes: the first generator
-    with phi = 1, else phi = -1, else phi != 0."""
+    with phi = 1, else phi = -1, else phi != 0 (phi is onto Z, so one is)."""
     for wanted in (1, -1):
         if wanted in pres.phi:
             return pres.phi.index(wanted)
-    col = next((i for i, v in enumerate(pres.phi) if v), None)
-    if col is None:
-        raise PresentationError("no generator with phi != 0")
-    return col
-
-
-def _deleted_matrix(pres: KnotPresentation, col: int):
-    return tuple(row[:col] + row[col + 1:] for row in alexander_fox_matrix(pres))
+    return next(i for i, v in enumerate(pres.phi) if v)
 
 
 def alexander_module(pres: KnotPresentation) -> ModulePresentation:
@@ -128,23 +123,24 @@ def alexander_module(pres: KnotPresentation) -> ModulePresentation:
     """
     if 1 not in pres.phi and -1 not in pres.phi:
         raise PresentationError("module presentation needs a generator with phi = ±1")
-    return ModulePresentation(_deleted_matrix(pres, deleted_column(pres)))
+    col = deleted_column(pres)
+    return ModulePresentation(tuple(row[:col] + row[col + 1:]
+                                    for row in alexander_fox_matrix(pres)))
 
 
 def alexander_polynomial(src) -> LaurentPoly:
     """Delta_K normalized to lowest exponent 0 and positive lowest coefficient.
 
     For a presentation, the deleted column has phi = e != 0: the deleted
-    determinant is Delta * (t^e - 1)/(t - 1) up to units, and the cyclotomic
-    cofactor 1 + t + ... + t^(|e|-1), which is 1 for a meridian, is divided
-    back out.
+    determinant is Delta * (t^e - 1)/(t - 1) up to units (phi is onto Z), and
+    the cyclotomic cofactor 1 + t + ... + t^(|e|-1), which is 1 for a
+    meridian, is divided back out.  The determinant is the substitution
+    walker's reduced matrix's (`fox.alexander_reduced_matrix`), equal to the
+    deleted Alexander matrix's up to the ±t^k that normalizing removes.
     """
     if isinstance(src, KnotPresentation):
         col = deleted_column(src)
-        g = gcd(*src.phi)
-        if g != 1:  # (t^e - 1)/(t - 1) divides the determinant only if phi is onto Z
-            raise PresentationError(f"phi is not onto Z: its values have gcd {g}")
-        d = det_poly_matrix([list(r) for r in _deleted_matrix(src, col)], ZZ)
+        d = det_poly_matrix(alexander_reduced_matrix(src, col)[0], ZZ)
         cofactor = LaurentPoly(ZZ, {j: 1 for j in range(abs(src.phi[col]))})
         return normalize_integer_poly(d.exact_div(cofactor))
     if isinstance(src, SeifertData):

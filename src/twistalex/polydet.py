@@ -39,8 +39,11 @@ are taken until their product exceeds 2 C_m H + 1, so the symmetric CRT
 residue is the coordinate itself: no heuristic stopping.  Primes lie below
 2^31, so every product of two residues fits in int64.
 
-The twisted-polynomial pipeline produces matrices up to ~70x70 over ZZ[t]
-and ~40x40 over Q(zeta_m)[t].
+Wada numerators and Delta_K come from the substitution walker's reduced
+matrices (`fox.reduced_fox_matrix`), (seeds - 1) n square: on the benchmark
+workloads at most 15 x 15 over ZZ, GF(p) and small cyclotomic fields
+(`conjecture-sweep`) and 6 x 6 over Q(zeta_12..28) (`cyclotomic-wada`),
+with more evaluation points per row than the full Fox minors they replace.
 """
 from __future__ import annotations
 

@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import re
 from dataclasses import dataclass, field
+from math import gcd
 
 from . import words
 from .words import Word
@@ -82,7 +83,8 @@ def parse_braid(text: str, strands: int | None = None) -> BraidWord:
 
 @dataclass(frozen=True)
 class KnotPresentation:
-    """Deficiency-one presentation with the meridional abelianization phi."""
+    """Deficiency-one presentation with the meridional abelianization phi,
+    which must be onto Z (values with gcd 1)."""
 
     generator_names: tuple[str, ...]
     relators: tuple[Word, ...]
@@ -108,6 +110,9 @@ class KnotPresentation:
                 raise PresentationError(
                     f"relator {format_word(r, self.generator_names)} is not phi-balanced"
                 )
+        g = gcd(*self.phi)
+        if g != 1:
+            raise PresentationError(f"phi is not onto Z: its values have gcd {g}")
 
     @property
     def generator_count(self) -> int:

@@ -38,13 +38,15 @@ class Representation:
     """Finite-dimensional exact-matrix assignment to the generators."""
 
     def __init__(self, dim: int, dom: Domain, images: dict, pres: KnotPresentation | None,
-                 label: str = "", check: bool = True, inverses: dict | None = None):
+                 label: str = "", check: bool = True, inverses: dict | None = None,
+                 dets: tuple | None = None):
         self.dim = dim
         self.dom = dom
         self.images = images
         self.pres = pres
         self.label = label
         self._inv_cache: dict = dict(inverses or {})
+        self._dets = dets
         self._word_cache: dict = {}
         if check and pres is not None:
             bad = self.failing_relator()
@@ -99,20 +101,19 @@ class Representation:
 
     # ------------------------------------------------------------ invariants
     def det_image_generators(self):
-        """Determinants of the generator images; they generate the det subgroup."""
-        outs = []
-        for g in sorted(self.images):
-            img = self.images[g]
-            if isinstance(img, Monomial):
-                outs.append(img.det(self.dom))
-            else:
-                outs.append(_dense_det(self.dom, img))
-        return tuple(outs)
+        """Determinants of the generator images, in generator order; they
+        generate the det subgroup.  Computed once: images never change."""
+        if self._dets is None:
+            self._dets = tuple(img.det(self.dom) if isinstance(img, Monomial)
+                               else _dense_det(self.dom, img)
+                               for img in map(self.images.get, sorted(self.images)))
+        return self._dets
 
     # ----------------------------------------------------------- combinators
     def conjugate(self, pmat: Dense) -> "Representation":
         """P^-1 rho P.  Its inverse images are P^-1 rho(g)^-1 P, from this
-        rep's cached inverses, so no field inversion runs per generator."""
+        rep's cached inverses, so no field inversion runs per generator, and
+        its generator determinants are this rep's (det P^-1 A P = det A)."""
         dom = self.dom
         pinv = to_dense(dom, gen_inv(dom, pmat))
         pmat = to_dense(dom, pmat)
@@ -123,7 +124,8 @@ class Representation:
         images = {g: conj(img) for g, img in self.images.items()}
         inverses = {g: conj(self.image_of_gen(g, -1)) for g in self.images}
         return Representation(self.dim, dom, images, self.pres,
-                              label=f"conj({self.label})", inverses=inverses)
+                              label=f"conj({self.label})", inverses=inverses,
+                              dets=self.det_image_generators())
 
     def convert_domain(self, dst: Domain) -> "Representation":
         images = {}

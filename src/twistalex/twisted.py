@@ -5,8 +5,13 @@ for an admissible deleted column j, as a reduced rational function over the
 coefficient field, together with the unit subgroup {± t^k r} describing its
 indeterminacy (r ranges over the subgroup generated by determinants of the
 image).  doteq comparison and canonical text forms quotient that unit out.
-The numerator's matrix comes from the Fox walker (`fox.specialize_matrix`);
-the denominator block I - rho(g_j) t^phi_j is read off the generator image.
+The numerator is the determinant of the substitution walker's reduced
+matrix (`fox.reduced_fox_matrix`), (seeds - 1) n square instead of one block
+row per relator, times the exact monomial unit the walker returns, so `value`
+is the column-deleted Fox minor's determinant itself, not only up to units.
+The generator determinants are read once per call and serve both that unit
+and the det subgroup.  The denominator block I - rho(g_j) t^phi_j is read off
+the generator image.
 """
 from __future__ import annotations
 
@@ -16,7 +21,9 @@ from math import lcm
 
 from .cyclo import CyclotomicField
 from .domains import Domain, ExactDivisionError, PrimeField, QQ, convert
-from .fox import specialize_matrix
+# specialize_matrix is not called here: the name stays bound because
+# perfbench's tracer self-test patches it in this module
+from .fox import reduced_fox_matrix, specialize_matrix  # noqa: F401
 from .laurent import LaurentPoly, RationalFunction
 from .matrix import to_dense
 from .polydet import det_poly_matrix
@@ -90,7 +97,7 @@ def unit_subgroup(dom: Domain, gens) -> tuple:
     # first of each, which leaves the enumeration order unchanged
     gens = list({dom.sort_key(g): g for g in gens}.values())
     for g in gens:
-        if not dom.eq(_power(dom, g, n), one):
+        if not dom.eq(dom.pow(g, n), one):
             raise WadaError(f"determinant generator {dom.to_str(g)} has infinite order "
                             f"in {dom.name}; the determinant subgroup must be finite")
     elems = {dom.sort_key(one): one}
@@ -110,16 +117,6 @@ def unit_subgroup(dom: Domain, gens) -> tuple:
                         raise WadaError(f"determinant subgroup has more than {cap} elements")
         frontier = nxt
     return tuple(elems.values())
-
-
-def _power(dom: Domain, g, n: int):
-    acc = dom.one()
-    while n:
-        if n & 1:
-            acc = dom.mul(acc, g)
-        g = dom.mul(g, g)
-        n >>= 1
-    return acc
 
 
 def wada_invariant(pres: KnotPresentation, rep, column: int | None = None) -> TwistedPolynomial:
@@ -157,15 +154,12 @@ def wada_invariant(pres: KnotPresentation, rep, column: int | None = None) -> Tw
             break
     if chosen is None:
         raise WadaError("no admissible column: every denominator determinant vanishes")
-    big = specialize_matrix(rep, pres)
-    cols = [c for c in range(pres.generator_count * n)
-            if not chosen * n <= c < (chosen + 1) * n]
-    minor = [[row[c] for c in cols] for row in big]
-    num = det_poly_matrix(minor, dom)
+    dets = rep.det_image_generators()
+    rows, unit = reduced_fox_matrix(rep, pres, chosen, dets)
+    num = det_poly_matrix(rows, dom) * unit
     if dom is not field:
         num = num.copy_to(field)
         den = den.copy_to(field)
-    dets = rep.det_image_generators()
     dets = tuple(convert(d_, dom, field) for d_ in dets)
     value = RationalFunction(num, den)
     return TwistedPolynomial(value, dets, chosen, label=getattr(rep, "label", ""))

@@ -30,7 +30,9 @@ def test_tracer_target_resolves(module_name, path):
     assert callable(getattr(owner, attr, None)), f"{module_name}.{path}"
 
 
-def test_wada_route_binds_the_traced_specializer():
+def test_wada_route_binds_the_substitution_walker():
+    # Wada's numerator comes from fox's substitution walker, bound by name in
+    # twisted; fox.specialize_* (traced as fox.specialize) no longer run there
     from twistalex import fox, twisted
 
-    assert twisted.specialize_matrix is fox.specialize_matrix
+    assert twisted.reduced_fox_matrix is fox.reduced_fox_matrix

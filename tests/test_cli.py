@@ -181,15 +181,23 @@ def test_usage_errors(capsys, tmp_path):
     code, out, err = run(capsys, "branched", "--seifert", str(seifert), "--k", "30000")
     assert code == 2 and out == "" and err == (
         "error: cover blow-up too large: rank 2 * k 30000 = 60000 exceeds the cap 2048\n")
+    # phi not onto Z is refused when the presentation is read, by every subcommand
     pres = tmp_path / "phi2.pres"
-    pres.write_text("gens: a b\nrels: a a B B\nphi: a=2 b=2\n")
-    code, out, err = run(capsys, "alexander", "--pres", str(pres))
-    assert code == 2 and out == "" and err == "error: phi is not onto Z: its values have gcd 2\n"
-    lone = tmp_path / "lone.pres"
-    lone.write_text("gens: a\nrels:\nphi: a=2\n")
-    code, out, err = run(capsys, "branched", "--pres", str(lone), "--k", "2")
+    for text, g in (("gens: a b\nrels: a a B B\nphi: a=2 b=2\n", 2),
+                    ("gens: a\nrels:\nphi: a=2\n", 2),
+                    ("gens: a b\nrels: a B\nphi: a=0 b=0\n", 0)):
+        pres.write_text(text)
+        for argv in (("alexander",), ("twisted", "--rep", "trivial"), ("present",),
+                     ("branched", "--k", "2")):
+            code, out, err = run(capsys, *argv, "--pres", str(pres))
+            assert code == 2 and out == "" and err == (
+                f"error: phi is not onto Z: its values have gcd {g}\n"), (text, argv)
+    torus = tmp_path / "torus.pres"
+    torus.write_text("gens: a b\nrels: a a B B B\nphi: a=3 b=2\n")
+    code, out, err = run(capsys, "branched", "--pres", str(torus), "--k", "2")
     assert code == 2 and out == "" and err == (
         "error: module presentation needs a generator with phi = ±1\n")
+    lone = tmp_path / "lone.pres"
     lone.write_text("gens: a\nrels:\nphi: a=1\n")
     code, out, err = run(capsys, "branched", "--pres", str(lone), "--k", "2")
     assert code == 0 and out == "trivial\n"

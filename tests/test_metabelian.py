@@ -368,7 +368,7 @@ def test_zn_apn_a4_target():
 def test_wirtinger_requirement():
     pres = parse_presentation("gens: a b; rels: a b a B A B; phi: a=1 b=1")
     assert find_dihedral_epis(pres, 3)  # fine: all phi = 1
-    bad = parse_presentation("gens: a b; rels: a a B; phi: a=2 b=4")
+    bad = parse_presentation("gens: a b; rels: a a B B B; phi: a=3 b=2")
     with pytest.raises(PresentationError):
         find_dihedral_epis(bad, 3)
 
@@ -378,17 +378,16 @@ def test_torus_presentation_with_nonmeridional_generators():
     # no phi = ±1 generator; the cyclotomic cofactor is divided back out
     pres = parse_presentation("gens: a b; rels: a a B B B; phi: a=3 b=2")
     assert alexander_polynomial(pres) == parse_poly("1 - t + t^2")
-    with pytest.raises(PresentationError):
-        alexander_module(pres)
-    # phi not onto Z: the cofactor need not divide, so these are refused
-    for text in ("gens: a b; rels: a a B B; phi: a=2 b=2", "gens: a; rels: ; phi: a=2"):
-        with pytest.raises(PresentationError, match="phi is not onto Z"):
-            alexander_polynomial(parse_presentation(text))
-    # a lone generator with phi = 2 is no meridian: the module route refuses it
-    lone = parse_presentation("gens: a; rels: ; phi: a=2")
+    # no generator is a meridian: the module route refuses it
     for route in (alexander_module, lambda pres: branched_cover_homology(pres, 2)):
         with pytest.raises(PresentationError, match="needs a generator with phi = ±1"):
-            route(lone)
+            route(pres)
+    # phi not onto Z (the cofactor need not divide) is refused when the
+    # presentation is built, all-zero phi included
+    for text, g in (("gens: a b; rels: a a B B; phi: a=2 b=2", 2),
+                    ("gens: a; rels: ; phi: a=2", 2), ("gens: a b; rels: a B; phi: a=0 b=0", 0)):
+        with pytest.raises(PresentationError, match=f"phi is not onto Z: its values have gcd {g}"):
+            parse_presentation(text)
 
 
 def test_torus_t25_presentation():
