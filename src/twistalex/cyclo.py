@@ -7,7 +7,8 @@ unity never degrade to floats anywhere in this package.
 Products run on integer numerators: `CyclotomicField.dot` (and `mul`, a
 one-term `dot`) scales each factor to integer coordinates, convolves over one
 common denominator, reduces once with the integer table of Phi_m (monic, so
-the table is integral) and builds one Fraction per output coordinate.
+the table is integral) and builds one Fraction per output coordinate.  Inverses
+are the polynomial kernel's (`laurent.poly_invmod`) modulo Phi_m over QQ.
 """
 from __future__ import annotations
 
@@ -16,7 +17,7 @@ from functools import lru_cache
 from math import gcd, lcm
 
 from .domains import Domain
-from .laurent import LaurentPoly
+from .laurent import LaurentPoly, poly_invmod, poly_trim
 from . import domains
 
 
@@ -204,44 +205,11 @@ class CyclotomicField(Domain):
         return all(x == y for x, y in zip(a, b))
 
     def inv(self, a):
-        """Inverse via the extended Euclidean algorithm in Q[x] mod Phi_m."""
+        """Inverse via the polynomial kernel: a^-1 mod Phi_m over QQ."""
         if self.is_zero(a):
             raise ZeroDivisionError(f"division by zero in {self.name}")
-        # work with plain coefficient lists
-        r0 = list(self._phi)
-        r1 = list(a)
-        while r1 and not r1[-1]:
-            r1.pop()
-        s0, s1 = [Fraction(0)], [Fraction(1)]
-
-        def polydivmod(num, den):
-            num = list(num)
-            q = [Fraction(0)] * max(len(num) - len(den) + 1, 0)
-            for i in range(len(num) - len(den), -1, -1):
-                if num[i + len(den) - 1]:
-                    f = num[i + len(den) - 1] / den[-1]
-                    q[i] = f
-                    for j, dv in enumerate(den):
-                        num[i + j] -= f * dv
-            while num and not num[-1]:
-                num.pop()
-            return q, num
-
-        while r1:
-            q, r = polydivmod(r0, r1)
-            # s_next = s0 - q*s1
-            s2 = list(s0) + [Fraction(0)] * max(0, len(q) + len(s1) - 1 - len(s0))
-            for i, qv in enumerate(q):
-                if qv:
-                    for j, sv in enumerate(s1):
-                        s2[i + j] -= qv * sv
-            r0, r1, s0, s1 = r1, r, s1, s2
-        # r0 = gcd (a nonzero constant since Phi_m is irreducible)
-        if len(r0) != 1:
-            raise ArithmeticError("gcd with Phi_m not constant; element not invertible")
-        c = r0[0]
-        # every quotient has degree >= 1, so deg s0 < deg Phi_m
-        return tuple([v / c for v in s0] + [Fraction(0)] * (self.degree - len(s0)))
+        s = poly_invmod(domains.QQ, poly_trim(domains.QQ, list(a)), self._phi)
+        return tuple(s + [_ZERO] * (self.degree - len(s)))
 
     def scale(self, a, q: Fraction):
         return tuple(x * q for x in a)

@@ -139,6 +139,9 @@ class IntegerDomain(Domain):
     def neg(self, a):
         return -a
 
+    def sub(self, a, b):
+        return a - b
+
     def mul(self, a, b):
         return a * b
 
@@ -178,11 +181,14 @@ class RationalDomain(Domain):
     def neg(self, a):
         return -a
 
+    def sub(self, a, b):
+        return a - b
+
     def mul(self, a, b):
         return a * b
 
     def is_zero(self, a):
-        return a == 0
+        return not a
 
     def eq(self, a, b):
         return a == b
@@ -224,6 +230,9 @@ class PrimeField(Domain):
 
     def neg(self, a):
         return (-a) % self.p
+
+    def sub(self, a, b):
+        return (a - b) % self.p
 
     def mul(self, a, b):
         return (a * b) % self.p

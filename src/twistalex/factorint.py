@@ -10,8 +10,8 @@ from __future__ import annotations
 from itertools import combinations
 from math import gcd, isqrt, lcm
 
-from .domains import GF, ZZ, QQ
-from .laurent import LaurentPoly
+from .domains import GF, ZZ, QQ, ExactDivisionError
+from .laurent import LaurentPoly, poly_divmod, poly_gcd, poly_invmod, poly_mul, poly_trim
 from .matrix import nullspace
 
 DEGREE_CAP = 64
@@ -21,97 +21,24 @@ _SMALL_PRIMES = (3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41, 43, 47, 53, 59, 61
 
 
 # --------------------------------------------------- dense helpers, F_p and Z
-
-def _trim(a):
-    while a and a[-1] == 0:
-        a.pop()
-    return a
-
-
-def _pmul(a, b, p):
-    if not a or not b:
-        return []
-    out = [0] * (len(a) + len(b) - 1)
-    for i, x in enumerate(a):
-        if x:
-            for j, y in enumerate(b):
-                if y:
-                    out[i + j] = (out[i + j] + x * y) % p
-    return _trim(out)
-
-
-def _pdivmod(a, b, p):
-    a = [x % p for x in a]
-    b = [x % p for x in b]
-    _trim(a)
-    _trim(b)
-    db = len(b) - 1
-    if len(a) - 1 < db:
-        return [], a
-    inv = pow(b[-1], -1, p)
-    q = [0] * (len(a) - db)
-    for i in range(len(a) - db - 1, -1, -1):
-        c = a[i + db] % p
-        if c:
-            f = c * inv % p
-            q[i] = f
-            for j, y in enumerate(b):
-                a[i + j] = (a[i + j] - f * y) % p
-    return q, _trim(a)
-
-
-def _pgcd(a, b, p):
-    a, b = _trim([x % p for x in a]), _trim([x % p for x in b])
-    while b:
-        _, r = _pdivmod(a, b, p)
-        a, b = b, r
-    if a:
-        inv = pow(a[-1], -1, p)
-        a = [x * inv % p for x in a]
-    return a
-
-
-def _pext_inverse(a, mod, p):
-    """Inverse of a modulo mod in F_p[x] (they must be coprime)."""
-    r0, r1 = _trim([x % p for x in mod]), _trim([x % p for x in a])
-    s0, s1 = [], [1]
-    while r1:
-        q, r = _pdivmod(r0, r1, p)
-        qs1 = _pmul(q, s1, p)
-        s2 = [( (s0[i] if i < len(s0) else 0) - (qs1[i] if i < len(qs1) else 0) ) % p
-              for i in range(max(len(s0), len(qs1)))]
-        r0, r1 = r1, r
-        s0, s1 = s1, _trim(s2)
-    if len(r0) != 1:
-        raise ArithmeticError("polynomials not coprime mod p")
-    c = pow(r0[0], -1, p)
-    return _trim([x * c % p for x in s0])
-
+#
+# Coefficient lists, lowest degree first, on the polynomial kernel of
+# `laurent`; F_p coefficients are kept in 0..p-1.
 
 def _ppowmod(base, e, mod, p):
+    F = GF(p)
     out = [1]
-    b = _pdivmod(base, mod, p)[1]
+    b = poly_divmod(F, base, mod)[1]
     while e:
         if e & 1:
-            out = _pdivmod(_pmul(out, b, p), mod, p)[1]
-        b = _pdivmod(_pmul(b, b, p), mod, p)[1]
+            out = poly_divmod(F, poly_mul(F, out, b), mod)[1]
+        b = poly_divmod(F, poly_mul(F, b, b), mod)[1]
         e >>= 1
     return out
 
 
 def _pderiv(a, p):
-    return _trim([(i * a[i]) % p for i in range(1, len(a))])
-
-
-def _zmul(a, b):
-    if not a or not b:
-        return []
-    out = [0] * (len(a) + len(b) - 1)
-    for i, x in enumerate(a):
-        if x:
-            for j, y in enumerate(b):
-                out[i + j] += x * y
-    return _trim(out)
+    return poly_trim(ZZ, [(i * a[i]) % p for i in range(1, len(a))])
 
 
 def _sym_mod(a, m):
@@ -119,7 +46,7 @@ def _sym_mod(a, m):
     for x in a:
         r = x % m
         out.append(r - m if r > m // 2 else r)
-    return _trim(out)
+    return poly_trim(ZZ, out)
 
 
 def _content(a):
@@ -138,21 +65,11 @@ def _primitive(a):
 
 def _zdivexact(a, b):
     """Exact division in Z[x]; returns None when not exact."""
-    a = list(a)
-    db = len(b) - 1
-    if len(a) - 1 < db:
+    try:
+        q, r = poly_divmod(ZZ, a, b)
+    except ExactDivisionError:
         return None
-    q = [0] * (len(a) - db)
-    for i in range(len(a) - db - 1, -1, -1):
-        c = a[i + db]
-        if c % b[-1]:
-            return None
-        f = c // b[-1]
-        q[i] = f
-        if f:
-            for j, y in enumerate(b):
-                a[i + j] -= f * y
-    return q if not _trim(a) else None
+    return None if r else q
 
 
 # -------------------------------------------------------------------- stages
@@ -162,22 +79,23 @@ def _berlekamp(f, p):
     n = len(f) - 1
     if n <= 1:
         return [list(f)]
+    F = GF(p)
     xp = _ppowmod([0, 1], p, f, p)
     cols = []
     cur = [1]
     for _ in range(n):
         cols.append(list(cur) + [0] * (n - len(cur)))
-        cur = _pdivmod(_pmul(cur, xp, p), f, p)[1]
+        cur = poly_divmod(F, poly_mul(F, cur, xp), f)[1]
     # v is Frobenius-fixed iff (Q - I) v = 0, Q[i][j] = coeff_i of x^(jp)
     q = [[(cols[j][i] - (1 if i == j else 0)) % p for j in range(n)] for i in range(n)]
-    basis = nullspace(GF(p), q, n)
+    basis = nullspace(F, q, n)
     if len(basis) == 1:
         return [list(f)]
     factors = [list(f)]
     for v in basis:
         if len(factors) == len(basis):
             break
-        vpoly = _trim(list(v))
+        vpoly = poly_trim(F, list(v))
         if len(vpoly) <= 1:
             continue
         next_factors = []
@@ -191,10 +109,10 @@ def _berlekamp(f, p):
                 if len(rem) - 1 == 0:
                     break
                 shifted = [(vpoly[0] - c) % p] + vpoly[1:]
-                h = _pgcd(rem, shifted, p)
+                h = poly_gcd(F, rem, shifted)
                 if 0 < len(h) - 1:
                     pieces.append(h)
-                    rem = _pdivmod(rem, h, p)[0]
+                    rem = poly_divmod(F, rem, h)[0]
             if len(rem) - 1 > 0:
                 inv = pow(rem[-1], -1, p)
                 pieces.append([x * inv % p for x in rem])
@@ -209,6 +127,7 @@ def _hensel_lift_linear(f, facs, p, target):
     Linear lifting: at modulus m = p^k the corrections delta_i solve
     sum_i delta_i * prod_{j != i} g_j = e (mod p) via precomputed inverses.
     """
+    F = GF(p)
     r = len(facs)
     G = [list(g) for g in facs]
     # h_i = inverse of prod_{j != i} g_j modulo g_i, all mod p
@@ -217,20 +136,20 @@ def _hensel_lift_linear(f, facs, p, target):
         prod = [1]
         for j in range(r):
             if j != i:
-                prod = _pmul(prod, facs[j], p)
-        invs.append(_pext_inverse(prod, facs[i], p))
+                prod = poly_mul(F, prod, facs[j])
+        invs.append(poly_invmod(F, prod, facs[i]))
     m = p
     while m < target:
         prod = [1]
         for g in G:
-            prod = _zmul(prod, g)
+            prod = poly_mul(ZZ, prod, g)
         diff = [x - y for x, y in zip(f + [0] * max(0, len(prod) - len(f)),
                                       prod + [0] * max(0, len(f) - len(prod)))]
-        e = [(x // m) % p for x in diff]
-        _trim(e)
+        e = poly_trim(F, [(x // m) % p for x in diff])
         if e:
             for i in range(r):
-                di = _pdivmod(_pmul(e, invs[i], p), G[i], p)[1]
+                # G_i = facs_i (mod p): the corrections are multiples of m
+                di = poly_divmod(F, poly_mul(F, e, invs[i]), facs[i])[1]
                 for k, v in enumerate(di):
                     G[i][k] += m * (v % p)
         m *= p
@@ -267,10 +186,10 @@ def _factor_squarefree_monic(f):
         return [list(f)]
     p = None
     for cand in _SMALL_PRIMES:
-        fp = _trim([x % cand for x in f])
+        fp = poly_trim(ZZ, [x % cand for x in f])
         if len(fp) - 1 != n:
             continue
-        if len(_pgcd(fp, _pderiv(fp, cand), cand)) == 1:
+        if len(poly_gcd(GF(cand), fp, _pderiv(fp, cand))) == 1:
             p = cand
             break
     if p is None:
@@ -292,7 +211,7 @@ def _factor_squarefree_monic(f):
         for subset in combinations(remaining, size):
             cand = [1]
             for i in subset:
-                cand = _sym_mod(_zmul(cand, lifted[i]), m)
+                cand = _sym_mod(poly_mul(ZZ, cand, lifted[i]), m)
             q = _zdivexact(fcur, cand)
             if q is not None:
                 found.append(cand)
@@ -360,7 +279,7 @@ def factor_integer_poly(f: LaurentPoly):
             mult += 1
         if mult:
             factors.append((LaurentPoly(ZZ, dict(enumerate(g_))), mult))
-    if len(_trim(list(rem))) != 1 or abs(rem[0]) != 1:
+    if len(rem) != 1 or abs(rem[0]) != 1:
         raise ArithmeticError("factor recombination failed to exhaust the input")
     unit *= rem[0]
     return unit, content, t_power, factors

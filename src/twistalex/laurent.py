@@ -3,6 +3,10 @@
 The coefficient map never stores zeros; the zero polynomial has an empty map.
 The canonical text form is `3 - 13*t^2 + 13*t^4 - 3*t^6`: terms in increasing
 exponent, explicit signs, `t^k` exponents (bare `t` for k=1).
+
+Division, exact division and gcd shift to exponent 0 and run on the dense
+polynomial kernel below (`poly_divmod`, `poly_gcd`, `poly_invmod`), which
+`cyclo` and `factorint` share.
 """
 from __future__ import annotations
 
@@ -10,6 +14,98 @@ import re
 from fractions import Fraction
 
 from .domains import Domain, ExactDivisionError, ZZ, convert
+
+
+# ------------------------------------------------ dense polynomial kernel
+#
+# Polynomials in one variable as coefficient lists, lowest degree first, over
+# any Domain.  Lists are trimmed (no trailing zero; the zero polynomial is
+# []), and every function returns trimmed lists.  This is the package's one
+# long division and one extended Euclid: LaurentPoly's division and gcd,
+# CyclotomicField.inv and factorint's F_p[x] and Z[x] stages all run here.
+
+def poly_trim(dom: Domain, a: list) -> list:
+    """Drop a's trailing zeros in place; returns a."""
+    while a and dom.is_zero(a[-1]):
+        a.pop()
+    return a
+
+
+def poly_sub(dom: Domain, a: list, b: list) -> list:
+    n = min(len(a), len(b))
+    sub, neg = dom.sub, dom.neg
+    return poly_trim(dom, [sub(x, y) for x, y in zip(a, b)] + a[n:] + [neg(y) for y in b[n:]])
+
+
+def poly_mul(dom: Domain, a: list, b: list) -> list:
+    if not a or not b:
+        return []
+    add, mul, is_zero = dom.add, dom.mul, dom.is_zero
+    nz = [(j, y) for j, y in enumerate(b) if not is_zero(y)]
+    out = [None] * (len(a) + len(b) - 1)  # None: no product has landed yet
+    for i, x in enumerate(a):
+        if not is_zero(x):
+            for j, y in nz:
+                v = out[i + j]
+                out[i + j] = mul(x, y) if v is None else add(v, mul(x, y))
+    zero = dom.zero()
+    return poly_trim(dom, [zero if v is None else v for v in out])
+
+
+def poly_divmod(dom: Domain, a: list, b: list):
+    """(q, r) with a = q*b + r and deg r < deg b, for b nonzero.
+
+    Over a field b's leading coefficient is inverted once.  Over any other
+    integral domain each quotient coefficient is one exact `dom.div`, which
+    raises ExactDivisionError when it does not come out exact.  A power of
+    the variable divides like any other factor.
+    """
+    if not b:
+        raise ZeroDivisionError("polynomial division by zero")
+    db = len(b) - 1
+    if len(a) <= db:
+        return [], list(a)
+    mul, sub, is_zero = dom.mul, dom.sub, dom.is_zero
+    lead = b[-1]
+    lead_inv = dom.inv(lead) if dom.is_field else None
+    # the top coefficient cancels by construction; only the others are updated
+    low = [(j, y) for j, y in enumerate(b[:db]) if not is_zero(y)]
+    r = list(a)
+    q = [dom.zero()] * (len(a) - db)
+    for i in range(len(q) - 1, -1, -1):
+        c = r[i + db]
+        if is_zero(c):
+            continue
+        f = q[i] = mul(c, lead_inv) if lead_inv is not None else dom.div(c, lead)
+        for j, y in low:
+            r[i + j] = sub(r[i + j], mul(f, y))
+    del r[db:]
+    return poly_trim(dom, q), poly_trim(dom, r)
+
+
+def poly_gcd(dom: Domain, a: list, b: list) -> list:
+    """The monic gcd over a field ([] when both are zero)."""
+    while b:
+        a, b = b, poly_divmod(dom, a, b)[1]
+    if not a:
+        return []
+    c = dom.inv(a[-1])
+    return [dom.mul(x, c) for x in a]
+
+
+def poly_invmod(dom: Domain, a: list, m: list) -> list:
+    """The inverse of a modulo m over a field, of degree below deg m; raises
+    ArithmeticError when a and m are not coprime."""
+    r0, r1 = m, poly_divmod(dom, a, m)[1]
+    s0, s1 = [], [dom.one()]
+    # invariant: s_k * a = r_k (mod m)
+    while r1:
+        q, r = poly_divmod(dom, r0, r1)
+        r0, r1, s0, s1 = r1, r, s1, poly_sub(dom, s0, poly_mul(dom, q, s1))
+    if len(r0) != 1:
+        raise ArithmeticError("polynomial not invertible: its gcd with the modulus is not constant")
+    c = dom.inv(r0[0])
+    return [dom.mul(x, c) for x in s0]
 
 
 class LaurentPoly:
@@ -40,6 +136,11 @@ class LaurentPoly:
     @classmethod
     def const(cls, dom: Domain, v) -> "LaurentPoly":
         return cls(dom, {0: dom.coerce(v)})
+
+    @classmethod
+    def from_list(cls, dom: Domain, coeffs, low: int = 0) -> "LaurentPoly":
+        """The polynomial sum coeffs[i] t^(low + i)."""
+        return cls(dom, {low + i: v for i, v in enumerate(coeffs)})
 
     def copy_to(self, dst: Domain) -> "LaurentPoly":
         return LaurentPoly(dst, {e: convert(v, self.dom, dst) for e, v in self.c.items()})
@@ -146,40 +247,18 @@ class LaurentPoly:
     def scale_arg(self, z) -> "LaurentPoly":
         """t -> z*t for an invertible scalar z."""
         d = self.dom
-        out = {}
-        for e, v in self.c.items():
-            ze = d.one()
-            if e >= 0:
-                for _ in range(e):
-                    ze = d.mul(ze, z)
-            else:
-                zi = d.inv(z)
-                for _ in range(-e):
-                    ze = d.mul(ze, zi)
-            out[e] = d.mul(v, ze)
-        return LaurentPoly(d, out)
+        return LaurentPoly(d, {e: d.mul(v, d.pow(z, e)) for e, v in self.c.items()})
 
     def evaluate(self, x):
         """Value at t = x (x a domain element; negative exponents need x invertible)."""
         d = self.dom
         if not self.c:
             return d.zero()
-        lo = self.low()
-        coeffs, _ = self.coeff_list()
+        coeffs, lo = self.coeff_list()
         acc = d.zero()
         for v in reversed(coeffs):
             acc = d.add(d.mul(acc, x), v)
-        if lo:
-            xe = d.one()
-            if lo > 0:
-                for _ in range(lo):
-                    xe = d.mul(xe, x)
-            else:
-                xi = d.inv(x)
-                for _ in range(-lo):
-                    xe = d.mul(xe, xi)
-            acc = d.mul(acc, xe)
-        return acc
+        return d.mul(acc, d.pow(x, lo)) if lo else acc
 
     def derivative(self) -> "LaurentPoly":
         d = self.dom
@@ -201,74 +280,28 @@ class LaurentPoly:
         d = self.dom
         if not d.is_field:
             raise TypeError("divmod_field needs a field domain")
-        if other.is_zero():
-            raise ZeroDivisionError("polynomial division by zero")
-        slo = self.low() if self.c else 0
-        olo = other.low()
-        a, _ = self.shift(-slo).coeff_list()
-        b, _ = other.shift(-olo).coeff_list()
-        if not a:
-            return LaurentPoly.zero(d), LaurentPoly.zero(d)
-        q = [d.zero()] * max(len(a) - len(b) + 1, 0)
-        binv = d.inv(b[-1])
-        r = list(a)
-        for i in range(len(a) - len(b), -1, -1):
-            if d.is_zero(r[i + len(b) - 1]):
-                continue
-            f = d.mul(r[i + len(b) - 1], binv)
-            q[i] = f
-            for j, bv in enumerate(b):
-                r[i + j] = d.sub(r[i + j], d.mul(f, bv))
-        qq = LaurentPoly(d, {i: v for i, v in enumerate(q)}).shift(slo - olo)
-        rr = LaurentPoly(d, {i: v for i, v in enumerate(r)}).shift(slo)
-        return qq, rr
+        a, slo = self.coeff_list()
+        b, olo = other.coeff_list()
+        q, r = poly_divmod(d, a, b)
+        return LaurentPoly.from_list(d, q, slo - olo), LaurentPoly.from_list(d, r, slo)
 
     def exact_div(self, other: "LaurentPoly") -> "LaurentPoly":
         """Exact division in D[t^±1]; raises ExactDivisionError if not exact.
 
-        Works over any integral domain: each elimination step divides the
-        current lowest coefficient by other's lowest coefficient.
+        Works over any integral domain (see `poly_divmod`).
         """
-        d = self.dom
-        if other.is_zero():
-            raise ZeroDivisionError("polynomial division by zero")
-        if self.is_zero():
-            return LaurentPoly.zero(d)
-        olo = other.low()
-        blist, _ = other.shift(-olo).coeff_list()
-        rem = dict(self.c)
-        out = {}
-        b0 = blist[0]
-        max_e = self.deg() - other.deg()
-        while rem:
-            lo = min(rem)
-            e = lo - olo
-            if e > max_e:
-                raise ExactDivisionError("inexact Laurent polynomial division")
-            f = d.div(rem[lo], b0)  # may raise ExactDivisionError
-            out[e] = f
-            for j, bv in enumerate(blist):
-                if d.is_zero(bv):
-                    continue
-                k = lo + j
-                w = d.sub(rem.get(k, d.zero()), d.mul(f, bv))
-                if d.is_zero(w):
-                    rem.pop(k, None)
-                else:
-                    rem[k] = w
-        return LaurentPoly(d, out)
+        a, slo = self.coeff_list()
+        b, olo = other.coeff_list()
+        q, r = poly_divmod(self.dom, a, b)
+        if r:
+            raise ExactDivisionError("inexact Laurent polynomial division")
+        return LaurentPoly.from_list(self.dom, q, slo - olo)
 
     def gcd(self, other: "LaurentPoly") -> "LaurentPoly":
-        """Monic gcd over a field domain (unit ambiguity resolved monically)."""
-        d = self.dom
-        a, b = self, other
-        while not b.is_zero():
-            _, r = a.divmod_field(b)
-            a, b = b, r
-        if a.is_zero():
-            return a
-        a = a.shift(-a.low())
-        return a.scale(d.inv(a.c[a.deg()]))
+        """Monic gcd over a field domain, lowest exponent 0: the polynomial gcd
+        of both shifted to exponent 0, where neither has a factor t."""
+        return LaurentPoly.from_list(
+            self.dom, poly_gcd(self.dom, self.coeff_list()[0], other.coeff_list()[0]))
 
     # ------------------------------------------------------------------ text
     def to_text(self) -> str:

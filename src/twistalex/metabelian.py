@@ -6,9 +6,10 @@ Alexander matrix (`fox.alexander_fox_matrix`, the Fox walker under the
 trivial 1 x 1 image) with one meridian's column deleted.  One function,
 `deleted_column`, picks that column for every caller (the module, Delta_K,
 the epimorphism searches and `reps.rep_metabelian`): the first generator with
-phi = 1, else phi = -1, else phi != 0.  For a presentation with all phi = 1
-it is column 0, and the j-th basis vector of the module is exactly the class
-of g_{j+1} g_0^{-1}.  Delta_K is the determinant of the same deleted
+phi = 1, else phi = -1.  A presentation with neither (a torus knot's
+<a, b | a^p = b^q>) gets one by a Tietze move first (`_with_meridian`).  For
+a presentation with all phi = 1 it is column 0, and the j-th basis vector of
+the module is exactly the class of g_{j+1} g_0^{-1}.  Delta_K is the determinant of the same deleted
 matrix, read off the substitution walker's much smaller reduced matrix
 (`fox.alexander_reduced_matrix`).  Finite quotients H/(t^k - 1) are integer
 cokernels of the companion blow-up and carry the t-action with them, which
@@ -32,6 +33,7 @@ from .laurent import LaurentPoly
 from .matrix import identity, mat_inverse, mat_mul, nullspace, rref, transpose
 from .polydet import det_poly_matrix
 from .presentation import KnotPresentation, PresentationError
+from .words import reduce_syllables
 from .snf import AbelianGroupStructure, cokernel_structure, resultant
 
 _ENUM_CAP = 500_000
@@ -107,22 +109,41 @@ def parse_seifert_file(text: str) -> SeifertData:
 
 def deleted_column(pres: KnotPresentation) -> int:
     """The meridian column the Alexander module deletes: the first generator
-    with phi = 1, else phi = -1, else phi != 0 (phi is onto Z, so one is)."""
-    for wanted in (1, -1):
-        if wanted in pres.phi:
-            return pres.phi.index(wanted)
-    return next(i for i, v in enumerate(pres.phi) if v)
+    with phi = 1, else the first with phi = -1."""
+    return pres.phi.index(1) if 1 in pres.phi else pres.phi.index(-1)
+
+
+def _with_meridian(pres: KnotPresentation) -> KnotPresentation:
+    """pres itself when a generator has phi = ±1; otherwise the Tietze move
+    adding one generator m and the relator m^-1 w, where w is a word in the
+    generators with phi(w) = 1 (Bezout on the phi values, which are onto Z),
+    so m is a meridian."""
+    if 1 in pres.phi or -1 in pres.phi:
+        return pres
+    g, c = 0, []  # sum c_i phi_i = g, the gcd of the phi values so far
+    for v in pres.phi:
+        h = gcd(g, v)
+        if h == g:  # g divides v
+            c.append(0)
+            continue
+        a, b = g // h, v // h  # coprime: x a + y b = 1
+        x = pow(a, -1, abs(b))
+        c = [x * ci for ci in c] + [(1 - x * a) // b]
+        g = h
+    n = pres.generator_count
+    name = "m"
+    while name in pres.generator_names:
+        name += "'"
+    relator = reduce_syllables([(n, -1)] + [(i, e) for i, e in enumerate(c)])
+    return KnotPresentation(pres.generator_names + (name,), pres.relators + (relator,),
+                            pres.phi + (1,))
 
 
 def alexander_module(pres: KnotPresentation) -> ModulePresentation:
-    """Delete a meridional generator's column from the abelianized Fox matrix.
-
-    The cokernel presents H only when the deleted generator has phi = ±1 (the
-    remaining basis vectors are then the classes g_j g_base^(-phi_j)); a
-    presentation without a meridional generator has no module route here.
-    """
-    if 1 not in pres.phi and -1 not in pres.phi:
-        raise PresentationError("module presentation needs a generator with phi = ±1")
+    """Delete a meridian's column from the abelianized Fox matrix of
+    `_with_meridian(pres)`; the remaining basis vectors are the classes
+    g_j g_base^(-phi_j)."""
+    pres = _with_meridian(pres)
     col = deleted_column(pres)
     return ModulePresentation(tuple(row[:col] + row[col + 1:]
                                     for row in alexander_fox_matrix(pres)))
@@ -131,18 +152,15 @@ def alexander_module(pres: KnotPresentation) -> ModulePresentation:
 def alexander_polynomial(src) -> LaurentPoly:
     """Delta_K normalized to lowest exponent 0 and positive lowest coefficient.
 
-    For a presentation, the deleted column has phi = e != 0: the deleted
-    determinant is Delta * (t^e - 1)/(t - 1) up to units (phi is onto Z), and
-    the cyclotomic cofactor 1 + t + ... + t^(|e|-1), which is 1 for a
-    meridian, is divided back out.  The determinant is the substitution
-    walker's reduced matrix's (`fox.alexander_reduced_matrix`), equal to the
-    deleted Alexander matrix's up to the ±t^k that normalizing removes.
+    For a presentation it is the determinant of the Alexander matrix of
+    `_with_meridian(src)` with the meridian's column deleted, read off the
+    substitution walker's reduced matrix (`fox.alexander_reduced_matrix`),
+    equal to the deleted matrix's up to the ±t^k that normalizing removes.
     """
     if isinstance(src, KnotPresentation):
-        col = deleted_column(src)
-        d = det_poly_matrix(alexander_reduced_matrix(src, col)[0], ZZ)
-        cofactor = LaurentPoly(ZZ, {j: 1 for j in range(abs(src.phi[col]))})
-        return normalize_integer_poly(d.exact_div(cofactor))
+        src = _with_meridian(src)
+        return normalize_integer_poly(
+            det_poly_matrix(alexander_reduced_matrix(src, deleted_column(src))[0], ZZ))
     if isinstance(src, SeifertData):
         src = src.module_presentation()
     d = det_poly_matrix([list(r) for r in src.matrix], ZZ)

@@ -294,7 +294,11 @@ def parse_presentation(text: str) -> KnotPresentation:
         name, _, val = item.partition("=")
         if name not in name_index:
             raise PresentationError(f"phi for unknown generator {name!r}")
-        phi[name_index[name]] = int(val)
+        try:
+            phi[name_index[name]] = int(val)
+        except ValueError:
+            raise PresentationError(
+                f"phi for generator {name!r} needs an integer value: {item!r}") from None
     return KnotPresentation(tuple(gens), relators, tuple(phi))
 
 

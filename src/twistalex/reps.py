@@ -159,15 +159,7 @@ def rep_onedim(pres: KnotPresentation, z, dom: Domain | None = None) -> Represen
         dom.inv(z)
     except (ExactDivisionError, ZeroDivisionError):
         raise RepresentationError(f"z = {dom.to_str(z)} is not a unit of {dom.name}") from None
-    images = {}
-    for g in range(pres.generator_count):
-        e = pres.phi[g]
-        val = dom.one()
-        for _ in range(abs(e)):
-            val = dom.mul(val, z)
-        if e < 0:
-            val = dom.inv(val)
-        images[g] = Monomial((0,), (val,))
+    images = {g: Monomial((0,), (dom.pow(z, e),)) for g, e in enumerate(pres.phi)}
     return Representation(1, dom, images, pres, label="onedim")
 
 

@@ -193,10 +193,14 @@ def test_usage_errors(capsys, tmp_path):
             assert code == 2 and out == "" and err == (
                 f"error: phi is not onto Z: its values have gcd {g}\n"), (text, argv)
     torus = tmp_path / "torus.pres"
-    torus.write_text("gens: a b\nrels: a a B B B\nphi: a=3 b=2\n")
-    code, out, err = run(capsys, "branched", "--pres", str(torus), "--k", "2")
-    assert code == 2 and out == "" and err == (
-        "error: module presentation needs a generator with phi = ±1\n")
+    torus.write_text("gens: x y\nrels: x x Y Y Y\nphi: x=3 y=2\n")
+    # no generator has phi = ±1: a Tietze move adds a meridian, and the
+    # covers are the trefoil's
+    for k, group in ((2, "Z/3"), (3, "Z/2 + Z/2"), (5, "trivial"), (6, "Z + Z")):
+        code, out, err = run(capsys, "branched", "--pres", str(torus), "--k", str(k))
+        assert (code, out, err) == (0, group + "\n", ""), k
+    code, out, _ = run(capsys, "alexander", "--pres", str(torus))
+    assert (code, out) == (0, "1 - t + t^2\n")
     lone = tmp_path / "lone.pres"
     lone.write_text("gens: a\nrels:\nphi: a=1\n")
     code, out, err = run(capsys, "branched", "--pres", str(lone), "--k", "2")
@@ -207,6 +211,15 @@ def test_usage_errors(capsys, tmp_path):
                          "--rep", "modp(dihedral:p=3:colors=0,1,2,3)",
                          "--companion-delta", "1 - t + t^2", "--eigenvalues", "1/3")
     assert code == 2 and out == "" and err == "error: scale factor 7/9 has no image in GF(3)\n"
+
+
+@pytest.mark.parametrize("entry", ["a=x", "a"])
+def test_phi_value_that_is_no_integer_names_its_generator(tmp_path, capsys, entry):
+    pres = tmp_path / "bad.pres"
+    pres.write_text(f"gens: a b\nrels: a b A B\nphi: {entry} b=1\n")
+    code, out, err = run(capsys, "present", "--pres", str(pres))
+    assert code == 2 and out == "" and err == (
+        f"error: phi for generator 'a' needs an integer value: {entry!r}\n")
 
 
 def test_batch_mode(tmp_path, capsys):

@@ -375,13 +375,14 @@ def test_wirtinger_requirement():
 
 def test_torus_presentation_with_nonmeridional_generators():
     # <a, b | a^2 = b^3> with phi(a) = 3, phi(b) = 2: the trefoil group with
-    # no phi = ±1 generator; the cyclotomic cofactor is divided back out
+    # no phi = ±1 generator; a Tietze move adds the meridian m = a b^-1
     pres = parse_presentation("gens: a b; rels: a a B B B; phi: a=3 b=2")
     assert alexander_polynomial(pres) == parse_poly("1 - t + t^2")
-    # no generator is a meridian: the module route refuses it
-    for route in (alexander_module, lambda pres: branched_cover_homology(pres, 2)):
-        with pytest.raises(PresentationError, match="needs a generator with phi = ±1"):
-            route(pres)
+    assert alexander_module(pres).rank == 2
+    trefoil = braid_closure_presentation(parse_braid("1 1 1"))
+    for k, group in ((2, "Z/3"), (3, "Z/2 + Z/2"), (5, "trivial"), (6, "Z + Z")):
+        got = str(branched_cover_homology(pres, k).structure)
+        assert got == group == str(branched_cover_homology(trefoil, k).structure), k
     # phi not onto Z (the cofactor need not divide) is refused when the
     # presentation is built, all-zero phi included
     for text, g in (("gens: a b; rels: a a B B; phi: a=2 b=2", 2),
