@@ -103,7 +103,7 @@ def poly_invmod(dom: Domain, a: list, m: list) -> list:
         q, r = poly_divmod(dom, r0, r1)
         r0, r1, s0, s1 = r1, r, s1, poly_sub(dom, s0, poly_mul(dom, q, s1))
     if len(r0) != 1:
-        raise ArithmeticError("polynomial not invertible: its gcd with the modulus is not constant")
+        raise ArithmeticError("not invertible: the gcd with the modulus is not constant")
     c = dom.inv(r0[0])
     return [dom.mul(x, c) for x in s0]
 

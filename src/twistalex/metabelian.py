@@ -9,11 +9,12 @@ the epimorphism searches and `reps.rep_metabelian`): the first generator with
 phi = 1, else phi = -1.  A presentation with neither (a torus knot's
 <a, b | a^p = b^q>) gets one by a Tietze move first (`_with_meridian`).  For
 a presentation with all phi = 1 it is column 0, and the j-th basis vector of
-the module is exactly the class of g_{j+1} g_0^{-1}.  Delta_K is the determinant of the same deleted
-matrix, read off the substitution walker's much smaller reduced matrix
-(`fox.alexander_reduced_matrix`).  Finite quotients H/(t^k - 1) are integer
-cokernels of the companion blow-up and carry the t-action with them, which
-is what characters and orbit values are read from.
+the module is exactly the class of g_{j+1} g_0^{-1}.  Delta_K is the
+determinant of the same deleted matrix, read off the substitution walker's
+much smaller reduced matrix (`fox.alexander_reduced_matrix`).  Finite
+quotients H/(t^k - 1) are integer cokernels of the companion blow-up and
+carry the t-action with them, which is what characters and orbit values are
+read from.
 
 The three epimorphism searches are kernels of the same matrix: meridians
 sent to (1, a_j) in Z/m x| A define a homomorphism exactly when the a_j solve
@@ -33,8 +34,8 @@ from .laurent import LaurentPoly
 from .matrix import identity, mat_inverse, mat_mul, nullspace, rref, transpose
 from .polydet import det_poly_matrix
 from .presentation import KnotPresentation, PresentationError
-from .words import reduce_syllables
 from .snf import AbelianGroupStructure, cokernel_structure, resultant
+from .words import reduce_syllables
 
 _ENUM_CAP = 500_000
 # largest rank * k of a cover: the side of a companion blow-up, whose SNF grows
