@@ -271,20 +271,6 @@ class LaurentPoly:
         return all(e % n == 0 for e in self.c)
 
     # ------------------------------------------------------------- division
-    def divmod_field(self, other: "LaurentPoly"):
-        """Division with remainder over a field domain, Laurent-normalized.
-
-        Returns (q, r) with self = q*other + r and r of t-span shorter than
-        other (both sides shifted so the computation happens in D[t]).
-        """
-        d = self.dom
-        if not d.is_field:
-            raise TypeError("divmod_field needs a field domain")
-        a, slo = self.coeff_list()
-        b, olo = other.coeff_list()
-        q, r = poly_divmod(d, a, b)
-        return LaurentPoly.from_list(d, q, slo - olo), LaurentPoly.from_list(d, r, slo)
-
     def exact_div(self, other: "LaurentPoly") -> "LaurentPoly":
         """Exact division in D[t^±1]; raises ExactDivisionError if not exact.
 
