@@ -35,7 +35,11 @@ pivot blocks on a block triangular diagonal, so
 exactly, not only up to units (Wada 1994 for the Tietze invariance).  A
 presentation where no relator qualifies (e.g. a torus-knot presentation
 with a^2 b^-3) keeps every relator as a row: the walk is then the plain one.
-The module route (`metabelian.alexander_module`) keeps the full matrix.
+Under the trivial image the reduced matrix presents the Alexander module
+itself (its pivots are units ±t^a), so `metabelian.branched_cover_homology`
+reads cover structures off it; the full matrix (`metabelian.alexander_module`)
+is built only for the SNF transform that characters are read through and for
+the epimorphism kernels.
 """
 from __future__ import annotations
 

@@ -240,15 +240,6 @@ class LaurentPoly:
         d = self.dom
         return LaurentPoly(d, {e: (v if e % 2 == 0 else d.neg(v)) for e, v in self.c.items()})
 
-    def subs_t_power(self, n: int) -> "LaurentPoly":
-        """t -> t^n (n nonzero)."""
-        return LaurentPoly(self.dom, {e * n: v for e, v in self.c.items()})
-
-    def scale_arg(self, z) -> "LaurentPoly":
-        """t -> z*t for an invertible scalar z."""
-        d = self.dom
-        return LaurentPoly(d, {e: d.mul(v, d.pow(z, e)) for e, v in self.c.items()})
-
     def evaluate(self, x):
         """Value at t = x (x a domain element; negative exponents need x invertible)."""
         d = self.dom

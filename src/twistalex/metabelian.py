@@ -12,9 +12,11 @@ a presentation with all phi = 1 it is column 0, and the j-th basis vector of
 the module is exactly the class of g_{j+1} g_0^{-1}.  Delta_K is the
 determinant of the same deleted matrix, read off the substitution walker's
 much smaller reduced matrix (`fox.alexander_reduced_matrix`).  Finite
-quotients H/(t^k - 1) are integer cokernels of the companion blow-up and
-carry the t-action with them, which is what characters and orbit values are
-read from.
+quotients H/(t^k - 1) are integer cokernels of the companion blow-up.  Their
+structure comes from the blow-up of the reduced matrix, which presents the
+same module; characters and orbit values are read through the SNF transform U
+of the full matrix's blow-up, in whose basis the t-action is a cyclic shift,
+and that U is built only when a character is first evaluated.
 
 The three epimorphism searches are kernels of the same matrix: meridians
 sent to (1, a_j) in Z/m x| A define a homomorphism exactly when the a_j solve
@@ -23,7 +25,7 @@ coloring).
 """
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from itertools import chain, product as iproduct
 from math import gcd, lcm
 
@@ -181,36 +183,59 @@ def normalize_integer_poly(f: LaurentPoly) -> LaurentPoly:
 
 @dataclass(frozen=True)
 class FiniteQuotientModule:
-    """H/(t^k - 1) as an integer cokernel plus the t-action on the ambient."""
+    """H/(t^k - 1) as an integer cokernel plus the t-action on the ambient.
+
+    Module route: the ambient is generator space tensor Z[t]/(t^k - 1), basis
+    vector v_j t^l at index j k + l, and t shifts each generator's k-block
+    cyclically.  Monodromy route: the ambient is Z^2g and t acts by the
+    monodromy M.  U, the SNF transform of the ambient relations, is given by
+    the routes that compute it anyway; for a presentation it is built from the
+    companion blow-up of `alexander_module(presentation)` the first time
+    `snf_coords` needs it, so structure-only use never runs that SNF.
+    """
 
     k: int
     structure: AbelianGroupStructure
-    U: tuple          # SNF transform rows (ambient -> SNF coordinates)
     diag: tuple       # all diagonal entries of the SNF (1s and 0s included)
-    taction: tuple    # ambient t-action matrix
-    rank: int         # generator count of the source presentation
-    source: str = "module"
+    rank: int         # generator count of the module presentation, or 2g
+    presentation: KnotPresentation | None = None  # module route: the lazy U's source
+    monodromy: tuple | None = None                # monodromy route: M as row tuples
+    _U: tuple | None = field(default=None, repr=False, compare=False)
 
     @property
     def ambient_dim(self) -> int:
-        return len(self.U)
+        return self.rank * self.k if self.monodromy is None else self.rank
+
+    @property
+    def U(self) -> tuple:
+        """SNF transform rows (ambient -> SNF coordinates)."""
+        if self._U is None:
+            blow = _companion_blowup(alexander_module(self.presentation), self.k)
+            object.__setattr__(self, "_U", tuple(map(tuple, cokernel_structure(blow)[1])))
+        return self._U
 
     def basis_vector(self, j: int, level: int = 0):
         v = [0] * self.ambient_dim
-        if self.source == "module":
+        if self.monodromy is None:
             v[j * self.k + (level % self.k)] = 1
         else:
             v[j] = 1
         return v
 
     def t_apply(self, vec, power: int = 1):
+        k = self.k
+        p = power % k
+        if self.monodromy is None:  # v_j t^l -> v_j t^(l + p)
+            s = k - p
+            return [x for j in range(0, len(vec), k) for x in (*vec[j + s:j + k], *vec[j:j + s])]
         v = list(vec)
-        for _ in range(power % self.k):
-            v = [sum(r * x for r, x in zip(row, v)) for row in self.taction]
+        for _ in range(p):
+            v = [sum(r * x for r, x in zip(row, v)) for row in self.monodromy]
         return v
 
     def snf_coords(self, vec):
-        return [sum(r * x for r, x in zip(row, vec)) for row in self.U]
+        terms = [[x * row[i] for row in self.U] for i, x in enumerate(vec) if x]
+        return [sum(c) for c in zip(*terms)] if terms else [0] * len(self.U)
 
 
 def _companion_blowup(mp: ModulePresentation, k: int):
@@ -236,16 +261,23 @@ def _companion_blowup(mp: ModulePresentation, k: int):
 def branched_cover_homology(src, k: int) -> FiniteQuotientModule:
     """H/(t^k - 1) with its abelian-group structure and t-action.
 
-    Module route: companion blow-up of the presentation matrix, integer
-    cokernel via Smith normal form.  Monodromy route (SeifertData with
-    unimodular V): cokernel of id - M^k with M = V^-1 V^t.  Both refuse
-    rank * k > _BLOWUP_CAP (rank 2g for Seifert data) before any allocation.
+    Module route: companion blow-up of a presentation matrix, integer cokernel
+    via Smith normal form.  For a KnotPresentation that matrix is the
+    substitution walker's reduced one (`fox.alexander_reduced_matrix`): its
+    pivots are units ±t^a, so it presents the same module, and the SNF of the
+    full blow-up is its own with rank * k - (seeds - 1) * k more 1s in front
+    (the SNF is unique).  Monodromy route (SeifertData with unimodular V):
+    cokernel of id - M^k with M = V^-1 V^t.  Every route refuses
+    rank * k > _BLOWUP_CAP (rank 2g for Seifert data, the full module's rank
+    for a presentation) before any allocation.
     """
     if k < 1:
         raise ValueError("cover degree must be >= 1")
     if isinstance(src, KnotPresentation):
-        src = alexander_module(src)
-    rank = src.genus2 if isinstance(src, SeifertData) else src.rank
+        full = _with_meridian(src)
+        rank = full.generator_count - 1
+    else:
+        rank = src.genus2 if isinstance(src, SeifertData) else src.rank
     if rank * k > _BLOWUP_CAP:
         raise ValueError(
             f"cover blow-up too large: rank {rank} * k {k} = {rank * k} "
@@ -258,22 +290,16 @@ def branched_cover_homology(src, k: int) -> FiniteQuotientModule:
             mk = mat_mul(ZZ, mk, m)
         a = [[(1 if i == j else 0) - mk[i][j] for j in range(n)] for i in range(n)]
         structure, U, diag = cokernel_structure(a)
-        return FiniteQuotientModule(
-            k, structure, tuple(tuple(r) for r in U), tuple(diag),
-            tuple(tuple(r) for r in m), n, source="monodromy",
-        )
-    blow = _companion_blowup(src, k)
-    structure, U, diag = cokernel_structure(blow)
-    r = src.rank
-    n = r * k
-    t = [[0] * n for _ in range(n)]
-    for j in range(r):
-        for l in range(k):
-            t[j * k + (l + 1) % k][j * k + l] = 1
-    return FiniteQuotientModule(
-        k, structure, tuple(tuple(row) for row in U), tuple(diag),
-        tuple(tuple(row) for row in t), r, source="module",
-    )
+        return FiniteQuotientModule(k, structure, tuple(diag), n,
+                                    monodromy=tuple(map(tuple, m)), _U=tuple(map(tuple, U)))
+    if isinstance(src, ModulePresentation):
+        structure, U, diag = cokernel_structure(_companion_blowup(src, k))
+        return FiniteQuotientModule(k, structure, tuple(diag), rank, _U=tuple(map(tuple, U)))
+    rows, _ = alexander_reduced_matrix(full, deleted_column(full))
+    structure, _, diag = cokernel_structure(
+        _companion_blowup(ModulePresentation(tuple(map(tuple, rows))), k))
+    return FiniteQuotientModule(k, structure, (1,) * (rank * k - len(diag)) + tuple(diag),
+                                rank, presentation=src)
 
 
 def order_from_alexander(delta: LaurentPoly, k: int) -> int:
@@ -379,7 +405,7 @@ def monodromy_orbit_values(s: SeifertData, e, n: int, chi: Character):
     """
     comp = chi.components[0]
     q = comp.quotient
-    if q.source != "monodromy" or q.k != n:
+    if q.monodromy is None or q.k != n:
         raise ValueError("character does not live on the degree-n monodromy quotient")
     if len(e) != q.ambient_dim:
         raise ValueError("class vector has the wrong dimension")

@@ -165,14 +165,6 @@ def rep_onedim(pres: KnotPresentation, z, dom: Domain | None = None) -> Represen
 
 # ------------------------------------------------- dihedral and metacyclic
 
-def metacyclic_gen_images(m: int, p: int, k: int):
-    """Permutation images of x and y in G(m,p|k) acting on Z/p:
-    y: n -> n-1, x: n -> k n."""
-    x = Monomial.permutation(ZZ, tuple((k * n) % p for n in range(p)))
-    y = Monomial.permutation(ZZ, tuple((n - 1) % p for n in range(p)))
-    return x, y
-
-
 def rep_metacyclic(pres: KnotPresentation, m: int, p: int, k: int, colors,
                    label: str = "") -> Representation:
     """The p-dimensional permutation representation of an epimorphism onto
@@ -593,6 +585,8 @@ def parse_rep_spec(spec: str, pres: KnotPresentation) -> Representation:
             assignment = epis[0]
         return rep_gamma_compose(pres, n, p0, assignment)
     # metabelian
+    if not pres.is_wirtinger_like():
+        raise RepresentationError("metabelian lift needs all phi = 1")
     n, m = ints["n"], ints["m"]
     idx = ints.get("chi", 1)
     chars = characters_of_quotient(branched_cover_homology(pres, n), m)

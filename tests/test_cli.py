@@ -379,6 +379,27 @@ def test_twisted_enumerates_units_once(capsys, monkeypatch, flags):
     assert code == 0 and len(calls) == 1
 
 
+def test_metabelian_spec_refuses_before_any_cover(tmp_path, capsys, monkeypatch):
+    # the lift needs all phi = 1, which the spec checks before it computes
+    # H/(t^n - 1)
+    from twistalex import reps
+
+    calls = []
+    orig = reps.branched_cover_homology
+
+    def counted(*args):
+        calls.append(args)
+        return orig(*args)
+
+    monkeypatch.setattr(reps, "branched_cover_homology", counted)
+    torus = tmp_path / "torus.pres"
+    torus.write_text("gens: x y\nrels: x x Y Y Y\nphi: x=3 y=2\n")
+    code, out, err = run(capsys, "twisted", "--pres", str(torus),
+                         "--rep", "metabelian:n=2:m=3")
+    assert (code, out, err) == (2, "", "error: metabelian lift needs all phi = 1\n")
+    assert calls == []
+
+
 _braid_words = st.integers(2, 5).flatmap(lambda strands: st.lists(
     st.integers(1, strands - 1).flatmap(lambda i: st.sampled_from((i, -i))),
     min_size=1, max_size=20)).map(lambda letters: " ".join(map(str, letters)))

@@ -1,22 +1,28 @@
 import random
 from itertools import product as iproduct
+from types import SimpleNamespace
 
 import pytest
 
+from twistalex import metabelian
 from twistalex.cyclo import CYC
 from twistalex.domains import ZZ
-from twistalex.fox import alexander_fox_matrix
+from twistalex.fox import alexander_fox_matrix, substitution_order
 from twistalex.knots import TREFOIL_SEIFERT, alexander_fixture, corpus, presentation
 from twistalex.laurent import LaurentPoly, parse_poly
 from twistalex.metabelian import (DihedralData, ModulePresentation, SeifertData,
                                   _companion_blowup, alexander_module,
                                   alexander_polynomial, apn_field,
                                   branched_cover_homology, characters_of_quotient,
+                                  deleted_column,
                                   find_dihedral_epis, find_metacyclic_epis,
                                   find_zn_apn_epis, monodromy_orbit_values,
                                   order_from_alexander, parse_seifert_file)
 from twistalex.presentation import (BraidWord, PresentationError, braid_closure_presentation,
                                     parse_braid, parse_presentation)
+from twistalex.snf import cokernel_structure
+
+TORUS_23 = "gens: x y; rels: x x Y Y Y; phi: x=3 y=2"  # no generator with phi = ±1
 
 
 def random_braid_presentation(rng, strands, crossings):
@@ -158,6 +164,91 @@ def test_snf_transform_kills_every_relation(cover_cases):
                     image = [x + c * u for x, u in zip(image, u_cols[j])]
             for x, d in zip(image, q.diag):
                 assert (x % d == 0) if d else x == 0, (pres, k)
+
+
+def _reference_cover(pres, k):
+    """H/(t^k - 1) from the companion blow-up of the full Alexander module, one
+    generator per arc, with U and the N x N t-action matrix built up front
+    (test oracle): branched_cover_homology must give the same structure, diag
+    and U entry for entry."""
+    src = alexander_module(pres)
+    blow = _companion_blowup(src, k)
+    structure, U, diag = cokernel_structure(blow)
+    r = src.rank
+    n = r * k
+    t = [[0] * n for _ in range(n)]
+    for j in range(r):
+        for l in range(k):
+            t[j * k + (l + 1) % k][j * k + l] = 1
+    return SimpleNamespace(
+        k=k, structure=structure, U=tuple(tuple(row) for row in U), diag=tuple(diag),
+        taction=tuple(tuple(row) for row in t), rank=r,
+    )
+
+
+def _reference_table(ref, exps, m):
+    """chi(t^s v_j) read off column j k + s of the reference U: the character
+    with SNF exponents exps sends SNF basis vector i to zeta_m^exps[i]."""
+    F = CYC(m)
+    k = ref.k
+    rows = [(row, e) for row, e in zip(ref.U, exps) if e]
+    return tuple(tuple(F.zeta(sum(row[j * k + s] * e for row, e in rows) % m)
+                       for s in range(k)) for j in range(ref.rank))
+
+
+def _smallest_prime_factor(n):
+    return next(d for d in range(2, n + 1) if n % d == 0)
+
+
+def test_cover_matches_full_module_reference():
+    rng = random.Random(2012)
+    cases = [presentation(fx.name) for fx in corpus()] + seeded_braid_presentations()
+    cases.append(parse_presentation(TORUS_23))
+    for pres in cases:
+        for k in range(1, 7):
+            ref = _reference_cover(pres, k)
+            q = branched_cover_homology(pres, k)
+            assert (str(q.structure), q.diag, q.rank) == (str(ref.structure), ref.diag, ref.rank)
+            assert q.ambient_dim == len(ref.U)
+            for j in range(q.rank):
+                v = q.basis_vector(j, 1)
+                w = [row[j * k + 1 % k] for row in ref.taction]  # the column of v
+                assert q.t_apply(v) == w and q.t_apply(v, k + 1) == w
+            assert q.U == ref.U, (pres, k)
+            if q.structure.free_rank or q.structure.is_trivial():
+                continue
+            p = _smallest_prime_factor(q.structure.exponent())
+            chars = characters_of_quotient(q, p)
+            # a table reads rank * k SNF coordinate vectors; larger character
+            # groups (96721 for Z/311 + Z/311 at p = 311) are sampled
+            picks = range(len(chars)) if len(chars) <= 9 else rng.sample(range(len(chars)), 9)
+            for i in picks:
+                exps = chars[i].components[0].zeta_exponents
+                assert chars[i].table(q.rank) == _reference_table(ref, exps, p), (pres, k, i)
+
+
+def test_cover_runs_one_reduced_snf_until_characters_are_evaluated(monkeypatch):
+    # structure and character count come from the reduced module's blow-up;
+    # the full-size SNF runs once, on the first snf_coords call
+    sides = []
+    orig = metabelian.cokernel_structure
+
+    def counted(a):
+        sides.append(len(a))
+        return orig(a)
+
+    monkeypatch.setattr(metabelian, "cokernel_structure", counted)
+    pres = presentation("10_164")
+    _, seeds, _, _ = substitution_order(pres, deleted_column(pres))
+    q = branched_cover_homology(pres, 6)
+    p = _smallest_prime_factor(q.structure.exponent())
+    chars = characters_of_quotient(q, p)
+    assert len(chars) == 9  # Z/5 + Z/75 + Z/675 at p = 3
+    assert sides == [(len(seeds) - 1) * 6]
+    q.snf_coords(q.basis_vector(0))
+    assert sides[1:] == [(pres.generator_count - 1) * 6]
+    chars[1].table(q.rank)
+    assert len(sides) == 2
 
 
 def test_t_action_has_order_k():

@@ -17,7 +17,7 @@ from twistalex.metabelian import (DihedralData, branched_cover_homology,
                                   find_zn_apn_epis)
 from twistalex.reps import (GammaRep, RepresentationError, default_sl_z,
                             gamma_summands, is_irreducible_metabelian,
-                            metacyclic_gen_images, parse_rep_spec, rep_dihedral,
+                            parse_rep_spec, rep_dihedral,
                             rep_direct_sum, rep_gamma_compose, rep_metabelian,
                             rep_metacyclic, rep_mod_p, rep_onedim, rep_tensor,
                             rep_trivial, summand_compose,
@@ -48,6 +48,14 @@ def test_dihedral_paper_assignment_valid():
     rep = rep_dihedral(pres, PAPER_COLORING)
     assert rep.dim == 3
     assert rep.check_relators()
+
+
+def metacyclic_gen_images(m: int, p: int, k: int):
+    """Permutation images of x and y in G(m,p|k) acting on Z/p:
+    y: n -> n-1, x: n -> k n."""
+    x = Monomial.permutation(ZZ, tuple((k * n) % p for n in range(p)))
+    y = Monomial.permutation(ZZ, tuple((n - 1) % p for n in range(p)))
+    return x, y
 
 
 def test_dihedral_group_relations():

@@ -54,7 +54,7 @@ def test_lemma_onedim_root_of_unity():
     z = F.zeta(1)
     tw = wada_invariant(pres, rep_onedim(pres, z, F))
     delta = alexander_polynomial(pres).copy_to(F)
-    num = delta.scale_arg(z)
+    num = LaurentPoly(F, {e: F.mul(v, F.pow(z, e)) for e, v in delta.c.items()})  # Delta(z t)
     den = LaurentPoly(F, {0: F.one(), 1: F.neg(z)})
     target = TwistedPolynomial(RationalFunction(num, den), tw.det_subgroup, tw.column)
     assert doteq_equal(tw, target)
