@@ -219,12 +219,13 @@ def test_cover_matches_full_module_reference():
                 continue
             p = _smallest_prime_factor(q.structure.exponent())
             chars = characters_of_quotient(q, p)
+            exps = [c.components[0].zeta_exponents for c in characters_of_quotient(ref, p)]
+            assert [c.components[0].zeta_exponents for c in chars] == exps
             # a table reads rank * k SNF coordinate vectors; larger character
             # groups (96721 for Z/311 + Z/311 at p = 311) are sampled
             picks = range(len(chars)) if len(chars) <= 9 else rng.sample(range(len(chars)), 9)
             for i in picks:
-                exps = chars[i].components[0].zeta_exponents
-                assert chars[i].table(q.rank) == _reference_table(ref, exps, p), (pres, k, i)
+                assert chars[i].table(q.rank) == _reference_table(ref, exps[i], p), (pres, k, i)
 
 
 def test_cover_runs_one_reduced_snf_until_characters_are_evaluated(monkeypatch):
@@ -247,6 +248,7 @@ def test_cover_runs_one_reduced_snf_until_characters_are_evaluated(monkeypatch):
     assert sides == [(len(seeds) - 1) * 6]
     q.snf_coords(q.basis_vector(0))
     assert sides[1:] == [(pres.generator_count - 1) * 6]
+    q.snf_coords(q.basis_vector(1))
     chars[1].table(q.rank)
     assert len(sides) == 2
 
