@@ -4,11 +4,16 @@ Elements are tuples of Fractions of length deg(Phi_m), the coordinates in the
 basis 1, x, ..., x^(deg-1) modulo the m-th cyclotomic polynomial.  Roots of
 unity never degrade to floats anywhere in this package.
 
-Products run on integer numerators: `CyclotomicField.dot` (and `mul`, a
-one-term `dot`) scales each factor to integer coordinates, convolves over one
-common denominator, reduces once with the integer table of Phi_m (monic, so
-the table is integral) and builds one Fraction per output coordinate.  Inverses
-are the polynomial kernel's (`laurent.poly_invmod`) modulo Phi_m over QQ.
+Products run on integer numerators in two steps: `_integral` scales an
+operand to integer coordinates over one denominator, and `_integral_dot`
+convolves a sum of such products over one common denominator, reduces once
+with the integer table of Phi_m (monic, so the table is integral) and builds
+one Fraction per output coordinate.  Each kernel call converts each operand
+once: `dot` (and `mul`, a one-term `dot`) its factors, `mat_mul` every entry
+of both matrices, so an n x n product makes 2 n^2 conversions, not 2 n^3.
+Inverses of the roots of unity ±zeta^k are read from a table built with the
+field (±zeta^k -> ±zeta^-k); any other element is inverted by the polynomial
+kernel (`laurent.poly_invmod`) modulo Phi_m over QQ.
 """
 from __future__ import annotations
 
@@ -74,11 +79,11 @@ def is_cyclotomic_irreducible_mod_p(n: int, p: int) -> bool:
 def _integral(a):
     """(nonzero (index, integer numerator) pairs, denominator) of a coordinate
     tuple: a = numerators / denominator."""
-    ratios = [x.as_integer_ratio() for x in a]
-    den = lcm(*[q for _, q in ratios])
+    ratios = [(i, x.as_integer_ratio()) for i, x in enumerate(a) if x]
+    den = lcm(*[q for _, (_, q) in ratios])
     if den == 1:
-        return [(i, p) for i, (p, _) in enumerate(ratios) if p], 1
-    return [(i, p * (den // q)) for i, (p, q) in enumerate(ratios) if p], den
+        return [(i, p) for i, (p, _) in ratios], 1
+    return [(i, p * (den // q)) for i, (p, q) in ratios], den
 
 
 _ZERO = Fraction(0)
@@ -117,6 +122,12 @@ class CyclotomicField(Domain):
         for _ in range(m):
             self._zeta_pows.append(w)
             w = self.mul(w, z)
+        # ±zeta^k -> ±zeta^-k: at most 2m entries, fixed once built
+        self._unit_inv = {}
+        for k, w in enumerate(self._zeta_pows):
+            w_inv = self._zeta_pows[-k % m]
+            self._unit_inv[w] = w_inv
+            self._unit_inv[self.neg(w)] = self.neg(w_inv)
 
     def _monomial(self, k: int):
         v = [Fraction(0)] * self.degree
@@ -161,22 +172,29 @@ class CyclotomicField(Domain):
         return self.dot((a,), (b,))
 
     def dot(self, xs, ys):
-        """sum_k xs[k] * ys[k] on integer numerators.
+        """sum_k xs[k] * ys[k] on integer numerators (`_integral_dot`)."""
+        return self._integral_dot(zip(map(_integral, xs), map(_integral, ys)))
 
-        Each factor's coordinates are scaled to integers by their common
-        denominator; the products are convolved into one integer accumulator
-        over the running common denominator of all products, reduced once
-        mod Phi_m, and turned into Fractions once per output coordinate.
+    def mat_mul(self, a, b):
+        """a b with every entry of a and b converted to integer numerators
+        once: 2 n^2 conversions for an n x n product, not one per use."""
+        rows = [[(k, f) for k, f in enumerate(map(_integral, row)) if f[0]] for row in a]
+        cols = [tuple(map(_integral, col)) for col in zip(*b)]
+        return tuple(tuple(self._integral_dot([(f, col[k]) for k, f in row]) for col in cols)
+                     for row in rows)
+
+    def _integral_dot(self, pairs):
+        """sum a * b over the pairs (a, b) of `_integral` forms.
+
+        The products are convolved into one integer accumulator over the
+        running common denominator of all products, reduced once mod Phi_m,
+        and turned into Fractions once per output coordinate.
         """
         d = self.degree
         acc = [0] * (2 * d - 1)
         den = 1
-        for a, b in zip(xs, ys):
-            an, ad = _integral(a)
-            if not an:
-                continue
-            bn, bd = _integral(b)
-            if not bn:
+        for (an, ad), (bn, bd) in pairs:
+            if not an or not bn:
                 continue
             e = ad * bd
             if den % e:
@@ -205,7 +223,11 @@ class CyclotomicField(Domain):
         return all(x == y for x, y in zip(a, b))
 
     def inv(self, a):
-        """Inverse via the polynomial kernel: a^-1 mod Phi_m over QQ."""
+        """a^-1: a root of unity ±zeta^k from the table, anything else by
+        the polynomial kernel, a^-1 mod Phi_m over QQ."""
+        unit = self._unit_inv.get(a)
+        if unit is not None:
+            return unit
         if self.is_zero(a):
             raise ZeroDivisionError(f"division by zero in {self.name}")
         s = poly_invmod(domains.QQ, poly_trim(domains.QQ, list(a)), self._phi)

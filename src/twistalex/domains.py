@@ -7,6 +7,7 @@ polynomial hot loops.
 """
 from __future__ import annotations
 
+import operator
 from fractions import Fraction
 from functools import lru_cache
 from math import lcm
@@ -73,12 +74,17 @@ class Domain:
         return self.add(a, self.neg(b))
 
     def dot(self, xs, ys):
-        """sum_k xs[k] * ys[k]; the one inner-product kernel behind mat_mul."""
+        """sum_k xs[k] * ys[k]; the inner-product kernel of the generic mat_mul."""
         acc = self.zero()
         for x, y in zip(xs, ys):
             if not self.is_zero(x):
                 acc = self.add(acc, self.mul(x, y))
         return acc
+
+    def mat_mul(self, a, b):
+        """The matrix product a b of row tuples: one dot per cell."""
+        bt = list(zip(*b))
+        return tuple([tuple([self.dot(row, col) for col in bt]) for row in a])
 
     def is_zero(self, a):
         return a == self.zero()
@@ -144,6 +150,9 @@ class IntegerDomain(Domain):
 
     def mul(self, a, b):
         return a * b
+
+    def dot(self, xs, ys):
+        return sum(map(operator.mul, xs, ys))
 
     def is_zero(self, a):
         return a == 0

@@ -164,7 +164,8 @@ def substitution_order(pres, column: int):
 
 def _combine(dom, n: int, width: int, terms, d):
     """sum sign * image t^x D(g) over the terms (g, image, x, sign), as
-    {exponent: n x width block}; each cell is one dom.dot."""
+    {exponent: n x width block}; each block row is one dom.mat_mul of the
+    row's term coefficients by the D(g) rows they multiply."""
     gathered = {}
     for g, img, x, sign in terms:
         dg = d[g]
@@ -181,7 +182,7 @@ def _combine(dom, n: int, width: int, terms, d):
     zero = dom.zero()
     out = {}
     for x, rows in gathered.items():
-        block = [[dom.dot(coefs, col) for col in zip(*vecs)] if coefs else [zero] * width
+        block = [dom.mat_mul((coefs,), vecs)[0] if coefs else (zero,) * width
                  for coefs, vecs in rows]
         if any(not dom.is_zero(v) for row in block for v in row):
             out[x] = block

@@ -34,8 +34,7 @@ def mat_eq(dom: Domain, a: Dense, b: Dense) -> bool:
 
 
 def mat_mul(dom: Domain, a: Dense, b: Dense) -> Dense:
-    bt = tuple(zip(*b))
-    return tuple(tuple(dom.dot(row, col) for col in bt) for row in a)
+    return dom.mat_mul(a, b)
 
 
 def transpose(a: Dense) -> Dense:

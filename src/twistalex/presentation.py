@@ -118,11 +118,6 @@ class KnotPresentation:
     def generator_count(self) -> int:
         return len(self.generator_names)
 
-    def word_phi(self, w: Word) -> int:
-        if words.max_generator(w) >= len(self.phi):
-            raise PresentationError("word references unknown generator")
-        return words.exponent_sum(w, self.phi)
-
     def is_wirtinger_like(self) -> bool:
         return all(v == 1 for v in self.phi)
 

@@ -96,9 +96,6 @@ class Representation:
                 return r
         return None
 
-    def check_relators(self) -> bool:
-        return self.failing_relator() is None
-
     # ------------------------------------------------------------ invariants
     def det_image_generators(self):
         """Determinants of the generator images, in generator order; they
@@ -221,11 +218,6 @@ class GammaRep:
             target = tuple((x + y) % self.p for x, y in zip(tv, a))
             perm.append(self.index[target])
         return Monomial.permutation(ZZ, tuple(perm))
-
-    def group_elements(self):
-        for j in range(self.n):
-            for a in self.elements:
-                yield (j, a)
 
 
 def rep_gamma_compose(pres: KnotPresentation, n: int, p0: int, assignment) -> Representation:

@@ -3,9 +3,11 @@ from fractions import Fraction
 
 import pytest
 
+from twistalex import cyclo
 from twistalex.cyclo import (CYC, cyclotomic_polynomial, is_cyclotomic_irreducible_mod_p,
                              multiplicative_order)
-from twistalex.laurent import parse_poly
+from twistalex.domains import QQ, Domain
+from twistalex.laurent import parse_poly, poly_invmod, poly_trim
 from twistalex.snf import resultant
 
 
@@ -164,3 +166,66 @@ def test_mul_and_dot_match_schoolbook(m):
         got = F.dot(xs, ys)
         assert got == expected
         assert all(isinstance(v, Fraction) for v in got)
+    # matrix products, converted once per entry, against the generic one dot
+    # per cell and against the schoolbook sum: 2 x 2 by 2 x 2 and 1 x K by K x w
+    # (the walker's block rows), with zero entries and denominators
+    for rows, inner, cols in [(2, 2, 2)] * 8 + [(1, k, w) for k in (1, 3, 6) for w in (1, 4)]:
+        a = tuple(tuple(_random_element(rng, F) for _ in range(inner)) for _ in range(rows))
+        b = tuple(tuple(_random_element(rng, F) for _ in range(cols)) for _ in range(inner))
+        got = F.mat_mul(a, b)
+        assert got == Domain.mat_mul(F, a, b)
+        for row, got_row in zip(a, got):
+            for c, cell in enumerate(got_row):
+                assert cell == F.dot(row, [r[c] for r in b])
+                expected = F.zero()
+                for x, r in zip(row, b):
+                    expected = F.add(expected, _schoolbook(F, x, r[c]))
+                assert cell == expected
+                assert all(isinstance(v, Fraction) for v in cell)
+
+
+def test_matrix_product_converts_each_entry_once(monkeypatch):
+    # a 2 x 2 product converts each of its 8 entries to integer numerators
+    # once; one dot per cell converted every entry twice (16).  Counts are
+    # asserted, never times
+    F = CYC(12)
+    rng = random.Random(12)
+    a, b = ([[_random_element(rng, F) for _ in range(2)] for _ in range(2)]
+            for _ in range(2))
+    calls = []
+
+    def counted(x):
+        calls.append(x)
+        return integral(x)
+
+    integral = cyclo._integral
+    monkeypatch.setattr(cyclo, "_integral", counted)
+    got = F.mat_mul(a, b)
+    assert len(calls) == 8
+    assert got == Domain.mat_mul(F, a, b)
+    assert len(calls) == 8 + 16
+
+
+def test_roots_of_unity_invert_by_table(monkeypatch):
+    # inv(±zeta^k) is zeta^-k from the table, equal to the polynomial kernel's
+    # inverse and without calling it; any other element still calls it
+    calls = []
+
+    def counted(*args):
+        calls.append(args)
+        return poly_invmod(*args)
+
+    monkeypatch.setattr(cyclo, "poly_invmod", counted)
+    for m in range(1, 61):
+        F = CYC(m)
+        phi = [Fraction(c) for c in cyclotomic_polynomial(m).coeff_list()[0]]
+        for k in range(m):
+            for u in (F.zeta(k), F.neg(F.zeta(k))):
+                got = F.inv(u)
+                s = poly_invmod(QQ, poly_trim(QQ, list(u)), phi)
+                assert got == tuple(s + [Fraction(0)] * (F.degree - len(s)))
+        assert calls == []
+        two = F.coerce(2)
+        assert F.inv(two) == F.coerce(Fraction(1, 2))
+        assert len(calls) == 1
+        del calls[:]

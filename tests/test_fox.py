@@ -43,7 +43,7 @@ def _expected_block(rep, pres, terms):
     dom, n = rep.dom, rep.dim
     cells = [[LaurentPoly.zero(dom) for _ in range(n)] for _ in range(n)]
     for w, c in terms.items():
-        img, e = _image(rep, w), pres.word_phi(w)
+        img, e = _image(rep, w), words.exponent_sum(w, pres.phi)
         for a in range(n):
             for b in range(n):
                 term = LaurentPoly(dom, {e: dom.mul(dom.coerce(c), img[a][b])})
@@ -185,7 +185,7 @@ def test_product_rule():
                                         for _ in range(rng.randint(0, 4))]) for _ in range(2))
         su, sv = specialize_element(u, rep, pres), specialize_element(v, rep, pres)
         suv = specialize_element(words.reduce_syllables(u + v), rep, pres)
-        img, e = _image(rep, u), pres.word_phi(u)
+        img, e = _image(rep, u), words.exponent_sum(u, pres.phi)
         for a in range(n):
             for col in range(2 * n):
                 rhs = su[a][col]

@@ -57,11 +57,16 @@ def test_unknot_closure():
     assert pres.relators == ()
 
 
+def word_phi(pres, w) -> int:
+    """phi of a word: its exponent sum under the presentation's phi."""
+    return words.exponent_sum(w, pres.phi)
+
+
 def test_trefoil_closure():
     pres = braid_closure_presentation(parse_braid("1 1 1"))
     assert pres.generator_count == 3
     assert len(pres.relators) == 2
-    assert all(pres.word_phi(r) == 0 for r in pres.relators)
+    assert all(word_phi(pres, r) == 0 for r in pres.relators)
 
 
 def test_multicomponent_rejected():
@@ -77,7 +82,7 @@ def test_closure_deficiency_and_phi(letters):
         return
     pres = braid_closure_presentation(b)
     assert pres.generator_count == len(pres.relators) + 1
-    assert all(pres.word_phi(r) == 0 for r in pres.relators)
+    assert all(word_phi(pres, r) == 0 for r in pres.relators)
     assert pres.is_wirtinger_like()
 
 
@@ -85,7 +90,7 @@ def test_parse_presentation_trefoil():
     pres = parse_presentation("gens: a b; rels: a b a B A B")
     assert pres.generator_count == 2
     assert len(pres.relators) == 1
-    assert pres.word_phi(pres.relators[0]) == 0
+    assert word_phi(pres, pres.relators[0]) == 0
 
 
 def test_parse_presentation_verbatim_relator_list():
@@ -123,10 +128,10 @@ def test_round_trip_serialization():
 
 def test_word_phi():
     pres = braid_closure_presentation(parse_braid(PAPER_BRAID))
-    assert pres.word_phi(((0, 1),)) == 1
-    assert pres.word_phi(()) == 0
+    assert word_phi(pres, ((0, 1),)) == 1
+    assert word_phi(pres, ()) == 0
     for r in pres.relators:
-        assert pres.word_phi(r) == 0
+        assert word_phi(pres, r) == 0
 
 
 def test_word_utilities():

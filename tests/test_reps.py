@@ -28,15 +28,27 @@ from twistalex.twisted import wada_invariant
 PAPER_COLORING = DihedralData(3, (2, 0, 2, 1, 1, 2, 0, 1, 0, 1, 2))
 
 
+def check_relators(rep) -> bool:
+    """Every relator of the rep's presentation maps to the identity."""
+    return rep.failing_relator() is None
+
+
+def group_elements(gam: GammaRep):
+    """The elements (j, a) of Z/n x| A_{p,n}, j-major."""
+    for j in range(gam.n):
+        for a in gam.elements:
+            yield (j, a)
+
+
 def test_trivial_and_onedim():
     pres = presentation("3_1")
     eps = rep_trivial(pres)
-    assert eps.dim == 1 and eps.check_relators()
+    assert eps.dim == 1 and check_relators(eps)
     tau = rep_onedim(pres, -1)
     assert all(tau.images[g].scales == (-1,) for g in range(3))
     z3 = CYC(3).zeta(1)
     rho = rep_onedim(pres, z3, CYC(3))
-    assert rho.check_relators()
+    assert check_relators(rho)
     with pytest.raises(RepresentationError):
         rep_onedim(pres, 0)
     with pytest.raises(RepresentationError, match="not a unit of ZZ"):
@@ -47,7 +59,7 @@ def test_dihedral_paper_assignment_valid():
     pres = presentation("10_164")
     rep = rep_dihedral(pres, PAPER_COLORING)
     assert rep.dim == 3
-    assert rep.check_relators()
+    assert check_relators(rep)
 
 
 def metacyclic_gen_images(m: int, p: int, k: int):
@@ -116,7 +128,7 @@ def test_trefoil_all_colorings_give_reps():
     pres = presentation("3_1")
     for d in find_dihedral_epis(pres, 3):
         rep = rep_dihedral(pres, d)
-        assert rep.check_relators()
+        assert check_relators(rep)
 
 
 # ------------------------------------------------------------------- gamma
@@ -128,7 +140,7 @@ def test_gamma_group_a4():
     from twistalex.matrix import perm_sign
 
     perms = set()
-    for j, a in gam.group_elements():
+    for j, a in group_elements(gam):
         mono = gam.image(j, a)
         assert perm_sign(mono.perm) == 1
         perms.add(mono.perm)
@@ -147,7 +159,7 @@ def test_gamma_d3_matches_dihedral():
     pres = presentation("3_1")
     epi = find_zn_apn_epis(pres, 2, 3)[0]
     gamma_rep = rep_gamma_compose(pres, 2, 3, epi)
-    assert gamma_rep.check_relators()
+    assert check_relators(gamma_rep)
     colors = tuple(a[0] for a in epi)
     dihedral = rep_dihedral(pres, DihedralData(3, colors))
     # gamma(1, a): v -> t v + a = -v + a; dihedral xy^c: v -> -(v - c) = c - v
@@ -191,7 +203,7 @@ def test_gamma_summand_trace_identity():
         gam = GammaRep(p, n)
         summands = gamma_summands(p, n)
         dom = CYC(p)
-        for j, a in gam.group_elements():
+        for j, a in group_elements(gam):
             whole = _trace(ZZ, gam.image(j, a))
             total = dom.zero()
             for s in summands:
@@ -207,7 +219,7 @@ def test_summand_compose_relators():
             continue
         for s in gamma_summands(p, n):
             rep = summand_compose(pres, s, epis[0])
-            assert rep.check_relators()
+            assert check_relators(rep)
 
 
 # -------------------------------------------------------------- metabelian
@@ -249,7 +261,7 @@ def test_metabelian_relator_checks_across_corpus():
         pres = presentation(name)
         chi = _chi(pres, n, m)
         rep = rep_metabelian(pres, n, chi)
-        assert rep.check_relators(), (name, n, m)
+        assert check_relators(rep), (name, n, m)
 
 
 def test_metabelian_period_validation():
@@ -307,7 +319,7 @@ def test_mod_p_reduction():
     rep = rep_dihedral(pres, PAPER_COLORING)
     rp = rep_mod_p(rep, 3)
     assert rp.dom.name == "GF(3)"
-    assert rp.check_relators()
+    assert check_relators(rp)
     # det commutes with reduction
     for g in range(rep.dim):
         d = rep.images[g].det(ZZ)
@@ -325,7 +337,7 @@ def test_conjugation_preserves_relators():
          (Fraction(0), Fraction(1), Fraction(0)),
          (Fraction(2), Fraction(0), Fraction(1)))
     conj = q.conjugate(p)
-    assert conj.check_relators()
+    assert check_relators(conj)
 
 
 # ------------------------------------------------- coprime tensor identity
@@ -466,7 +478,7 @@ def test_gamma_summand_homomorphism_on_all_pairs():
         gam_summands = gamma_summands(p, n)
         s = gam_summands[-1]
         gam = s.gam
-        elements = list(gam.group_elements())
+        elements = list(group_elements(gam))
         for (j1, a1) in elements:
             for (j2, a2) in elements:
                 prod_elem = ((j1 + j2) % n,
@@ -482,7 +494,7 @@ def test_gamma_summand_homomorphism_on_all_pairs():
 def test_gamma_rep_homomorphism_on_all_pairs():
     for p, n in ((3, 2), (2, 3)):
         gam = GammaRep(p, n)
-        elements = list(gam.group_elements())
+        elements = list(group_elements(gam))
         for (j1, a1) in elements:
             for (j2, a2) in elements:
                 prod_elem = ((j1 + j2) % n,
