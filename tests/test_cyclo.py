@@ -192,13 +192,12 @@ def test_matrix_product_converts_each_entry_once(monkeypatch):
     rng = random.Random(12)
     a, b = ([[_random_element(rng, F) for _ in range(2)] for _ in range(2)]
             for _ in range(2))
-    calls = []
+    integral, calls = cyclo._integral, []
 
     def counted(x):
         calls.append(x)
         return integral(x)
 
-    integral = cyclo._integral
     monkeypatch.setattr(cyclo, "_integral", counted)
     got = F.mat_mul(a, b)
     assert len(calls) == 8
