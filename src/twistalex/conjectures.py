@@ -13,7 +13,7 @@ from itertools import product as iproduct
 from math import gcd, isqrt
 
 from .cyclo import CYC, is_cyclotomic_irreducible_mod_p
-from .domains import GF, ZZ
+from .domains import GF, ZZ, ExactDivisionError
 from .factorint import factor_integer_poly, verify_factorization
 from .laurent import LaurentPoly, RationalFunction
 from .knots import TREFOIL_SEIFERT
@@ -59,21 +59,16 @@ class ConjectureReport:
 def extract_f_polynomial(tw: TwistedPolynomial, delta: LaurentPoly):
     """F with tw = (Delta/(1-t)) * F, as an exact integer Laurent polynomial.
 
-    Returns (F, ok): ok is False when the division is not exact or F fails to
-    be integral after canonical normalization.
+    Returns (F, ok): ok is False when den * Delta does not divide num * (1 - t)
+    or F fails to be integral after canonical normalization.
     """
     field = tw.dom
     one_minus_t = LaurentPoly(field, {0: field.one(), 1: field.neg(field.one())})
     deltaf = delta.copy_to(field) if delta.dom is not field else delta
-    num = tw.value.num * one_minus_t
-    den = tw.value.den * deltaf
     try:
-        f_rf = RationalFunction(num, den)
-    except ZeroDivisionError:
+        fpoly = (tw.value.num * one_minus_t).exact_div(tw.value.den * deltaf)
+    except (ExactDivisionError, ZeroDivisionError):
         return None, False
-    if not f_rf.is_laurent():
-        return None, False
-    fpoly = f_rf.num
     # canonical unit normalization, then integrality
     units = tw.units()
     fnorm, _ = canonical_pair(RationalFunction(fpoly, LaurentPoly.one(field), reduce=False),
@@ -108,7 +103,7 @@ def twisted_product(parts) -> TwistedPolynomial:
 
 
 def with_units(tw: TwistedPolynomial, gens) -> TwistedPolynomial:
-    return TwistedPolynomial(tw.value, tuple(gens), tw.column, tw.label)
+    return TwistedPolynomial(tw.value, tuple(gens), tw.column)
 
 
 # ------------------------------------------------------------- Conjecture A

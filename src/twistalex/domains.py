@@ -123,7 +123,27 @@ class Domain:
         return self.name
 
 
-class IntegerDomain(Domain):
+class _NumberDomain(Domain):
+    """ZZ and QQ: elements are Python numbers, so the ring operations are
+    the operators themselves."""
+
+    def add(self, a, b):
+        return a + b
+
+    def neg(self, a):
+        return -a
+
+    def sub(self, a, b):
+        return a - b
+
+    def mul(self, a, b):
+        return a * b
+
+    def eq(self, a, b):
+        return a == b
+
+
+class IntegerDomain(_NumberDomain):
     name = "ZZ"
 
     def zero(self):
@@ -139,26 +159,11 @@ class IntegerDomain(Domain):
             return int(x)
         raise TypeError(f"cannot coerce {x!r} into ZZ")
 
-    def add(self, a, b):
-        return a + b
-
-    def neg(self, a):
-        return -a
-
-    def sub(self, a, b):
-        return a - b
-
-    def mul(self, a, b):
-        return a * b
-
     def dot(self, xs, ys):
         return sum(map(operator.mul, xs, ys))
 
     def is_zero(self, a):
         return a == 0
-
-    def eq(self, a, b):
-        return a == b
 
     def div(self, a, b):
         if b == 0:
@@ -169,7 +174,7 @@ class IntegerDomain(Domain):
         return q
 
 
-class RationalDomain(Domain):
+class RationalDomain(_NumberDomain):
     name = "QQ"
     is_field = True
 
@@ -184,23 +189,8 @@ class RationalDomain(Domain):
             return Fraction(x)
         raise TypeError(f"cannot coerce {x!r} into QQ")
 
-    def add(self, a, b):
-        return a + b
-
-    def neg(self, a):
-        return -a
-
-    def sub(self, a, b):
-        return a - b
-
-    def mul(self, a, b):
-        return a * b
-
     def is_zero(self, a):
         return not a
-
-    def eq(self, a, b):
-        return a == b
 
     def div(self, a, b):
         if b == 0:

@@ -4,9 +4,9 @@ The coefficient map never stores zeros; the zero polynomial has an empty map.
 The canonical text form is `3 - 13*t^2 + 13*t^4 - 3*t^6`: terms in increasing
 exponent, explicit signs, `t^k` exponents (bare `t` for k=1).
 
-Division, exact division and gcd shift to exponent 0 and run on the dense
-polynomial kernel below (`poly_divmod`, `poly_gcd`, `poly_invmod`), which
-`cyclo` and `factorint` share.
+Products, division, exact division and gcd shift to exponent 0 and run on
+the dense polynomial kernel below (`poly_mul`, `poly_divmod`, `poly_gcd`,
+`poly_invmod`), which `cyclo` and `factorint` share.
 """
 from __future__ import annotations
 
@@ -21,8 +21,9 @@ from .domains import Domain, ExactDivisionError, ZZ, convert
 # Polynomials in one variable as coefficient lists, lowest degree first, over
 # any Domain.  Lists are trimmed (no trailing zero; the zero polynomial is
 # []), and every function returns trimmed lists.  This is the package's one
-# long division and one extended Euclid: LaurentPoly's division and gcd,
-# CyclotomicField.inv and factorint's F_p[x] and Z[x] stages all run here.
+# polynomial product, one long division and one extended Euclid: LaurentPoly's
+# product, division and gcd, CyclotomicField.inv and factorint's F_p[x] and
+# Z[x] stages all run here.
 
 def poly_trim(dom: Domain, a: list) -> list:
     """Drop a's trailing zeros in place; returns a."""
@@ -192,23 +193,8 @@ class LaurentPoly:
         return self + (-other)
 
     def __mul__(self, other: "LaurentPoly") -> "LaurentPoly":
-        d = self.dom
-        c: dict = {}
-        for e1, v1 in self.c.items():
-            for e2, v2 in other.c.items():
-                e = e1 + e2
-                w = d.mul(v1, v2)
-                if e in c:
-                    w = d.add(c[e], w)
-                    if d.is_zero(w):
-                        del c[e]
-                        continue
-                elif d.is_zero(w):
-                    continue
-                c[e] = w
-        out = LaurentPoly.__new__(LaurentPoly)
-        out.dom, out.c = d, c
-        return out
+        (a, lo_a), (b, lo_b) = self.coeff_list(), other.coeff_list()
+        return LaurentPoly.from_list(self.dom, poly_mul(self.dom, a, b), lo_a + lo_b)
 
     def scale(self, v) -> "LaurentPoly":
         d = self.dom

@@ -102,11 +102,18 @@ class SeifertData:
 
 def parse_seifert_file(text: str) -> SeifertData:
     rows = []
-    for line in text.strip().splitlines():
+    for number, line in enumerate(text.splitlines(), 1):
         line = line.strip()
         if not line or line.startswith("#"):
             continue
-        rows.append(tuple(int(x) for x in line.split()))
+        row = []
+        for x in line.split():
+            try:
+                row.append(int(x))
+            except ValueError:
+                raise ValueError(f"Seifert matrix line {number}: entry {x!r} "
+                                 "is not an integer") from None
+        rows.append(tuple(row))
     return SeifertData(tuple(rows))
 
 
@@ -267,7 +274,8 @@ def branched_cover_homology(src, k: int) -> FiniteQuotientModule:
     pivots are units ±t^a, so it presents the same module, and the SNF of the
     full blow-up is its own with rank * k - (seeds - 1) * k more 1s in front
     (the SNF is unique).  Monodromy route (SeifertData with unimodular V):
-    cokernel of id - M^k with M = V^-1 V^t.  Every route refuses
+    cokernel of id - M^k with M = V^-1 V^t; any other V takes the module
+    route on tV - V^t.  Every route refuses
     rank * k > _BLOWUP_CAP (rank 2g for Seifert data, the full module's rank
     for a presentation) before any allocation.
     """
@@ -283,15 +291,20 @@ def branched_cover_homology(src, k: int) -> FiniteQuotientModule:
             f"cover blow-up too large: rank {rank} * k {k} = {rank * k} "
             f"exceeds the cap {_BLOWUP_CAP}")
     if isinstance(src, SeifertData):
-        m = src.monodromy()
-        n = len(m)
-        mk = identity(ZZ, n)
-        for _ in range(k):
-            mk = mat_mul(ZZ, mk, m)
-        a = [[(1 if i == j else 0) - mk[i][j] for j in range(n)] for i in range(n)]
-        structure, U, diag = cokernel_structure(a)
-        return FiniteQuotientModule(k, structure, tuple(diag), n,
-                                    monodromy=tuple(map(tuple, m)), _U=tuple(map(tuple, U)))
+        try:
+            m = src.monodromy()
+        except ValueError:  # V is not unimodular: no monodromy, but tV - V^t presents H
+            src = src.module_presentation()
+        else:
+            n = len(m)
+            mk = identity(ZZ, n)
+            for _ in range(k):
+                mk = mat_mul(ZZ, mk, m)
+            a = [[(1 if i == j else 0) - mk[i][j] for j in range(n)] for i in range(n)]
+            structure, U, diag = cokernel_structure(a)
+            return FiniteQuotientModule(k, structure, tuple(diag), n,
+                                        monodromy=tuple(map(tuple, m)),
+                                        _U=tuple(map(tuple, U)))
     if isinstance(src, ModulePresentation):
         structure, U, diag = cokernel_structure(_companion_blowup(src, k))
         return FiniteQuotientModule(k, structure, tuple(diag), rank, _U=tuple(map(tuple, U)))
@@ -341,16 +354,17 @@ class Character:
     def period(self) -> int:
         return lcm(*(c.quotient.k for c in self.components)) if self.components else 1
 
+    def _value(self, vecs):
+        """The product over the components of zeta_(c.m)^(c's exponent on its
+        ambient vector in vecs), in CYC(modulus)."""
+        m = self.modulus
+        e = sum((m // c.m) * c.exponent_on(v) for c, v in zip(self.components, vecs))
+        return CYC(m).zeta(e % m)
+
     def value_basis(self, j: int, shift: int = 0):
         """chi(t^shift v_j) in CYC(modulus)."""
-        m = self.modulus
-        F = CYC(m)
-        e = 0
-        for comp in self.components:
-            vec = comp.quotient.basis_vector(j)
-            vec = comp.quotient.t_apply(vec, shift)
-            e += (m // comp.m) * comp.exponent_on(vec)
-        return F.zeta(e % m)
+        return self._value(c.quotient.t_apply(c.quotient.basis_vector(j), shift)
+                           for c in self.components)
 
     def mul(self, other: "Character") -> "Character":
         return Character(self.components + other.components)
@@ -365,17 +379,13 @@ class Character:
         )
 
     def orbit_size(self, rank: int) -> int:
+        """The least s with chi(t^s x) = chi(x) for all x: each component's t
+        acts with order dividing its k, which divides the period, so the
+        table's rows are periodic and a shift by s is a rotation."""
         base = self.table(rank)
         n = self.period
-        for s in range(1, n + 1):
-            if n % s:
-                continue
-            shifted = tuple(
-                tuple(self.value_basis(j, t + s) for t in range(n)) for j in range(rank)
-            )
-            if shifted == base:
-                return s
-        return n
+        return next(s for s in range(1, n + 1)
+                    if n % s == 0 and all(row[s:] + row[:s] == row for row in base))
 
 
 def characters_of_quotient(q: FiniteQuotientModule, m: int):
@@ -409,15 +419,10 @@ def monodromy_orbit_values(s: SeifertData, e, n: int, chi: Character):
         raise ValueError("character does not live on the degree-n monodromy quotient")
     if len(e) != q.ambient_dim:
         raise ValueError("class vector has the wrong dimension")
-    m = chi.modulus
-    F = CYC(m)
     out = []
     vec = list(e)
     for _ in range(n):
-        ex = 0
-        for c in chi.components:
-            ex += (m // c.m) * c.exponent_on(vec)
-        out.append(F.zeta(ex % m))
+        out.append(chi._value([vec] * len(chi.components)))
         vec = q.t_apply(vec)
     return out
 

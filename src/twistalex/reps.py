@@ -37,7 +37,7 @@ class RepresentationError(ValueError):
 class Representation:
     """Finite-dimensional exact-matrix assignment to the generators."""
 
-    def __init__(self, dim: int, dom: Domain, images: dict, pres: KnotPresentation | None,
+    def __init__(self, dim: int, dom: Domain, images: dict, pres: KnotPresentation,
                  label: str = "", check: bool = True, inverses: dict | None = None,
                  dets: tuple | None = None):
         self.dim = dim
@@ -48,7 +48,7 @@ class Representation:
         self._inv_cache: dict = dict(inverses or {})
         self._dets = dets
         self._word_cache: dict = {}
-        if check and pres is not None:
+        if check:
             bad = self.failing_relator()
             if bad is not None:
                 raise RepresentationError(
@@ -85,8 +85,6 @@ class Representation:
         return Monomial.identity(self.dom, self.dim) if out is None else out
 
     def failing_relator(self):
-        if self.pres is None:
-            return None
         for r in self.pres.relators:
             img = self.image_of_word(r)
             if isinstance(img, Monomial):

@@ -39,7 +39,6 @@ class TwistedPolynomial:
     value: RationalFunction
     det_subgroup: tuple          # generators of the det-image subgroup
     column: int
-    label: str = ""
 
     @property
     def dom(self) -> Domain:
@@ -60,14 +59,13 @@ class TwistedPolynomial:
     def _canonical(self) -> "TwistedPolynomial":
         num, den = canonical_pair(self.value, self.units())
         return TwistedPolynomial(RationalFunction(num, den, reduce=False),
-                                 self.det_subgroup, self.column, self.label)
+                                 self.det_subgroup, self.column)
 
     def is_laurent(self) -> bool:
         return self.value.is_laurent()
 
     def scale(self, c) -> "TwistedPolynomial":
-        return TwistedPolynomial(self.value.scale(c), self.det_subgroup,
-                                 self.column, self.label)
+        return TwistedPolynomial(self.value.scale(c), self.det_subgroup, self.column)
 
     def to_text(self) -> str:
         c = self.canonical()
@@ -162,7 +160,7 @@ def wada_invariant(pres: KnotPresentation, rep, column: int | None = None) -> Tw
         den = den.copy_to(field)
     dets = tuple(convert(d_, dom, field) for d_ in dets)
     value = RationalFunction(num, den)
-    return TwistedPolynomial(value, dets, chosen, label=getattr(rep, "label", ""))
+    return TwistedPolynomial(value, dets, chosen)
 
 
 # ----------------------------------------------------------- doteq machinery

@@ -85,6 +85,27 @@ def test_branched_seifert_file(tmp_path, capsys):
     assert code == 0 and out.strip() == "Z/2 + Z/2"
 
 
+def test_branched_seifert_file_not_unimodular(tmp_path, capsys):
+    # 5_2's Seifert matrix has det 2, so it has no integral monodromy: the
+    # cover comes from the presentation tV - V^t and matches --knot 5_2
+    f = tmp_path / "5_2.mat"
+    f.write_text("-1 1\n0 -2\n")
+    want = ["Z/7", "Z/5 + Z/5", "Z/3 + Z/21", "Z/11 + Z/11", "Z/5 + Z/35"]
+    for k, text in zip(range(2, 7), want):
+        assert run(capsys, "branched", "--seifert", str(f), "--k", str(k)) == (0, text + "\n", "")
+        assert run(capsys, "branched", "--knot", "5_2", "--k", str(k)) == (0, text + "\n", "")
+    f.write_text("0 1\n0 0\n")  # singular V; Delta = 1
+    assert run(capsys, "branched", "--seifert", str(f), "--k", "3") == (0, "trivial\n", "")
+
+
+def test_seifert_file_with_a_non_integer_entry(tmp_path, capsys):
+    f = tmp_path / "bad.mat"
+    f.write_text("# 5_2\n-1 1\n0 x\n")
+    for cmd in (("alexander",), ("branched", "--k", "2")):
+        assert run(capsys, *cmd, "--seifert", str(f)) == (
+            2, "", "error: Seifert matrix line 3: entry 'x' is not an integer\n")
+
+
 def test_colorings_round_trip(capsys):
     code, out, _ = run(capsys, "colorings", "--braid", PAPER_BRAID, "--p", "3")
     assert code == 0

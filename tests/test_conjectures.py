@@ -1,7 +1,10 @@
 import json
+from fractions import Fraction
 from itertools import product as iproduct
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from twistalex import conjectures
 from twistalex.conjectures import (ConjectureReport, _pairing_search,
@@ -10,14 +13,66 @@ from twistalex.conjectures import (ConjectureReport, _pairing_search,
                                    extract_f_polynomial, wada_experiment)
 from twistalex.domains import QQ, ZZ
 from twistalex.factorint import factor_integer_poly
-from twistalex.knots import alexander_fixture, presentation
-from twistalex.laurent import LaurentPoly, parse_poly
+from twistalex.knots import alexander_fixture, corpus, presentation
+from twistalex.laurent import LaurentPoly, RationalFunction, parse_poly
 from twistalex.metabelian import (DihedralData, alexander_polynomial,
-                                  find_dihedral_epis, find_zn_apn_epis)
-from twistalex.reps import rep_dihedral
-from twistalex.twisted import wada_invariant
+                                  find_dihedral_epis, find_metacyclic_epis, find_zn_apn_epis)
+from twistalex.reps import parse_rep_spec, rep_dihedral, rep_metacyclic
+from twistalex.twisted import canonical_pair, wada_invariant
 
 PAPER_COLORING = DihedralData(3, (2, 0, 2, 1, 1, 2, 0, 1, 0, 1, 2))
+
+
+def _reference_extract_f_polynomial(tw, delta):
+    """`extract_f_polynomial` as it was when a reduced RationalFunction
+    decided whether Delta/(1-t) divides tw, kept verbatim as an oracle."""
+    field = tw.dom
+    one_minus_t = LaurentPoly(field, {0: field.one(), 1: field.neg(field.one())})
+    deltaf = delta.copy_to(field) if delta.dom is not field else delta
+    num = tw.value.num * one_minus_t
+    den = tw.value.den * deltaf
+    try:
+        f_rf = RationalFunction(num, den)
+    except ZeroDivisionError:
+        return None, False
+    if not f_rf.is_laurent():
+        return None, False
+    fpoly = f_rf.num
+    # canonical unit normalization, then integrality
+    units = tw.units()
+    fnorm, _ = canonical_pair(RationalFunction(fpoly, LaurentPoly.one(field), reduce=False),
+                              units)
+    ints = {}
+    for e, v in fnorm.c.items():
+        if isinstance(v, Fraction):
+            if v.denominator != 1:
+                return None, False
+            ints[e] = int(v)
+        elif isinstance(v, tuple):  # cyclotomic coordinates
+            if any(x != 0 for x in v[1:]) or v[0].denominator != 1:
+                return None, False
+            ints[e] = int(v[0])
+        else:
+            ints[e] = int(v)
+    return LaurentPoly(ZZ, ints), True
+
+
+METACYCLIC_TARGETS = ((3, 7, 2), (4, 5, 2), (5, 11, 3), (6, 7, 3))  # G(m, p | k)
+
+
+def _corpus_f_cases():
+    """(kind, name, tw, Delta) for every dihedral rep at p = 3, 5, 7 and every
+    metacyclic rep onto METACYCLIC_TARGETS of the corpus knots."""
+    for fx in corpus():
+        pres = presentation(fx.name)
+        delta = alexander_polynomial(pres)
+        for p in (3, 5, 7):
+            for d in find_dihedral_epis(pres, p):
+                yield "dihedral", fx.name, wada_invariant(pres, rep_dihedral(pres, d)), delta
+        for m, p, k in METACYCLIC_TARGETS:
+            for colors in find_metacyclic_epis(pres, m, p, k):
+                rep = rep_metacyclic(pres, m, p, k, colors)
+                yield "metacyclic", fx.name, wada_invariant(pres, rep), delta
 
 
 def test_conjecture_a_trefoil_d3():
@@ -222,3 +277,46 @@ def test_report_json_schema():
     obj = json.loads(r.to_json())
     assert set(obj) == {"conjecture", "knot", "rep_spec", "witnesses", "verdict"}
     assert obj["verdict"] == "holds"
+
+
+def test_f_extraction_matches_the_gcd_route_on_the_corpus():
+    seen = set()
+    for kind, name, tw, delta in _corpus_f_cases():
+        got = extract_f_polynomial(tw, delta)
+        assert got == _reference_extract_f_polynomial(tw, delta), (kind, name)
+        seen.add((kind, got[1]))
+    # Delta/(1 - t) divides every dihedral and metacyclic invariant of the corpus
+    assert seen == {("dihedral", True), ("metacyclic", True)}
+
+
+def test_f_extraction_refuses_a_non_dividing_delta():
+    pres = presentation("3_1")
+    tw = wada_invariant(pres, rep_dihedral(pres, find_dihedral_epis(pres, 3)[0]))
+    for delta in (parse_poly("1 + t + t^2"), LaurentPoly.zero(ZZ)):
+        assert extract_f_polynomial(tw, delta) == (None, False)
+        assert _reference_extract_f_polynomial(tw, delta) == (None, False)
+
+
+def _f_invariant(which):
+    """The trefoil's dihedral invariant over QQ, 6_1's onto G(4, 5 | 2) over
+    QQ, or the trefoil's metabelian one over Q(zeta_12)."""
+    if which == 0:
+        pres = presentation("3_1")
+        return wada_invariant(pres, rep_dihedral(pres, find_dihedral_epis(pres, 3)[0]))
+    if which == 1:
+        pres = presentation("6_1")
+        colors = find_metacyclic_epis(pres, 4, 5, 2)[0]
+        return wada_invariant(pres, rep_metacyclic(pres, 4, 5, 2, colors))
+    pres = presentation("3_1")
+    return wada_invariant(pres, parse_rep_spec("metabelian:n=2:m=3", pres))
+
+
+@settings(max_examples=60, deadline=None, derandomize=True)
+@given(coeffs=st.lists(st.integers(-4, 4), max_size=5), shift=st.integers(-3, 3),
+       which=st.integers(0, 2))
+def test_f_extraction_matches_the_gcd_route_for_any_delta(coeffs, shift, which):
+    tw = _f_invariant(which)
+    delta = LaurentPoly.from_list(ZZ, coeffs, shift)
+    # random deltas mostly do not divide; 1, units and constants do
+    for d in (delta, LaurentPoly.const(ZZ, 2) * delta, LaurentPoly.t(ZZ, shift)):
+        assert extract_f_polynomial(tw, d) == _reference_extract_f_polynomial(tw, d), d

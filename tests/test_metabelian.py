@@ -3,6 +3,8 @@ from itertools import product as iproduct
 from types import SimpleNamespace
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from twistalex import metabelian
 from twistalex.cyclo import CYC
@@ -277,6 +279,65 @@ def test_characters_of_quotient_counts():
     assert len(characters_of_quotient(q2, 1)) == 1
     q3 = branched_cover_homology(pres, 3)   # Z/2 + Z/2
     assert len(characters_of_quotient(q3, 2)) == 4
+
+
+def _reference_orbit_size(chi, rank):
+    """`Character.orbit_size` as it was before it rotated one table: the
+    shifted table chi(t^(t + s) v_j) evaluated afresh for each divisor s."""
+    base = chi.table(rank)
+    n = chi.period
+    for s in range(1, n + 1):
+        if n % s:
+            continue
+        shifted = tuple(
+            tuple(chi.value_basis(j, t + s) for t in range(n)) for j in range(rank)
+        )
+        if shifted == base:
+            return s
+    return n
+
+
+def _corpus_characters(k, m):
+    """(name, rank, characters of H/(t^k - 1) to mu_m) over the corpus knots
+    whose quotient is finite, plus the trefoil's monodromy-route quotient."""
+    out = []
+    for fx in corpus():
+        q = branched_cover_homology(presentation(fx.name), k)
+        if not q.structure.free_rank:
+            out.append((fx.name, q.rank, characters_of_quotient(q, m)))
+    q = branched_cover_homology(TREFOIL_SEIFERT, k)
+    if not q.structure.free_rank:
+        out.append(("3_1 Seifert", q.rank, characters_of_quotient(q, m)))
+    return out
+
+
+@pytest.mark.parametrize("k, m", [(2, 3), (2, 5), (3, 2), (3, 7), (4, 3), (5, 11)])
+def test_orbit_size_matches_the_shifted_tables(k, m):
+    sizes = set()
+    for name, rank, chars in _corpus_characters(k, m):
+        for chi in chars:
+            s = chi.orbit_size(rank)
+            assert s == _reference_orbit_size(chi, rank), (name, k, m, chi)
+            sizes.add(s)
+    assert 1 in sizes and k in sizes  # trivial characters and full orbits both occur
+
+
+@settings(max_examples=40, deadline=None, derandomize=True)
+@given(data=st.data())
+def test_orbit_size_of_products_matches_the_shifted_tables(data):
+    # a product of characters of two cover degrees has period lcm(k1, k2)
+    name = data.draw(st.sampled_from(["3_1", "4_1", "5_2", "6_1", "7_7", "8_20"]))
+    k1, k2 = data.draw(st.sampled_from([(2, 3), (2, 4), (3, 4), (2, 6), (3, 5)]))
+    m = data.draw(st.sampled_from([2, 3, 5, 7]))
+    pres = presentation(name)
+    factors = []
+    for k in (k1, k2):
+        q = branched_cover_homology(pres, k)
+        if q.structure.free_rank:
+            return
+        factors.append(data.draw(st.sampled_from(characters_of_quotient(q, m))))
+    chi = factors[0].mul(factors[1])
+    assert chi.orbit_size(q.rank) == _reference_orbit_size(chi, q.rank)
 
 
 def test_characters_infinite_quotient_rejected():

@@ -4,7 +4,8 @@
 on its own, and the `_reference_p*`/`_reference_z*` helpers are the F_p[x]
 and Z[x] arithmetic `factorint` carried; both are kept verbatim (names and
 the modulus argument aside) as oracles, the same way `test_snf` keeps
-`_reference_smith_normal_form`.
+`_reference_smith_normal_form`.  `_reference_laurent_mul` is the dict
+convolution `LaurentPoly.__mul__` ran before it moved onto `poly_mul`.
 """
 from fractions import Fraction
 from itertools import zip_longest
@@ -16,7 +17,8 @@ from hypothesis import strategies as st
 from twistalex.cyclo import CYC
 from twistalex.domains import GF, QQ, ZZ, ExactDivisionError
 from twistalex.factorint import _berlekamp, factor_integer_poly
-from twistalex.laurent import poly_divmod, poly_gcd, poly_invmod, poly_mul, poly_trim, parse_poly
+from twistalex.laurent import (LaurentPoly, parse_poly, poly_divmod, poly_gcd, poly_invmod,
+                               poly_mul, poly_trim)
 
 PRIMES = (2, 3, 5, 7)
 
@@ -171,6 +173,27 @@ def _reference_qq_gcd(a, b):
     return [v / a[-1] for v in a] if a else []
 
 
+def _reference_laurent_mul(self, other):
+    """The dict convolution of the two coefficient maps."""
+    d = self.dom
+    c: dict = {}
+    for e1, v1 in self.c.items():
+        for e2, v2 in other.c.items():
+            e = e1 + e2
+            w = d.mul(v1, v2)
+            if e in c:
+                w = d.add(c[e], w)
+                if d.is_zero(w):
+                    del c[e]
+                    continue
+            elif d.is_zero(w):
+                continue
+            c[e] = w
+    out = LaurentPoly.__new__(LaurentPoly)
+    out.dom, out.c = d, c
+    return out
+
+
 # --------------------------------------------------------------- strategies
 
 def trimmed(elements, max_size=8):
@@ -274,3 +297,36 @@ def test_cyclotomic_inverse_matches_the_reference(m, data):
     inv = K.inv(a)
     assert inv == _reference_cyclo_inv(K._phi, a, K.degree)
     assert K.eq(K.mul(a, inv), K.one())
+
+
+# ------------------------------------------------------ LaurentPoly products
+
+LAURENT_DOMAINS = {
+    "ZZ": (ZZ, st.integers(-9, 9)),
+    "QQ": (QQ, st.fractions(min_value=-9, max_value=9, max_denominator=6)),
+    "GF(5)": (GF(5), st.integers(0, 4)),
+    "GF(7)": (GF(7), st.integers(0, 6)),
+    **{f"Q(zeta_{m})": (CYC(m), st.lists(
+        st.fractions(min_value=-3, max_value=3, max_denominator=3),
+        min_size=CYC(m).degree, max_size=CYC(m).degree).map(tuple)) for m in (3, 4, 5, 12)},
+}
+
+
+def laurent_polys(dom, coeffs):
+    """Sparse maps over exponents -6..6: zero, monomials and wider sums."""
+    return st.dictionaries(st.integers(-6, 6), coeffs, max_size=6).map(
+        lambda c: LaurentPoly(dom, c))
+
+
+@pytest.mark.parametrize("name", LAURENT_DOMAINS)
+@settings(max_examples=50, deadline=None, derandomize=True)
+@given(data=st.data())
+def test_laurent_product_matches_the_dict_convolution(name, data):
+    dom, coeffs = LAURENT_DOMAINS[name]
+    a = data.draw(laurent_polys(dom, coeffs))
+    b = data.draw(laurent_polys(dom, coeffs))
+    fixed = (LaurentPoly.zero(dom), LaurentPoly.one(dom), LaurentPoly.t(dom, -3))
+    for x, y in [(a, b), (b, a)] + [(a, f) for f in fixed] + [(f, a) for f in fixed]:
+        got, want = x * y, _reference_laurent_mul(x, y)
+        assert got.c == want.c, (x, y)
+        assert got.dom is dom
