@@ -8,11 +8,10 @@ from __future__ import annotations
 
 import json
 from dataclasses import dataclass, field as dfield
-from fractions import Fraction
 from itertools import product as iproduct
 from math import gcd, isqrt
 
-from .cyclo import CYC, is_cyclotomic_irreducible_mod_p
+from .cyclo import CYC, CyclotomicField, is_cyclotomic_irreducible_mod_p
 from .domains import GF, ZZ, ExactDivisionError
 from .factorint import factor_integer_poly, verify_factorization
 from .laurent import LaurentPoly, RationalFunction
@@ -73,18 +72,16 @@ def extract_f_polynomial(tw: TwistedPolynomial, delta: LaurentPoly):
     units = tw.units()
     fnorm, _ = canonical_pair(RationalFunction(fpoly, LaurentPoly.one(field), reduce=False),
                               units)
+    cyclo = isinstance(field, CyclotomicField)
     ints = {}
     for e, v in fnorm.c.items():
-        if isinstance(v, Fraction):
-            if v.denominator != 1:
+        if cyclo:
+            if not field.is_rational(v):
                 return None, False
-            ints[e] = int(v)
-        elif isinstance(v, tuple):  # cyclotomic coordinates
-            if any(x != 0 for x in v[1:]) or v[0].denominator != 1:
-                return None, False
-            ints[e] = int(v[0])
-        else:
-            ints[e] = int(v)
+            v = field.rational_value(v)
+        if v.denominator != 1:
+            return None, False
+        ints[e] = int(v)
     return LaurentPoly(ZZ, ints), True
 
 

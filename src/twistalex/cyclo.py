@@ -1,19 +1,16 @@
 """Cyclotomic fields Q(zeta_m) with exact power-basis arithmetic.
 
-Elements are tuples of Fractions of length deg(Phi_m), the coordinates in the
-basis 1, x, ..., x^(deg-1) modulo the m-th cyclotomic polynomial.  Roots of
-unity never degrade to floats anywhere in this package.
-
-Products run on integer numerators in two steps: `_integral` scales an
-operand to integer coordinates over one denominator, and `_integral_dot`
-convolves a sum of such products over one common denominator, reduces once
-with the integer table of Phi_m (monic, so the table is integral) and builds
-one Fraction per output coordinate.  Each kernel call converts each operand
-once: `dot` (and `mul`, a one-term `dot`) its factors, `mat_mul` every entry
-of both matrices, so an n x n product makes 2 n^2 conversions, not 2 n^3.
-Inverses of the roots of unity ±zeta^k are read from a table built with the
-field (±zeta^k -> ±zeta^-k); any other element is inverted by the polynomial
-kernel (`laurent.poly_invmod`) modulo Phi_m over QQ.
+An element is one pair (numerators, den): deg(Phi_m) integer coordinates in
+the basis 1, x, ..., x^(deg-1) modulo the m-th cyclotomic polynomial, over
+one den > 0 in lowest terms (Cohen 1993, 4.2), so equality and hashing are
+structural.  Only this module and the determinant engine read the layout;
+every other module uses the field's methods.  Roots of unity never degrade
+to floats.  Products run on the numerators: `_integral_dot` convolves a sum
+of products over one common denominator and reduces once with the integer
+table of Phi_m (monic).  zeta^k is reduced mod Phi_m on demand; ±zeta^k
+invert by a table the first `inv` builds, anything else by the polynomial
+kernel (`laurent.poly_invmod`).  A field with phi(m) > PHI_CAP is refused
+before Phi_m is computed.
 """
 from __future__ import annotations
 
@@ -22,7 +19,7 @@ from functools import lru_cache
 from math import gcd, lcm
 
 from .domains import Domain
-from .laurent import LaurentPoly, poly_invmod, poly_trim
+from .laurent import LaurentPoly, poly_divmod, poly_invmod, poly_trim
 from . import domains
 
 
@@ -76,36 +73,43 @@ def is_cyclotomic_irreducible_mod_p(n: int, p: int) -> bool:
     return multiplicative_order(p, n) == _euler_phi(n)
 
 
-def _integral(a):
-    """(nonzero (index, integer numerator) pairs, denominator) of a coordinate
-    tuple: a = numerators / denominator."""
-    ratios = [(i, x.as_integer_ratio()) for i, x in enumerate(a) if x]
-    den = lcm(*[q for _, (_, q) in ratios])
-    if den == 1:
-        return [(i, p) for i, (p, _) in ratios], 1
-    return [(i, p * (den // q)) for i, (p, q) in ratios], den
+def _normal(nums, den: int):
+    """(numerators, den) in lowest terms, for integer numerators over den > 0."""
+    if den != 1:
+        g = gcd(den, *nums)
+        if g != 1:
+            return tuple(x // g for x in nums), den // g
+    return tuple(nums), den
 
 
-_ZERO = Fraction(0)
+def _nonzero(a):
+    """(nonzero (index, numerator) pairs, den) of an element: a product operand."""
+    nums, den = a
+    return [(i, x) for i, x in enumerate(nums) if x], den
+
+
+# the largest phi(m) = [Q(zeta_m) : Q] a field is built for
+PHI_CAP = 1024
 
 
 class CyclotomicField(Domain):
-    """Q(zeta_m); elements are coordinate tuples in the power basis mod Phi_m."""
+    """Q(zeta_m); elements are (numerators, den) in the power basis mod Phi_m."""
 
     is_field = True
 
     def __init__(self, m: int):
         if m < 1:
             raise ValueError("m must be >= 1")
+        # phi(m) >= sqrt(m / 2): a larger m is refused without factoring it
+        if m > 2 * PHI_CAP**2 or _euler_phi(m) > PHI_CAP:
+            raise ValueError(f"Q(zeta_{m}) has degree phi({m}) above the cap PHI_CAP = {PHI_CAP}")
         self.m = m
         self.name = f"Q(zeta_{m})"
-        phi = cyclotomic_polynomial(m)
-        self.degree = phi.deg()
-        coeffs, _ = phi.coeff_list()
-        self._phi = [Fraction(v) for v in coeffs]
+        coeffs, _ = cyclotomic_polynomial(m).coeff_list()
+        self._phi = coeffs
+        self.degree = d = len(coeffs) - 1
         # reduction table: x^(deg+j) in the power basis.  Phi_m is monic, so
         # the entries are integers; each row keeps its nonzero (i, c) pairs.
-        d = self.degree
         base = [-v for v in coeffs[:d]]
         cur = base
         self._red: list[tuple[tuple[int, int], ...]] = []
@@ -115,80 +119,59 @@ class CyclotomicField(Domain):
             cur = [0] + cur[:-1]
             if top:
                 cur = [c + top * b for c, b in zip(cur, base)]
-        # powers of zeta_m in the basis, for fast root-of-unity access
-        self._zeta_pows: list[tuple[Fraction, ...]] = []
-        z = self._monomial(1)
-        w = self.one()
-        for _ in range(m):
-            self._zeta_pows.append(w)
-            w = self.mul(w, z)
-        # ±zeta^k -> ±zeta^-k: at most 2m entries, fixed once built
-        self._unit_inv = {}
-        for k, w in enumerate(self._zeta_pows):
-            w_inv = self._zeta_pows[-k % m]
-            self._unit_inv[w] = w_inv
-            self._unit_inv[self.neg(w)] = self.neg(w_inv)
-
-    def _monomial(self, k: int):
-        v = [Fraction(0)] * self.degree
-        if k < self.degree:
-            v[k] = Fraction(1)
-        else:
-            for i, c in self._red[k - self.degree]:
-                v[i] = Fraction(c)
-        return tuple(v)
+        self._unit_inv = None  # ±zeta^k -> ±zeta^-k, built by the first inv
 
     # ------------------------------------------------------------- domain API
     def zero(self):
-        return (Fraction(0),) * self.degree
+        return (0,) * self.degree, 1
 
     def one(self):
-        v = [Fraction(0)] * self.degree
-        v[0] = Fraction(1)
-        return tuple(v)
+        return (1,) + (0,) * (self.degree - 1), 1
 
     def coerce(self, x):
+        """An element from a rational or a tuple of rational coordinates."""
         if isinstance(x, tuple) and len(x) == self.degree:
-            return tuple(Fraction(v) for v in x)
+            xs = [Fraction(v) for v in x]
+            den = lcm(*(v.denominator for v in xs))
+            return _normal([v.numerator * (den // v.denominator) for v in xs], den)
         if isinstance(x, (int, Fraction)):
-            return self.from_rational(Fraction(x))
+            return self.from_rational(x)
         raise TypeError(f"cannot coerce {x!r} into {self.name}")
 
-    def from_rational(self, q: Fraction):
-        v = [Fraction(0)] * self.degree
-        v[0] = Fraction(q)
-        return tuple(v)
+    def from_rational(self, q):
+        num, den = q.as_integer_ratio()
+        return (num,) + (0,) * (self.degree - 1), den
 
     def add(self, a, b):
-        return tuple(x + y for x, y in zip(a, b))
+        (an, ad), (bn, bd) = a, b
+        if ad == bd:
+            return _normal([x + y for x, y in zip(an, bn)], ad)
+        return _normal([x * bd + y * ad for x, y in zip(an, bn)], ad * bd)
 
     def neg(self, a):
-        return tuple(-x for x in a)
-
-    def sub(self, a, b):
-        return tuple(x - y for x, y in zip(a, b))
+        return tuple(-x for x in a[0]), a[1]
 
     def mul(self, a, b):
         return self.dot((a,), (b,))
 
     def dot(self, xs, ys):
         """sum_k xs[k] * ys[k] on integer numerators (`_integral_dot`)."""
-        return self._integral_dot(zip(map(_integral, xs), map(_integral, ys)))
+        return self._integral_dot(zip(map(_nonzero, xs), map(_nonzero, ys)))
 
     def mat_mul(self, a, b):
-        """a b with every entry of a and b converted to integer numerators
-        once: 2 n^2 conversions for an n x n product, not one per use."""
-        rows = [[(k, f) for k, f in enumerate(map(_integral, row)) if f[0]] for row in a]
-        cols = [tuple(map(_integral, col)) for col in zip(*b)]
+        """a b with the nonzero numerators of every entry of a and b listed
+        once: 2 n^2 listings for an n x n product, not one per use."""
+        rows = [[(k, f) for k, f in enumerate(map(_nonzero, row)) if f[0]] for row in a]
+        cols = [tuple(map(_nonzero, col)) for col in zip(*b)]
         return tuple(tuple(self._integral_dot([(f, col[k]) for k, f in row]) for col in cols)
                      for row in rows)
 
     def _integral_dot(self, pairs):
-        """sum a * b over the pairs (a, b) of `_integral` forms.
+        """sum a * b over the pairs (a, b) of `_nonzero` forms.
 
         The products are convolved into one integer accumulator over the
         running common denominator of all products, reduced once mod Phi_m,
-        and turned into Fractions once per output coordinate.
+        and brought to lowest terms once.
         """
         d = self.degree
         acc = [0] * (2 * d - 1)
@@ -212,62 +195,72 @@ class CyclotomicField(Domain):
             if c:
                 for i, r in row:
                     out[i] += c * r
-        if den == 1:
-            return tuple(Fraction(c) if c else _ZERO for c in out)
-        return tuple(Fraction(c, den) if c else _ZERO for c in out)
+        return _normal(out, den)
 
     def is_zero(self, a):
-        return all(not x for x in a)
+        return not any(a[0])
 
     def eq(self, a, b):
-        return all(x == y for x, y in zip(a, b))
+        return a == b
 
     def inv(self, a):
         """a^-1: a root of unity ±zeta^k from the table, anything else by
         the polynomial kernel, a^-1 mod Phi_m over QQ."""
+        if self._unit_inv is None:  # ±zeta^k -> ±zeta^-k, at most 2m entries
+            pows, z = [self.one()], self.zeta(1)
+            for _ in range(self.m - 1):
+                pows.append(self.mul(pows[-1], z))
+            self._unit_inv = {w: pows[-k] for k, w in enumerate(pows)}
+            self._unit_inv.update({self.neg(w): self.neg(v) for w, v in self._unit_inv.items()})
         unit = self._unit_inv.get(a)
         if unit is not None:
             return unit
         if self.is_zero(a):
             raise ZeroDivisionError(f"division by zero in {self.name}")
-        s = poly_invmod(domains.QQ, poly_trim(domains.QQ, list(a)), self._phi)
-        return tuple(s + [_ZERO] * (self.degree - len(s)))
+        nums, den = a
+        s = poly_invmod(domains.QQ, poly_trim(domains.QQ, list(nums)), self._phi)
+        return self.scale(self.coerce(tuple(s + [0] * (self.degree - len(s)))), den)
 
-    def scale(self, a, q: Fraction):
-        return tuple(x * q for x in a)
+    def scale(self, a, q):
+        num, den = q.as_integer_ratio()
+        return _normal([x * num for x in a[0]], a[1] * den)
 
     def div(self, a, b):
         return self.mul(a, self.inv(b))
 
     # ------------------------------------------------------------- utilities
     def zeta(self, k: int = 1):
-        """zeta_m^k as an element."""
-        return self._zeta_pows[k % self.m]
+        """zeta_m^k as an element: x^(k mod m) reduced mod Phi_m."""
+        _, r = poly_divmod(domains.ZZ, [0] * (k % self.m) + [1], self._phi)
+        return tuple(r) + (0,) * (self.degree - len(r)), 1
+
+    def coords(self, a) -> tuple[Fraction, ...]:
+        """The power-basis coordinates of a, as Fractions."""
+        nums, den = a
+        return tuple(Fraction(x, den) for x in nums)
 
     def is_rational(self, a) -> bool:
-        return all(not x for x in a[1:])
+        return not any(a[0][1:])
 
     def rational_value(self, a) -> Fraction:
         if not self.is_rational(a):
             raise ValueError(f"{self.to_str(a)} is not rational")
-        return a[0]
+        return Fraction(a[0][0], a[1])
 
     def embed(self, a, src: "CyclotomicField"):
         """Embed an element of Q(zeta_src) along zeta_src -> zeta_m^(m/src)."""
         if self.m % src.m:
             raise ValueError(f"no embedding {src.name} -> {self.name}")
-        step = self.m // src.m
-        acc = self.zero()
-        for k, v in enumerate(a):
-            if v:
-                acc = self.add(acc, self.scale(self.zeta(step * k), v))
-        return acc
+        step, (nums, den) = self.m // src.m, a
+        # sum_k (nums[k] / den) zeta^(step k), as one integral dot
+        return self._integral_dot(((([(0, v)], den), _nonzero(self.zeta(step * k)))
+                                   for k, v in enumerate(nums) if v))
 
     def to_str(self, a) -> str:
         if self.is_rational(a):
-            return str(a[0])
+            return str(self.rational_value(a))
         parts = []
-        for k, v in enumerate(a):
+        for k, v in enumerate(self.coords(a)):
             if not v:
                 continue
             if k == 0:
@@ -278,7 +271,8 @@ class CyclotomicField(Domain):
         return "(" + " + ".join(parts).replace("+ -", "- ") + ")"
 
     def sort_key(self, a):
-        return tuple(a)
+        """The coordinates; as ints when den = 1 (same order and hashes)."""
+        return a[0] if a[1] == 1 else self.coords(a)
 
 
 @lru_cache(maxsize=None)

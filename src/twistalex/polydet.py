@@ -9,7 +9,8 @@ other domain is a TypeError.
 Cofactor expansion (det_cofactor) stays as the brute-force test oracle.
 
 The multimodular engine (_det_multimodular).  Each row is scaled by one lcm
-of the denominators of every power-basis coordinate of every coefficient, so
+of the denominators of its coefficients (a Q(zeta_m) element is integer
+numerators over one denominator, read here and built again at the exit), so
 the matrix lies over Z[zeta_m][t].  A word-size prime q = 1 (mod m) splits
 Phi_m into distinct linear factors, so each primitive m-th root of unity w^k
 in GF(q) (gcd(k, m) = 1) is a ring map Z[zeta_m] -> GF(q).  Per prime the
@@ -54,7 +55,7 @@ from math import gcd, lcm
 
 import numpy as np
 
-from .cyclo import CYC, CyclotomicField
+from .cyclo import CYC, CyclotomicField, _normal
 from .domains import GF, Domain, PrimeField, QQ, ZZ, is_prime
 from .laurent import LaurentPoly
 from .matrix import mat_inverse
@@ -95,7 +96,7 @@ def _coordinate_bound(m: int) -> Fraction:
     """C_m = phi(m) * max_j ||beta_j||_1, {beta_j} trace-dual to {zeta_m^j}."""
     F = CYC(m)
     d = F.degree
-    tr = [sum(F.zeta(s + i)[i] for i in range(d)) for s in range(2 * d - 1)]
+    tr = [sum(F.coords(F.zeta(s + i))[i] for i in range(d)) for s in range(2 * d - 1)]
     dual = mat_inverse(QQ, [[tr[i + k] for k in range(d)] for i in range(d)])
     return d * max(sum(abs(x) for x in row) for row in dual)
 
@@ -203,10 +204,12 @@ def _det_multimodular(rows, dom: Domain) -> LaurentPoly:
     cyclo = isinstance(dom, CyclotomicField)
     m = dom.m if cyclo else 1
     phi = dom.degree if cyclo else 1
-    # each row's (column, exponent, coordinates) terms and lowest exponent
+    # each row's (column, exponent, (numerators, den)) terms and lowest
+    # exponent; a rational v is the one numerator v.numerator
     rows_terms, shift = [], 0
     for row in rows:
-        terms = [(j, e, v if cyclo else (v,)) for j, f in enumerate(row) for e, v in f.c.items()]
+        terms = [(j, e, v if cyclo else ((v.numerator,), v.denominator))
+                 for j, f in enumerate(row) for e, v in f.c.items()]
         if not terms:
             return LaurentPoly.zero(dom)  # a zero row
         lo = min(e for _, e, _ in terms)
@@ -216,11 +219,12 @@ def _det_multimodular(rows, dom: Domain) -> LaurentPoly:
     cells = [[[[0] * n for _ in range(n)] for _ in range(phi)] for _ in range(top + 1)]
     bound, scale, deg_bound, widest = _coordinate_bound(m), 1, 0, 0
     for i, (terms, lo) in enumerate(rows_terms):
-        l = lcm(*(x.denominator for _, _, xs in terms for x in xs))
+        l = lcm(*(den for _, _, (_, den) in terms))
         norm = 0  # the row's l1-norm, at least each of its coordinates
-        for j, e, xs in terms:
-            for k, x in enumerate(xs):
-                y = x.numerator * (l // x.denominator)
+        for j, e, (nums, den) in terms:
+            lift = l // den
+            for k, y in enumerate(nums):
+                y *= lift
                 cells[e - lo][k][i][j] = y
                 norm += abs(y)
         scale *= l
@@ -240,8 +244,7 @@ def _det_multimodular(rows, dom: Domain) -> LaurentPoly:
     coeffs = {}
     for d, xs in enumerate(x.tolist()):
         if any(xs):
-            c = tuple(Fraction(v, scale) for v in xs)
-            coeffs[d] = dom.coerce(c if cyclo else c[0])
+            coeffs[d] = _normal(xs, scale) if cyclo else dom.coerce(Fraction(xs[0], scale))
     return LaurentPoly(dom, coeffs).shift(shift)
 
 

@@ -632,15 +632,18 @@ def _parse_scalar(text: str):
                 m, k = int(mtext), int(ktext)
             else:
                 m, k = int(body), 1
-            return CYC(m).zeta(k), CYC(m)
-        if "/" in t:
+            if m < 1:
+                raise ValueError
+        elif "/" in t:
             return Fraction(t), QQ
-        return int(t), ZZ
+        else:
+            return int(t), ZZ
     except ZeroDivisionError:
         raise RepresentationError(f"zero denominator in {t!r}") from None
     except ValueError:
         raise RepresentationError(f"malformed scalar {t!r}: expected an integer, a "
                                   "fraction, i or z<m>^<k>") from None
+    return CYC(m).zeta(k), CYC(m)  # outside the try: a refused field names its cap
 
 
 def rep_spec_of_coloring(d: DihedralData) -> str:

@@ -234,6 +234,23 @@ def test_usage_errors(capsys, tmp_path):
     assert code == 2 and out == "" and err == "error: scale factor 7/9 has no image in GF(3)\n"
 
 
+def test_cyclotomic_field_above_the_degree_cap_is_refused(capsys):
+    # every route to Q(zeta_m) meets the phi(m) cap before Phi_m is computed:
+    # a z<m> token, the z of a metabelian spec, the eigenvalues' lcm (641 and
+    # 643 are each below the cap, their lcm far above it) and an m too large
+    # to factor
+    for argv, m in (
+        (("twisted", "--knot", "3_1", "--rep", "onedim:z=z100003"), 100003),
+        (("twisted", "--knot", "3_1", "--rep", "metabelian:n=2:m=3:chi=1:z=z100003"), 100003),
+        (("satellite", "--knot", "3_1", "--rep", "trivial", "--companion-delta", "1 - t + t^2",
+          "--eigenvalues", "z641,z643"), 641 * 643),
+        (("twisted", "--knot", "3_1", "--rep", f"onedim:z=z{10**40 + 1}"), 10**40 + 1),
+    ):
+        code, out, err = run(capsys, *argv)
+        assert code == 2 and out == "" and err == (
+            f"error: Q(zeta_{m}) has degree phi({m}) above the cap PHI_CAP = 1024\n"), argv
+
+
 @pytest.mark.parametrize("entry", ["a=x", "a"])
 def test_phi_value_that_is_no_integer_names_its_generator(tmp_path, capsys, entry):
     pres = tmp_path / "bad.pres"

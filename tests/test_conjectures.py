@@ -49,6 +49,7 @@ def _reference_extract_f_polynomial(tw, delta):
                 return None, False
             ints[e] = int(v)
         elif isinstance(v, tuple):  # cyclotomic coordinates
+            v = field.coords(v)
             if any(x != 0 for x in v[1:]) or v[0].denominator != 1:
                 return None, False
             ints[e] = int(v[0])

@@ -61,8 +61,8 @@ def test_field_axioms_and_inverse():
     F = CYC(12)
     rng = random.Random(11)
     for _ in range(40):
-        a = tuple(Fraction(rng.randint(-3, 3)) for _ in range(F.degree))
-        b = tuple(Fraction(rng.randint(-3, 3)) for _ in range(F.degree))
+        a = F.coerce(tuple(Fraction(rng.randint(-3, 3)) for _ in range(F.degree)))
+        b = F.coerce(tuple(Fraction(rng.randint(-3, 3)) for _ in range(F.degree)))
         assert F.eq(F.mul(a, b), F.mul(b, a))
         if not F.is_zero(a):
             assert F.eq(F.mul(a, F.inv(a)), F.one())
@@ -129,14 +129,14 @@ def _schoolbook(F, a, b):
     phi, _ = cyclotomic_polynomial(F.m).coeff_list()
     d = F.degree
     prod = [Fraction(0)] * (2 * d - 1)
-    for i, x in enumerate(a):
-        for j, y in enumerate(b):
+    for i, x in enumerate(F.coords(a)):
+        for j, y in enumerate(F.coords(b)):
             prod[i + j] += x * y
     for k in range(len(prod) - 1, d - 1, -1):
         c = prod[k]
         for i, p in enumerate(phi):
             prod[k - d + i] -= c * p
-    return tuple(prod[:d])
+    return F.coerce(tuple(prod[:d]))
 
 
 def _random_element(rng, F):
@@ -145,8 +145,8 @@ def _random_element(rng, F):
         return F.zero()
     if kind < 0.4:
         return F.zeta(rng.randrange(F.m))
-    return tuple(Fraction(rng.randint(-9, 9), rng.choice((1, 1, 2, 3, 7, 12)))
-                 if rng.random() < 0.7 else Fraction(0) for _ in range(F.degree))
+    return F.coerce(tuple(Fraction(rng.randint(-9, 9), rng.choice((1, 1, 2, 3, 7, 12)))
+                          if rng.random() < 0.7 else Fraction(0) for _ in range(F.degree)))
 
 
 @pytest.mark.parametrize("m", [1, 2, 3, 4, 5, 12, 20, 28])
@@ -165,7 +165,7 @@ def test_mul_and_dot_match_schoolbook(m):
             expected = F.add(expected, _schoolbook(F, x, y))
         got = F.dot(xs, ys)
         assert got == expected
-        assert all(isinstance(v, Fraction) for v in got)
+        assert all(isinstance(v, Fraction) for v in F.coords(got))
     # matrix products, converted once per entry, against the generic one dot
     # per cell and against the schoolbook sum: 2 x 2 by 2 x 2 and 1 x K by K x w
     # (the walker's block rows), with zero entries and denominators
@@ -181,28 +181,29 @@ def test_mul_and_dot_match_schoolbook(m):
                 for x, r in zip(row, b):
                     expected = F.add(expected, _schoolbook(F, x, r[c]))
                 assert cell == expected
-                assert all(isinstance(v, Fraction) for v in cell)
+                assert all(isinstance(v, Fraction) for v in F.coords(cell))
 
 
-def test_matrix_product_converts_each_entry_once(monkeypatch):
-    # a 2 x 2 product converts each of its 8 entries to integer numerators
-    # once; one dot per cell converted every entry twice (16).  Counts are
+def test_products_of_integral_elements_build_no_fraction(monkeypatch):
+    # mul, dot and mat_mul of denominator-1 elements run on integers end to
+    # end: no Fraction is built, not even for the result.  Counts are
     # asserted, never times
     F = CYC(12)
     rng = random.Random(12)
-    a, b = ([[_random_element(rng, F) for _ in range(2)] for _ in range(2)]
-            for _ in range(2))
-    integral, calls = cyclo._integral, []
+    a, b = ([[F.coerce(tuple(rng.randint(-9, 9) for _ in range(F.degree))),
+              F.zeta(rng.randrange(12))] for _ in range(2)] for _ in range(2))
+    built = []
 
-    def counted(x):
-        calls.append(x)
-        return integral(x)
+    class Counted(Fraction):
+        def __new__(cls, *args, **kwargs):
+            built.append(args)
+            return super().__new__(cls, *args, **kwargs)
 
-    monkeypatch.setattr(cyclo, "_integral", counted)
-    got = F.mat_mul(a, b)
-    assert len(calls) == 8
-    assert got == Domain.mat_mul(F, a, b)
-    assert len(calls) == 8 + 16
+    monkeypatch.setattr(cyclo, "Fraction", Counted)
+    got = F.mul(a[0][0], b[0][1]), F.dot(a[0], b[1]), F.mat_mul(a, b)
+    assert built == []
+    assert got == (_schoolbook(F, a[0][0], b[0][1]), Domain.dot(F, a[0], b[1]),
+                   Domain.mat_mul(F, a, b))
 
 
 def test_roots_of_unity_invert_by_table(monkeypatch):
@@ -221,10 +222,20 @@ def test_roots_of_unity_invert_by_table(monkeypatch):
         for k in range(m):
             for u in (F.zeta(k), F.neg(F.zeta(k))):
                 got = F.inv(u)
-                s = poly_invmod(QQ, poly_trim(QQ, list(u)), phi)
-                assert got == tuple(s + [Fraction(0)] * (F.degree - len(s)))
+                s = poly_invmod(QQ, poly_trim(QQ, list(F.coords(u))), phi)
+                assert F.coords(got) == tuple(s + [Fraction(0)] * (F.degree - len(s)))
         assert calls == []
         two = F.coerce(2)
         assert F.inv(two) == F.coerce(Fraction(1, 2))
         assert len(calls) == 1
         del calls[:]
+
+
+def test_degree_cap_is_checked_before_phi_m(monkeypatch):
+    def refused(n):
+        raise AssertionError(f"Phi_{n} computed for a field above the cap")
+
+    monkeypatch.setattr(cyclo, "cyclotomic_polynomial", refused)
+    for m in (1031, 100003, 2 * cyclo.PHI_CAP**2 + 1, 10**40):  # phi(1031) = 1030
+        with pytest.raises(ValueError, match=f"phi\\({m}\\) above the cap PHI_CAP = 1024"):
+            cyclo.CyclotomicField(m)

@@ -139,8 +139,8 @@ def test_mat_mul_is_entrywise_dot(dom):
         if rng.random() < 0.3:
             return dom.zero()
         if isinstance(dom, CyclotomicField):
-            return tuple(Fraction(rng.randint(-4, 4), rng.choice((1, 2, 5)))
-                         for _ in range(dom.degree))
+            return dom.coerce(tuple(Fraction(rng.randint(-4, 4), rng.choice((1, 2, 5)))
+                                    for _ in range(dom.degree)))
         return dom.coerce(rng.randint(-4, 4) if dom is not QQ
                           else Fraction(rng.randint(-4, 4), rng.randint(1, 5)))
 

@@ -61,7 +61,7 @@ def test_trivial_rep_gives_alexander_over_t_minus_1(name):
 def _galois_conjugate(dom, v):
     """zeta -> zeta^-1 on a power-basis coordinate tuple."""
     acc = dom.zero()
-    for k, c in enumerate(v):
+    for k, c in enumerate(dom.coords(v)):
         if c:
             acc = dom.add(acc, dom.scale(dom.zeta(-k), c))
     return acc

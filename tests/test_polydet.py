@@ -158,13 +158,13 @@ def _rand_coeff(rng, dom, cmax=3, fractional=True):
 
 
 def _rand_matrix(rng, dom, n, span=(-1, 2), **kw):
-    return [[LaurentPoly(dom, {e: _rand_coeff(rng, dom, **kw) for e in range(*span)
+    return [[LaurentPoly(dom, {e: dom.coerce(_rand_coeff(rng, dom, **kw)) for e in range(*span)
                                if rng.random() < 0.7})
              for _ in range(n)] for _ in range(n)]
 
 
 def _coords(dom, v):
-    return (v,) if dom is QQ or dom is ZZ else v
+    return (v,) if dom is QQ or dom is ZZ else dom.coords(v)
 
 
 @pytest.mark.parametrize("m", ENGINE_MS)
@@ -190,7 +190,7 @@ def test_multimodular_engine_degenerate_inputs(m):
     assert det_poly_matrix(rows, dom).is_zero()
     # an identically zero determinant: row 2 = c * t^-1 * row 0 + row 1
     rows = _rand_matrix(rng, dom, 4)
-    c = LaurentPoly(dom, {-1: _rand_coeff(rng, dom)})
+    c = LaurentPoly(dom, {-1: dom.coerce(_rand_coeff(rng, dom))})
     rows[2] = [c * a + b for a, b in zip(rows[0], rows[1])]
     assert det_poly_matrix(rows, dom).is_zero()
     assert det_cofactor(rows, dom).is_zero()
@@ -241,8 +241,8 @@ def test_large_coefficients_take_the_primes_the_bound_implies(m, monkeypatch):
     rng = random.Random(777 + m)
     big = 10**9
     rows = [[LaurentPoly(dom, {e: (rng.randint(-big, big) if dom is ZZ else
-                                   tuple(Fraction(rng.randint(-big, big))
-                                         for _ in range(dom.degree)))
+                                   dom.coerce(tuple(Fraction(rng.randint(-big, big))
+                                                    for _ in range(dom.degree))))
                                for e in range(2)})
              for _ in range(3)] for _ in range(3)]
     need = 2 * polydet._coordinate_bound(m) * _row_norm_product(rows, dom) + 1
@@ -272,7 +272,7 @@ def test_dense_det_matches_cofactor(dom):
         if dom is ZZ:
             return rng.randint(-4, 4)
         if dom is QQ or isinstance(dom, CyclotomicField):
-            return _rand_coeff(rng, dom)
+            return dom.coerce(_rand_coeff(rng, dom))
         return rng.randint(0, dom.p - 1)
 
     for n in range(6):
