@@ -128,9 +128,9 @@ def _cmd_twisted(args) -> int:
     tw = wada_invariant(pres, rep, column=args.column)
     if args.factored:
         c = tw.canonical()
-        num = {e: rational(v) for e, v in c.value.num.c.items()}
-        den_l = lcm(*(v.denominator for v in num.values()))
-        zn = LaurentPoly(ZZ, {e: int(v * den_l) for e, v in num.items()})
+        num = [rational(v) for v in c.value.num.coeffs()]
+        den_l = lcm(*(v.denominator for v in num))
+        zn = LaurentPoly(ZZ, [int(v * den_l) for v in num], c.value.num.low())
         unit, content, tpow, factors = factor_integer_poly(zn)
         parts = []
         if unit < 0:

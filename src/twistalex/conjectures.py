@@ -62,7 +62,7 @@ def extract_f_polynomial(tw: TwistedPolynomial, delta: LaurentPoly):
     or F fails to be integral after canonical normalization.
     """
     field = tw.dom
-    one_minus_t = LaurentPoly(field, {0: field.one(), 1: field.neg(field.one())})
+    one_minus_t = LaurentPoly(field, [field.one(), field.neg(field.one())])
     deltaf = delta.copy_to(field) if delta.dom is not field else delta
     try:
         fpoly = (tw.value.num * one_minus_t).exact_div(tw.value.den * deltaf)
@@ -73,16 +73,16 @@ def extract_f_polynomial(tw: TwistedPolynomial, delta: LaurentPoly):
     fnorm, _ = canonical_pair(RationalFunction(fpoly, LaurentPoly.one(field), reduce=False),
                               units)
     cyclo = isinstance(field, CyclotomicField)
-    ints = {}
-    for e, v in fnorm.c.items():
+    ints = []
+    for v in fnorm.coeffs():
         if cyclo:
             if not field.is_rational(v):
                 return None, False
             v = field.rational_value(v)
         if v.denominator != 1:
             return None, False
-        ints[e] = int(v)
-    return LaurentPoly(ZZ, ints), True
+        ints.append(int(v))
+    return LaurentPoly(ZZ, ints, fnorm.low()), True
 
 
 def twisted_product(parts) -> TwistedPolynomial:
@@ -201,10 +201,8 @@ def _pairing_search(F: LaurentPoly):
 def _sqrt_witness(g: LaurentPoly) -> str:
     """Square-root factorization of a self-paired factor over a quadratic
     extension, in the style of the always-existing complex pairing."""
-    coeffs = dict(g.c)
-    lo, hi = g.low(), g.deg()
-    if set(coeffs) <= {0, 2} and lo == 0 and hi == 2:
-        a, b = coeffs.get(2, 0), coeffs.get(0, 0)
+    if g.low() == 0 and g.deg() == 2 and g[1] == 0:
+        a, b = g[2], g[0]
         # a t^2 + b with ab < 0 splits as (sqrt(a) t - sqrt(-b))(sqrt(a) t + sqrt(-b))
         if a > 0 and b < 0:
             return f"(sqrt({a})*t - sqrt({-b}))*(sqrt({a})*t + sqrt({-b}))"
@@ -260,7 +258,7 @@ def _compare_up_to_fp_units(dom, a_num, a_den, b_num, b_den):
     c = _scalar_ratio(dom, p1, p2)
     if c is None or dom.is_zero(c):
         return None
-    shift = (p1.low() if not p1.is_zero() else 0) - (p2.low() if not p2.is_zero() else 0)
+    shift = p1.low() - p2.low()
     return (c, shift)
 
 
@@ -281,10 +279,10 @@ def check_conjecture_B2(pres: KnotPresentation, coloring: DihedralData,
     rhs_den = one
     for _ in range(ell + 1):
         rhs_num = rhs_num * dp
-        rhs_den = rhs_den * LaurentPoly(dom, {0: dom.one(), 1: dom.neg(dom.one())})
+        rhs_den = rhs_den * LaurentPoly(dom, [dom.one(), dom.neg(dom.one())])
     for _ in range(ell):
         rhs_num = rhs_num * dp_neg
-        rhs_den = rhs_den * LaurentPoly(dom, {0: dom.one(), 1: dom.one()})
+        rhs_den = rhs_den * LaurentPoly(dom, [dom.one(), dom.one()])
     unit = _compare_up_to_fp_units(dom, lhs.value.num, lhs.value.den, rhs_num, rhs_den)
     # second route: the Vandermonde triangularization splits rho_p into
     # eps^(l+1) + tau^l on the diagonal, so the product of the 1-dim twisted

@@ -45,7 +45,7 @@ def cyclotomic_polynomial(n: int) -> LaurentPoly:
     """
     if n < 1:
         raise ValueError("n must be >= 1")
-    f = LaurentPoly(domains.ZZ, {n: 1, 0: -1})
+    f = LaurentPoly.from_terms(domains.ZZ, {0: -1, n: 1})
     for d in range(1, n):
         if n % d == 0:
             f = f.exact_div(cyclotomic_polynomial(d))
@@ -105,7 +105,7 @@ class CyclotomicField(Domain):
             raise ValueError(f"Q(zeta_{m}) has degree phi({m}) above the cap PHI_CAP = {PHI_CAP}")
         self.m = m
         self.name = f"Q(zeta_{m})"
-        coeffs, _ = cyclotomic_polynomial(m).coeff_list()
+        coeffs = cyclotomic_polynomial(m).coeffs()
         self._phi = coeffs
         self.degree = d = len(coeffs) - 1
         # reduction table: x^(deg+j) in the power basis.  Phi_m is monic, so

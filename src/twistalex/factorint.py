@@ -243,7 +243,7 @@ def factor_integer_poly(f: LaurentPoly):
     if f.dom is not ZZ and f.dom.name != "ZZ":
         raise TypeError("factor_integer_poly expects integer coefficients")
     t_power = f.low()
-    coeffs, _ = f.shift(-t_power).coeff_list()
+    coeffs = f.coeffs()
     content = _content(coeffs)
     unit = 1
     prim = [x // content for x in coeffs]
@@ -253,13 +253,13 @@ def factor_integer_poly(f: LaurentPoly):
     if len(prim) - 1 == 0:
         return unit, content, t_power, []
     # squarefree part via gcd with the derivative over Q
-    fq = LaurentPoly(QQ, {e: QQ.coerce(v) for e, v in enumerate(prim)})
+    fq = LaurentPoly(QQ, [QQ.coerce(v) for v in prim])
     g = fq.gcd(fq.derivative())
-    if len(g) == 1 and g.low() == 0:
+    if g.deg() == 0:  # g has lowest exponent 0
         sqfree = list(prim)
     else:
         quot = fq.exact_div(g)
-        qc, _ = quot.coeff_list()
+        qc = quot.coeffs()
         den = 1
         for v in qc:
             den = lcm(den, v.denominator)
@@ -278,7 +278,7 @@ def factor_integer_poly(f: LaurentPoly):
             rem = q
             mult += 1
         if mult:
-            factors.append((LaurentPoly(ZZ, dict(enumerate(g_))), mult))
+            factors.append((LaurentPoly(ZZ, g_), mult))
     if len(rem) != 1 or abs(rem[0]) != 1:
         raise ArithmeticError("factor recombination failed to exhaust the input")
     unit *= rem[0]
@@ -286,7 +286,7 @@ def factor_integer_poly(f: LaurentPoly):
 
 
 def verify_factorization(f: LaurentPoly, unit: int, content: int, t_power: int, factors) -> bool:
-    acc = LaurentPoly(ZZ, {t_power: unit * content})
+    acc = LaurentPoly(ZZ, [unit * content], t_power)
     for g, mult in factors:
         for _ in range(mult):
             acc = acc * g

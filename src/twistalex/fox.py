@@ -100,12 +100,8 @@ def specialize_element(r: Word, rep, pres) -> list[list[LaurentPoly]]:
         for p, j, v in _entries(dom, img, n):
             cell = acc[p][g * n + j]
             v = v if sign > 0 else dom.neg(v)
-            w = dom.add(cell[x], v) if x in cell else v
-            if dom.is_zero(w):
-                del cell[x]
-            else:
-                cell[x] = w
-    return [[LaurentPoly(dom, cell) for cell in row] for row in acc]
+            cell[x] = dom.add(cell[x], v) if x in cell else v
+    return [[LaurentPoly.from_terms(dom, cell) for cell in row] for row in acc]
 
 
 def specialize_matrix(rep, pres) -> list[list[LaurentPoly]]:
@@ -223,13 +219,15 @@ def reduced_fox_matrix(rep, pres, column: int, dets):
     for ri in rest:
         blocks = _combine(dom, n, width, [t[1:] for t in _terms(pres.relators[ri], rep, pres)],
                           d)
-        rows += [[LaurentPoly(dom, {x: b[a][c] for x, b in blocks.items()})
+        low = min(blocks, default=0)
+        span = [blocks.get(x) for x in range(low, max(blocks, default=-1) + 1)]
+        rows += [[LaurentPoly(dom, [zero if b is None else b[a][c] for b in span], low)
                   for c in range(width)] for a in range(n)]
     c = one if sign > 0 or n % 2 == 0 else dom.neg(one)
     for g, e in enumerate(powers):
         if e:
             c = dom.mul(c, dom.pow(dets[g], e))
-    return rows, LaurentPoly(dom, {n * shift: c})
+    return rows, LaurentPoly(dom, [c], n * shift)
 
 
 def alexander_reduced_matrix(pres, column: int):

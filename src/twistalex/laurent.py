@@ -1,11 +1,17 @@
 """Laurent polynomials in one variable t over an exact coefficient domain.
 
-The coefficient map never stores zeros; the zero polynomial has an empty map.
+A LaurentPoly is stored dense: its lowest exponent and the list of
+coefficients from t^low to t^deg, trimmed at both ends (no zero first or
+last coefficient), so each polynomial has one stored form and the zero
+polynomial is the empty list at exponent 0.  Only this module reads that
+storage; other modules build with the dense constructor or `from_terms` and
+read through `terms()`, `coeffs()`, `low()`, `deg()` and `f[e]`.
+
 The canonical text form is `3 - 13*t^2 + 13*t^4 - 3*t^6`: terms in increasing
 exponent, explicit signs, `t^k` exponents (bare `t` for k=1).
 
-Products, division, exact division and gcd shift to exponent 0 and run on
-the dense polynomial kernel below (`poly_mul`, `poly_divmod`, `poly_gcd`,
+Products, exact division and gcd pass the stored lists straight to the
+dense polynomial kernel below (`poly_mul`, `poly_divmod`, `poly_gcd`,
 `poly_invmod`), which `cyclo` and `factorint` share.
 """
 from __future__ import annotations
@@ -42,6 +48,9 @@ def poly_mul(dom: Domain, a: list, b: list) -> list:
     if not a or not b:
         return []
     add, mul, is_zero = dom.add, dom.mul, dom.is_zero
+    if len(b) == 1 or len(a) == 1:  # a constant factor scales the other one
+        (y,), a = (b, a) if len(b) == 1 else (a, b)
+        return [x if is_zero(x) else mul(x, y) for x in a]
     nz = [(j, y) for j, y in enumerate(b) if not is_zero(y)]
     out = [None] * (len(a) + len(b) - 1)  # None: no product has landed yet
     for i, x in enumerate(a):
@@ -110,112 +119,115 @@ def poly_invmod(dom: Domain, a: list, m: list) -> list:
 
 
 class LaurentPoly:
-    __slots__ = ("dom", "c")
+    __slots__ = ("dom", "_low", "_coeffs")
 
-    def __init__(self, dom: Domain, coeffs: dict | None = None):
-        self.dom = dom
-        c = {}
-        if coeffs:
-            for e, v in coeffs.items():
-                if not dom.is_zero(v):
-                    c[e] = v
-        self.c = c
+    def __init__(self, dom: Domain, coeffs: list, low: int = 0):
+        """The polynomial sum coeffs[i] t^(low + i).  The list is handed over:
+        trimmed at both ends and stored, never copied and never mutated."""
+        is_zero = dom.is_zero
+        hi = len(coeffs)
+        while hi and is_zero(coeffs[hi - 1]):
+            hi -= 1
+        lo = 0
+        while lo < hi and is_zero(coeffs[lo]):
+            lo += 1
+        if lo or hi < len(coeffs):
+            coeffs = coeffs[lo:hi]
+        self.dom, self._low, self._coeffs = dom, low + lo if coeffs else 0, coeffs
 
     # ------------------------------------------------------------------ build
     @classmethod
     def zero(cls, dom: Domain) -> "LaurentPoly":
-        return cls(dom, {})
+        return cls(dom, [])
 
     @classmethod
     def one(cls, dom: Domain) -> "LaurentPoly":
-        return cls(dom, {0: dom.one()})
+        return cls(dom, [dom.one()])
 
     @classmethod
     def t(cls, dom: Domain, k: int = 1) -> "LaurentPoly":
-        return cls(dom, {k: dom.one()})
+        return cls(dom, [dom.one()], k)
 
     @classmethod
     def const(cls, dom: Domain, v) -> "LaurentPoly":
-        return cls(dom, {0: dom.coerce(v)})
+        return cls(dom, [dom.coerce(v)])
 
     @classmethod
-    def from_list(cls, dom: Domain, coeffs, low: int = 0) -> "LaurentPoly":
-        """The polynomial sum coeffs[i] t^(low + i)."""
-        return cls(dom, {low + i: v for i, v in enumerate(coeffs)})
+    def from_terms(cls, dom: Domain, terms) -> "LaurentPoly":
+        """The polynomial sum v t^e over a mapping {e: v}; zero values are allowed."""
+        low = min(terms, default=0)
+        coeffs = [dom.zero()] * (max(terms, default=-1) - low + 1)
+        for e, v in terms.items():
+            coeffs[e - low] = v
+        return cls(dom, coeffs, low)
 
     def copy_to(self, dst: Domain) -> "LaurentPoly":
-        return LaurentPoly(dst, {e: convert(v, self.dom, dst) for e, v in self.c.items()})
+        return LaurentPoly(dst, [convert(v, self.dom, dst) for v in self._coeffs], self._low)
 
     # ------------------------------------------------------------- inspection
     def is_zero(self) -> bool:
-        return not self.c
+        return not self._coeffs
 
     def low(self) -> int:
-        return min(self.c)
+        """The lowest exponent (0 for the zero polynomial)."""
+        return self._low
 
     def deg(self) -> int:
-        return max(self.c)
+        """The highest exponent (-1 for the zero polynomial)."""
+        return self._low + len(self._coeffs) - 1
 
-    def __len__(self):
-        return len(self.c)
+    def coeffs(self) -> list:
+        """The stored coefficients of t^low() .. t^deg(); never to be mutated."""
+        return self._coeffs
+
+    def terms(self):
+        """The nonzero (exponent, coefficient) pairs in increasing exponent."""
+        is_zero = self.dom.is_zero
+        return [(e, v) for e, v in enumerate(self._coeffs, self._low) if not is_zero(v)]
 
     def __getitem__(self, e: int):
-        return self.c.get(e, self.dom.zero())
-
-    def coeff_list(self):
-        """Dense coefficient list from t^low to t^deg, with (list, low)."""
-        if not self.c:
-            return [], 0
-        lo, hi = self.low(), self.deg()
-        return [self.c.get(e, self.dom.zero()) for e in range(lo, hi + 1)], lo
+        i = e - self._low
+        return self._coeffs[i] if 0 <= i < len(self._coeffs) else self.dom.zero()
 
     # ------------------------------------------------------------------ rings
     def __add__(self, other: "LaurentPoly") -> "LaurentPoly":
-        d = self.dom
-        c = dict(self.c)
-        for e, v in other.c.items():
-            w = d.add(c.get(e, d.zero()), v)
-            if d.is_zero(w):
-                c.pop(e, None)
-            else:
-                c[e] = w
-        out = LaurentPoly.__new__(LaurentPoly)
-        out.dom, out.c = d, c
-        return out
+        if not self._coeffs or not other._coeffs:
+            return other if not self._coeffs else self
+        a, b = (self, other) if self._low <= other._low else (other, self)
+        d, off = self.dom, b._low - a._low
+        out = list(a._coeffs)
+        out += [d.zero()] * (off + len(b._coeffs) - len(out))
+        for i, v in enumerate(b._coeffs, off):
+            out[i] = d.add(out[i], v)
+        return LaurentPoly(d, out, a._low)
 
     def __neg__(self) -> "LaurentPoly":
-        d = self.dom
-        out = LaurentPoly.__new__(LaurentPoly)
-        out.dom, out.c = d, {e: d.neg(v) for e, v in self.c.items()}
-        return out
+        return LaurentPoly(self.dom, [self.dom.neg(v) for v in self._coeffs], self._low)
 
     def __sub__(self, other: "LaurentPoly") -> "LaurentPoly":
         return self + (-other)
 
     def __mul__(self, other: "LaurentPoly") -> "LaurentPoly":
-        (a, lo_a), (b, lo_b) = self.coeff_list(), other.coeff_list()
-        return LaurentPoly.from_list(self.dom, poly_mul(self.dom, a, b), lo_a + lo_b)
+        return LaurentPoly(self.dom, poly_mul(self.dom, self._coeffs, other._coeffs),
+                           self._low + other._low)
 
     def scale(self, v) -> "LaurentPoly":
         d = self.dom
         v = d.coerce(v) if isinstance(v, (int, Fraction)) else v
-        return LaurentPoly(d, {e: d.mul(w, v) for e, w in self.c.items()})
+        return LaurentPoly(d, poly_mul(d, self._coeffs, [v]), self._low)
 
     def shift(self, k: int) -> "LaurentPoly":
         """Multiply by t^k."""
-        out = LaurentPoly.__new__(LaurentPoly)
-        out.dom, out.c = self.dom, {e + k: v for e, v in self.c.items()}
-        return out
+        return LaurentPoly(self.dom, self._coeffs, self._low + k)
 
     def __eq__(self, other):
         if not isinstance(other, LaurentPoly):
             return NotImplemented
-        if self.c.keys() != other.c.keys():
-            return False
-        return all(self.dom.eq(v, other.c[e]) for e, v in self.c.items())
+        a, b = self._coeffs, other._coeffs
+        return self._low == other._low and len(a) == len(b) and all(map(self.dom.eq, a, b))
 
     def __hash__(self):
-        return hash((self.dom.name, tuple(sorted(self.c))))
+        return hash((self.dom.name, self._low, len(self._coeffs)))
 
     def __repr__(self):
         return f"LaurentPoly({self.dom.name}, {self.to_text()})"
@@ -223,29 +235,28 @@ class LaurentPoly:
     # ------------------------------------------------------------ morphisms
     def subs_neg_t(self) -> "LaurentPoly":
         """t -> -t."""
-        d = self.dom
-        return LaurentPoly(d, {e: (v if e % 2 == 0 else d.neg(v)) for e, v in self.c.items()})
+        d, low = self.dom, self._low
+        return LaurentPoly(d, [d.neg(v) if (low + i) % 2 else v
+                               for i, v in enumerate(self._coeffs)], low)
 
     def evaluate(self, x):
         """Value at t = x (x a domain element; negative exponents need x invertible)."""
         d = self.dom
-        if not self.c:
-            return d.zero()
-        coeffs, lo = self.coeff_list()
         acc = d.zero()
-        for v in reversed(coeffs):
+        for v in reversed(self._coeffs):
             acc = d.add(d.mul(acc, x), v)
-        return d.mul(acc, d.pow(x, lo)) if lo else acc
+        return d.mul(acc, d.pow(x, self._low)) if self._low else acc
 
     def derivative(self) -> "LaurentPoly":
-        d = self.dom
-        return LaurentPoly(d, {e - 1: d.mul(v, d.coerce(e)) for e, v in self.c.items() if e != 0})
+        d, low = self.dom, self._low
+        return LaurentPoly(d, [d.mul(v, d.coerce(low + i)) for i, v in enumerate(self._coeffs)],
+                           low - 1)
 
     def poly_in_power(self, n: int) -> bool:
         """True iff every exponent with nonzero coefficient is divisible by n."""
         if n < 1:
             raise ValueError("n must be >= 1")
-        return all(e % n == 0 for e in self.c)
+        return all(e % n == 0 for e, _ in self.terms())
 
     # ------------------------------------------------------------- division
     def exact_div(self, other: "LaurentPoly") -> "LaurentPoly":
@@ -253,27 +264,21 @@ class LaurentPoly:
 
         Works over any integral domain (see `poly_divmod`).
         """
-        a, slo = self.coeff_list()
-        b, olo = other.coeff_list()
-        q, r = poly_divmod(self.dom, a, b)
+        q, r = poly_divmod(self.dom, self._coeffs, other._coeffs)
         if r:
             raise ExactDivisionError("inexact Laurent polynomial division")
-        return LaurentPoly.from_list(self.dom, q, slo - olo)
+        return LaurentPoly(self.dom, q, self._low - other._low)
 
     def gcd(self, other: "LaurentPoly") -> "LaurentPoly":
         """Monic gcd over a field domain, lowest exponent 0: the polynomial gcd
         of both shifted to exponent 0, where neither has a factor t."""
-        return LaurentPoly.from_list(
-            self.dom, poly_gcd(self.dom, self.coeff_list()[0], other.coeff_list()[0]))
+        return LaurentPoly(self.dom, poly_gcd(self.dom, self._coeffs, other._coeffs))
 
     # ------------------------------------------------------------------ text
     def to_text(self) -> str:
-        if not self.c:
-            return "0"
         d = self.dom
         parts = []
-        for e in sorted(self.c):
-            v = self.c[e]
+        for e, v in self.terms():
             s = d.to_str(v)
             neg = s.startswith("-")
             if neg:
@@ -287,8 +292,10 @@ class LaurentPoly:
                 parts.append(("-" if neg else "") + term)
             else:
                 parts.append(("- " if neg else "+ ") + term)
-        return " ".join(parts)
+        return " ".join(parts) or "0"
 
+
+SPAN_CAP = 10_000  # the widest exponent span parse_poly accepts
 
 _TERM_RE = re.compile(
     r"^(?P<sign>[-+])?(?P<coef>\d+(?:/\d+)?)?"
@@ -297,7 +304,8 @@ _TERM_RE = re.compile(
 
 
 def parse_poly(text: str, dom: Domain = ZZ) -> LaurentPoly:
-    """Parse the canonical polynomial text form."""
+    """Parse the canonical polynomial text form; an exponent span above
+    SPAN_CAP is refused."""
     s = text.strip()
     if not s:
         raise ValueError("empty polynomial text")
@@ -307,7 +315,7 @@ def parse_poly(text: str, dom: Domain = ZZ) -> LaurentPoly:
     s = s.replace(" ", "").replace("^-", "^N").replace("^+", "^")
     s = s.replace("-", "+-")
     chunks = [c for c in s.split("+") if c]
-    out = LaurentPoly.zero(dom)
+    terms = {}
     for chunk in chunks:
         m = _TERM_RE.match(chunk.replace("^N", "^-"))
         if not m or (m.group("coef") is None and m.group("tpart") is None) or (
@@ -319,8 +327,12 @@ def parse_poly(text: str, dom: Domain = ZZ) -> LaurentPoly:
         exp = 0
         if m.group("tpart"):
             exp = int(m.group("exp")) if m.group("exp") else 1
-        out = out + LaurentPoly(dom, {exp: dom.coerce(cval)})
-    return out
+        v = dom.coerce(cval)
+        terms[exp] = dom.add(terms[exp], v) if exp in terms else v
+    if max(terms) - min(terms) > SPAN_CAP:
+        raise ValueError(f"polynomial text spans exponents {min(terms)}..{max(terms)}, "
+                         f"wider than the cap SPAN_CAP = {SPAN_CAP}")
+    return LaurentPoly.from_terms(dom, terms)
 
 
 class RationalFunction:
@@ -340,14 +352,14 @@ class RationalFunction:
             raise TypeError("RationalFunction needs a field coefficient domain")
         if reduce and not num.is_zero():
             g = num.gcd(den)
-            if len(g) > 1 or g.low() != 0:
+            if g.deg() > 0:  # g has lowest exponent 0
                 num = num.exact_div(g)
                 den = den.exact_div(g)
         lo = den.low()
         if lo:
             den = den.shift(-lo)
             num = num.shift(-lo)
-        lead = den.c[den.deg()]
+        lead = den[den.deg()]
         if not dom.eq(lead, dom.one()):
             num = num.scale(dom.inv(lead))
             den = den.scale(dom.inv(lead))

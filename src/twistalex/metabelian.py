@@ -29,7 +29,7 @@ from dataclasses import dataclass, field
 from itertools import chain, product as iproduct
 from math import gcd, lcm
 
-from .cyclo import CYC, cyclotomic_polynomial
+from .cyclo import CYC, _euler_phi, cyclotomic_polynomial
 from .domains import GF, ZZ, ExactDivisionError, is_prime
 from .fox import alexander_fox_matrix, alexander_reduced_matrix
 from .laurent import LaurentPoly
@@ -89,7 +89,7 @@ class SeifertData:
         n = self.genus2
         rows = tuple(
             tuple(
-                LaurentPoly(ZZ, {1: self.v[i][j], 0: -self.v[j][i]})
+                LaurentPoly(ZZ, [-self.v[j][i], self.v[i][j]])
                 for j in range(n)
             )
             for i in range(n)
@@ -178,10 +178,8 @@ def alexander_polynomial(src) -> LaurentPoly:
 
 
 def normalize_integer_poly(f: LaurentPoly) -> LaurentPoly:
-    if f.is_zero():
-        return f
     f = f.shift(-f.low())
-    if f.c[0] < 0:
+    if f[0] < 0:
         f = -f
     return f
 
@@ -258,7 +256,7 @@ def _companion_blowup(mp: ModulePresentation, k: int):
     for i in range(r):
         for j in range(r):
             f = mp.matrix[i][j]
-            for e, v in f.c.items():
+            for e, v in enumerate(f.coeffs(), f.low()):
                 for l in range(k):
                     # t^(l+e) v_j coefficient of the column t^l rho_i
                     out[j * k + (l + e) % k][i * k + l] += v
@@ -317,10 +315,8 @@ def branched_cover_homology(src, k: int) -> FiniteQuotientModule:
 
 def order_from_alexander(delta: LaurentPoly, k: int) -> int:
     """|H/(t^k - 1)| = |Res(Delta, t^k - 1)|; 0 signals an infinite quotient."""
-    f = delta.shift(-delta.low())
-    coeffs, _ = f.coeff_list()
     tk = [-1] + [0] * (k - 1) + [1]
-    return abs(resultant(coeffs, tk))
+    return abs(resultant(delta.coeffs(), tk))
 
 
 # ----------------------------------------------------------------- characters
@@ -501,9 +497,12 @@ def apn_field(n: int, p0: int):
     """A_{p0,n} = F_p0[t]/(phi_n) as (degree, companion matrix columns)."""
     if gcd(n, p0) != 1:
         raise ValueError("n and p0 must be coprime")
-    phi = cyclotomic_polynomial(n)
-    coeffs, _ = phi.coeff_list()
-    cm = [c % p0 for c in coeffs]
+    # |A| = p0^phi(n) and phi(n) >= sqrt(n / 2): a large n is refused without
+    # factoring it, and no power of a large phi(n) is formed
+    bits = _ENUM_CAP.bit_length()
+    if n > 2 * bits**2 or p0 ** min(_euler_phi(n), bits) > _ENUM_CAP:
+        raise ValueError(f"A_{{{p0},{n}}} has {p0}^phi({n}) elements, above the cap {_ENUM_CAP}")
+    cm = [c % p0 for c in cyclotomic_polynomial(n).coeffs()]
     d = len(cm) - 1
     # companion matrix of phi_n mod p0: t * e_i = e_{i+1}, t*e_{d-1} = -phi tail
     comp = [[0] * d for _ in range(d)]
@@ -563,7 +562,7 @@ def _kernel_epis(pres: KnotPresentation, p0: int, comp, order: int):
         blocks = []
         for f in r:
             cls = [0] * order
-            for e, c in f.c.items():
+            for e, c in f.terms():
                 cls[e % order] += c
             blocks.append(zero if f.is_zero() else _apn_mul_matrix(cls, comp, p0))
         rows.extend([x for b in blocks for x in b[i]] for i in range(d))

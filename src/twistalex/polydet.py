@@ -204,12 +204,12 @@ def _det_multimodular(rows, dom: Domain) -> LaurentPoly:
     cyclo = isinstance(dom, CyclotomicField)
     m = dom.m if cyclo else 1
     phi = dom.degree if cyclo else 1
-    # each row's (column, exponent, (numerators, den)) terms and lowest
-    # exponent; a rational v is the one numerator v.numerator
+    # each row's (column, exponent, (numerators, den)) terms over each entry's
+    # span and lowest exponent; a rational v is the one numerator v.numerator
     rows_terms, shift = [], 0
     for row in rows:
         terms = [(j, e, v if cyclo else ((v.numerator,), v.denominator))
-                 for j, f in enumerate(row) for e, v in f.c.items()]
+                 for j, f in enumerate(row) for e, v in enumerate(f.coeffs(), f.low())]
         if not terms:
             return LaurentPoly.zero(dom)  # a zero row
         lo = min(e for _, e, _ in terms)
@@ -241,16 +241,13 @@ def _det_multimodular(rows, dom: Domain) -> LaurentPoly:
         if mod > 2 * bound + 1:
             break
     x[x > mod // 2] -= mod
-    coeffs = {}
-    for d, xs in enumerate(x.tolist()):
-        if any(xs):
-            coeffs[d] = _normal(xs, scale) if cyclo else dom.coerce(Fraction(xs[0], scale))
-    return LaurentPoly(dom, coeffs).shift(shift)
+    return LaurentPoly(dom, [_normal(xs, scale) if cyclo else dom.coerce(Fraction(xs[0], scale))
+                             for xs in x.tolist()], shift)
 
 
 def det_matrix(a, dom: Domain):
     """Exact determinant of a square matrix of dom elements."""
-    return _det_multimodular([[LaurentPoly(dom, {0: x}) for x in row] for row in a], dom)[0]
+    return _det_multimodular([[LaurentPoly(dom, [x]) for x in row] for row in a], dom)[0]
 
 
 def det_poly_matrix(rows, dom: Domain) -> LaurentPoly:

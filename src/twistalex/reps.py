@@ -100,7 +100,7 @@ class Representation:
         generate the det subgroup.  Computed once: images never change."""
         if self._dets is None:
             self._dets = tuple(img.det(self.dom) if isinstance(img, Monomial)
-                               else _dense_det(self.dom, img)
+                               else det_matrix(img, self.dom)
                                for img in map(self.images.get, sorted(self.images)))
         return self._dets
 
@@ -130,10 +130,6 @@ class Representation:
             else:
                 images[g] = mat_convert(img, self.dom, dst)
         return Representation(self.dim, dst, images, self.pres, label=self.label, check=False)
-
-
-def _dense_det(dom: Domain, m: Dense):
-    return det_matrix(m, dom)
 
 
 # ------------------------------------------------------- simple constructors

@@ -131,8 +131,8 @@ def wada_invariant(pres: KnotPresentation, rep, column: int | None = None) -> Tw
     def denominator_for(j: int) -> LaurentPoly:
         # I - rho(g_j) t^phi_j, with phi_j != 0
         img = to_dense(dom, rep.image_of_gen(j, 1))
-        block = [[LaurentPoly(dom, {0: dom.one() if a == b else dom.zero(),
-                                    pres.phi[j]: dom.neg(img[a][b])})
+        block = [[LaurentPoly.from_terms(dom, {0: dom.one() if a == b else dom.zero(),
+                                               pres.phi[j]: dom.neg(img[a][b])})
                   for b in range(n)] for a in range(n)]
         return det_poly_matrix(block, dom)
 
@@ -171,19 +171,12 @@ def _scalar_ratio(dom: Domain, p: LaurentPoly, q: LaurentPoly):
         return dom.one()
     if p.is_zero() or q.is_zero():
         return None
-    lp, lq = p.low(), q.low()
-    p = p.shift(-lp)
-    q = q.shift(-lq)
-    if p.c.keys() != q.c.keys():
-        return None
+    p, q = p.shift(-p.low()), q.shift(-q.low())
     try:
-        c = dom.div(p.c[0], q.c[0])
+        c = dom.div(p[0], q[0])
     except (ExactDivisionError, ZeroDivisionError):
         return None
-    for e, v in p.c.items():
-        if not dom.eq(v, dom.mul(c, q.c[e])):
-            return None
-    return c
+    return c if q.scale(c) == p else None
 
 
 def doteq_equal(a: TwistedPolynomial, b: TwistedPolynomial) -> bool:
@@ -209,7 +202,7 @@ def canonical_pair(value: RationalFunction, units) -> tuple[LaurentPoly, Laurent
     and normalized by the lexicographically least unit multiple."""
     dom = value.dom
     num, den = value.num, value.den
-    den = den.shift(-den.low()) if not den.is_zero() else den
+    den = den.shift(-den.low())
     if num.is_zero():
         return num, den
     num = num.shift(-num.low())
@@ -218,8 +211,8 @@ def canonical_pair(value: RationalFunction, units) -> tuple[LaurentPoly, Laurent
     for u in units:
         for sgn in (dom.one(), dom.neg(dom.one())):
             cand = num.scale(dom.mul(u, sgn))
-            positive = dom.sort_key(cand.c[0]) > zero_key
-            key = (not positive, tuple(dom.sort_key(cand[e]) for e in range(num.deg() + 1)))
+            positive = dom.sort_key(cand[0]) > zero_key
+            key = (not positive, tuple(map(dom.sort_key, cand.coeffs())))
             if best is None or key < best[0]:
                 best = (key, cand)
     return best[1], den

@@ -198,9 +198,9 @@ def test_criterion_6_column_and_conjugation_invariance():
                 while True:
                     pm = tuple(tuple(dom.coerce(rng.randint(-2, 2)) for _ in range(n))
                                for _ in range(n))
-                    from twistalex.reps import _dense_det
+                    from twistalex.polydet import det_matrix
 
-                    if not dom.is_zero(_dense_det(dom, pm)):
+                    if not dom.is_zero(det_matrix(pm, dom)):
                         break
                 conj = dense.conjugate(pm)
                 tw = wada_invariant(pres, conj)
@@ -235,8 +235,10 @@ def test_criterion_7_sum_and_modp():
         twp = wada_invariant(pres, rep_mod_p(a, p))
         dom = GF(p)
         twq = wada_invariant(pres, a)
-        num_red = LaurentPoly(dom, {e: dom.coerce(v) for e, v in twq.value.num.c.items()})
-        den_red = LaurentPoly(dom, {e: dom.coerce(v) for e, v in twq.value.den.c.items()})
+        num_red = LaurentPoly.from_terms(
+            dom, {e: dom.coerce(v) for e, v in twq.value.num.terms()})
+        den_red = LaurentPoly.from_terms(
+            dom, {e: dom.coerce(v) for e, v in twq.value.den.terms()})
         reduced = TwistedPolynomial(RationalFunction(num_red, den_red),
                                     twp.det_subgroup, twq.column)
         if not doteq_equal(twp, reduced):

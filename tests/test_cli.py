@@ -251,6 +251,33 @@ def test_cyclotomic_field_above_the_degree_cap_is_refused(capsys):
             f"error: Q(zeta_{m}) has degree phi({m}) above the cap PHI_CAP = 1024\n"), argv
 
 
+def test_polynomial_text_above_the_span_cap_is_refused(capsys):
+    # the exponent span is read off the parsed terms before a coefficient
+    # list is built, so t^(10^7) is refused at once
+    code, out, err = run(capsys, "satellite", "--knot", "3_1", "--rep", "trivial",
+                         "--companion-delta", f"1 - t + t^{10**7}", "--eigenvalues", "1")
+    assert (code, out, err) == (2, "", "error: polynomial text spans exponents 0..10000000, "
+                                       "wider than the cap SPAN_CAP = 10000\n")
+
+
+@pytest.mark.parametrize("argv", [
+    ("conj-a", "--knot", "3_1", "--n", "1000000007", "--p", "2"),
+    ("twisted", "--knot", "3_1", "--rep", "gamma:p=2:n=1000000007"),
+    ("twisted", "--knot", "3_1", "--rep", "gamma:p=2:n=1000000007:a=0,1,1"),
+])
+def test_apn_above_the_enumeration_cap_is_refused_before_phi_n(capsys, monkeypatch, argv):
+    # |A_{p,n}| = p^phi(n) is checked before Phi_n is computed, whose first
+    # step would build t^n - 1 with n + 1 coefficients
+    from twistalex import metabelian
+
+    calls = []
+    monkeypatch.setattr(metabelian, "cyclotomic_polynomial", calls.append)
+    code, out, err = run(capsys, *argv)
+    assert (code, out, err) == (2, "", "error: A_{2,1000000007} has 2^phi(1000000007) "
+                                       "elements, above the cap 500000\n")
+    assert calls == []
+
+
 @pytest.mark.parametrize("entry", ["a=x", "a"])
 def test_phi_value_that_is_no_integer_names_its_generator(tmp_path, capsys, entry):
     pres = tmp_path / "bad.pres"

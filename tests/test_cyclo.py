@@ -118,15 +118,13 @@ def test_galois_product_equals_resultant():
             if gcd(k, m) == 1:
                 acc = F.mul(acc, evaluate_at_root_of_unity(d930, m, k))
         val = F.rational_value(acc)
-        coeffs, _ = d930.coeff_list()
-        phi_coeffs, _ = cyclotomic_polynomial(m).coeff_list()
-        res = resultant(coeffs, phi_coeffs)
+        res = resultant(d930.coeffs(), cyclotomic_polynomial(m).coeffs())
         assert abs(val) == abs(res)
 
 
 def _schoolbook(F, a, b):
     """a * b by a Fraction convolution, reduced by long division by Phi_m."""
-    phi, _ = cyclotomic_polynomial(F.m).coeff_list()
+    phi = cyclotomic_polynomial(F.m).coeffs()
     d = F.degree
     prod = [Fraction(0)] * (2 * d - 1)
     for i, x in enumerate(F.coords(a)):
@@ -218,7 +216,7 @@ def test_roots_of_unity_invert_by_table(monkeypatch):
     monkeypatch.setattr(cyclo, "poly_invmod", counted)
     for m in range(1, 61):
         F = CYC(m)
-        phi = [Fraction(c) for c in cyclotomic_polynomial(m).coeff_list()[0]]
+        phi = [Fraction(c) for c in cyclotomic_polynomial(m).coeffs()]
         for k in range(m):
             for u in (F.zeta(k), F.neg(F.zeta(k))):
                 got = F.inv(u)

@@ -47,7 +47,7 @@ class _ReferenceCyclotomicField(Domain):
         self.name = f"Q(zeta_{m})"
         phi = cyclotomic_polynomial(m)
         self.degree = phi.deg()
-        coeffs, _ = phi.coeff_list()
+        coeffs = phi.coeffs()
         self._phi = [Fraction(v) for v in coeffs]
         # reduction table: x^(deg+j) in the power basis.  Phi_m is monic, so
         # the entries are integers; each row keeps its nonzero (i, c) pairs.

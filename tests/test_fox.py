@@ -46,7 +46,7 @@ def _expected_block(rep, pres, terms):
         img, e = _image(rep, w), words.exponent_sum(w, pres.phi)
         for a in range(n):
             for b in range(n):
-                term = LaurentPoly(dom, {e: dom.mul(dom.coerce(c), img[a][b])})
+                term = LaurentPoly.from_terms(dom, {e: dom.mul(dom.coerce(c), img[a][b])})
                 cells[a][b] = cells[a][b] + term
     return cells
 
@@ -84,8 +84,8 @@ def _assert_fundamental_formula(pres, rep):
         total = [[LaurentPoly.zero(dom) for _ in range(n)] for _ in range(n)]
         for j in range(pres.generator_count):
             img = _image(rep, W((j, 1)))
-            step = [[LaurentPoly(dom, {pres.phi[j]: img[c][b]}) - LaurentPoly(
-                dom, {0: dom.one() if c == b else dom.zero()}) for b in range(n)]
+            step = [[LaurentPoly.from_terms(dom, {pres.phi[j]: img[c][b]}) - LaurentPoly(
+                dom, [dom.one() if c == b else dom.zero()]) for b in range(n)]
                 for c in range(n)]
             block = _block(fox[i:i + n], j, n)
             for a in range(n):
@@ -190,7 +190,7 @@ def test_product_rule():
             for col in range(2 * n):
                 rhs = su[a][col]
                 for c in range(n):
-                    rhs = rhs + LaurentPoly(dom, {e: img[a][c]}) * sv[c][col]
+                    rhs = rhs + LaurentPoly.from_terms(dom, {e: img[a][c]}) * sv[c][col]
                 assert suv[a][col] == rhs, (u, v)
 
 

@@ -65,7 +65,7 @@ def test_alexander_matrix_matches_fox():
             assert len(row) == pres.generator_count
             total = LaurentPoly.zero(ZZ)
             for j, f in enumerate(row):
-                total = total + f * LaurentPoly(ZZ, {pres.phi[j]: 1, 0: -1})
+                total = total + f * LaurentPoly.from_terms(ZZ, {pres.phi[j]: 1, 0: -1})
                 assert f.evaluate(1) == sum(e for g, e in r if g == j), pres
             assert total.is_zero(), pres
 
@@ -420,6 +420,14 @@ def normalize_by_group_law(solutions, p, T):
         moved = [tuple((x - y) % p for x, y in zip(ai, a[0])) for ai in a]
         out.add(min(tuple(_act(mat, ai, p) for ai in moved) for mat in units))
     return out
+
+
+def test_apn_field_is_refused_above_the_enumeration_cap():
+    # |A_{2,19}| = 2^18 is below _ENUM_CAP and 2^22 = |A_{2,23}| above it
+    assert apn_field(19, 2)[0] == 18
+    with pytest.raises(ValueError, match=r"^A_\{2,23\} has 2\^phi\(23\) elements, "
+                                         r"above the cap 500000$"):
+        apn_field(23, 2)
 
 
 def _dihedral_colors(pres, p):

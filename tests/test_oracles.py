@@ -82,8 +82,8 @@ def _dual_and_conjugate(tw):
     dom = tw.dom
 
     def both(f):
-        return (LaurentPoly(dom, {-e: v for e, v in f.c.items()}),
-                LaurentPoly(dom, {e: _galois_conjugate(dom, v) for e, v in f.c.items()}))
+        return (LaurentPoly.from_terms(dom, {-e: v for e, v in f.terms()}),
+                LaurentPoly.from_terms(dom, {e: _galois_conjugate(dom, v) for e, v in f.terms()}))
 
     (num_d, num_c), (den_d, den_c) = both(tw.value.num), both(tw.value.den)
     return (TwistedPolynomial(RationalFunction(num_d, den_d), tw.det_subgroup, tw.column),

@@ -8,13 +8,12 @@ from twistalex.cyclo import CYC, CyclotomicField
 from twistalex.domains import GF, QQ, ZZ, Domain, is_prime
 from twistalex.laurent import LaurentPoly, parse_poly
 from twistalex import polydet
-from twistalex.polydet import det_cofactor, det_poly_matrix
-from twistalex.reps import _dense_det
+from twistalex.polydet import det_cofactor, det_matrix, det_poly_matrix
 from twistalex.snf import _det_int
 
 
 def rand_zz(rng, span=(-2, 3), cmax=4):
-    return LaurentPoly(ZZ, {e: rng.randint(-cmax, cmax) for e in range(*span)})
+    return LaurentPoly.from_terms(ZZ, {e: rng.randint(-cmax, cmax) for e in range(*span)})
 
 
 def test_one_by_one():
@@ -28,7 +27,8 @@ def test_empty_matrix():
 
 def test_trefoil_seifert_det():
     v = ((-1, 0), (-1, -1))
-    rows = [[LaurentPoly(ZZ, {0: v[i][j], 1: -v[j][i]}) for j in range(2)] for i in range(2)]
+    rows = [[LaurentPoly.from_terms(ZZ, {0: v[i][j], 1: -v[j][i]}) for j in range(2)]
+            for i in range(2)]
     assert det_poly_matrix(rows, ZZ) == parse_poly("1 - t + t^2")
 
 
@@ -44,7 +44,7 @@ def test_cofactor_agreement_gf7():
     F = GF(7)
     rng = random.Random(77)
     for _ in range(10):
-        rows = [[LaurentPoly(F, {e: rng.randint(0, 6) for e in range(2)})
+        rows = [[LaurentPoly.from_terms(F, {e: rng.randint(0, 6) for e in range(2)})
                  for _ in range(4)] for _ in range(4)]
         assert det_poly_matrix(rows, F) == det_cofactor(rows, F)
 
@@ -52,8 +52,8 @@ def test_cofactor_agreement_gf7():
 def test_cofactor_agreement_qq():
     rng = random.Random(13)
     for _ in range(8):
-        rows = [[LaurentPoly(QQ, {e: Fraction(rng.randint(-4, 4), rng.randint(1, 3))
-                                  for e in range(-1, 2)})
+        rows = [[LaurentPoly.from_terms(QQ, {e: Fraction(rng.randint(-4, 4), rng.randint(1, 3))
+                                             for e in range(-1, 2)})
                  for _ in range(3)] for _ in range(3)]
         assert det_poly_matrix(rows, QQ) == det_cofactor(rows, QQ)
 
@@ -70,7 +70,7 @@ def test_cofactor_agreement_cyclo():
                 for e in range(2):
                     c[e] = F.zeta(rng.randint(0, 3)) if rng.random() < 0.6 else \
                         F.coerce(rng.randint(-2, 2))
-                row.append(LaurentPoly(F, c))
+                row.append(LaurentPoly.from_terms(F, c))
             rows.append(row)
         assert det_poly_matrix(rows, F) == det_cofactor(rows, F)
 
@@ -121,7 +121,7 @@ def test_huge_coefficients_need_multiple_primes():
     # entries far beyond one word-size prime: CRT must recover exactly
     rng = random.Random(31337)
     big = 10**14
-    rows = [[LaurentPoly(ZZ, {e: rng.randint(-big, big) for e in range(2)})
+    rows = [[LaurentPoly.from_terms(ZZ, {e: rng.randint(-big, big) for e in range(2)})
              for _ in range(3)] for _ in range(3)]
     assert det_poly_matrix(rows, ZZ) == det_cofactor(rows, ZZ)
 
@@ -158,8 +158,8 @@ def _rand_coeff(rng, dom, cmax=3, fractional=True):
 
 
 def _rand_matrix(rng, dom, n, span=(-1, 2), **kw):
-    return [[LaurentPoly(dom, {e: dom.coerce(_rand_coeff(rng, dom, **kw)) for e in range(*span)
-                               if rng.random() < 0.7})
+    return [[LaurentPoly.from_terms(dom, {e: dom.coerce(_rand_coeff(rng, dom, **kw))
+                                          for e in range(*span) if rng.random() < 0.7})
              for _ in range(n)] for _ in range(n)]
 
 
@@ -190,7 +190,7 @@ def test_multimodular_engine_degenerate_inputs(m):
     assert det_poly_matrix(rows, dom).is_zero()
     # an identically zero determinant: row 2 = c * t^-1 * row 0 + row 1
     rows = _rand_matrix(rng, dom, 4)
-    c = LaurentPoly(dom, {-1: dom.coerce(_rand_coeff(rng, dom))})
+    c = LaurentPoly.from_terms(dom, {-1: dom.coerce(_rand_coeff(rng, dom))})
     rows[2] = [c * a + b for a, b in zip(rows[0], rows[1])]
     assert det_poly_matrix(rows, dom).is_zero()
     assert det_cofactor(rows, dom).is_zero()
@@ -213,7 +213,7 @@ def _row_norm_product(rows, dom):
     """H = prod over rows of the summed l1-norms of the coefficient coordinates."""
     h = 1
     for row in rows:
-        h *= sum(abs(x) for f in row for v in f.c.values() for x in _coords(dom, v))
+        h *= sum(abs(x) for f in row for _, v in f.terms() for x in _coords(dom, v))
     return h
 
 
@@ -231,7 +231,7 @@ def test_coordinate_bound_holds(m):
     for n in (2, 3, 4):
         rows = _rand_matrix(rng, dom, n, span=(0, 2), cmax=5, fractional=False)
         d = det_cofactor(rows, dom)
-        biggest = max((abs(x) for v in d.c.values() for x in _coords(dom, v)), default=0)
+        biggest = max((abs(x) for _, v in d.terms() for x in _coords(dom, v)), default=0)
         assert biggest <= cm * _row_norm_product(rows, dom), (m, n)
 
 
@@ -240,10 +240,10 @@ def test_large_coefficients_take_the_primes_the_bound_implies(m, monkeypatch):
     dom = ZZ if m == 1 else CYC(m)
     rng = random.Random(777 + m)
     big = 10**9
-    rows = [[LaurentPoly(dom, {e: (rng.randint(-big, big) if dom is ZZ else
-                                   dom.coerce(tuple(Fraction(rng.randint(-big, big))
-                                                    for _ in range(dom.degree))))
-                               for e in range(2)})
+    rows = [[LaurentPoly.from_terms(dom, {e: (rng.randint(-big, big) if dom is ZZ else
+                                              dom.coerce(tuple(Fraction(rng.randint(-big, big))
+                                                               for _ in range(dom.degree))))
+                                          for e in range(2)})
              for _ in range(3)] for _ in range(3)]
     need = 2 * polydet._coordinate_bound(m) * _row_norm_product(rows, dom) + 1
     step = 2 * m if m % 2 else m  # primes q = 1 (mod lcm(2, m)), descending
@@ -277,5 +277,5 @@ def test_dense_det_matches_cofactor(dom):
 
     for n in range(6):
         a = [tuple(entry() for _ in range(n)) for _ in range(n)]
-        want = det_cofactor([[LaurentPoly(dom, {0: x}) for x in row] for row in a], dom)
-        assert dom.eq(_dense_det(dom, a), want[0]), (dom, n)
+        want = det_cofactor([[LaurentPoly.from_terms(dom, {0: x}) for x in row] for row in a], dom)
+        assert dom.eq(det_matrix(a, dom), want[0]), (dom, n)

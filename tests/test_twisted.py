@@ -54,8 +54,9 @@ def test_lemma_onedim_root_of_unity():
     z = F.zeta(1)
     tw = wada_invariant(pres, rep_onedim(pres, z, F))
     delta = alexander_polynomial(pres).copy_to(F)
-    num = LaurentPoly(F, {e: F.mul(v, F.pow(z, e)) for e, v in delta.c.items()})  # Delta(z t)
-    den = LaurentPoly(F, {0: F.one(), 1: F.neg(z)})
+    # Delta(z t)
+    num = LaurentPoly.from_terms(F, {e: F.mul(v, F.pow(z, e)) for e, v in delta.terms()})
+    den = LaurentPoly.from_terms(F, {0: F.one(), 1: F.neg(z)})
     target = TwistedPolynomial(RationalFunction(num, den), tw.det_subgroup, tw.column)
     assert doteq_equal(tw, target)
 
@@ -145,9 +146,9 @@ def test_conjugation_invariance():
         while True:
             p = tuple(tuple(Fraction(rng.randint(-2, 2)) for _ in range(3))
                       for _ in range(3))
-            from twistalex.reps import _dense_det
+            from twistalex.polydet import det_matrix
 
-            if _dense_det(QQ, p) != 0:
+            if det_matrix(p, QQ) != 0:
                 break
         conj = rep.conjugate(p)
         other = wada_invariant(pres, conj)
@@ -176,8 +177,10 @@ def test_mod_p_commutation():
         tw_q = wada_invariant(pres, rep)       # over QQ
         tw_p = wada_invariant(pres, rep_mod_p(rep, p))
         dom = GF(p)
-        num_red = LaurentPoly(dom, {e: dom.coerce(v) for e, v in tw_q.value.num.c.items()})
-        den_red = LaurentPoly(dom, {e: dom.coerce(v) for e, v in tw_q.value.den.c.items()})
+        num_red = LaurentPoly.from_terms(
+            dom, {e: dom.coerce(v) for e, v in tw_q.value.num.terms()})
+        den_red = LaurentPoly.from_terms(
+            dom, {e: dom.coerce(v) for e, v in tw_q.value.den.terms()})
         reduced = TwistedPolynomial(RationalFunction(num_red, den_red),
                                     tw_p.det_subgroup, tw_q.column)
         assert doteq_equal(tw_p, reduced)

@@ -54,8 +54,8 @@ def _reference_value(pres, rep, column):
     dom, n = rep.dom, rep.dim
     field = dom if dom.is_field else QQ
     img = to_dense(dom, rep.image_of_gen(column, 1))
-    block = [[LaurentPoly(dom, {0: dom.one() if a == b else dom.zero(),
-                                pres.phi[column]: dom.neg(img[a][b])})
+    block = [[LaurentPoly.from_terms(dom, {0: dom.one() if a == b else dom.zero(),
+                                           pres.phi[column]: dom.neg(img[a][b])})
               for b in range(n)] for a in range(n)]
     num = _reference_wada_numerator(pres, rep, column)
     den = det_poly_matrix(block, dom)
@@ -164,7 +164,7 @@ def test_unit_carries_sign_and_determinant():
     assert {pres.relators[ri][1][1] for ri, _, _ in pivots} == {1, -1}
     _assert_every_column(pres, rep)
     rows, unit = reduced_fox_matrix(rep, pres, 0, rep.det_image_generators())
-    assert len(rows) < 3 * (pres.generator_count - 1) and len(unit) == 1
+    assert len(rows) < 3 * (pres.generator_count - 1) and unit.low() == unit.deg()
 
 
 _braids = st.integers(2, 5).flatmap(lambda s: st.tuples(
@@ -200,7 +200,7 @@ def _full_minor_alexander(pres):
     col = deleted_column(pres)
     minor = [list(row[:col] + row[col + 1:]) for row in alexander_fox_matrix(pres)]
     d = det_poly_matrix(minor, ZZ)
-    cofactor = LaurentPoly(ZZ, {j: 1 for j in range(abs(pres.phi[col]))})
+    cofactor = LaurentPoly.from_terms(ZZ, {j: 1 for j in range(abs(pres.phi[col]))})
     return normalize_integer_poly(d.exact_div(cofactor))
 
 
