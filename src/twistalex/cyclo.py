@@ -7,9 +7,10 @@ structural.  Only this module and the determinant engine read the layout;
 every other module uses the field's methods.  Roots of unity never degrade
 to floats.  Products run on the numerators: `_integral_dot` convolves a sum
 of products over one common denominator and reduces once with the integer
-table of Phi_m (monic).  zeta^k is reduced mod Phi_m on demand; ±zeta^k
-invert by a table the first `inv` builds, anything else by the polynomial
-kernel (`laurent.poly_invmod`).  A field with phi(m) > PHI_CAP is refused
+table of Phi_m (monic).  zeta^k is reduced mod Phi_m on demand.  A
+rational inverts by one integer division, ±zeta^k by a table the first
+non-rational `inv` builds, anything else by the polynomial kernel
+(`laurent.poly_invmod`).  A field with phi(m) > PHI_CAP is refused
 before Phi_m is computed.
 """
 from __future__ import annotations
@@ -23,18 +24,22 @@ from .laurent import LaurentPoly, poly_divmod, poly_invmod, poly_trim
 from . import domains
 
 
-def _euler_phi(n: int) -> int:
-    out, k = n, n
-    p = 2
-    while p * p <= k:
-        if k % p == 0:
-            while k % p == 0:
-                k //= p
-            out -= out // p
+def _prime_factors(n: int) -> list[int]:
+    """The distinct prime factors of n >= 1, by trial division."""
+    out, p = [], 2
+    while p * p <= n:
+        if n % p == 0:
+            out.append(p)
+            while n % p == 0:
+                n //= p
         p += 1
-    if k > 1:
-        out -= out // k
-    return out
+    return out + [n] if n > 1 else out
+
+
+def _euler_phi(n: int) -> int:
+    for p in _prime_factors(n):
+        n -= n // p
+    return n
 
 
 @lru_cache(maxsize=None)
@@ -57,15 +62,17 @@ def multiplicative_order(a: int, n: int) -> int:
         return 1
     if gcd(a, n) != 1:
         raise ValueError(f"{a} is not a unit mod {n}")
-    k, x = 1, a % n
-    while x != 1:
-        x = x * a % n
-        k += 1
+    # the order divides phi(n): strip each prime q of phi(n) while a^(k/q) = 1
+    k = _euler_phi(n)
+    for q in _prime_factors(k):
+        while k % q == 0 and pow(a, k // q, n) == 1:
+            k //= q
     return k
 
 
 def is_cyclotomic_irreducible_mod_p(n: int, p: int) -> bool:
-    """True iff Phi_n is irreducible over F_p; equivalent to ord_n(p) = phi(n)."""
+    """True iff Phi_n is irreducible over F_p; equivalent to ord_n(p) = phi(n),
+    that is p^(phi(n)/q) != 1 (mod n) for every prime q | phi(n)."""
     if gcd(n, p) != 1:
         raise ValueError(f"gcd({n},{p}) != 1")
     if n == 1:
@@ -204,8 +211,13 @@ class CyclotomicField(Domain):
         return a == b
 
     def inv(self, a):
-        """a^-1: a root of unity ±zeta^k from the table, anything else by
-        the polynomial kernel, a^-1 mod Phi_m over QQ."""
+        """a^-1: a rational by one integer division, a root of unity ±zeta^k
+        from the table, anything else by the polynomial kernel, a^-1 mod
+        Phi_m over QQ."""
+        if self.is_rational(a):
+            if not a[0][0]:
+                raise ZeroDivisionError(f"division by zero in {self.name}")
+            return self.from_rational(Fraction(a[1], a[0][0]))
         if self._unit_inv is None:  # ±zeta^k -> ±zeta^-k, at most 2m entries
             pows, z = [self.one()], self.zeta(1)
             for _ in range(self.m - 1):
@@ -215,8 +227,6 @@ class CyclotomicField(Domain):
         unit = self._unit_inv.get(a)
         if unit is not None:
             return unit
-        if self.is_zero(a):
-            raise ZeroDivisionError(f"division by zero in {self.name}")
         nums, den = a
         s = poly_invmod(domains.QQ, poly_trim(domains.QQ, list(nums)), self._phi)
         return self.scale(self.coerce(tuple(s + [0] * (self.degree - len(s)))), den)

@@ -8,7 +8,9 @@ Dense matrices appear only after conjugation by arbitrary change of basis.
 
 The package's one field echelon kernel (rref, with nullspace and the field
 inverse built on it) lives here.  Dense determinants go through
-polydet.det_matrix, the package's one determinant engine.
+polydet.det_matrix (the multimodular engine).  A monomial matrix's
+determinant, and det(I - M t^e) as a product over the cycles of its
+permutation (`Monomial.cycle_products`), are read off in closed form.
 """
 from __future__ import annotations
 
@@ -163,6 +165,19 @@ class Monomial:
             acc = dom.mul(acc, s)
         return acc
 
+    def cycle_products(self, dom: Domain):
+        """(length L, product P of the scales) per cycle of perm, least index
+        first.  Up to a permutation M is block diagonal with one L x L block
+        per cycle, so det(I - M x) = prod (1 - P x^L): the closed form of a
+        Wada denominator."""
+        out = []
+        for cycle in _cycles(self.perm):
+            acc = dom.one()
+            for j in cycle:
+                acc = dom.mul(acc, self.scales[j])
+            out.append((len(cycle), acc))
+        return out
+
     def is_identity(self, dom: Domain) -> bool:
         return all(p == j for j, p in enumerate(self.perm)) and all(
             dom.eq(s, dom.one()) for s in self.scales
@@ -194,20 +209,21 @@ class Monomial:
         return Monomial(self.perm, tuple(convert(s, src, dst) for s in self.scales))
 
 
-def perm_sign(perm) -> int:
+def _cycles(perm):
+    """The cycles of a permutation as index lists, each from its least index."""
     seen = [False] * len(perm)
-    sign = 1
     for i in range(len(perm)):
-        if seen[i]:
-            continue
-        j, clen = i, 0
+        cycle, j = [], i
         while not seen[j]:
             seen[j] = True
+            cycle.append(j)
             j = perm[j]
-            clen += 1
-        if clen % 2 == 0:
-            sign = -sign
-    return sign
+        if cycle:
+            yield cycle
+
+
+def perm_sign(perm) -> int:
+    return -1 if sum(len(c) - 1 for c in _cycles(perm)) % 2 else 1
 
 
 def as_monomial(dom: Domain, m) -> Monomial | None:

@@ -25,9 +25,10 @@ coloring).
 """
 from __future__ import annotations
 
+from collections.abc import Sequence
 from dataclasses import dataclass, field
 from itertools import chain, product as iproduct
-from math import gcd, lcm
+from math import gcd, lcm, prod
 
 from .cyclo import CYC, _euler_phi, cyclotomic_polynomial
 from .domains import GF, ZZ, ExactDivisionError, is_prime
@@ -384,23 +385,46 @@ class Character:
                     if n % s == 0 and all(row[s:] + row[:s] == row for row in base))
 
 
-def characters_of_quotient(q: FiniteQuotientModule, m: int):
-    """All homomorphisms from the finite quotient to mu_m, trivial included."""
+class _Characters(Sequence):
+    """The characters of a finite quotient to mu_m, read-only and in
+    itertools.product order over the SNF coordinates: one Character is
+    built per index or iteration step, and the count is prod gcd(m, d)."""
+
+    def __init__(self, q: FiniteQuotientModule, m: int):
+        self._q, self._m = q, m
+        # per SNF coordinate, the exponents of zeta_m a character may take
+        self._choices = [tuple(j * (m // g) for j in range(g))
+                         for g in (1 if d in (0, 1) else gcd(m, d) for d in q.diag)]
+        self._len = prod(map(len, self._choices))
+
+    def __len__(self) -> int:
+        return self._len
+
+    def _make(self, exps) -> Character:
+        return Character((CharComponent(self._q, tuple(exps), self._m),))
+
+    def __getitem__(self, i):
+        k = i + self._len if i < 0 else i
+        if not 0 <= k < self._len:
+            raise IndexError("character index out of range")
+        exps = []
+        for c in reversed(self._choices):  # the last coordinate varies fastest
+            k, r = divmod(k, len(c))
+            exps.append(c[r])
+        return self._make(reversed(exps))
+
+    def __iter__(self):
+        return map(self._make, iproduct(*self._choices))
+
+
+def characters_of_quotient(q: FiniteQuotientModule, m: int) -> Sequence:
+    """All homomorphisms from the finite quotient to mu_m, trivial included,
+    as a read-only sequence that builds each Character when it is read."""
     if m < 1:
         raise ValueError("target order must be >= 1")
     if q.structure.free_rank:
         raise ValueError("quotient is infinite; characters to mu_m not enumerable")
-    choices = []
-    for d in q.diag:
-        if d in (0, 1):
-            choices.append((0,))
-        else:
-            g = gcd(m, d)
-            choices.append(tuple(j * (m // g) for j in range(g)))
-    out = []
-    for exps in iproduct(*choices):
-        out.append(Character((CharComponent(q, tuple(exps), m),)))
-    return out
+    return _Characters(q, m)
 
 
 def monodromy_orbit_values(s: SeifertData, e, n: int, chi: Character):

@@ -2,11 +2,14 @@
 
 Negative exponents are cleared row by row (each row's lowest exponent is
 subtracted as its cells are filled, and the total restored at the end).  One
-engine computes every determinant: multimodular evaluation/interpolation
-over Z[zeta_m][t], for ZZ, QQ and GF(p) (as m = 1) and for the cyclotomic
-fields Q(zeta_m), the only coefficient domains the package defines.  Any
-other domain is a TypeError.
-Cofactor expansion (det_cofactor) stays as the brute-force test oracle.
+engine computes every determinant from 3 x 3 up: multimodular
+evaluation/interpolation over Z[zeta_m][t], for ZZ, QQ and GF(p) (as m = 1)
+and for the cyclotomic fields Q(zeta_m), the only coefficient domains the
+package defines.  Any other domain is a TypeError.  A 1 x 1 or 2 x 2 matrix
+is expanded by cofactors (det_cofactor, a d - b c), which costs less than
+the engine's fixed numpy set-up; det_cofactor is also the brute-force test
+oracle.  (Wada denominators of monomial images never get here: twisted reads
+them off the permutation's cycles.)
 
 The multimodular engine (_det_multimodular).  Each row is scaled by one lcm
 of the denominators of its coefficients (a Q(zeta_m) element is integer
@@ -16,12 +19,13 @@ Phi_m into distinct linear factors, so each primitive m-th root of unity w^k
 in GF(q) (gcd(k, m) = 1) is a ring map Z[zeta_m] -> GF(q).  Per prime the
 integer coordinate array goes through all phi(m) maps at once, is evaluated
 by Horner at x = 0..deg_bound, and one batched numpy forward elimination
-(_det_mod_q, a pivot per matrix, at most _CHUNK_CELLS cells at a time) gives
-every determinant value.  A phi(m) x phi(m) Vandermonde solve mod q turns
-the embedding values back into power-basis coordinates, the one Newton
-interpolation _interpolate gives the coefficients in t, and CRT across the
-primes, into the symmetric range, gives the exact integer coordinates; the
-row scales and the t-shift are then undone.  GF(p) entries are lifted to
+(_det_mod_q, a pivot per matrix, fraction-free, one batched inverse at the
+end, at most _CHUNK_CELLS cells at a time) gives every determinant value.
+A phi(m) x phi(m) Vandermonde solve mod q turns the embedding values back
+into power-basis coordinates, the one Newton interpolation _interpolate
+gives the coefficients in t, and CRT across the primes, into the symmetric
+range, gives the exact integer coordinates; the row scales and the t-shift
+are then undone.  GF(p) entries are lifted to
 0..p-1, so their determinant is the integer one reduced mod p.
 
 Certification.  Let c in Z[zeta_m] be a coefficient of the scaled
@@ -55,7 +59,7 @@ from math import gcd, lcm
 
 import numpy as np
 
-from .cyclo import CYC, CyclotomicField, _normal
+from .cyclo import CYC, CyclotomicField, _normal, _prime_factors
 from .domains import GF, Domain, PrimeField, QQ, ZZ, is_prime
 from .laurent import LaurentPoly
 from .matrix import mat_inverse
@@ -83,7 +87,7 @@ def _prime(m: int, i: int) -> int:
 def _embeddings(m: int, q: int):
     """(V, V^-1) mod q as int64 arrays, V[e][j] = w^(k_e j) for the phi(m)
     exponents k_e coprime to m and the least-base primitive m-th root w."""
-    factors = [r for r in range(2, m + 1) if m % r == 0 and is_prime(r)]
+    factors = _prime_factors(m)
     w = next(w for w in (pow(g, (q - 1) // m, q) for g in range(2, q))
              if all(pow(w, m // r, q) != 1 for r in factors))
     ks = [k for k in range(1, m + 1) if gcd(k, m) == 1]
@@ -122,10 +126,17 @@ def det_cofactor(rows, dom: Domain) -> LaurentPoly:
 def _det_mod_q(a: np.ndarray, q: int) -> np.ndarray:
     """Determinants mod q of a (b, n, n) int64 stack with entries in [0, q).
 
-    Forward elimination with a pivot per matrix; a is overwritten.
+    Fraction-free forward elimination with a pivot per matrix: step i sets
+    row_j <- piv * row_j - a_ji * row_i below the pivot (each product is
+    below q^2 < 2^62), which multiplies the determinant by piv^(n - 1 - i).
+    The product of those powers is the product of the running pivot
+    products, a unit (a dead column's pivot counts as 1); it is divided out
+    at the end by one batched inverse (`_inverses`).  a is overwritten.
     """
     b, n, _ = a.shape
     det = np.ones(b, dtype=np.int64)
+    run = np.ones(b, dtype=np.int64)     # the pivots' product so far
+    scaled = np.ones(b, dtype=np.int64)  # prod_i piv_i^(n - 1 - i)
     every = np.arange(b)
     for i in range(n):
         nonzero = a[:, i:, i] != 0
@@ -142,12 +153,29 @@ def _det_mod_q(a: np.ndarray, q: int) -> np.ndarray:
         piv[dead] = 1
         det = det * piv % q
         if i + 1 < n:
-            inv = np.array([pow(v, -1, q) for v in piv.tolist()], dtype=np.int64)
-            f = a[:, i + 1 :, i] * inv[:, None] % q
+            run = run * piv % q
+            scaled = scaled * run % q
             rest = a[:, i + 1 :, i + 1 :]  # a view: updated in place
-            rest -= f[:, :, None] * a[:, i, None, i + 1 :]
+            rest *= piv[:, None, None]
+            rest -= a[:, i + 1 :, i, None] * a[:, i, None, i + 1 :]
             rest %= q
-    return det
+    return det * _inverses(scaled, q) % q
+
+
+def _inverses(x: np.ndarray, q: int) -> np.ndarray:
+    """x^-1 mod q for an int64 array of units, by one pow: Montgomery's
+    simultaneous inversion (prefix products, one inverse, a backward sweep)."""
+    xs = x.tolist()
+    prefix, acc = [], 1
+    for v in xs:
+        prefix.append(acc)
+        acc = acc * v % q
+    inv = pow(acc, -1, q)
+    out = [0] * len(xs)
+    for k in range(len(xs) - 1, -1, -1):
+        out[k] = inv * prefix[k] % q
+        inv = inv * xs[k] % q
+    return np.array(out, dtype=np.int64)
 
 
 def _interpolate(ys: np.ndarray, q: int) -> np.ndarray:
@@ -258,4 +286,6 @@ def det_poly_matrix(rows, dom: Domain) -> LaurentPoly:
             raise ValueError("matrix is not square")
     if not (dom is ZZ or dom is QQ or isinstance(dom, (PrimeField, CyclotomicField))):
         raise TypeError(f"no determinant engine for {dom.name}")
+    if n <= 2:  # a d - b c: cheaper than the engine's fixed numpy set-up
+        return det_cofactor(rows, dom)
     return _det_multimodular(rows, dom)

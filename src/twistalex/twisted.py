@@ -10,8 +10,10 @@ matrix (`fox.reduced_fox_matrix`), (seeds - 1) n square instead of one block
 row per relator, times the exact monomial unit the walker returns, so `value`
 is the column-deleted Fox minor's determinant itself, not only up to units.
 The generator determinants are read once per call and serve both that unit
-and the det subgroup.  The denominator block I - rho(g_j) t^phi_j is read off
-the generator image.
+and the det subgroup.  The denominator det(I - rho(g_j) t^phi_j) of a
+monomial image is the product over the cycles of its permutation of
+1 - P t^(L phi_j) (cycle length L, scale product P); a dense image, which
+only conjugation makes, goes through the determinant engine.
 """
 from __future__ import annotations
 
@@ -25,7 +27,7 @@ from .domains import Domain, ExactDivisionError, PrimeField, QQ, convert
 # perfbench's tracer self-test patches it in this module
 from .fox import reduced_fox_matrix, specialize_matrix  # noqa: F401
 from .laurent import LaurentPoly, RationalFunction
-from .matrix import to_dense
+from .matrix import Monomial
 from .polydet import det_poly_matrix
 from .presentation import KnotPresentation
 
@@ -117,6 +119,20 @@ def unit_subgroup(dom: Domain, gens) -> tuple:
     return tuple(elems.values())
 
 
+def _denominator(dom: Domain, img, e: int) -> LaurentPoly:
+    """det(I - img t^e) for a generator image img and e != 0."""
+    if isinstance(img, Monomial):  # prod over the cycles of 1 - P t^(L e)
+        den = LaurentPoly.one(dom)
+        for length, prod in img.cycle_products(dom):
+            den = den * LaurentPoly.from_terms(dom, {0: dom.one(), length * e: dom.neg(prod)})
+        return den
+    n = len(img)
+    block = [[LaurentPoly.from_terms(dom, {0: dom.one() if a == b else dom.zero(),
+                                           e: dom.neg(img[a][b])})
+              for b in range(n)] for a in range(n)]
+    return det_poly_matrix(block, dom)
+
+
 def wada_invariant(pres: KnotPresentation, rep, column: int | None = None) -> TwistedPolynomial:
     """Wada's invariant of (pres, rep), reduced over the coefficient field.
 
@@ -126,16 +142,6 @@ def wada_invariant(pres: KnotPresentation, rep, column: int | None = None) -> Tw
     """
     dom = rep.dom
     field = dom if dom.is_field else QQ  # ZZ is the only non-field domain
-    n = rep.dim
-
-    def denominator_for(j: int) -> LaurentPoly:
-        # I - rho(g_j) t^phi_j, with phi_j != 0
-        img = to_dense(dom, rep.image_of_gen(j, 1))
-        block = [[LaurentPoly.from_terms(dom, {0: dom.one() if a == b else dom.zero(),
-                                               pres.phi[j]: dom.neg(img[a][b])})
-                  for b in range(n)] for a in range(n)]
-        return det_poly_matrix(block, dom)
-
     if column is not None and not 0 <= column < pres.generator_count:
         raise WadaError(f"column {column} out of range")
     candidates = [column] if column is not None else [
@@ -146,7 +152,7 @@ def wada_invariant(pres: KnotPresentation, rep, column: int | None = None) -> Tw
     for j in candidates:
         if pres.phi[j] == 0 and column is not None:
             raise WadaError(f"column {j} has phi = 0")
-        d = denominator_for(j)
+        d = _denominator(dom, rep.image_of_gen(j, 1), pres.phi[j])
         if not d.is_zero():
             chosen, den = j, d
             break

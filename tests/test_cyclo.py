@@ -205,8 +205,9 @@ def test_products_of_integral_elements_build_no_fraction(monkeypatch):
 
 
 def test_roots_of_unity_invert_by_table(monkeypatch):
-    # inv(±zeta^k) is zeta^-k from the table, equal to the polynomial kernel's
-    # inverse and without calling it; any other element still calls it
+    # inv(±zeta^k) is zeta^-k from the table and a rational inverts by one
+    # integer division, both equal to the polynomial kernel's inverse and
+    # without calling it; any other element, such as 2 + zeta, still calls it
     calls = []
 
     def counted(*args):
@@ -224,9 +225,15 @@ def test_roots_of_unity_invert_by_table(monkeypatch):
                 assert F.coords(got) == tuple(s + [Fraction(0)] * (F.degree - len(s)))
         assert calls == []
         two = F.coerce(2)
+        s = poly_invmod(QQ, poly_trim(QQ, list(F.coords(two))), phi)
+        assert F.coords(F.inv(two)) == tuple(s + [Fraction(0)] * (F.degree - len(s)))
         assert F.inv(two) == F.coerce(Fraction(1, 2))
-        assert len(calls) == 1
-        del calls[:]
+        assert calls == []
+        if F.degree > 1:  # 2 + zeta is neither rational nor ±zeta^k
+            x = F.add(two, F.zeta(1))
+            assert F.mul(x, F.inv(x)) == F.one()
+            assert len(calls) == 1
+            del calls[:]
 
 
 def test_degree_cap_is_checked_before_phi_m(monkeypatch):

@@ -1,5 +1,6 @@
 import random
 from itertools import product as iproduct
+from math import gcd
 from types import SimpleNamespace
 
 import pytest
@@ -22,7 +23,7 @@ from twistalex.metabelian import (DihedralData, ModulePresentation, SeifertData,
                                   order_from_alexander, parse_seifert_file)
 from twistalex.presentation import (BraidWord, PresentationError, braid_closure_presentation,
                                     parse_braid, parse_presentation)
-from twistalex.snf import cokernel_structure
+from twistalex.snf import AbelianGroupStructure, cokernel_structure
 
 TORUS_23 = "gens: x y; rels: x x Y Y Y; phi: x=3 y=2"  # no generator with phi = ±1
 
@@ -279,6 +280,34 @@ def test_characters_of_quotient_counts():
     assert len(characters_of_quotient(q2, 1)) == 1
     q3 = branched_cover_homology(pres, 3)   # Z/2 + Z/2
     assert len(characters_of_quotient(q3, 2)) == 4
+
+
+def test_characters_are_counted_without_being_built(monkeypatch):
+    # Z/311 + Z/311 at p = 311: prod gcd(311, d) = 96,721 characters, counted
+    # from the diagonal; a Character is built only when one is read
+    q = metabelian.FiniteQuotientModule(5, AbelianGroupStructure((311, 311)), (1, 1, 311, 311), 2)
+    with monkeypatch.context() as mp:
+        mp.setattr(metabelian, "Character", None)  # building one would fail
+        chars = characters_of_quotient(q, 311)
+        assert len(chars) == 96_721
+    assert chars[-1].components[0].zeta_exponents == (0, 0, 310, 310)
+    with pytest.raises(TypeError):
+        chars[0] = chars[1]
+
+
+@pytest.mark.parametrize("k, m", [(2, 3), (3, 2), (4, 3), (5, 11)])
+def test_characters_keep_the_product_order(k, m):
+    # indexing, negative indexing and iteration all give the
+    # itertools.product order over the SNF coordinates
+    for _, _, chars in _corpus_characters(k, m):
+        q = chars[0].components[0].quotient
+        choices = [range(0, m, m // gcd(m, d)) if d > 1 else (0,) for d in q.diag]
+        want = [tuple(e) for e in iproduct(*choices)]
+        exps = [c.components[0].zeta_exponents for c in chars]
+        assert exps == want
+        assert [chars[i].components[0].zeta_exponents for i in range(-len(want), 0)] == want
+        with pytest.raises(IndexError):
+            chars[len(want)]
 
 
 def _reference_orbit_size(chi, rank):

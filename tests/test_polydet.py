@@ -2,6 +2,7 @@ import random
 from fractions import Fraction
 from math import isqrt
 
+import numpy as np
 import pytest
 
 from twistalex.cyclo import CYC, CyclotomicField
@@ -169,13 +170,53 @@ def _coords(dom, v):
 
 @pytest.mark.parametrize("m", ENGINE_MS)
 def test_multimodular_engine_against_bareiss_and_cofactor(m):
+    # the engine itself, also at n <= 2 where det_poly_matrix expands instead
     dom = _engine_dom(m)
     rng = random.Random(4000 + m)
     sizes = [1, 2, 3, 4, 5] + ([6] if m <= 5 else [])
     span = (-1, 2) if m <= 5 else (-1, 1)  # keeps the oracle quick
     for n in sizes:
         rows = _rand_matrix(rng, dom, n, span=span)
-        assert det_poly_matrix(rows, dom) == det_cofactor(rows, dom), (m, n)
+        want = det_cofactor(rows, dom)
+        assert polydet._det_multimodular(rows, dom) == want, (m, n)
+        assert det_poly_matrix(rows, dom) == want, (m, n)
+
+
+def test_small_matrices_skip_the_engine(monkeypatch):
+    calls = []
+    real = polydet._det_multimodular
+    monkeypatch.setattr(polydet, "_det_multimodular",
+                        lambda rows, dom: calls.append(len(rows)) or real(rows, dom))
+    rng = random.Random(4100)
+    for n in range(5):
+        rows = [[rand_zz(rng) for _ in range(n)] for _ in range(n)]
+        assert det_poly_matrix(rows, ZZ) == det_cofactor(rows, ZZ)
+    assert calls == [3, 4]
+
+
+@pytest.mark.parametrize("q", [7, 101, 2**31 - 1])
+def test_det_mod_q_against_the_integer_determinant(q):
+    # sparse stacks: most matrices need row swaps, and many are singular mod q
+    # (a zero column, or a last row that is a combination of the others mod q)
+    rng = random.Random(q)
+    for n in range(1, 7):
+        stack = []
+        for _ in range(60):
+            a = [[rng.randrange(q) if rng.random() < 0.4 else 0 for _ in range(n)]
+                 for _ in range(n)]
+            kind = rng.randrange(3)
+            if kind == 1 and n > 1:
+                c = [rng.randrange(q) for _ in range(n - 1)]
+                a[-1] = [sum(x * y for x, y in zip(c, col)) % q for col in zip(*a[:-1])]
+            elif kind == 2:
+                j = rng.randrange(n)
+                for row in a:
+                    row[j] = 0
+            stack.append(a)
+        want = [_det_int(a) % q for a in stack]
+        got = polydet._det_mod_q(np.array(stack, dtype=np.int64), q)
+        assert got.tolist() == want, (q, n)
+        assert n == 1 or (0 in want and any(a[0][0] == 0 for a in stack))
 
 
 @pytest.mark.parametrize("m", ENGINE_MS)

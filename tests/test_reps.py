@@ -1,6 +1,7 @@
 import random
 import re
 import sys
+import time
 from fractions import Fraction
 from math import gcd
 
@@ -187,6 +188,18 @@ def test_gamma_summands_structure():
 def test_gamma_summands_precondition():
     with pytest.raises(RepresentationError):
         gamma_summands(7, 8)  # phi_8 reducible mod 7
+
+
+@pytest.mark.parametrize("p, n", [(2, 1000000007), (2, 101)])
+def test_gamma_summands_large_n_fails_fast(p, n):
+    # ord_n(p) from the primes of phi(n), not by stepping p^k: Phi_(10^9+7) is
+    # reducible mod 2, and Phi_101 is irreducible but A_{2,101} is above the cap
+    start = time.perf_counter()
+    with pytest.raises(ValueError) as err:
+        gamma_summands(p, n)
+    assert time.perf_counter() - start < 1
+    assert "\n" not in str(err.value)
+    assert isinstance(err.value, RepresentationError) == (n == 1000000007)
 
 
 def _trace(dom, m):

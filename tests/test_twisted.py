@@ -2,11 +2,15 @@ import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from twistalex.cyclo import CYC
+from twistalex import polydet, twisted
+from twistalex.cyclo import CYC, CyclotomicField
 from twistalex.domains import GF, QQ, ZZ
 from twistalex.knots import TREFOIL_SEIFERT, alexander_fixture, presentation
 from twistalex.laurent import LaurentPoly, RationalFunction, parse_poly
+from twistalex.matrix import Monomial
 from twistalex.metabelian import (DihedralData, alexander_polynomial,
                                   branched_cover_homology, characters_of_quotient,
                                   find_dihedral_epis, monodromy_orbit_values)
@@ -281,3 +285,57 @@ def test_wada_on_non_wirtinger_presentation():
     torus = parse_presentation("gens: a b; rels: a a B B B; phi: a=3 b=2")
     tw = wada_invariant(torus, rep_trivial(torus))
     assert doteq_equal(tw, as_tw(tw, "1 - t + t^2", "1 - t"))
+
+
+DENOMINATOR_DOMAINS = [ZZ, GF(5), GF(7), CYC(5), CYC(12)]
+
+
+@st.composite
+def _monomial_images(draw):
+    dom = draw(st.sampled_from(DENOMINATOR_DOMAINS))
+    n = draw(st.integers(1, 7))
+    perm = tuple(draw(st.permutations(range(n))))
+    if dom is ZZ:
+        scale = st.sampled_from([-3, -2, -1, 1, 2, 3])
+    elif isinstance(dom, CyclotomicField):
+        # ±zeta^k, as every representation here has, or 1 + zeta^k
+        scale = st.builds(lambda k, kind: [dom.zeta(k), dom.neg(dom.zeta(k)),
+                                           dom.add(dom.one(), dom.zeta(k))][kind],
+                          st.integers(0, dom.m - 1), st.integers(0, 2))
+        scale = scale.filter(lambda x: not dom.is_zero(x))
+    else:
+        scale = st.integers(1, dom.p - 1)
+    scales = tuple(draw(scale) for _ in range(n))
+    e = draw(st.sampled_from([-3, -2, -1, 1, 2, 3]))
+    return dom, Monomial(perm, scales), e
+
+
+@settings(max_examples=80, deadline=None, derandomize=True)
+@given(_monomial_images())
+def test_closed_form_denominator_matches_the_engine(case):
+    # det(I - M t^e) of a monomial M as prod over cycles of 1 - P t^(L e)
+    dom, mono, e = case
+    dense = mono.to_dense(dom)
+    n = mono.n
+    block = [[LaurentPoly.from_terms(dom, {0: dom.one() if a == b else dom.zero(),
+                                           e: dom.neg(dense[a][b])})
+              for b in range(n)] for a in range(n)]
+    assert twisted._denominator(dom, mono, e) == polydet._det_multimodular(block, dom)
+    assert twisted._denominator(dom, dense, e) == polydet._det_multimodular(block, dom)
+
+
+def test_monomial_rep_calls_the_engine_for_its_numerator_only(monkeypatch):
+    calls = []
+    real = polydet._det_multimodular
+    monkeypatch.setattr(polydet, "_det_multimodular",
+                        lambda rows, dom: calls.append(len(rows)) or real(rows, dom))
+    pres = presentation("3_1")
+    rep = rep_dihedral(pres, DihedralData(3, (0, 1, 2)))
+    tw = wada_invariant(pres, rep)
+    assert calls == [3]  # the 3 x 3 reduced Fox matrix; the denominator is closed form
+    # a conjugated (dense) image still takes the engine for its denominator
+    del calls[:]
+    p = tuple(tuple(Fraction(int(i == j or j == i + 1)) for j in range(3)) for i in range(3))
+    conj = rep.convert_domain(QQ).conjugate(p)
+    assert doteq_equal(wada_invariant(pres, conj), as_tw(tw, tw.to_text()))
+    assert calls == [3, 3]
