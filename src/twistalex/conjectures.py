@@ -11,12 +11,12 @@ from dataclasses import dataclass, field as dfield
 from itertools import product as iproduct
 from math import gcd, isqrt
 
-from .cyclo import CYC, CyclotomicField, is_cyclotomic_irreducible_mod_p
+from .cyclo import CYC, CyclotomicField
 from .domains import GF, ZZ, ExactDivisionError
 from .factorint import factor_integer_poly, verify_factorization
 from .laurent import LaurentPoly, RationalFunction
 from .knots import TREFOIL_SEIFERT
-from .metabelian import (DihedralData, alexander_polynomial,
+from .metabelian import (DihedralData, alexander_polynomial, apn_irreducible,
                          branched_cover_homology, characters_of_quotient,
                          monodromy_orbit_values, normalize_integer_poly)
 from .presentation import KnotPresentation
@@ -110,7 +110,7 @@ def check_conjecture_A(pres: KnotPresentation, epi, n: int, p0: int,
     """Delta^(gamma.alpha) = Delta/(1-t) * F with F an integer polynomial in
     t^n; cross-checked against the product over the summand decomposition."""
     spec = f"gamma:p={p0}:n={n}"
-    if gcd(n, p0) != 1 or not is_cyclotomic_irreducible_mod_p(n, p0):
+    if gcd(n, p0) != 1 or not apn_irreducible(n, p0):
         return ConjectureReport("A", knot, spec, "precondition-unmet",
                                 {"reason": f"phi_{n} reducible mod {p0} or gcd != 1"})
     delta = alexander_polynomial(pres)
@@ -165,11 +165,12 @@ def check_conjecture_Aprime(pres: KnotPresentation, m: int, p0: int, k: int,
 
 # ----------------------------------------------------------- Conjecture B(1)
 
-def _pairing_search(F: LaurentPoly):
+def _pairing_search(F: LaurentPoly, factored=None):
     """Exhaustive search for integer f with f(t) f(-t) = ± t^(2j) F(t).
+    factored is F's `factor_integer_poly`, when the caller already has it.
 
-    Returns (f, sign, shift) or (None, obstruction_factors)."""
-    unit, content, t_pow, factors = factor_integer_poly(F)
+    Returns (f, sign, shift, None) or (None, None, None, obstruction_factors)."""
+    _, content, _, factors = factored or factor_integer_poly(F)
     # content must split as d^2
     d = isqrt(abs(content))
     content_ok = d * d == abs(content)
@@ -226,9 +227,9 @@ def check_conjecture_B1(pres: KnotPresentation, coloring: DihedralData,
         raise WadaError(
             "F is not a polynomial in t^2; this contradicts the established "
             "t^m structure for metacyclic targets and signals an engine defect")
-    unit, content, t_pow, factors = factor_integer_poly(F)
-    assert verify_factorization(F, unit, content, t_pow, factors)
-    f_wit, sign, shift, obstruction = _pairing_search(F)
+    factored = unit, content, t_pow, factors = factor_integer_poly(F)
+    assert verify_factorization(F, *factored)
+    f_wit, sign, shift, obstruction = _pairing_search(F, factored)
     witnesses = {
         "delta": delta.to_text(),
         "twisted": tw.to_text(),

@@ -8,10 +8,11 @@ with P the prefix read so far and s = phi(P),
     a letter g       adds   rho(P) t^s                    to block column g
     a letter g^-1    adds  -rho(P g^-1) t^(s - phi(g))    to block column g
 
-(d(Pg)/dg = dP/dg + P and d(Pg^-1)/dg = dP/dg - Pg^-1).  A syllable g^e is
-walked from rho(P) (e > 0) or rho(P g^e) (e < 0), both relator prefixes that
-the relator check has already put in the rep's word cache, by right
-multiplication with rho(g).  The Alexander matrix over Z[t^±1] is the case of
+(d(Pg)/dg = dP/dg + P and d(Pg^-1)/dg = dP/dg - Pg^-1).  The terms are
+words, not images: the l-th term of a syllable g^e is the word P g^l, with P
+the prefix before it (e > 0) or through it (e < 0), and its image is looked
+up with `rep.image_of_word`, whose cache the relator check has already filled
+with every relator prefix.  The Alexander matrix over Z[t^±1] is the case of
 the 1 x 1 trivial image over ZZ.
 
 The substitution walker (`reduced_fox_matrix`).  A relator r = A g^eps B in
@@ -35,6 +36,14 @@ pivot blocks on a block triangular diagonal, so
 exactly, not only up to units (Wada 1994 for the Tietze invariance).  A
 presentation where no relator qualifies (e.g. a torus-knot presentation
 with a^2 b^-3) keeps every relator as a row: the walk is then the plain one.
+Plan and evaluation.  The pivot order, each relator's freely reduced words
+Q^-1 P, their t-exponents and signs, the unit's t-shift and generator powers
+depend on the presentation alone: `walk_plan` builds them once per (pres,
+column) and keeps them in the presentation's memo (`KnotPresentation.cached`),
+which lives as long as the presentation does.  `reduced_fox_matrix` is the
+evaluation: it looks each plan word up in the rep and combines the blocks.
+The reduced matrix itself is rebuilt per call.
+
 Under the trivial image the reduced matrix presents the Alexander module
 itself (its pivots are units ±t^a), so `metabelian.branched_cover_homology`
 reads cover structures off it; the full matrix (`metabelian.alexander_module`)
@@ -43,11 +52,11 @@ the epimorphism kernels.
 """
 from __future__ import annotations
 
-from functools import lru_cache
+from typing import NamedTuple
 
 from .domains import ZZ
 from .laurent import LaurentPoly
-from .matrix import Monomial, gen_mul, perm_sign
+from .matrix import Monomial, perm_sign
 from .words import Word, exponent_sum, reduce_syllables
 
 
@@ -60,25 +69,20 @@ class _Trivial:
     def image_of_word(self, w: Word):
         return self._one
 
-    def image_of_gen(self, g: int, e: int):
-        return self._one
 
-
-def _terms(r: Word, rep, pres, left: Word = ()):
+def _terms(r: Word, phi, left: Word = ()):
     """One relator's Fox terms, left to right: (syllable index, generator,
-    image, t-exponent, sign), each adding sign * image t^exponent to the
-    generator's block column.  A left word L multiplies every image by rho(L):
-    each syllable is then walked from the word L P, freely reduced."""
-    dom = rep.dom
+    word, t-exponent, sign), each adding sign * rho(word) t^exponent to the
+    generator's block column.  The l-th term of a syllable g^e is the word
+    P g^l with P the prefix before it (e > 0) or through it (e < 0); a left
+    word L is put in front, and each word is freely reduced."""
     s = 0
     for i, (g, e) in enumerate(r):
-        f = pres.phi[g]
-        start = r[:i] if e > 0 else r[:i + 1]
-        img = rep.image_of_word(reduce_syllables(left + start) if left else start)
+        f = phi[g]
+        start = left + (r[:i] if e > 0 else r[:i + 1])
         for l in range(abs(e)):
-            if l:
-                img = gen_mul(dom, img, rep.image_of_gen(g, 1))
-            yield i, g, img, s + (min(e, 0) + l) * f, 1 if e > 0 else -1
+            yield (i, g, reduce_syllables(start + ((g, l),)), s + (min(e, 0) + l) * f,
+                   1 if e > 0 else -1)
         s += e * f
 
 
@@ -96,8 +100,8 @@ def specialize_element(r: Word, rep, pres) -> list[list[LaurentPoly]]:
     LaurentPoly block row, block column j holding (dr/dg_j)^(rho tensor t^phi)."""
     n, dom = rep.dim, rep.dom
     acc = [[{} for _ in range(pres.generator_count * n)] for _ in range(n)]
-    for _, g, img, x, sign in _terms(r, rep, pres):
-        for p, j, v in _entries(dom, img, n):
+    for _, g, w, x, sign in _terms(r, pres.phi):
+        for p, j, v in _entries(dom, rep.image_of_word(w), n):
             cell = acc[p][g * n + j]
             v = v if sign > 0 else dom.neg(v)
             cell[x] = dom.add(cell[x], v) if x in cell else v
@@ -117,7 +121,6 @@ def alexander_fox_matrix(pres) -> tuple[tuple[LaurentPoly, ...], ...]:
 
 # --------------------------------------------------------- substitution walk
 
-@lru_cache(maxsize=256)
 def substitution_order(pres, column: int):
     """(pivots, seeds, rows, sign) of the substitution walk, from the relator
     words alone.
@@ -158,16 +161,56 @@ def substitution_order(pres, column: int):
     return tuple(pivots), tuple(seeds), rows, perm_sign(row_order) * perm_sign(col_order)
 
 
-def _combine(dom, n: int, width: int, terms, d):
-    """sum sign * image t^x D(g) over the terms (g, image, x, sign), as
+class WalkPlan(NamedTuple):
+    """The substitution walk of one (presentation, column), from the relator
+    words alone.  A term (generator, word, x, sign) stands for
+    sign * rho(word) t^x D(generator)."""
+
+    seeds: tuple     # the deleted column first, then the other seeds
+    pivots: tuple    # (generator, terms) per pivot, in walk order
+    rows: tuple      # terms per relator that defines no generator
+    sign: int        # sgn of the block orders times prod eps_i
+    shift: int       # sum phi(Q_i)
+    powers: tuple    # exponent of each generator in prod Q_i
+
+
+def _walk_plan(pres, column: int) -> WalkPlan:
+    pivots, seeds, rest, sign = substitution_order(pres, column)
+    shift, powers, defined = 0, [0] * pres.generator_count, []
+    for ri, i, p in pivots:
+        r = pres.relators[ri]
+        eps = r[i][1]
+        q = r[:i] if eps > 0 else r[:i + 1]
+        fq = exponent_sum(q, pres.phi)
+        # (eps rho(Q) t^phi(Q))^-1 = eps rho(Q^-1) t^-phi(Q): each term is read
+        # off the word Q^-1 P, the stretch of r between the pivot and the term
+        qinv = tuple((g, -e) for g, e in reversed(q))
+        defined.append((p, tuple((g, w, x - fq, -eps * sg)
+                                 for j, g, w, x, sg in _terms(r, pres.phi, qinv) if j != i)))
+        sign *= eps
+        shift += fq
+        for g, e in q:
+            powers[g] += e
+    rows = tuple(tuple(t[1:] for t in _terms(pres.relators[ri], pres.phi)) for ri in rest)
+    return WalkPlan(seeds, tuple(defined), rows, sign, shift, tuple(powers))
+
+
+def walk_plan(pres, column: int) -> WalkPlan:
+    """The walk plan of (pres, column), built once and kept in pres's memo."""
+    return pres.cached(("walk plan", column), lambda p: _walk_plan(p, column))
+
+
+def _combine(rep, width: int, terms, d):
+    """sum sign * rho(word) t^x D(g) over the terms (g, word, x, sign), as
     {exponent: n x width block}; each block row is one dom.mat_mul of the
     row's term coefficients by the D(g) rows they multiply."""
+    n, dom = rep.dim, rep.dom
     gathered = {}
-    for g, img, x, sign in terms:
+    for g, w, x, sign in terms:
         dg = d[g]
         if not dg:
             continue
-        for a, c, v in _entries(dom, img, n):
+        for a, c, v in _entries(dom, rep.image_of_word(w), n):
             coef = v if sign > 0 else dom.neg(v)
             for y, block in dg.items():
                 rows = gathered.get(x + y)
@@ -189,45 +232,33 @@ def reduced_fox_matrix(rep, pres, column: int, dets):
     """(rows, unit): the substitution walker's reduced matrix, square of side
     (seeds - 1) * n, and the monomial unit with det(Fox matrix without block
     column `column`) = unit * det(rows) exactly.  dets are the determinants
-    of the generator images, indexed by generator."""
+    of the generator images, indexed by generator.  The walk's words come
+    from the presentation's plan (`walk_plan`); only their images are
+    looked up here."""
     n, dom = rep.dim, rep.dom
-    pivots, seeds, rest, sign = substitution_order(pres, column)
-    width = (len(seeds) - 1) * n
+    plan = walk_plan(pres, column)
+    width = (len(plan.seeds) - 1) * n
     zero, one = dom.zero(), dom.one()
     d = {column: {}}
-    for k, s in enumerate(seeds[1:]):
+    for k, s in enumerate(plan.seeds[1:]):
         block = [[zero] * width for _ in range(n)]
         for a in range(n):
             block[a][k * n + a] = one
         d[s] = {0: block}
-    shift, powers = 0, [0] * pres.generator_count
-    for ri, i, p in pivots:
-        r = pres.relators[ri]
-        eps = r[i][1]
-        q = r[:i] if eps > 0 else r[:i + 1]
-        fq = exponent_sum(q, pres.phi)
-        # (eps rho(Q) t^phi(Q))^-1 = eps rho(Q^-1) t^-phi(Q): each term is read
-        # off the word Q^-1 P, the stretch of r between the pivot and the term
-        qinv = tuple((g, -e) for g, e in reversed(q))
-        d[p] = _combine(dom, n, width, [(g, img, x - fq, -eps * sg) for j, g, img, x, sg
-                                        in _terms(r, rep, pres, qinv) if j != i], d)
-        sign *= eps
-        shift += fq
-        for g, e in q:
-            powers[g] += e
+    for p, terms in plan.pivots:
+        d[p] = _combine(rep, width, terms, d)
     rows = []
-    for ri in rest:
-        blocks = _combine(dom, n, width, [t[1:] for t in _terms(pres.relators[ri], rep, pres)],
-                          d)
+    for terms in plan.rows:
+        blocks = _combine(rep, width, terms, d)
         low = min(blocks, default=0)
         span = [blocks.get(x) for x in range(low, max(blocks, default=-1) + 1)]
         rows += [[LaurentPoly(dom, [zero if b is None else b[a][c] for b in span], low)
                   for c in range(width)] for a in range(n)]
-    c = one if sign > 0 or n % 2 == 0 else dom.neg(one)
-    for g, e in enumerate(powers):
+    c = one if plan.sign > 0 or n % 2 == 0 else dom.neg(one)
+    for g, e in enumerate(plan.powers):
         if e:
             c = dom.mul(c, dom.pow(dets[g], e))
-    return rows, LaurentPoly(dom, [c], n * shift)
+    return rows, LaurentPoly(dom, [c], n * plan.shift)
 
 
 def alexander_reduced_matrix(pres, column: int):

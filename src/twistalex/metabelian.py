@@ -16,7 +16,10 @@ quotients H/(t^k - 1) are integer cokernels of the companion blow-up.  Their
 structure comes from the blow-up of the reduced matrix, which presents the
 same module; characters and orbit values are read through the SNF transform U
 of the full matrix's blow-up, in whose basis the t-action is a cyclic shift,
-and that U is built only when a character is first evaluated.
+and that U is built only when a character is first evaluated.  Delta, the
+module and the meridian copy depend on the presentation alone, so each is
+computed once and kept in its memo (`KnotPresentation.cached`), together with
+the walker's plans; the memo dies with the presentation.
 
 The three epimorphism searches are kernels of the same matrix: meridians
 sent to (1, a_j) in Z/m x| A define a homomorphism exactly when the a_j solve
@@ -30,7 +33,8 @@ from dataclasses import dataclass, field
 from itertools import chain, product as iproduct
 from math import gcd, lcm, prod
 
-from .cyclo import CYC, _euler_phi, cyclotomic_polynomial
+from .cyclo import (CYC, _euler_phi, cyclotomic_polynomial,
+                    is_cyclotomic_irreducible_mod_p)
 from .domains import GF, ZZ, ExactDivisionError, is_prime
 from .fox import alexander_fox_matrix, alexander_reduced_matrix
 from .laurent import LaurentPoly
@@ -128,9 +132,13 @@ def _with_meridian(pres: KnotPresentation) -> KnotPresentation:
     """pres itself when a generator has phi = ±1; otherwise the Tietze move
     adding one generator m and the relator m^-1 w, where w is a word in the
     generators with phi(w) = 1 (Bezout on the phi values, which are onto Z),
-    so m is a meridian."""
+    so m is a meridian.  The copy is made once and kept in pres's memo."""
     if 1 in pres.phi or -1 in pres.phi:
         return pres
+    return pres.cached("meridian", _add_meridian)
+
+
+def _add_meridian(pres: KnotPresentation) -> KnotPresentation:
     g, c = 0, []  # sum c_i phi_i = g, the gcd of the phi values so far
     for v in pres.phi:
         h = gcd(g, v)
@@ -153,7 +161,11 @@ def _with_meridian(pres: KnotPresentation) -> KnotPresentation:
 def alexander_module(pres: KnotPresentation) -> ModulePresentation:
     """Delete a meridian's column from the abelianized Fox matrix of
     `_with_meridian(pres)`; the remaining basis vectors are the classes
-    g_j g_base^(-phi_j)."""
+    g_j g_base^(-phi_j).  Computed once per presentation (its memo)."""
+    return pres.cached("alexander module", _alexander_module)
+
+
+def _alexander_module(pres: KnotPresentation) -> ModulePresentation:
     pres = _with_meridian(pres)
     col = deleted_column(pres)
     return ModulePresentation(tuple(row[:col] + row[col + 1:]
@@ -167,15 +179,20 @@ def alexander_polynomial(src) -> LaurentPoly:
     `_with_meridian(src)` with the meridian's column deleted, read off the
     substitution walker's reduced matrix (`fox.alexander_reduced_matrix`),
     equal to the deleted matrix's up to the ±t^k that normalizing removes.
+    It is computed once per presentation (its memo).
     """
     if isinstance(src, KnotPresentation):
-        src = _with_meridian(src)
-        return normalize_integer_poly(
-            det_poly_matrix(alexander_reduced_matrix(src, deleted_column(src))[0], ZZ))
+        return src.cached("alexander polynomial", _presentation_delta)
     if isinstance(src, SeifertData):
         src = src.module_presentation()
     d = det_poly_matrix([list(r) for r in src.matrix], ZZ)
     return normalize_integer_poly(d)
+
+
+def _presentation_delta(pres: KnotPresentation) -> LaurentPoly:
+    pres = _with_meridian(pres)
+    return normalize_integer_poly(
+        det_poly_matrix(alexander_reduced_matrix(pres, deleted_column(pres))[0], ZZ))
 
 
 def normalize_integer_poly(f: LaurentPoly) -> LaurentPoly:
@@ -517,15 +534,36 @@ def find_metacyclic_epis(pres: KnotPresentation, m: int, p0: int, k: int):
     return [tuple(chain.from_iterable(sol)) for sol in _kernel_epis(pres, p0, [[k % p0]], m)]
 
 
+def apn_budget(n: int, p0: int) -> None:
+    """Refuse A_{p0,n} when its p0^phi(n) elements exceed _ENUM_CAP.  As
+    phi(n) >= sqrt(n / 2), an n above 2 bits^2 = 722 (bits = 19, the cap's
+    bit length) is refused without factoring it, and no power of a large
+    phi(n) is formed."""
+    bits = _ENUM_CAP.bit_length()
+    if n > 2 * bits**2 or p0 ** min(_euler_phi(n), bits) > _ENUM_CAP:
+        raise ValueError(f"A_{{{p0},{n}}} has {p0}^phi({n}) elements, above the cap {_ENUM_CAP}")
+
+
+# the largest n whose primes are found by trial division (at most 10^5 steps)
+# before apn_budget has run
+_TRIAL_CAP = 10**10
+
+
+def apn_irreducible(n: int, p0: int) -> bool:
+    """Whether Phi_n is irreducible mod p0, so that A_{p0,n} is a field.  The
+    test factors n and phi(n); an n above _TRIAL_CAP is first held to
+    apn_budget, which refuses it without factoring.  A smaller n is tested
+    first, so a reducible Phi_n is named as such."""
+    if n > _TRIAL_CAP:
+        apn_budget(n, p0)
+    return is_cyclotomic_irreducible_mod_p(n, p0)
+
+
 def apn_field(n: int, p0: int):
     """A_{p0,n} = F_p0[t]/(phi_n) as (degree, companion matrix columns)."""
     if gcd(n, p0) != 1:
         raise ValueError("n and p0 must be coprime")
-    # |A| = p0^phi(n) and phi(n) >= sqrt(n / 2): a large n is refused without
-    # factoring it, and no power of a large phi(n) is formed
-    bits = _ENUM_CAP.bit_length()
-    if n > 2 * bits**2 or p0 ** min(_euler_phi(n), bits) > _ENUM_CAP:
-        raise ValueError(f"A_{{{p0},{n}}} has {p0}^phi({n}) elements, above the cap {_ENUM_CAP}")
+    apn_budget(n, p0)
     cm = [c % p0 for c in cyclotomic_polynomial(n).coeffs()]
     d = len(cm) - 1
     # companion matrix of phi_n mod p0: t * e_i = e_{i+1}, t*e_{d-1} = -phi tail

@@ -59,7 +59,7 @@ from math import gcd, lcm
 
 import numpy as np
 
-from .cyclo import CYC, CyclotomicField, _normal, _prime_factors
+from .cyclo import CYC, CyclotomicField, _normal, _prime_factors, cyclotomic_polynomial
 from .domains import GF, Domain, PrimeField, QQ, ZZ, is_prime
 from .laurent import LaurentPoly
 from .matrix import mat_inverse
@@ -85,14 +85,27 @@ def _prime(m: int, i: int) -> int:
 
 @lru_cache(maxsize=None)
 def _embeddings(m: int, q: int):
-    """(V, V^-1) mod q as int64 arrays, V[e][j] = w^(k_e j) for the phi(m)
-    exponents k_e coprime to m and the least-base primitive m-th root w."""
+    """(V, V^-1) mod q as int64 arrays, V[e][j] = x_e^j for the phi(m) roots
+    x_e = w^k_e of Phi_m mod q (k_e coprime to m, w the least-base primitive
+    m-th root).  Column e of V^-1 is the Lagrange basis polynomial
+    Phi_m(x) / ((x - x_e) Phi_m'(x_e)), by one synthetic division each."""
     factors = _prime_factors(m)
     w = next(w for w in (pow(g, (q - 1) // m, q) for g in range(2, q))
              if all(pow(w, m // r, q) != 1 for r in factors))
-    ks = [k for k in range(1, m + 1) if gcd(k, m) == 1]
-    v = [[pow(w, k * j, q) for j in range(len(ks))] for k in ks]
-    return np.array(v, dtype=np.int64), np.array(mat_inverse(GF(q), v), dtype=np.int64)
+    xs = [pow(w, k, q) for k in range(1, m + 1) if gcd(k, m) == 1]
+    v = [[pow(x, j, q) for j in range(len(xs))] for x in xs]
+    phi = [c % q for c in cyclotomic_polynomial(m).coeffs()]
+    cols = []
+    for x in xs:
+        quo = [1]  # Phi_m / (x - x_e), leading coefficient first
+        for c in phi[-2:0:-1]:
+            quo.append((c + x * quo[-1]) % q)
+        d = 0  # quo(x_e) = Phi_m'(x_e)
+        for c in quo:
+            d = (d * x + c) % q
+        d = pow(d, -1, q)
+        cols.append([c * d % q for c in reversed(quo)])
+    return np.array(v, dtype=np.int64), np.array(cols, dtype=np.int64).T.copy()
 
 
 @lru_cache(maxsize=None)

@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import re
 from dataclasses import dataclass, field
+from functools import cached_property
 from math import gcd
 
 from . import words
@@ -117,6 +118,21 @@ class KnotPresentation:
     @property
     def generator_count(self) -> int:
         return len(self.generator_names)
+
+    @cached_property
+    def _memo(self) -> dict:
+        return {}
+
+    def cached(self, key, build):
+        """build(self), computed on the first call with this key and kept as
+        long as the presentation is: the presentation is frozen, so results
+        that depend on it alone cannot go stale.  The walk plans, Delta, the
+        Alexander module and the meridian copy are kept here, not in a
+        module-level cache that would keep every presentation alive."""
+        memo = self._memo
+        if key not in memo:
+            memo[key] = build(self)
+        return memo[key]
 
     def is_wirtinger_like(self) -> bool:
         return all(v == 1 for v in self.phi)

@@ -18,14 +18,14 @@ from itertools import product as iproduct
 from math import comb, gcd, lcm
 
 from . import words
-from .cyclo import CYC, CyclotomicField, is_cyclotomic_irreducible_mod_p
+from .cyclo import CYC, CyclotomicField
 from .domains import (Domain, ExactDivisionError, GF, QQ, ZZ, convert, domain_join,
                       is_prime)
 from .matrix import (Dense, Monomial, as_monomial, direct_sum, gen_inv, gen_mul, identity,
                      kron, mat_convert, mat_eq, mat_mul, to_dense)
-from .metabelian import (Character, DihedralData, apn_field, branched_cover_homology,
-                         characters_of_quotient, check_primitive_root, deleted_column,
-                         find_zn_apn_epis)
+from .metabelian import (Character, DihedralData, apn_field, apn_irreducible,
+                         branched_cover_homology, characters_of_quotient,
+                         check_primitive_root, deleted_column, find_zn_apn_epis)
 from .polydet import det_matrix
 from .presentation import KnotPresentation
 
@@ -72,8 +72,15 @@ class Representation:
     def image_of_word(self, w: words.Word):
         """rho(w), extending the longest prefix of w already evaluated one
         syllable at a time and caching every new prefix (images never change,
-        so the cache cannot go stale)."""
+        so the cache cannot go stale).  A word P g^e whose neighbour P g^(e-1)
+        is cached, e != 1, is that image times rho(g): the Fox walker asks for
+        P g^e, P g^(e+1), ... inside a syllable, one product each."""
         cache = self._word_cache
+        if w and w[-1][1] != 1 and w not in cache:
+            g, e = w[-1]
+            prev = cache.get(w[:-1] + ((g, e - 1),))
+            if prev is not None:
+                cache[w] = gen_mul(self.dom, prev, self.image_of_gen(g, 1))
         k = len(w)
         while k and w[:k] not in cache:
             k -= 1
@@ -253,7 +260,7 @@ class GammaSummand:
 
 def gamma_summands(p: int, n: int):
     """gamma_0, gamma_1, ..., gamma_l over CYC(p); needs phi_n irreducible mod p."""
-    if not is_cyclotomic_irreducible_mod_p(n, p):
+    if not apn_irreducible(n, p):
         raise RepresentationError(f"phi_{n} is reducible mod {p}; the Z/{n}-action "
                                   "on characters need not be free")
     gam = GammaRep(p, n)

@@ -213,6 +213,22 @@ def test_b1_synthetic_t4_minus_1():
     assert [g.to_text() for g in obs] == ["1 + t^2"]
 
 
+def test_b1_factors_F_once(monkeypatch):
+    # the pairing search is handed check_conjecture_B1's factorization of F
+    calls = []
+
+    def counted(f):
+        calls.append(f)
+        return factor_integer_poly(f)
+
+    monkeypatch.setattr(conjectures, "factor_integer_poly", counted)
+    pres = presentation("7_1")
+    for d in find_dihedral_epis(pres, 7):
+        del calls[:]
+        r = check_conjecture_B1(pres, d, knot="7_1")
+        assert len(calls) == 1 and r.witnesses["F"] == calls[0].to_text()
+
+
 def test_b1_holds_case_on_corpus():
     # torus knot 7_1 with p=7: B(1) is known to hold for torus knots
     pres = presentation("7_1")

@@ -320,3 +320,23 @@ def test_dense_det_matches_cofactor(dom):
         a = [tuple(entry() for _ in range(n)) for _ in range(n)]
         want = det_cofactor([[LaurentPoly.from_terms(dom, {0: x}) for x in row] for row in a], dom)
         assert dom.eq(det_matrix(a, dom), want[0]), (dom, n)
+
+
+def _matmul_mod(a: np.ndarray, b: np.ndarray, q: int) -> np.ndarray:
+    """a @ b mod q for entries in [0, q < 2^31), without int64 overflow: b is
+    split into 16-bit halves, so each partial sum stays below 2^63."""
+    lo, hi = b & 0xFFFF, b >> 16
+    return ((a @ lo) % q + ((a @ hi) % q << 16)) % q
+
+
+@pytest.mark.parametrize("m", [1, 2, 3, 4, 5, 12, 15, 28, 101, 105, 128, 211])
+def test_vandermonde_inverse_by_synthetic_division(m):
+    # V^-1 is read off Phi_m / ((x - x_e) Phi_m'(x_e)) column by column; check
+    # V V^-1 = V^-1 V = I mod q for the first two primes the engine uses
+    for i in range(2):
+        q = polydet._prime(m, i)
+        v, vinv = polydet._embeddings(m, q)
+        eye = np.eye(v.shape[0], dtype=np.int64)
+        assert v.shape == vinv.shape == eye.shape
+        assert (_matmul_mod(v, vinv, q) == eye).all(), (m, q)
+        assert (_matmul_mod(vinv, v, q) == eye).all(), (m, q)

@@ -615,9 +615,10 @@ def test_wada_of_conjugated_rep_multiplies_and_inverts_nothing(monkeypatch):
     # relator check at construction fills the word cache that wada_invariant
     # reads; the substitution walker also reads each pivot relator's terms off
     # Q^-1 P, the stretch of the relator between pivot and term, and for 8_20
-    # two of those words (at negative crossings) have two syllables.  The word
-    # cache keeps them, so a second call multiplies nothing.  Counts are
-    # asserted, never times
+    # two of those words (at negative crossings) have two syllables.  One of
+    # them is a term of the deleted column, whose image the walk never looks
+    # up, so one product is made.  The word cache keeps it, so a second call
+    # multiplies nothing.  Counts are asserted, never times
     pres = presentation("8_20")
     base = rep_metabelian(pres, 2, _chi(pres, 2, 3))
     assert base.dom.m == 12
@@ -630,7 +631,7 @@ def test_wada_of_conjugated_rep_multiplies_and_inverts_nothing(monkeypatch):
     products = _count_calls(monkeypatch, "mat_mul")
     del inversions[:]
     tw = wada_invariant(pres, conj)
-    assert (len(products), len(inversions)) == (2, 0)
+    assert (len(products), len(inversions)) == (1, 0)
     assert tw.to_text() == expected.to_text()
     del products[:]
     assert wada_invariant(pres, conj).to_text() == expected.to_text()
@@ -657,3 +658,45 @@ def test_dense_arms_of_the_combinators():
     assert text(rep_mod_p(dense, 5)) == text(rep_mod_p(rho, 5))
     converted = dense.convert_domain(QQ)
     assert converted.dom is QQ and text(converted) == text(rho)
+
+
+def test_apn_budget_runs_before_n_is_factored(monkeypatch):
+    # A_{p,n}'s budget needs no factoring, so an n whose trial division would
+    # not end is refused by it before Phi_n's irreducibility is tested
+    from twistalex import cyclo
+    from twistalex.conjectures import check_conjecture_A
+
+    factor = cyclo._prime_factors
+
+    def bounded(n):
+        assert n <= 10**10, f"trial division of {n}"
+        return factor(n)
+
+    monkeypatch.setattr(cyclo, "_prime_factors", bounded)
+    n = 2**61 - 1
+    message = f"A_{{2,{n}}} has 2^phi({n}) elements, above the cap 500000"
+    for call in (lambda: gamma_summands(2, n),
+                 lambda: check_conjecture_A(presentation("3_1"), (), n, 2)):
+        with pytest.raises(ValueError) as err:
+            call()
+        assert str(err.value) == message
+    # a smaller n is still tested first, so a reducible Phi_n is named
+    with pytest.raises(RepresentationError, match="reducible"):
+        gamma_summands(2, 1000000007)
+
+
+def test_walk_inside_a_long_syllable_takes_one_product_per_term(monkeypatch):
+    # the walker asks for P b^-e, P b^-(e-1), ..., P b^-1 inside a syllable
+    # b^-e; each is its cached neighbour times rho(b), so the walk costs about
+    # e products, not e^2 / 2 powers taken afresh
+    from twistalex.presentation import parse_presentation
+
+    for e in (7, 31):
+        pres = parse_presentation(f"gens: a b; rels: a^2 b^-{e}; phi: a={e} b=2")
+        F = CYC(5)
+        rep = rep_onedim(pres, F.zeta(1), F)
+        products = _count_calls(monkeypatch, "gen_mul")
+        for column in (0, 1):
+            wada_invariant(pres, rep, column=column)
+        assert len(products) <= e + 2, (e, len(products))
+        monkeypatch.undo()
