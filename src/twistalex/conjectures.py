@@ -22,7 +22,8 @@ from .metabelian import (DihedralData, alexander_polynomial, apn_irreducible,
 from .presentation import KnotPresentation
 from .reps import (gamma_summands, rep_dihedral, rep_gamma_compose,
                    rep_metabelian, rep_metacyclic, rep_mod_p, rep_onedim,
-                   rep_tensor, summand_compose, tensor_metabelian_identity)
+                   rep_spec_of_coloring, rep_tensor, summand_compose,
+                   tensor_metabelian_identity)
 from .twisted import (TwistedPolynomial, WadaError, _scalar_ratio, canonical_pair,
                       doteq_equal, satellite_scale_factor, wada_invariant)
 
@@ -99,10 +100,6 @@ def twisted_product(parts) -> TwistedPolynomial:
     return TwistedPolynomial(RationalFunction(num, den), tuple(gens), parts[0].column)
 
 
-def with_units(tw: TwistedPolynomial, gens) -> TwistedPolynomial:
-    return TwistedPolynomial(tw.value, tuple(gens), tw.column)
-
-
 # ------------------------------------------------------------- Conjecture A
 
 def check_conjecture_A(pres: KnotPresentation, epi, n: int, p0: int,
@@ -132,7 +129,7 @@ def check_conjecture_A(pres: KnotPresentation, epi, n: int, p0: int,
     direct_cyc = TwistedPolynomial(
         RationalFunction(tw.value.num.copy_to(dom), tw.value.den.copy_to(dom)),
         prod.det_subgroup, tw.column)
-    routes_agree = doteq_equal(with_units(direct_cyc, prod.det_subgroup), prod)
+    routes_agree = doteq_equal(direct_cyc, prod)
     witnesses["summand_count"] = len(summands)
     witnesses["summand_product"] = prod.to_text()
     witnesses["routes_agree"] = routes_agree
@@ -165,12 +162,12 @@ def check_conjecture_Aprime(pres: KnotPresentation, m: int, p0: int, k: int,
 
 # ----------------------------------------------------------- Conjecture B(1)
 
-def _pairing_search(F: LaurentPoly, factored=None):
+def _pairing_search(F: LaurentPoly, factored):
     """Exhaustive search for integer f with f(t) f(-t) = ± t^(2j) F(t).
-    factored is F's `factor_integer_poly`, when the caller already has it.
+    factored is F's `factor_integer_poly`.
 
     Returns (f, sign, shift, None) or (None, None, None, obstruction_factors)."""
-    _, content, _, factors = factored or factor_integer_poly(F)
+    _, content, _, factors = factored
     # content must split as d^2
     d = isqrt(abs(content))
     content_ok = d * d == abs(content)
@@ -215,7 +212,7 @@ def _sqrt_witness(g: LaurentPoly) -> str:
 def check_conjecture_B1(pres: KnotPresentation, coloring: DihedralData,
                         knot: str = "") -> ConjectureReport:
     """Is Delta^(rho.alpha) = Delta/(1-t) * f(t) f(-t) solvable over Z?"""
-    spec = f"dihedral:p={coloring.p}:colors=" + ",".join(map(str, coloring.colors))
+    spec = rep_spec_of_coloring(coloring)
     delta = alexander_polynomial(pres)
     rep = rep_dihedral(pres, coloring)
     tw = wada_invariant(pres, rep)
@@ -268,7 +265,7 @@ def check_conjecture_B2(pres: KnotPresentation, coloring: DihedralData,
     """Delta^(rho_p.alpha) = (Delta/(1-t))^(l+1) (Delta(-t)/(1+t))^l mod p."""
     p = coloring.p
     ell = (p - 1) // 2
-    spec = f"dihedral:p={p}:colors=" + ",".join(map(str, coloring.colors))
+    spec = rep_spec_of_coloring(coloring)
     dom = GF(p)
     delta = alexander_polynomial(pres)
     rep = rep_mod_p(rep_dihedral(pres, coloring), p)

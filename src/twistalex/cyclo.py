@@ -70,11 +70,19 @@ def multiplicative_order(a: int, n: int) -> int:
     return k
 
 
+# the largest n whose primes are found by trial division (at most 10^5 steps)
+_TRIAL_CAP = 10**10
+
+
 def is_cyclotomic_irreducible_mod_p(n: int, p: int) -> bool:
     """True iff Phi_n is irreducible over F_p; equivalent to ord_n(p) = phi(n),
-    that is p^(phi(n)/q) != 1 (mod n) for every prime q | phi(n)."""
+    that is p^(phi(n)/q) != 1 (mod n) for every prime q | phi(n).  An n above
+    _TRIAL_CAP is refused before it is factored."""
     if gcd(n, p) != 1:
         raise ValueError(f"gcd({n},{p}) != 1")
+    if n > _TRIAL_CAP:
+        raise ValueError(f"n = {n} is above the cap _TRIAL_CAP = {_TRIAL_CAP} "
+                         "for factoring n by trial division")
     if n == 1:
         return True
     return multiplicative_order(p, n) == _euler_phi(n)

@@ -24,21 +24,26 @@ the walker's plans; the memo dies with the presentation.
 The three epimorphism searches are kernels of the same matrix: meridians
 sent to (1, a_j) in Z/m x| A define a homomorphism exactly when the a_j solve
 the Alexander matrix at t -> T, the action of Z/m on A = F_p^d (a Fox
-coloring).
+coloring).  That target, A = F_p[t]/(f) with T the companion matrix of f, is
+one class, `Target`, for D_p and G(m,p|k) (f = t - k) and for Z/n x| A_{p,n}
+(f = Phi_n).  It also gives the permutation images that `reps` composes, and
+only this module reads its companion matrix.
 """
 from __future__ import annotations
 
 from collections.abc import Sequence
 from dataclasses import dataclass, field
+from functools import cached_property
 from itertools import chain, product as iproduct
 from math import gcd, lcm, prod
+from operator import mul
 
-from .cyclo import (CYC, _euler_phi, cyclotomic_polynomial,
+from .cyclo import (CYC, _TRIAL_CAP, _euler_phi, cyclotomic_polynomial,
                     is_cyclotomic_irreducible_mod_p)
 from .domains import GF, ZZ, ExactDivisionError, is_prime
 from .fox import alexander_fox_matrix, alexander_reduced_matrix
 from .laurent import LaurentPoly
-from .matrix import identity, mat_inverse, mat_mul, nullspace, rref, transpose
+from .matrix import Monomial, identity, mat_inverse, mat_mul, nullspace, rref, transpose
 from .polydet import det_poly_matrix
 from .presentation import KnotPresentation, PresentationError
 from .snf import AbelianGroupStructure, cokernel_structure, resultant
@@ -513,14 +518,6 @@ def _check_prime(p0: int) -> None:
         raise ValueError(f"p must be a prime, got {p0}")
 
 
-def check_primitive_root(k: int, m: int, p: int, error: type = ValueError) -> None:
-    """Raise `error` unless m >= 1 and k has multiplicative order exactly m mod p."""
-    if m < 1:
-        raise error(f"m must be >= 1, got {m}")
-    if pow(k, m, p) != 1 or any(pow(k, l, p) == 1 for l in range(1, m)):
-        raise error(f"{k} is not a primitive {m}-th root of unity mod {p}")
-
-
 def find_metacyclic_epis(pres: KnotPresentation, m: int, p0: int, k: int):
     """Meridian assignments g_i -> x y^(c_i) in G(m, p0 | k), up to symmetry.
 
@@ -530,8 +527,8 @@ def find_metacyclic_epis(pres: KnotPresentation, m: int, p0: int, k: int):
     """
     _check_prime(p0)
     _require_wirtinger(pres)
-    check_primitive_root(k, m, p0)
-    return [tuple(chain.from_iterable(sol)) for sol in _kernel_epis(pres, p0, [[k % p0]], m)]
+    target = Target.metacyclic(m, p0, k, ValueError)
+    return [tuple(chain.from_iterable(sol)) for sol in _kernel_epis(pres, target)]
 
 
 def apn_budget(n: int, p0: int) -> None:
@@ -544,14 +541,9 @@ def apn_budget(n: int, p0: int) -> None:
         raise ValueError(f"A_{{{p0},{n}}} has {p0}^phi({n}) elements, above the cap {_ENUM_CAP}")
 
 
-# the largest n whose primes are found by trial division (at most 10^5 steps)
-# before apn_budget has run
-_TRIAL_CAP = 10**10
-
-
 def apn_irreducible(n: int, p0: int) -> bool:
     """Whether Phi_n is irreducible mod p0, so that A_{p0,n} is a field.  The
-    test factors n and phi(n); an n above _TRIAL_CAP is first held to
+    test factors n and phi(n); an n above cyclo's _TRIAL_CAP is first held to
     apn_budget, which refuses it without factoring.  A smaller n is tested
     first, so a reducible Phi_n is named as such."""
     if n > _TRIAL_CAP:
@@ -559,39 +551,81 @@ def apn_irreducible(n: int, p0: int) -> bool:
     return is_cyclotomic_irreducible_mod_p(n, p0)
 
 
-def apn_field(n: int, p0: int):
-    """A_{p0,n} = F_p0[t]/(phi_n) as (degree, companion matrix columns)."""
-    if gcd(n, p0) != 1:
-        raise ValueError("n and p0 must be coprime")
-    apn_budget(n, p0)
-    cm = [c % p0 for c in cyclotomic_polynomial(n).coeffs()]
-    d = len(cm) - 1
-    # companion matrix of phi_n mod p0: t * e_i = e_{i+1}, t*e_{d-1} = -phi tail
-    comp = [[0] * d for _ in range(d)]
-    for i in range(d - 1):
-        comp[i + 1][i] = 1
-    for i in range(d):
-        comp[i][d - 1] = (-cm[i]) % p0
-    return d, comp
+def _mat_vec(mat, v, p: int) -> tuple:
+    return tuple(sum(map(mul, row, v)) % p for row in mat)
 
 
-def _apn_mul_matrix(poly_class, comp, p0):
-    """Multiplication-by-a matrix on A for a = sum poly_class[e] * t^e."""
-    d = len(comp)
-    # columns: a * e_j
-    cols = []
-    for j in range(d):
-        v = [0] * d
-        v[j] = 1
-        acc = [0] * d
-        cur = v
-        for e in range(len(poly_class)):
-            c = poly_class[e]
-            if c:
-                acc = [(x + c * y) % p0 for x, y in zip(acc, cur)]
-            cur = [sum(comp[i][l] * cur[l] for l in range(d)) % p0 for i in range(d)]
-        cols.append(acc)
-    return [[cols[j][i] for j in range(d)] for i in range(d)]
+class Target:
+    """Z/order x| A, A = F_p[t]/(f) with f monic, of degree d, dividing
+    t^order - 1 mod p: G(m, p|k) (`metacyclic`, f = t - k; D_p = G(2, p|-1))
+    or Z/n x| A_{p,n} (`apn`, f = Phi_n).  A is F_p^d in the basis 1, t, ...,
+    t^(d-1); t acts by the companion matrix of f, whose powers are formed
+    once, so t^j and a multiplication matrix are one product each.  The
+    element list (itertools.product order) is built when first read.
+    """
+
+    def __init__(self, order: int, p: int, f):
+        d = len(f) - 1
+        self.order, self.p, self.d = order, p, d
+        # t e_i = e_(i+1) and t e_(d-1) = -(f_0 e_0 + ... + f_(d-1) e_(d-1))
+        self.companion = tuple(tuple(-f[i] % p if j == d - 1 else int(i == j + 1)
+                                     for j in range(d)) for i in range(d))
+        powers = [tuple(tuple(int(i == j) for j in range(d)) for i in range(d))]
+        for _ in range(order - 1):  # the columns of t^(e+1) are t times those of t^e
+            powers.append(tuple(zip(*(_mat_vec(self.companion, col, p)
+                                      for col in zip(*powers[-1])))))
+        self._powers = powers
+
+    @classmethod
+    def metacyclic(cls, m: int, p: int, k: int, error: type) -> "Target":
+        """G(m, p|k) = Z/m x| F_p, 1 in Z/m acting by k; raises `error` unless
+        m >= 1 and k has multiplicative order exactly m mod p."""
+        if m < 1:
+            raise error(f"m must be >= 1, got {m}")
+        if pow(k, m, p) != 1 or any(pow(k, l, p) == 1 for l in range(1, m)):
+            raise error(f"{k} is not a primitive {m}-th root of unity mod {p}")
+        return cls(m, p, (-k % p, 1))
+
+    @classmethod
+    def apn(cls, n: int, p: int) -> "Target":
+        """Z/n x| A_{p,n}, A_{p,n} = F_p[t]/(Phi_n), held to apn_budget."""
+        if gcd(n, p) != 1:
+            raise ValueError("n and p must be coprime")
+        apn_budget(n, p)
+        return cls(n, p, [c % p for c in cyclotomic_polynomial(n).coeffs()])
+
+    def t(self, v, j: int) -> tuple:
+        """t^j v, j read mod the order."""
+        return _mat_vec(self._powers[j % self.order], v, self.p)
+
+    def dual(self, u) -> tuple:
+        """The transpose action on additive characters: u . (t v) = dual(u) . v."""
+        return _mat_vec(zip(*self.companion), u, self.p)
+
+    def mul_matrix(self, terms) -> tuple:
+        """The matrix on A of multiplication by sum c t^e over the (e, c)
+        terms, e read mod the order (t^order = 1 on A)."""
+        terms = [(c, self._powers[e % self.order]) for e, c in terms if c]
+        return tuple(tuple(sum(c * tp[i][j] for c, tp in terms) % self.p for j in range(self.d))
+                     for i in range(self.d))
+
+    def units(self) -> list:
+        """The multiplication matrices of the units of A."""
+        F, d = GF(self.p), self.d
+        return [mu for u in iproduct(range(self.p), repeat=d) if any(u)
+                for mu in [self.mul_matrix(enumerate(u))] if len(rref(F, mu, d)[1]) == d]
+
+    @cached_property
+    def elements(self) -> list:
+        return list(iproduct(range(self.p), repeat=self.d))
+
+    def image(self, j: int, a) -> Monomial:
+        """(j, a) acting on the basis e_v, v in A: e_v -> e_(t^j v + a).  The
+        index of w in the element list is w read as a base-p numeral."""
+        tj, p, index = self._powers[j % self.order], self.p, [0] * len(self.elements)
+        for row, y in zip(tj, a):  # one digit of every t^j v + a
+            index = [i * p + (sum(map(mul, row, v)) + y) % p for i, v in zip(index, self.elements)]
+        return Monomial.permutation(ZZ, tuple(index))
 
 
 class _UnitTable(dict):
@@ -602,37 +636,30 @@ class _UnitTable(dict):
         self.mu, self.p0 = mu, p0
 
     def __missing__(self, a):
-        b = self[a] = tuple(sum(x * y for x, y in zip(row, a)) % self.p0 for row in self.mu)
+        b = self[a] = _mat_vec(self.mu, a, self.p0)
         return b
 
 
-def _kernel_epis(pres: KnotPresentation, p0: int, comp, order: int):
-    """Meridian images (1, a_j) in Z/order x| A, A = F_p0^d with t acting by comp.
+def _kernel_epis(pres: KnotPresentation, target: Target):
+    """Meridian images (1, a_j) in the target Z/order x| A.
 
     The law (j, a)(j', a') = (j + j', a + t^j a') makes them the A-valued
-    solutions of the Alexander matrix at t -> comp (comp^order = 1).  The
+    solutions of the Alexander matrix at t -> the companion matrix.  The
     constants always solve it (its rows sum to 0) and are the conjugation
     orbit of a_0 = 0, so the kernel of the module matrix (column 0 deleted)
     holds one solution per class.  Each nonzero one is reported as its least
     multiple by a unit of A.
     """
-    d = len(comp)
-    F = GF(p0)
+    d, p0 = target.d, target.p
     zero = [[0] * d] * d
     rows = []
     for r in alexander_module(pres).matrix:
-        blocks = []
-        for f in r:
-            cls = [0] * order
-            for e, c in f.terms():
-                cls[e % order] += c
-            blocks.append(zero if f.is_zero() else _apn_mul_matrix(cls, comp, p0))
+        blocks = [zero if f.is_zero() else target.mul_matrix(f.terms()) for f in r]
         rows.extend([x for b in blocks for x in b[i]] for i in range(d))
-    basis = nullspace(F, rows, d * (pres.generator_count - 1))
+    basis = nullspace(GF(p0), rows, d * (pres.generator_count - 1))
     if not basis:
         return []
-    units = [_UnitTable(mu, p0) for u in iproduct(range(p0), repeat=d) if any(u)
-             for mu in [_apn_mul_matrix(u, comp, p0)] if len(rref(F, mu, d)[1]) == d]
+    units = [_UnitTable(mu, p0) for mu in target.units()]
     least = {}  # first nonzero a_j -> the units taking it to its least multiple
     out = set()
     for v in _enumerate_span(basis, p0):
@@ -657,5 +684,4 @@ def find_zn_apn_epis(pres: KnotPresentation, n: int, p0: int):
     _require_wirtinger(pres)
     if n < 2:
         raise ValueError("n must be >= 2")
-    _, comp = apn_field(n, p0)
-    return _kernel_epis(pres, p0, comp, n)
+    return _kernel_epis(pres, Target.apn(n, p0))

@@ -5,6 +5,10 @@ until a conjugation makes it dense, so word evaluation and relator checks stay
 linear in the dimension.  Constructors attached to a presentation verify every
 relator at build time.
 
+The dihedral, metacyclic and gamma representations and the gamma summands
+read Z/m x| A, its t-action and its permutation images from one
+`metabelian.Target`.
+
 Each rep caches the image of every word prefix it has evaluated, so the
 relator check fills the cache that the Fox walker reads (it starts every
 syllable from a relator prefix).  A conjugated rep P^-1 rho P receives its
@@ -14,7 +18,6 @@ inverted over the dense field.
 from __future__ import annotations
 
 from fractions import Fraction
-from itertools import product as iproduct
 from math import comb, gcd, lcm
 
 from . import words
@@ -23,9 +26,9 @@ from .domains import (Domain, ExactDivisionError, GF, QQ, ZZ, convert, domain_jo
                       is_prime)
 from .matrix import (Dense, Monomial, as_monomial, direct_sum, gen_inv, gen_mul, identity,
                      kron, mat_convert, mat_eq, mat_mul, to_dense)
-from .metabelian import (Character, DihedralData, apn_field, apn_irreducible,
+from .metabelian import (Character, DihedralData, Target, apn_irreducible,
                          branched_cover_homology, characters_of_quotient,
-                         check_primitive_root, deleted_column, find_zn_apn_epis)
+                         deleted_column, find_zn_apn_epis)
 from .polydet import det_matrix
 from .presentation import KnotPresentation
 
@@ -166,17 +169,13 @@ def rep_onedim(pres: KnotPresentation, z, dom: Domain | None = None) -> Represen
 def rep_metacyclic(pres: KnotPresentation, m: int, p: int, k: int, colors,
                    label: str = "") -> Representation:
     """The p-dimensional permutation representation of an epimorphism onto
-    G(m,p|k): generator g_i -> x^phi(g_i) y^(colors[i])."""
-    check_primitive_root(k, m, p, RepresentationError)
+    G(m,p|k): generator g_i -> x^e y^c, e = phi(g_i) and c = colors[i], which
+    acts on Z/p by n -> k^e (n - c), the target's image of (e, -k^e c)."""
+    target = Target.metacyclic(m, p, k, RepresentationError)
     if len(colors) != pres.generator_count:
         raise RepresentationError("one color per generator required")
-    images = {}
-    for g in range(pres.generator_count):
-        e = pres.phi[g] % m
-        c = colors[g] % p
-        # x^e y^c acting on Z/p: n -> k^e (n - c)
-        ke = pow(k, e, p)
-        images[g] = Monomial.permutation(ZZ, tuple((ke * (n - c)) % p for n in range(p)))
+    images = {g: target.image(e, target.t((-c,), e))
+              for g, (e, c) in enumerate(zip(pres.phi, colors))}
     return Representation(p, ZZ, images, pres,
                           label=label or f"metacyclic(m={m},p={p},k={k})")
 
@@ -190,70 +189,42 @@ def rep_dihedral(pres: KnotPresentation, data: DihedralData) -> Representation:
 
 # --------------------------------------------------------------- gamma reps
 
-class GammaRep:
-    """gamma: Z/n x| A_{p,n} acting on the free Z-module with basis A_{p,n}."""
-
-    def __init__(self, p: int, n: int):
-        if gcd(n, p) != 1:
-            raise RepresentationError("n and p must be coprime")
-        self.p = p
-        self.n = n
-        self.d, self.comp = apn_field(n, p)
-        self.elements = sorted(iproduct(range(p), repeat=self.d))
-        self.index = {v: i for i, v in enumerate(self.elements)}
-        self.dim = p**self.d
-
-    def t_apply(self, v, j: int = 1):
-        out = list(v)
-        for _ in range(j % self.n):
-            out = [sum(self.comp[i][l] * out[l] for l in range(self.d)) % self.p
-                   for i in range(self.d)]
-        return tuple(out)
-
-    def image(self, j: int, a) -> Monomial:
-        """gamma((j, a)): basis vector e_v -> e_{t^j v + a}."""
-        a = tuple(x % self.p for x in a)
-        perm = []
-        for v in self.elements:
-            tv = self.t_apply(v, j)
-            target = tuple((x + y) % self.p for x, y in zip(tv, a))
-            perm.append(self.index[target])
-        return Monomial.permutation(ZZ, tuple(perm))
-
-
 def rep_gamma_compose(pres: KnotPresentation, n: int, p0: int, assignment) -> Representation:
-    """gamma composed with the epimorphism sending meridian i to (1, a_i)."""
-    gam = GammaRep(p0, n)
+    """gamma, Z/n x| A_{p0,n} acting on the free Z-module with basis A_{p0,n},
+    composed with the epimorphism sending meridian i to (1, a_i)."""
+    target = Target.apn(n, p0)
     if len(assignment) != pres.generator_count:
         raise RepresentationError("one A-element per generator required")
-    images = {g: gam.image(pres.phi[g], assignment[g]) for g in range(pres.generator_count)}
-    return Representation(gam.dim, ZZ, images, pres, label=f"gamma(p={p0},n={n})")
+    if any(len(a) != target.d for a in assignment):
+        raise RepresentationError(f"an element of A_{{{p0},{n}}} has {target.d} coordinates")
+    images = {g: target.image(pres.phi[g], assignment[g]) for g in range(pres.generator_count)}
+    return Representation(len(target.elements), ZZ, images, pres, label=f"gamma(p={p0},n={n})")
 
 
 class GammaSummand:
     """One block of the complex splitting of gamma: either the trivial line or
     the n-dimensional block induced from an additive character orbit."""
 
-    def __init__(self, gam: GammaRep, u, dom: CyclotomicField):
-        self.gam = gam
+    def __init__(self, target: Target, u, dom: CyclotomicField):
+        self.target = target
         self.u = u  # None for the trivial summand
         self.dom = dom
-        self.dim = 1 if u is None else gam.n
+        self.dim = 1 if u is None else target.order
 
     def _chi(self, v):
         """Additive character chi_u(v) = zeta_p^(u . v)."""
-        e = sum(x * y for x, y in zip(self.u, v)) % self.gam.p
-        return self.dom.zeta(e * (self.dom.m // self.gam.p))
+        e = sum(x * y for x, y in zip(self.u, v)) % self.target.p
+        return self.dom.zeta(e * (self.dom.m // self.target.p))
 
     def image(self, j: int, a) -> Monomial:
         if self.u is None:
             return Monomial.identity(self.dom, 1)
-        n = self.gam.n
+        n = self.target.order
         # z = 1 block: cyclic shift^j times diag(chi(t^(-i-j) a)); the i+j
         # twist is what makes this a homomorphism for the composition law
         # (j,a)(j',a') = (j+j', a + t^j a') used by the epimorphism solver
         shift = Monomial(tuple((i + j) % n for i in range(n)), (self.dom.one(),) * n)
-        scales = tuple(self._chi(self.gam.t_apply(a, (-i - j) % n)) for i in range(n))
+        scales = tuple(self._chi(self.target.t(a, -i - j)) for i in range(n))
         diag = Monomial(tuple(range(n)), scales)
         return shift.mul(diag, self.dom)
 
@@ -263,32 +234,23 @@ def gamma_summands(p: int, n: int):
     if not apn_irreducible(n, p):
         raise RepresentationError(f"phi_{n} is reducible mod {p}; the Z/{n}-action "
                                   "on characters need not be free")
-    gam = GammaRep(p, n)
+    target = Target.apn(n, p)
     dom = CYC(p)
-    # orbits of the dual t-action on nonzero additive characters u
-    # (u . t v) = (T^t u . v): dual action is the transpose companion matrix
-    d = gam.d
-    tt = [[gam.comp[j][i] for j in range(d)] for i in range(d)]
-
-    def dual_t(u):
-        return tuple(sum(tt[i][l] * u[l] for l in range(d)) % p for i in range(d))
-
+    # orbits of the dual t-action on the nonzero additive characters u
     seen = set()
     reps = []
-    for u in sorted(iproduct(range(p), repeat=d)):
-        if all(x == 0 for x in u) or u in seen:
+    for u in target.elements:
+        if not any(u) or u in seen:
             continue
-        orbit = []
-        v = u
-        for _ in range(n):
-            orbit.append(v)
-            v = dual_t(v)
+        orbit = [u]
+        for _ in range(n - 1):
+            orbit.append(target.dual(orbit[-1]))
         if len(set(orbit)) != n:
             raise RepresentationError("character orbit is not free")
         seen.update(orbit)
         reps.append(u)
-    out = [GammaSummand(gam, None, dom)]
-    out.extend(GammaSummand(gam, u, dom) for u in reps)
+    out = [GammaSummand(target, None, dom)]
+    out.extend(GammaSummand(target, u, dom) for u in reps)
     return out
 
 
@@ -297,7 +259,7 @@ def summand_compose(pres: KnotPresentation, summand: GammaSummand, assignment) -
         g: summand.image(pres.phi[g], assignment[g]) for g in range(pres.generator_count)
     }
     return Representation(summand.dim, summand.dom, images, pres,
-                          label=f"gamma_summand(p={summand.gam.p},n={summand.gam.n})")
+                          label=f"gamma_summand(p={summand.target.p},n={summand.target.order})")
 
 
 # --------------------------------------------------------- metabelian blocks

@@ -198,7 +198,8 @@ def test_b1_brute_force_confirms_no_pairing():
 
 
 def test_b1_synthetic_square():
-    f, sign, shift, obs = _pairing_search(parse_poly("1 - 2*t^2 + t^4"))
+    F = parse_poly("1 - 2*t^2 + t^4")
+    f, sign, shift, obs = _pairing_search(F, factor_integer_poly(F))
     assert f is not None
     check = f * f.subs_neg_t()
     from twistalex.twisted import _scalar_ratio
@@ -208,7 +209,8 @@ def test_b1_synthetic_square():
 
 def test_b1_synthetic_t4_minus_1():
     # exhaustive search decides: (t^2+1) is self-paired with odd multiplicity
-    f, sign, shift, obs = _pairing_search(parse_poly("-1 + t^4"))
+    F = parse_poly("-1 + t^4")
+    f, sign, shift, obs = _pairing_search(F, factor_integer_poly(F))
     assert f is None
     assert [g.to_text() for g in obs] == ["1 + t^2"]
 

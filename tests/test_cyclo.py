@@ -1,4 +1,5 @@
 import random
+import time
 from fractions import Fraction
 
 import pytest
@@ -41,6 +42,18 @@ def test_irreducibility_mod_p():
     assert is_cyclotomic_irreducible_mod_p(2, 3)
     with pytest.raises(ValueError):
         is_cyclotomic_irreducible_mod_p(6, 3)
+
+
+def test_irreducibility_refuses_an_n_above_the_trial_cap():
+    # n = 2^61 - 1 is prime: its trial division would take 1.5 * 10^9 steps
+    start = time.perf_counter()
+    with pytest.raises(ValueError) as err:
+        is_cyclotomic_irreducible_mod_p(2**61 - 1, 2)
+    assert time.perf_counter() - start < 1
+    assert str(err.value) == (f"n = {2**61 - 1} is above the cap _TRIAL_CAP = 10000000000 "
+                              "for factoring n by trial division")
+    # the cap itself is still tested: (Z/2^10)^* is not cyclic
+    assert is_cyclotomic_irreducible_mod_p(cyclo._TRIAL_CAP, 3) is False
 
 
 def test_multiplicative_order_brute_force():

@@ -1,6 +1,8 @@
+import ast
 import random
 from itertools import product as iproduct
 from math import gcd
+from pathlib import Path
 from types import SimpleNamespace
 
 import pytest
@@ -15,7 +17,7 @@ from twistalex.knots import TREFOIL_SEIFERT, alexander_fixture, corpus, presenta
 from twistalex.laurent import LaurentPoly, parse_poly
 from twistalex.metabelian import (DihedralData, ModulePresentation, SeifertData,
                                   _companion_blowup, alexander_module,
-                                  alexander_polynomial, apn_field,
+                                  Target, alexander_polynomial,
                                   branched_cover_homology, characters_of_quotient,
                                   deleted_column,
                                   find_dihedral_epis, find_metacyclic_epis,
@@ -453,10 +455,27 @@ def normalize_by_group_law(solutions, p, T):
 
 def test_apn_field_is_refused_above_the_enumeration_cap():
     # |A_{2,19}| = 2^18 is below _ENUM_CAP and 2^22 = |A_{2,23}| above it
-    assert apn_field(19, 2)[0] == 18
+    assert Target.apn(19, 2).d == 18
     with pytest.raises(ValueError, match=r"^A_\{2,23\} has 2\^phi\(23\) elements, "
                                          r"above the cap 500000$"):
-        apn_field(23, 2)
+        Target.apn(23, 2)
+
+
+def _companion_uses(source: str) -> list[int]:
+    """Lines of source that name the target's companion matrix or its powers,
+    as an attribute or a string."""
+    names = {"companion", "_powers"}
+    return [node.lineno for node in ast.walk(ast.parse(source))
+            if isinstance(node, ast.Attribute) and node.attr in names
+            or isinstance(node, ast.Constant) and node.value in names]
+
+
+def test_only_metabelian_reads_the_companion_matrix():
+    assert _companion_uses("T.companion\ngetattr(T, '_powers')\n") == [1, 2]
+    offenders = {path.name: lines for path in Path(metabelian.__file__).parent.glob("*.py")
+                 if path.name != "metabelian.py"
+                 for lines in [_companion_uses(path.read_text())] if lines}
+    assert offenders == {}
 
 
 def _dihedral_colors(pres, p):
@@ -468,7 +487,8 @@ def _dihedral_colors(pres, p):
       for name, p in (("3_1", 3), ("3_1", 5), ("4_1", 3), ("4_1", 5), ("5_1", 5), ("5_2", 3))),
     pytest.param("3_1", 7, 6, [[3]], lambda pres, p: find_metacyclic_epis(pres, 6, p, 3),
                  id="3_1-G(6,7|3)"),
-    *(pytest.param(name, 2, 3, apn_field(3, 2)[1], lambda pres, p: find_zn_apn_epis(pres, 3, p),
+    *(pytest.param(name, 2, 3, Target.apn(3, 2).companion,
+                   lambda pres, p: find_zn_apn_epis(pres, 3, p),
                    id=f"{name}-Z/3xA(2,3)") for name in ("3_1", "4_1")),
 ])
 def test_colorings_match_brute_force(name, p, m, T, search):

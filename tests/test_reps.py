@@ -13,10 +13,10 @@ from twistalex.domains import GF, QQ, ZZ
 from twistalex.knots import presentation
 from twistalex.matrix import (Monomial, as_monomial, gen_inv, gen_mul, identity, mat_eq,
                               mat_inverse, mat_mul, to_dense)
-from twistalex.metabelian import (DihedralData, branched_cover_homology,
+from twistalex.metabelian import (DihedralData, Target, branched_cover_homology,
                                   characters_of_quotient, find_dihedral_epis,
                                   find_zn_apn_epis)
-from twistalex.reps import (GammaRep, RepresentationError, default_sl_z,
+from twistalex.reps import (RepresentationError, default_sl_z,
                             gamma_summands, is_irreducible_metabelian,
                             parse_rep_spec, rep_dihedral,
                             rep_direct_sum, rep_gamma_compose, rep_metabelian,
@@ -34,9 +34,9 @@ def check_relators(rep) -> bool:
     return rep.failing_relator() is None
 
 
-def group_elements(gam: GammaRep):
+def group_elements(gam: Target):
     """The elements (j, a) of Z/n x| A_{p,n}, j-major."""
-    for j in range(gam.n):
+    for j in range(gam.order):
         for a in gam.elements:
             yield (j, a)
 
@@ -135,8 +135,8 @@ def test_trefoil_all_colorings_give_reps():
 # ------------------------------------------------------------------- gamma
 
 def test_gamma_group_a4():
-    gam = GammaRep(2, 3)
-    assert gam.dim == 4
+    gam = Target.apn(3, 2)
+    assert len(gam.elements) == 4
     # image group: all gamma(j,a), order 12, all even permutations of 4 points
     from twistalex.matrix import perm_sign
 
@@ -149,9 +149,9 @@ def test_gamma_group_a4():
 
 
 def test_gamma_identity_element():
-    gam = GammaRep(3, 2)
+    gam = Target.apn(2, 3)
     assert gam.image(0, (0,)).is_identity(ZZ)
-    assert gam.dim == 3
+    assert len(gam.elements) == 3
 
 
 def test_gamma_d3_matches_dihedral():
@@ -181,8 +181,7 @@ def test_gamma_summands_structure():
     assert [s.dim for s in summands] == [1, 2, 2]
     for p, n in ((2, 3), (3, 2), (5, 2)):
         s = gamma_summands(p, n)
-        d, _ = __import__("twistalex.metabelian", fromlist=["apn_field"]).apn_field(n, p)
-        assert sum(x.dim for x in s) == p**d
+        assert sum(x.dim for x in s) == p**Target.apn(n, p).d
 
 
 def test_gamma_summands_precondition():
@@ -213,7 +212,7 @@ def _trace(dom, m):
 def test_gamma_summand_trace_identity():
     # trace gamma(g) = sum_i trace gamma_i(g) for every group element
     for p, n in ((3, 2), (2, 3), (5, 2)):
-        gam = GammaRep(p, n)
+        gam = Target.apn(n, p)
         summands = gamma_summands(p, n)
         dom = CYC(p)
         for j, a in group_elements(gam):
@@ -473,6 +472,8 @@ def test_parse_rep_specs():
     ("dihedral:p=3:colors=0,1,y", "dihedral spec key 'colors' is not an integer: 'y'"),
     ("metacyclic:m=2:p=3:k=2.5:colors=0,1,2", "metacyclic spec key 'k' is not an integer"),
     ("gamma:p=3:n=2:a=0.1,x", "gamma spec key 'a' is not an integer: 'x'"),
+    ("gamma:p=2:n=3:a=1,0,0", "an element of A_{2,3} has 2 coordinates"),
+    ("gamma:p=3:n=2:a=0.1,1.2,2.0", "an element of A_{3,2} has 1 coordinates"),
     ("metabelian:n=two:m=3", "metabelian spec key 'n' is not an integer: 'two'"),
     ("modp(trivial,q)", "modp spec key 'p' is not an integer: 'q'"),
     ("onedim:z=x", "malformed scalar 'x'"),
@@ -490,13 +491,13 @@ def test_gamma_summand_homomorphism_on_all_pairs():
         dom = CYC(p)
         gam_summands = gamma_summands(p, n)
         s = gam_summands[-1]
-        gam = s.gam
+        gam = s.target
         elements = list(group_elements(gam))
         for (j1, a1) in elements:
             for (j2, a2) in elements:
                 prod_elem = ((j1 + j2) % n,
                              tuple((x + y) % p for x, y in
-                                   zip(a1, gam.t_apply(a2, j1))))
+                                   zip(a1, gam.t(a2, j1))))
                 lhs = s.image(j1, a1).mul(s.image(j2, a2), dom)
                 rhs = s.image(*prod_elem)
                 assert lhs.perm == rhs.perm
@@ -506,13 +507,13 @@ def test_gamma_summand_homomorphism_on_all_pairs():
 
 def test_gamma_rep_homomorphism_on_all_pairs():
     for p, n in ((3, 2), (2, 3)):
-        gam = GammaRep(p, n)
+        gam = Target.apn(n, p)
         elements = list(group_elements(gam))
         for (j1, a1) in elements:
             for (j2, a2) in elements:
                 prod_elem = ((j1 + j2) % n,
                              tuple((x + y) % p for x, y in
-                                   zip(a1, gam.t_apply(a2, j1))))
+                                   zip(a1, gam.t(a2, j1))))
                 lhs = gam.image(j1, a1).mul(gam.image(j2, a2), ZZ)
                 rhs = gam.image(*prod_elem)
                 assert lhs.perm == rhs.perm
