@@ -1,7 +1,7 @@
 """Exact twisted Alexander polynomials of knots under finite metabelian,
 dihedral, metacyclic and Z/n x| A_{p,n} representations."""
 
-from .domains import GF, QQ, ZZ
+from .domains import GF, QQ, ZZ, TwistalexError
 from .cyclo import CYC, cyclotomic_polynomial, is_cyclotomic_irreducible_mod_p
 from .laurent import LaurentPoly, RationalFunction, parse_poly
 from .factorint import factor_integer_poly, is_irreducible

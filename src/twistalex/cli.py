@@ -8,11 +8,13 @@ a subcommand accepts no other flag.  The knot comes from exactly one of
 --seifert).  Every flag is defined once in `_FLAGS`.
 
 Exit codes: 0 success / conjecture holds, 1 conjecture fails, 2 usage or
-precondition errors: a flag error prints argparse's usage line, a library
-error one `error:` line.  Flags must be spelled out: argparse's prefix
-matching is off, so `--k` is never read as `--knot`.  Identical invocations
-print identical bytes: every enumeration below is in a fixed deterministic
-order and nothing is ever randomized.
+precondition errors: a flag error prints argparse's usage line, a refusal
+(`domains.TwistalexError`, such as `p must be a prime, got 9` or, for D_p,
+`p must be an odd prime, got 9`) or an unreadable file one `error:` line.
+Any other exception is a program fault and propagates.  Flags must be
+spelled out: argparse's prefix matching is off, so `--k` is never read as
+`--knot`.  Identical invocations print identical bytes: every enumeration
+below is in a fixed deterministic order and nothing is ever randomized.
 """
 from __future__ import annotations
 
@@ -26,33 +28,37 @@ from . import knots
 from .conjectures import (check_conjecture_A, check_conjecture_Aprime,
                           check_conjecture_B1, check_conjecture_B2, wada_experiment)
 from .cyclo import CyclotomicField
-from .domains import ZZ
+from .domains import ZZ, TwistalexError
 from .factorint import factor_integer_poly
 from .laurent import LaurentPoly, parse_poly
 from .metabelian import (alexander_polynomial, branched_cover_homology,
                          find_dihedral_epis, find_metacyclic_epis,
                          find_zn_apn_epis, parse_seifert_file)
-from .presentation import (KnotPresentation, PresentationError,
-                           braid_closure_presentation, format_word, parse_braid,
-                           parse_presentation, serialize_presentation)
+from .presentation import (KnotPresentation, braid_closure_presentation, format_word,
+                           parse_braid, parse_presentation, serialize_presentation)
 from .reps import parse_rep_spec, parse_scalars, rep_spec_of_coloring
-from .twisted import WadaError, satellite_twisted, wada_invariant
+from .twisted import satellite_twisted, wada_invariant
 
 
-class UsageError(Exception):
+class UsageError(TwistalexError):
     pass
+
+
+def _read(path: str) -> str:
+    """A file named by a flag; bytes that do not decode are the user's error."""
+    try:
+        with open(path) as fh:
+            return fh.read()
+    except UnicodeDecodeError as exc:
+        raise UsageError(str(exc)) from None
 
 
 def _load_presentation(args) -> KnotPresentation:
     if args.braid is not None:
         return braid_closure_presentation(parse_braid(args.braid))
     if args.pres is not None:
-        with open(args.pres) as fh:
-            return parse_presentation(fh.read())
-    try:
-        return knots.presentation(args.knot)
-    except KeyError:
-        raise UsageError(f"no fixture for knot {args.knot!r}") from None
+        return parse_presentation(_read(args.pres))
+    return knots.presentation(args.knot)
 
 
 def _twisted_json(tw) -> dict:
@@ -101,8 +107,7 @@ def _cmd_present(args) -> int:
 
 def _cmd_alexander(args) -> int:
     if args.seifert is not None:
-        with open(args.seifert) as fh:
-            delta = parse_seifert_file(fh.read()).alexander_polynomial()
+        delta = parse_seifert_file(_read(args.seifert)).alexander_polynomial()
     else:
         delta = alexander_polynomial(_load_presentation(args))
     _emit(args, delta.to_text(), {"alexander": delta.to_text()})
@@ -169,8 +174,7 @@ def _cmd_epis(args) -> int:
 
 def _cmd_branched(args) -> int:
     if args.seifert is not None:
-        with open(args.seifert) as fh:
-            src = parse_seifert_file(fh.read())
+        src = parse_seifert_file(_read(args.seifert))
     else:
         src = _load_presentation(args)
     q = branched_cover_homology(src, args.k)
@@ -193,15 +197,12 @@ def _cmd_satellite(args) -> int:
     return 0
 
 
-def _conj_exit(reports) -> int:
-    if not reports:
-        return 2
-    if any(r.verdict == "precondition-unmet" for r in reports):
-        return 2
-    return 0 if all(r.holds for r in reports) else 1
-
-
-def _print_reports(args, reports) -> None:
+def _report(args, reports) -> int:
+    """Print the reports; exit 0 if all hold, 1 if one fails.  A precondition
+    a check found unmet is refused before anything is printed."""
+    for r in reports:
+        if r.verdict == "precondition-unmet":
+            raise UsageError(r.witnesses["reason"])
     for r in reports:
         if args.json:
             print(r.to_json())
@@ -210,43 +211,36 @@ def _print_reports(args, reports) -> None:
             for key in ("F", "obstruction", "matching_unit"):
                 if key in r.witnesses and r.witnesses[key] is not None:
                     print(f"    {key} = {r.witnesses[key]}")
+    return 0 if all(r.holds for r in reports) else 1
 
 
 def _cmd_conj_a(args) -> int:
     pres = _load_presentation(args)
     epis = find_zn_apn_epis(pres, args.n, args.p)
     if not epis:
-        print(f"no epimorphisms onto Z/{args.n} x| A_{{{args.p},{args.n}}}", file=sys.stderr)
-        return 2
-    reports = [check_conjecture_A(pres, e, args.n, args.p, knot=args.name) for e in epis]
-    _print_reports(args, reports)
-    return _conj_exit(reports)
+        raise UsageError(f"no epimorphisms onto Z/{args.n} x| A_{{{args.p},{args.n}}}")
+    return _report(args, [check_conjecture_A(pres, e, args.n, args.p, knot=args.name)
+                          for e in epis])
 
 
 def _cmd_conj_a_prime(args) -> int:
     pres = _load_presentation(args)
     epis = find_metacyclic_epis(pres, args.m, args.p, args.k)
     if not epis:
-        print("no metacyclic epimorphisms", file=sys.stderr)
-        return 2
-    reports = [
+        raise UsageError("no metacyclic epimorphisms")
+    return _report(args, [
         check_conjecture_Aprime(pres, args.m, args.p, args.k, colors, knot=args.name)
         for colors in epis
-    ]
-    _print_reports(args, reports)
-    return _conj_exit(reports)
+    ])
 
 
 def _cmd_conj_b(args, which: int) -> int:
     pres = _load_presentation(args)
     colorings = find_dihedral_epis(pres, args.p)
     if not colorings:
-        print(f"no {args.p}-colorings", file=sys.stderr)
-        return 2
+        raise UsageError(f"no {args.p}-colorings")
     check = check_conjecture_B1 if which == 1 else check_conjecture_B2
-    reports = [check(pres, d, knot=args.name) for d in colorings]
-    _print_reports(args, reports)
-    return _conj_exit(reports)
+    return _report(args, [check(pres, d, knot=args.name) for d in colorings])
 
 
 def _cmd_wada_experiment(args) -> int:
@@ -325,7 +319,7 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 # the user-caused failures: each becomes exit 2 and one error line
-_USER_ERRORS = (UsageError, PresentationError, WadaError, ValueError, OSError)
+_USER_ERRORS = (TwistalexError, OSError)
 
 
 def _guarded(run, args, file) -> int:
@@ -349,8 +343,7 @@ def main(argv=None) -> int:
 def _run_batch(args) -> int:
     """Run the command once per `name<TAB>braid` row, errors inline on stdout."""
     worst = 0
-    with open(args.batch) as fh:
-        rows = [line.rstrip("\n") for line in fh if line.strip()]
+    rows = [line for line in _read(args.batch).split("\n") if line.strip()]
     for row in rows:
         name, _, braid = row.partition("\t")
         sub_args = argparse.Namespace(**{**vars(args), "batch": None, "braid": braid,

@@ -9,14 +9,14 @@ from __future__ import annotations
 import json
 from dataclasses import dataclass, field as dfield
 from itertools import product as iproduct
-from math import gcd, isqrt
+from math import isqrt
 
 from .cyclo import CYC, CyclotomicField
-from .domains import GF, ZZ, ExactDivisionError
+from .domains import GF, ZZ, ExactDivisionError, RepresentationError
 from .factorint import factor_integer_poly, verify_factorization
 from .laurent import LaurentPoly, RationalFunction
 from .knots import TREFOIL_SEIFERT
-from .metabelian import (DihedralData, alexander_polynomial, apn_irreducible,
+from .metabelian import (DihedralData, alexander_polynomial,
                          branched_cover_homology, characters_of_quotient,
                          monodromy_orbit_values, normalize_integer_poly)
 from .presentation import KnotPresentation
@@ -24,7 +24,7 @@ from .reps import (gamma_summands, rep_dihedral, rep_gamma_compose,
                    rep_metabelian, rep_metacyclic, rep_mod_p, rep_onedim,
                    rep_spec_of_coloring, rep_tensor, summand_compose,
                    tensor_metabelian_identity)
-from .twisted import (TwistedPolynomial, WadaError, _scalar_ratio, canonical_pair,
+from .twisted import (TwistedPolynomial, _scalar_ratio, canonical_pair,
                       doteq_equal, satellite_scale_factor, wada_invariant)
 
 
@@ -107,9 +107,10 @@ def check_conjecture_A(pres: KnotPresentation, epi, n: int, p0: int,
     """Delta^(gamma.alpha) = Delta/(1-t) * F with F an integer polynomial in
     t^n; cross-checked against the product over the summand decomposition."""
     spec = f"gamma:p={p0}:n={n}"
-    if gcd(n, p0) != 1 or not apn_irreducible(n, p0):
-        return ConjectureReport("A", knot, spec, "precondition-unmet",
-                                {"reason": f"phi_{n} reducible mod {p0} or gcd != 1"})
+    try:
+        summands = gamma_summands(p0, n)
+    except RepresentationError as exc:
+        return ConjectureReport("A", knot, spec, "precondition-unmet", {"reason": str(exc)})
     delta = alexander_polynomial(pres)
     rep = rep_gamma_compose(pres, n, p0, epi)
     tw = wada_invariant(pres, rep)
@@ -123,7 +124,6 @@ def check_conjecture_A(pres: KnotPresentation, epi, n: int, p0: int,
     }
     # second route: product over the summand decomposition, over CYC(p0)
     dom = CYC(p0)
-    summands = gamma_summands(p0, n)
     parts = [wada_invariant(pres, summand_compose(pres, s, epi)) for s in summands]
     prod = twisted_product(parts)
     direct_cyc = TwistedPolynomial(
@@ -145,7 +145,7 @@ def check_conjecture_Aprime(pres: KnotPresentation, m: int, p0: int, k: int,
     delta = alexander_polynomial(pres)
     try:
         rep = rep_metacyclic(pres, m, p0, k, colors)
-    except ValueError as exc:
+    except RepresentationError as exc:
         return ConjectureReport("A'", knot, spec, "precondition-unmet",
                                 {"reason": str(exc)})
     tw = wada_invariant(pres, rep)
@@ -221,7 +221,7 @@ def check_conjecture_B1(pres: KnotPresentation, coloring: DihedralData,
         return ConjectureReport("B(1)", knot, spec, "fails",
                                 {"reason": "F is not an integer Laurent polynomial"})
     if not F.poly_in_power(2):
-        raise WadaError(
+        raise ArithmeticError(
             "F is not a polynomial in t^2; this contradicts the established "
             "t^m structure for metacyclic targets and signals an engine defect")
     factored = unit, content, t_pow, factors = factor_integer_poly(F)

@@ -19,7 +19,7 @@ from fractions import Fraction
 from functools import lru_cache
 from math import gcd, lcm
 
-from .domains import Domain
+from .domains import Domain, TwistalexError
 from .laurent import LaurentPoly, poly_divmod, poly_invmod, poly_trim
 from . import domains
 
@@ -49,7 +49,7 @@ def cyclotomic_polynomial(n: int) -> LaurentPoly:
     Computed by dividing t^n - 1 by all Phi_d with d | n, d < n.
     """
     if n < 1:
-        raise ValueError("n must be >= 1")
+        raise TwistalexError("n must be >= 1")
     f = LaurentPoly.from_terms(domains.ZZ, {0: -1, n: 1})
     for d in range(1, n):
         if n % d == 0:
@@ -76,13 +76,12 @@ _TRIAL_CAP = 10**10
 
 def is_cyclotomic_irreducible_mod_p(n: int, p: int) -> bool:
     """True iff Phi_n is irreducible over F_p; equivalent to ord_n(p) = phi(n),
-    that is p^(phi(n)/q) != 1 (mod n) for every prime q | phi(n).  An n above
-    _TRIAL_CAP is refused before it is factored."""
-    if gcd(n, p) != 1:
-        raise ValueError(f"gcd({n},{p}) != 1")
+    that is p^(phi(n)/q) != 1 (mod n) for every prime q | phi(n).  p must be
+    a prime coprime to n (`metabelian.apn_irreducible` refuses any other).  An
+    n above _TRIAL_CAP is refused before it is factored."""
     if n > _TRIAL_CAP:
-        raise ValueError(f"n = {n} is above the cap _TRIAL_CAP = {_TRIAL_CAP} "
-                         "for factoring n by trial division")
+        raise TwistalexError(f"n = {n} is above the cap _TRIAL_CAP = {_TRIAL_CAP} "
+                             "for factoring n by trial division")
     if n == 1:
         return True
     return multiplicative_order(p, n) == _euler_phi(n)
@@ -113,11 +112,10 @@ class CyclotomicField(Domain):
     is_field = True
 
     def __init__(self, m: int):
-        if m < 1:
-            raise ValueError("m must be >= 1")
-        # phi(m) >= sqrt(m / 2): a larger m is refused without factoring it
+        # phi(m) >= sqrt(m / 2): a larger m is refused without factoring it,
+        # and an m < 1 by cyclotomic_polynomial
         if m > 2 * PHI_CAP**2 or _euler_phi(m) > PHI_CAP:
-            raise ValueError(f"Q(zeta_{m}) has degree phi({m}) above the cap PHI_CAP = {PHI_CAP}")
+            raise TwistalexError(f"Q(zeta_{m}) has degree phi({m}) above the cap PHI_CAP = {PHI_CAP}")
         self.m = m
         self.name = f"Q(zeta_{m})"
         coeffs = cyclotomic_polynomial(m).coeffs()

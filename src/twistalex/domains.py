@@ -13,6 +13,15 @@ from functools import lru_cache
 from math import lcm
 
 
+class TwistalexError(ValueError):
+    """The root of every refusal of outside input (a failed precondition, a
+    malformed text, a size above a cap); any other exception is a fault."""
+
+
+class RepresentationError(TwistalexError):
+    """A representation or its target group is refused, a non-prime p by GF(p)."""
+
+
 class ExactDivisionError(ArithmeticError):
     """Raised when an exact division does not come out exact."""
 
@@ -25,7 +34,7 @@ _MR_BOUND = 318_665_857_834_031_151_167_461
 def is_prime(n: int) -> bool:
     """Miller-Rabin with the prime bases <= 37; deterministic below _MR_BOUND."""
     if n >= _MR_BOUND:
-        raise ValueError(f"{n} is beyond the deterministic primality bound")
+        raise TwistalexError(f"{n} is beyond the deterministic primality bound")
     if n < 2:
         return False
     for p in _MR_BASES:
@@ -199,13 +208,13 @@ class RationalDomain(_NumberDomain):
 
 
 class PrimeField(Domain):
-    """GF(p), elements stored as ints in 0..p-1."""
+    """GF(p), elements stored as ints in 0..p-1: the one check that p is prime."""
 
     is_field = True
 
     def __init__(self, p: int):
         if not is_prime(p):
-            raise ValueError(f"{p} is not prime")
+            raise RepresentationError(f"p must be a prime, got {p}")
         self.p = p
         self.name = f"GF({p})"
 
@@ -255,6 +264,13 @@ QQ = RationalDomain()
 @lru_cache(maxsize=None)
 def GF(p: int) -> PrimeField:
     return PrimeField(p)
+
+
+def odd_prime_field(p: int) -> PrimeField:
+    """GF(p) for the order p of D_p = G(2, p|-1), which must be an odd prime."""
+    if p % 2 and is_prime(p):
+        return GF(p)
+    raise RepresentationError(f"p must be an odd prime, got {p}")
 
 
 def domain_join(a: Domain, b: Domain) -> Domain:

@@ -10,7 +10,7 @@ from __future__ import annotations
 from itertools import combinations
 from math import gcd, isqrt, lcm
 
-from .domains import GF, ZZ, QQ, ExactDivisionError
+from .domains import GF, ZZ, QQ, ExactDivisionError, TwistalexError
 from .laurent import LaurentPoly, poly_divmod, poly_gcd, poly_invmod, poly_mul, poly_trim
 from .matrix import nullspace
 
@@ -163,7 +163,7 @@ def _factor_squarefree_primitive(f):
     if n <= 1:
         return [list(f)]
     if n > DEGREE_CAP:
-        raise ValueError(f"degree {n} exceeds the factorization cap {DEGREE_CAP}")
+        raise TwistalexError(f"degree {n} exceeds the factorization cap {DEGREE_CAP}")
     lc = f[-1]
     if lc != 1:
         # monicify: F(y) = lc^(n-1) * f(y/lc), factor, map back via y -> lc*x
@@ -193,7 +193,7 @@ def _factor_squarefree_monic(f):
             p = cand
             break
     if p is None:
-        raise ArithmeticError("no good prime found below the cap")
+        raise TwistalexError("no good prime found below the cap")
     modular = _berlekamp([x % p for x in f], p)
     if len(modular) == 1:
         return [list(f)]
@@ -239,7 +239,7 @@ def factor_integer_poly(f: LaurentPoly):
         f = unit * content * t^t_power * prod g_i^e_i.
     """
     if f.is_zero():
-        raise ValueError("cannot factor the zero polynomial")
+        raise TwistalexError("cannot factor the zero polynomial")
     if f.dom is not ZZ and f.dom.name != "ZZ":
         raise TypeError("factor_integer_poly expects integer coefficients")
     t_power = f.low()

@@ -10,6 +10,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
+from .domains import TwistalexError
 from .laurent import LaurentPoly, parse_poly
 from .metabelian import SeifertData
 from .presentation import KnotPresentation, braid_closure_presentation, parse_braid
@@ -70,7 +71,7 @@ COLORING_10_164 = (2, 0, 2, 1, 1, 2, 0, 1, 0, 1, 2)
 
 def fixture(name: str) -> KnotFixture:
     if name not in _BY_NAME:
-        raise KeyError(f"no fixture for knot {name!r}")
+        raise TwistalexError(f"no fixture for knot {name!r}")
     return _BY_NAME[name]
 
 

@@ -19,7 +19,7 @@ from __future__ import annotations
 import re
 from fractions import Fraction
 
-from .domains import Domain, ExactDivisionError, ZZ, convert
+from .domains import Domain, ExactDivisionError, TwistalexError, ZZ, convert
 
 
 # ------------------------------------------------ dense polynomial kernel
@@ -308,7 +308,7 @@ def parse_poly(text: str, dom: Domain = ZZ) -> LaurentPoly:
     SPAN_CAP is refused."""
     s = text.strip()
     if not s:
-        raise ValueError("empty polynomial text")
+        raise TwistalexError("empty polynomial text")
     if s == "0":
         return LaurentPoly.zero(dom)
     # protect exponent signs before splitting on term separators
@@ -321,7 +321,7 @@ def parse_poly(text: str, dom: Domain = ZZ) -> LaurentPoly:
         if not m or (m.group("coef") is None and m.group("tpart") is None) or (
             m.group("star") and m.group("coef") is None
         ):
-            raise ValueError(f"malformed polynomial term {chunk!r} in {text!r}")
+            raise TwistalexError(f"malformed polynomial term {chunk!r} in {text!r}")
         sign = -1 if m.group("sign") == "-" else 1
         cval = sign * Fraction(m.group("coef")) if m.group("coef") else Fraction(sign)
         exp = 0
@@ -330,8 +330,8 @@ def parse_poly(text: str, dom: Domain = ZZ) -> LaurentPoly:
         v = dom.coerce(cval)
         terms[exp] = dom.add(terms[exp], v) if exp in terms else v
     if max(terms) - min(terms) > SPAN_CAP:
-        raise ValueError(f"polynomial text spans exponents {min(terms)}..{max(terms)}, "
-                         f"wider than the cap SPAN_CAP = {SPAN_CAP}")
+        raise TwistalexError(f"polynomial text spans exponents {min(terms)}..{max(terms)}, "
+                             f"wider than the cap SPAN_CAP = {SPAN_CAP}")
     return LaurentPoly.from_terms(dom, terms)
 
 

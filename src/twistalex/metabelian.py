@@ -40,7 +40,8 @@ from operator import mul
 
 from .cyclo import (CYC, _TRIAL_CAP, _euler_phi, cyclotomic_polynomial,
                     is_cyclotomic_irreducible_mod_p)
-from .domains import GF, ZZ, ExactDivisionError, is_prime
+from .domains import (GF, ZZ, ExactDivisionError, PrimeField, RepresentationError,
+                      TwistalexError, odd_prime_field)
 from .fox import alexander_fox_matrix, alexander_reduced_matrix
 from .laurent import LaurentPoly
 from .matrix import Monomial, identity, mat_inverse, mat_mul, nullspace, rref, transpose
@@ -75,7 +76,7 @@ class SeifertData:
     def __post_init__(self):
         n = len(self.v)
         if any(len(row) != n for row in self.v):
-            raise ValueError("Seifert matrix must be square")
+            raise TwistalexError("Seifert matrix must be square")
 
     @property
     def genus2(self) -> int:
@@ -121,8 +122,8 @@ def parse_seifert_file(text: str) -> SeifertData:
             try:
                 row.append(int(x))
             except ValueError:
-                raise ValueError(f"Seifert matrix line {number}: entry {x!r} "
-                                 "is not an integer") from None
+                raise TwistalexError(f"Seifert matrix line {number}: entry {x!r} "
+                                     "is not an integer") from None
         rows.append(tuple(row))
     return SeifertData(tuple(rows))
 
@@ -301,14 +302,14 @@ def branched_cover_homology(src, k: int) -> FiniteQuotientModule:
     for a presentation) before any allocation.
     """
     if k < 1:
-        raise ValueError("cover degree must be >= 1")
+        raise TwistalexError("cover degree must be >= 1")
     if isinstance(src, KnotPresentation):
         full = _with_meridian(src)
         rank = full.generator_count - 1
     else:
         rank = src.genus2 if isinstance(src, SeifertData) else src.rank
     if rank * k > _BLOWUP_CAP:
-        raise ValueError(
+        raise TwistalexError(
             f"cover blow-up too large: rank {rank} * k {k} = {rank * k} "
             f"exceeds the cap {_BLOWUP_CAP}")
     if isinstance(src, SeifertData):
@@ -443,9 +444,9 @@ def characters_of_quotient(q: FiniteQuotientModule, m: int) -> Sequence:
     """All homomorphisms from the finite quotient to mu_m, trivial included,
     as a read-only sequence that builds each Character when it is read."""
     if m < 1:
-        raise ValueError("target order must be >= 1")
+        raise TwistalexError("target order must be >= 1")
     if q.structure.free_rank:
-        raise ValueError("quotient is infinite; characters to mu_m not enumerable")
+        raise TwistalexError("quotient is infinite; characters to mu_m not enumerable")
     return _Characters(q, m)
 
 
@@ -490,7 +491,7 @@ def _enumerate_span(basis, p: int):
     """Every F_p-combination of the basis vectors; refused above the cap."""
     dim = len(basis)
     if p**dim > _ENUM_CAP:
-        raise ValueError(
+        raise TwistalexError(
             "coloring solution space too large to enumerate: "
             f"p^dim = {p}^{dim} = {p**dim} exceeds the cap {_ENUM_CAP}")
     for combo in iproduct(range(p), repeat=dim):
@@ -507,15 +508,8 @@ def find_dihedral_epis(pres: KnotPresentation, p0: int) -> list[DihedralData]:
     D_p0 = G(2, p0 | -1), so these are the metacyclic epimorphisms with
     m = 2 and k = -1: the colors solve the Alexander matrix at t = -1 mod p0.
     """
-    if p0 < 3 or p0 % 2 == 0:
-        raise ValueError("p0 must be an odd prime")
-    GF(p0)  # validates primality
+    odd_prime_field(p0)
     return [DihedralData(p0, c) for c in find_metacyclic_epis(pres, 2, p0, p0 - 1)]
-
-
-def _check_prime(p0: int) -> None:
-    if not is_prime(p0):
-        raise ValueError(f"p must be a prime, got {p0}")
 
 
 def find_metacyclic_epis(pres: KnotPresentation, m: int, p0: int, k: int):
@@ -525,9 +519,8 @@ def find_metacyclic_epis(pres: KnotPresentation, m: int, p0: int, k: int):
     colors c_i are the F_p0-valued solutions of the Alexander matrix at t = k.
     Each class is given with c_0 = 0 and first nonzero color 1.
     """
-    _check_prime(p0)
     _require_wirtinger(pres)
-    target = Target.metacyclic(m, p0, k, ValueError)
+    target = Target.metacyclic(m, p0, k)
     return [tuple(chain.from_iterable(sol)) for sol in _kernel_epis(pres, target)]
 
 
@@ -538,14 +531,23 @@ def apn_budget(n: int, p0: int) -> None:
     phi(n) is formed."""
     bits = _ENUM_CAP.bit_length()
     if n > 2 * bits**2 or p0 ** min(_euler_phi(n), bits) > _ENUM_CAP:
-        raise ValueError(f"A_{{{p0},{n}}} has {p0}^phi({n}) elements, above the cap {_ENUM_CAP}")
+        raise TwistalexError(f"A_{{{p0},{n}}} has {p0}^phi({n}) elements, above the cap {_ENUM_CAP}")
+
+
+def _apn_field(n: int, p0: int) -> PrimeField:
+    """GF(p0) once p0 is held to the conditions of A_{p0,n}: a prime coprime to n."""
+    F = GF(p0)
+    if gcd(n, p0) != 1:
+        raise RepresentationError("n and p must be coprime")
+    return F
 
 
 def apn_irreducible(n: int, p0: int) -> bool:
-    """Whether Phi_n is irreducible mod p0, so that A_{p0,n} is a field.  The
-    test factors n and phi(n); an n above cyclo's _TRIAL_CAP is first held to
-    apn_budget, which refuses it without factoring.  A smaller n is tested
-    first, so a reducible Phi_n is named as such."""
+    """Whether Phi_n is irreducible mod p0 (held to _apn_field), so that
+    A_{p0,n} is a field.  The test factors n and phi(n); an n above cyclo's
+    _TRIAL_CAP is first held to apn_budget, which refuses it without
+    factoring.  A smaller n is tested first, so a reducible Phi_n is named."""
+    _apn_field(n, p0)
     if n > _TRIAL_CAP:
         apn_budget(n, p0)
     return is_cyclotomic_irreducible_mod_p(n, p0)
@@ -561,12 +563,13 @@ class Target:
     or Z/n x| A_{p,n} (`apn`, f = Phi_n).  A is F_p^d in the basis 1, t, ...,
     t^(d-1); t acts by the companion matrix of f, whose powers are formed
     once, so t^j and a multiplication matrix are one product each.  The
-    element list (itertools.product order) is built when first read.
+    element list (itertools.product order) is built when first read.  Each
+    constructor builds GF(p), refusing a non-prime p, before its other checks.
     """
 
-    def __init__(self, order: int, p: int, f):
-        d = len(f) - 1
-        self.order, self.p, self.d = order, p, d
+    def __init__(self, order: int, F: PrimeField, f):
+        p, d = F.p, len(f) - 1
+        self.order, self.F, self.p, self.d = order, F, p, d
         # t e_i = e_(i+1) and t e_(d-1) = -(f_0 e_0 + ... + f_(d-1) e_(d-1))
         self.companion = tuple(tuple(-f[i] % p if j == d - 1 else int(i == j + 1)
                                      for j in range(d)) for i in range(d))
@@ -577,22 +580,22 @@ class Target:
         self._powers = powers
 
     @classmethod
-    def metacyclic(cls, m: int, p: int, k: int, error: type) -> "Target":
-        """G(m, p|k) = Z/m x| F_p, 1 in Z/m acting by k; raises `error` unless
-        m >= 1 and k has multiplicative order exactly m mod p."""
+    def metacyclic(cls, m: int, p: int, k: int) -> "Target":
+        """G(m, p|k) = Z/m x| F_p, 1 in Z/m acting by k; needs m >= 1 and k of
+        multiplicative order exactly m mod p."""
+        F = GF(p)
         if m < 1:
-            raise error(f"m must be >= 1, got {m}")
+            raise RepresentationError(f"m must be >= 1, got {m}")
         if pow(k, m, p) != 1 or any(pow(k, l, p) == 1 for l in range(1, m)):
-            raise error(f"{k} is not a primitive {m}-th root of unity mod {p}")
-        return cls(m, p, (-k % p, 1))
+            raise RepresentationError(f"{k} is not a primitive {m}-th root of unity mod {p}")
+        return cls(m, F, (-k % p, 1))
 
     @classmethod
     def apn(cls, n: int, p: int) -> "Target":
         """Z/n x| A_{p,n}, A_{p,n} = F_p[t]/(Phi_n), held to apn_budget."""
-        if gcd(n, p) != 1:
-            raise ValueError("n and p must be coprime")
+        F = _apn_field(n, p)
         apn_budget(n, p)
-        return cls(n, p, [c % p for c in cyclotomic_polynomial(n).coeffs()])
+        return cls(n, F, [c % p for c in cyclotomic_polynomial(n).coeffs()])
 
     def t(self, v, j: int) -> tuple:
         """t^j v, j read mod the order."""
@@ -611,9 +614,9 @@ class Target:
 
     def units(self) -> list:
         """The multiplication matrices of the units of A."""
-        F, d = GF(self.p), self.d
+        d = self.d
         return [mu for u in iproduct(range(self.p), repeat=d) if any(u)
-                for mu in [self.mul_matrix(enumerate(u))] if len(rref(F, mu, d)[1]) == d]
+                for mu in [self.mul_matrix(enumerate(u))] if len(rref(self.F, mu, d)[1]) == d]
 
     @cached_property
     def elements(self) -> list:
@@ -656,7 +659,7 @@ def _kernel_epis(pres: KnotPresentation, target: Target):
     for r in alexander_module(pres).matrix:
         blocks = [zero if f.is_zero() else target.mul_matrix(f.terms()) for f in r]
         rows.extend([x for b in blocks for x in b[i]] for i in range(d))
-    basis = nullspace(GF(p0), rows, d * (pres.generator_count - 1))
+    basis = nullspace(target.F, rows, d * (pres.generator_count - 1))
     if not basis:
         return []
     units = [_UnitTable(mu, p0) for mu in target.units()]
@@ -680,8 +683,7 @@ def find_zn_apn_epis(pres: KnotPresentation, n: int, p0: int):
     The a_i are the A_{p0,n}-valued solutions of the Alexander matrix at
     t -> t mod phi_n, given with a_0 = 0 and as least multiples by units.
     """
-    _check_prime(p0)
     _require_wirtinger(pres)
     if n < 2:
-        raise ValueError("n must be >= 2")
+        raise TwistalexError("n must be >= 2")
     return _kernel_epis(pres, Target.apn(n, p0))

@@ -60,7 +60,7 @@ from math import gcd, lcm
 import numpy as np
 
 from .cyclo import CYC, CyclotomicField, _normal, _prime_factors, cyclotomic_polynomial
-from .domains import GF, Domain, PrimeField, QQ, ZZ, is_prime
+from .domains import GF, Domain, PrimeField, QQ, TwistalexError, ZZ, is_prime
 from .laurent import LaurentPoly
 from .matrix import mat_inverse
 
@@ -79,7 +79,7 @@ def _prime(m: int, i: int) -> int:
     while not is_prime(q):
         q -= step
     if q < 2**30:
-        raise ArithmeticError(f"ran out of word-size primes = 1 mod {m}")
+        raise TwistalexError(f"ran out of word-size primes = 1 mod {m}")
     return q
 
 

@@ -14,10 +14,11 @@ from functools import cached_property
 from math import gcd
 
 from . import words
+from .domains import TwistalexError
 from .words import Word
 
 
-class PresentationError(ValueError):
+class PresentationError(TwistalexError):
     pass
 
 

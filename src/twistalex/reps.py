@@ -22,8 +22,8 @@ from math import comb, gcd, lcm
 
 from . import words
 from .cyclo import CYC, CyclotomicField
-from .domains import (Domain, ExactDivisionError, GF, QQ, ZZ, convert, domain_join,
-                      is_prime)
+from .domains import (Domain, ExactDivisionError, GF, QQ, RepresentationError, ZZ, convert,
+                      domain_join, odd_prime_field)
 from .matrix import (Dense, Monomial, as_monomial, direct_sum, gen_inv, gen_mul, identity,
                      kron, mat_convert, mat_eq, mat_mul, to_dense)
 from .metabelian import (Character, DihedralData, Target, apn_irreducible,
@@ -31,10 +31,6 @@ from .metabelian import (Character, DihedralData, Target, apn_irreducible,
                          deleted_column, find_zn_apn_epis)
 from .polydet import det_matrix
 from .presentation import KnotPresentation
-
-
-class RepresentationError(ValueError):
-    pass
 
 
 class Representation:
@@ -171,7 +167,7 @@ def rep_metacyclic(pres: KnotPresentation, m: int, p: int, k: int, colors,
     """The p-dimensional permutation representation of an epimorphism onto
     G(m,p|k): generator g_i -> x^e y^c, e = phi(g_i) and c = colors[i], which
     acts on Z/p by n -> k^e (n - c), the target's image of (e, -k^e c)."""
-    target = Target.metacyclic(m, p, k, RepresentationError)
+    target = Target.metacyclic(m, p, k)
     if len(colors) != pres.generator_count:
         raise RepresentationError("one color per generator required")
     images = {g: target.image(e, target.t((-c,), e))
@@ -182,7 +178,7 @@ def rep_metacyclic(pres: KnotPresentation, m: int, p: int, k: int, colors,
 
 def rep_dihedral(pres: KnotPresentation, data: DihedralData) -> Representation:
     """D_p = G(2, p | -1); generator g_i -> x y^(c_i) as a permutation of Z/p."""
-    _check_odd_prime(data.p)
+    odd_prime_field(data.p)
     return rep_metacyclic(pres, 2, data.p, -1 % data.p, data.colors,
                           label=f"dihedral(p={data.p})")
 
@@ -418,8 +414,7 @@ def vandermonde_basis(p: int) -> Dense:
     """Basis v_i = sum_k k^i s^k of F_p[s]/(s^p - 1), as the matrix with
     columns v_i in the s-power basis.  Convention: 0^0 = 1, which is what
     makes (k^i) a Vandermonde matrix and the triangular form below work."""
-    _check_odd_prime(p)
-    dom = GF(p)
+    odd_prime_field(p)
     return tuple(
         tuple(pow(k, i, p) if (k, i) != (0, 0) else 1 for i in range(p))
         for k in range(p)
@@ -437,8 +432,7 @@ def dihedral_xy_on_vp(p: int):
 def triangular_form(p: int):
     """Images of x and y in the v-basis: diag((-1)^i) and the unipotent
     upper-triangular matrix with entries binom(i,j)(-1)^(i-j)."""
-    _check_odd_prime(p)
-    dom = GF(p)
+    dom = odd_prime_field(p)
     b = vandermonde_basis(p)
     binv = gen_inv(dom, b)
     x, y = dihedral_xy_on_vp(p)
@@ -457,11 +451,6 @@ def triangular_form_expected(p: int):
         for i in range(p)
     )
     return x, y
-
-
-def _check_odd_prime(p: int):
-    if p == 2 or not is_prime(p):
-        raise RepresentationError(f"p must be an odd prime, got {p}")
 
 
 # ------------------------------------------------------------ spec strings

@@ -22,7 +22,7 @@ from functools import cached_property
 from math import lcm
 
 from .cyclo import CyclotomicField
-from .domains import Domain, ExactDivisionError, PrimeField, QQ, convert
+from .domains import Domain, ExactDivisionError, PrimeField, QQ, TwistalexError, convert
 # specialize_matrix is not called here: the name stays bound because
 # perfbench's tracer self-test patches it in this module
 from .fox import reduced_fox_matrix, specialize_matrix  # noqa: F401
@@ -32,7 +32,7 @@ from .polydet import det_poly_matrix
 from .presentation import KnotPresentation
 
 
-class WadaError(ArithmeticError):
+class WadaError(TwistalexError):
     pass
 
 

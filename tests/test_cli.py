@@ -1,14 +1,17 @@
 import argparse
 import io
 import json
+import tempfile
 from contextlib import redirect_stderr, redirect_stdout
 from math import prod
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from twistalex.cli import COMMANDS, build_parser, main
+from twistalex import knots
+from twistalex.cli import _FLAGS, _SOURCES, COMMANDS, build_parser, main
 from twistalex.metabelian import alexander_polynomial, order_from_alexander
 from twistalex.presentation import braid_closure_presentation, parse_braid
 
@@ -181,6 +184,12 @@ def test_usage_errors(capsys, tmp_path):
          "tensor factors have no common domain: Q(zeta_12) and GF(3)"),
         (("--knot", "3_1", "--rep", "sum(modp(trivial,3),modp(trivial,5))"),
          "summands have no common domain: GF(3) and GF(5)"),
+        (("--knot", "3_1", "--rep", "metacyclic:m=2:p=9:k=8:colors=0,3,6"),
+         "p must be a prime, got 9"),
+        (("--knot", "3_1", "--rep", "gamma:p=4:n=3:a=0.0,1.0,3.3"), "p must be a prime, got 4"),
+        (("--knot", "3_1", "--rep", "metacyclic:m=2:p=1:k=0:colors=0,0,0"),
+         "p must be a prime, got 1"),
+        (("--knot", "3_1", "--rep", "gamma:p=3:n=3:a=0,0,0"), "n and p must be coprime"),
     ):
         code, _, err = run(capsys, "twisted", *argv)
         assert code == 2
@@ -194,9 +203,25 @@ def test_usage_errors(capsys, tmp_path):
         code, out, err = run(capsys, *argv)
         p = argv[argv.index("--p") + 1]
         assert code == 2 and out == "" and err == f"error: p must be a prime, got {p}\n"
+    # one primality text on every route, and one more word for D_p
+    for argv, text in ((("epis", "--n", "3", "--p", "4"), "a prime, got 4"),
+                       (("twisted", "--rep", "metacyclic:m=2:p=9:k=8:colors=0,3,6"),
+                        "a prime, got 9"),
+                       (("twisted", "--rep", "gamma:p=4:n=3:a=0.0,1.0,3.3"), "a prime, got 4"),
+                       (("twisted", "--rep", "modp(trivial,9)"), "a prime, got 9"),
+                       (("colorings", "--p", "9"), "an odd prime, got 9"),
+                       (("colorings", "--p", "2"), "an odd prime, got 2"),
+                       (("twisted", "--rep", "dihedral:p=9:colors=0,3,6"), "an odd prime, got 9")):
+        assert run(capsys, argv[0], "--knot", "3_1", *argv[1:]) == (
+            2, "", f"error: p must be {text}\n"), argv
     code, out, err = run(capsys, "branched", "--knot", "3_1", "--k", "100000")
     assert code == 2 and out == "" and err == (
         "error: cover blow-up too large: rank 2 * k 100000 = 200000 exceeds the cap 2048\n")
+    # bytes the locale's codec cannot decode are the user's error, not a fault
+    undecodable = tmp_path / "latin1.pres"
+    undecodable.write_bytes(b"gens: \xe9\n")
+    code, out, err = run(capsys, "present", "--pres", str(undecodable))
+    assert code == 2 and out == "" and err.startswith("error: ") and err.count("\n") == 1
     seifert = tmp_path / "fig8.seifert"
     seifert.write_text("1 0\n1 -1\n")
     code, out, err = run(capsys, "branched", "--seifert", str(seifert), "--k", "30000")
@@ -333,9 +358,13 @@ def test_conj_a_prime_cli(capsys):
      "no metacyclic epimorphisms"),
     (("conj-a", "--knot", "4_1", "--n", "2", "--p", "3"),
      "no epimorphisms onto Z/2 x| A_{3,2}"),
+    (("conj-b1", "--knot", "4_1", "--p", "3"), "no 3-colorings"),
+    # Phi_6 is reducible mod 7, and the trefoil's Delta = Phi_6 has epimorphisms
+    (("conj-a", "--knot", "3_1", "--n", "6", "--p", "7"),
+     "phi_6 is reducible mod 7; the Z/6-action on characters need not be free"),
 ])
 def test_conj_without_epimorphisms(capsys, argv, message):
-    assert run(capsys, *argv) == (2, "", message + "\n")
+    assert run(capsys, *argv) == (2, "", "error: " + message + "\n")
 
 
 def test_present_json(capsys):
@@ -465,9 +494,13 @@ def test_metabelian_spec_refuses_before_any_cover(tmp_path, capsys, monkeypatch)
     assert calls == []
 
 
-_braid_words = st.integers(2, 5).flatmap(lambda strands: st.lists(
-    st.integers(1, strands - 1).flatmap(lambda i: st.sampled_from((i, -i))),
-    min_size=1, max_size=20)).map(lambda letters: " ".join(map(str, letters)))
+def _braids(max_strands, max_letters):
+    return st.integers(2, max_strands).flatmap(lambda strands: st.lists(
+        st.integers(1, strands - 1).flatmap(lambda i: st.sampled_from((i, -i))),
+        min_size=1, max_size=max_letters)).map(lambda letters: " ".join(map(str, letters)))
+
+
+_braid_words = _braids(5, 20)
 
 
 @given(_braid_words, st.integers(1, 8))
@@ -485,3 +518,106 @@ def test_branched_fuzz(word, k):
     delta = alexander_polynomial(braid_closure_presentation(parse_braid(word)))
     expected = order_from_alexander(delta, k)
     assert (0 if got["free_rank"] else prod(got["invariant_factors"])) == expected
+
+
+# Every subcommand on fuzzed flags, rep specs, presentation and Seifert text
+# and batch files.  The ranges stay small: the determinant engine has no work
+# budget yet (ROADMAP direction 8), so a 25-dimensional gamma rep on 10_164,
+# or a gamma rep tensored with a metabelian one, takes seconds per example.
+_scalars = st.sampled_from(("1", "-1", "2", "1/2", "1/0", "i", "-i", "z3^2", "z0", "z6", "x", ""))
+_int_list = st.lists(st.integers(-1, 7), min_size=1, max_size=4).map(
+    lambda xs: ",".join(map(str, xs)))
+_base_specs = st.one_of(
+    st.just("trivial"),
+    st.builds("onedim:z={}".format, _scalars),
+    st.builds("dihedral:p={}:colors={}".format, st.integers(-2, 7), _int_list),
+    st.builds("metacyclic:m={}:p={}:k={}:colors={}".format, st.integers(-1, 4),
+              st.integers(-2, 7), st.integers(-3, 8), _int_list),
+    st.builds("gamma:p={}:n={}".format, st.integers(-2, 3), st.integers(-1, 3)),
+    st.builds("gamma:p={}:n={}:a={}".format, st.integers(-2, 3), st.integers(-1, 3),
+              st.lists(st.lists(st.integers(-1, 3), min_size=1, max_size=2).map(
+                  lambda xs: ".".join(map(str, xs))), min_size=1, max_size=4).map(",".join)),
+    st.builds("metabelian:n={}:m={}:chi={}".format, st.integers(-1, 3), st.integers(-1, 5),
+              st.integers(-1, 3)),
+    st.text("trivialmodpgamz:=(),0123456789", max_size=14),
+)
+_specs = st.recursive(_base_specs, lambda inner: st.one_of(
+    st.builds("tensor({},{})".format, inner, inner),
+    st.builds("sum({},{})".format, inner, inner),
+    st.builds("modp({},{})".format, inner, st.integers(-2, 7))), max_leaves=2)
+_words = st.lists(st.sampled_from(("a", "A", "b", "B", "c", "a^2", "b^-1", "x")),
+                  max_size=5).map(" ".join)
+_pres_texts = st.one_of(
+    st.builds("gens: {}\nrels: {}; {}\nphi: a={} b={} c={}\n".format,
+              st.sampled_from(("a b", "a b c", "a a", "")), _words, _words,
+              *[st.integers(-1, 2)] * 3),
+    st.text(max_size=40))
+_seifert_texts = st.one_of(
+    st.integers(1, 4).flatmap(lambda n: st.lists(
+        st.lists(st.integers(-2, 2), min_size=n, max_size=n).map(
+            lambda row: " ".join(map(str, row))), min_size=n, max_size=n)).map("\n".join),
+    st.text(" -0123456789x\n", max_size=20))
+_batch_texts = st.lists(st.tuples(st.sampled_from(("k", "", "#")), _braid_words | st.text(
+    " -0123456789", max_size=6)), max_size=3).map(
+    lambda rows: "".join(f"{name}\t{braid}\n" for name, braid in rows))
+_FLAG_VALUES = {
+    "knot": st.sampled_from([f.name for f in knots.corpus(7)] + ["nosuch"]),
+    "braid": _braids(4, 12),
+    "name": st.sampled_from(("", "K")),
+    "rep": _specs,
+    "p": st.integers(-2, 7),
+    "n": st.integers(-1, 3),
+    "m": st.integers(-1, 4),
+    "k": st.integers(-3, 8),
+    "column": st.integers(-1, 4),
+    "companion-delta": st.sampled_from(("1 - t + t^2", "2 - 3*t + 2*t^2", "1", "0", "t^-1",
+                                        "1 +* t", "")) | st.text("t^*+-0123 ", max_size=10),
+    "eigenvalues": st.lists(_scalars, min_size=1, max_size=3).map(",".join),
+}
+_FILE_TEXTS = {"pres": _pres_texts, "seifert": _seifert_texts, "batch": _batch_texts}
+
+
+@st.composite
+def _invocations(draw):
+    """(argv, {flag: file text}): one subcommand, one knot source, a subset of
+    its other flags."""
+    command = draw(st.sampled_from(sorted(COMMANDS)))
+    flags = COMMANDS[command][1]
+    argv, files = [command], {}
+    sources = [f for f in flags if f in _SOURCES]
+    chosen = [draw(st.sampled_from(sources))] if sources else []
+    for flag in chosen + [f for f in flags if f not in _SOURCES]:
+        if _FLAGS[flag].get("action") == "store_true":
+            if draw(st.booleans()):
+                argv.append(f"--{flag}")
+        elif flag in _FILE_TEXTS:
+            files[flag] = draw(_FILE_TEXTS[flag])
+            argv.append(f"--{flag}")
+        elif flag in chosen or _FLAGS[flag].get("required") or draw(st.booleans()):
+            argv += [f"--{flag}", str(draw(_FLAG_VALUES[flag]))]
+    return argv, files
+
+
+@given(_invocations())
+@settings(max_examples=150, deadline=None)
+def test_cli_fuzz(invocation):
+    # exit 0, 1 or 2 and never a traceback; 1 only where a conjecture is
+    # checked; outside batch mode an exit 2 is one `error:` line
+    argv, files = list(invocation[0]), invocation[1]
+    with tempfile.TemporaryDirectory() as tmp:
+        for flag, text in files.items():
+            path = Path(tmp, flag)
+            path.write_text(text)
+            argv.insert(argv.index(f"--{flag}") + 1, str(path))
+        out, err = io.StringIO(), io.StringIO()
+        with redirect_stdout(out), redirect_stderr(err):
+            code = main(argv)
+    out, err = out.getvalue(), err.getvalue()
+    assert code in (0, 1, 2) and "Traceback" not in out + err, argv
+    if code == 1:
+        assert argv[0].startswith("conj-") or argv[0] == "wada-experiment", argv
+    if code == 2 and "batch" not in files:
+        errors = [line for line in err.splitlines() if "error: " in line]
+        assert len(errors) == 1, (argv, err)
+        if not err.startswith("usage: "):
+            assert (out, err) == ("", errors[0] + "\n"), argv

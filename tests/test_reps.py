@@ -187,6 +187,11 @@ def test_gamma_summands_structure():
 def test_gamma_summands_precondition():
     with pytest.raises(RepresentationError):
         gamma_summands(7, 8)  # phi_8 reducible mod 7
+    # p and n are held to the target's own checks before Phi_n is tested
+    with pytest.raises(RepresentationError, match="^p must be a prime, got 4$"):
+        gamma_summands(4, 3)
+    with pytest.raises(RepresentationError, match="^n and p must be coprime$"):
+        gamma_summands(3, 3)
 
 
 @pytest.mark.parametrize("p, n", [(2, 1000000007), (2, 101)])
@@ -478,6 +483,12 @@ def test_parse_rep_specs():
     ("modp(trivial,q)", "modp spec key 'p' is not an integer: 'q'"),
     ("onedim:z=x", "malformed scalar 'x'"),
     ("metabelian:n=2:m=3:chi=1:z=z3^y", "malformed scalar 'z3^y'"),
+    ("metacyclic:m=2:p=9:k=8:colors=0,3,6", "p must be a prime, got 9"),
+    ("gamma:p=4:n=3:a=0.0,1.0,3.3", "p must be a prime, got 4"),
+    ("metacyclic:m=2:p=1:k=0:colors=0,0,0", "p must be a prime, got 1"),
+    ("modp(trivial,9)", "p must be a prime, got 9"),
+    ("dihedral:p=9:colors=0,3,6", "p must be an odd prime, got 9"),
+    ("gamma:p=3:n=3:a=0,0,0", "n and p must be coprime"),
 ])
 def test_parse_rep_spec_errors_name_the_fault(spec, message):
     with pytest.raises(RepresentationError, match=re.escape(message)):

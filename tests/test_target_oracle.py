@@ -177,7 +177,7 @@ def test_apn_target_matches_the_gamma_rep(p, n):
 
 @pytest.mark.parametrize("m,p,k", METACYCLIC)
 def test_metacyclic_target_matches_the_permutation_formula(m, p, k):
-    target = Target.metacyclic(m, p, k, ValueError)
+    target = Target.metacyclic(m, p, k)
     assert target.companion == ((k % p,),)
     fake = type("Pres", (), {"phi": tuple(range(-m, 2 * m))})
     for c in range(-p, 2 * p):
