@@ -42,11 +42,12 @@ depend on the presentation alone: `walk_plan` builds them once per (pres,
 column) and keeps them in the presentation's memo (`KnotPresentation.cached`),
 which lives as long as the presentation does.  `reduced_fox_matrix` is the
 evaluation: it looks each plan word up in the rep and combines the blocks.
-The reduced matrix itself is rebuilt per call.
+It builds the reduced matrix afresh on every call and keeps nothing.
 
 Under the trivial image the reduced matrix presents the Alexander module
-itself (its pivots are units ±t^a), so `metabelian.branched_cover_homology`
-reads cover structures off it; the full matrix (`metabelian.alexander_module`)
+itself (its pivots are units ±t^a).  `metabelian.reduced_module` keeps that
+one in the presentation's memo, and Delta and every branched-cover degree
+read it there; the full matrix (`metabelian.alexander_module`)
 is built only for the SNF transform that characters are read through and for
 the epimorphism kernels.
 """

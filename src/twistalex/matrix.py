@@ -8,9 +8,10 @@ Dense matrices appear only after conjugation by arbitrary change of basis.
 
 The package's one field echelon kernel (rref, with nullspace and the field
 inverse built on it) lives here.  Dense determinants go through
-polydet.det_matrix (the multimodular engine).  A monomial matrix's
-determinant, and det(I - M t^e) as a product over the cycles of its
-permutation (`Monomial.cycle_products`), are read off in closed form.
+polydet.det_matrix (cofactors when small, else the multimodular engine).
+A monomial matrix's determinant, and det(I - M t^e) as a product over the
+cycles of its permutation (`Monomial.cycle_products`), are read off in
+closed form.
 """
 from __future__ import annotations
 

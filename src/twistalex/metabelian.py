@@ -11,15 +11,17 @@ phi = 1, else phi = -1.  A presentation with neither (a torus knot's
 a presentation with all phi = 1 it is column 0, and the j-th basis vector of
 the module is exactly the class of g_{j+1} g_0^{-1}.  Delta_K is the
 determinant of the same deleted matrix, read off the substitution walker's
-much smaller reduced matrix (`fox.alexander_reduced_matrix`).  Finite
-quotients H/(t^k - 1) are integer cokernels of the companion blow-up.  Their
-structure comes from the blow-up of the reduced matrix, which presents the
-same module; characters and orbit values are read through the SNF transform U
-of the full matrix's blow-up, in whose basis the t-action is a cyclic shift,
-and that U is built only when a character is first evaluated.  Delta, the
-module and the meridian copy depend on the presentation alone, so each is
-computed once and kept in its memo (`KnotPresentation.cached`), together with
-the walker's plans; the memo dies with the presentation.
+much smaller reduced matrix (`reduced_module`, from
+`fox.alexander_reduced_matrix`).  Finite quotients H/(t^k - 1) are integer
+cokernels of the companion blow-up.  Their structure comes from the blow-up
+of the reduced matrix, which presents the same module; characters and orbit
+values are read through the SNF transform U of the full matrix's blow-up, in
+whose basis the t-action is a cyclic shift, and that U is built only when a
+character is first evaluated.  The presentation's memo
+(`KnotPresentation.cached`) keeps what depends on it alone, each computed
+once: the meridian copy, the full module, the reduced module (which Delta
+and every cover degree k read), Delta, and the walker's plans.  The memo
+dies with the presentation.
 
 The three epimorphism searches are kernels of the same matrix: meridians
 sent to (1, a_j) in Z/m x| A define a homomorphism exactly when the a_j solve
@@ -39,7 +41,7 @@ from math import gcd, lcm, prod
 from operator import mul
 
 from .cyclo import (CYC, _TRIAL_CAP, _euler_phi, cyclotomic_polynomial,
-                    is_cyclotomic_irreducible_mod_p)
+                    is_cyclotomic_irreducible_mod_p, multiplicative_order)
 from .domains import (GF, ZZ, ExactDivisionError, PrimeField, RepresentationError,
                       TwistalexError, odd_prime_field)
 from .fox import alexander_fox_matrix, alexander_reduced_matrix
@@ -51,6 +53,8 @@ from .snf import AbelianGroupStructure, cokernel_structure, resultant
 from .words import reduce_syllables
 
 _ENUM_CAP = 500_000
+# largest order m of G(m, p|k): a Target forms m companion powers up front
+_ORDER_CAP = 100_000
 # largest rank * k of a cover: the side of a companion blow-up, whose SNF grows
 # about as n^3, and for a Seifert matrix 2g * k, bounding the digits of M^k
 _BLOWUP_CAP = 2048
@@ -183,22 +187,32 @@ def alexander_polynomial(src) -> LaurentPoly:
 
     For a presentation it is the determinant of the Alexander matrix of
     `_with_meridian(src)` with the meridian's column deleted, read off the
-    substitution walker's reduced matrix (`fox.alexander_reduced_matrix`),
-    equal to the deleted matrix's up to the ±t^k that normalizing removes.
-    It is computed once per presentation (its memo).
+    substitution walker's reduced matrix (`reduced_module`), equal to the
+    deleted matrix's up to the ±t^k that normalizing removes.  It is
+    computed once per presentation (its memo).
     """
     if isinstance(src, KnotPresentation):
-        return src.cached("alexander polynomial", _presentation_delta)
+        return src.cached("alexander polynomial",
+                          lambda pres: alexander_polynomial(reduced_module(pres)))
     if isinstance(src, SeifertData):
         src = src.module_presentation()
     d = det_poly_matrix([list(r) for r in src.matrix], ZZ)
     return normalize_integer_poly(d)
 
 
-def _presentation_delta(pres: KnotPresentation) -> LaurentPoly:
+def reduced_module(pres: KnotPresentation) -> ModulePresentation:
+    """The substitution walker's reduced Alexander matrix of
+    `_with_meridian(pres)` at its deleted column (`fox.alexander_reduced_matrix`):
+    its pivots are units ±t^a, so it presents H, and its determinant is Delta
+    up to ±t^k.  Delta and every cover degree read it; it is built once per
+    presentation (its memo)."""
+    return pres.cached("reduced module", _reduced_module)
+
+
+def _reduced_module(pres: KnotPresentation) -> ModulePresentation:
     pres = _with_meridian(pres)
-    return normalize_integer_poly(
-        det_poly_matrix(alexander_reduced_matrix(pres, deleted_column(pres))[0], ZZ))
+    rows, _ = alexander_reduced_matrix(pres, deleted_column(pres))
+    return ModulePresentation(tuple(map(tuple, rows)))
 
 
 def normalize_integer_poly(f: LaurentPoly) -> LaurentPoly:
@@ -292,7 +306,7 @@ def branched_cover_homology(src, k: int) -> FiniteQuotientModule:
 
     Module route: companion blow-up of a presentation matrix, integer cokernel
     via Smith normal form.  For a KnotPresentation that matrix is the
-    substitution walker's reduced one (`fox.alexander_reduced_matrix`): its
+    substitution walker's reduced one (`reduced_module`, kept in the memo): its
     pivots are units ±t^a, so it presents the same module, and the SNF of the
     full blow-up is its own with rank * k - (seeds - 1) * k more 1s in front
     (the SNF is unique).  Monodromy route (SeifertData with unimodular V):
@@ -330,9 +344,7 @@ def branched_cover_homology(src, k: int) -> FiniteQuotientModule:
     if isinstance(src, ModulePresentation):
         structure, U, diag = cokernel_structure(_companion_blowup(src, k))
         return FiniteQuotientModule(k, structure, tuple(diag), rank, _U=tuple(map(tuple, U)))
-    rows, _ = alexander_reduced_matrix(full, deleted_column(full))
-    structure, _, diag = cokernel_structure(
-        _companion_blowup(ModulePresentation(tuple(map(tuple, rows))), k))
+    structure, _, diag = cokernel_structure(_companion_blowup(reduced_module(src), k))
     return FiniteQuotientModule(k, structure, (1,) * (rank * k - len(diag)) + tuple(diag),
                                 rank, presentation=src)
 
@@ -564,7 +576,8 @@ class Target:
     t^(d-1); t acts by the companion matrix of f, whose powers are formed
     once, so t^j and a multiplication matrix are one product each.  The
     element list (itertools.product order) is built when first read.  Each
-    constructor builds GF(p), refusing a non-prime p, before its other checks.
+    constructor builds GF(p), refusing a non-prime p, before its other checks;
+    `metacyclic` refuses an order above _ORDER_CAP before that.
     """
 
     def __init__(self, order: int, F: PrimeField, f):
@@ -581,12 +594,16 @@ class Target:
 
     @classmethod
     def metacyclic(cls, m: int, p: int, k: int) -> "Target":
-        """G(m, p|k) = Z/m x| F_p, 1 in Z/m acting by k; needs m >= 1 and k of
-        multiplicative order exactly m mod p."""
+        """G(m, p|k) = Z/m x| F_p, 1 in Z/m acting by k; needs 1 <= m <=
+        _ORDER_CAP and k of multiplicative order exactly m mod p, which is
+        tested from the primes of m alone."""
+        if m > _ORDER_CAP:
+            raise RepresentationError(f"m = {m} is above the cap _ORDER_CAP = {_ORDER_CAP} "
+                                      "for the order of G(m,p|k)")
         F = GF(p)
         if m < 1:
             raise RepresentationError(f"m must be >= 1, got {m}")
-        if pow(k, m, p) != 1 or any(pow(k, l, p) == 1 for l in range(1, m)):
+        if pow(k, m, p) != 1 or multiplicative_order(k, p, m) != m:
             raise RepresentationError(f"{k} is not a primitive {m}-th root of unity mod {p}")
         return cls(m, F, (-k % p, 1))
 

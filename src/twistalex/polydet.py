@@ -2,14 +2,22 @@
 
 Negative exponents are cleared row by row (each row's lowest exponent is
 subtracted as its cells are filled, and the total restored at the end).  One
-engine computes every determinant from 3 x 3 up: multimodular
+engine computes every determinant above the cofactor sizes below: multimodular
 evaluation/interpolation over Z[zeta_m][t], for ZZ, QQ and GF(p) (as m = 1)
 and for the cyclotomic fields Q(zeta_m), the only coefficient domains the
-package defines.  Any other domain is a TypeError.  A 1 x 1 or 2 x 2 matrix
-is expanded by cofactors (det_cofactor, a d - b c), which costs less than
-the engine's fixed numpy set-up; det_cofactor is also the brute-force test
-oracle.  (Wada denominators of monomial images never get here: twisted reads
-them off the permutation's cycles.)
+package defines.  Any other domain is a TypeError.  A small matrix is
+expanded by cofactors (det_cofactor), which costs less than the engine's
+fixed numpy set-up: every side up to 3, and side 4 over ZZ and GF(p).  Warm,
+a 3 x 3 took 0.3-0.4 ms in the engine against 0.05-0.12 ms by cofactors over
+ZZ and GF(p) and 0.2-0.34 ms over Q(zeta_m), a 4 x 4 over ZZ or GF(p)
+0.2-0.66 ms against 0.1-0.34 ms; over QQ and Q(zeta_m) a 4 x 4 is faster in
+the engine (README, Notes).  det_matrix (constant entries) takes the same
+route, and det_cofactor is also the brute-force test oracle.  (Wada
+denominators of monomial images never get here: twisted reads them off the
+permutation's cycles.)  numpy is imported when the engine first reads it
+(`np` stands in for it until then), so a process that only expands small
+matrices, such as one computing Delta_K and branched covers of small knots,
+never loads it.
 
 The multimodular engine (_det_multimodular).  Each row is scaled by one lcm
 of the denominators of its coefficients (a Q(zeta_m) element is integer
@@ -57,8 +65,6 @@ from functools import lru_cache, partial
 from itertools import count
 from math import gcd, lcm
 
-import numpy as np
-
 from .cyclo import CYC, CyclotomicField, _normal, _prime_factors, cyclotomic_polynomial
 from .domains import GF, Domain, PrimeField, QQ, TwistalexError, ZZ, is_prime
 from .laurent import LaurentPoly
@@ -67,6 +73,23 @@ from .matrix import mat_inverse
 # int64 cells per batched evaluation/elimination chunk (512 KiB): bounds the
 # peak memory of the engine whatever the matrix size and number of points
 _CHUNK_CELLS = 1 << 16
+# the largest side det_poly_matrix expands by cofactors: over ZZ and GF(p),
+# and over QQ and Q(zeta_m), whose products cost more (timings in the module doc)
+_COFACTOR_SIDE_INTEGRAL = 4
+_COFACTOR_SIDE = 3
+
+
+class _Numpy:
+    """Stands in for numpy until an attribute is first read, then imports
+    numpy and puts it in its place as the module's `np`."""
+
+    def __getattr__(self, name):
+        global np
+        import numpy as np
+        return getattr(np, name)
+
+
+np = _Numpy()
 
 
 # --------------------------------------------------------------------- primes
@@ -287,8 +310,9 @@ def _det_multimodular(rows, dom: Domain) -> LaurentPoly:
 
 
 def det_matrix(a, dom: Domain):
-    """Exact determinant of a square matrix of dom elements."""
-    return _det_multimodular([[LaurentPoly(dom, [x]) for x in row] for row in a], dom)[0]
+    """Exact determinant of a square matrix of dom elements, dispatched as
+    det_poly_matrix: a small one is expanded by cofactors."""
+    return det_poly_matrix([[LaurentPoly(dom, [x]) for x in row] for row in a], dom)[0]
 
 
 def det_poly_matrix(rows, dom: Domain) -> LaurentPoly:
@@ -299,6 +323,7 @@ def det_poly_matrix(rows, dom: Domain) -> LaurentPoly:
             raise ValueError("matrix is not square")
     if not (dom is ZZ or dom is QQ or isinstance(dom, (PrimeField, CyclotomicField))):
         raise TypeError(f"no determinant engine for {dom.name}")
-    if n <= 2:  # a d - b c: cheaper than the engine's fixed numpy set-up
+    integral = dom is ZZ or isinstance(dom, PrimeField)
+    if n <= (_COFACTOR_SIDE_INTEGRAL if integral else _COFACTOR_SIDE):
         return det_cofactor(rows, dom)
     return _det_multimodular(rows, dom)

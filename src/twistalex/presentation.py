@@ -128,8 +128,9 @@ class KnotPresentation:
         """build(self), computed on the first call with this key and kept as
         long as the presentation is: the presentation is frozen, so results
         that depend on it alone cannot go stale.  The walk plans, Delta, the
-        Alexander module and the meridian copy are kept here, not in a
-        module-level cache that would keep every presentation alive."""
+        full and reduced Alexander modules and the meridian copy are kept
+        here, not in a module-level cache that would keep every presentation
+        alive."""
         memo = self._memo
         if key not in memo:
             memo[key] = build(self)

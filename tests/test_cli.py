@@ -217,6 +217,13 @@ def test_usage_errors(capsys, tmp_path):
     code, out, err = run(capsys, "branched", "--knot", "3_1", "--k", "100000")
     assert code == 2 and out == "" and err == (
         "error: cover blow-up too large: rank 2 * k 100000 = 200000 exceeds the cap 2048\n")
+    # the order of G(m,p|k) is capped before the target is built, on every
+    # route (6 is a primitive root mod the prime 10000019)
+    for argv in (("epis", "--knot", "3_1", "--m", "10000018", "--p", "10000019", "--k", "6"),
+                 ("twisted", "--knot", "3_1",
+                  "--rep", "metacyclic:m=10000018:p=10000019:k=6:colors=0,0,0")):
+        assert run(capsys, *argv) == (2, "", "error: m = 10000018 is above the cap "
+                                      "_ORDER_CAP = 100000 for the order of G(m,p|k)\n"), argv
     # bytes the locale's codec cannot decode are the user's error, not a fault
     undecodable = tmp_path / "latin1.pres"
     undecodable.write_bytes(b"gens: \xe9\n")

@@ -1,5 +1,6 @@
-"""The per-presentation memo: walk plans, Delta, the Alexander module and the
-meridian copy are computed once per `KnotPresentation` and die with it.
+"""The per-presentation memo: walk plans, Delta, the Alexander module, the
+reduced module and the meridian copy are computed once per
+`KnotPresentation` and die with it.
 
 A memoized result must equal the one a fresh presentation computes, at every
 column asked for in any order; a mismatch is a memo defect (a key that does
@@ -130,3 +131,33 @@ def test_memoized_results_equal_fresh_ones(source):
         texts = [wada_invariant(fresh, rep, column=j).to_text()
                  for j in _columns(fresh)[::-1]][::-1] + texts
     assert texts == first[4:]
+
+
+@pytest.mark.parametrize("source", [fx.name for fx in corpus()] + ["phi"])
+def test_reduced_module_is_walked_once_per_presentation(source, monkeypatch):
+    walked = []
+    walk = fox.reduced_fox_matrix
+
+    def counted(rep, pres, column, dets):
+        walked.append((id(pres), column))
+        return walk(rep, pres, column, dets)
+
+    def make():
+        return parse_presentation(NO_MERIDIAN) if source == "phi" else presentation(source)
+
+    monkeypatch.setattr(fox, "reduced_fox_matrix", counted)
+    pres = make()
+    degrees = range(2, 7)
+    first = [branched_cover_homology(pres, k) for k in degrees]
+    delta = alexander_polynomial(pres)
+    again = [branched_cover_homology(pres, k) for k in degrees]
+    full = _with_meridian(pres)
+    assert walked == [(id(full), deleted_column(full))]
+    assert "reduced module" in pres._memo
+    # each cover degree and Delta on a fresh presentation of their own
+    for k, q, r in zip(degrees, first, again):
+        fresh = branched_cover_homology(make(), k)
+        assert (q.structure, q.diag) == (r.structure, r.diag) == (fresh.structure, fresh.diag)
+    assert alexander_polynomial(make()) == delta
+    assert len(walked) == 1 + len(degrees) + 1
+

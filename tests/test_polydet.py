@@ -1,6 +1,10 @@
+import os
 import random
+import subprocess
+import sys
 from fractions import Fraction
 from math import isqrt
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -39,15 +43,18 @@ def test_engines_agree_zz(n):
     for _ in range(8):
         rows = [[rand_zz(rng) for _ in range(n)] for _ in range(n)]
         assert det_poly_matrix(rows, ZZ) == det_cofactor(rows, ZZ)
+        assert polydet._det_multimodular(rows, ZZ) == det_cofactor(rows, ZZ)
 
 
+# below the cofactor threshold det_poly_matrix is det_cofactor, so these
+# call the engine itself
 def test_cofactor_agreement_gf7():
     F = GF(7)
     rng = random.Random(77)
     for _ in range(10):
         rows = [[LaurentPoly.from_terms(F, {e: rng.randint(0, 6) for e in range(2)})
                  for _ in range(4)] for _ in range(4)]
-        assert det_poly_matrix(rows, F) == det_cofactor(rows, F)
+        assert polydet._det_multimodular(rows, F) == det_cofactor(rows, F)
 
 
 def test_cofactor_agreement_qq():
@@ -56,7 +63,7 @@ def test_cofactor_agreement_qq():
         rows = [[LaurentPoly.from_terms(QQ, {e: Fraction(rng.randint(-4, 4), rng.randint(1, 3))
                                              for e in range(-1, 2)})
                  for _ in range(3)] for _ in range(3)]
-        assert det_poly_matrix(rows, QQ) == det_cofactor(rows, QQ)
+        assert polydet._det_multimodular(rows, QQ) == det_cofactor(rows, QQ)
 
 
 def test_cofactor_agreement_cyclo():
@@ -188,10 +195,51 @@ def test_small_matrices_skip_the_engine(monkeypatch):
     monkeypatch.setattr(polydet, "_det_multimodular",
                         lambda rows, dom: calls.append(len(rows)) or real(rows, dom))
     rng = random.Random(4100)
-    for n in range(5):
+    for n in range(7):
         rows = [[rand_zz(rng) for _ in range(n)] for _ in range(n)]
         assert det_poly_matrix(rows, ZZ) == det_cofactor(rows, ZZ)
-    assert calls == [3, 4]
+    assert calls == [5, 6]
+    # the threshold depends on the domain: side 4 over ZZ and GF(p) only
+    del calls[:]
+    for dom in (ZZ, GF(7), QQ, CYC(5)):
+        for n in (3, 4):
+            rows = [[LaurentPoly.from_terms(dom, {e: dom.coerce(rng.randint(-3, 3))
+                                                  for e in range(2)})
+                     for _ in range(n)] for _ in range(n)]
+            assert det_poly_matrix(rows, dom) == det_cofactor(rows, dom)
+    assert calls == [4, 4]
+    # a constant matrix takes the same route
+    del calls[:]
+    for n in range(1, 6):
+        a = [[rng.randint(-3, 3) for _ in range(n)] for _ in range(n)]
+        assert det_matrix(a, ZZ) == _det_int(a)
+    assert calls == [5]
+
+
+def test_numpy_loads_with_the_first_engine_call():
+    # Delta and the k = 2..6 covers of the corpus expand their determinants by
+    # cofactors, so that process never imports numpy; a 5 x 5 determinant does
+    code = """
+import sys
+from twistalex.knots import corpus, presentation
+from twistalex.metabelian import alexander_polynomial, branched_cover_homology
+from twistalex.polydet import det_matrix
+from twistalex.domains import ZZ
+for fx in corpus():
+    pres = presentation(fx.name)
+    assert alexander_polynomial(pres).to_text() == fx.alexander, fx.name
+    for k in range(2, 7):
+        branched_cover_homology(pres, k)
+assert "numpy" not in sys.modules
+assert det_matrix([[int(i <= j) for j in range(5)] for i in range(5)], ZZ) == 1
+assert "numpy" in sys.modules
+"""
+    src = str(Path(polydet.__file__).parents[1])
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        p for p in (src, os.environ.get("PYTHONPATH")) if p))
+    done = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
+                          text=True, timeout=300)
+    assert done.returncode == 0, done.stderr
 
 
 @pytest.mark.parametrize("q", [7, 101, 2**31 - 1])
@@ -298,7 +346,7 @@ def test_large_coefficients_take_the_primes_the_bound_implies(m, monkeypatch):
     real = polydet._coords_mod_q
     monkeypatch.setattr(polydet, "_coords_mod_q",
                         lambda a, m_, q_, npoints: used.append(q_) or real(a, m_, q_, npoints))
-    d = det_poly_matrix(rows, dom)
+    d = polydet._det_multimodular(rows, dom)  # a 3 x 3 det_poly_matrix expands it
     assert expected >= 3
     assert len(used) == expected
     assert all(q_ % step == 1 for q_ in used)

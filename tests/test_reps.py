@@ -7,7 +7,7 @@ from math import gcd
 
 import pytest
 
-from twistalex import matrix, words
+from twistalex import matrix, polydet, words
 from twistalex.cyclo import CYC
 from twistalex.domains import GF, QQ, ZZ
 from twistalex.knots import presentation
@@ -16,7 +16,7 @@ from twistalex.matrix import (Monomial, as_monomial, gen_inv, gen_mul, identity,
 from twistalex.metabelian import (DihedralData, Target, branched_cover_homology,
                                   characters_of_quotient, find_dihedral_epis,
                                   find_zn_apn_epis)
-from twistalex.reps import (RepresentationError, default_sl_z,
+from twistalex.reps import (Representation, RepresentationError, default_sl_z,
                             gamma_summands, is_irreducible_metabelian,
                             parse_rep_spec, rep_dihedral,
                             rep_direct_sum, rep_gamma_compose, rep_metabelian,
@@ -712,3 +712,20 @@ def test_walk_inside_a_long_syllable_takes_one_product_per_term(monkeypatch):
             wada_invariant(pres, rep, column=column)
         assert len(products) <= e + 2, (e, len(products))
         monkeypatch.undo()
+
+
+def test_dense_generator_determinants_skip_the_engine(monkeypatch):
+    # a 2 x 2 dense image's determinant is a d - b c, not an engine call
+    pres = presentation("4_1")
+    q = branched_cover_homology(pres, 2)
+    chi = next(c for c in characters_of_quotient(q, 5) if not c.is_trivial())
+    rep = rep_metabelian(pres, 2, chi)
+    p = ((rep.dom.one(), rep.dom.coerce(2)), (rep.dom.zero(), rep.dom.one()))
+    conj = rep.conjugate(p)
+
+    def refuse(rows, dom):
+        raise AssertionError("a 2 x 2 determinant set up the engine")
+
+    monkeypatch.setattr(polydet, "_det_multimodular", refuse)
+    dense = Representation(rep.dim, rep.dom, conj.images, pres)
+    assert dense.det_image_generators() == rep.det_image_generators()

@@ -229,3 +229,29 @@ def test_a_search_never_lists_the_elements_of_a(monkeypatch):
     assert searched
     with pytest.raises(AssertionError, match="listed the 2\\^2 elements"):
         metabelian.Target.apn(3, 2).image(0, (0, 0))
+
+
+@pytest.mark.parametrize("p", [2, 3, 5, 7, 13, 31])
+def test_metacyclic_order_test_matches_the_walk(p):
+    # the walk over l = 1..m-1 that the order test from the primes of m replaced
+    for m in range(0, 2 * p):
+        for k in range(-p, 2 * p):
+            walk = (m >= 1 and pow(k, m, p) == 1
+                    and not any(pow(k, l, p) == 1 for l in range(1, m)))
+            try:
+                target = Target.metacyclic(m, p, k)
+            except RepresentationError:
+                assert not walk, (m, p, k)
+            else:
+                assert walk and target.order == m, (m, p, k)
+
+
+def test_metacyclic_order_is_capped_before_anything_is_built(monkeypatch):
+    def refuse(p):
+        raise AssertionError("built GF(p) for an order above the cap")
+
+    monkeypatch.setattr(metabelian, "GF", refuse)
+    cap = metabelian._ORDER_CAP
+    for m, p in ((cap + 1, 9), (10**30, 10**30 + 1)):  # p need not even be a prime
+        with pytest.raises(RepresentationError, match=f"m = {m} is above the cap"):
+            Target.metacyclic(m, p, 6)

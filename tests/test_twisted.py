@@ -329,13 +329,14 @@ def test_monomial_rep_calls_the_engine_for_its_numerator_only(monkeypatch):
     real = polydet._det_multimodular
     monkeypatch.setattr(polydet, "_det_multimodular",
                         lambda rows, dom: calls.append(len(rows)) or real(rows, dom))
-    pres = presentation("3_1")
-    rep = rep_dihedral(pres, DihedralData(3, (0, 1, 2)))
+    # sides above the cofactor threshold: 5 x 5 for the figure-eight's D_5
+    pres = presentation("4_1")
+    rep = rep_dihedral(pres, DihedralData(5, (0, 1, 3, 4)))
     tw = wada_invariant(pres, rep)
-    assert calls == [3]  # the 3 x 3 reduced Fox matrix; the denominator is closed form
+    assert calls == [5]  # the 5 x 5 reduced Fox matrix; the denominator is closed form
     # a conjugated (dense) image still takes the engine for its denominator
     del calls[:]
-    p = tuple(tuple(Fraction(int(i == j or j == i + 1)) for j in range(3)) for i in range(3))
+    p = tuple(tuple(Fraction(int(i == j or j == i + 1)) for j in range(5)) for i in range(5))
     conj = rep.convert_domain(QQ).conjugate(p)
     assert doteq_equal(wada_invariant(pres, conj), as_tw(tw, tw.to_text()))
-    assert calls == [3, 3]
+    assert calls == [5, 5]
