@@ -57,16 +57,13 @@ def cyclotomic_polynomial(n: int) -> LaurentPoly:
     return f
 
 
-def multiplicative_order(a: int, n: int, multiple: int | None = None) -> int:
-    """The order of the unit a mod n.  multiple is a multiple of it, phi(n)
-    when not given; only its primes are found, by trial division, so a known
-    small multiple spares factoring n."""
+def multiplicative_order(a: int, n: int) -> int:
     if n == 1:
         return 1
     if gcd(a, n) != 1:
         raise ValueError(f"{a} is not a unit mod {n}")
-    # the order divides k: strip each prime q of k while a^(k/q) = 1
-    k = _euler_phi(n) if multiple is None else multiple
+    # the order divides phi(n): strip each prime q of phi(n) while a^(k/q) = 1
+    k = _euler_phi(n)
     for q in _prime_factors(k):
         while k % q == 0 and pow(a, k // q, n) == 1:
             k //= q

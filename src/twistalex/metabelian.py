@@ -40,8 +40,8 @@ from itertools import chain, product as iproduct
 from math import gcd, lcm, prod
 from operator import mul
 
-from .cyclo import (CYC, _TRIAL_CAP, _euler_phi, cyclotomic_polynomial,
-                    is_cyclotomic_irreducible_mod_p, multiplicative_order)
+from .cyclo import (CYC, _TRIAL_CAP, _euler_phi, _prime_factors, cyclotomic_polynomial,
+                    is_cyclotomic_irreducible_mod_p)
 from .domains import (GF, ZZ, ExactDivisionError, PrimeField, RepresentationError,
                       TwistalexError, odd_prime_field)
 from .fox import alexander_fox_matrix, alexander_reduced_matrix
@@ -603,7 +603,8 @@ class Target:
         F = GF(p)
         if m < 1:
             raise RepresentationError(f"m must be >= 1, got {m}")
-        if pow(k, m, p) != 1 or multiplicative_order(k, p, m) != m:
+        # k^m = 1, so the order of k divides m; it is m iff no k^(m/q) is 1
+        if pow(k, m, p) != 1 or any(pow(k, m // q, p) == 1 for q in _prime_factors(m)):
             raise RepresentationError(f"{k} is not a primitive {m}-th root of unity mod {p}")
         return cls(m, F, (-k % p, 1))
 

@@ -47,7 +47,7 @@ def test_engines_agree_zz(n):
 
 
 # below the cofactor threshold det_poly_matrix is det_cofactor, so these
-# call the engine itself
+# tests call the engine itself
 def test_cofactor_agreement_gf7():
     F = GF(7)
     rng = random.Random(77)
@@ -80,13 +80,13 @@ def test_cofactor_agreement_cyclo():
                         F.coerce(rng.randint(-2, 2))
                 row.append(LaurentPoly.from_terms(F, c))
             rows.append(row)
-        assert det_poly_matrix(rows, F) == det_cofactor(rows, F)
+        assert polydet._det_multimodular(rows, F) == det_cofactor(rows, F)
 
 
 def test_negative_exponent_rows():
     rng = random.Random(5)
     rows = [[rand_zz(rng, span=(-3, 1)) for _ in range(3)] for _ in range(3)]
-    assert det_poly_matrix(rows, ZZ) == det_cofactor(rows, ZZ)
+    assert polydet._det_multimodular(rows, ZZ) == det_cofactor(rows, ZZ)
 
 
 def test_zero_row_and_singular():
@@ -131,7 +131,7 @@ def test_huge_coefficients_need_multiple_primes():
     big = 10**14
     rows = [[LaurentPoly.from_terms(ZZ, {e: rng.randint(-big, big) for e in range(2)})
              for _ in range(3)] for _ in range(3)]
-    assert det_poly_matrix(rows, ZZ) == det_cofactor(rows, ZZ)
+    assert polydet._det_multimodular(rows, ZZ) == det_cofactor(rows, ZZ)
 
 
 def test_is_prime_against_trial_division():
@@ -177,7 +177,8 @@ def _coords(dom, v):
 
 @pytest.mark.parametrize("m", ENGINE_MS)
 def test_multimodular_engine_against_bareiss_and_cofactor(m):
-    # the engine itself, also at n <= 2 where det_poly_matrix expands instead
+    # the engine itself, also at the sides where det_poly_matrix expands by
+    # cofactors instead (see _COFACTOR_SIDE and _COFACTOR_SIDE_INTEGRAL)
     dom = _engine_dom(m)
     rng = random.Random(4000 + m)
     sizes = [1, 2, 3, 4, 5] + ([6] if m <= 5 else [])
@@ -276,6 +277,7 @@ def test_multimodular_engine_degenerate_inputs(m):
     # a zero row
     rows = _rand_matrix(rng, dom, 3)
     rows[1] = [zero] * 3
+    assert polydet._det_multimodular(rows, dom).is_zero()
     assert det_poly_matrix(rows, dom).is_zero()
     # an identically zero determinant: row 2 = c * t^-1 * row 0 + row 1
     rows = _rand_matrix(rng, dom, 4)
