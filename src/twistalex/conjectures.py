@@ -9,7 +9,7 @@ from __future__ import annotations
 import json
 from dataclasses import dataclass, field as dfield
 from itertools import product as iproduct
-from math import isqrt
+from math import isqrt, prod
 
 from .cyclo import CYC, CyclotomicField
 from .domains import GF, ZZ, ExactDivisionError, RepresentationError
@@ -89,15 +89,26 @@ def extract_f_polynomial(tw: TwistedPolynomial, delta: LaurentPoly):
 def twisted_product(parts) -> TwistedPolynomial:
     """Product of twisted polynomials over one field, unit data combined."""
     assert parts
-    dom = parts[0].dom
-    num = LaurentPoly.one(dom)
-    den = LaurentPoly.one(dom)
-    gens = []
-    for p in parts:
-        num = num * p.value.num
-        den = den * p.value.den
-        gens.extend(p.det_subgroup)
-    return TwistedPolynomial(RationalFunction(num, den), tuple(gens), parts[0].column)
+    one = LaurentPoly.one(parts[0].dom)
+    num = prod((p.value.num for p in parts), start=one)
+    den = prod((p.value.den for p in parts), start=one)
+    gens = tuple(g for p in parts for g in p.det_subgroup)
+    return TwistedPolynomial(RationalFunction(num, den), gens, parts[0].column)
+
+
+def _f_route(pres: KnotPresentation, rep, delta: LaurentPoly, n: int, var: str):
+    """(Wada invariant, holds, witnesses) for Delta^rho = Delta/(1-t) * F with
+    F an integer polynomial in t^n, the form of Conjectures A and A'."""
+    tw = wada_invariant(pres, rep)
+    F, ok = extract_f_polynomial(tw, delta)
+    in_power = bool(ok and F.poly_in_power(n))
+    return tw, in_power, {
+        "delta": delta.to_text(),
+        "twisted": tw.to_text(),
+        "F": F.to_text() if F is not None else None,
+        "division_exact_and_integral": ok,
+        f"F_in_t^{var}": in_power,
+    }
 
 
 # ------------------------------------------------------------- Conjecture A
@@ -112,28 +123,19 @@ def check_conjecture_A(pres: KnotPresentation, epi, n: int, p0: int,
     except RepresentationError as exc:
         return ConjectureReport("A", knot, spec, "precondition-unmet", {"reason": str(exc)})
     delta = alexander_polynomial(pres)
-    rep = rep_gamma_compose(pres, n, p0, epi)
-    tw = wada_invariant(pres, rep)
-    F, ok = extract_f_polynomial(tw, delta)
-    witnesses = {
-        "delta": delta.to_text(),
-        "twisted": tw.to_text(),
-        "F": F.to_text() if F is not None else None,
-        "division_exact_and_integral": ok,
-        "F_in_t^n": bool(F is not None and F.poly_in_power(n)),
-    }
+    tw, in_power, witnesses = _f_route(pres, rep_gamma_compose(pres, n, p0, epi), delta, n, "n")
     # second route: product over the summand decomposition, over CYC(p0)
     dom = CYC(p0)
     parts = [wada_invariant(pres, summand_compose(pres, s, epi)) for s in summands]
-    prod = twisted_product(parts)
+    product = twisted_product(parts)
     direct_cyc = TwistedPolynomial(
         RationalFunction(tw.value.num.copy_to(dom), tw.value.den.copy_to(dom)),
-        prod.det_subgroup, tw.column)
-    routes_agree = doteq_equal(direct_cyc, prod)
+        product.det_subgroup, tw.column)
+    routes_agree = doteq_equal(direct_cyc, product)
     witnesses["summand_count"] = len(summands)
-    witnesses["summand_product"] = prod.to_text()
+    witnesses["summand_product"] = product.to_text()
     witnesses["routes_agree"] = routes_agree
-    verdict = "holds" if (ok and F.poly_in_power(n) and routes_agree) else "fails"
+    verdict = "holds" if (in_power and routes_agree) else "fails"
     return ConjectureReport("A", knot, spec, verdict, witnesses)
 
 
@@ -148,16 +150,8 @@ def check_conjecture_Aprime(pres: KnotPresentation, m: int, p0: int, k: int,
     except RepresentationError as exc:
         return ConjectureReport("A'", knot, spec, "precondition-unmet",
                                 {"reason": str(exc)})
-    tw = wada_invariant(pres, rep)
-    F, ok = extract_f_polynomial(tw, delta)
-    verdict = "holds" if (ok and F.poly_in_power(m)) else "fails"
-    return ConjectureReport("A'", knot, spec, verdict, {
-        "delta": delta.to_text(),
-        "twisted": tw.to_text(),
-        "F": F.to_text() if F is not None else None,
-        "division_exact_and_integral": ok,
-        "F_in_t^m": bool(F is not None and F.poly_in_power(m)),
-    })
+    _, in_power, witnesses = _f_route(pres, rep, delta, m, "m")
+    return ConjectureReport("A'", knot, spec, "holds" if in_power else "fails", witnesses)
 
 
 # ----------------------------------------------------------- Conjecture B(1)
@@ -175,14 +169,12 @@ def _pairing_search(F: LaurentPoly, factored):
     target = F
     if content_ok:
         for mults in iproduct(*mult_ranges):
-            cand = LaurentPoly.const(ZZ, d)
-            for (g, _), s in zip(factors, mults):
-                for _ in range(s):
-                    cand = cand * g
-            prod = cand * cand.subs_neg_t()
-            c = _scalar_ratio(ZZ, prod, target)
+            cand = prod((g for (g, _), s in zip(factors, mults) for _ in range(s)),
+                        start=LaurentPoly.const(ZZ, d))
+            paired = cand * cand.subs_neg_t()
+            c = _scalar_ratio(ZZ, paired, target)
             if c in (1, -1):
-                shift = (target.low() - prod.low())
+                shift = (target.low() - paired.low())
                 return cand, c, shift, None
     # obstruction: self-paired irreducible factors of odd multiplicity
     obstruction = []
@@ -273,28 +265,18 @@ def check_conjecture_B2(pres: KnotPresentation, coloring: DihedralData,
     dp = delta.copy_to(dom)
     dp_neg = dp.subs_neg_t()
     one = LaurentPoly.one(dom)
-    rhs_num = one
-    rhs_den = one
-    for _ in range(ell + 1):
-        rhs_num = rhs_num * dp
-        rhs_den = rhs_den * LaurentPoly(dom, [dom.one(), dom.neg(dom.one())])
-    for _ in range(ell):
-        rhs_num = rhs_num * dp_neg
-        rhs_den = rhs_den * LaurentPoly(dom, [dom.one(), dom.one()])
+    one_minus_t = LaurentPoly(dom, [dom.one(), dom.neg(dom.one())])
+    one_plus_t = LaurentPoly(dom, [dom.one(), dom.one()])
+    rhs_num = prod([dp] * (ell + 1) + [dp_neg] * ell, start=one)
+    rhs_den = prod([one_minus_t] * (ell + 1) + [one_plus_t] * ell, start=one)
     unit = _compare_up_to_fp_units(dom, lhs.value.num, lhs.value.den, rhs_num, rhs_den)
     # second route: the Vandermonde triangularization splits rho_p into
     # eps^(l+1) + tau^l on the diagonal, so the product of the 1-dim twisted
     # polynomials must match as well
     eps = wada_invariant(pres, rep_onedim(pres, 1, dom))
     tau = wada_invariant(pres, rep_onedim(pres, -1, dom))
-    tri_num = one
-    tri_den = one
-    for _ in range(ell + 1):
-        tri_num = tri_num * eps.value.num
-        tri_den = tri_den * eps.value.den
-    for _ in range(ell):
-        tri_num = tri_num * tau.value.num
-        tri_den = tri_den * tau.value.den
+    tri_num = prod([eps.value.num] * (ell + 1) + [tau.value.num] * ell, start=one)
+    tri_den = prod([eps.value.den] * (ell + 1) + [tau.value.den] * ell, start=one)
     unit_tri = _compare_up_to_fp_units(dom, lhs.value.num, lhs.value.den, tri_num, tri_den)
     witnesses = {
         "p": p,

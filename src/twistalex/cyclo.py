@@ -12,6 +12,9 @@ rational inverts by one integer division, ±zeta^k by a table the first
 non-rational `inv` builds, anything else by the polynomial kernel
 (`laurent.poly_invmod`).  A field with phi(m) > PHI_CAP is refused
 before Phi_m is computed.
+
+`has_order` is the package's one multiplicative-order test, and the trial
+division it factors with (`_prime_factors`) is read nowhere else.
 """
 from __future__ import annotations
 
@@ -57,17 +60,10 @@ def cyclotomic_polynomial(n: int) -> LaurentPoly:
     return f
 
 
-def multiplicative_order(a: int, n: int) -> int:
-    if n == 1:
-        return 1
-    if gcd(a, n) != 1:
-        raise ValueError(f"{a} is not a unit mod {n}")
-    # the order divides phi(n): strip each prime q of phi(n) while a^(k/q) = 1
-    k = _euler_phi(n)
-    for q in _prime_factors(k):
-        while k % q == 0 and pow(a, k // q, n) == 1:
-            k //= q
-    return k
+def has_order(a: int, e: int, n: int) -> bool:
+    """True iff a has multiplicative order exactly e mod n: a^e = 1 and
+    a^(e/q) != 1 for every prime q dividing e.  Only e is factored."""
+    return pow(a, e, n) == 1 and all(pow(a, e // q, n) != 1 for q in _prime_factors(e))
 
 
 # the largest n whose primes are found by trial division (at most 10^5 steps)
@@ -75,16 +71,18 @@ _TRIAL_CAP = 10**10
 
 
 def is_cyclotomic_irreducible_mod_p(n: int, p: int) -> bool:
-    """True iff Phi_n is irreducible over F_p; equivalent to ord_n(p) = phi(n),
-    that is p^(phi(n)/q) != 1 (mod n) for every prime q | phi(n).  p must be
-    a prime coprime to n (`metabelian.apn_irreducible` refuses any other).  An
-    n above _TRIAL_CAP is refused before it is factored."""
+    """True iff Phi_n is irreducible over F_p, that is p has order phi(n) mod
+    n (`has_order`).  p must be a prime (`metabelian.apn_irreducible` builds
+    GF(p) first); one not coprime to n is refused, and so is an n above
+    _TRIAL_CAP, before it is factored."""
     if n > _TRIAL_CAP:
         raise TwistalexError(f"n = {n} is above the cap _TRIAL_CAP = {_TRIAL_CAP} "
                              "for factoring n by trial division")
     if n == 1:
         return True
-    return multiplicative_order(p, n) == _euler_phi(n)
+    if gcd(n, p) != 1:
+        raise TwistalexError("n and p must be coprime")
+    return has_order(p, _euler_phi(n), n)
 
 
 def _normal(nums, den: int):

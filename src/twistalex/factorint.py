@@ -8,7 +8,7 @@ capped at 64; everything this package needs to factor has degree <= 10.
 from __future__ import annotations
 
 from itertools import combinations
-from math import gcd, isqrt, lcm
+from math import gcd, isqrt, lcm, prod
 
 from .domains import GF, ZZ, QQ, ExactDivisionError, TwistalexError
 from .laurent import LaurentPoly, poly_divmod, poly_gcd, poly_invmod, poly_mul, poly_trim
@@ -133,18 +133,18 @@ def _hensel_lift_linear(f, facs, p, target):
     # h_i = inverse of prod_{j != i} g_j modulo g_i, all mod p
     invs = []
     for i in range(r):
-        prod = [1]
+        acc = [1]
         for j in range(r):
             if j != i:
-                prod = poly_mul(F, prod, facs[j])
-        invs.append(poly_invmod(F, prod, facs[i]))
+                acc = poly_mul(F, acc, facs[j])
+        invs.append(poly_invmod(F, acc, facs[i]))
     m = p
     while m < target:
-        prod = [1]
+        acc = [1]
         for g in G:
-            prod = poly_mul(ZZ, prod, g)
-        diff = [x - y for x, y in zip(f + [0] * max(0, len(prod) - len(f)),
-                                      prod + [0] * max(0, len(f) - len(prod)))]
+            acc = poly_mul(ZZ, acc, g)
+        diff = [x - y for x, y in zip(f + [0] * max(0, len(acc) - len(f)),
+                                      acc + [0] * max(0, len(f) - len(acc)))]
         e = poly_trim(F, [(x // m) % p for x in diff])
         if e:
             for i in range(r):
@@ -286,11 +286,8 @@ def factor_integer_poly(f: LaurentPoly):
 
 
 def verify_factorization(f: LaurentPoly, unit: int, content: int, t_power: int, factors) -> bool:
-    acc = LaurentPoly(ZZ, [unit * content], t_power)
-    for g, mult in factors:
-        for _ in range(mult):
-            acc = acc * g
-    return acc == f
+    return prod((g for g, mult in factors for _ in range(mult)),
+                start=LaurentPoly(ZZ, [unit * content], t_power)) == f
 
 
 def is_irreducible(f: LaurentPoly) -> bool:

@@ -40,7 +40,7 @@ from itertools import chain, product as iproduct
 from math import gcd, lcm, prod
 from operator import mul
 
-from .cyclo import (CYC, _TRIAL_CAP, _euler_phi, _prime_factors, cyclotomic_polynomial,
+from .cyclo import (CYC, _TRIAL_CAP, _euler_phi, cyclotomic_polynomial, has_order,
                     is_cyclotomic_irreducible_mod_p)
 from .domains import (GF, ZZ, ExactDivisionError, PrimeField, RepresentationError,
                       TwistalexError, odd_prime_field)
@@ -257,12 +257,9 @@ class FiniteQuotientModule:
             object.__setattr__(self, "_U", tuple(map(tuple, cokernel_structure(blow)[1])))
         return self._U
 
-    def basis_vector(self, j: int, level: int = 0):
+    def basis_vector(self, j: int):
         v = [0] * self.ambient_dim
-        if self.monodromy is None:
-            v[j * self.k + (level % self.k)] = 1
-        else:
-            v[j] = 1
+        v[j * self.k if self.monodromy is None else j] = 1
         return v
 
     def t_apply(self, vec, power: int = 1):
@@ -500,18 +497,22 @@ def _require_wirtinger(pres: KnotPresentation):
 
 
 def _enumerate_span(basis, p: int):
-    """Every F_p-combination of the basis vectors; refused above the cap."""
+    """An iterator over every F_p-combination of the basis vectors; a span
+    above the cap is refused by the call, before anything is enumerated."""
     dim = len(basis)
     if p**dim > _ENUM_CAP:
         raise TwistalexError(
             "coloring solution space too large to enumerate: "
             f"p^dim = {p}^{dim} = {p**dim} exceeds the cap {_ENUM_CAP}")
-    for combo in iproduct(range(p), repeat=dim):
-        v = [0] * len(basis[0])
-        for c, b in zip(combo, basis):
-            if c:
-                v = [(x + c * y) % p for x, y in zip(v, b)]
-        yield v
+
+    def span():
+        for combo in iproduct(range(p), repeat=dim):
+            v = [0] * len(basis[0])
+            for c, b in zip(combo, basis):
+                if c:
+                    v = [(x + c * y) % p for x, y in zip(v, b)]
+            yield v
+    return span()
 
 
 def find_dihedral_epis(pres: KnotPresentation, p0: int) -> list[DihedralData]:
@@ -603,8 +604,7 @@ class Target:
         F = GF(p)
         if m < 1:
             raise RepresentationError(f"m must be >= 1, got {m}")
-        # k^m = 1, so the order of k divides m; it is m iff no k^(m/q) is 1
-        if pow(k, m, p) != 1 or any(pow(k, m // q, p) == 1 for q in _prime_factors(m)):
+        if not has_order(k, m, p):
             raise RepresentationError(f"{k} is not a primitive {m}-th root of unity mod {p}")
         return cls(m, F, (-k % p, 1))
 
@@ -669,7 +669,8 @@ def _kernel_epis(pres: KnotPresentation, target: Target):
     constants always solve it (its rows sum to 0) and are the conjugation
     orbit of a_0 = 0, so the kernel of the module matrix (column 0 deleted)
     holds one solution per class.  Each nonzero one is reported as its least
-    multiple by a unit of A.
+    multiple by a unit of A; that normalization is refused when p^dim * |units|
+    exceeds _ENUM_CAP, after the span itself is held to the cap.
     """
     d, p0 = target.d, target.p
     zero = [[0] * d] * d
@@ -680,10 +681,16 @@ def _kernel_epis(pres: KnotPresentation, target: Target):
     basis = nullspace(target.F, rows, d * (pres.generator_count - 1))
     if not basis:
         return []
-    units = [_UnitTable(mu, p0) for mu in target.units()]
+    span, units = _enumerate_span(basis, p0), target.units()
+    work = p0 ** len(basis) * len(units)
+    if work > _ENUM_CAP:
+        raise TwistalexError(
+            "unit normalization too large: p^dim * |units| = "
+            f"{p0}^{len(basis)} * {len(units)} = {work} exceeds the cap {_ENUM_CAP}")
+    units = [_UnitTable(mu, p0) for mu in units]
     least = {}  # first nonzero a_j -> the units taking it to its least multiple
     out = set()
-    for v in _enumerate_span(basis, p0):
+    for v in span:
         if not any(v):
             continue
         ais = [(0,) * d, *zip(*[iter(v)] * d)]

@@ -34,7 +34,9 @@ into power-basis coordinates, the one Newton interpolation _interpolate
 gives the coefficients in t, and CRT across the primes, into the symmetric
 range, gives the exact integer coordinates; the row scales and the t-shift
 are then undone.  GF(p) entries are lifted to
-0..p-1, so their determinant is the integer one reduced mod p.
+0..p-1, so their determinant is the integer one reduced mod p.  A matrix
+whose elimination work side^3 * points * phi(m) is above _WORK_CAP is
+refused before its cells are built.
 
 Certification.  Let c in Z[zeta_m] be a coefficient of the scaled
 determinant and iota any complex embedding.  |iota(zeta)| = 1, so
@@ -65,7 +67,7 @@ from functools import lru_cache, partial
 from itertools import count
 from math import gcd, lcm
 
-from .cyclo import CYC, CyclotomicField, _normal, _prime_factors, cyclotomic_polynomial
+from .cyclo import CYC, CyclotomicField, _normal, cyclotomic_polynomial, has_order
 from .domains import GF, Domain, PrimeField, QQ, TwistalexError, ZZ, is_prime
 from .laurent import LaurentPoly
 from .matrix import mat_inverse
@@ -77,6 +79,10 @@ _CHUNK_CELLS = 1 << 16
 # and over QQ and Q(zeta_m), whose products cost more (timings in the module doc)
 _COFACTOR_SIDE_INTEGRAL = 4
 _COFACTOR_SIDE = 3
+# the largest side^3 * points * phi(m) the engine takes on: its elimination
+# work per prime.  Every test, script and benchmark input stays below 6.4e6;
+# metacyclic p = 53 on 3_1 is 1.6e7 and takes 1.5 s
+_WORK_CAP = 10**8
 
 
 class _Numpy:
@@ -112,9 +118,7 @@ def _embeddings(m: int, q: int):
     x_e = w^k_e of Phi_m mod q (k_e coprime to m, w the least-base primitive
     m-th root).  Column e of V^-1 is the Lagrange basis polynomial
     Phi_m(x) / ((x - x_e) Phi_m'(x_e)), by one synthetic division each."""
-    factors = _prime_factors(m)
-    w = next(w for w in (pow(g, (q - 1) // m, q) for g in range(2, q))
-             if all(pow(w, m // r, q) != 1 for r in factors))
+    w = next(w for w in (pow(g, (q - 1) // m, q) for g in range(2, q)) if has_order(w, m, q))
     xs = [pow(w, k, q) for k in range(1, m + 1) if gcd(k, m) == 1]
     v = [[pow(x, j, q) for j in range(len(xs))] for x in xs]
     phi = [c % q for c in cyclotomic_polynomial(m).coeffs()]
@@ -270,7 +274,7 @@ def _det_multimodular(rows, dom: Domain) -> LaurentPoly:
     phi = dom.degree if cyclo else 1
     # each row's (column, exponent, (numerators, den)) terms over each entry's
     # span and lowest exponent; a rational v is the one numerator v.numerator
-    rows_terms, shift = [], 0
+    rows_terms, spans, shift = [], [], 0
     for row in rows:
         terms = [(j, e, v if cyclo else ((v.numerator,), v.denominator))
                  for j, f in enumerate(row) for e, v in enumerate(f.coeffs(), f.low())]
@@ -278,10 +282,15 @@ def _det_multimodular(rows, dom: Domain) -> LaurentPoly:
             return LaurentPoly.zero(dom)  # a zero row
         lo = min(e for _, e, _ in terms)
         rows_terms.append((terms, lo))
+        spans.append(max(e for _, e, _ in terms) - lo)
         shift += lo
-    top = max(e - lo for terms, lo in rows_terms for _, e, _ in terms)
-    cells = [[[[0] * n for _ in range(n)] for _ in range(phi)] for _ in range(top + 1)]
-    bound, scale, deg_bound, widest = _coordinate_bound(m), 1, 0, 0
+    npoints = sum(spans) + 1  # the degree bound, plus one
+    work = n**3 * npoints * phi
+    if work > _WORK_CAP:
+        raise TwistalexError(f"determinant work side^3 * points * phi = {n}^3 * {npoints} * "
+                             f"{phi} = {work} is above the cap _WORK_CAP = {_WORK_CAP}")
+    cells = [[[[0] * n for _ in range(n)] for _ in range(phi)] for _ in range(max(spans) + 1)]
+    bound, scale, widest = _coordinate_bound(m), 1, 0
     for i, (terms, lo) in enumerate(rows_terms):
         l = lcm(*(den for _, _, (_, den) in terms))
         norm = 0  # the row's l1-norm, at least each of its coordinates
@@ -294,9 +303,7 @@ def _det_multimodular(rows, dom: Domain) -> LaurentPoly:
         scale *= l
         bound *= norm
         widest = max(widest, norm)
-        deg_bound += max(e for _, e, _ in terms) - lo
     a = np.array(cells, dtype=np.int64 if widest < 2**62 else object)
-    npoints = deg_bound + 1
     x, mod = np.zeros((npoints, phi), dtype=object), 1
     for q in map(partial(_prime, m), count()):
         r = _coords_mod_q(a, m, q, npoints).astype(object)

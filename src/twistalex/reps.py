@@ -2,8 +2,10 @@
 
 Everything built here is monomial (permutation blocks times diagonal scalings)
 until a conjugation makes it dense, so word evaluation and relator checks stay
-linear in the dimension.  Constructors attached to a presentation verify every
-relator at build time.
+linear in the dimension.  A block image is built in one step, as
+`Monomial(perm, scales)`.  Constructors attached to a presentation verify
+every relator at build time; `rep_mod_p` is `convert_domain(GF(p))` under
+that check.
 
 The dihedral, metacyclic and gamma representations and the gamma summands
 read Z/m x| A, its t-action and its permutation images from one
@@ -219,10 +221,8 @@ class GammaSummand:
         # z = 1 block: cyclic shift^j times diag(chi(t^(-i-j) a)); the i+j
         # twist is what makes this a homomorphism for the composition law
         # (j,a)(j',a') = (j+j', a + t^j a') used by the epimorphism solver
-        shift = Monomial(tuple((i + j) % n for i in range(n)), (self.dom.one(),) * n)
-        scales = tuple(self._chi(self.target.t(a, -i - j)) for i in range(n))
-        diag = Monomial(tuple(range(n)), scales)
-        return shift.mul(diag, self.dom)
+        return Monomial(tuple((i + j) % n for i in range(n)),
+                        tuple(self._chi(self.target.t(a, -i - j)) for i in range(n)))
 
 
 def gamma_summands(p: int, n: int):
@@ -299,22 +299,17 @@ def rep_metabelian(pres: KnotPresentation, n: int, chi: Character, z=None,
     images = {}
     for g in range(pres.generator_count):
         if g == deleted:
-            scales = tuple(dom.one() for _ in range(n))
+            scales = (z,) * n
         else:
             j = g - 1 if g > deleted else g
-            vals = []
-            for l in range(n):
-                # diag entry l is chi(t^-l h); with the forward z-cycle block
-                # this composes by (1,h)(1,h') = (2, h + t(h'-...)+...) exactly
-                # matching h_k = h_i + t(h_j - h_i) from Wirtinger relators
-                v = chi.value_basis(j, -l)
-                vals.append(dom.embed(v, CYC(m_chi)) if dom.m != m_chi else v)
-            scales = tuple(vals)
-        zblock = Monomial(shift_perm, (z,) * n)
-        diag = Monomial(tuple(range(n)), scales)
-        images[g] = zblock.mul(diag, dom)
-    label = f"metabelian(n={n})"
-    return Representation(n, dom, images, pres, label=label)
+            # entry l is z chi(t^-l h); with the forward z-cycle this composes
+            # by (1,h)(1,h') = (2, h + t(h'-...)+...), exactly matching
+            # h_k = h_i + t(h_j - h_i) from Wirtinger relators
+            vals = (chi.value_basis(j, -l) for l in range(n))
+            scales = tuple(dom.mul(z, dom.embed(v, CYC(m_chi)) if dom.m != m_chi else v)
+                           for v in vals)
+        images[g] = Monomial(shift_perm, scales)
+    return Representation(n, dom, images, pres, label=f"metabelian(n={n})")
 
 
 def is_irreducible_metabelian(chi: Character, n: int, rank: int) -> bool:
@@ -398,14 +393,8 @@ def rep_direct_sum(a: Representation, b: Representation) -> Representation:
 def rep_mod_p(a: Representation, p: int) -> Representation:
     if a.dom.name != "ZZ":
         raise RepresentationError("mod-p reduction needs integer entries")
-    dom = GF(p)
-    images = {}
-    for g, img in a.images.items():
-        if isinstance(img, Monomial):
-            images[g] = Monomial(img.perm, tuple(s % p for s in img.scales))
-        else:
-            images[g] = tuple(tuple(x % p for x in row) for row in img)
-    return Representation(a.dim, dom, images, a.pres, label=f"modp({a.label},{p})")
+    b = a.convert_domain(GF(p))
+    return Representation(b.dim, b.dom, b.images, b.pres, label=f"modp({a.label},{p})")
 
 
 # ------------------------------------------------- Vandermonde triangle form

@@ -224,6 +224,19 @@ def test_usage_errors(capsys, tmp_path):
                   "--rep", "metacyclic:m=10000018:p=10000019:k=6:colors=0,0,0")):
         assert run(capsys, *argv) == (2, "", "error: m = 10000018 is above the cap "
                                       "_ORDER_CAP = 100000 for the order of G(m,p|k)\n"), argv
+    # a determinant above the engine's work budget is refused before its cells
+    # are built: side^3 * points * phi(m)
+    for spec, figure in (("metacyclic:m=2:p=107:k=106:colors=0,0,0", "107^3 * 215 * 1 = 263384245"),
+                         ("gamma:p=11:n=3:a=0.0,0.0,0.0", "121^3 * 243 * 1 = 430489323"),
+                         ("metabelian:n=40:m=3", "40^3 * 81 * 64 = 331776000"),
+                         ("metabelian:n=80:m=3", "80^3 * 161 * 128 = 10551296000")):
+        assert run(capsys, "twisted", "--knot", "3_1", "--rep", spec) == (
+            2, "", f"error: determinant work side^3 * points * phi = {figure} is above "
+                   "the cap _WORK_CAP = 100000000\n"), spec
+    # so is a unit normalization above the enumeration cap (52579 | Phi_6(1000))
+    assert run(capsys, "epis", "--knot", "3_1", "--m", "6", "--p", "52579", "--k", "1000") == (
+        2, "", "error: unit normalization too large: p^dim * |units| = 52579^1 * 52578 "
+               "= 2764498662 exceeds the cap 500000\n")
     # bytes the locale's codec cannot decode are the user's error, not a fault
     undecodable = tmp_path / "latin1.pres"
     undecodable.write_bytes(b"gens: \xe9\n")

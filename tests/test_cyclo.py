@@ -5,9 +5,9 @@ from fractions import Fraction
 import pytest
 
 from twistalex import cyclo
-from twistalex.cyclo import (CYC, cyclotomic_polynomial, is_cyclotomic_irreducible_mod_p,
-                             multiplicative_order)
-from twistalex.domains import QQ, Domain
+from twistalex.cyclo import (CYC, cyclotomic_polynomial, has_order,
+                             is_cyclotomic_irreducible_mod_p)
+from twistalex.domains import QQ, Domain, TwistalexError
 from twistalex.laurent import parse_poly, poly_invmod, poly_trim
 from twistalex.snf import resultant
 
@@ -40,7 +40,7 @@ def test_irreducibility_mod_p():
     assert is_cyclotomic_irreducible_mod_p(1, 5)
     assert not is_cyclotomic_irreducible_mod_p(8, 7)    # ord_8(7) = 2 < 4
     assert is_cyclotomic_irreducible_mod_p(2, 3)
-    with pytest.raises(ValueError):
+    with pytest.raises(TwistalexError, match="^n and p must be coprime$"):
         is_cyclotomic_irreducible_mod_p(6, 3)
 
 
@@ -56,7 +56,7 @@ def test_irreducibility_refuses_an_n_above_the_trial_cap():
     assert is_cyclotomic_irreducible_mod_p(cyclo._TRIAL_CAP, 3) is False
 
 
-def test_multiplicative_order_brute_force():
+def test_has_order_brute_force():
     rng = random.Random(5)
     for _ in range(60):
         n = rng.randint(2, 40)
@@ -65,9 +65,8 @@ def test_multiplicative_order_brute_force():
 
         if gcd(a, n) != 1:
             continue
-        k = multiplicative_order(a, n)
-        assert pow(a, k, n) == 1
-        assert all(pow(a, j, n) != 1 for j in range(1, k))
+        k = next(j for j in range(1, n) if pow(a, j, n) == 1)  # the order, by walking
+        assert [e for e in range(1, 2 * n) if has_order(a, e, n)] == [k]
 
 
 def test_field_axioms_and_inverse():

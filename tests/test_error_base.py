@@ -37,6 +37,14 @@ def test_primality_is_decided_in_domains_and_the_engine_prime_supply():
     assert readers == {"polydet.py": ["_prime"]}
 
 
+def test_only_cyclo_factors_by_trial_division():
+    # the order tests of Target.metacyclic and the engine's roots of unity
+    # go through cyclo.has_order
+    readers = {path.name: found for path in sorted(SRC.glob("*.py")) if path.name != "cyclo.py"
+               for found in [_readers(path.read_text(), "_prime_factors")] if found}
+    assert readers == {}
+
+
 def test_every_exception_class_derives_from_the_one_base():
     classes = {}
     for info in pkgutil.iter_modules(twistalex.__path__):

@@ -216,7 +216,7 @@ def test_cover_matches_full_module_reference():
             assert (str(q.structure), q.diag, q.rank) == (str(ref.structure), ref.diag, ref.rank)
             assert q.ambient_dim == len(ref.U)
             for j in range(q.rank):
-                v = q.basis_vector(j, 1)
+                v = q.t_apply(q.basis_vector(j), 1)
                 w = [row[j * k + 1 % k] for row in ref.taction]  # the column of v
                 assert q.t_apply(v) == w and q.t_apply(v, k + 1) == w
             assert q.U == ref.U, (pres, k)
