@@ -12,8 +12,9 @@ with P the prefix read so far and s = phi(P),
 words, not images: the l-th term of a syllable g^e is the word P g^l, with P
 the prefix before it (e > 0) or through it (e < 0), and its image is looked
 up with `rep.image_of_word`, whose cache the relator check has already filled
-with every relator prefix.  The Alexander matrix over Z[t^±1] is the case of
-the 1 x 1 trivial image over ZZ.
+with every relator prefix, and its entries are read by `matrix.entries`,
+whatever the image's format.  The Alexander matrix over Z[t^±1] is the case
+of the 1 x 1 trivial image over ZZ.
 
 The substitution walker (`reduced_fox_matrix`).  A relator r = A g^eps B in
 which g occurs once, with eps = ±1, and every other generator is already
@@ -57,7 +58,7 @@ from typing import NamedTuple
 
 from .domains import ZZ
 from .laurent import LaurentPoly
-from .matrix import Monomial, perm_sign
+from .matrix import Monomial, entries, perm_sign
 from .words import Word, exponent_sum, reduce_syllables
 
 
@@ -87,22 +88,13 @@ def _terms(r: Word, phi, left: Word = ()):
         s += e * f
 
 
-def _entries(dom, img, n):
-    """The (row, column, value) entries of an image: one per column of a
-    Monomial, the nonzero ones of a dense matrix."""
-    if isinstance(img, Monomial):
-        return zip(img.perm, range(n), img.scales)
-    return ((p, j, v) for p, row in enumerate(img) for j, v in enumerate(row)
-            if not dom.is_zero(v))
-
-
 def specialize_element(r: Word, rep, pres) -> list[list[LaurentPoly]]:
     """One relator's Fox row through rho tensor t^phi: an n x (generators * n)
     LaurentPoly block row, block column j holding (dr/dg_j)^(rho tensor t^phi)."""
     n, dom = rep.dim, rep.dom
     acc = [[{} for _ in range(pres.generator_count * n)] for _ in range(n)]
     for _, g, w, x, sign in _terms(r, pres.phi):
-        for p, j, v in _entries(dom, rep.image_of_word(w), n):
+        for p, j, v in entries(dom, rep.image_of_word(w), n):
             cell = acc[p][g * n + j]
             v = v if sign > 0 else dom.neg(v)
             cell[x] = dom.add(cell[x], v) if x in cell else v
@@ -211,7 +203,7 @@ def _combine(rep, width: int, terms, d):
         dg = d[g]
         if not dg:
             continue
-        for a, c, v in _entries(dom, rep.image_of_word(w), n):
+        for a, c, v in entries(dom, rep.image_of_word(w), n):
             coef = v if sign > 0 else dom.neg(v)
             for y, block in dg.items():
                 rows = gathered.get(x + y)

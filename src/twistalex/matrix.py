@@ -1,10 +1,15 @@
-"""Small dense-matrix helpers over exact domains, plus monomial fast paths.
+"""Exact matrices over the package's domains, dense or monomial.
 
 Every representation this package constructs (permutation, dihedral,
 metacyclic, metabelian block, tensor/sum combinations) is monomial: each
 column holds a single nonzero entry.  Monomial ops are O(n) instead of O(n^3),
 which is what keeps relator checks on 50-dimensional representations cheap.
 Dense matrices appear only after conjugation by arbitrary change of basis.
+
+An image is a `Monomial` or a `Dense` tuple of rows.  Only the helpers at
+the end of this module tell them apart; outside it, only two readers do,
+each for a closed form: `twisted._denominator` and
+`reps.Representation.det_image_generators`.
 
 The package's one field echelon kernel (rref, with nullspace and the field
 inverse built on it) lives here.  Dense determinants go through
@@ -42,23 +47,6 @@ def mat_mul(dom: Domain, a: Dense, b: Dense) -> Dense:
 
 def transpose(a: Dense) -> Dense:
     return tuple(zip(*a))
-
-
-def kron(dom: Domain, a: Dense, b: Dense) -> Dense:
-    out = []
-    for ra in a:
-        for rb in b:
-            out.append(tuple(dom.mul(x, y) for x in ra for y in rb))
-    return tuple(out)
-
-
-def direct_sum(dom: Domain, a: Dense, b: Dense) -> Dense:
-    na, ma = len(a), len(a[0]) if a else 0
-    nb, mb = len(b), len(b[0]) if b else 0
-    z = dom.zero()
-    out = [tuple(row) + (z,) * mb for row in a]
-    out += [(z,) * ma + tuple(row) for row in b]
-    return tuple(out)
 
 
 def rref(dom: Domain, rows, ncols: int):
@@ -121,10 +109,6 @@ def mat_inverse(dom: Domain, a: Dense) -> Dense:
         raise ExactDivisionError(f"inverse does not exist over {dom.name}") from exc
 
 
-def mat_convert(a: Dense, src: Domain, dst: Domain) -> Dense:
-    return tuple(tuple(convert(x, src, dst) for x in row) for row in a)
-
-
 @dataclass(frozen=True)
 class Monomial:
     """Matrix with one nonzero entry per column: M e_j = scale[j] * e_{perm[j]}."""
@@ -179,35 +163,12 @@ class Monomial:
             out.append((len(cycle), acc))
         return out
 
-    def is_identity(self, dom: Domain) -> bool:
-        return all(p == j for j, p in enumerate(self.perm)) and all(
-            dom.eq(s, dom.one()) for s in self.scales
-        )
-
-    def kron(self, other: "Monomial", dom: Domain) -> "Monomial":
-        nb = other.n
-        perm = []
-        scales = []
-        for i in range(self.n):
-            for j in range(nb):
-                perm.append(self.perm[i] * nb + other.perm[j])
-                scales.append(dom.mul(self.scales[i], other.scales[j]))
-        return Monomial(tuple(perm), tuple(scales))
-
-    def direct_sum(self, other: "Monomial", dom: Domain) -> "Monomial":
-        off = self.n
-        perm = self.perm + tuple(p + off for p in other.perm)
-        return Monomial(perm, self.scales + other.scales)
-
     def to_dense(self, dom: Domain) -> Dense:
         z = dom.zero()
         rows = [[z] * self.n for _ in range(self.n)]
         for j, p in enumerate(self.perm):
             rows[p][j] = self.scales[j]
         return tuple(tuple(r) for r in rows)
-
-    def convert(self, src: Domain, dst: Domain) -> "Monomial":
-        return Monomial(self.perm, tuple(convert(s, src, dst) for s in self.scales))
 
 
 def _cycles(perm):
@@ -227,22 +188,8 @@ def perm_sign(perm) -> int:
     return -1 if sum(len(c) - 1 for c in _cycles(perm)) % 2 else 1
 
 
-def as_monomial(dom: Domain, m) -> Monomial | None:
-    """Recognize a dense matrix as monomial, or return None."""
-    if isinstance(m, Monomial):
-        return m
-    n = len(m)
-    perm = []
-    scales = []
-    for j in range(n):
-        nz = [i for i in range(n) if not dom.is_zero(m[i][j])]
-        if len(nz) != 1:
-            return None
-        perm.append(nz[0])
-        scales.append(m[nz[0]][j])
-    if sorted(perm) != list(range(n)):
-        return None
-    return Monomial(tuple(perm), tuple(scales))
+# ------------------------------------------ helpers that take either format
+# a product, inverse, kron, sum or conversion is a Monomial when its inputs are
 
 
 def to_dense(dom: Domain, m) -> Dense:
@@ -260,3 +207,40 @@ def gen_inv(dom: Domain, a):
     if isinstance(a, Monomial):
         return a.inv(dom)
     return mat_inverse(dom, a)
+
+
+def kron(dom: Domain, a, b):
+    if isinstance(a, Monomial) and isinstance(b, Monomial):
+        return Monomial(tuple(i * b.n + j for i in a.perm for j in b.perm),
+                        tuple(dom.mul(x, y) for x in a.scales for y in b.scales))
+    return tuple(tuple(dom.mul(x, y) for x in ra for y in rb)
+                 for ra in to_dense(dom, a) for rb in to_dense(dom, b))
+
+
+def direct_sum(dom: Domain, a, b):
+    if isinstance(a, Monomial) and isinstance(b, Monomial):
+        return Monomial(a.perm + tuple(p + a.n for p in b.perm), a.scales + b.scales)
+    a, b = to_dense(dom, a), to_dense(dom, b)
+    za, zb = ((dom.zero(),) * len(m[0] if m else ()) for m in (a, b))
+    return tuple([tuple(row) + zb for row in a] + [za + tuple(row) for row in b])
+
+
+def mat_convert(a, src: Domain, dst: Domain):
+    if isinstance(a, Monomial):
+        return Monomial(a.perm, tuple(convert(s, src, dst) for s in a.scales))
+    return tuple(tuple(convert(x, src, dst) for x in row) for row in a)
+
+
+def is_identity(dom: Domain, a) -> bool:
+    if isinstance(a, Monomial):
+        return a.perm == tuple(range(a.n)) and all(dom.eq(s, dom.one()) for s in a.scales)
+    return mat_eq(dom, a, identity(dom, len(a)))
+
+
+def entries(dom: Domain, img, n: int):
+    """The (row, column, value) entries of an image: one per column of a
+    Monomial, the nonzero ones of a dense matrix."""
+    if isinstance(img, Monomial):
+        return zip(img.perm, range(n), img.scales)
+    return ((p, j, v) for p, row in enumerate(img) for j, v in enumerate(row)
+            if not dom.is_zero(v))

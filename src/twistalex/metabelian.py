@@ -36,7 +36,7 @@ from __future__ import annotations
 from collections.abc import Sequence
 from dataclasses import dataclass, field
 from functools import cached_property
-from itertools import chain, product as iproduct
+from itertools import chain, count, product as iproduct
 from math import gcd, lcm, prod
 from operator import mul
 
@@ -630,6 +630,14 @@ class Target:
         return tuple(tuple(sum(c * tp[i][j] for c, tp in terms) % self.p for j in range(self.d))
                      for i in range(self.d))
 
+    @property
+    def unit_count(self) -> int:
+        """|A^*| = (p^o - 1)^(d/o), o the least e >= 1 with order | p^e - 1:
+        f is a product of irreducible factors of Phi_order mod p, each of
+        degree o, so A is a product of d/o fields of p^o elements."""
+        o = next(e for e in count(1) if pow(self.p, e, self.order) == 1 % self.order)
+        return (self.p**o - 1) ** (self.d // o)
+
     def units(self) -> list:
         """The multiplication matrices of the units of A."""
         d = self.d
@@ -670,7 +678,8 @@ def _kernel_epis(pres: KnotPresentation, target: Target):
     orbit of a_0 = 0, so the kernel of the module matrix (column 0 deleted)
     holds one solution per class.  Each nonzero one is reported as its least
     multiple by a unit of A; that normalization is refused when p^dim * |units|
-    exceeds _ENUM_CAP, after the span itself is held to the cap.
+    exceeds _ENUM_CAP, after the span itself is held to the cap and before
+    any unit is built (|units| is `Target.unit_count`).
     """
     d, p0 = target.d, target.p
     zero = [[0] * d] * d
@@ -681,13 +690,13 @@ def _kernel_epis(pres: KnotPresentation, target: Target):
     basis = nullspace(target.F, rows, d * (pres.generator_count - 1))
     if not basis:
         return []
-    span, units = _enumerate_span(basis, p0), target.units()
-    work = p0 ** len(basis) * len(units)
+    span, n_units = _enumerate_span(basis, p0), target.unit_count
+    work = p0 ** len(basis) * n_units
     if work > _ENUM_CAP:
         raise TwistalexError(
             "unit normalization too large: p^dim * |units| = "
-            f"{p0}^{len(basis)} * {len(units)} = {work} exceeds the cap {_ENUM_CAP}")
-    units = [_UnitTable(mu, p0) for mu in units]
+            f"{p0}^{len(basis)} * {n_units} = {work} exceeds the cap {_ENUM_CAP}")
+    units = [_UnitTable(mu, p0) for mu in target.units()]
     least = {}  # first nonzero a_j -> the units taking it to its least multiple
     out = set()
     for v in span:

@@ -46,10 +46,11 @@ permutation sum inside prod_rows (sum of the row's ||coefficient||_1) gives
 With {beta_j} the trace-dual basis of {zeta^j} (Tr(zeta^i beta_j) = delta_ij),
 the coordinates of c are x_j = Tr(c beta_j) = sum_iota iota(c) iota(beta_j),
 so |x_j| <= H * phi(m) * ||beta_j||_1 <= C_m * H with
-C_m = phi(m) * max_j ||beta_j||_1.  The beta_j are the rows of the inverse of
-the integer trace matrix Tr(zeta^(i+k)); C_m is an exact rational computed
-once per m (_coordinate_bound).  C_1 = 1, so over ZZ the bound is the
-classical prod of row l1-norms; C_12, C_20, C_28, C_76 = 2, 4, 6, 18.  Primes
+C_m = phi(m) * max_j ||beta_j||_1.  By Euler's formula beta_j = b_j /
+Phi_m'(zeta), where Phi_m(x) / (x - zeta) = sum b_j x^j (Serre, Local
+Fields, III.6), and C_m is an exact rational computed once per m
+(_coordinate_bound).  C_1 = 1, so over ZZ the bound is the classical prod
+of row l1-norms; C_12, C_20, C_28, C_76 = 2, 4, 6, 18.  Primes
 are taken until their product exceeds 2 C_m H + 1, so the symmetric CRT
 residue is the coordinate itself: no heuristic stopping.  Primes lie below
 2^31, so every product of two residues fits in int64.
@@ -68,9 +69,8 @@ from itertools import count
 from math import gcd, lcm
 
 from .cyclo import CYC, CyclotomicField, _normal, cyclotomic_polynomial, has_order
-from .domains import GF, Domain, PrimeField, QQ, TwistalexError, ZZ, is_prime
-from .laurent import LaurentPoly
-from .matrix import mat_inverse
+from .domains import Domain, PrimeField, QQ, TwistalexError, ZZ, is_prime
+from .laurent import LaurentPoly, poly_divmod
 
 # int64 cells per batched evaluation/elimination chunk (512 KiB): bounds the
 # peak memory of the engine whatever the matrix size and number of points
@@ -137,12 +137,13 @@ def _embeddings(m: int, q: int):
 
 @lru_cache(maxsize=None)
 def _coordinate_bound(m: int) -> Fraction:
-    """C_m = phi(m) * max_j ||beta_j||_1, {beta_j} trace-dual to {zeta_m^j}."""
+    """C_m = phi(m) * max_j ||beta_j||_1, {beta_j} trace-dual to {zeta_m^j}:
+    beta_j = b_j / Phi_m'(zeta), and Phi_m'(zeta) = sum b_j zeta^j."""
     F = CYC(m)
-    d = F.degree
-    tr = [sum(F.coords(F.zeta(s + i))[i] for i in range(d)) for s in range(2 * d - 1)]
-    dual = mat_inverse(QQ, [[tr[i + k] for k in range(d)] for i in range(d)])
-    return d * max(sum(abs(x) for x in row) for row in dual)
+    b, _ = poly_divmod(F, [F.coerce(c) for c in cyclotomic_polynomial(m).coeffs()],
+                       [F.neg(F.zeta(1)), F.one()])
+    inv = F.inv(F.dot(b, [F.zeta(j) for j in range(len(b))]))
+    return F.degree * max(sum(map(abs, F.coords(F.mul(bj, inv)))) for bj in b)
 
 
 # ------------------------------------------------------------------- engines

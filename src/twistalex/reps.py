@@ -5,7 +5,10 @@ until a conjugation makes it dense, so word evaluation and relator checks stay
 linear in the dimension.  A block image is built in one step, as
 `Monomial(perm, scales)`.  Constructors attached to a presentation verify
 every relator at build time; `rep_mod_p` is `convert_domain(GF(p))` under
-that check.
+that check.  The relator check, the domain conversion, `rep_tensor` and
+`rep_direct_sum` call `matrix`'s helpers, which take an image in either
+format; only `det_image_generators` asks which one it holds, to read a
+monomial determinant in closed form.
 
 The dihedral, metacyclic and gamma representations and the gamma summands
 read Z/m x| A, its t-action and its permutation images from one
@@ -26,8 +29,8 @@ from . import words
 from .cyclo import CYC, CyclotomicField
 from .domains import (Domain, ExactDivisionError, GF, QQ, RepresentationError, ZZ, convert,
                       domain_join, odd_prime_field)
-from .matrix import (Dense, Monomial, as_monomial, direct_sum, gen_inv, gen_mul, identity,
-                     kron, mat_convert, mat_eq, mat_mul, to_dense)
+from .matrix import (Dense, Monomial, direct_sum, gen_inv, gen_mul, is_identity, kron,
+                     mat_convert, mat_mul, to_dense)
 from .metabelian import (Character, DihedralData, Target, apn_irreducible,
                          branched_cover_homology, characters_of_quotient,
                          deleted_column, find_zn_apn_epis)
@@ -93,14 +96,8 @@ class Representation:
         return Monomial.identity(self.dom, self.dim) if out is None else out
 
     def failing_relator(self):
-        for r in self.pres.relators:
-            img = self.image_of_word(r)
-            if isinstance(img, Monomial):
-                if not img.is_identity(self.dom):
-                    return r
-            elif not mat_eq(self.dom, to_dense(self.dom, img), identity(self.dom, self.dim)):
-                return r
-        return None
+        return next((r for r in self.pres.relators
+                     if not is_identity(self.dom, self.image_of_word(r))), None)
 
     # ------------------------------------------------------------ invariants
     def det_image_generators(self):
@@ -131,12 +128,7 @@ class Representation:
                               dets=self.det_image_generators())
 
     def convert_domain(self, dst: Domain) -> "Representation":
-        images = {}
-        for g, img in self.images.items():
-            if isinstance(img, Monomial):
-                images[g] = img.convert(self.dom, dst)
-            else:
-                images[g] = mat_convert(img, self.dom, dst)
+        images = {g: mat_convert(img, self.dom, dst) for g, img in self.images.items()}
         return Representation(self.dim, dst, images, self.pres, label=self.label, check=False)
 
 
@@ -339,14 +331,9 @@ def tensor_metabelian_identity(pres: KnotPresentation, k1: int, chi1: Character,
     n = k1 * k2
     q = Monomial(tuple((i % k1) * k2 + (i % k2) for i in range(n)), (dom.one(),) * n)
     qinv = q.inv(dom)
-    for g in range(pres.generator_count):
-        lhs = qinv.mul(as_monomial(dom, a12.images[g]), dom).mul(q, dom)
-        rhs = as_monomial(dom, a6.images[g])
-        if lhs.perm != rhs.perm or any(
-            not dom.eq(x, y) for x, y in zip(lhs.scales, rhs.scales)
-        ):
-            return False
-    return True
+    # Q(zeta_m) elements have one normal form, so == is dom.eq on the scales
+    return all(qinv.mul(a12.images[g], dom).mul(q, dom) == a6.images[g]
+               for g in range(pres.generator_count))
 
 
 # ------------------------------------------------------------- combinators
@@ -366,26 +353,14 @@ def _common_domain(a: Representation, b: Representation, what: str):
 
 def rep_tensor(a: Representation, b: Representation) -> Representation:
     dom, aa, bb = _common_domain(a, b, "tensor factors")
-    images = {}
-    for g in aa.images:
-        x, y = aa.images[g], bb.images[g]
-        if isinstance(x, Monomial) and isinstance(y, Monomial):
-            images[g] = x.kron(y, dom)
-        else:
-            images[g] = kron(dom, to_dense(dom, x), to_dense(dom, y))
+    images = {g: kron(dom, x, bb.images[g]) for g, x in aa.images.items()}
     return Representation(a.dim * b.dim, dom, images, a.pres,
                           label=f"tensor({a.label},{b.label})")
 
 
 def rep_direct_sum(a: Representation, b: Representation) -> Representation:
     dom, aa, bb = _common_domain(a, b, "summands")
-    images = {}
-    for g in aa.images:
-        x, y = aa.images[g], bb.images[g]
-        if isinstance(x, Monomial) and isinstance(y, Monomial):
-            images[g] = x.direct_sum(y, dom)
-        else:
-            images[g] = direct_sum(dom, to_dense(dom, x), to_dense(dom, y))
+    images = {g: direct_sum(dom, x, bb.images[g]) for g, x in aa.images.items()}
     return Representation(a.dim + b.dim, dom, images, a.pres,
                           label=f"sum({a.label},{b.label})")
 

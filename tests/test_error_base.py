@@ -45,6 +45,30 @@ def test_only_cyclo_factors_by_trial_division():
     assert readers == {}
 
 
+def _format_tests(source: str) -> list[str]:
+    """The top-level definitions of source that call isinstance(..., Monomial)."""
+    def names(node):
+        return [n.id if isinstance(n, ast.Name) else getattr(n, "attr", None)
+                for n in (node.elts if isinstance(node, ast.Tuple) else [node])]
+
+    return [top.name for top in ast.parse(source).body
+            if isinstance(top, (ast.FunctionDef, ast.ClassDef))
+            and any(isinstance(node, ast.Call) and getattr(node.func, "id", None) == "isinstance"
+                    and len(node.args) == 2 and "Monomial" in names(node.args[1])
+                    for node in ast.walk(top))]
+
+
+def test_only_matrix_and_two_readers_ask_for_the_image_format():
+    # kron, sums, conversions, identity tests and entries take either format
+    # in matrix; a reader outside it asks only for a closed form of its own
+    assert _format_tests("def f(a):\n    return isinstance(a, matrix.Monomial)\n"
+                         "def g(a, b):\n    return isinstance(b, (tuple, Monomial))\n"
+                         "def h(a):\n    return isinstance(a, tuple)\n") == ["f", "g"]
+    readers = {path.name: found for path in sorted(SRC.glob("*.py")) if path.name != "matrix.py"
+               for found in [_format_tests(path.read_text())] if found}
+    assert readers == {"reps.py": ["Representation"], "twisted.py": ["_denominator"]}
+
+
 def test_every_exception_class_derives_from_the_one_base():
     classes = {}
     for info in pkgutil.iter_modules(twistalex.__path__):

@@ -5,9 +5,9 @@ import pytest
 
 from twistalex.cyclo import CYC, CyclotomicField
 from twistalex.domains import GF, QQ, ZZ, ExactDivisionError
-from twistalex.matrix import (Monomial, as_monomial, direct_sum, gen_inv, gen_mul,
-                              identity, kron, mat_eq, mat_inverse, mat_mul,
-                              nullspace, perm_sign, rref, to_dense, transpose)
+from twistalex.matrix import (Monomial, direct_sum, gen_inv, gen_mul, identity,
+                              is_identity, kron, mat_convert, mat_eq, mat_inverse,
+                              mat_mul, nullspace, perm_sign, rref, to_dense, transpose)
 
 
 def rand_monomial(rng, dom, n):
@@ -32,17 +32,29 @@ def test_monomial_inverse():
     for _ in range(20):
         n = rng.randint(1, 5)
         a = rand_monomial(rng, ZZ, n)
-        assert a.mul(a.inv(ZZ), ZZ).is_identity(ZZ)
+        assert is_identity(ZZ, a.mul(a.inv(ZZ), ZZ))
 
 
 def test_monomial_kron_and_sum():
+    # a Monomial out only when both arguments are one; otherwise the dense
+    # product by definition
     rng = random.Random(6)
     a = rand_monomial(rng, ZZ, 2)
     b = rand_monomial(rng, ZZ, 3)
-    k = a.kron(b, ZZ)
-    assert mat_eq(ZZ, k.to_dense(ZZ), kron(ZZ, a.to_dense(ZZ), b.to_dense(ZZ)))
-    s = a.direct_sum(b, ZZ)
-    assert mat_eq(ZZ, s.to_dense(ZZ), direct_sum(ZZ, a.to_dense(ZZ), b.to_dense(ZZ)))
+    da = ((1, 2), (0, -1))
+    db = ((3, 0, 1), (0, 1, 0), (2, 0, -1))
+    for x, y in ((a, b), (a, db), (da, b), (da, db)):
+        both = isinstance(x, Monomial) and isinstance(y, Monomial)
+        dx, dy = to_dense(ZZ, x), to_dense(ZZ, y)
+        k = kron(ZZ, x, y)
+        assert isinstance(k, Monomial) == both
+        assert to_dense(ZZ, k) == tuple(tuple(dx[i][j] * dy[r][c] for j in range(2)
+                                              for c in range(3))
+                                        for i in range(2) for r in range(3))
+        s = direct_sum(ZZ, x, y)
+        assert isinstance(s, Monomial) == both
+        assert to_dense(ZZ, s) == tuple(row + (0,) * 3 for row in dx) + tuple(
+            (0,) * 2 + row for row in dy)
 
 
 def test_monomial_det_and_perm_sign():
@@ -55,11 +67,15 @@ def test_monomial_det_and_perm_sign():
     assert m2.det(ZZ) == 1
 
 
-def test_as_monomial_recognition():
-    m = Monomial((2, 0, 1), (1, -1, 1))
-    assert as_monomial(ZZ, m.to_dense(ZZ)) == m
-    dense = ((1, 1, 0), (0, 1, 0), (0, 0, 1))
-    assert as_monomial(ZZ, dense) is None
+def test_conversion_and_identity_test_take_either_format():
+    m = Monomial((1, 0), (1, -1))
+    for x in (m, m.to_dense(ZZ)):
+        y = mat_convert(x, ZZ, GF(5))
+        assert isinstance(y, Monomial) == isinstance(x, Monomial)
+        assert to_dense(GF(5), y) == ((0, 4), (1, 0))
+        assert not is_identity(ZZ, x)
+        assert is_identity(ZZ, gen_mul(ZZ, x, gen_inv(ZZ, x)))
+    assert is_identity(QQ, identity(QQ, 3)) and is_identity(QQ, Monomial.identity(QQ, 3))
 
 
 def test_mat_inverse_field_and_integer():

@@ -515,6 +515,45 @@ def test_enumeration_cap_names_its_numbers():
         find_dihedral_epis(pres, 3)
 
 
+def _primes(below):
+    return [p for p in range(2, below) if all(p % q for q in range(2, p))]
+
+
+def _unit_count_targets():
+    """G(m, p|k) for p < 40, every m | p - 1 with its least k of order m, and
+    A_{p,n} for n <= 24 and p^phi(n) <= 1024, coprime (Phi_n reducible mod p
+    included: Phi_4 mod 5, Phi_8 mod 17, ...)."""
+    for p in _primes(40):
+        for m in range(1, p):
+            if (p - 1) % m == 0:
+                k = next(k for k in range(1, p) if pow(k, m, p) == 1
+                         and all(pow(k, e, p) != 1 for e in range(1, m)))
+                yield Target.metacyclic(m, p, k)
+    for n in range(2, 25):
+        for p in _primes(40):
+            if gcd(n, p) == 1 and p ** metabelian._euler_phi(n) <= 1024:
+                yield Target.apn(n, p)
+
+
+def test_unit_count_is_the_number_of_units():
+    targets = list(_unit_count_targets())
+    assert len(targets) > 100
+    for target in targets:
+        assert target.unit_count == len(target.units()), (target.order, target.p, target.d)
+
+
+def test_unit_normalization_is_refused_before_any_unit_is_built(monkeypatch):
+    # 499957 | Phi_6(208257): a one-dimensional span of 499957 colors, each
+    # normalized by one of 499956 units
+    def built(self):
+        raise AssertionError("units built before the budget check")
+
+    monkeypatch.setattr(Target, "units", built)
+    with pytest.raises(ValueError, match=r"p\^dim \* \|units\| = 499957\^1 \* 499956 = "
+                                         r"249956501892 exceeds the cap 500000"):
+        find_metacyclic_epis(presentation("3_1"), 6, 499957, 208257)
+
+
 def test_paper_coloring_found():
     pres = presentation("10_164")
     found = find_dihedral_epis(pres, 3)

@@ -12,6 +12,7 @@ import pytest
 from twistalex.cyclo import CYC, CyclotomicField
 from twistalex.domains import GF, QQ, ZZ, Domain, is_prime
 from twistalex.laurent import LaurentPoly, parse_poly
+from twistalex.matrix import mat_inverse
 from twistalex import polydet
 from twistalex.polydet import det_cofactor, det_matrix, det_poly_matrix
 from twistalex.snf import _det_int
@@ -310,6 +311,23 @@ def _row_norm_product(rows, dom):
 
 def test_coordinate_bound_constants():
     assert [polydet._coordinate_bound(m) for m in (1, 2, 12, 20, 28, 76)] == [1, 1, 2, 4, 6, 18]
+
+
+def _coordinate_bound_by_trace_matrix(m):
+    """C_m by the first route: the rows of the inverse of the integer trace
+    matrix Tr(zeta^(i+k)) are the trace-dual basis."""
+    F = CYC(m)
+    d = F.degree
+    tr = [sum(F.coords(F.zeta(s + i))[i] for i in range(d)) for s in range(2 * d - 1)]
+    dual = mat_inverse(QQ, [[tr[i + k] for k in range(d)] for i in range(d)])
+    return d * max(sum(abs(x) for x in row) for row in dual)
+
+
+def test_coordinate_bound_matches_the_trace_matrix_inverse():
+    fields = [m for m in range(1, 131) if CYC(m).degree <= 24]
+    assert len(fields) == 53
+    for m in fields:
+        assert polydet._coordinate_bound(m) == _coordinate_bound_by_trace_matrix(m), m
 
 
 @pytest.mark.parametrize("m", ENGINE_MS)

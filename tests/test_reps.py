@@ -11,7 +11,7 @@ from twistalex import matrix, polydet, words
 from twistalex.cyclo import CYC
 from twistalex.domains import GF, QQ, ZZ
 from twistalex.knots import presentation
-from twistalex.matrix import (Monomial, as_monomial, gen_inv, gen_mul, identity, mat_eq,
+from twistalex.matrix import (Monomial, gen_inv, gen_mul, identity, is_identity, mat_eq,
                               mat_inverse, mat_mul, to_dense)
 from twistalex.metabelian import (DihedralData, Target, branched_cover_homology,
                                   characters_of_quotient, find_dihedral_epis,
@@ -78,11 +78,11 @@ def test_dihedral_group_relations():
         acc = x
         for _ in range(m - 1):
             acc = acc.mul(x, ZZ)
-        assert acc.is_identity(ZZ)
+        assert is_identity(ZZ, acc)
         acc = y
         for _ in range(p - 1):
             acc = acc.mul(y, ZZ)
-        assert acc.is_identity(ZZ)
+        assert is_identity(ZZ, acc)
         # x y x^-1 = y^k
         conj = x.mul(y, ZZ).mul(x.inv(ZZ), ZZ)
         yk = Monomial.identity(ZZ, p)
@@ -150,7 +150,7 @@ def test_gamma_group_a4():
 
 def test_gamma_identity_element():
     gam = Target.apn(2, 3)
-    assert gam.image(0, (0,)).is_identity(ZZ)
+    assert is_identity(ZZ, gam.image(0, (0,)))
     assert len(gam.elements) == 3
 
 
@@ -670,6 +670,18 @@ def test_dense_arms_of_the_combinators():
     assert text(rep_mod_p(dense, 5)) == text(rep_mod_p(rho, 5))
     converted = dense.convert_domain(QQ)
     assert converted.dom is QQ and text(converted) == text(rho)
+
+
+def test_dense_images_that_break_a_relator_are_refused():
+    pres = presentation("4_1")
+    rho = rep_dihedral(pres, find_dihedral_epis(pres, 5)[0])
+    p = tuple(tuple(1 if j in (i, i + 1) else 0 for j in range(5)) for i in range(5))
+    dense = rho.conjugate(p)
+    Representation(5, ZZ, dense.images, pres)  # P^-1 rho P keeps every relator
+    for images in (dense.images, rho.images):  # the dense arm, then the monomial one
+        broken = {**images, 0: gen_mul(ZZ, images[0], images[1])}
+        with pytest.raises(RepresentationError, match="relator does not map to the identity"):
+            Representation(5, ZZ, broken, pres)
 
 
 def test_apn_budget_runs_before_n_is_factored(monkeypatch):
