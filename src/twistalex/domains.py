@@ -245,6 +245,9 @@ class PrimeField(Domain):
     def mul(self, a, b):
         return (a * b) % self.p
 
+    def dot(self, xs, ys):
+        return sum(map(operator.mul, xs, ys)) % self.p
+
     def is_zero(self, a):
         return a % self.p == 0
 

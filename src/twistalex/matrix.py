@@ -231,6 +231,13 @@ def mat_convert(a, src: Domain, dst: Domain):
     return tuple(tuple(convert(x, src, dst) for x in row) for row in a)
 
 
+def is_square(a, n: int) -> bool:
+    """Whether an image is n x n."""
+    if isinstance(a, Monomial):
+        return a.n == len(a.scales) == n
+    return len(a) == n and all(len(row) == n for row in a)
+
+
 def is_identity(dom: Domain, a) -> bool:
     if isinstance(a, Monomial):
         return a.perm == tuple(range(a.n)) and all(dom.eq(s, dom.one()) for s in a.scales)

@@ -29,8 +29,8 @@ from . import words
 from .cyclo import CYC, CyclotomicField
 from .domains import (Domain, ExactDivisionError, GF, QQ, RepresentationError, ZZ, convert,
                       domain_join, odd_prime_field)
-from .matrix import (Dense, Monomial, direct_sum, gen_inv, gen_mul, is_identity, kron,
-                     mat_convert, mat_mul, to_dense)
+from .matrix import (Dense, Monomial, direct_sum, gen_inv, gen_mul, is_identity, is_square,
+                     kron, mat_convert, mat_mul, to_dense)
 from .metabelian import (Character, DihedralData, Target, apn_irreducible,
                          branched_cover_homology, characters_of_quotient,
                          deleted_column, find_zn_apn_epis)
@@ -52,6 +52,10 @@ class Representation:
         self._inv_cache: dict = dict(inverses or {})
         self._dets = dets
         self._word_cache: dict = {}
+        wrong = next((g for g in sorted(images) if not is_square(images[g], dim)), None)
+        if wrong is not None:
+            raise RepresentationError(f"the image of generator {wrong} under "
+                                      f"{label or 'representation'} is not {dim} x {dim}")
         if check:
             bad = self.failing_relator()
             if bad is not None:

@@ -4,7 +4,7 @@ from fractions import Fraction
 import pytest
 
 from twistalex.cyclo import CYC, CyclotomicField
-from twistalex.domains import GF, QQ, ZZ, ExactDivisionError
+from twistalex.domains import GF, QQ, ZZ, ExactDivisionError, PrimeField
 from twistalex.matrix import (Monomial, direct_sum, gen_inv, gen_mul, identity,
                               is_identity, kron, mat_convert, mat_eq, mat_inverse,
                               mat_mul, nullspace, perm_sign, rref, to_dense, transpose)
@@ -147,7 +147,8 @@ def test_rref_and_nullspace_random_systems(dom):
             assert mat_eq(dom, tuple(tuple(r[n:]) for r in aug), inv)
 
 
-@pytest.mark.parametrize("dom", [ZZ, QQ, GF(7), CYC(12), CYC(20)], ids=lambda d: d.name)
+@pytest.mark.parametrize("dom", [ZZ, QQ, GF(7), GF(2**31 - 1), CYC(12), CYC(20)],
+                         ids=lambda d: d.name)
 def test_mat_mul_is_entrywise_dot(dom):
     rng = random.Random(31)
 
@@ -171,4 +172,6 @@ def test_mat_mul_is_entrywise_dot(dom):
                 col = [b[l][j] for l in range(k)]
                 assert dom.eq(out[i][j], _dot(dom, a[i], col))
                 assert dom.eq(out[i][j], dom.dot(a[i], col))
+                if isinstance(dom, PrimeField):  # GF(p) keeps the residue in 0..p-1
+                    assert out[i][j] == _dot(dom, a[i], col)
     assert mat_mul(dom, (), ()) == ()

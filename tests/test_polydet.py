@@ -390,21 +390,105 @@ def test_dense_det_matches_cofactor(dom):
         assert dom.eq(det_matrix(a, dom), want[0]), (dom, n)
 
 
-def _matmul_mod(a: np.ndarray, b: np.ndarray, q: int) -> np.ndarray:
-    """a @ b mod q for entries in [0, q < 2^31), without int64 overflow: b is
-    split into 16-bit halves, so each partial sum stays below 2^63."""
-    lo, hi = b & 0xFFFF, b >> 16
-    return ((a @ lo) % q + ((a @ hi) % q << 16)) % q
-
-
 @pytest.mark.parametrize("m", [1, 2, 3, 4, 5, 12, 15, 28, 101, 105, 128, 211])
 def test_vandermonde_inverse_by_synthetic_division(m):
     # V^-1 is read off Phi_m / ((x - x_e) Phi_m'(x_e)) column by column; check
     # V V^-1 = V^-1 V = I mod q for the first two primes the engine uses
     for i in range(2):
         q = polydet._prime(m, i)
-        v, vinv = polydet._embeddings(m, q)
-        eye = np.eye(v.shape[0], dtype=np.int64)
-        assert v.shape == vinv.shape == eye.shape
-        assert (_matmul_mod(v, vinv, q) == eye).all(), (m, q)
-        assert (_matmul_mod(vinv, v, q) == eye).all(), (m, q)
+        v, vinv = polydet._embeddings(m, q)  # each split into 16-bit halves
+        assert v.max() < 1 << 16 and vinv.max() < 1 << 16
+        eye = np.eye(v.shape[-1], dtype=np.int64)
+        assert v.shape == vinv.shape == (2, *eye.shape)
+        assert (polydet._mul_mod(v, vinv[0] + (vinv[1] << 16), q) == eye).all(), (m, q)
+        assert (polydet._mul_mod(vinv, v[0] + (v[1] << 16), q) == eye).all(), (m, q)
+
+
+# ------------------------------------- the degree bound by rows and columns
+
+def _points_evaluated(monkeypatch, rows, dom):
+    seen = []
+    real = polydet._coords_mod_q
+    monkeypatch.setattr(polydet, "_coords_mod_q",
+                        lambda a, m, q, npoints: seen.append(npoints) or real(a, m, q, npoints))
+    d = polydet._det_multimodular(rows, dom)
+    monkeypatch.setattr(polydet, "_coords_mod_q", real)
+    assert len(set(seen)) == 1
+    return seen[0], d
+
+
+def test_columns_bound_the_degree_too(monkeypatch):
+    # entry (i, j) = a_ij t^u_j + b_ij t^(u_j + w_j): every row spans the
+    # offsets u, but once rows and then columns are cleared column j spans
+    # w_j and each row max(w), so sum(w) + 1 = 4 points fix the determinant
+    rng = random.Random(2500)
+    n, u, w = 5, (3, -2, 7, 0, 5), (0, 0, 1, 0, 2)
+    rows = [[LaurentPoly.from_terms(ZZ, {u[j]: rng.choice([-2, -1, 1, 2]),
+                                         u[j] + w[j]: rng.randint(1, 3)})
+             for j in range(n)] for _ in range(n)]
+    row_spans = sum(max(f.deg() for f in row) - min(f.low() for f in row) for row in rows)
+    assert row_spans == n * (max(map(sum, zip(u, w))) - min(u)) == 50
+    want = det_cofactor(rows, ZZ)
+    assert not want.is_zero()
+    for a in (rows, [list(col) for col in zip(*rows)]):  # rows bound it on the transpose
+        points, d = _points_evaluated(monkeypatch, a, ZZ)
+        assert points == sum(w) + 1
+        assert d == want
+
+
+@pytest.mark.parametrize("dom", [ZZ, QQ, GF(7), CYC(5), CYC(12)], ids=str)
+def test_column_skewed_exponents_against_cofactors(dom, monkeypatch):
+    rng = random.Random(2600 + (dom.m if isinstance(dom, CyclotomicField) else 0))
+
+    def coeff():
+        if dom is ZZ:
+            return rng.randint(-3, 3)
+        if isinstance(dom, CyclotomicField) or dom is QQ:
+            return _rand_coeff(rng, dom)
+        return rng.randrange(dom.p)
+
+    for n in (4, 5):
+        for _ in range(3):
+            offsets = [rng.randint(-4, 4) for _ in range(n)]
+            rows = [[LaurentPoly.from_terms(dom, {e + offsets[j]: dom.coerce(coeff())
+                                                  for e in range(-1, 2) if rng.random() < 0.7})
+                     for j in range(n)] for _ in range(n)]
+            want = det_cofactor(rows, dom)
+            points, got = _points_evaluated(monkeypatch, rows, dom)
+            assert got == want, (dom, n)
+            assert want.is_zero() or want.deg() - want.low() < points
+    # a zero column: no prime is taken
+    rows = [[LaurentPoly.from_terms(dom, {-2: dom.coerce(coeff()), 1: dom.one()}) if j != 2
+             else LaurentPoly.zero(dom) for j in range(4)] for _ in range(4)]
+    monkeypatch.setattr(polydet, "_coords_mod_q", None)
+    assert polydet._det_multimodular(rows, dom).is_zero()
+
+
+# ------------------------------------------------- the Newton tables
+
+@pytest.mark.parametrize("q", [1009, 2**31 - 1])  # above the points: 1..k-1 are units
+def test_newton_tables_match_newton(q, monkeypatch):
+    monkeypatch.setattr(polydet, "_newton_tables", {})
+    rng = random.Random(q)
+    for k in (1, 2, 3, 128, 256, 257):
+        ys = np.array([[rng.randrange(q) for _ in range(3)] for _ in range(k - 1)]
+                      + [[q - 1] * 3], dtype=np.int64)  # the largest residue, too
+        got = polydet._interpolate(ys, q)
+        assert (got == polydet._newton(ys, q)).all(), k
+        # and the coefficients take the values: Horner at x = 0..k-1
+        for c in range(3):
+            coeffs = got[:, c].tolist()
+            for x in range(k):
+                acc = 0
+                for a in reversed(coeffs):
+                    acc = (acc * x + a) % q
+                assert acc == ys[x, c], (k, x, c)
+        # the tables grow to the next power of two, never past _TABLE_POINTS
+        side = polydet._newton_tables[q].shape[-1]
+        assert side == min(1 << (k - 1).bit_length(), 256) >= min(k, 256)
+    assert polydet._TABLE_POINTS == 256
+    assert polydet._newton_tables[q].shape == (2, 2, 256, 256)  # (D, T), each lo and hi
+    # the engine's own calls leave every prime's tables within the same size
+    rng = random.Random(7)
+    polydet._det_multimodular([[rand_zz(rng) for _ in range(5)] for _ in range(5)], ZZ)
+    assert all(t.shape[-1] <= 256 for t in polydet._newton_tables.values())

@@ -684,6 +684,25 @@ def test_dense_images_that_break_a_relator_are_refused():
             Representation(5, ZZ, broken, pres)
 
 
+def test_images_of_the_wrong_size_are_refused():
+    # a 3 x 3 identity keeps every relator, so only a size check refuses it
+    # in a 5-dimensional rep; the size check runs before the relator check
+    pres = presentation("3_1")
+    rho = rep_dihedral(pres, find_dihedral_epis(pres, 3)[0])
+    dense = {g: to_dense(ZZ, img) for g, img in rho.images.items()}
+    ragged = {**dense, 1: dense[1][:2] + (dense[1][2][:2],)}
+    broken = {**rho.images, 0: Monomial.identity(ZZ, 4)}  # breaks a relator, too
+    for dim, images in ((5, {g: Monomial.identity(ZZ, 3) for g in rho.images}),
+                        (5, {g: identity(ZZ, 3) for g in rho.images}),
+                        (4, dense), (3, ragged), (3, broken)):
+        for check in (True, False):
+            with pytest.raises(RepresentationError,
+                               match=rf"^the image of generator \d under representation is "
+                                     rf"not {dim} x {dim}$"):
+                Representation(dim, ZZ, images, pres, check=check)
+    Representation(3, ZZ, dense, pres)
+
+
 def test_apn_budget_runs_before_n_is_factored(monkeypatch):
     # A_{p,n}'s budget needs no factoring, so an n whose trial division would
     # not end is refused by it before Phi_n's irreducibility is tested
