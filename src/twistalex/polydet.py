@@ -139,8 +139,9 @@ def _prime(m: int, i: int) -> int:
 def _embeddings(m: int, q: int):
     """(V, V^-1) mod q, each split into 16-bit halves for _mul_mod (_split).
     V[e][j] = x_e^j for the phi(m) roots x_e = w^k_e of Phi_m mod q (k_e
-    coprime to m, w the least-base primitive m-th root).  Column e of V^-1 is the Lagrange basis polynomial
-    Phi_m(x) / ((x - x_e) Phi_m'(x_e)), by one synthetic division each."""
+    coprime to m, w the least-base primitive m-th root).  Column e of V^-1
+    is the Lagrange basis polynomial Phi_m(x) / ((x - x_e) Phi_m'(x_e)), by
+    one synthetic division each."""
     w = next(w for w in (pow(g, (q - 1) // m, q) for g in range(2, q)) if has_order(w, m, q))
     xs = [pow(w, k, q) for k in range(1, m + 1) if gcd(k, m) == 1]
     v = [[pow(x, j, q) for j in range(len(xs))] for x in xs]

@@ -39,7 +39,9 @@ from .presentation import KnotPresentation
 
 
 class Representation:
-    """Finite-dimensional exact-matrix assignment to the generators."""
+    """Finite-dimensional exact-matrix assignment to the generators.  An
+    image that is not dim x dim is refused, whether or not the relators are
+    checked."""
 
     def __init__(self, dim: int, dom: Domain, images: dict, pres: KnotPresentation,
                  label: str = "", check: bool = True, inverses: dict | None = None,
