@@ -16,8 +16,11 @@ much smaller reduced matrix (`reduced_module`, from
 cokernels of the companion blow-up.  Their structure comes from the blow-up
 of the reduced matrix, which presents the same module; characters and orbit
 values are read through the SNF transform U of the full matrix's blow-up, in
-whose basis the t-action is a cyclic shift, and that U is built only when a
-character is first evaluated.  The presentation's memo
+whose basis the t-action is a cyclic shift.  Every route hands the quotient
+its relation matrix as a thunk, and U is computed from it only when a
+character is first evaluated.  Each quotient's order is checked against
+Fox's |Res(Delta, t^k - 1)| (`order_from_alexander`), the determinant of a
+k x k circulant.  The presentation's memo
 (`KnotPresentation.cached`) keeps what depends on it alone, each computed
 once: the meridian copy, the full module, the reduced module (which Delta
 and every cover degree k read), Delta, and the walker's plans.  The memo
@@ -33,7 +36,7 @@ only this module reads its companion matrix.
 """
 from __future__ import annotations
 
-from collections.abc import Sequence
+from collections.abc import Callable, Sequence
 from dataclasses import dataclass, field
 from functools import cached_property
 from itertools import chain, count, product as iproduct
@@ -49,7 +52,7 @@ from .laurent import LaurentPoly
 from .matrix import Monomial, identity, mat_inverse, mat_mul, nullspace, rref, transpose
 from .polydet import det_poly_matrix
 from .presentation import KnotPresentation, PresentationError
-from .snf import AbelianGroupStructure, cokernel_structure, resultant
+from .snf import AbelianGroupStructure, _det_int, cokernel_structure
 from .words import reduce_syllables
 
 _ENUM_CAP = 500_000
@@ -231,9 +234,8 @@ class FiniteQuotientModule:
     Module route: the ambient is generator space tensor Z[t]/(t^k - 1), basis
     vector v_j t^l at index j k + l, and t shifts each generator's k-block
     cyclically.  Monodromy route: the ambient is Z^2g and t acts by the
-    monodromy M.  U, the SNF transform of the ambient relations, is given by
-    the routes that compute it anyway; for a presentation it is built from the
-    companion blow-up of `alexander_module(presentation)` the first time
+    monodromy M.  `relations` returns the ambient relation matrix whose
+    cokernel this is; U, its SNF transform, is computed from it the first time
     `snf_coords` needs it, so structure-only use never runs that SNF.
     """
 
@@ -241,21 +243,17 @@ class FiniteQuotientModule:
     structure: AbelianGroupStructure
     diag: tuple       # all diagonal entries of the SNF (1s and 0s included)
     rank: int         # generator count of the module presentation, or 2g
-    presentation: KnotPresentation | None = None  # module route: the lazy U's source
-    monodromy: tuple | None = None                # monodromy route: M as row tuples
-    _U: tuple | None = field(default=None, repr=False, compare=False)
+    relations: Callable[[], list] = field(repr=False, compare=False)
+    monodromy: tuple | None = None  # monodromy route: M as row tuples
 
     @property
     def ambient_dim(self) -> int:
         return self.rank * self.k if self.monodromy is None else self.rank
 
-    @property
+    @cached_property
     def U(self) -> tuple:
         """SNF transform rows (ambient -> SNF coordinates)."""
-        if self._U is None:
-            blow = _companion_blowup(alexander_module(self.presentation), self.k)
-            object.__setattr__(self, "_U", tuple(map(tuple, cokernel_structure(blow)[1])))
-        return self._U
+        return tuple(map(tuple, cokernel_structure(self.relations())[1]))
 
     def basis_vector(self, j: int):
         v = [0] * self.ambient_dim
@@ -334,22 +332,30 @@ def branched_cover_homology(src, k: int) -> FiniteQuotientModule:
             for _ in range(k):
                 mk = mat_mul(ZZ, mk, m)
             a = [[(1 if i == j else 0) - mk[i][j] for j in range(n)] for i in range(n)]
-            structure, U, diag = cokernel_structure(a)
-            return FiniteQuotientModule(k, structure, tuple(diag), n,
-                                        monodromy=tuple(map(tuple, m)),
-                                        _U=tuple(map(tuple, U)))
+            structure, _, diag = cokernel_structure(a)
+            return FiniteQuotientModule(k, structure, tuple(diag), n, lambda: a,
+                                        monodromy=tuple(map(tuple, m)))
     if isinstance(src, ModulePresentation):
-        structure, U, diag = cokernel_structure(_companion_blowup(src, k))
-        return FiniteQuotientModule(k, structure, tuple(diag), rank, _U=tuple(map(tuple, U)))
+        blow = _companion_blowup(src, k)
+        structure, _, diag = cokernel_structure(blow)
+        return FiniteQuotientModule(k, structure, tuple(diag), rank, lambda: blow)
     structure, _, diag = cokernel_structure(_companion_blowup(reduced_module(src), k))
     return FiniteQuotientModule(k, structure, (1,) * (rank * k - len(diag)) + tuple(diag),
-                                rank, presentation=src)
+                                rank, lambda: _companion_blowup(alexander_module(src), k))
 
 
 def order_from_alexander(delta: LaurentPoly, k: int) -> int:
-    """|H/(t^k - 1)| = |Res(Delta, t^k - 1)|; 0 signals an infinite quotient."""
-    tk = [-1] + [0] * (k - 1) + [1]
-    return abs(resultant(delta.coeffs(), tk))
+    """|H/(t^k - 1)| = |Res(Delta, t^k - 1)| (Fox 1956); 0 signals an infinite
+    quotient.  With S the k x k cyclic shift, S^k = 1 and the eigenvalues of S
+    are the k-th roots of unity, so the resultant is, up to sign, det Delta(S):
+    the determinant of the circulant of r = Delta mod (t^k - 1).  It shares no
+    code with the covers it checks."""
+    if k < 1:
+        raise TwistalexError(f"cover degree must be >= 1, got {k}")
+    r = [0] * k
+    for e, c in enumerate(delta.coeffs()):
+        r[e % k] += c
+    return abs(_det_int([[r[(j - i) % k] for j in range(k)] for i in range(k)]))
 
 
 # ----------------------------------------------------------------- characters

@@ -21,10 +21,9 @@ that sequence, and so D, U and V, unchanged:
   replays the log onto the identity, and cokernel_structure, which has no use
   for V, never builds it.
 
-resultant keeps its own fraction-free elimination (_det_int) rather than going
-through polydet.det_matrix: one set-up of the branched-covers benchmark takes
-some 250 Sylvester determinants of size at most 16, and the multimodular
-engine's numpy set-up per call roughly doubled that set-up time.
+_det_int, a fraction-free integer determinant, is the one the cover-order
+oracle `metabelian.order_from_alexander` takes of its circulant; it shares no
+code with the elimination above, which computes the covers it checks.
 """
 from __future__ import annotations
 
@@ -210,29 +209,3 @@ def _det_int(a) -> int:
                 m[i][j] = (m[i][j] * m[k][k] - m[i][k] * m[k][j]) // prev
         prev = m[k][k]
     return sign * m[n - 1][n - 1]
-
-
-def resultant(f_coeffs, g_coeffs) -> int:
-    """Resultant of two integer polynomials, low-to-high coefficient lists."""
-    f = list(f_coeffs)
-    g = list(g_coeffs)
-    while f and f[-1] == 0:
-        f.pop()
-    while g and g[-1] == 0:
-        g.pop()
-    if not f or not g:
-        return 0
-    df, dg = len(f) - 1, len(g) - 1
-    if df == 0:
-        return f[0] ** dg
-    if dg == 0:
-        return g[0] ** df
-    n = df + dg
-    rows = []
-    frev = f[::-1]
-    grev = g[::-1]
-    for i in range(dg):
-        rows.append([0] * i + frev + [0] * (n - df - 1 - i))
-    for i in range(df):
-        rows.append([0] * i + grev + [0] * (n - dg - 1 - i))
-    return _det_int(rows)

@@ -1,9 +1,12 @@
-"""One error base and one primality check.
+"""One error base and one primality check, and frozen objects stay frozen.
 
 Every refusal of outside input is a `TwistalexError`, and the CLI turns
 exactly those (and `OSError`) into exit 2 with one line; any other exception
 is a program fault and propagates.  Primality is decided in `domains` alone,
-by building GF(p), apart from the determinant engine's own prime supply.
+by building GF(p), apart from the determinant engine's own prime supply.  A
+frozen dataclass is written through `object.__setattr__` only while
+`__post_init__` builds it; a value computed later goes in a
+`functools.cached_property`.
 """
 import ast
 import importlib
@@ -43,6 +46,30 @@ def test_only_cyclo_factors_by_trial_division():
     readers = {path.name: found for path in sorted(SRC.glob("*.py")) if path.name != "cyclo.py"
                for found in [_readers(path.read_text(), "_prime_factors")] if found}
     assert readers == {}
+
+
+def _frozen_writes(source: str) -> list[int]:
+    """Lines of source that name object.__setattr__ outside a __post_init__."""
+    tree = ast.parse(source)
+    building = {id(node) for top in ast.walk(tree)
+                if isinstance(top, ast.FunctionDef) and top.name == "__post_init__"
+                for node in ast.walk(top)}
+    return sorted(node.lineno for node in ast.walk(tree)
+                  if isinstance(node, ast.Attribute) and node.attr == "__setattr__"
+                  and isinstance(node.value, ast.Name) and node.value.id == "object"
+                  and id(node) not in building)
+
+
+def test_frozen_objects_are_written_only_in_post_init():
+    assert _frozen_writes("class A:\n"
+                          "    def __post_init__(self):\n"
+                          "        object.__setattr__(self, 'x', 1)\n"
+                          "    def f(self):\n"
+                          "        object.__setattr__(self, 'y', 2)\n"
+                          "set_y = object.__setattr__\n") == [5, 6]
+    offenders = {path.name: lines for path in sorted(SRC.glob("*.py"))
+                 for lines in [_frozen_writes(path.read_text())] if lines}
+    assert offenders == {}
 
 
 def _format_tests(source: str) -> list[str]:

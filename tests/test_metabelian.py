@@ -287,7 +287,8 @@ def test_characters_of_quotient_counts():
 def test_characters_are_counted_without_being_built(monkeypatch):
     # Z/311 + Z/311 at p = 311: prod gcd(311, d) = 96,721 characters, counted
     # from the diagonal; a Character is built only when one is read
-    q = metabelian.FiniteQuotientModule(5, AbelianGroupStructure((311, 311)), (1, 1, 311, 311), 2)
+    q = metabelian.FiniteQuotientModule(5, AbelianGroupStructure((311, 311)), (1, 1, 311, 311), 2,
+                                        lambda: pytest.fail("counting characters read U"))
     with monkeypatch.context() as mp:
         mp.setattr(metabelian, "Character", None)  # building one would fail
         chars = characters_of_quotient(q, 311)

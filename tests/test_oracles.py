@@ -12,27 +12,41 @@
   the reduced Burau matrix.  It shares no Fox calculus with
   `alexander_polynomial`; it runs over the corpus, the seeded braids of
   `tests/test_metabelian.py` and the `branched-covers` braids of seeds 1-3.
+- Fox's order formula (Fox 1956): |H_1(L_k)| = |Res(Delta, t^k - 1)|.
+  `order_from_alexander` reads it off a k x k circulant; here it is held to
+  the Sylvester resultant of `tests/test_snf.py`.
+- Fox colorings: the nontrivial p-colorings up to translation and scaling
+  are the lines of H_1(L_2; F_p), so `find_dihedral_epis` finds
+  (p^r - 1) / (p - 1) of them, r = dim H_1(L_2; F_p).
+- Galois equivariance: sigma_a (zeta -> zeta^a) maps alpha(n, chi) to
+  alpha(n, chi^a) when z = 1, so W(alpha(n, chi^a)) = sigma_a(W(alpha(n, chi)))
+  up to units.
 
 A mismatch here is an engine defect, not a reason to change the check.
 """
 import importlib.util
 import random
 import sys
-from math import lcm
+from functools import lru_cache
+from math import gcd, lcm
 from pathlib import Path
 
 import pytest
 
-from twistalex.cyclo import CYC
-from twistalex.domains import ZZ
+from twistalex.cyclo import CYC, cyclotomic_polynomial
+from twistalex.domains import ZZ, TwistalexError
 from twistalex.knots import KNOT_TABLE, alexander_fixture, presentation
 from twistalex.laurent import LaurentPoly, RationalFunction, parse_poly
-from twistalex.metabelian import (alexander_polynomial, branched_cover_homology,
-                                  characters_of_quotient, normalize_integer_poly)
+from twistalex.metabelian import (CharComponent, Character, alexander_polynomial,
+                                  branched_cover_homology, characters_of_quotient,
+                                  find_dihedral_epis, normalize_integer_poly,
+                                  order_from_alexander)
 from twistalex.polydet import det_cofactor
 from twistalex.presentation import BraidWord, braid_closure_presentation, parse_braid
 from twistalex.reps import rep_metabelian, rep_onedim, rep_trivial
 from twistalex.twisted import TwistedPolynomial, doteq_equal, wada_invariant
+
+from test_snf import resultant
 
 KNOTS = [f.name for f in KNOT_TABLE]
 
@@ -58,13 +72,25 @@ def test_trivial_rep_gives_alexander_over_t_minus_1(name):
     assert doteq_equal(tw, TwistedPolynomial(target, tw.det_subgroup, tw.column))
 
 
-def _galois_conjugate(dom, v):
-    """zeta -> zeta^-1 on a power-basis coordinate tuple."""
+def _galois_conjugate(dom, v, a=-1):
+    """sigma_a: zeta -> zeta^a on a power-basis coordinate tuple; a = -1 is
+    complex conjugation."""
     acc = dom.zero()
     for k, c in enumerate(dom.coords(v)):
         if c:
-            acc = dom.add(acc, dom.scale(dom.zeta(-k), c))
+            acc = dom.add(acc, dom.scale(dom.zeta(a * k), c))
     return acc
+
+
+def _sigma(tw, a):
+    """sigma_a applied to every coefficient of W, in tw's unit class."""
+    dom = tw.dom
+
+    def conj(f):
+        return LaurentPoly.from_terms(dom, {e: _galois_conjugate(dom, v, a) for e, v in f.terms()})
+
+    return TwistedPolynomial(RationalFunction(conj(tw.value.num), conj(tw.value.den)),
+                             tw.det_subgroup, tw.column)
 
 
 def _metabelian_cases():
@@ -81,13 +107,12 @@ def _dual_and_conjugate(tw):
     """(W(t^-1), conj W(t)) as TwistedPolynomials in tw's unit class."""
     dom = tw.dom
 
-    def both(f):
-        return (LaurentPoly.from_terms(dom, {-e: v for e, v in f.terms()}),
-                LaurentPoly.from_terms(dom, {e: _galois_conjugate(dom, v) for e, v in f.terms()}))
+    def dual(f):
+        return LaurentPoly.from_terms(dom, {-e: v for e, v in f.terms()})
 
-    (num_d, num_c), (den_d, den_c) = both(tw.value.num), both(tw.value.den)
-    return (TwistedPolynomial(RationalFunction(num_d, den_d), tw.det_subgroup, tw.column),
-            TwistedPolynomial(RationalFunction(num_c, den_c), tw.det_subgroup, tw.column))
+    return (TwistedPolynomial(RationalFunction(dual(tw.value.num), dual(tw.value.den)),
+                              tw.det_subgroup, tw.column),
+            _sigma(tw, -1))
 
 
 @pytest.mark.parametrize("name,p,idx", list(_metabelian_cases()))
@@ -110,6 +135,124 @@ def test_unitary_duality_for_root_of_unity_characters(name, m):
     dual, conj = _dual_and_conjugate(tw)
     assert doteq_equal(dual, conj)
     assert not doteq_equal(dual, tw)
+
+
+# --------------------------------------------------------- Galois equivariance
+
+@lru_cache(maxsize=None)
+def _character(name, n, p):
+    """The first nontrivial character to mu_p of H/(t^n - 1) of the knot."""
+    q = branched_cover_homology(presentation(name), n)
+    return next(c for c in characters_of_quotient(q, p) if not c.is_trivial())
+
+
+def _power(chi, a):
+    """chi^a: every component's zeta exponents scaled by a."""
+    return Character(tuple(CharComponent(c.quotient, tuple(a * e % c.m for e in c.zeta_exponents),
+                                         c.m) for c in chi.components))
+
+
+@lru_cache(maxsize=None)
+def _wada_at_z1(name, n, p, a):
+    pres = presentation(name)
+    return wada_invariant(pres, rep_metabelian(pres, n, _power(_character(name, n, p), a), z=1))
+
+
+def _galois_cases():
+    """(knot, n, p, a) for n = 2, 3, 4, every prime p below 14 dividing the
+    exponent of H/(t^n - 1), and up to four a coprime to the rep's conductor
+    M with distinct residues a mod p other than 1 (the rep's entries lie in
+    Q(zeta_p), so sigma_a depends on a mod p alone)."""
+    for name in KNOTS:
+        for n in (2, 3, 4):
+            e = branched_cover_homology(presentation(name), n).structure.exponent()
+            for p in [p for p in _prime_factors(e) if p < 14]:
+                M = lcm(p, 2 * n if n % 2 == 0 else 1)
+                residues = {}
+                for a in range(2, M):
+                    if gcd(a, M) == 1 and a % p != 1:
+                        residues.setdefault(a % p, a)
+                for a in sorted(residues.values())[:4]:
+                    yield name, n, p, a
+
+
+GALOIS_CASES = list(_galois_cases())
+
+
+@pytest.mark.parametrize("name,n,p,a", GALOIS_CASES)
+def test_galois_conjugate_character_gives_conjugate_wada(name, n, p, a):
+    assert doteq_equal(_wada_at_z1(name, n, p, a), _sigma(_wada_at_z1(name, n, p, 1), a))
+
+
+def test_galois_oracle_is_not_vacuous():
+    # chi^a often gives a different W: without sigma_a the check would fail
+    differ = [case for case in GALOIS_CASES
+              if not doteq_equal(_wada_at_z1(*case), _wada_at_z1(*case[:3], 1))]
+    assert len(GALOIS_CASES) >= 150 and len(differ) >= 100
+
+
+# ------------------------------------------------------------ Fox's order formula
+
+def _tk_minus_1(k):
+    return [-1] + [0] * (k - 1) + [1]
+
+
+def test_circulant_order_equals_the_sylvester_resultant():
+    rng = random.Random(1956)
+    polys = [alexander_fixture(f.name) for f in KNOT_TABLE]
+    polys += [LaurentPoly(ZZ, [rng.randint(-9, 9) for _ in range(rng.randint(1, 14))],
+                          rng.randint(-4, 4)) for _ in range(150)]
+    polys += [LaurentPoly.zero(ZZ)] + [LaurentPoly.const(ZZ, c) for c in (1, -1, 2, -3, 7)]
+    for delta in polys:
+        for k in range(1, 13):
+            want = abs(resultant(delta.coeffs(), _tk_minus_1(k)))
+            assert order_from_alexander(delta, k) == want, (delta, k)
+            assert order_from_alexander(delta.shift(3), k) == want
+
+
+def test_circulant_order_is_zero_on_a_common_root():
+    # Phi_d | Delta with d | k: Delta shares the root zeta_d with t^k - 1
+    rng = random.Random(1957)
+    for k in range(1, 13):
+        for d in (d for d in range(1, k + 1) if k % d == 0):
+            g = LaurentPoly(ZZ, [rng.choice((-2, -1, 1, 3)) for _ in range(rng.randint(1, 5))])
+            delta = cyclotomic_polynomial(d) * g
+            assert resultant(delta.coeffs(), _tk_minus_1(k)) == 0
+            assert order_from_alexander(delta, k) == 0, (d, k)
+
+
+def test_order_oracle_refuses_a_degree_below_one():
+    for k in (0, -1):
+        with pytest.raises(TwistalexError, match=rf"^cover degree must be >= 1, got {k}$"):
+            order_from_alexander(alexander_fixture("3_1"), k)
+
+
+# ------------------------------------------------------------ Fox colorings
+
+def _coloring_braids():
+    """Five seeded knot-closing braids on each of 3, 4, 5 and 6 strands."""
+    rng = random.Random(1961)
+    out = []
+    for strands in (3, 4, 5, 6):
+        while len(out) < 5 * (strands - 2):
+            crossings = rng.randint(2 * strands, 5 * strands)
+            braid = BraidWord(strands, tuple(rng.choice((1, -1)) * rng.randint(1, strands - 1)
+                                             for _ in range(crossings)))
+            if braid.closure_is_knot():
+                out.append(braid)
+    return out
+
+
+COLORING_KNOTS = [presentation(name) for name in KNOTS] + \
+    [braid_closure_presentation(b) for b in _coloring_braids()]
+
+
+@pytest.mark.parametrize("p", [3, 5, 7, 11, 13])
+def test_coloring_count_is_read_off_the_double_cover(p):
+    for pres in COLORING_KNOTS:
+        s = branched_cover_homology(pres, 2).structure
+        r = sum(d % p == 0 for d in s.invariant_factors) + s.free_rank
+        assert len(find_dihedral_epis(pres, p)) == (p**r - 1) // (p - 1), (pres, p)
 
 
 # ------------------------------------------------------------ Burau route

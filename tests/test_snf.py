@@ -7,8 +7,35 @@ from twistalex.domains import ZZ
 from twistalex.knots import corpus, presentation
 from twistalex.metabelian import _companion_blowup, alexander_module
 from twistalex.polydet import det_matrix
-from twistalex.snf import (AbelianGroupStructure, _det_int, cokernel_structure, resultant,
-                           smith_normal_form)
+from twistalex.snf import AbelianGroupStructure, _det_int, cokernel_structure, smith_normal_form
+
+
+# The Sylvester resultant, the reference for `metabelian.order_from_alexander`
+# (its circulant) and for the Galois products of tests/test_cyclo.py.
+def resultant(f_coeffs, g_coeffs) -> int:
+    """Resultant of two integer polynomials, low-to-high coefficient lists."""
+    f = list(f_coeffs)
+    g = list(g_coeffs)
+    while f and f[-1] == 0:
+        f.pop()
+    while g and g[-1] == 0:
+        g.pop()
+    if not f or not g:
+        return 0
+    df, dg = len(f) - 1, len(g) - 1
+    if df == 0:
+        return f[0] ** dg
+    if dg == 0:
+        return g[0] ** df
+    n = df + dg
+    rows = []
+    frev = f[::-1]
+    grev = g[::-1]
+    for i in range(dg):
+        rows.append([0] * i + frev + [0] * (n - df - 1 - i))
+    for i in range(df):
+        rows.append([0] * i + grev + [0] * (n - dg - 1 - i))
+    return _det_int(rows)
 
 
 def _reference_smith_normal_form(a):
