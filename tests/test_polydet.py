@@ -100,8 +100,8 @@ def test_zero_row_and_singular():
 
 def test_larger_integer_matrix_consistency():
     # too big for the cofactor oracle: the determinant has degree <= n, so its
-    # values at t = 0..n fix it; each value comes from the integer kernel
-    # behind snf.resultant
+    # values at t = 0..n fix it; each value comes from the integer Bareiss
+    # kernel of the cover-order oracle
     rng = random.Random(8)
     n = 9
     rows = [[rand_zz(rng, span=(0, 2), cmax=2) for _ in range(n)] for _ in range(n)]
