@@ -9,6 +9,8 @@ For every corpus knot with the relevant epimorphisms this runs:
 One line per (knot, target, epimorphism); B(2) failures are engine defects.
 """
 import argparse
+import os
+import sys
 import time
 
 from twistalex import knots
@@ -47,4 +49,12 @@ def main() -> int:
 
 
 if __name__ == "__main__":
-    raise SystemExit(main())
+    try:
+        code = main()
+        sys.stdout.flush()  # a closed pipe surfaces here, not at shutdown
+    except BrokenPipeError:
+        # stdout closed early (as by `| head`): exit 1 quietly, with the
+        # shutdown flush pointed at os.devnull
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        code = 1
+    raise SystemExit(code)

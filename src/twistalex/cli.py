@@ -148,7 +148,10 @@ def _cmd_twisted(args) -> int:
         text = " * ".join(parts) + f" / ({c.value.den.to_text()})"
     else:
         text = tw.to_text()
-    _emit(args, text, _twisted_json(tw) if args.json else None)
+    obj = _twisted_json(tw) if args.json else None
+    if obj and args.factored:
+        obj["factored"] = text
+    _emit(args, text, obj)
     return 0
 
 

@@ -300,7 +300,7 @@ _AXIS_CLASS = (1, 0)
 
 
 def wada_experiment(trefoil: KnotPresentation, delta_c: LaurentPoly,
-                    delta_cprime: LaurentPoly, names=("C", "C'")) -> ConjectureReport:
+                    delta_cprime: LaurentPoly, names) -> ConjectureReport:
     """The tensor-product counterexample: two companions whose twisted
     polynomials agree for alpha_1 and alpha_2 separately but differ for the
     tensor product.

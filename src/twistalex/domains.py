@@ -304,8 +304,6 @@ def convert(x, src: Domain, dst: Domain):
         if isinstance(src, CyclotomicField):
             return dst.embed(x, src)
         return dst.from_rational(Fraction(x))
-    if src.name == "ZZ":
-        return dst.coerce(x)
-    if src.name == "QQ":
+    if src is ZZ or src is QQ:
         return dst.coerce(x)
     raise TypeError(f"no conversion {src} -> {dst}")

@@ -17,7 +17,6 @@ dense polynomial kernel below (`poly_mul`, `poly_divmod`, `poly_gcd`,
 from __future__ import annotations
 
 import re
-from fractions import Fraction
 
 from .domains import Domain, ExactDivisionError, TwistalexError, ZZ, convert
 
@@ -212,9 +211,8 @@ class LaurentPoly:
                            self._low + other._low)
 
     def scale(self, v) -> "LaurentPoly":
-        d = self.dom
-        v = d.coerce(v) if isinstance(v, (int, Fraction)) else v
-        return LaurentPoly(d, poly_mul(d, self._coeffs, [v]), self._low)
+        """Multiply by the domain element v."""
+        return LaurentPoly(self.dom, poly_mul(self.dom, self._coeffs, [v]), self._low)
 
     def shift(self, k: int) -> "LaurentPoly":
         """Multiply by t^k."""
@@ -298,19 +296,20 @@ class LaurentPoly:
 SPAN_CAP = 10_000  # the widest exponent span parse_poly accepts
 
 _TERM_RE = re.compile(
-    r"^(?P<sign>[-+])?(?P<coef>\d+(?:/\d+)?)?"
+    r"^(?P<sign>[-+])?(?P<coef>\d+)?"
     r"(?P<tpart>(?P<star>\*)?t(?:\^(?P<exp>-?\d+))?)?$"
 )
 
 
-def parse_poly(text: str, dom: Domain = ZZ) -> LaurentPoly:
-    """Parse the canonical polynomial text form; an exponent span above
-    SPAN_CAP is refused."""
+def parse_poly(text: str) -> LaurentPoly:
+    """Parse the canonical polynomial text form over ZZ: integer coefficients
+    only, so a fraction such as `1/2` is a malformed term.  An exponent span
+    above SPAN_CAP is refused."""
     s = text.strip()
     if not s:
         raise TwistalexError("empty polynomial text")
     if s == "0":
-        return LaurentPoly.zero(dom)
+        return LaurentPoly.zero(ZZ)
     # protect exponent signs before splitting on term separators
     s = s.replace(" ", "").replace("^-", "^N").replace("^+", "^")
     s = s.replace("-", "+-")
@@ -322,17 +321,15 @@ def parse_poly(text: str, dom: Domain = ZZ) -> LaurentPoly:
             m.group("star") and m.group("coef") is None
         ):
             raise TwistalexError(f"malformed polynomial term {chunk!r} in {text!r}")
-        sign = -1 if m.group("sign") == "-" else 1
-        cval = sign * Fraction(m.group("coef")) if m.group("coef") else Fraction(sign)
+        v = int((m.group("sign") or "") + (m.group("coef") or "1"))
         exp = 0
         if m.group("tpart"):
             exp = int(m.group("exp")) if m.group("exp") else 1
-        v = dom.coerce(cval)
-        terms[exp] = dom.add(terms[exp], v) if exp in terms else v
+        terms[exp] = terms.get(exp, 0) + v
     if max(terms) - min(terms) > SPAN_CAP:
         raise TwistalexError(f"polynomial text spans exponents {min(terms)}..{max(terms)}, "
                              f"wider than the cap SPAN_CAP = {SPAN_CAP}")
-    return LaurentPoly.from_terms(dom, terms)
+    return LaurentPoly.from_terms(ZZ, terms)
 
 
 class RationalFunction:

@@ -192,13 +192,13 @@ def alexander_polynomial(src) -> LaurentPoly:
     `_with_meridian(src)` with the meridian's column deleted, read off the
     substitution walker's reduced matrix (`reduced_module`), equal to the
     deleted matrix's up to the ±t^k that normalizing removes.  It is
-    computed once per presentation (its memo).
+    computed once per presentation (its memo).  For a ModulePresentation it
+    is the determinant of its square matrix; Seifert data goes through
+    `SeifertData.alexander_polynomial`.
     """
     if isinstance(src, KnotPresentation):
         return src.cached("alexander polynomial",
                           lambda pres: alexander_polynomial(reduced_module(pres)))
-    if isinstance(src, SeifertData):
-        src = src.module_presentation()
     d = det_poly_matrix([list(r) for r in src.matrix], ZZ)
     return normalize_integer_poly(d)
 

@@ -54,13 +54,13 @@ class BraidWord:
 _BRAID_TOKEN = re.compile(r"^s(\d+)(\^-1)?$")
 
 
-def parse_braid(text: str, strands: int | None = None) -> BraidWord:
+def parse_braid(text: str) -> BraidWord:
     """Parse whitespace-separated signed indices or s<i> / s<i>^-1 tokens.
 
-    A word with no letters is the trivial braid only with a declared strand
-    count; without one it is refused.
+    The strand count is 1 + the largest index; a word with no letters is
+    refused.
     """
-    if strands is None and not text.split():
+    if not text.split():
         raise PresentationError("empty braid word")
     letters = []
     for tok in text.split():
@@ -75,12 +75,7 @@ def parse_braid(text: str, strands: int | None = None) -> BraidWord:
             raise PresentationError(f"malformed braid token {tok!r}")
     if any(x == 0 for x in letters):
         raise PresentationError("braid generator index 0 is not allowed")
-    need = 1 + max((abs(x) for x in letters), default=0)
-    if strands is None:
-        strands = need
-    elif strands < need:
-        raise PresentationError(f"index >= declared strand count {strands}")
-    return BraidWord(strands, tuple(letters))
+    return BraidWord(1 + max(map(abs, letters)), tuple(letters))
 
 
 @dataclass(frozen=True)

@@ -140,9 +140,9 @@ class Representation:
 
 # ------------------------------------------------------- simple constructors
 
-def rep_trivial(pres: KnotPresentation, dom: Domain = ZZ) -> Representation:
-    images = {g: Monomial.identity(dom, 1) for g in range(pres.generator_count)}
-    return Representation(1, dom, images, pres, label="trivial")
+def rep_trivial(pres: KnotPresentation) -> Representation:
+    images = {g: Monomial.identity(ZZ, 1) for g in range(pres.generator_count)}
+    return Representation(1, ZZ, images, pres, label="trivial")
 
 
 def rep_onedim(pres: KnotPresentation, z, dom: Domain | None = None) -> Representation:
@@ -304,8 +304,7 @@ def rep_metabelian(pres: KnotPresentation, n: int, chi: Character, z=None,
             # by (1,h)(1,h') = (2, h + t(h'-...)+...), exactly matching
             # h_k = h_i + t(h_j - h_i) from Wirtinger relators
             vals = (chi.value_basis(j, -l) for l in range(n))
-            scales = tuple(dom.mul(z, dom.embed(v, CYC(m_chi)) if dom.m != m_chi else v)
-                           for v in vals)
+            scales = tuple(dom.mul(z, convert(v, CYC(m_chi), dom)) for v in vals)
         images[g] = Monomial(shift_perm, scales)
     return Representation(n, dom, images, pres, label=f"metabelian(n={n})")
 
@@ -536,8 +535,7 @@ def parse_scalars(tokens, m: int = 1):
     orders of the root-of-unity tokens; returns (field, values)."""
     parsed = [_parse_scalar(t) for t in tokens]
     field = CYC(lcm(m, *(d.m for _, d in parsed if isinstance(d, CyclotomicField))))
-    return field, [field.embed(v, d) if isinstance(d, CyclotomicField) else field.coerce(v)
-                   for v, d in parsed]
+    return field, [convert(v, d, field) for v, d in parsed]
 
 
 def _parse_scalar(text: str):

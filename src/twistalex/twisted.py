@@ -1,8 +1,8 @@
 """Wada's invariant of a presentation and a representation.
 
 The value is det((rho tensor t^phi)(M_j)) / det((rho tensor t^phi)(1 - g_j))
-for an admissible deleted column j, as a reduced rational function over the
-coefficient field, together with the unit subgroup {± t^k r} describing its
+for a deleted column j with phi_j != 0, as a reduced rational function over
+the coefficient field, together with the unit subgroup {± t^k r} describing its
 indeterminacy (r ranges over the subgroup generated by determinants of the
 image).  doteq comparison and canonical text forms quotient that unit out.
 The numerator is the determinant of the substitution walker's reduced
@@ -13,7 +13,10 @@ The generator determinants are read once per call and serve both that unit
 and the det subgroup.  The denominator det(I - rho(g_j) t^phi_j) of a
 monomial image is the product over the cycles of its permutation of
 1 - P t^(L phi_j) (cycle length L, scale product P); a dense image, which
-only conjugation makes, goes through the determinant engine.
+only conjugation makes, goes through the determinant engine.  Wada allows
+any column whose denominator is nonzero, and with phi_j != 0 its t^0
+coefficient is det I = 1 (as in Kitano's Reidemeister torsion), so every
+such column is admissible and none is searched for.
 """
 from __future__ import annotations
 
@@ -85,11 +88,15 @@ def _torsion_exponent(dom: Domain) -> int:
     return 2
 
 
+_SUBGROUP_CAP = 20000  # the most elements unit_subgroup enumerates
+
+
 def unit_subgroup(dom: Domain, gens) -> tuple:
     """Closure of the subgroup of dom* generated by gens.
 
     Each generator must be a root of unity (g^N = 1 for dom's torsion
-    exponent N); any other generator is refused before enumerating.
+    exponent N); any other generator is refused before enumerating, and a
+    subgroup above _SUBGROUP_CAP elements while enumerating.
     """
     one = dom.one()
     n = _torsion_exponent(dom)
@@ -103,7 +110,6 @@ def unit_subgroup(dom: Domain, gens) -> tuple:
     elems = {dom.sort_key(one): one}
     frontier = [one]
     inv_gens = [dom.inv(g) for g in gens]
-    cap = 20000
     while frontier:
         nxt = []
         for x in frontier:
@@ -113,8 +119,9 @@ def unit_subgroup(dom: Domain, gens) -> tuple:
                 if k not in elems:
                     elems[k] = y
                     nxt.append(y)
-                    if len(elems) > cap:
-                        raise WadaError(f"determinant subgroup has more than {cap} elements")
+                    if len(elems) > _SUBGROUP_CAP:
+                        raise WadaError(f"determinant subgroup has more than {_SUBGROUP_CAP} "
+                                        "elements")
         frontier = nxt
     return tuple(elems.values())
 
@@ -136,37 +143,29 @@ def _denominator(dom: Domain, img, e: int) -> LaurentPoly:
 def wada_invariant(pres: KnotPresentation, rep, column: int | None = None) -> TwistedPolynomial:
     """Wada's invariant of (pres, rep), reduced over the coefficient field.
 
-    The column defaults to the first generator with phi != 0 whose denominator
-    determinant is nonzero; a requested column with vanishing denominator is
-    an error rather than a division by zero.
+    The column defaults to the first generator with phi != 0.  Every such
+    column is admissible: det(I - rho(g_j) t^phi_j) has t^0 coefficient
+    det I = 1, so it never vanishes.  A requested column out of range or
+    with phi = 0 is refused.
     """
     dom = rep.dom
     field = dom if dom.is_field else QQ  # ZZ is the only non-field domain
-    if column is not None and not 0 <= column < pres.generator_count:
+    if column is None:
+        column = next(j for j, e in enumerate(pres.phi) if e != 0)
+    elif not 0 <= column < pres.generator_count:
         raise WadaError(f"column {column} out of range")
-    candidates = [column] if column is not None else [
-        j for j in range(pres.generator_count) if pres.phi[j] != 0
-    ]
-    chosen = None
-    den = None
-    for j in candidates:
-        if pres.phi[j] == 0 and column is not None:
-            raise WadaError(f"column {j} has phi = 0")
-        d = _denominator(dom, rep.image_of_gen(j, 1), pres.phi[j])
-        if not d.is_zero():
-            chosen, den = j, d
-            break
-    if chosen is None:
-        raise WadaError("no admissible column: every denominator determinant vanishes")
+    elif pres.phi[column] == 0:
+        raise WadaError(f"column {column} has phi = 0")
+    den = _denominator(dom, rep.image_of_gen(column, 1), pres.phi[column])
     dets = rep.det_image_generators()
-    rows, unit = reduced_fox_matrix(rep, pres, chosen, dets)
+    rows, unit = reduced_fox_matrix(rep, pres, column, dets)
     num = det_poly_matrix(rows, dom) * unit
     if dom is not field:
         num = num.copy_to(field)
         den = den.copy_to(field)
     dets = tuple(convert(d_, dom, field) for d_ in dets)
     value = RationalFunction(num, den)
-    return TwistedPolynomial(value, dets, chosen)
+    return TwistedPolynomial(value, dets, column)
 
 
 # ----------------------------------------------------------- doteq machinery
@@ -208,7 +207,6 @@ def canonical_pair(value: RationalFunction, units) -> tuple[LaurentPoly, Laurent
     and normalized by the lexicographically least unit multiple."""
     dom = value.dom
     num, den = value.num, value.den
-    den = den.shift(-den.low())
     if num.is_zero():
         return num, den
     num = num.shift(-num.low())

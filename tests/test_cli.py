@@ -277,6 +277,12 @@ def test_usage_errors(capsys, tmp_path):
                          "--rep", "modp(dihedral:p=3:colors=0,1,2,3)",
                          "--companion-delta", "1 - t + t^2", "--eigenvalues", "1/3")
     assert code == 2 and out == "" and err == "error: scale factor 7/9 has no image in GF(3)\n"
+    # polynomial text has integer coefficients only: a fraction is a malformed term
+    for delta, term in (("1/2 - t", "1/2"), ("1/0 - t", "1/0")):
+        code, out, err = run(capsys, "satellite", "--knot", "3_1", "--rep", "trivial",
+                             "--companion-delta", delta, "--eigenvalues", "1")
+        assert (code, out, err) == (
+            2, "", f"error: malformed polynomial term {term!r} in {delta!r}\n"), delta
 
 
 def test_cyclotomic_field_above_the_degree_cap_is_refused(capsys):
@@ -476,6 +482,17 @@ def test_factored_over_degree_one_cyclotomic_field(capsys):
     assert code == 0 and out == "-1 * (-1 + t) * (1 + t + t^2) / (1)\n"
 
 
+def test_factored_json_carries_the_factorization(capsys):
+    # --json with --factored is the plain JSON object plus the factored line
+    argv = ("twisted", "--knot", "4_1", "--rep", "onedim:z=z2")
+    code, text, _ = run(capsys, *argv, "--factored")
+    assert code == 0 and text == "(1 + 3*t + t^2) / (1 + t)\n"
+    code, out, _ = run(capsys, *argv, "--factored", "--json")
+    obj = json.loads(out)
+    assert code == 0 and obj.pop("factored") == text.strip()
+    assert obj == json.loads(run(capsys, *argv, "--json")[1])
+
+
 @pytest.mark.parametrize("flags", [(), ("--json",)], ids=["text", "json"])
 def test_twisted_enumerates_units_once(capsys, monkeypatch, flags):
     from twistalex import twisted
@@ -591,7 +608,8 @@ _FLAG_VALUES = {
     "k": st.integers(-3, 8),
     "column": st.integers(-1, 4),
     "companion-delta": st.sampled_from(("1 - t + t^2", "2 - 3*t + 2*t^2", "1", "0", "t^-1",
-                                        "1 +* t", "")) | st.text("t^*+-0123 ", max_size=10),
+                                        "1 +* t", "", "1/2 - t"))
+    | st.text("t^*+-0123 ", max_size=10),
     "eigenvalues": st.lists(_scalars, min_size=1, max_size=3).map(",".join),
 }
 _FILE_TEXTS = {"pres": _pres_texts, "seifert": _seifert_texts, "batch": _batch_texts}

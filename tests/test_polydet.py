@@ -9,7 +9,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from twistalex.cyclo import CYC, CyclotomicField
+from twistalex.cyclo import CYC, PHI_CAP, CyclotomicField
 from twistalex.domains import GF, QQ, ZZ, Domain, is_prime
 from twistalex.laurent import LaurentPoly, parse_poly
 from twistalex.matrix import mat_inverse
@@ -402,6 +402,14 @@ def test_vandermonde_inverse_by_synthetic_division(m):
         assert v.shape == vinv.shape == (2, *eye.shape)
         assert (polydet._mul_mod(v, vinv[0] + (vinv[1] << 16), q) == eye).all(), (m, q)
         assert (polydet._mul_mod(vinv, v[0] + (v[1] << 16), q) == eye).all(), (m, q)
+
+
+def test_mul_mod_sums_stay_inside_int64():
+    # each sum in _mul_mod has at most max(_TABLE_POINTS, PHI_CAP) products of a
+    # 16-bit half and a residue below 2^31: a cap of 2^16 or more would let
+    # the int64 sums overflow without an error
+    assert polydet._prime(1, 0) < 2**31
+    assert max(polydet._TABLE_POINTS, PHI_CAP) * 2**47 < 2**63
 
 
 # ------------------------------------- the degree bound by rows and columns

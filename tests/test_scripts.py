@@ -1,5 +1,6 @@
-"""Smoke tests for the experiment scripts in scripts/: each runs to exit 0
-and prints no `[!]` mismatch mark."""
+"""Smoke tests for the experiment scripts in scripts/: each runs to exit 0,
+prints no `[!]` mismatch mark, and exits without a traceback when its
+output pipe closes early."""
 import os
 import subprocess
 import sys
@@ -10,17 +11,39 @@ import pytest
 ROOT = Path(__file__).resolve().parents[1]
 
 
-@pytest.mark.parametrize("argv", [
+SCRIPTS = pytest.mark.parametrize("argv", [
     ("branched_cover_table.py",),
     ("run_wada_experiment.py",),
     ("check_conjectures.py", "--max-crossings", "4"),
 ], ids=lambda argv: argv[0].removesuffix(".py"))
-def test_script_runs_clean(argv):
+
+
+def _command(argv):
     env = dict(os.environ)
     env["PYTHONPATH"] = os.pathsep.join(
         p for p in (str(ROOT / "src"), env.get("PYTHONPATH")) if p)
-    proc = subprocess.run([sys.executable, str(ROOT / "scripts" / argv[0]), *argv[1:]],
-                          cwd=ROOT, env=env, capture_output=True, text=True, timeout=300)
+    env["PYTHONUNBUFFERED"] = "1"  # each print reaches the pipe at once
+    return [sys.executable, str(ROOT / "scripts" / argv[0]), *argv[1:]], env
+
+
+@SCRIPTS
+def test_script_runs_clean(argv):
+    cmd, env = _command(argv)
+    proc = subprocess.run(cmd, cwd=ROOT, env=env, capture_output=True, text=True, timeout=300)
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout.strip()
     assert "[!]" not in proc.stdout
+
+
+@SCRIPTS
+def test_script_exits_quietly_when_its_pipe_closes(argv):
+    # as `script | head -1`: the reader takes one line and goes away
+    cmd, env = _command(argv)
+    proc = subprocess.Popen(cmd, cwd=ROOT, env=env, stdout=subprocess.PIPE,
+                            stderr=subprocess.PIPE, text=True)
+    assert proc.stdout.readline().strip()
+    proc.stdout.close()
+    err = proc.stderr.read()
+    proc.stderr.close()
+    assert proc.wait(timeout=300) in (0, 1)
+    assert "Traceback" not in err, err

@@ -8,7 +8,7 @@ from hypothesis import strategies as st
 from twistalex import polydet, twisted
 from twistalex.cyclo import CYC, CyclotomicField
 from twistalex.domains import GF, QQ, ZZ
-from twistalex.knots import TREFOIL_SEIFERT, alexander_fixture, presentation
+from twistalex.knots import TREFOIL_SEIFERT, alexander_fixture, corpus, presentation
 from twistalex.laurent import LaurentPoly, RationalFunction, parse_poly
 from twistalex.matrix import Monomial
 from twistalex.metabelian import (DihedralData, alexander_polynomial,
@@ -85,7 +85,7 @@ def test_doteq_units():
         tw.det_subgroup, tw.column)
     assert doteq_equal(tw, shifted)
     scaled = TwistedPolynomial(
-        RationalFunction(f.num * parse_poly("1 + t", QQ), f.den),
+        RationalFunction(f.num * parse_poly("1 + t").copy_to(QQ), f.den),
         tw.det_subgroup, tw.column)
     assert not doteq_equal(tw, scaled)
 
@@ -285,6 +285,50 @@ def test_wada_on_non_wirtinger_presentation():
     torus = parse_presentation("gens: a b; rels: a a B B B; phi: a=3 b=2")
     tw = wada_invariant(torus, rep_trivial(torus))
     assert doteq_equal(tw, as_tw(tw, "1 - t + t^2", "1 - t"))
+
+
+def _admissibility_cases():
+    """(pres, rep) over ZZ, GF(7) and Q(zeta_m), monomial and dense conjugates:
+    the walker's corpus reps, a mod-7 reduction of the first over ZZ, and reps on two
+    presentations whose phi is not all ones (x = a b^-1 has phi = 0)."""
+    from test_walker import _corpus_reps, _dense
+
+    rng = random.Random(1996)
+    for fx in corpus():
+        pres = presentation(fx.name)
+        reps = _corpus_reps(pres, rng)
+        gfp = rep_mod_p(next((r for r in reps if r.dom is ZZ), rep_trivial(pres)), 7)
+        for rep in reps + [gfp, gfp.conjugate(_dense(gfp.dom, gfp.dim, rng))]:
+            yield pres, rep
+    F = CYC(5)
+    for text in ("gens: a b; rels: a a B B B; phi: a=3 b=2",
+                 "gens: x b; rels: x b b x b B B X B; phi: x=0 b=1"):
+        pres = parse_presentation(text)
+        sums = rep_direct_sum(rep_trivial(pres), rep_onedim(pres, -1))
+        for rep in (rep_trivial(pres), rep_onedim(pres, F.zeta(1), F),
+                    rep_mod_p(rep_onedim(pres, -1), 7), sums,
+                    sums.conjugate(_dense(ZZ, 2, rng))):
+            yield pres, rep
+
+
+def test_every_phi_nonzero_column_is_admissible():
+    # det(I - rho(g) t^phi(g)) has t^0 coefficient det I = 1 when phi(g) != 0,
+    # so wada_invariant takes the first such column without a search
+    kinds = set()
+    for pres, rep in _admissibility_cases():
+        dom = rep.dom
+        for j, e in enumerate(pres.phi):
+            if e:
+                img = rep.image_of_gen(j, 1)
+                kinds.add((dom.name[:2], isinstance(img, Monomial)))
+                assert dom.eq(twisted._denominator(dom, img, e)[0], dom.one()), (rep.label, j)
+        first = next(j for j, e in enumerate(pres.phi) if e)
+        assert wada_invariant(pres, rep).column == first, rep.label
+    assert kinds == {(d, m) for d in ("ZZ", "GF", "Q(") for m in (True, False)}
+    pres = parse_presentation("gens: x b; rels: x b b x b B B X B; phi: x=0 b=1")
+    with pytest.raises(WadaError, match="^column 0 has phi = 0$"):
+        wada_invariant(pres, rep_trivial(pres), column=0)
+    assert wada_invariant(pres, rep_trivial(pres)).to_text() == "(1 - t + t^2) / (-1 + t)"
 
 
 DENOMINATOR_DOMAINS = [ZZ, GF(5), GF(7), CYC(5), CYC(12)]
