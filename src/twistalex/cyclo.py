@@ -1,13 +1,17 @@
 """Cyclotomic fields Q(zeta_m) with exact power-basis arithmetic.
 
-An element is one pair (numerators, den): deg(Phi_m) integer coordinates in
-the basis 1, x, ..., x^(deg-1) modulo the m-th cyclotomic polynomial, over
-one den > 0 in lowest terms (Cohen 1993, 4.2), so equality and hashing are
-structural.  Only this module and the determinant engine read the layout;
-every other module uses the field's methods.  Roots of unity never degrade
-to floats.  Products run on the numerators: `_integral_dot` convolves a sum
-of products over one common denominator and reduces once with the integer
-table of Phi_m (monic).  zeta^k is reduced mod Phi_m on demand.  A
+An element is one pair (pairs, den): its nonzero integer coordinates in the
+basis 1, x, ..., x^(deg-1) modulo the m-th cyclotomic polynomial, as
+(index, numerator) pairs by increasing index, over one den > 0 in lowest
+terms (Cohen 1993, 4.2).  Zero is ((), 1), so the form is unique and
+equality and hashing are structural; the values of a metabelian
+representation, ±zeta^k, have one or two pairs whatever phi(m) is.  Only
+this module and the determinant engine read the layout; every other module
+uses the field's methods.  Roots of unity never degrade to floats.  Products
+run on the pairs: `_integral_dot` convolves a sum of products into one dense
+integer accumulator over a common denominator and reduces once with the
+integer table of Phi_m (monic), and `_normal` turns the result back into
+pairs.  zeta^k is reduced mod Phi_m on demand.  A
 rational inverts by one integer division, ±zeta^k by a table the first
 non-rational `inv` builds, anything else by the polynomial kernel
 (`laurent.poly_invmod`).  A field with phi(m) > PHI_CAP is refused
@@ -86,18 +90,16 @@ def is_cyclotomic_irreducible_mod_p(n: int, p: int) -> bool:
 
 
 def _normal(nums, den: int):
-    """(numerators, den) in lowest terms, for integer numerators over den > 0."""
+    """The element (pairs, den) in lowest terms of the dense integer
+    coordinates nums over den > 0: the one way from dense to pairs."""
+    pairs = tuple([(i, x) for i, x in enumerate(nums) if x])
+    if not pairs:
+        return (), 1
     if den != 1:
-        g = gcd(den, *nums)
+        g = gcd(den, *[x for _, x in pairs])
         if g != 1:
-            return tuple(x // g for x in nums), den // g
-    return tuple(nums), den
-
-
-def _nonzero(a):
-    """(nonzero (index, numerator) pairs, den) of an element: a product operand."""
-    nums, den = a
-    return [(i, x) for i, x in enumerate(nums) if x], den
+            return tuple([(i, x // g) for i, x in pairs]), den // g
+    return pairs, den
 
 
 # the largest phi(m) = [Q(zeta_m) : Q] a field is built for
@@ -105,7 +107,7 @@ PHI_CAP = 1024
 
 
 class CyclotomicField(Domain):
-    """Q(zeta_m); elements are (numerators, den) in the power basis mod Phi_m."""
+    """Q(zeta_m); elements are (pairs, den) in the power basis mod Phi_m."""
 
     is_field = True
 
@@ -134,10 +136,10 @@ class CyclotomicField(Domain):
 
     # ------------------------------------------------------------- domain API
     def zero(self):
-        return (0,) * self.degree, 1
+        return (), 1
 
     def one(self):
-        return (1,) + (0,) * (self.degree - 1), 1
+        return ((0, 1),), 1
 
     def coerce(self, x):
         """An element from a rational or a tuple of rational coordinates."""
@@ -151,43 +153,39 @@ class CyclotomicField(Domain):
 
     def from_rational(self, q):
         num, den = q.as_integer_ratio()
-        return (num,) + (0,) * (self.degree - 1), den
+        return (((0, num),), den) if num else ((), 1)
 
     def add(self, a, b):
         (an, ad), (bn, bd) = a, b
-        if ad == bd:
-            return _normal([x + y for x, y in zip(an, bn)], ad)
-        return _normal([x * bd + y * ad for x, y in zip(an, bn)], ad * bd)
+        acc = [0] * self.degree
+        for i, x in an:
+            acc[i] = x * bd
+        for i, y in bn:
+            acc[i] += y * ad
+        return _normal(acc, ad * bd)
 
     def neg(self, a):
-        return tuple(-x for x in a[0]), a[1]
+        return tuple([(i, -x) for i, x in a[0]]), a[1]
 
     def mul(self, a, b):
         return self.dot((a,), (b,))
 
     def dot(self, xs, ys):
         """sum_k xs[k] * ys[k] on integer numerators (`_integral_dot`)."""
-        return self._integral_dot(zip(map(_nonzero, xs), map(_nonzero, ys)))
+        return self._integral_dot(zip(xs, ys))
 
-    def mat_mul(self, a, b):
-        """a b with the nonzero numerators of every entry of a and b listed
-        once: 2 n^2 listings for an n x n product, not one per use."""
-        rows = [[(k, f) for k, f in enumerate(map(_nonzero, row)) if f[0]] for row in a]
-        cols = [tuple(map(_nonzero, col)) for col in zip(*b)]
-        return tuple(tuple(self._integral_dot([(f, col[k]) for k, f in row]) for col in cols)
-                     for row in rows)
+    def _integral_dot(self, products):
+        """sum a * b over the products (a, b) of elements.
 
-    def _integral_dot(self, pairs):
-        """sum a * b over the pairs (a, b) of `_nonzero` forms.
-
-        The products are convolved into one integer accumulator over the
-        running common denominator of all products, reduced once mod Phi_m,
-        and brought to lowest terms once.
+        Each product's pairs are convolved into one dense integer
+        accumulator over the running common denominator of all products,
+        which is reduced once mod Phi_m and brought back to pairs in lowest
+        terms once (`_normal`).
         """
         d = self.degree
         acc = [0] * (2 * d - 1)
         den = 1
-        for (an, ad), (bn, bd) in pairs:
+        for (an, ad), (bn, bd) in products:
             if not an or not bn:
                 continue
             e = ad * bd
@@ -209,7 +207,7 @@ class CyclotomicField(Domain):
         return _normal(out, den)
 
     def is_zero(self, a):
-        return not any(a[0])
+        return not a[0]
 
     def eq(self, a, b):
         return a == b
@@ -219,9 +217,9 @@ class CyclotomicField(Domain):
         from the table, anything else by the polynomial kernel, a^-1 mod
         Phi_m over QQ."""
         if self.is_rational(a):
-            if not a[0][0]:
+            if not a[0]:
                 raise ZeroDivisionError(f"division by zero in {self.name}")
-            return self.from_rational(Fraction(a[1], a[0][0]))
+            return self.from_rational(Fraction(a[1], a[0][0][1]))
         if self._unit_inv is None:  # ±zeta^k -> ±zeta^-k, at most 2m entries
             pows, z = [self.one()], self.zeta(1)
             for _ in range(self.m - 1):
@@ -231,13 +229,12 @@ class CyclotomicField(Domain):
         unit = self._unit_inv.get(a)
         if unit is not None:
             return unit
-        nums, den = a
-        s = poly_invmod(domains.QQ, poly_trim(domains.QQ, list(nums)), self._phi)
-        return self.scale(self.coerce(tuple(s + [0] * (self.degree - len(s)))), den)
+        s = poly_invmod(domains.QQ, poly_trim(domains.QQ, self._dense(a)), self._phi)
+        return self.scale(self.coerce(tuple(s + [0] * (self.degree - len(s)))), a[1])
 
     def scale(self, a, q):
         num, den = q.as_integer_ratio()
-        return _normal([x * num for x in a[0]], a[1] * den)
+        return _normal([x * num for x in self._dense(a)], a[1] * den)
 
     def div(self, a, b):
         return self.mul(a, self.inv(b))
@@ -246,37 +243,42 @@ class CyclotomicField(Domain):
     def zeta(self, k: int = 1):
         """zeta_m^k as an element: x^(k mod m) reduced mod Phi_m."""
         _, r = poly_divmod(domains.ZZ, [0] * (k % self.m) + [1], self._phi)
-        return tuple(r) + (0,) * (self.degree - len(r)), 1
+        return _normal(r, 1)
+
+    def _dense(self, a) -> list[int]:
+        """The phi(m) integer numerators of a, zeros included."""
+        nums = [0] * self.degree
+        for i, x in a[0]:
+            nums[i] = x
+        return nums
 
     def coords(self, a) -> tuple[Fraction, ...]:
         """The power-basis coordinates of a, as Fractions."""
-        nums, den = a
-        return tuple(Fraction(x, den) for x in nums)
+        den = a[1]
+        return tuple(Fraction(x, den) for x in self._dense(a))
 
     def is_rational(self, a) -> bool:
-        return not any(a[0][1:])
+        return not a[0] or a[0][-1][0] == 0
 
     def rational_value(self, a) -> Fraction:
         if not self.is_rational(a):
             raise ValueError(f"{self.to_str(a)} is not rational")
-        return Fraction(a[0][0], a[1])
+        return Fraction(a[0][0][1], a[1]) if a[0] else Fraction(0)
 
     def embed(self, a, src: "CyclotomicField"):
         """Embed an element of Q(zeta_src) along zeta_src -> zeta_m^(m/src)."""
         if self.m % src.m:
             raise ValueError(f"no embedding {src.name} -> {self.name}")
-        step, (nums, den) = self.m // src.m, a
-        # sum_k (nums[k] / den) zeta^(step k), as one integral dot
-        return self._integral_dot(((([(0, v)], den), _nonzero(self.zeta(step * k)))
-                                   for k, v in enumerate(nums) if v))
+        step, (pairs, den) = self.m // src.m, a
+        # sum_k (x_k / den) zeta^(step k), as one integral dot
+        return self._integral_dot(((((0, x),), den), self.zeta(step * k)) for k, x in pairs)
 
     def to_str(self, a) -> str:
         if self.is_rational(a):
             return str(self.rational_value(a))
         parts = []
-        for k, v in enumerate(self.coords(a)):
-            if not v:
-                continue
+        for k, x in a[0]:
+            v = Fraction(x, a[1])
             if k == 0:
                 parts.append(str(v))
             else:
@@ -286,7 +288,7 @@ class CyclotomicField(Domain):
 
     def sort_key(self, a):
         """The coordinates; as ints when den = 1 (same order and hashes)."""
-        return a[0] if a[1] == 1 else self.coords(a)
+        return tuple(self._dense(a)) if a[1] == 1 else self.coords(a)
 
 
 @lru_cache(maxsize=None)

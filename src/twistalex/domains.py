@@ -1,9 +1,9 @@
 """Exact coefficient domains.
 
 Coefficients are plain Python data (int for ZZ and GF(p), Fraction for QQ,
-(integer numerators, denominator) pairs for cyclotomic fields in cyclo.py);
-a domain object supplies the ring operations.  Keeping elements unboxed
-matters in the determinant and polynomial hot loops.
+(the nonzero (index, numerator) pairs, denominator) for cyclotomic fields in
+cyclo.py); a domain object supplies the ring operations.  Keeping elements
+unboxed matters in the determinant and polynomial hot loops.
 """
 from __future__ import annotations
 

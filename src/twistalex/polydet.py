@@ -10,8 +10,11 @@ package defines.  Any other domain is a TypeError.  A small matrix is
 expanded by cofactors (det_cofactor): every side up to 3, and side 4 over ZZ
 and GF(p).  Warm, on matrices of linear polynomials (2 vCPU, Python 3.11.7,
 numpy 2.4.6), a 3 x 3 took 0.12-0.13 ms in the engine against 0.03-0.04 ms
-by cofactors over ZZ and GF(p) and 0.08-0.11 ms over QQ, but 0.13-0.16 ms
-against 0.20-0.33 ms over Q(zeta_12) and Q(zeta_20); a 4 x 4 over ZZ or GF(p)
+by cofactors over ZZ and GF(p) and 0.08-0.12 ms over QQ.  Over Q(zeta_12)
+and Q(zeta_20) it took 0.13-0.17 ms both ways with ±zeta^k coefficients (a
+representation's values), and 0.13-0.16 ms in the engine against
+0.15-0.25 ms by cofactors with dense ones; no workload pass moved when its
+Q(zeta_m) 3 x 3s took the engine.  A 4 x 4 over ZZ or GF(p) took
 0.15-0.16 ms against 0.12-0.17 ms, over QQ 0.15-0.16 ms against 0.39-0.52 ms
 and over Q(zeta_m) 0.17-0.21 ms against 0.95-1.64 ms (README, Notes).
 det_matrix (constant entries) takes the same
@@ -27,8 +30,9 @@ entry (i, j) has degree at most tops[i][j], and the determinant's degree is
 at most both sum_i max_j tops[i][j] and sum_j max_i tops[i][j]; the engine
 evaluates at one point more than the smaller sum (a zero row or column is a
 zero determinant).  Each row is scaled by one lcm
-of the denominators of its coefficients (a Q(zeta_m) element is integer
-numerators over one denominator, read here and built again at the exit), so
+of the denominators of its coefficients (a Q(zeta_m) element is its nonzero
+(index, integer numerator) pairs over one denominator, read here, and is
+built again from the dense coordinates by `cyclo._normal` at the exit), so
 the matrix lies over Z[zeta_m][t].  A word-size prime q = 1 (mod m) splits
 Phi_m into distinct linear factors, so each primitive m-th root of unity w^k
 in GF(q) (gcd(k, m) = 1) is a ring map Z[zeta_m] -> GF(q).  Per prime the
@@ -349,15 +353,16 @@ def _det_multimodular(rows, dom: Domain) -> LaurentPoly:
     cells = [[[[0] * n for _ in range(n)] for _ in range(phi)] for _ in range(max(row_tops) + 1)]
     bound, scale, widest = _coordinate_bound(m), 1, 0
     for i, (row, lo) in enumerate(zip(rows, lows)):
-        # the row's (column, exponent, (numerators, den)) terms; a rational v
-        # is the one numerator v.numerator
-        terms = [(j, e - lo - col_lows[j], v if cyclo else ((v.numerator,), v.denominator))
+        # the row's (column, exponent, (pairs, den)) terms: a Q(zeta_m)
+        # element's nonzero (index, numerator) pairs over its den, and a
+        # rational v the one pair (0, v.numerator)
+        terms = [(j, e - lo - col_lows[j], v if cyclo else (((0, v.numerator),), v.denominator))
                  for j, f in enumerate(row) for e, v in enumerate(f.coeffs(), f.low())]
         l = lcm(*(den for _, _, (_, den) in terms))
         norm = 0  # the row's l1-norm, at least each of its coordinates
-        for j, e, (nums, den) in terms:
+        for j, e, (pairs, den) in terms:
             lift = l // den
-            for k, y in enumerate(nums):
+            for k, y in pairs:
                 y *= lift
                 cells[e][k][i][j] = y
                 norm += abs(y)

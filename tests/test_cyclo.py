@@ -1,14 +1,19 @@
+import ast
 import random
 import time
 from fractions import Fraction
+from math import gcd
+from pathlib import Path
 
 import pytest
 
+import twistalex
 from twistalex import cyclo
 from twistalex.cyclo import (CYC, cyclotomic_polynomial, has_order,
                              is_cyclotomic_irreducible_mod_p)
 from twistalex.domains import QQ, Domain, TwistalexError
-from twistalex.laurent import parse_poly, poly_invmod, poly_trim
+from twistalex.laurent import LaurentPoly, parse_poly, poly_invmod, poly_trim
+from twistalex.polydet import det_cofactor, det_poly_matrix
 
 from test_snf import resultant
 
@@ -177,17 +182,15 @@ def test_mul_and_dot_match_schoolbook(m):
         got = F.dot(xs, ys)
         assert got == expected
         assert all(isinstance(v, Fraction) for v in F.coords(got))
-    # matrix products, converted once per entry, against the generic one dot
-    # per cell and against the schoolbook sum: 2 x 2 by 2 x 2 and 1 x K by K x w
-    # (the walker's block rows), with zero entries and denominators
+    # matrix products against the schoolbook sum: 2 x 2 by 2 x 2 and 1 x K by
+    # K x w (the walker's block rows), with zero entries and denominators
     for rows, inner, cols in [(2, 2, 2)] * 8 + [(1, k, w) for k in (1, 3, 6) for w in (1, 4)]:
         a = tuple(tuple(_random_element(rng, F) for _ in range(inner)) for _ in range(rows))
         b = tuple(tuple(_random_element(rng, F) for _ in range(cols)) for _ in range(inner))
         got = F.mat_mul(a, b)
-        assert got == Domain.mat_mul(F, a, b)
+        assert len(got) == rows and all(len(row) == cols for row in got)
         for row, got_row in zip(a, got):
             for c, cell in enumerate(got_row):
-                assert cell == F.dot(row, [r[c] for r in b])
                 expected = F.zero()
                 for x, r in zip(row, b):
                     expected = F.add(expected, _schoolbook(F, x, r[c]))
@@ -213,8 +216,9 @@ def test_products_of_integral_elements_build_no_fraction(monkeypatch):
     monkeypatch.setattr(cyclo, "Fraction", Counted)
     got = F.mul(a[0][0], b[0][1]), F.dot(a[0], b[1]), F.mat_mul(a, b)
     assert built == []
-    assert got == (_schoolbook(F, a[0][0], b[0][1]), Domain.dot(F, a[0], b[1]),
-                   Domain.mat_mul(F, a, b))
+    product = tuple(tuple(F.add(_schoolbook(F, row[0], b[0][c]), _schoolbook(F, row[1], b[1][c]))
+                          for c in range(2)) for row in a)
+    assert got == (_schoolbook(F, a[0][0], b[0][1]), Domain.dot(F, a[0], b[1]), product)
 
 
 def test_roots_of_unity_invert_by_table(monkeypatch):
@@ -257,3 +261,102 @@ def test_degree_cap_is_checked_before_phi_m(monkeypatch):
     for m in (1031, 100003, 2 * cyclo.PHI_CAP**2 + 1, 10**40):  # phi(1031) = 1030
         with pytest.raises(ValueError, match=f"phi\\({m}\\) above the cap PHI_CAP = 1024"):
             cyclo.CyclotomicField(m)
+
+
+# ------------------------------------------------------------ element format
+
+def _assert_canonical(F, a):
+    """a is (pairs, den): nonzero int numerators at strictly increasing
+    indices in [0, phi(m)), over an int den >= 1 coprime to them."""
+    pairs, den = a
+    assert type(pairs) is tuple and type(den) is int and den >= 1, a
+    assert all(type(pair) is tuple and len(pair) == 2 for pair in pairs), a
+    indices = [i for i, _ in pairs]
+    assert all(type(i) is int and 0 <= i < F.degree for i in indices), a
+    assert all(i < j for i, j in zip(indices, indices[1:])), a
+    assert all(type(x) is int and x for _, x in pairs), a
+    assert gcd(den, *[x for _, x in pairs]) == 1, a
+
+
+def _assert_same(a, b):
+    assert a == b and hash(a) == hash(b)
+
+
+@pytest.mark.parametrize("m", [1, 2, 3, 4, 5, 12, 20, 28])
+def test_every_result_is_in_the_one_canonical_form(m):
+    F = CYC(m)
+    rng = random.Random(100 + m)
+    checked = 0
+
+    def canonical(a):
+        nonlocal checked
+        _assert_canonical(F, a)
+        checked += 1
+        return a
+
+    assert canonical(F.zero()) == ((), 1) and canonical(F.one()) == (((0, 1),), 1)
+    for q in (0, 1, -3, Fraction(0, 5), Fraction(-6, 4), Fraction(7, 21)):
+        _assert_same(canonical(F.coerce(q)), canonical(F.from_rational(Fraction(q))))
+    _assert_same(canonical(F.coerce((Fraction(0),) * F.degree)), F.zero())
+    _assert_same(canonical(F.coerce((Fraction(2, 4),) + (Fraction(0),) * (F.degree - 1))),
+                 F.coerce(Fraction(1, 2)))
+    for k in range(-m, 2 * m):
+        _assert_same(canonical(F.zeta(k)), F.zeta(k % m))
+    elements = [_random_element(rng, F) for _ in range(24)] + [F.zero(), F.one(), F.neg(F.one())]
+    for a in elements:
+        canonical(a)
+        _assert_same(canonical(F.coerce(F.coords(a))), a)
+        _assert_same(canonical(F.add(a, canonical(F.neg(a)))), F.zero())
+        for q in (0, 3, Fraction(-2, 9)):
+            s = canonical(F.scale(a, q))
+            if q:
+                _assert_same(canonical(F.scale(s, 1 / Fraction(q))), a)
+        if not F.is_zero(a):
+            _assert_same(canonical(F.mul(a, canonical(F.inv(a)))), F.one())
+        for d in (d for d in range(1, m) if m % d == 0):
+            E = CYC(d)
+            x = _random_element(rng, E)
+            _assert_same(canonical(F.embed(x, E)), F.embed(E.coerce(E.coords(x)), E))
+    for a, b in zip(elements, reversed(elements)):
+        _assert_same(canonical(F.sub(canonical(F.add(a, b)), b)), a)
+        _assert_same(canonical(F.mul(a, b)), F.mul(b, a))
+        _assert_same(canonical(F.dot([a, b], [b, a])), F.add(F.mul(a, b), F.mul(b, a)))
+    for row in F.mat_mul(*[tuple(tuple(rng.choice(elements) for _ in range(3)) for _ in range(3))
+                           for _ in range(2)]):
+        for cell in row:
+            canonical(cell)
+    # the engine's exit, at sides above the cofactor ones
+    for side in (4, 5):
+        rows = [[LaurentPoly(F, [_random_element(rng, F) for _ in range(2)], rng.randint(-1, 1))
+                 for _ in range(side)] for _ in range(side)]
+        det = det_poly_matrix(rows, F)
+        for c in det.coeffs():
+            canonical(c)
+        if side == 4:
+            _assert_same(det, det_cofactor(rows, F))
+    assert checked > 400
+
+
+def _private_cyclo_names(source: str) -> set[str]:
+    """The _-prefixed names a module imports from cyclo or reads as cyclo._x."""
+    names = set()
+    for node in ast.walk(ast.parse(source)):
+        if isinstance(node, ast.ImportFrom) and (node.module, node.level) in {
+                ("cyclo", 1), ("twistalex.cyclo", 0)}:
+            names |= {alias.name for alias in node.names if alias.name.startswith("_")}
+        if (isinstance(node, ast.Attribute) and node.attr.startswith("_")
+                and isinstance(node.value, ast.Name) and node.value.id == "cyclo"):
+            names.add(node.attr)
+    return names
+
+
+def test_only_polydet_reads_the_element_layout():
+    # the layout helpers (_normal, and any later one) are imported by the
+    # determinant engine alone; metabelian's two are integer number theory
+    # (the trial-division cap and Euler's phi), not elements
+    assert _private_cyclo_names("from .cyclo import CYC, _normal\nx = cyclo._dense\n"
+                                "from twistalex.cyclo import _red\n") == {"_normal", "_dense", "_red"}
+    readers = {path.name: names for path in Path(twistalex.__file__).parent.glob("*.py")
+               if path.name != "cyclo.py"
+               for names in [_private_cyclo_names(path.read_text())] if names}
+    assert readers == {"polydet.py": {"_normal"}, "metabelian.py": {"_TRIAL_CAP", "_euler_phi"}}
