@@ -4,18 +4,18 @@ An element is one pair (pairs, den): its nonzero integer coordinates in the
 basis 1, x, ..., x^(deg-1) modulo the m-th cyclotomic polynomial, as
 (index, numerator) pairs by increasing index, over one den > 0 in lowest
 terms (Cohen 1993, 4.2).  Zero is ((), 1), so the form is unique and
-equality and hashing are structural; the values of a metabelian
-representation, ±zeta^k, have one or two pairs whatever phi(m) is.  Only
-this module and the determinant engine read the layout; every other module
-uses the field's methods.  Roots of unity never degrade to floats.  Products
-run on the pairs: `_integral_dot` convolves a sum of products into one dense
-integer accumulator over a common denominator and reduces once with the
-integer table of Phi_m (monic), and `_normal` turns the result back into
-pairs.  zeta^k is reduced mod Phi_m on demand.  A
-rational inverts by one integer division, ±zeta^k by a table the first
-non-rational `inv` builds, anything else by the polynomial kernel
-(`laurent.poly_invmod`).  A field with phi(m) > PHI_CAP is refused
-before Phi_m is computed.
+equality and hashing are structural; zeta^k is one pair for k < phi(m), so
+the values ±zeta^k of a metabelian representation and most entries built
+from them have few pairs.  Only this module and the determinant engine read
+the layout; every other module uses the field's methods.  Roots of unity
+never degrade to floats.  Products run on the pairs: `_integral_dot`
+convolves a sum of products into one dense integer accumulator over a
+common denominator and reduces once with the integer table of Phi_m
+(monic), and `_normal` turns the result back into pairs.  zeta^k is reduced
+mod Phi_m on demand.  A rational inverts by one integer division, ±zeta^k
+by a table the first non-rational `inv` builds, anything else by the
+polynomial kernel (`laurent.poly_invmod`).  A field with phi(m) > PHI_CAP
+is refused before Phi_m is computed.
 
 `has_order` is the package's one multiplicative-order test, and the trial
 division it factors with (`_prime_factors`) is read nowhere else.

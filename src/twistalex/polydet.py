@@ -11,10 +11,10 @@ expanded by cofactors (det_cofactor): every side up to 3, and side 4 over ZZ
 and GF(p).  Warm, on matrices of linear polynomials (2 vCPU, Python 3.11.7,
 numpy 2.4.6), a 3 x 3 took 0.12-0.13 ms in the engine against 0.03-0.04 ms
 by cofactors over ZZ and GF(p) and 0.08-0.12 ms over QQ.  Over Q(zeta_12)
-and Q(zeta_20) it took 0.13-0.17 ms both ways with ±zeta^k coefficients (a
+and Q(zeta_20) it took 0.12-0.17 ms both ways with ±zeta^k coefficients (a
 representation's values), and 0.13-0.16 ms in the engine against
-0.15-0.25 ms by cofactors with dense ones; no workload pass moved when its
-Q(zeta_m) 3 x 3s took the engine.  A 4 x 4 over ZZ or GF(p) took
+0.15-0.25 ms by cofactors with dense ones; no workload pass got faster when
+its Q(zeta_m) 3 x 3s took the engine.  A 4 x 4 over ZZ or GF(p) took
 0.15-0.16 ms against 0.12-0.17 ms, over QQ 0.15-0.16 ms against 0.39-0.52 ms
 and over Q(zeta_m) 0.17-0.21 ms against 0.95-1.64 ms (README, Notes).
 det_matrix (constant entries) takes the same
