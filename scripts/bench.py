@@ -15,8 +15,10 @@ checkout (N is ``run_seconds`` of BENCHMARK.json), once with ``--trace 0``
 the outputs sha256), one after the other.  It reads the records run.py
 appends to the checkout's ``perfbench/out/runs.jsonl`` and files them under
 the ``--side`` half of the record and the seed, keeping every other side and
-seed the file already has.  The loop above makes ten parent/change pairs,
-alternating which side runs first, on one host.  Over the seeds both sides
+seed the file already has.  A side is filed under what ran: run.py's git
+commit, with ``+dirty:`` and a 16-hex sha256 of ``src/twistalex/*.py`` added
+when the checkout's ``src/`` differs from that commit.  The loop above makes
+ten parent/change pairs, alternating which side runs first, on one host.  Over the seeds both sides
 have, each workload gets a summary per end-to-end metric: both sides'
 quartiles, the change of the median (positive = worse), the pairs the change
 wins, the parent's IQR over its median, and a verdict against the
@@ -25,6 +27,7 @@ BENCHMARK.json bound.
 from __future__ import annotations
 
 import argparse
+import hashlib
 import json
 import re
 import statistics
@@ -162,6 +165,25 @@ def run_workloads(checkout: Path, seed: int, seconds: int) -> list[dict]:
         return [json.loads(line) for line in fh.read().decode().splitlines() if line.strip()]
 
 
+def name_what_ran(checkout: Path, records: list[dict]) -> list[dict]:
+    """records, each filed under <commit>+dirty:<digest> when the git checkout's
+    src/ differs from its HEAD; run.py records the bare commit (or, outside
+    git, its own digest of the sources, which already names what ran)."""
+    if not (checkout / ".git").exists():
+        return records
+    try:
+        status = subprocess.run(["git", "status", "--porcelain", "--", "src"], cwd=checkout,
+                                capture_output=True, text=True, timeout=10)
+    except (OSError, subprocess.TimeoutExpired):
+        return records
+    if status.returncode != 0 or not status.stdout.strip():
+        return records
+    digest = hashlib.sha256()
+    for path in sorted((checkout / "src" / "twistalex").glob("*.py")):
+        digest.update(path.name.encode() + b"\0" + path.read_bytes())
+    return [dict(r, source=f"{r['source']}+dirty:{digest.hexdigest()[:16]}") for r in records]
+
+
 def main(argv=None) -> int:
     ap = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
     ap.add_argument("--label", required=True, help="writes BENCH_<label>.json")
@@ -173,7 +195,8 @@ def main(argv=None) -> int:
     spec = benchmark_spec()
     out = ROOT / f"BENCH_{args.label}.json"
     bench = json.loads(out.read_text()) if out.exists() else None
-    records = run_workloads(args.checkout.resolve(), args.seed, spec["run_seconds"])
+    checkout = args.checkout.resolve()
+    records = name_what_ran(checkout, run_workloads(checkout, args.seed, spec["run_seconds"]))
     bench = assemble(records, args.side, args.label, bench, spec)
     out.write_text(json.dumps(bench, indent=2) + "\n")
     print(f"wrote the {args.side} side of seed {args.seed} in {out.name}")

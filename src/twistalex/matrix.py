@@ -13,7 +13,8 @@ each for a closed form: `twisted._denominator` and
 
 The package's one field echelon kernel (rref, with nullspace and the field
 inverse built on it) lives here.  Dense determinants go through
-polydet.det_matrix (cofactors when small, else the multimodular engine).
+polydet.det_matrix (Kronecker substitution into one integer determinant
+when small, else the multimodular engine).
 A monomial matrix's determinant, and det(I - M t^e) as a product over the
 cycles of its permutation (`Monomial.cycle_products`), are read off in
 closed form.

@@ -1,39 +1,65 @@
 """Exact determinants of matrices of Laurent polynomials.
 
-Negative exponents are cleared by rows and then by columns: each row's lowest
-exponent, then each column's lowest left after that, is subtracted as the
-cells are filled, and the total restored at the end.  One
-engine computes every determinant above the cofactor sizes below: multimodular
-evaluation/interpolation over Z[zeta_m][t], for ZZ, QQ and GF(p) (as m = 1)
-and for the cyclotomic fields Q(zeta_m), the only coefficient domains the
-package defines.  Any other domain is a TypeError.  A small matrix is
-expanded by cofactors (det_cofactor): every side up to 3, and side 4 over ZZ
-and GF(p).  Warm, on matrices of linear polynomials (2 vCPU, Python 3.11.7,
-numpy 2.4.6), a 3 x 3 took 0.12-0.13 ms in the engine against 0.03-0.04 ms
-by cofactors over ZZ and GF(p) and 0.08-0.12 ms over QQ.  Over Q(zeta_12)
-and Q(zeta_20) it took 0.12-0.17 ms both ways with ±zeta^k coefficients (a
-representation's values), and 0.13-0.16 ms in the engine against
-0.15-0.25 ms by cofactors with dense ones; no workload pass got faster when
-its Q(zeta_m) 3 x 3s took the engine.  A 4 x 4 over ZZ or GF(p) took
-0.15-0.16 ms against 0.12-0.17 ms, over QQ 0.15-0.16 ms against 0.39-0.52 ms
-and over Q(zeta_m) 0.17-0.21 ms against 0.95-1.64 ms (README, Notes).
-det_matrix (constant entries) takes the same
-route, and det_cofactor is also the brute-force test oracle.  (Wada
-denominators of monomial images never get here: twisted reads them off the
-permutation's cycles.)  numpy is imported when the engine first reads it
-(`np` stands in for it until then), so a process that only expands small
-matrices, such as one computing Delta_K and branched covers of small knots,
-never loads it.
+Both paths below read one cleared form (_cleared).  Each row's lowest
+exponent, then each column's lowest left after that, is subtracted, and the
+total restored at the end; entry (i, j) then has degree at most tops[i][j],
+and the determinant's degree d is at most both sum_i max_j tops[i][j] and
+sum_j max_i tops[i][j] (a zero row or column is a zero determinant).  Each
+row is scaled by one lcm of the denominators of its coefficients (a
+Q(zeta_m) element is its nonzero (index, integer numerator) pairs over one
+denominator, read here, and is built again from the dense coordinates by
+`cyclo._normal` at the exit), so the matrix lies over Z[zeta_m][t]: ZZ, QQ
+and GF(p) as m = 1, GF(p) entries lifted to 0..p-1 so that their
+determinant is the integer one reduced mod p.  These are the only
+coefficient domains the package defines; any other is a TypeError.  A
+matrix whose elimination work side^3 * (d + 1) * phi(m) is above _WORK_CAP
+is refused before its terms are read.
 
-The multimodular engine (_det_multimodular).  With the exponents cleared,
-entry (i, j) has degree at most tops[i][j], and the determinant's degree is
-at most both sum_i max_j tops[i][j] and sum_j max_i tops[i][j]; the engine
-evaluates at one point more than the smaller sum (a zero row or column is a
-zero determinant).  Each row is scaled by one lcm
-of the denominators of its coefficients (a Q(zeta_m) element is its nonzero
-(index, integer numerator) pairs over one denominator, read here, and is
-built again from the dense coordinates by `cyclo._normal` at the exit), so
-the matrix lies over Z[zeta_m][t].  A word-size prime q = 1 (mod m) splits
+The Kronecker path (_det_kronecker).  zeta -> 2^b and t -> 2^(b x) pack
+each entry into one integer (Kronecker substitution; von zur Gathen and
+Gerhard, Modern Computer Algebra, 8.4), and the determinant of the packed
+matrix, by the fraction-free integer elimination `snf._det_int` (Bareiss
+1968), is the unreduced determinant at those powers of two: a polynomial
+in zeta of degree at most n(phi - 1) < x = n(phi - 1) + 1 and in t of
+degree at most d.  The l1-norm of polynomials is submultiplicative, so each
+of its coefficients is at most H = prod_rows (the row's l1-norm), the bound
+of the certification below; with b = bitlength(H) + 1 each lies strictly
+inside (-2^(b-1), 2^(b-1)), so the x (d + 1) signed base-2^b digits of the
+integer are exactly the coefficients.  They are read off one binary string
+after adding 2^(b-1) to every digit, and each t-coefficient is reduced mod
+Phi_m (monic, `cyclotomic_polynomial`).  No prime, evaluation point or
+numpy call is made, and the bound the engine proves certifies the result.
+
+det_poly_matrix takes the Kronecker path while n^2 * b * x * (d + 1),
+about the bits of the packed matrix, is at most _KRONECKER_BITS = 2^18, and
+the multimodular engine above it; sides 0 and 1 are read off.  Its time
+over the engine's, warm per call on random matrices of sides 2-15 with
+linear and quadratic entries, ±zeta^k and dense coefficients (2 vCPU,
+Python 3.11.7, numpy 2.4.6):
+
+    n^2 * b * x * (d + 1)    ZZ, QQ, GF(7)    Q(zeta_3), ..., Q(zeta_20)
+    up to 2^14               0.14-0.56        0.19-0.44
+    2^14 to 2^16             0.20-0.36        0.31-0.66
+    2^16 to 2^17             0.35-0.71        0.61-1.34
+    2^17 to 2^18             0.48-0.62        0.77-2.02
+    2^18 to 2^19             0.60-0.75        1.23-7.2
+    2^19 to 2^20             1.13-1.37        3.2-8.2
+    above 2^20               (none drawn)     7.8-38
+
+Summed over the determinants of a warm seed-1 pass of `conjecture-sweep`
+and `cyclotomic-wada`, the constant 2^16, 2^17, 2^18, 2^19 and 2^20 gave
+91, 81, 77, 79 and 91 ms, against 177 ms with every matrix on the engine;
+at 2^18 the engine takes 9 of the 305 determinants of a `conjecture-sweep`
+pass (sides 6 to 15) and none of `cyclotomic-wada`'s 207.  det_matrix
+(constant entries) takes the same route.  (Wada denominators of monomial
+images never get here: twisted reads them off the permutation's cycles.)
+numpy is imported when the engine first reads it (`np` stands in for it
+until then), so a process whose determinants all take the Kronecker path,
+such as one computing Delta_K, branched covers and dihedral invariants of
+small knots, never loads it.
+
+The multimodular engine (_det_multimodular) evaluates at d + 1 points.
+A word-size prime q = 1 (mod m) splits
 Phi_m into distinct linear factors, so each primitive m-th root of unity w^k
 in GF(q) (gcd(k, m) = 1) is a ring map Z[zeta_m] -> GF(q).  Per prime the
 integer coordinate array goes through all phi(m) maps at once, as one
@@ -52,10 +78,7 @@ to the next power of two up to _TABLE_POINTS, and _interpolate is then
 T[:k, :k] @ (D[:k, :k] @ ys) mod q; above _TABLE_POINTS points _newton runs
 on the values.  CRT across the primes, into the symmetric
 range, gives the exact integer coordinates; the row scales and the t-shift
-are then undone.  GF(p) entries are lifted to
-0..p-1, so their determinant is the integer one reduced mod p.  A matrix
-whose elimination work side^3 * points * phi(m) is above _WORK_CAP is
-refused before its cells are built.
+are then undone.
 
 Certification.  Let c in Z[zeta_m] be a coefficient of the scaled
 determinant and iota any complex embedding.  |iota(zeta)| = 1, so
@@ -87,10 +110,12 @@ from fractions import Fraction
 from functools import lru_cache, partial
 from itertools import count
 from math import gcd, isqrt, lcm
+from typing import NamedTuple
 
 from .cyclo import CYC, CyclotomicField, _normal, cyclotomic_polynomial, has_order
 from .domains import Domain, PrimeField, QQ, TwistalexError, ZZ, is_prime
 from .laurent import LaurentPoly, poly_divmod
+from .snf import _det_int
 
 # int64 cells per batched evaluation/elimination chunk (512 KiB): bounds the
 # peak memory of the engine whatever the matrix size and number of points
@@ -99,13 +124,15 @@ _CHUNK_CELLS = 1 << 16
 # so each of a prime's four table halves (D and T, lo and hi) holds at most
 # _CHUNK_CELLS cells
 _TABLE_POINTS = isqrt(_CHUNK_CELLS)
-# the largest side det_poly_matrix expands by cofactors: over ZZ and GF(p),
-# and over QQ and Q(zeta_m), whose products cost more (timings in the module doc)
-_COFACTOR_SIDE_INTEGRAL = 4
-_COFACTOR_SIDE = 3
-# the largest side^3 * points * phi(m) the engine takes on: its elimination
-# work per prime.  Every test, script and benchmark input stays below 6.4e6;
-# metacyclic p = 53 on 3_1 is 1.6e7 and takes 1.0 s
+# the largest n^2 * b * x * points, about the bits of the packed matrix, that
+# det_poly_matrix hands to _det_kronecker; the multimodular engine takes the
+# rest.  Of 2^16..2^20 it gave the fastest determinants over the workloads'
+# matrices (timings in the module doc)
+_KRONECKER_BITS = 1 << 18
+# the largest side^3 * points * phi(m) det_poly_matrix takes on, on either
+# path: the engine's elimination work per prime.  Every test, script and
+# benchmark input stays below 6.4e6; metacyclic p = 53 on 3_1 is 1.6e7 and
+# takes 1.0 s
 _WORK_CAP = 10**8
 
 
@@ -175,22 +202,6 @@ def _coordinate_bound(m: int) -> Fraction:
 
 
 # ------------------------------------------------------------------- engines
-
-def det_cofactor(rows, dom: Domain) -> LaurentPoly:
-    n = len(rows)
-    if n == 0:
-        return LaurentPoly.one(dom)
-    if n == 1:
-        return rows[0][0]
-    acc = LaurentPoly.zero(dom)
-    for j in range(n):
-        if rows[0][j].is_zero():
-            continue
-        minor = [[row[k] for k in range(n) if k != j] for row in rows[1:]]
-        term = rows[0][j] * det_cofactor(minor, dom)
-        acc = acc + term if j % 2 == 0 else acc - term
-    return acc
-
 
 def _det_mod_q(a: np.ndarray, q: int) -> np.ndarray:
     """Determinants mod q of a (b, n, n) int64 stack with entries in [0, q).
@@ -323,80 +334,151 @@ def _coords_mod_q(a, m: int, q: int, npoints: int) -> np.ndarray:
     return _interpolate(_mul_mod(vinv, dets.T, q).T, q)
 
 
-def _det_multimodular(rows, dom: Domain) -> LaurentPoly:
-    """Exact determinant over ZZ, QQ, GF(p) or Q(zeta_m); see the module doc."""
+class _Cleared(NamedTuple):
+    """A matrix over Z[zeta_m][t], as both paths read it (_cleared)."""
+    shift: int     # the exponent cleared from rows and columns, restored at the exit
+    depth: int     # one more than the highest exponent left in any entry
+    npoints: int   # one more than the determinant's degree bound
+    scale: int     # the product of the row scales, divided out at the exit
+    widest: int    # the largest row l1-norm
+    height: int    # H, the product of the row l1-norms
+    terms: list    # terms[i]: row i's (j, e, k, y), y zeta^k t^e in entry (i, j)
+
+
+def _cleared(rows, dom: Domain):
+    """The matrix with its exponents cleared and its rows scaled to integers,
+    or None when a row or column is zero; see the module doc.  A matrix whose
+    work side^3 * points * phi(m) is above _WORK_CAP is refused first."""
     n = len(rows)
-    if n == 0:
-        return LaurentPoly.one(dom)
     cyclo = isinstance(dom, CyclotomicField)
-    m = dom.m if cyclo else 1
     phi = dom.degree if cyclo else 1
     # each row's lowest exponent, then each column's lowest left after it, is
     # cleared; tops[i][j] is then entry (i, j)'s highest exponent, and the
     # determinant's degree is at most both the sum of the rows' highest
     # exponents and the sum of the columns'
-    lows = [min((f.low() for f in row if not f.is_zero()), default=None) for row in rows]
+    spans = [[(f.low(), f.deg()) if not f.is_zero() else None for f in row] for row in rows]
+    lows = [min((s[0] for s in row if s), default=None) for row in spans]
     if None in lows:
-        return LaurentPoly.zero(dom)  # a zero row
-    col_lows = [min((row[j].low() - lo for row, lo in zip(rows, lows) if not row[j].is_zero()),
-                    default=None) for j in range(n)]
+        return None  # a zero row
+    col_lows = [min((row[j][0] - lo for row, lo in zip(spans, lows) if row[j]), default=None)
+                for j in range(n)]
     if None in col_lows:
-        return LaurentPoly.zero(dom)  # a zero column
-    tops = [[f.deg() - lo - c if not f.is_zero() else 0 for f, c in zip(row, col_lows)]
-            for row, lo in zip(rows, lows)]
+        return None  # a zero column
+    tops = [[s[1] - lo - c if s else 0 for s, c in zip(row, col_lows)]
+            for row, lo in zip(spans, lows)]
     row_tops = list(map(max, tops))
     npoints = min(sum(row_tops), sum(map(max, zip(*tops)))) + 1  # the degree bound, plus one
     work = n**3 * npoints * phi
     if work > _WORK_CAP:
         raise TwistalexError(f"determinant work side^3 * points * phi = {n}^3 * {npoints} * "
                              f"{phi} = {work} is above the cap _WORK_CAP = {_WORK_CAP}")
-    cells = [[[[0] * n for _ in range(n)] for _ in range(phi)] for _ in range(max(row_tops) + 1)]
-    bound, scale, widest = _coordinate_bound(m), 1, 0
-    for i, (row, lo) in enumerate(zip(rows, lows)):
-        # the row's (column, exponent, (pairs, den)) terms: a Q(zeta_m)
-        # element's nonzero (index, numerator) pairs over its den, and a
-        # rational v the one pair (0, v.numerator)
-        terms = [(j, e - lo - col_lows[j], v if cyclo else (((0, v.numerator),), v.denominator))
-                 for j, f in enumerate(row) for e, v in enumerate(f.coeffs(), f.low())]
-        l = lcm(*(den for _, _, (_, den) in terms))
-        norm = 0  # the row's l1-norm, at least each of its coordinates
-        for j, e, (pairs, den) in terms:
-            lift = l // den
-            for k, y in pairs:
-                y *= lift
-                cells[e][k][i][j] = y
-                norm += abs(y)
+    terms, scale, widest, height = [], 1, 0, 1
+    for row, lo in zip(rows, lows):
+        raw = [(j, e, v) for j, f in enumerate(row)
+               for e, v in enumerate(f.coeffs(), f.low() - lo - col_lows[j])]
+        # each term as integer coordinates over the row's one denominator l: a
+        # Q(zeta_m) element's (index, numerator) pairs over its den, and a
+        # rational v the one coordinate v.numerator over v.denominator
+        if cyclo:
+            l = lcm(*(den for _, _, (_, den) in raw))
+            out = [(j, e, k, y * (l // den)) for j, e, (pairs, den) in raw for k, y in pairs]
+        else:
+            l = lcm(*(v.denominator for _, _, v in raw))
+            out = [(j, e, 0, v.numerator * (l // v.denominator)) for j, e, v in raw if v]
+        norm = sum(abs(t[3]) for t in out)  # the row's l1-norm, at least each coordinate
+        terms.append(out)
         scale *= l
-        bound *= norm
         widest = max(widest, norm)
-    a = np.array(cells, dtype=np.int64 if widest < 2**62 else object)
-    x, mod = np.zeros((npoints, phi), dtype=object), 1
+        height *= norm
+    return _Cleared(sum(lows) + sum(col_lows), max(row_tops) + 1, npoints, scale, widest,
+                    height, terms)
+
+
+def _exit(dom: Domain, coords: list, scale: int):
+    """The dom element with the integer power-basis coordinates coords over scale."""
+    if isinstance(dom, CyclotomicField):
+        return _normal(coords, scale)
+    return dom.coerce(Fraction(coords[0], scale) if scale != 1 else coords[0])
+
+
+def _det_kronecker(c: _Cleared, dom: Domain, b: int, x: int) -> LaurentPoly:
+    """Exact determinant by Kronecker substitution t -> 2^(b x), zeta -> 2^b
+    into one integer determinant (snf._det_int); see the module doc."""
+    n = len(c.terms)
+    packed = [[0] * n for _ in range(n)]
+    for row, out in zip(c.terms, packed):
+        for j, e, k, y in row:
+            out[j] += y << b * (x * e + k)
+    count = x * c.npoints
+    half = 1 << (b - 1)
+    # each signed digit plus half lies in [1, 2^b): one binary string holds them all
+    text = format(_det_int(packed) + int(("1" + "0" * (b - 1)) * count, 2), "b").zfill(b * count)
+    digits = [int(text[i - b : i], 2) - half for i in range(b * count, 0, -b)]
+    phi = dom.degree if isinstance(dom, CyclotomicField) else 1
+    if x > phi:  # fold each zeta^top, top >= phi, down by Phi_m(zeta) = 0
+        phi_m = [(i, a) for i, a in enumerate(cyclotomic_polynomial(dom.m).coeffs()[:phi]) if a]
+        for d in range(0, count, x):
+            for top in range(d + x - 1, d + phi - 1, -1):
+                y = digits[top]
+                if y:
+                    for i, a in phi_m:
+                        digits[top - phi + i] -= y * a
+    return LaurentPoly(dom, [_exit(dom, digits[d : d + phi], c.scale)
+                             for d in range(0, count, x)], c.shift)
+
+
+def _det_multimodular(rows, dom: Domain, c: _Cleared | None = None) -> LaurentPoly:
+    """Exact determinant over ZZ, QQ, GF(p) or Q(zeta_m); see the module doc.
+    c is _cleared(rows, dom) when the caller has it."""
+    n = len(rows)
+    if n == 0:
+        return LaurentPoly.one(dom)
+    c = c or _cleared(rows, dom)
+    if c is None:
+        return LaurentPoly.zero(dom)
+    cyclo = isinstance(dom, CyclotomicField)
+    m = dom.m if cyclo else 1
+    phi = dom.degree if cyclo else 1
+    cells = [[[[0] * n for _ in range(n)] for _ in range(phi)] for _ in range(c.depth)]
+    for i, row in enumerate(c.terms):
+        for j, e, k, y in row:
+            cells[e][k][i][j] = y
+    a = np.array(cells, dtype=np.int64 if c.widest < 2**62 else object)
+    bound = _coordinate_bound(m) * c.height
+    x, mod = np.zeros((c.npoints, phi), dtype=object), 1
     for q in map(partial(_prime, m), count()):
-        r = _coords_mod_q(a, m, q, npoints).astype(object)
+        r = _coords_mod_q(a, m, q, c.npoints).astype(object)
         x += mod * ((r - x) * pow(mod, -1, q) % q)
         mod *= q
         if mod > 2 * bound + 1:
             break
     x[x > mod // 2] -= mod
-    return LaurentPoly(dom, [_normal(xs, scale) if cyclo else dom.coerce(Fraction(xs[0], scale))
-                             for xs in x.tolist()], sum(lows) + sum(col_lows))
+    return LaurentPoly(dom, [_exit(dom, xs, c.scale) for xs in x.tolist()], c.shift)
 
 
 def det_matrix(a, dom: Domain):
     """Exact determinant of a square matrix of dom elements, dispatched as
-    det_poly_matrix: a small one is expanded by cofactors."""
+    det_poly_matrix."""
     return det_poly_matrix([[LaurentPoly(dom, [x]) for x in row] for row in a], dom)[0]
 
 
 def det_poly_matrix(rows, dom: Domain) -> LaurentPoly:
-    """Exact determinant of a square matrix of LaurentPoly over dom."""
+    """Exact determinant of a square matrix of LaurentPoly over dom: by
+    Kronecker substitution while n^2 * b * x * points is at most
+    _KRONECKER_BITS, else by the multimodular engine."""
     n = len(rows)
     for row in rows:
         if len(row) != n:
             raise ValueError("matrix is not square")
     if not (dom is ZZ or dom is QQ or isinstance(dom, (PrimeField, CyclotomicField))):
         raise TypeError(f"no determinant engine for {dom.name}")
-    integral = dom is ZZ or isinstance(dom, PrimeField)
-    if n <= (_COFACTOR_SIDE_INTEGRAL if integral else _COFACTOR_SIDE):
-        return det_cofactor(rows, dom)
-    return _det_multimodular(rows, dom)
+    if n <= 1:
+        return rows[0][0] if n else LaurentPoly.one(dom)
+    c = _cleared(rows, dom)
+    if c is None:
+        return LaurentPoly.zero(dom)
+    b = c.height.bit_length() + 1  # every coefficient is at most H < 2^(b - 1)
+    x = n * (dom.degree - 1) + 1 if isinstance(dom, CyclotomicField) else 1
+    if n * n * b * x * c.npoints <= _KRONECKER_BITS:
+        return _det_kronecker(c, dom, b, x)
+    return _det_multimodular(rows, dom, c)

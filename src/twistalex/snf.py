@@ -21,9 +21,11 @@ that sequence, and so D, U and V, unchanged:
   replays the log onto the identity, and cokernel_structure, which has no use
   for V, never builds it.
 
-_det_int, a fraction-free integer determinant, is the one the cover-order
-oracle `metabelian.order_from_alexander` takes of its circulant; it shares no
-code with the elimination above, which computes the covers it checks.
+_det_int, a fraction-free integer determinant, has two readers: the
+cover-order oracle `metabelian.order_from_alexander` takes it of its
+circulant, and `polydet` of each small matrix of Laurent polynomials packed
+into integers (its Kronecker path).  It shares no code with the elimination
+above, which computes the covers the oracle checks.
 """
 from __future__ import annotations
 

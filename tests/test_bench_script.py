@@ -1,7 +1,9 @@
 """scripts/bench.py assembles BENCH_<label>.json from perfbench runs.jsonl
 records; checked on canned records, without running the benchmark."""
+import hashlib
 import importlib.util
 import json
+import subprocess
 from pathlib import Path
 
 import pytest
@@ -133,3 +135,27 @@ def test_a_trace_record_needs_its_sha256_note(tmp_path):
             r["notes"] = ["passes cut short: 3 of 9 ops traced"]
     with pytest.raises(ValueError, match="has no note with the pass times and outputs sha256"):
         bench.assemble(records, "parent", "pr12")
+
+
+def test_a_dirty_checkout_is_filed_under_what_ran(tmp_path):
+    src = tmp_path / "src" / "twistalex"
+    src.mkdir(parents=True)
+    (src / "polydet.py").write_text("X = 1\n")
+    git = ["git", "-c", "user.name=bench", "-c", "user.email=bench@localhost"]
+    for cmd in (["init", "-q"], ["add", "-A"], ["commit", "-q", "-m", "seed"]):
+        subprocess.run(git + cmd, cwd=tmp_path, check=True, capture_output=True)
+    head = subprocess.run(["git", "rev-parse", "HEAD"], cwd=tmp_path, check=True,
+                          capture_output=True, text=True).stdout.strip()
+    records = _canned(tmp_path, head)
+    assert bench.name_what_ran(tmp_path, records) == records  # clean: the bare commit
+    (src / "polydet.py").write_text("X = 2\n")
+    digest = hashlib.sha256(b"polydet.py\0X = 2\n").hexdigest()[:16]
+    named = bench.name_what_ran(tmp_path, records)
+    assert {r["source"] for r in named} == {f"{head}+dirty:{digest}"}
+    out = bench.assemble(named, "change", "dirty")
+    assert out["change"] == f"{head}+dirty:{digest}"
+    assert out["workloads"]["cyclotomic-wada"]["change"]["1"]["commit"] == out["change"]
+    # outside git, run.py's own digest of the sources is kept
+    plain = tmp_path / "copy"
+    plain.mkdir()
+    assert bench.name_what_ran(plain, records) == records

@@ -13,8 +13,9 @@ from twistalex.cyclo import (CYC, cyclotomic_polynomial, has_order,
                              is_cyclotomic_irreducible_mod_p)
 from twistalex.domains import QQ, Domain, TwistalexError
 from twistalex.laurent import LaurentPoly, parse_poly, poly_invmod, poly_trim
-from twistalex.polydet import det_cofactor, det_poly_matrix
+from twistalex.polydet import det_poly_matrix
 
+from det_oracle import det_cofactor
 from test_snf import resultant
 
 
@@ -325,7 +326,7 @@ def test_every_result_is_in_the_one_canonical_form(m):
                            for _ in range(2)]):
         for cell in row:
             canonical(cell)
-    # the engine's exit, at sides above the cofactor ones
+    # det_poly_matrix's exit (the Kronecker path at these sides)
     for side in (4, 5):
         rows = [[LaurentPoly(F, [_random_element(rng, F) for _ in range(2)], rng.randint(-1, 1))
                  for _ in range(side)] for _ in range(side)]

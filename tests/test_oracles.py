@@ -41,11 +41,11 @@ from twistalex.metabelian import (CharComponent, Character, alexander_polynomial
                                   branched_cover_homology, characters_of_quotient,
                                   find_dihedral_epis, normalize_integer_poly,
                                   order_from_alexander)
-from twistalex.polydet import det_cofactor
 from twistalex.presentation import BraidWord, braid_closure_presentation, parse_braid
 from twistalex.reps import rep_metabelian, rep_onedim, rep_trivial
 from twistalex.twisted import TwistedPolynomial, doteq_equal, wada_invariant
 
+from det_oracle import det_cofactor
 from test_snf import resultant
 
 KNOTS = [f.name for f in KNOT_TABLE]

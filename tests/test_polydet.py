@@ -3,19 +3,21 @@ import random
 import subprocess
 import sys
 from fractions import Fraction
-from math import isqrt
+from math import isqrt, lcm, prod
 from pathlib import Path
 
 import numpy as np
 import pytest
 
 from twistalex.cyclo import CYC, PHI_CAP, CyclotomicField
-from twistalex.domains import GF, QQ, ZZ, Domain, is_prime
+from twistalex.domains import GF, QQ, ZZ, Domain, PrimeField, is_prime
 from twistalex.laurent import LaurentPoly, parse_poly
 from twistalex.matrix import mat_inverse
 from twistalex import polydet
-from twistalex.polydet import det_cofactor, det_matrix, det_poly_matrix
+from twistalex.polydet import det_matrix, det_poly_matrix
 from twistalex.snf import _det_int
+
+from det_oracle import det_cofactor
 
 
 def rand_zz(rng, span=(-2, 3), cmax=4):
@@ -47,7 +49,7 @@ def test_engines_agree_zz(n):
         assert polydet._det_multimodular(rows, ZZ) == det_cofactor(rows, ZZ)
 
 
-# below the cofactor threshold det_poly_matrix is det_cofactor, so these
+# det_poly_matrix packs matrices this small (the Kronecker path), so these
 # tests call the engine itself
 def test_cofactor_agreement_gf7():
     F = GF(7)
@@ -173,13 +175,12 @@ def _rand_matrix(rng, dom, n, span=(-1, 2), **kw):
 
 
 def _coords(dom, v):
-    return (v,) if dom is QQ or dom is ZZ else dom.coords(v)
+    return dom.coords(v) if isinstance(dom, CyclotomicField) else (v,)
 
 
 @pytest.mark.parametrize("m", ENGINE_MS)
 def test_multimodular_engine_against_bareiss_and_cofactor(m):
-    # the engine itself, also at the sides where det_poly_matrix expands by
-    # cofactors instead (see _COFACTOR_SIDE and _COFACTOR_SIDE_INTEGRAL)
+    # the engine itself, and det_poly_matrix, which packs these sides instead
     dom = _engine_dom(m)
     rng = random.Random(4000 + m)
     sizes = [1, 2, 3, 4, 5] + ([6] if m <= 5 else [])
@@ -191,49 +192,79 @@ def test_multimodular_engine_against_bareiss_and_cofactor(m):
         assert det_poly_matrix(rows, dom) == want, (m, n)
 
 
-def test_small_matrices_skip_the_engine(monkeypatch):
-    calls = []
-    real = polydet._det_multimodular
+def _count_paths(monkeypatch):
+    """The sides det_poly_matrix hands to each path, as two lists."""
+    kron, engine = [], []
+    real_kron, real_engine = polydet._det_kronecker, polydet._det_multimodular
+    monkeypatch.setattr(polydet, "_det_kronecker",
+                        lambda c, dom, b, x: kron.append(len(c.terms)) or real_kron(c, dom, b, x))
     monkeypatch.setattr(polydet, "_det_multimodular",
-                        lambda rows, dom: calls.append(len(rows)) or real(rows, dom))
+                        lambda rows, dom, c=None: engine.append(len(rows))
+                        or real_engine(rows, dom, c))
+    return kron, engine
+
+
+def test_small_matrices_skip_the_engine(monkeypatch):
+    kron, engine = _count_paths(monkeypatch)
     rng = random.Random(4100)
     for n in range(7):
         rows = [[rand_zz(rng) for _ in range(n)] for _ in range(n)]
         assert det_poly_matrix(rows, ZZ) == det_cofactor(rows, ZZ)
-    assert calls == [5, 6]
-    # the threshold depends on the domain: side 4 over ZZ and GF(p) only
-    del calls[:]
+    assert kron == [2, 3, 4, 5, 6] and engine == []  # sides 0 and 1 take neither
+    # every domain packs its small matrices
+    del kron[:]
     for dom in (ZZ, GF(7), QQ, CYC(5)):
         for n in (3, 4):
             rows = [[LaurentPoly.from_terms(dom, {e: dom.coerce(rng.randint(-3, 3))
                                                   for e in range(2)})
                      for _ in range(n)] for _ in range(n)]
             assert det_poly_matrix(rows, dom) == det_cofactor(rows, dom)
-    assert calls == [4, 4]
+    assert kron == [3, 4] * 4 and engine == []
     # a constant matrix takes the same route
-    del calls[:]
+    del kron[:]
     for n in range(1, 6):
         a = [[rng.randint(-3, 3) for _ in range(n)] for _ in range(n)]
         assert det_matrix(a, ZZ) == _det_int(a)
-    assert calls == [5]
+    assert kron == [2, 3, 4, 5] and engine == []
+
+
+def _diagonal(dom, entries):
+    zero = LaurentPoly.zero(dom)
+    return [[f if i == j else zero for j, f in enumerate(entries)] for i, f in enumerate(entries)]
 
 
 def test_numpy_loads_with_the_first_engine_call():
-    # Delta and the k = 2..6 covers of the corpus expand their determinants by
-    # cofactors, so that process never imports numpy; a 5 x 5 determinant does
+    # Delta, the k = 2..6 covers and the dihedral p = 3 Wada invariants of the
+    # corpus take the Kronecker path, so that process never imports numpy; a
+    # 30 x 30 diagonal of 1 + t, whose n^2 * b * points = 900 * 32 * 31 is
+    # above _KRONECKER_BITS, does
     code = """
 import sys
+from twistalex import polydet
 from twistalex.knots import corpus, presentation
-from twistalex.metabelian import alexander_polynomial, branched_cover_homology
-from twistalex.polydet import det_matrix
+from twistalex.laurent import LaurentPoly
+from twistalex.metabelian import alexander_polynomial, branched_cover_homology, find_dihedral_epis
+from twistalex.polydet import det_poly_matrix
+from twistalex.reps import rep_dihedral
+from twistalex.twisted import wada_invariant
 from twistalex.domains import ZZ
+invariants = 0
 for fx in corpus():
     pres = presentation(fx.name)
     assert alexander_polynomial(pres).to_text() == fx.alexander, fx.name
     for k in range(2, 7):
         branched_cover_homology(pres, k)
+    for data in find_dihedral_epis(pres, 3):
+        wada_invariant(pres, rep_dihedral(pres, data))
+        invariants += 1
+assert invariants >= 5, invariants
 assert "numpy" not in sys.modules
-assert det_matrix([[int(i <= j) for j in range(5)] for i in range(5)], ZZ) == 1
+f, want = LaurentPoly.one(ZZ) + LaurentPoly.t(ZZ), LaurentPoly.one(ZZ)
+rows = [[f if i == j else LaurentPoly.zero(ZZ) for j in range(30)] for i in range(30)]
+for _ in range(30):
+    want = want * f
+assert 30 * 30 * 32 * 31 > polydet._KRONECKER_BITS
+assert det_poly_matrix(rows, ZZ) == want
 assert "numpy" in sys.modules
 """
     src = str(Path(polydet.__file__).parents[1])
@@ -242,6 +273,124 @@ assert "numpy" in sys.modules
     done = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
                           text=True, timeout=300)
     assert done.returncode == 0, done.stderr
+
+
+# ------------------------------------------------- the Kronecker path
+
+KRONECKER_DOMS = [ZZ, QQ, GF(7), CYC(3), CYC(5), CYC(12), CYC(20)]
+
+
+def _kronecker_coeff(rng, dom):
+    if dom is ZZ:
+        return rng.randint(-4, 4)
+    if isinstance(dom, PrimeField):
+        return rng.randrange(dom.p)
+    return dom.coerce(_rand_coeff(rng, dom))
+
+
+def _height(rows, dom):
+    """H, the product of the row l1-norms once each row is scaled to integers."""
+    h = 1
+    for row in rows:
+        coords = [x for f in row for _, v in f.terms() for x in _coords(dom, v)]
+        scale = lcm(*(Fraction(x).denominator for x in coords))
+        h *= sum(abs(int(x * scale)) for x in coords)
+    return h
+
+
+@pytest.mark.parametrize("dom", KRONECKER_DOMS, ids=str)
+def test_kronecker_path_against_cofactors_and_the_engine(dom, monkeypatch):
+    engine = polydet._det_multimodular
+    monkeypatch.setattr(polydet, "_KRONECKER_BITS", 1 << 62)  # every side packs
+    kron, engine_calls = _count_paths(monkeypatch)
+    rng = random.Random(7000 + (dom.m if isinstance(dom, CyclotomicField) else len(dom.name)))
+    for n in range(9):
+        rows = [[LaurentPoly.from_terms(dom, {e: _kronecker_coeff(rng, dom) for e in range(-2, 2)
+                                              if rng.random() < 0.4})
+                 for _ in range(n)] for _ in range(n)]
+        got = det_poly_matrix(rows, dom)
+        if n <= 5:
+            assert got == det_cofactor(rows, dom), (dom, n)
+        assert got == engine(rows, dom), (dom, n)
+    assert engine_calls == [] and kron and set(kron) <= set(range(2, 9))
+
+
+@pytest.mark.parametrize("dom", KRONECKER_DOMS, ids=str)
+def test_kronecker_path_at_its_edges(dom, monkeypatch):
+    kron, engine = _count_paths(monkeypatch)
+    rng = random.Random(7100)
+    zero, one, t = LaurentPoly.zero(dom), LaurentPoly.one(dom), LaurentPoly.t(dom)
+    # a zero row and a zero column: zero, without packing
+    for zero_row in (True, False):
+        rows = [[LaurentPoly.from_terms(dom, {-1: _kronecker_coeff(rng, dom), 1: dom.one()})
+                 if (i if zero_row else j) != 2 else zero for j in range(4)] for i in range(4)]
+        assert det_poly_matrix(rows, dom).is_zero()
+    assert kron == []
+    # every leading minor singular: _det_int swaps a row in at each step
+    a = [[t.shift(i - j) + one if i + j == 3 else zero for j in range(4)] for i in range(4)]
+    for i in range(4):
+        for j in range(4 - i, 4):
+            a[i][j] = LaurentPoly.from_terms(dom, {-1: _kronecker_coeff(rng, dom)})
+    assert det_poly_matrix(a, dom) == det_cofactor(a, dom) != zero
+    # diagonals whose one coefficient is +-H = +-(2^(b-1) - 1), at the top zeta
+    # slot n(phi - 1) over Q(zeta_m): the signed digits at both ends of their range
+    top = dom.degree - 1 if isinstance(dom, CyclotomicField) else 0
+    unit = dom.zeta(top) if isinstance(dom, CyclotomicField) else dom.one()
+    factors = (3, 5) if isinstance(dom, PrimeField) else (3, 5, 17, 257)
+    for signs in ((1, 1, 1, 1), (-1, 1, -1, -1)):
+        coeffs = [dom.mul(dom.coerce(v if isinstance(dom, PrimeField) else s * v), unit)
+                  for s, v in zip(signs, factors)]
+        diag = [LaurentPoly.from_terms(dom, {e: c}) for e, c in enumerate(coeffs, -1)]
+        rows = _diagonal(dom, diag)
+        h = _height(rows, dom)
+        assert h == prod(factors) == 2 ** (h.bit_length()) - 1
+        want = one
+        for f in diag:
+            want = want * f
+        assert det_poly_matrix(rows, dom) == want == det_cofactor(rows, dom)
+    assert engine == [] and len(kron) == 3
+
+
+def test_the_bits_constant_picks_the_path(monkeypatch):
+    # a 21 x 21 diagonal of 1 + t and one c + t: H = 2^20 (c + 1), 22 points,
+    # so n^2 * b * points is 441 * 27 * 22 = 261954 at c = 62, just under
+    # _KRONECKER_BITS = 2^18, and 441 * 28 * 22 = 271656 at c = 63, just over
+    kron, engine = _count_paths(monkeypatch)
+    one, t = LaurentPoly.one(ZZ), LaurentPoly.t(ZZ)
+    for c, under in ((62, True), (63, False)):
+        diag = [one + t] * 20 + [LaurentPoly.const(ZZ, c) + t]
+        rows = _diagonal(ZZ, diag)
+        b = _height(rows, ZZ).bit_length() + 1
+        cost = 21 * 21 * b * 22
+        assert cost == (261954 if under else 271656)
+        assert (cost <= polydet._KRONECKER_BITS) == under
+        want = one
+        for f in diag:
+            want = want * f
+        assert det_poly_matrix(rows, ZZ) == want
+        assert (kron, engine) == (([21], []) if under else ([], [21])), c
+        del kron[:], engine[:]
+
+
+def test_integer_determinants_build_no_fraction(monkeypatch):
+    built = []
+    real = Fraction.__new__
+
+    def counting(cls, *args, **kwargs):
+        built.append(args)
+        return real(cls, *args, **kwargs)
+
+    rng = random.Random(7200)
+    F = GF(7)
+    cases = [([[rand_zz(rng) for _ in range(6)] for _ in range(6)], ZZ),
+             ([[LaurentPoly.from_terms(F, {e: rng.randrange(7) for e in range(-1, 2)})
+                for _ in range(6)] for _ in range(6)], F)]
+    monkeypatch.setattr(Fraction, "__new__", staticmethod(counting))
+    dets = [det_poly_matrix(rows, dom) for rows, dom in cases]
+    monkeypatch.undo()
+    assert built == []
+    for d, (rows, dom) in zip(dets, cases):
+        assert d == det_cofactor(rows, dom)
 
 
 @pytest.mark.parametrize("q", [7, 101, 2**31 - 1])
@@ -366,7 +515,7 @@ def test_large_coefficients_take_the_primes_the_bound_implies(m, monkeypatch):
     real = polydet._coords_mod_q
     monkeypatch.setattr(polydet, "_coords_mod_q",
                         lambda a, m_, q_, npoints: used.append(q_) or real(a, m_, q_, npoints))
-    d = polydet._det_multimodular(rows, dom)  # a 3 x 3 det_poly_matrix expands it
+    d = polydet._det_multimodular(rows, dom)  # det_poly_matrix packs a 3 x 3
     assert expected >= 3
     assert len(used) == expected
     assert all(q_ % step == 1 for q_ in used)

@@ -369,18 +369,22 @@ def test_closed_form_denominator_matches_the_engine(case):
 
 
 def test_monomial_rep_calls_the_engine_for_its_numerator_only(monkeypatch):
-    calls = []
-    real = polydet._det_multimodular
+    kron, engine = [], []
+    real_kron, real_engine = polydet._det_kronecker, polydet._det_multimodular
+    monkeypatch.setattr(polydet, "_det_kronecker",
+                        lambda c, dom, b, x: kron.append(len(c.terms)) or real_kron(c, dom, b, x))
     monkeypatch.setattr(polydet, "_det_multimodular",
-                        lambda rows, dom: calls.append(len(rows)) or real(rows, dom))
-    # sides above the cofactor threshold: 5 x 5 for the figure-eight's D_5
+                        lambda rows, dom, c=None: engine.append(len(rows))
+                        or real_engine(rows, dom, c))
+    # the figure-eight's D_5: its 5 x 5 reduced Fox matrix is packed into one
+    # integer determinant (the Kronecker path), and no matrix reaches the engine
     pres = presentation("4_1")
     rep = rep_dihedral(pres, DihedralData(5, (0, 1, 3, 4)))
     tw = wada_invariant(pres, rep)
-    assert calls == [5]  # the 5 x 5 reduced Fox matrix; the denominator is closed form
-    # a conjugated (dense) image still takes the engine for its denominator
-    del calls[:]
+    assert (kron, engine) == ([5], [])  # the numerator; the denominator is closed form
+    # a conjugated (dense) image takes a determinant for its denominator too
+    del kron[:]
     p = tuple(tuple(Fraction(int(i == j or j == i + 1)) for j in range(5)) for i in range(5))
     conj = rep.convert_domain(QQ).conjugate(p)
     assert doteq_equal(wada_invariant(pres, conj), as_tw(tw, tw.to_text()))
-    assert calls == [5, 5]
+    assert (kron, engine) == ([5, 5], [])
