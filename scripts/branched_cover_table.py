@@ -1,9 +1,7 @@
 #!/usr/bin/env python3
 """Print H_1(L_k) for the corpus knots and the two companions, k = 2..6,
 with the order formula |prod Delta(zeta_k^j)| as an independent cross-check."""
-import os
-import sys
-
+import pipe_exit
 from twistalex import knots
 from twistalex.metabelian import (ModulePresentation, alexander_polynomial,
                                   branched_cover_homology, order_from_alexander)
@@ -31,12 +29,4 @@ def main() -> int:
 
 
 if __name__ == "__main__":
-    try:
-        code = main()
-        sys.stdout.flush()  # a closed pipe surfaces here, not at shutdown
-    except BrokenPipeError:
-        # stdout closed early (as by `| head`): exit 1 quietly, with the
-        # shutdown flush pointed at os.devnull
-        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
-        code = 1
-    raise SystemExit(code)
+    pipe_exit.run(main)

@@ -9,10 +9,9 @@ For every corpus knot with the relevant epimorphisms this runs:
 One line per (knot, target, epimorphism); B(2) failures are engine defects.
 """
 import argparse
-import os
-import sys
 import time
 
+import pipe_exit
 from twistalex import knots
 from twistalex.conjectures import (check_conjecture_A, check_conjecture_Aprime,
                                    check_conjecture_B1, check_conjecture_B2)
@@ -49,12 +48,4 @@ def main() -> int:
 
 
 if __name__ == "__main__":
-    try:
-        code = main()
-        sys.stdout.flush()  # a closed pipe surfaces here, not at shutdown
-    except BrokenPipeError:
-        # stdout closed early (as by `| head`): exit 1 quietly, with the
-        # shutdown flush pointed at os.devnull
-        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
-        code = 1
-    raise SystemExit(code)
+    pipe_exit.run(main)

@@ -5,9 +5,7 @@ Two companions with matching branched-cover data give satellites whose
 twisted polynomials agree for each block representation separately but differ
 for the tensor product; this script reproduces all products from scratch.
 """
-import os
-import sys
-
+import pipe_exit
 from twistalex import knots
 from twistalex.conjectures import wada_experiment
 from twistalex.metabelian import branched_cover_homology
@@ -34,12 +32,4 @@ def main() -> int:
 
 
 if __name__ == "__main__":
-    try:
-        code = main()
-        sys.stdout.flush()  # a closed pipe surfaces here, not at shutdown
-    except BrokenPipeError:
-        # stdout closed early (as by `| head`): exit 1 quietly, with the
-        # shutdown flush pointed at os.devnull
-        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
-        code = 1
-    raise SystemExit(code)
+    pipe_exit.run(main)

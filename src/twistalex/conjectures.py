@@ -246,7 +246,7 @@ def _compare_up_to_fp_units(dom, a_num, a_den, b_num, b_den):
     p1 = a_num * b_den
     p2 = b_num * a_den
     c = _scalar_ratio(dom, p1, p2)
-    if c is None or dom.is_zero(c):
+    if c is None:
         return None
     shift = p1.low() - p2.low()
     return (c, shift)

@@ -63,9 +63,8 @@ COMPANION_ALEXANDER = {
 # Seifert matrix of the trefoil's genus-1 fiber
 TREFOIL_SEIFERT = SeifertData(((-1, 0), (-1, -1)))
 
-# the 4-strand braid whose closure is 10_164, with the dihedral coloring
-# a..k -> x y^c used throughout
-BRAID_10_164 = "1 -2 3 3 -2 1 -2 -3 -2 1 -2"
+# the dihedral coloring a..k -> x y^c of 10_164's generators (its
+# KNOT_TABLE braid) used throughout
 COLORING_10_164 = (2, 0, 2, 1, 1, 2, 0, 1, 0, 1, 2)
 
 

@@ -1,14 +1,16 @@
 """Exact determinants of matrices of Laurent polynomials.
 
-Both paths below read one cleared form (_cleared).  Each row's lowest
-exponent, then each column's lowest left after that, is subtracted, and the
-total restored at the end; entry (i, j) then has degree at most tops[i][j],
-and the determinant's degree d is at most both sum_i max_j tops[i][j] and
-sum_j max_i tops[i][j] (a zero row or column is a zero determinant).  Each
-row is scaled by one lcm of the denominators of its coefficients (a
-Q(zeta_m) element is its nonzero (index, integer numerator) pairs over one
-denominator, read here, and is built again from the dense coordinates by
-`cyclo._normal` at the exit), so the matrix lies over Z[zeta_m][t]: ZZ, QQ
+Both paths below take one cleared form (_cleared) from det_poly_matrix,
+their one entry, which reads sides 0 and 1 and a zero row or column off
+first.  Each row's lowest exponent, then each column's lowest left after
+that, is subtracted, and the total restored at the end; entry (i, j) then
+has degree at most tops[i][j], and the determinant's degree d is at most
+both sum_i max_j tops[i][j] and sum_j max_i tops[i][j] (a zero row or
+column is a zero determinant).  Each row is scaled by one lcm of the
+denominators of its coefficients (a Q(zeta_m) element is its nonzero
+(index, integer numerator) pairs over one denominator, read here, and is
+built again from the dense coordinates by `cyclo._normal` at the exit),
+so the matrix lies over Z[zeta_m][t]: ZZ, QQ
 and GF(p) as m = 1, GF(p) entries lifted to 0..p-1 so that their
 determinant is the integer one reduced mod p.  These are the only
 coefficient domains the package defines; any other is a TypeError.  A
@@ -72,13 +74,13 @@ into power-basis coordinates, and the one Newton interpolation gives the
 coefficients in t.  At the equally spaced points 0..k-1 Newton's two stages
 are triangular matrices whose leading k x k blocks do not depend on k: the
 divided differences D and the Newton form to power basis T (von zur Gathen
-and Gerhard, Modern Computer Algebra, ch. 5).  _newton runs both stages on
-the values; run on the identity, it builds each table once per prime, grown
-to the next power of two up to _TABLE_POINTS, and _interpolate is then
-T[:k, :k] @ (D[:k, :k] @ ys) mod q; above _TABLE_POINTS points _newton runs
-on the values.  CRT across the primes, into the symmetric
-range, gives the exact integer coordinates; the row scales and the t-shift
-are then undone.
+and Gerhard, Modern Computer Algebra, ch. 5).  _divided_differences and
+_power_basis are the two stages; run on the identity, they build each table
+once per prime, grown to the next power of two up to _TABLE_POINTS, and
+_interpolate is then T[:k, :k] @ (D[:k, :k] @ ys) mod q; above
+_TABLE_POINTS points they run on the values.  CRT across the primes, into
+the symmetric range, gives the exact integer coordinates; the row scales
+and the t-shift are then undone.
 
 Certification.  Let c in Z[zeta_m] be a coefficient of the scaled
 determinant and iota any complex embedding.  |iota(zeta)| = 1, so
@@ -258,25 +260,24 @@ def _inverses(x: np.ndarray, q: int) -> np.ndarray:
     return np.array(out, dtype=np.int64)
 
 
-def _newton(ys: np.ndarray, q: int, divide: bool = True, expand: bool = True) -> np.ndarray:
-    """Coefficients mod q of the polys with values ys[x] at x = 0..len(ys)-1.
-
-    Newton interpolation; ys is (points, k), one poly per column.  Each
-    stage is a triangular matrix whose leading blocks do not depend on the
-    number of points: divided differences D (divide) and the Newton form to
-    the power basis T (expand).  Run on the identity, a stage gives its table.
-    """
-    k = len(ys)
+def _divided_differences(ys: np.ndarray, q: int) -> np.ndarray:
+    """Newton's first stage D mod q: the divided differences of the values
+    ys[x] at x = 0..len(ys)-1, one poly per column of the (points, k) ys.
+    Run on the identity, it gives its table (_interpolate)."""
     dd = ys.copy()
-    if divide:
-        for level in range(1, k):
-            # equally spaced points: x_i - x_{i-level} = level at every i
-            dd[level:] = (dd[level:] - dd[level - 1 : -1]) * pow(level, -1, q) % q
-    if not expand:
-        return dd
+    for level in range(1, len(ys)):
+        # equally spaced points: x_i - x_{i-level} = level at every i
+        dd[level:] = (dd[level:] - dd[level - 1 : -1]) * pow(level, -1, q) % q
+    return dd
+
+
+def _power_basis(dd: np.ndarray, q: int) -> np.ndarray:
+    """Newton's second stage T mod q: the Newton-form coefficients dd (one
+    poly per column) in the power basis.  Run on the identity, it gives its
+    table (_interpolate)."""
     coeffs = np.zeros_like(dd)
     basis = np.ones(1, dtype=np.int64)  # prod_{i<j}(t - i)
-    for j in range(k):
+    for j in range(len(dd)):
         coeffs[: j + 1] = (coeffs[: j + 1] + basis[:, None] * dd[j]) % q
         nb = np.zeros(j + 2, dtype=np.int64)
         nb[1:] = basis
@@ -299,17 +300,18 @@ def _mul_mod(halves: np.ndarray, x: np.ndarray, q: int) -> np.ndarray:
 
 
 def _interpolate(ys: np.ndarray, q: int) -> np.ndarray:
-    """_newton(ys, q) as T[:k, :k] @ (D[:k, :k] @ ys), k = len(ys), from split
+    """Coefficients mod q of the polys with values ys[x] at x = 0..k-1,
+    k = len(ys), one per column: T[:k, :k] @ (D[:k, :k] @ ys) from split
     tables built once per prime and grown to the next power of two; above
-    _TABLE_POINTS points _newton runs on the values themselves."""
+    _TABLE_POINTS points the two stages run on the values themselves."""
     k = len(ys)
     if k > _TABLE_POINTS:
-        return _newton(ys, q)
+        return _power_basis(_divided_differences(ys, q), q)
     tables = _newton_tables.get(q)
     if tables is None or tables.shape[-1] < k:
         eye = np.eye(1 << (k - 1).bit_length(), dtype=np.int64)
-        tables = _newton_tables[q] = np.stack((_split(_newton(eye, q, expand=False)),
-                                               _split(_newton(eye, q, divide=False))))
+        tables = _newton_tables[q] = np.stack((_split(_divided_differences(eye, q)),
+                                               _split(_power_basis(eye, q))))
     return _mul_mod(tables[1, :, :k, :k], _mul_mod(tables[0, :, :k, :k], ys, q), q)
 
 
@@ -427,15 +429,10 @@ def _det_kronecker(c: _Cleared, dom: Domain, b: int, x: int) -> LaurentPoly:
                              for d in range(0, count, x)], c.shift)
 
 
-def _det_multimodular(rows, dom: Domain, c: _Cleared | None = None) -> LaurentPoly:
-    """Exact determinant over ZZ, QQ, GF(p) or Q(zeta_m); see the module doc.
-    c is _cleared(rows, dom) when the caller has it."""
-    n = len(rows)
-    if n == 0:
-        return LaurentPoly.one(dom)
-    c = c or _cleared(rows, dom)
-    if c is None:
-        return LaurentPoly.zero(dom)
+def _det_multimodular(c: _Cleared, dom: Domain) -> LaurentPoly:
+    """Exact determinant of the cleared matrix c over ZZ, QQ, GF(p) or
+    Q(zeta_m) by the multimodular engine; see the module doc."""
+    n = len(c.terms)
     cyclo = isinstance(dom, CyclotomicField)
     m = dom.m if cyclo else 1
     phi = dom.degree if cyclo else 1
@@ -481,4 +478,4 @@ def det_poly_matrix(rows, dom: Domain) -> LaurentPoly:
     x = n * (dom.degree - 1) + 1 if isinstance(dom, CyclotomicField) else 1
     if n * n * b * x * c.npoints <= _KRONECKER_BITS:
         return _det_kronecker(c, dom, b, x)
-    return _det_multimodular(rows, dom, c)
+    return _det_multimodular(c, dom)

@@ -4,7 +4,9 @@ The value is det((rho tensor t^phi)(M_j)) / det((rho tensor t^phi)(1 - g_j))
 for a deleted column j with phi_j != 0, as a reduced rational function over
 the coefficient field, together with the unit subgroup {± t^k r} describing its
 indeterminacy (r ranges over the subgroup generated by determinants of the
-image).  doteq comparison and canonical text forms quotient that unit out.
+image).  One normal form quotients that unit out (canonical_pair): the
+numerator shifted to lowest exponent 0 and scaled by the c in ±r whose
+lowest coefficient is least, which the text form prints and doteq compares.
 The numerator is the determinant of the substitution walker's reduced
 matrix (`fox.reduced_fox_matrix`), (seeds - 1) n square instead of one block
 row per relator, times the exact monomial unit the walker returns, so `value`
@@ -170,6 +172,8 @@ def wada_invariant(pres: KnotPresentation, rep, column: int | None = None) -> Tw
 
 # ----------------------------------------------------------- doteq machinery
 
+# conjectures reads this; it stays here because the acceptance gate imports
+# it from this module
 def _scalar_ratio(dom: Domain, p: LaurentPoly, q: LaurentPoly):
     """c with p = c*q, or None."""
     if p.is_zero() and q.is_zero():
@@ -185,41 +189,39 @@ def _scalar_ratio(dom: Domain, p: LaurentPoly, q: LaurentPoly):
 
 
 def doteq_equal(a: TwistedPolynomial, b: TwistedPolynomial) -> bool:
-    """Equality up to units ± t^k r with r in the declared det subgroup."""
+    """Equality up to units ± t^k r with r in the declared det subgroup.
+
+    Both values are reduced with a normalized denominator, so they are
+    equal up to those units iff their canonical forms are equal; any two
+    zero values are equal.
+    """
     dom = a.dom
     if dom.name != b.dom.name:
         raise WadaError(f"incomparable coefficient fields {a.dom} vs {b.dom}")
-    ua = {dom.sort_key(u) for u in a.units()}
-    ub = {dom.sort_key(u) for u in b.units()}
-    if ua != ub:
+    if {dom.sort_key(u) for u in a.units()} != {dom.sort_key(u) for u in b.units()}:
         raise WadaError("incomparable indeterminacy subgroups")
-    p = a.value.num * b.value.den
-    q = b.value.num * a.value.den
-    c = _scalar_ratio(dom, p, q)
-    if c is None:
-        return False
-    negc = dom.neg(c)
-    return dom.sort_key(c) in ua or dom.sort_key(negc) in ua
+    ca, cb = a.canonical().value, b.canonical().value
+    return ca.num == cb.num and (ca.num.is_zero() or ca.den == cb.den)
 
 
 def canonical_pair(value: RationalFunction, units) -> tuple[LaurentPoly, LaurentPoly]:
     """Canonical (num, den): den monic at lowest exponent 0, num shifted to 0
-    and normalized by the lexicographically least unit multiple."""
+    and scaled by the c in ±units that puts its lowest coefficient lead * c
+    first by (not positive, sort_key).  lead != 0 and sort_key is injective,
+    so that coefficient alone orders the lexicographic keys of the multiples."""
     dom = value.dom
     num, den = value.num, value.den
     if num.is_zero():
         return num, den
     num = num.shift(-num.low())
-    zero_key = dom.sort_key(dom.zero())
-    best = None
-    for u in units:
-        for sgn in (dom.one(), dom.neg(dom.one())):
-            cand = num.scale(dom.mul(u, sgn))
-            positive = dom.sort_key(cand[0]) > zero_key
-            key = (not positive, tuple(map(dom.sort_key, cand.coeffs())))
-            if best is None or key < best[0]:
-                best = (key, cand)
-    return best[1], den
+    lead, zero_key, one = num[0], dom.sort_key(dom.zero()), dom.one()
+
+    def key(c):
+        k = dom.sort_key(dom.mul(lead, c))
+        return k <= zero_key, k
+
+    return num.scale(min((dom.mul(u, s) for u in units for s in (one, dom.neg(one))),
+                         key=key)), den
 
 
 # ------------------------------------------------------------------ satellite

@@ -1,7 +1,9 @@
 import random
+from math import isqrt
 
 import pytest
 
+from twistalex import factorint
 from twistalex.domains import ZZ
 from twistalex.factorint import factor_integer_poly, is_irreducible, verify_factorization
 from twistalex.laurent import LaurentPoly, parse_poly
@@ -95,3 +97,23 @@ def test_degree_cap():
     f = LaurentPoly.from_terms(ZZ, {0: 1, 100: 1})
     with pytest.raises(ValueError):
         factor_integer_poly(f)
+
+
+def test_hensel_lift_passes_twice_the_coefficient_bound(monkeypatch):
+    # 1 + t^2 + t^4 = (1 - t + t^2)(1 + t + t^2) lifts from p = 5 with the
+    # bound 2^(n+1) (||f||_2 + 1) = 64; 5^3 = 125 passes 64 but not 2 * 64 + 1,
+    # and a factor coefficient in (m/2, bound] needs m > 2 * bound + 1
+    lifts = []
+    real = factorint._hensel_lift_linear
+
+    def spy(f, facs, p, target):
+        lifted, m = real(f, facs, p, target)
+        lifts.append((f, p, m))
+        return lifted, m
+
+    monkeypatch.setattr(factorint, "_hensel_lift_linear", spy)
+    assert factor_texts(parse_poly("1 + t^2 + t^4"))[3] == [("1 - t + t^2", 1), ("1 + t + t^2", 1)]
+    [(f, p, m)] = lifts
+    bound = (1 << len(f)) * (isqrt(sum(x * x for x in f)) + 1)
+    assert (p, bound) == (5, 64)
+    assert m >= 2 * bound + 1

@@ -17,7 +17,7 @@ from twistalex import polydet
 from twistalex.polydet import det_matrix, det_poly_matrix
 from twistalex.snf import _det_int
 
-from det_oracle import det_cofactor
+from det_oracle import count_paths, det_cofactor, engine_det
 
 
 def rand_zz(rng, span=(-2, 3), cmax=4):
@@ -46,7 +46,7 @@ def test_engines_agree_zz(n):
     for _ in range(8):
         rows = [[rand_zz(rng) for _ in range(n)] for _ in range(n)]
         assert det_poly_matrix(rows, ZZ) == det_cofactor(rows, ZZ)
-        assert polydet._det_multimodular(rows, ZZ) == det_cofactor(rows, ZZ)
+        assert engine_det(rows, ZZ) == det_cofactor(rows, ZZ)
 
 
 # det_poly_matrix packs matrices this small (the Kronecker path), so these
@@ -57,7 +57,7 @@ def test_cofactor_agreement_gf7():
     for _ in range(10):
         rows = [[LaurentPoly.from_terms(F, {e: rng.randint(0, 6) for e in range(2)})
                  for _ in range(4)] for _ in range(4)]
-        assert polydet._det_multimodular(rows, F) == det_cofactor(rows, F)
+        assert engine_det(rows, F) == det_cofactor(rows, F)
 
 
 def test_cofactor_agreement_qq():
@@ -66,7 +66,7 @@ def test_cofactor_agreement_qq():
         rows = [[LaurentPoly.from_terms(QQ, {e: Fraction(rng.randint(-4, 4), rng.randint(1, 3))
                                              for e in range(-1, 2)})
                  for _ in range(3)] for _ in range(3)]
-        assert polydet._det_multimodular(rows, QQ) == det_cofactor(rows, QQ)
+        assert engine_det(rows, QQ) == det_cofactor(rows, QQ)
 
 
 def test_cofactor_agreement_cyclo():
@@ -83,13 +83,13 @@ def test_cofactor_agreement_cyclo():
                         F.coerce(rng.randint(-2, 2))
                 row.append(LaurentPoly.from_terms(F, c))
             rows.append(row)
-        assert polydet._det_multimodular(rows, F) == det_cofactor(rows, F)
+        assert engine_det(rows, F) == det_cofactor(rows, F)
 
 
 def test_negative_exponent_rows():
     rng = random.Random(5)
     rows = [[rand_zz(rng, span=(-3, 1)) for _ in range(3)] for _ in range(3)]
-    assert polydet._det_multimodular(rows, ZZ) == det_cofactor(rows, ZZ)
+    assert engine_det(rows, ZZ) == det_cofactor(rows, ZZ)
 
 
 def test_zero_row_and_singular():
@@ -134,7 +134,7 @@ def test_huge_coefficients_need_multiple_primes():
     big = 10**14
     rows = [[LaurentPoly.from_terms(ZZ, {e: rng.randint(-big, big) for e in range(2)})
              for _ in range(3)] for _ in range(3)]
-    assert polydet._det_multimodular(rows, ZZ) == det_cofactor(rows, ZZ)
+    assert engine_det(rows, ZZ) == det_cofactor(rows, ZZ)
 
 
 def test_is_prime_against_trial_division():
@@ -188,24 +188,12 @@ def test_multimodular_engine_against_bareiss_and_cofactor(m):
     for n in sizes:
         rows = _rand_matrix(rng, dom, n, span=span)
         want = det_cofactor(rows, dom)
-        assert polydet._det_multimodular(rows, dom) == want, (m, n)
+        assert engine_det(rows, dom) == want, (m, n)
         assert det_poly_matrix(rows, dom) == want, (m, n)
 
 
-def _count_paths(monkeypatch):
-    """The sides det_poly_matrix hands to each path, as two lists."""
-    kron, engine = [], []
-    real_kron, real_engine = polydet._det_kronecker, polydet._det_multimodular
-    monkeypatch.setattr(polydet, "_det_kronecker",
-                        lambda c, dom, b, x: kron.append(len(c.terms)) or real_kron(c, dom, b, x))
-    monkeypatch.setattr(polydet, "_det_multimodular",
-                        lambda rows, dom, c=None: engine.append(len(rows))
-                        or real_engine(rows, dom, c))
-    return kron, engine
-
-
 def test_small_matrices_skip_the_engine(monkeypatch):
-    kron, engine = _count_paths(monkeypatch)
+    kron, engine = count_paths(monkeypatch)
     rng = random.Random(4100)
     for n in range(7):
         rows = [[rand_zz(rng) for _ in range(n)] for _ in range(n)]
@@ -300,9 +288,8 @@ def _height(rows, dom):
 
 @pytest.mark.parametrize("dom", KRONECKER_DOMS, ids=str)
 def test_kronecker_path_against_cofactors_and_the_engine(dom, monkeypatch):
-    engine = polydet._det_multimodular
     monkeypatch.setattr(polydet, "_KRONECKER_BITS", 1 << 62)  # every side packs
-    kron, engine_calls = _count_paths(monkeypatch)
+    kron, engine_calls = count_paths(monkeypatch)
     rng = random.Random(7000 + (dom.m if isinstance(dom, CyclotomicField) else len(dom.name)))
     for n in range(9):
         rows = [[LaurentPoly.from_terms(dom, {e: _kronecker_coeff(rng, dom) for e in range(-2, 2)
@@ -311,13 +298,13 @@ def test_kronecker_path_against_cofactors_and_the_engine(dom, monkeypatch):
         got = det_poly_matrix(rows, dom)
         if n <= 5:
             assert got == det_cofactor(rows, dom), (dom, n)
-        assert got == engine(rows, dom), (dom, n)
+        assert got == engine_det(rows, dom), (dom, n)
     assert engine_calls == [] and kron and set(kron) <= set(range(2, 9))
 
 
 @pytest.mark.parametrize("dom", KRONECKER_DOMS, ids=str)
 def test_kronecker_path_at_its_edges(dom, monkeypatch):
-    kron, engine = _count_paths(monkeypatch)
+    kron, engine = count_paths(monkeypatch)
     rng = random.Random(7100)
     zero, one, t = LaurentPoly.zero(dom), LaurentPoly.one(dom), LaurentPoly.t(dom)
     # a zero row and a zero column: zero, without packing
@@ -355,7 +342,7 @@ def test_the_bits_constant_picks_the_path(monkeypatch):
     # a 21 x 21 diagonal of 1 + t and one c + t: H = 2^20 (c + 1), 22 points,
     # so n^2 * b * points is 441 * 27 * 22 = 261954 at c = 62, just under
     # _KRONECKER_BITS = 2^18, and 441 * 28 * 22 = 271656 at c = 63, just over
-    kron, engine = _count_paths(monkeypatch)
+    kron, engine = count_paths(monkeypatch)
     one, t = LaurentPoly.one(ZZ), LaurentPoly.t(ZZ)
     for c, under in ((62, True), (63, False)):
         diag = [one + t] * 20 + [LaurentPoly.const(ZZ, c) + t]
@@ -419,16 +406,17 @@ def test_det_mod_q_against_the_integer_determinant(q):
 
 
 @pytest.mark.parametrize("m", ENGINE_MS)
-def test_multimodular_engine_degenerate_inputs(m):
+def test_multimodular_engine_degenerate_inputs(m, monkeypatch):
     dom = _engine_dom(m)
     rng = random.Random(5000 + m)
     zero, one = LaurentPoly.zero(dom), LaurentPoly.one(dom)
     t = LaurentPoly.t(dom)
-    # a zero row
+    # a zero row: read off before either path
     rows = _rand_matrix(rng, dom, 3)
     rows[1] = [zero] * 3
-    assert polydet._det_multimodular(rows, dom).is_zero()
-    assert det_poly_matrix(rows, dom).is_zero()
+    with monkeypatch.context() as spy:
+        assert det_poly_matrix(rows, dom).is_zero()
+        assert count_paths(spy) == ([], [])
     # an identically zero determinant: row 2 = c * t^-1 * row 0 + row 1
     rows = _rand_matrix(rng, dom, 4)
     c = LaurentPoly.from_terms(dom, {-1: dom.coerce(_rand_coeff(rng, dom))})
@@ -515,11 +503,41 @@ def test_large_coefficients_take_the_primes_the_bound_implies(m, monkeypatch):
     real = polydet._coords_mod_q
     monkeypatch.setattr(polydet, "_coords_mod_q",
                         lambda a, m_, q_, npoints: used.append(q_) or real(a, m_, q_, npoints))
-    d = polydet._det_multimodular(rows, dom)  # det_poly_matrix packs a 3 x 3
+    d = engine_det(rows, dom)  # det_poly_matrix packs a 3 x 3
     assert expected >= 3
     assert len(used) == expected
     assert all(q_ % step == 1 for q_ in used)
     assert d == det_cofactor(rows, dom)
+
+
+def test_crt_lifts_a_coordinate_above_half_the_first_prime():
+    # H = 2^15 (2^15 + 1) = 2^30 + 2^15 lies between q/2 and q for the first
+    # prime q = 2^31 - 1: stopping at mod > H would lift it to H - q; the
+    # engine goes on to mod > 2H + 1
+    a, b = 2**15, 2**15 + 1
+    assert polydet._prime(1, 0) == 2**31 - 1
+    rows = _diagonal(ZZ, [LaurentPoly.const(ZZ, a), LaurentPoly.const(ZZ, b)])
+    assert engine_det(rows, ZZ) == LaurentPoly.const(ZZ, a * b)
+
+
+def test_crt_takes_a_second_prime_past_twice_the_bound(monkeypatch):
+    # over Q(zeta_12) every power of zeta has coordinates in {-1, 0, 1}, so no
+    # coordinate passes H, half the bound C_12 H = 2H: the stop shows in the
+    # primes taken.  H = 2^15 (2^14 + 1) has 2H < q < 4H + 1 for the first
+    # prime q = 1 (mod 12), so mod > 2 * bound + 1 takes a second prime
+    dom = CYC(12)
+    a, b = 2**15, 2**14 + 1
+    assert polydet._coordinate_bound(12) == 2
+    assert 2 * a * b < polydet._prime(12, 0) < 4 * a * b + 1
+    used = []
+    real = polydet._coords_mod_q
+    monkeypatch.setattr(polydet, "_coords_mod_q",
+                        lambda a_, m, q, npoints: used.append(q) or real(a_, m, q, npoints))
+    rows = _diagonal(dom, [LaurentPoly.from_terms(dom, {0: dom.scale(dom.zeta(k), y)})
+                           for k, y in ((1, a), (3, b))])
+    want = dom.scale(dom.zeta(4), a * b)  # zeta^4 = zeta^2 - 1
+    assert engine_det(rows, dom) == LaurentPoly.from_terms(dom, {0: want})
+    assert used == [polydet._prime(12, 0), polydet._prime(12, 1)]
 
 
 @pytest.mark.parametrize("dom", [QQ, CYC(3), CYC(12), GF(5), ZZ], ids=str)
@@ -568,7 +586,7 @@ def _points_evaluated(monkeypatch, rows, dom):
     real = polydet._coords_mod_q
     monkeypatch.setattr(polydet, "_coords_mod_q",
                         lambda a, m, q, npoints: seen.append(npoints) or real(a, m, q, npoints))
-    d = polydet._det_multimodular(rows, dom)
+    d = engine_det(rows, dom)
     monkeypatch.setattr(polydet, "_coords_mod_q", real)
     assert len(set(seen)) == 1
     return seen[0], d
@@ -614,11 +632,12 @@ def test_column_skewed_exponents_against_cofactors(dom, monkeypatch):
             points, got = _points_evaluated(monkeypatch, rows, dom)
             assert got == want, (dom, n)
             assert want.is_zero() or want.deg() - want.low() < points
-    # a zero column: no prime is taken
+    # a zero column: read off before either path
     rows = [[LaurentPoly.from_terms(dom, {-2: dom.coerce(coeff()), 1: dom.one()}) if j != 2
              else LaurentPoly.zero(dom) for j in range(4)] for _ in range(4)]
-    monkeypatch.setattr(polydet, "_coords_mod_q", None)
-    assert polydet._det_multimodular(rows, dom).is_zero()
+    kron, engine = count_paths(monkeypatch)
+    assert det_poly_matrix(rows, dom).is_zero()
+    assert (kron, engine) == ([], [])
 
 
 # ------------------------------------------------- the Newton tables
@@ -631,7 +650,7 @@ def test_newton_tables_match_newton(q, monkeypatch):
         ys = np.array([[rng.randrange(q) for _ in range(3)] for _ in range(k - 1)]
                       + [[q - 1] * 3], dtype=np.int64)  # the largest residue, too
         got = polydet._interpolate(ys, q)
-        assert (got == polydet._newton(ys, q)).all(), k
+        assert (got == polydet._power_basis(polydet._divided_differences(ys, q), q)).all(), k
         # and the coefficients take the values: Horner at x = 0..k-1
         for c in range(3):
             coeffs = got[:, c].tolist()
@@ -647,5 +666,5 @@ def test_newton_tables_match_newton(q, monkeypatch):
     assert polydet._newton_tables[q].shape == (2, 2, 256, 256)  # (D, T), each lo and hi
     # the engine's own calls leave every prime's tables within the same size
     rng = random.Random(7)
-    polydet._det_multimodular([[rand_zz(rng) for _ in range(5)] for _ in range(5)], ZZ)
+    engine_det([[rand_zz(rng) for _ in range(5)] for _ in range(5)], ZZ)
     assert all(t.shape[-1] <= 256 for t in polydet._newton_tables.values())

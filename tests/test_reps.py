@@ -754,7 +754,7 @@ def test_dense_generator_determinants_skip_the_engine(monkeypatch):
     p = ((rep.dom.one(), rep.dom.coerce(2)), (rep.dom.zero(), rep.dom.one()))
     conj = rep.conjugate(p)
 
-    def refuse(rows, dom):
+    def refuse(c, dom):
         raise AssertionError("a 2 x 2 determinant set up the engine")
 
     monkeypatch.setattr(polydet, "_det_multimodular", refuse)

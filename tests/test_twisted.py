@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from twistalex import polydet, twisted
+from twistalex import twisted
 from twistalex.cyclo import CYC, CyclotomicField
 from twistalex.domains import GF, QQ, ZZ
 from twistalex.knots import TREFOIL_SEIFERT, alexander_fixture, corpus, presentation
@@ -19,6 +19,8 @@ from twistalex.reps import (rep_dihedral, rep_direct_sum, rep_metabelian,
                             rep_mod_p, rep_onedim, rep_trivial)
 from twistalex.twisted import (TwistedPolynomial, WadaError, doteq_equal,
                                satellite_twisted, unit_subgroup, wada_invariant)
+
+from det_oracle import count_paths, engine_det
 
 PAPER_COLORING = DihedralData(3, (2, 0, 2, 1, 1, 2, 0, 1, 0, 1, 2))
 
@@ -364,18 +366,12 @@ def test_closed_form_denominator_matches_the_engine(case):
     block = [[LaurentPoly.from_terms(dom, {0: dom.one() if a == b else dom.zero(),
                                            e: dom.neg(dense[a][b])})
               for b in range(n)] for a in range(n)]
-    assert twisted._denominator(dom, mono, e) == polydet._det_multimodular(block, dom)
-    assert twisted._denominator(dom, dense, e) == polydet._det_multimodular(block, dom)
+    assert twisted._denominator(dom, mono, e) == engine_det(block, dom)
+    assert twisted._denominator(dom, dense, e) == engine_det(block, dom)
 
 
 def test_monomial_rep_calls_the_engine_for_its_numerator_only(monkeypatch):
-    kron, engine = [], []
-    real_kron, real_engine = polydet._det_kronecker, polydet._det_multimodular
-    monkeypatch.setattr(polydet, "_det_kronecker",
-                        lambda c, dom, b, x: kron.append(len(c.terms)) or real_kron(c, dom, b, x))
-    monkeypatch.setattr(polydet, "_det_multimodular",
-                        lambda rows, dom, c=None: engine.append(len(rows))
-                        or real_engine(rows, dom, c))
+    kron, engine = count_paths(monkeypatch)
     # the figure-eight's D_5: its 5 x 5 reduced Fox matrix is packed into one
     # integer determinant (the Kronecker path), and no matrix reaches the engine
     pres = presentation("4_1")
