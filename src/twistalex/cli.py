@@ -21,14 +21,13 @@ from __future__ import annotations
 import argparse
 import json
 import sys
-from fractions import Fraction
 from math import lcm
 
 from . import knots
 from .conjectures import (check_conjecture_A, check_conjecture_Aprime,
                           check_conjecture_B1, check_conjecture_B2, wada_experiment)
 from .cyclo import CyclotomicField
-from .domains import ZZ, TwistalexError
+from .domains import QQ, ZZ, TwistalexError
 from .factorint import factor_integer_poly
 from .laurent import LaurentPoly, parse_poly
 from .metabelian import (alexander_polynomial, branched_cover_homology,
@@ -115,10 +114,10 @@ def _cmd_alexander(args) -> int:
 
 
 def _rational_reader(dom):
-    """Coefficient -> Fraction for the fields of degree 1 over QQ (ZZ, QQ,
+    """Coefficient -> QQ element for the fields of degree 1 over QQ (ZZ, QQ,
     Q(zeta_1), Q(zeta_2)); None for every other domain."""
     if dom.name in ("ZZ", "QQ"):
-        return Fraction
+        return QQ.coerce
     if isinstance(dom, CyclotomicField) and dom.degree == 1:
         return dom.rational_value
     return None

@@ -144,9 +144,8 @@ class CyclotomicField(Domain):
     def coerce(self, x):
         """An element from a rational or a tuple of rational coordinates."""
         if isinstance(x, tuple) and len(x) == self.degree:
-            xs = [Fraction(v) for v in x]
-            den = lcm(*(v.denominator for v in xs))
-            return _normal([v.numerator * (den // v.denominator) for v in xs], den)
+            den = lcm(*(v.denominator for v in x))
+            return _normal([v.numerator * (den // v.denominator) for v in x], den)
         if isinstance(x, (int, Fraction)):
             return self.from_rational(x)
         raise TypeError(f"cannot coerce {x!r} into {self.name}")
@@ -213,13 +212,14 @@ class CyclotomicField(Domain):
         return a == b
 
     def inv(self, a):
-        """a^-1: a rational by one integer division, a root of unity ±zeta^k
-        from the table, anything else by the polynomial kernel, a^-1 mod
-        Phi_m over QQ."""
+        """a^-1: a rational x/d as ±d/|x| (already in lowest terms), a root of
+        unity ±zeta^k from the table, anything else by the polynomial kernel,
+        a^-1 mod Phi_m over QQ."""
         if self.is_rational(a):
             if not a[0]:
                 raise ZeroDivisionError(f"division by zero in {self.name}")
-            return self.from_rational(Fraction(a[1], a[0][0][1]))
+            ((_, x),), d = a
+            return (((0, d if x > 0 else -d),), abs(x))
         if self._unit_inv is None:  # ±zeta^k -> ±zeta^-k, at most 2m entries
             pows, z = [self.one()], self.zeta(1)
             for _ in range(self.m - 1):
@@ -260,10 +260,11 @@ class CyclotomicField(Domain):
     def is_rational(self, a) -> bool:
         return not a[0] or a[0][-1][0] == 0
 
-    def rational_value(self, a) -> Fraction:
+    def rational_value(self, a):
+        """a as a QQ element: an int when integral, else a Fraction."""
         if not self.is_rational(a):
             raise ValueError(f"{self.to_str(a)} is not rational")
-        return Fraction(a[0][0][1], a[1]) if a[0] else Fraction(0)
+        return domains.QQ.div(a[0][0][1], a[1]) if a[0] else 0
 
     def embed(self, a, src: "CyclotomicField"):
         """Embed an element of Q(zeta_src) along zeta_src -> zeta_m^(m/src)."""
@@ -278,7 +279,7 @@ class CyclotomicField(Domain):
             return str(self.rational_value(a))
         parts = []
         for k, x in a[0]:
-            v = Fraction(x, a[1])
+            v = domains.QQ.div(x, a[1])
             if k == 0:
                 parts.append(str(v))
             else:

@@ -1,9 +1,13 @@
 """Exact coefficient domains.
 
-Coefficients are plain Python data (int for ZZ and GF(p), Fraction for QQ,
-(the nonzero (index, numerator) pairs, denominator) for cyclotomic fields in
-cyclo.py); a domain object supplies the ring operations.  Keeping elements
-unboxed matters in the determinant and polynomial hot loops.
+Coefficients are plain Python data (int for ZZ and GF(p); for QQ an int when
+the value is integral and a Fraction otherwise; (the nonzero (index,
+numerator) pairs, denominator) for cyclotomic fields in cyclo.py); a domain
+object supplies the ring operations.  Keeping elements unboxed matters in the
+determinant and polynomial hot loops.  Integer representations reach QQ
+through Wada's invariant, and there every value (the ZZ numerator and
+denominator, their gcd, the quotients) is integral: as ints it never pays for
+a Fraction.
 """
 from __future__ import annotations
 
@@ -184,18 +188,26 @@ class IntegerDomain(_NumberDomain):
 
 
 class RationalDomain(_NumberDomain):
+    """An element is an int when it is integral and a Fraction otherwise.
+
+    The sources (zero, one, coerce, div and so inv) return ints for integral
+    values, and the operators keep int op int an int, so integer inputs never
+    build a Fraction.  An integral Fraction that arithmetic leaves is still a
+    valid element: equality, hashing, order and str are value-level across
+    int and Fraction."""
+
     name = "QQ"
     is_field = True
 
     def zero(self):
-        return Fraction(0)
+        return 0
 
     def one(self):
-        return Fraction(1)
+        return 1
 
     def coerce(self, x):
         if isinstance(x, (int, Fraction)):
-            return Fraction(x)
+            return int(x) if x.denominator == 1 else x
         raise TypeError(f"cannot coerce {x!r} into QQ")
 
     def is_zero(self, a):
@@ -204,7 +216,9 @@ class RationalDomain(_NumberDomain):
     def div(self, a, b):
         if b == 0:
             raise ZeroDivisionError("division by zero in QQ")
-        return Fraction(a) / b
+        if isinstance(a, int) and isinstance(b, int) and not a % b:
+            return a // b
+        return self.coerce(Fraction(a) / b)
 
 
 class PrimeField(Domain):
@@ -303,7 +317,7 @@ def convert(x, src: Domain, dst: Domain):
     if isinstance(dst, CyclotomicField):
         if isinstance(src, CyclotomicField):
             return dst.embed(x, src)
-        return dst.from_rational(Fraction(x))
+        return dst.from_rational(x)
     if src is ZZ or src is QQ:
         return dst.coerce(x)
     raise TypeError(f"no conversion {src} -> {dst}")

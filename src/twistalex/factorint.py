@@ -253,7 +253,7 @@ def factor_integer_poly(f: LaurentPoly):
     if len(prim) - 1 == 0:
         return unit, content, t_power, []
     # squarefree part via gcd with the derivative over Q
-    fq = LaurentPoly(QQ, [QQ.coerce(v) for v in prim])
+    fq = LaurentPoly(QQ, prim)
     g = fq.gcd(fq.derivative())
     if g.deg() == 0:  # g has lowest exponent 0
         sqfree = list(prim)

@@ -22,7 +22,6 @@ closed form.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from fractions import Fraction
 
 from .domains import Domain, ExactDivisionError, QQ, convert
 
@@ -102,8 +101,7 @@ def mat_inverse(dom: Domain, a: Dense) -> Dense:
         if pivots[:n] != list(range(n)):
             raise ZeroDivisionError("matrix not invertible")
         return tuple(tuple(row[n:]) for row in red)
-    aq = tuple(tuple(Fraction(x) for x in row) for row in a)
-    invq = mat_inverse(QQ, aq)
+    invq = mat_inverse(QQ, a)
     try:
         return tuple(tuple(dom.coerce(x) for x in row) for row in invq)
     except (TypeError, ValueError) as exc:

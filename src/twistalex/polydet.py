@@ -108,7 +108,6 @@ with more evaluation points per row than the full Fox minors they replace.
 """
 from __future__ import annotations
 
-from fractions import Fraction
 from functools import lru_cache, partial
 from itertools import count
 from math import gcd, isqrt, lcm
@@ -193,14 +192,15 @@ def _embeddings(m: int, q: int):
 
 
 @lru_cache(maxsize=None)
-def _coordinate_bound(m: int) -> Fraction:
+def _coordinate_bound(m: int):
     """C_m = phi(m) * max_j ||beta_j||_1, {beta_j} trace-dual to {zeta_m^j}:
-    beta_j = b_j / Phi_m'(zeta), and Phi_m'(zeta) = sum b_j zeta^j."""
+    beta_j = b_j / Phi_m'(zeta), and Phi_m'(zeta) = sum b_j zeta^j; a QQ element,
+    so an int when integral (C_1 = 1 over ZZ, QQ and GF(p))."""
     F = CYC(m)
     b, _ = poly_divmod(F, [F.coerce(c) for c in cyclotomic_polynomial(m).coeffs()],
                        [F.neg(F.zeta(1)), F.one()])
     inv = F.inv(F.dot(b, [F.zeta(j) for j in range(len(b))]))
-    return F.degree * max(sum(map(abs, F.coords(F.mul(bj, inv)))) for bj in b)
+    return QQ.coerce(F.degree * max(sum(map(abs, F.coords(F.mul(bj, inv)))) for bj in b))
 
 
 # ------------------------------------------------------------------- engines
@@ -397,10 +397,11 @@ def _cleared(rows, dom: Domain):
 
 
 def _exit(dom: Domain, coords: list, scale: int):
-    """The dom element with the integer power-basis coordinates coords over scale."""
+    """The dom element with the integer power-basis coordinates coords over
+    scale (scale is 1 over ZZ and GF(p), whose rows have no denominators)."""
     if isinstance(dom, CyclotomicField):
         return _normal(coords, scale)
-    return dom.coerce(Fraction(coords[0], scale) if scale != 1 else coords[0])
+    return dom.div(coords[0], scale)
 
 
 def _det_kronecker(c: _Cleared, dom: Domain, b: int, x: int) -> LaurentPoly:

@@ -11,7 +11,7 @@ import twistalex
 from twistalex import cyclo
 from twistalex.cyclo import (CYC, cyclotomic_polynomial, has_order,
                              is_cyclotomic_irreducible_mod_p)
-from twistalex.domains import QQ, Domain, TwistalexError
+from twistalex.domains import QQ, ZZ, Domain, TwistalexError, convert
 from twistalex.laurent import LaurentPoly, parse_poly, poly_invmod, poly_trim
 from twistalex.polydet import det_poly_matrix
 
@@ -252,6 +252,30 @@ def test_roots_of_unity_invert_by_table(monkeypatch):
             assert F.mul(x, F.inv(x)) == F.one()
             assert len(calls) == 1
             del calls[:]
+
+
+def test_rationals_invert_and_embed_without_fraction(monkeypatch):
+    # a rational x/d inverts to ±d/|x| on integers, and an int or a Fraction
+    # of ZZ or QQ enters Q(zeta_m) through its integer ratio: no Fraction is
+    # built for either.  Counts are asserted, never times
+    F = CYC(12)
+    values = [Fraction(x, d) for x in (-6, -3, -1, 1, 2, 5) for d in (1, 2, 7)]
+    rationals = [F.coerce(v) for v in values]
+    want_inv = [F.coerce(1 / v) for v in values]
+    want_in = [F.coerce(v) for v in values]
+    ints = [v.numerator for v in values if v.denominator == 1]
+    built, new = [], Fraction.__new__
+
+    def counted(cls, *args, **kwargs):
+        built.append(args)
+        return new(cls, *args, **kwargs)
+
+    monkeypatch.setattr(Fraction, "__new__", counted)
+    got_inv = [F.inv(a) for a in rationals]
+    got_in = [convert(v, QQ, F) for v in values] + [convert(v, ZZ, F) for v in ints]
+    assert built == []
+    assert got_inv == want_inv
+    assert got_in == want_in + [F.coerce(v) for v in ints]
 
 
 def test_degree_cap_is_checked_before_phi_m(monkeypatch):

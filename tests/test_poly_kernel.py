@@ -200,7 +200,10 @@ def trimmed(elements, max_size=8):
 
 ints = trimmed(st.integers(-9, 9))
 nonzero_ints = ints.filter(bool)
-rationals = trimmed(st.fractions(min_value=-9, max_value=9, max_denominator=6), 6)
+# QQ elements in both forms: ints and Fractions (integral ones among them)
+qq_elements = st.one_of(st.integers(-9, 9),
+                        st.fractions(min_value=-9, max_value=9, max_denominator=6))
+rationals = trimmed(qq_elements, 6)
 nonzero_rationals = rationals.filter(bool)
 
 
@@ -264,6 +267,20 @@ def test_exact_and_inexact_division_over_zz(a, b, c):
 
 # -------------------------------------------------------------------- Q[x]
 
+def test_qq_sources_return_ints_for_integral_values():
+    # an integral value leaves zero, one, coerce, div and inv as an int, and
+    # a non-integral quotient as the exact Fraction, never a floor quotient
+    integral = (QQ.zero(), QQ.one(), QQ.coerce(Fraction(6, 3)), QQ.div(6, -3), QQ.inv(-1),
+                QQ.div(Fraction(3, 2), Fraction(1, 2)))
+    assert integral == (0, 1, 2, -2, -1, 3)
+    assert all(type(v) is int for v in integral)
+    for got, want in ((QQ.div(-7, 2), Fraction(-7, 2)), (QQ.div(Fraction(1, 2), 3), Fraction(1, 6)),
+                      (QQ.inv(2), Fraction(1, 2))):
+        assert type(got) is Fraction and got == want
+    with pytest.raises(ZeroDivisionError):
+        QQ.div(1, 0)
+
+
 @settings(max_examples=100, deadline=None, derandomize=True)
 @given(rationals, nonzero_rationals)
 def test_divmod_gcd_and_inverse_over_qq(a, b):
@@ -271,10 +288,11 @@ def test_divmod_gcd_and_inverse_over_qq(a, b):
     assert len(r) < len(b)
     qb = poly_mul(QQ, q, b)
     assert poly_trim(QQ, [x - y - z for x, y, z in zip_longest(a, qb, r, fillvalue=0)]) == []
-    assert poly_gcd(QQ, a, b) == _reference_qq_gcd(a, b)
+    fa, fb = [Fraction(x) for x in a], [Fraction(x) for x in b]  # the references divide by /
+    assert poly_gcd(QQ, a, b) == _reference_qq_gcd(fa, fb)
     if len(a) < len(b) and len(b) > 1:
         try:
-            want = _reference_cyclo_inv(b, a, len(b) - 1)
+            want = _reference_cyclo_inv(fb, fa, len(b) - 1)
         except ArithmeticError:
             with pytest.raises(ArithmeticError):
                 poly_invmod(QQ, a, b)
@@ -302,7 +320,7 @@ def test_cyclotomic_inverse_matches_the_reference(m, data):
 
 LAURENT_DOMAINS = {
     "ZZ": (ZZ, st.integers(-9, 9)),
-    "QQ": (QQ, st.fractions(min_value=-9, max_value=9, max_denominator=6)),
+    "QQ": (QQ, qq_elements),
     "GF(5)": (GF(5), st.integers(0, 4)),
     "GF(7)": (GF(7), st.integers(0, 6)),
     **{f"Q(zeta_{m})": (CYC(m), st.lists(

@@ -13,9 +13,9 @@ from twistalex.laurent import LaurentPoly, RationalFunction, parse_poly
 from twistalex.matrix import Monomial
 from twistalex.metabelian import (DihedralData, alexander_polynomial,
                                   branched_cover_homology, characters_of_quotient,
-                                  find_dihedral_epis, monodromy_orbit_values)
+                                  find_dihedral_epis, find_zn_apn_epis, monodromy_orbit_values)
 from twistalex.presentation import parse_presentation
-from twistalex.reps import (rep_dihedral, rep_direct_sum, rep_metabelian,
+from twistalex.reps import (rep_dihedral, rep_direct_sum, rep_gamma_compose, rep_metabelian,
                             rep_mod_p, rep_onedim, rep_trivial)
 from twistalex.twisted import (TwistedPolynomial, WadaError, doteq_equal,
                                satellite_twisted, unit_subgroup, wada_invariant)
@@ -384,3 +384,38 @@ def test_monomial_rep_calls_the_engine_for_its_numerator_only(monkeypatch):
     conj = rep.convert_domain(QQ).conjugate(p)
     assert doteq_equal(wada_invariant(pres, conj), as_tw(tw, tw.to_text()))
     assert (kron, engine) == ([5, 5], [])
+
+
+def _integer_reps(route):
+    """(presentation, rep) over ZZ for the corpus: dihedral at p = 3 and 5, or
+    the Gamma reps of check_conjecture_A at its (p0, n) = (3, 2), (2, 3), (5, 2)."""
+    for fx in corpus():
+        pres = presentation(fx.name)
+        if route == "dihedral":
+            for p in (3, 5):
+                yield from ((pres, rep_dihedral(pres, d)) for d in find_dihedral_epis(pres, p))
+        else:
+            for p0, n in ((3, 2), (2, 3), (5, 2)):
+                yield from ((pres, rep_gamma_compose(pres, n, p0, epi))
+                            for epi in find_zn_apn_epis(pres, n, p0))
+
+
+@pytest.mark.parametrize("route", ["dihedral", "gamma"])
+def test_integer_reps_reach_the_text_form_without_fraction(monkeypatch, route):
+    # QQ keeps integral values as ints, so the ZZ num and den copied to QQ,
+    # the gcd reduction and the unit normal form all run on ints.  The first
+    # pass fills the per-process caches; the second is counted.  Counts are
+    # asserted, never times
+    cases = list(_integer_reps(route))
+    assert cases and all(rep.dom is ZZ for _, rep in cases)
+    want = [wada_invariant(pres, rep).to_text() for pres, rep in cases]
+    built, new = [], Fraction.__new__
+
+    def counted(cls, *args, **kwargs):
+        built.append(args)
+        return new(cls, *args, **kwargs)
+
+    monkeypatch.setattr(Fraction, "__new__", counted)
+    got = [wada_invariant(pres, rep).to_text() for pres, rep in cases]
+    assert built == []
+    assert got == want
