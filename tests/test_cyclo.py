@@ -199,6 +199,18 @@ def test_mul_and_dot_match_schoolbook(m):
                 assert all(isinstance(v, Fraction) for v in F.coords(cell))
 
 
+def count_fractions(monkeypatch):
+    """The argument tuples of every Fraction built from now on, anywhere."""
+    built, new = [], Fraction.__new__
+
+    def counted(cls, *args, **kwargs):
+        built.append(args)
+        return new(cls, *args, **kwargs)
+
+    monkeypatch.setattr(Fraction, "__new__", counted)
+    return built
+
+
 def test_products_of_integral_elements_build_no_fraction(monkeypatch):
     # mul, dot and mat_mul of denominator-1 elements run on integers end to
     # end: no Fraction is built, not even for the result.  Counts are
@@ -207,14 +219,7 @@ def test_products_of_integral_elements_build_no_fraction(monkeypatch):
     rng = random.Random(12)
     a, b = ([[F.coerce(tuple(rng.randint(-9, 9) for _ in range(F.degree))),
               F.zeta(rng.randrange(12))] for _ in range(2)] for _ in range(2))
-    built = []
-
-    class Counted(Fraction):
-        def __new__(cls, *args, **kwargs):
-            built.append(args)
-            return super().__new__(cls, *args, **kwargs)
-
-    monkeypatch.setattr(cyclo, "Fraction", Counted)
+    built = count_fractions(monkeypatch)
     got = F.mul(a[0][0], b[0][1]), F.dot(a[0], b[1]), F.mat_mul(a, b)
     assert built == []
     product = tuple(tuple(F.add(_schoolbook(F, row[0], b[0][c]), _schoolbook(F, row[1], b[1][c]))
@@ -264,13 +269,7 @@ def test_rationals_invert_and_embed_without_fraction(monkeypatch):
     want_inv = [F.coerce(1 / v) for v in values]
     want_in = [F.coerce(v) for v in values]
     ints = [v.numerator for v in values if v.denominator == 1]
-    built, new = [], Fraction.__new__
-
-    def counted(cls, *args, **kwargs):
-        built.append(args)
-        return new(cls, *args, **kwargs)
-
-    monkeypatch.setattr(Fraction, "__new__", counted)
+    built = count_fractions(monkeypatch)
     got_inv = [F.inv(a) for a in rationals]
     got_in = [convert(v, QQ, F) for v in values] + [convert(v, ZZ, F) for v in ints]
     assert built == []

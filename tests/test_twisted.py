@@ -21,6 +21,7 @@ from twistalex.twisted import (TwistedPolynomial, WadaError, doteq_equal,
                                satellite_twisted, unit_subgroup, wada_invariant)
 
 from det_oracle import count_paths, engine_det
+from test_cyclo import count_fractions
 
 PAPER_COLORING = DihedralData(3, (2, 0, 2, 1, 1, 2, 0, 1, 0, 1, 2))
 
@@ -409,13 +410,7 @@ def test_integer_reps_reach_the_text_form_without_fraction(monkeypatch, route):
     cases = list(_integer_reps(route))
     assert cases and all(rep.dom is ZZ for _, rep in cases)
     want = [wada_invariant(pres, rep).to_text() for pres, rep in cases]
-    built, new = [], Fraction.__new__
-
-    def counted(cls, *args, **kwargs):
-        built.append(args)
-        return new(cls, *args, **kwargs)
-
-    monkeypatch.setattr(Fraction, "__new__", counted)
+    built = count_fractions(monkeypatch)
     got = [wada_invariant(pres, rep).to_text() for pres, rep in cases]
     assert built == []
     assert got == want
