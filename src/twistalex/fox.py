@@ -42,8 +42,13 @@ Q^-1 P, their t-exponents and signs, the unit's t-shift and generator powers
 depend on the presentation alone: `walk_plan` builds them once per (pres,
 column) and keeps them in the presentation's memo (`KnotPresentation.cached`),
 which lives as long as the presentation does.  `reduced_fox_matrix` is the
-evaluation: it looks each plan word up in the rep and combines the blocks.
-It builds the reduced matrix afresh on every call and keeps nothing.
+evaluation: it looks each plan word up in the rep and combines the block
+columns.  Each D(g) is sparse, one list of nonzero (exponent, column, value)
+entries per block row (a seed's is one entry per row), and `_combine` sends
+each image entry times each entry of the D(g) row it meets to its output
+cell, so no zero is multiplied; each nonzero cell is one dom.dot, so Q(zeta_m)
+normalizes once per cell.  It builds the reduced matrix afresh on every call
+and keeps nothing.
 
 Under the trivial image the reduced matrix presents the Alexander module
 itself (its pivots are units ±t^a).  `metabelian.reduced_module` keeps that
@@ -193,31 +198,36 @@ def walk_plan(pres, column: int) -> WalkPlan:
     return pres.cached(("walk plan", column), lambda p: _walk_plan(p, column))
 
 
-def _combine(rep, width: int, terms, d):
+def _combine(rep, terms, d):
     """sum sign * rho(word) t^x D(g) over the terms (g, word, x, sign), as
-    {exponent: n x width block}; each block row is one dom.mat_mul of the
-    row's term coefficients by the D(g) rows they multiply."""
+    one list of nonzero (exponent, column, value) entries per block row.  An
+    image entry (a, c, v) sends sign * v times each entry (y, column, u) of
+    D(g)'s row c to cell (x + y, column) of row a; each cell is then one
+    dom.dot of what it gathered, and a cell whose dot is zero is dropped."""
     n, dom = rep.dim, rep.dom
-    gathered = {}
+    gathered = [{} for _ in range(n)]
     for g, w, x, sign in terms:
         dg = d[g]
         if not dg:
             continue
         for a, c, v in entries(dom, rep.image_of_word(w), n):
             coef = v if sign > 0 else dom.neg(v)
-            for y, block in dg.items():
-                rows = gathered.get(x + y)
-                if rows is None:
-                    rows = gathered[x + y] = [([], []) for _ in range(n)]
-                rows[a][0].append(coef)
-                rows[a][1].append(block[c])
-    zero = dom.zero()
-    out = {}
-    for x, rows in gathered.items():
-        block = [dom.mat_mul((coefs,), vecs)[0] if coefs else (zero,) * width
-                 for coefs, vecs in rows]
-        if any(not dom.is_zero(v) for row in block for v in row):
-            out[x] = block
+            cells = gathered[a]
+            for y, col, u in dg[c]:
+                cell = cells.get((x + y, col))
+                if cell is None:
+                    cells[x + y, col] = ([coef], [u])
+                else:
+                    cell[0].append(coef)
+                    cell[1].append(u)
+    out = []
+    for cells in gathered:
+        row = []
+        for (y, col), (coefs, vals) in cells.items():
+            v = dom.dot(coefs, vals)
+            if not dom.is_zero(v):
+                row.append((y, col, v))
+        out.append(row)
     return out
 
 
@@ -230,23 +240,20 @@ def reduced_fox_matrix(rep, pres, column: int, dets):
     looked up here."""
     n, dom = rep.dim, rep.dom
     plan = walk_plan(pres, column)
-    width = (len(plan.seeds) - 1) * n
-    zero, one = dom.zero(), dom.one()
-    d = {column: {}}
+    one = dom.one()
+    d = {column: ()}
     for k, s in enumerate(plan.seeds[1:]):
-        block = [[zero] * width for _ in range(n)]
-        for a in range(n):
-            block[a][k * n + a] = one
-        d[s] = {0: block}
+        d[s] = [[(0, k * n + a, one)] for a in range(n)]
     for p, terms in plan.pivots:
-        d[p] = _combine(rep, width, terms, d)
+        d[p] = _combine(rep, terms, d)
+    width = (len(plan.seeds) - 1) * n
     rows = []
     for terms in plan.rows:
-        blocks = _combine(rep, width, terms, d)
-        low = min(blocks, default=0)
-        span = [blocks.get(x) for x in range(low, max(blocks, default=-1) + 1)]
-        rows += [[LaurentPoly(dom, [zero if b is None else b[a][c] for b in span], low)
-                  for c in range(width)] for a in range(n)]
+        for row in _combine(rep, terms, d):
+            cells = [{} for _ in range(width)]
+            for y, col, v in row:
+                cells[col][y] = v
+            rows.append([LaurentPoly.from_terms(dom, cell) for cell in cells])
     c = one if plan.sign > 0 or n % 2 == 0 else dom.neg(one)
     for g, e in enumerate(plan.powers):
         if e:

@@ -5,13 +5,16 @@ determinant of the whole Fox matrix through rho tensor t^phi, one block row
 per relator, with the deleted column's block removed.  The walker's reduced
 matrix times its unit must be exactly that polynomial, so the numerator and
 denominator of `TwistedPolynomial.value` are compared exactly, not only the
-canonical text.  Delta from the reduced route is compared with the full
-Alexander minor's on the braids of the reduced Burau oracle.
+canonical text.  The inputs include the GF(p) reductions of dihedral reps,
+as `check_conjecture_B2` walks them, where entries can cancel mod p.  Delta
+from the reduced route is compared with the full Alexander minor's on the
+braids of the reduced Burau oracle.
 
 A mismatch here is a walker defect, not a reason to change the check.
 """
 import random
 
+import pytest
 from hypothesis import HealthCheck, assume, given, settings
 from hypothesis import strategies as st
 
@@ -30,7 +33,7 @@ from twistalex.polydet import det_poly_matrix
 from twistalex.presentation import (BraidWord, braid_closure_presentation, parse_braid,
                                     parse_presentation)
 from twistalex.reps import (rep_dihedral, rep_gamma_compose, rep_metabelian,
-                            rep_metacyclic, rep_onedim, rep_trivial)
+                            rep_metacyclic, rep_mod_p, rep_onedim, rep_trivial)
 from twistalex.twisted import wada_invariant
 
 from test_fox import PHI_PRESENTATIONS
@@ -97,9 +100,11 @@ def _metabelian(pres):
 
 
 def _corpus_reps(pres, rng):
-    """Dihedral p = 3, 5, 7, metacyclic, gamma and metabelian n = 2 reps,
-    as far as pres admits them, and dense conjugates of two of them."""
+    """Dihedral p = 3, 5, 7 reps and their reductions mod p, metacyclic,
+    gamma and metabelian n = 2 reps, as far as pres admits them, and dense
+    conjugates of two of them."""
     out = [rep_dihedral(pres, d) for p in (3, 5, 7) for d in find_dihedral_epis(pres, p)[:1]]
+    out += [rep_mod_p(rep, rep.dim) for rep in out]
     out += [rep_metacyclic(pres, m, p, k, c) for m, p, k in METACYCLIC
             for c in find_metacyclic_epis(pres, m, p, k)[:1]]
     out += [rep_gamma_compose(pres, n, p0, a) for n, p0 in GAMMA
@@ -136,7 +141,7 @@ def test_numerator_exact_on_the_corpus_at_every_column():
                 _assert_every_column(pres, rep)
             else:
                 _assert_exact(pres, rep)
-    assert labels == {"dihedral", "metacyclic", "gamma", "metabelian", "conj"}, labels
+    assert labels == {"dihedral", "modp", "metacyclic", "gamma", "metabelian", "conj"}, labels
 
 
 def test_numerator_exact_on_phi_presentations():
@@ -161,6 +166,45 @@ def test_unit_carries_sign_and_determinant():
     assert len(rows) < 3 * (pres.generator_count - 1) and unit.low() == unit.deg()
 
 
+def _dot_operands(monkeypatch, rep, pres):
+    """(dot calls, zero operands) of one reduced_fox_matrix call, after a
+    first call has filled the rep's image cache, so only the walk's own
+    products reach the domain's dot."""
+    dom, dets = rep.dom, rep.det_image_generators()
+    reduced_fox_matrix(rep, pres, 0, dets)
+    counts = [0, 0]
+    dot = dom.dot
+
+    def spy(xs, ys):
+        xs, ys = list(xs), list(ys)
+        counts[0] += 1
+        counts[1] += sum(dom.is_zero(v) for v in xs + ys)
+        return dot(xs, ys)
+
+    monkeypatch.setattr(dom, "dot", spy)
+    reduced_fox_matrix(rep, pres, 0, dets)
+    monkeypatch.undo()
+    return tuple(counts)
+
+
+@pytest.mark.parametrize("case", ["dihedral over ZZ", "dense conjugate over Q(zeta_m)"])
+def test_walker_multiplies_no_zero(monkeypatch, case):
+    # the block columns D(g) hold their nonzero entries only, so every
+    # operand the walk hands to dom.dot is nonzero; zero-filled dense blocks
+    # would reach it through Domain.mat_mul.  Over ZZ some of 5_1's cells
+    # cancel, so a cell whose dot is zero must be dropped too
+    pres = presentation("5_1")
+    if case == "dihedral over ZZ":
+        rep = rep_dihedral(pres, find_dihedral_epis(pres, 5)[0])
+        assert rep.dom is ZZ
+    else:
+        meta = _metabelian(pres)
+        rep = meta.conjugate(_dense(meta.dom, 2, random.Random(33)))
+        assert rep.dom.name == "Q(zeta_20)"
+    calls, zeros = _dot_operands(monkeypatch, rep, pres)
+    assert calls > 0 and zeros == 0, (calls, zeros)
+
+
 _braids = st.integers(2, 5).flatmap(lambda s: st.tuples(
     st.just(s), st.lists(st.integers(1, s - 1).flatmap(lambda i: st.sampled_from((i, -i))),
                          min_size=1, max_size=12)))
@@ -177,7 +221,8 @@ def test_numerator_exact_on_random_braids(braid, salt):
     rng = random.Random(salt)
     F = CYC(5)
     reps = [rep_trivial(pres), rep_onedim(pres, F.zeta(1), F)]
-    reps += [rep_dihedral(pres, d) for d in find_dihedral_epis(pres, 3)[:1]]
+    dihedral = [rep_dihedral(pres, d) for d in find_dihedral_epis(pres, 3)[:1]]
+    reps += dihedral + [rep_mod_p(rep, 3) for rep in dihedral]
     meta = _metabelian(pres)
     if meta is not None:
         reps += [meta, meta.conjugate(_dense(meta.dom, 2, rng))]
