@@ -183,7 +183,6 @@ def _dot_operands(monkeypatch, rep, pres):
 
     monkeypatch.setattr(dom, "dot", spy)
     reduced_fox_matrix(rep, pres, 0, dets)
-    monkeypatch.undo()
     return tuple(counts)
 
 
