@@ -8,13 +8,16 @@ equality and hashing are structural; zeta^k is one pair for k < phi(m), so
 the values ±zeta^k of a metabelian representation and most entries built
 from them have few pairs.  Only this module and the determinant engine read
 the layout; every other module uses the field's methods.  Roots of unity
-never degrade to floats.  Products run on the pairs: `_integral_dot`
-convolves a sum of products into one dense integer accumulator over a
-common denominator and reduces once with the integer table of Phi_m
-(monic), and `_normal` turns the result back into pairs.  zeta^k is reduced
-mod Phi_m on demand.  A rational inverts by one integer division, ±zeta^k
-by a table the first non-rational `inv` builds, anything else by the
-polynomial kernel (`laurent.poly_invmod`).  A field with phi(m) > PHI_CAP
+never degrade to floats.  Products run on the pairs: two one-pair operands
+whose indices sum below phi(m) (a rational, ±zeta^k with k < phi(m)) make
+one pair and one gcd, and every other product or dot goes through
+`_integral_dot`, which convolves into a sparse integer accumulator keyed by
+index over a common denominator, reduces only its keys >= phi(m) with the
+sparse rows of the integer table of Phi_m (monic), and reads the pairs off
+in lowest terms once (`_lowest`).  zeta^k is reduced mod Phi_m on demand.
+A rational inverts by one integer division, ±zeta^k by a table the first
+non-rational `inv` builds, anything else by the polynomial kernel
+(`laurent.poly_invmod`).  A field with phi(m) > PHI_CAP
 is refused before Phi_m is computed.
 
 `has_order` is the package's one multiplicative-order test, and the trial
@@ -89,10 +92,10 @@ def is_cyclotomic_irreducible_mod_p(n: int, p: int) -> bool:
     return has_order(p, _euler_phi(n), n)
 
 
-def _normal(nums, den: int):
-    """The element (pairs, den) in lowest terms of the dense integer
-    coordinates nums over den > 0: the one way from dense to pairs."""
-    pairs = tuple([(i, x) for i, x in enumerate(nums) if x])
+def _lowest(pairs: tuple, den: int):
+    """The element (pairs, den) in lowest terms, from its nonzero (index,
+    numerator) pairs by increasing index over den > 0: zero is ((), 1), else
+    one gcd with den."""
     if not pairs:
         return (), 1
     if den != 1:
@@ -100,6 +103,12 @@ def _normal(nums, den: int):
         if g != 1:
             return tuple([(i, x // g) for i, x in pairs]), den // g
     return pairs, den
+
+
+def _normal(nums, den: int):
+    """The element (pairs, den) in lowest terms of the dense integer
+    coordinates nums over den > 0."""
+    return _lowest(tuple([(i, x) for i, x in enumerate(nums) if x]), den)
 
 
 # the largest phi(m) = [Q(zeta_m) : Q] a field is built for
@@ -167,7 +176,19 @@ class CyclotomicField(Domain):
         return tuple([(i, -x) for i, x in a[0]]), a[1]
 
     def mul(self, a, b):
-        return self.dot((a,), (b,))
+        """a * b: two one-pair operands whose indices sum below phi(m) (every
+        rational, every ±zeta^k with k < phi(m)) make one pair and one gcd;
+        any other product goes through `_integral_dot`."""
+        (an, ad), (bn, bd) = a, b
+        if len(an) == 1 and len(bn) == 1:
+            (i, x), (j, y) = an[0], bn[0]
+            k = i + j
+            if k < self.degree:
+                x *= y
+                e = ad * bd
+                g = gcd(x, e)
+                return ((k, x // g),), e // g
+        return self._integral_dot(((a, b),))
 
     def dot(self, xs, ys):
         """sum_k xs[k] * ys[k] on integer numerators (`_integral_dot`)."""
@@ -176,13 +197,14 @@ class CyclotomicField(Domain):
     def _integral_dot(self, products):
         """sum a * b over the products (a, b) of elements.
 
-        Each product's pairs are convolved into one dense integer
-        accumulator over the running common denominator of all products,
-        which is reduced once mod Phi_m and brought back to pairs in lowest
-        terms once (`_normal`).
+        Each product's pairs are convolved into one sparse integer
+        accumulator, a dict keyed by index, over the running common
+        denominator of all products.  Only the keys >= phi(m) are reduced,
+        each through its sparse row of the table of Phi_m, and the nonzero
+        pairs are read off sorted and brought to lowest terms once
+        (`_lowest`).
         """
-        d = self.degree
-        acc = [0] * (2 * d - 1)
+        acc: dict[int, int] = {}
         den = 1
         for (an, ad), (bn, bd) in products:
             if not an or not bn:
@@ -191,19 +213,22 @@ class CyclotomicField(Domain):
             if den % e:
                 grown = lcm(den, e)
                 f = grown // den
-                acc = [c * f for c in acc]
+                for k in acc:
+                    acc[k] *= f
                 den = grown
             s = den // e
             for i, x in an:
                 x *= s
                 for j, y in bn:
-                    acc[i + j] += x * y
-        out = acc[:d]
-        for row, c in zip(self._red, acc[d:]):
+                    k = i + j
+                    acc[k] = acc.get(k, 0) + x * y
+        d = self.degree
+        for k in [k for k in acc if k >= d]:
+            c = acc.pop(k)
             if c:
-                for i, r in row:
-                    out[i] += c * r
-        return _normal(out, den)
+                for i, r in self._red[k - d]:
+                    acc[i] = acc.get(i, 0) + c * r
+        return _lowest(tuple([p for p in sorted(acc.items()) if p[1]]), den)
 
     def is_zero(self, a):
         return not a[0]

@@ -196,10 +196,21 @@ def to_dense(dom: Domain, m) -> Dense:
 
 
 def gen_mul(dom: Domain, a, b):
-    """Product that stays monomial when both factors are."""
-    if isinstance(a, Monomial) and isinstance(b, Monomial):
-        return a.mul(b, dom)
-    return mat_mul(dom, to_dense(dom, a), to_dense(dom, b))
+    """Product that stays monomial when both factors are.  A monomial factor
+    times a dense one permutes and scales the dense one's rows (M B: row
+    perm[j] is scale[j] times row j of B) or columns (A M: column j is
+    column perm[j] of A times scale[j]), n^2 `dom.mul` calls in all."""
+    if isinstance(a, Monomial):
+        if isinstance(b, Monomial):
+            return a.mul(b, dom)
+        rows = [None] * a.n
+        for p, s, row in zip(a.perm, a.scales, b):
+            rows[p] = tuple([dom.mul(s, x) for x in row])
+        return tuple(rows)
+    if isinstance(b, Monomial):
+        cols = tuple(zip(b.perm, b.scales))
+        return tuple([tuple([dom.mul(row[p], s) for p, s in cols]) for row in a])
+    return mat_mul(dom, a, b)
 
 
 def gen_inv(dom: Domain, a):

@@ -18,7 +18,8 @@ Each rep caches the image of every word prefix it has evaluated, so the
 relator check fills the cache that the Fox walker reads (it starts every
 syllable from a relator prefix).  A conjugated rep P^-1 rho P receives its
 inverse images as P^-1 rho(g)^-1 P from the base rep, so no generator is
-inverted over the dense field.
+inverted over the dense field; each image is P^-1 (rho(g) P), where
+`matrix.gen_mul` scales and permutes P's rows for a monomial rho(g).
 """
 from __future__ import annotations
 
@@ -30,7 +31,7 @@ from .cyclo import CYC, CyclotomicField
 from .domains import (Domain, ExactDivisionError, GF, QQ, RepresentationError, ZZ, convert,
                       domain_join, odd_prime_field)
 from .matrix import (Dense, Monomial, direct_sum, gen_inv, gen_mul, is_identity, is_square,
-                     kron, mat_convert, mat_mul, to_dense)
+                     kron, mat_convert)
 from .metabelian import (Character, DihedralData, Target, apn_irreducible,
                          branched_cover_homology, characters_of_quotient,
                          deleted_column, find_zn_apn_epis)
@@ -121,11 +122,10 @@ class Representation:
         rep's cached inverses, so no field inversion runs per generator, and
         its generator determinants are this rep's (det P^-1 A P = det A)."""
         dom = self.dom
-        pinv = to_dense(dom, gen_inv(dom, pmat))
-        pmat = to_dense(dom, pmat)
+        pinv = gen_inv(dom, pmat)
 
         def conj(img):
-            return mat_mul(dom, mat_mul(dom, pinv, to_dense(dom, img)), pmat)
+            return gen_mul(dom, pinv, gen_mul(dom, img, pmat))
 
         images = {g: conj(img) for g, img in self.images.items()}
         inverses = {g: conj(self.image_of_gen(g, -1)) for g in self.images}
@@ -405,8 +405,8 @@ def triangular_form(p: int):
     b = vandermonde_basis(p)
     binv = gen_inv(dom, b)
     x, y = dihedral_xy_on_vp(p)
-    xv = mat_mul(dom, mat_mul(dom, binv, x.to_dense(dom)), b)
-    yv = mat_mul(dom, mat_mul(dom, binv, y.to_dense(dom)), b)
+    xv = gen_mul(dom, binv, gen_mul(dom, x, b))
+    yv = gen_mul(dom, binv, gen_mul(dom, y, b))
     return xv, yv, b
 
 

@@ -92,13 +92,38 @@ def test_mat_inverse_field_and_integer():
         mat_inverse(QQ, ((Fraction(0), Fraction(0)), (Fraction(0), Fraction(0))))
 
 
-def test_gen_mul_dispatch():
-    a = Monomial((1, 0), (1, 1))
-    dense = ((1, 1), (0, 1))
-    out = gen_mul(ZZ, a, dense)
-    assert out == mat_mul(ZZ, a.to_dense(ZZ), dense)
-    out2 = gen_mul(ZZ, a, a)
-    assert isinstance(out2, Monomial)
+@pytest.mark.parametrize("dom", [ZZ, QQ, GF(7), CYC(12)], ids=lambda d: d.name)
+def test_gen_mul_dispatch(dom, monkeypatch):
+    """Every pairing of formats is the dense product of the densified
+    operands; a monomial factor costs n^2 `mul` calls and no `dot`."""
+    n = 3
+    z = dom.zeta(1) if isinstance(dom, CyclotomicField) else dom.coerce(3)
+    a = Monomial((2, 0, 1), (dom.coerce(2), dom.coerce(-1), z))
+    d1 = tuple(tuple(dom.coerce(n * i + j + 1) for j in range(n)) for i in range(n))
+    d2 = tuple(tuple(dom.coerce(1 - (i - j) ** 2) for j in range(n)) for i in range(n))
+    ad = a.to_dense(dom)
+    calls = {"mul": 0, "dot": 0}
+
+    def count(name):
+        real = getattr(dom, name)
+
+        def spy(*args):
+            calls[name] += 1
+            return real(*args)
+        return spy
+
+    for left, right in ((a, d1), (d1, a)):
+        expected = mat_mul(dom, to_dense(dom, left), to_dense(dom, right))
+        with monkeypatch.context() as mp:
+            mp.setattr(dom, "mul", count("mul"))
+            mp.setattr(dom, "dot", count("dot"))
+            out = gen_mul(dom, left, right)
+        assert out == expected
+        assert calls == {"mul": n * n, "dot": 0}
+        calls.update(mul=0, dot=0)
+    assert gen_mul(dom, d1, d2) == mat_mul(dom, d1, d2)
+    assert isinstance(gen_mul(dom, a, a), Monomial)
+    assert to_dense(dom, gen_mul(dom, a, a)) == mat_mul(dom, ad, ad)
 
 
 def _dot(dom, row, v):
