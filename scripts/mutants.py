@@ -159,7 +159,7 @@ def main(argv=None) -> int:
     ap = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     ap.add_argument("--only", action="append", default=[], metavar="NAME",
                     help="run only this mutant (repeatable)")
-    ap.add_argument("--scratch", type=Path, default=None,
+    ap.add_argument("--tmpdir", type=Path, default=None,
                     help="directory to make the temporary copy in (default: the system's)")
     ap.add_argument("--tests", action="append", default=[], metavar="PATH",
                     help="run these test paths instead of all of tier-1 (repeatable)")
@@ -173,7 +173,7 @@ def main(argv=None) -> int:
         ap.error(f"unknown mutant(s): {', '.join(sorted(unknown))}")
     chosen = [m for m in MUTANTS if not args.only or m.name in args.only]
     counts = {"killed": 0, "survived": 0, "equivalent": 0}
-    with tempfile.TemporaryDirectory(prefix="mutants-", dir=args.scratch) as copy:
+    with tempfile.TemporaryDirectory(prefix="mutants-", dir=args.tmpdir) as copy:
         copy = Path(copy)
         _archive(copy)
         for m in chosen:
