@@ -23,14 +23,13 @@ Gerhard, Modern Computer Algebra, 8.4), and the determinant of the packed
 matrix, by the fraction-free integer elimination `snf._det_int` (Bareiss
 1968), is the unreduced determinant at those powers of two: a polynomial
 in zeta of degree at most n(phi - 1) < x = n(phi - 1) + 1 and in t of
-degree at most d.  The l1-norm of polynomials is submultiplicative, so each
-of its coefficients is at most H = prod_rows (the row's l1-norm), the bound
-of the certification below; with b = bitlength(H) + 1 each lies strictly
-inside (-2^(b-1), 2^(b-1)), so the x (d + 1) signed base-2^b digits of the
-integer are exactly the coefficients.  They are read off one binary string
-after adding 2^(b-1) to every digit, and each t-coefficient is reduced mod
-Phi_m (monic, `cyclotomic_polynomial`).  No prime, evaluation point or
-numpy call is made, and the bound the engine proves certifies the result.
+degree at most d.  Each of its coefficients is at most H, the product of
+the row l1-norms (Certification, below); with b = bitlength(H) + 1 each
+lies strictly inside (-2^(b-1), 2^(b-1)), so the x (d + 1) signed base-2^b
+digits of the integer are exactly the coefficients.  They are read off one
+binary string after adding 2^(b-1) to every digit, and each t-coefficient
+is reduced mod Phi_m (monic, `cyclotomic_polynomial`).  No prime, evaluation point or
+numpy call is made, and the certification below covers both paths.
 
 det_poly_matrix takes the Kronecker path while n^2 * b * x * (d + 1),
 about the bits of the packed matrix, is at most _KRONECKER_BITS = 2^18, and
@@ -82,23 +81,24 @@ _TABLE_POINTS points they run on the values.  CRT across the primes, into
 the symmetric range, gives the exact integer coordinates; the row scales
 and the t-shift are then undone.
 
-Certification.  Let c in Z[zeta_m] be a coefficient of the scaled
-determinant and iota any complex embedding.  |iota(zeta)| = 1, so
-|iota(a)| <= ||a||_1 (the l1-norm of the coordinates), and expanding the
-permutation sum inside prod_rows (sum of the row's ||coefficient||_1) gives
-|iota(c)| <= H := prod_rows sum_{entries, exponents} ||coefficient||_1.
-With {beta_j} the trace-dual basis of {zeta^j} (Tr(zeta^i beta_j) = delta_ij),
-the coordinates of c are x_j = Tr(c beta_j) = sum_iota iota(c) iota(beta_j),
-so |x_j| <= H * phi(m) * ||beta_j||_1 <= C_m * H with
-C_m = phi(m) * max_j ||beta_j||_1.  By Euler's formula beta_j = b_j /
-Phi_m'(zeta), where Phi_m(x) / (x - zeta) = sum b_j x^j (Serre, Local
-Fields, III.6), and C_m is an exact rational computed once per m
-(_coordinate_bound).  C_1 = 1, so over ZZ the bound is the classical prod
-of row l1-norms; C_12, C_20, C_28, C_76 = 2, 4, 6, 18.  Primes
-are taken until their product exceeds 2 C_m H + 1, so the symmetric CRT
-residue is the coordinate itself: no heuristic stopping.  Primes lie below
-2^31, so every product of two residues fits in int64; a product with a
-table (V, V^-1, D or T) splits the table into 16-bit halves (_mul_mod).
+Certification.  Expanding the permutation sum of the scaled matrix, each
+coefficient of t^e in the determinant, before zeta is reduced, is a signed
+sum of products y_1 ... y_n zeta^K, one integer term y_i zeta^(k_i) t^(e_i)
+per row, K = sum k_i.  The absolute values of those integer products sum to
+at most H := prod_rows (the row's l1-norm, the sum of |y| over its terms),
+so every coefficient of the unreduced expansion, in zeta and t, is at most
+H; the Kronecker path reads exactly these coefficients as its digits.
+Reducing zeta^K = zeta^(K mod m) to the power basis multiplies each product
+by coordinates at most M_m := max_{k < m} max |coordinate of zeta^k|
+(_coordinate_bound, an int computed once per m), so every power-basis
+coordinate of the determinant, which the engine reads, is at most M_m H.
+M_1 = 1 over ZZ, QQ and GF(p), the classical product of row l1-norms; M_m = 1
+for every m <= 210 but 105, 165, 195 and 210, where it is 2.  The engine
+takes primes until their product exceeds 2 M_m H + 1, so the symmetric CRT
+residue is the coordinate itself: no heuristic stopping (von zur Gathen and
+Gerhard, Modern Computer Algebra, 5.5).  Primes lie below 2^31, so every
+product of two residues fits in int64; a product with a table (V, V^-1, D
+or T) splits the table into 16-bit halves (_mul_mod).
 
 Wada numerators and Delta_K come from the substitution walker's reduced
 matrices (`fox.reduced_fox_matrix`), (seeds - 1) n square: on the benchmark
@@ -109,13 +109,13 @@ with more evaluation points per row than the full Fox minors they replace.
 from __future__ import annotations
 
 from functools import lru_cache, partial
-from itertools import count
+from itertools import accumulate, count, repeat
 from math import gcd, isqrt, lcm
 from typing import NamedTuple
 
 from .cyclo import CYC, CyclotomicField, _normal, cyclotomic_polynomial, has_order
 from .domains import Domain, PrimeField, QQ, TwistalexError, ZZ, is_prime
-from .laurent import LaurentPoly, poly_divmod
+from .laurent import LaurentPoly
 from .snf import _det_int
 
 # int64 cells per batched evaluation/elimination chunk (512 KiB): bounds the
@@ -192,15 +192,13 @@ def _embeddings(m: int, q: int):
 
 
 @lru_cache(maxsize=None)
-def _coordinate_bound(m: int):
-    """C_m = phi(m) * max_j ||beta_j||_1, {beta_j} trace-dual to {zeta_m^j}:
-    beta_j = b_j / Phi_m'(zeta), and Phi_m'(zeta) = sum b_j zeta^j; a QQ element,
-    so an int when integral (C_1 = 1 over ZZ, QQ and GF(p))."""
+def _coordinate_bound(m: int) -> int:
+    """M_m, the largest |power-basis coordinate| of any zeta_m^k, k < m: each
+    power is the last times zeta, one product per step and none kept (M_1 = 1
+    over ZZ, QQ and GF(p))."""
     F = CYC(m)
-    b, _ = poly_divmod(F, [F.coerce(c) for c in cyclotomic_polynomial(m).coeffs()],
-                       [F.neg(F.zeta(1)), F.one()])
-    inv = F.inv(F.dot(b, [F.zeta(j) for j in range(len(b))]))
-    return QQ.coerce(F.degree * max(sum(map(abs, F.coords(F.mul(bj, inv)))) for bj in b))
+    powers = accumulate(repeat(F.zeta(1), m - 1), F.mul, initial=F.one())
+    return max(abs(x) for w in powers for _, x in w[0])
 
 
 # ------------------------------------------------------------------- engines

@@ -215,6 +215,18 @@ def test_b1_synthetic_t4_minus_1():
     assert [g.to_text() for g in obs] == ["1 + t^2"]
 
 
+def test_b1_synthetic_content_must_be_a_square():
+    # 1 - t^2 = (1 + t)(1 - t) pairs, so 4 - 4t^2 pairs with f = 2(1 + t);
+    # 2 - 2t^2 does not, and its content 2, not a square, is the obstruction
+    F = parse_poly("4 - 4*t^2")
+    f, sign, shift, obs = _pairing_search(F, factor_integer_poly(F))
+    assert f is not None and obs is None
+    F = parse_poly("2 - 2*t^2")
+    f, sign, shift, obs = _pairing_search(F, factor_integer_poly(F))
+    assert f is None
+    assert [g.to_text() for g in obs] == ["2"]
+
+
 def test_b1_factors_F_once(monkeypatch):
     # the pairing search is handed check_conjecture_B1's factorization of F
     calls = []

@@ -21,6 +21,10 @@
 - Galois equivariance: sigma_a (zeta -> zeta^a) maps alpha(n, chi) to
   alpha(n, chi^a) when z = 1, so W(alpha(n, chi^a)) = sigma_a(W(alpha(n, chi)))
   up to units.
+- Fibered knots: a homogeneous braid closes to a fibered knot of genus g
+  with 2g - 1 = c - s (Stallings 1978), and for a fibered knot Wada's
+  invariant of an n-dimensional rep has degree n(2g - 1) and a numerator
+  with ends +-1 (Cha 2003; Goda-Kitano-Morifuji 2005; Friedl-Kim 2006).
 
 A mismatch here is an engine defect, not a reason to change the check.
 """
@@ -42,7 +46,7 @@ from twistalex.metabelian import (CharComponent, Character, alexander_polynomial
                                   find_dihedral_epis, normalize_integer_poly,
                                   order_from_alexander)
 from twistalex.presentation import BraidWord, braid_closure_presentation, parse_braid
-from twistalex.reps import rep_metabelian, rep_onedim, rep_trivial
+from twistalex.reps import rep_dihedral, rep_metabelian, rep_onedim, rep_trivial
 from twistalex.twisted import TwistedPolynomial, doteq_equal, wada_invariant
 
 from det_oracle import det_cofactor
@@ -339,3 +343,42 @@ def test_burau_route_matches_alexander_on_random_braids(source):
     for braid in braids:
         assert burau_alexander(braid) == alexander_polynomial(
             braid_closure_presentation(braid)), braid.letters
+
+
+# ------------------------------------------------------------ fibered knots
+
+def _homogeneous_braids():
+    """Distinct seeded homogeneous knot-closing braids: 2-5 strands, at most
+    14 crossings, each generator used and always with the same sign."""
+    rng = random.Random(7)
+    seen = set()
+    while True:
+        s = rng.randint(2, 5)
+        signs = [rng.choice((1, -1)) for _ in range(s - 1)]
+        letters = list(range(1, s)) + [rng.randint(1, s - 1)
+                                       for _ in range(rng.randint(s - 1, 14) - s + 1)]
+        rng.shuffle(letters)
+        braid = BraidWord(s, tuple(signs[i - 1] * i for i in letters))
+        if braid.closure_is_knot() and braid not in seen:
+            seen.add(braid)
+            yield braid
+
+
+def test_fibered_knots_have_full_degree_and_monic_ends():
+    # the first dihedral coloring's p-dimensional rep at p = 3 and 5: degree
+    # p (2g - 1) = p (c - s), and both ends of the numerator are +-1
+    pairs = 0
+    for braid in _homogeneous_braids():
+        pres = braid_closure_presentation(braid)
+        for p in (3, 5):
+            epis = find_dihedral_epis(pres, p)
+            if not epis:
+                continue
+            w = wada_invariant(pres, rep_dihedral(pres, epis[0])).value
+            span = (w.num.deg() - w.num.low()) - (w.den.deg() - w.den.low())
+            ends = w.num.coeffs()[0], w.num.coeffs()[-1]
+            assert span == p * (len(braid.letters) - braid.strands), (braid, p)
+            assert all(abs(e) == 1 for e in ends), (braid, p, ends)
+            pairs += 1
+        if pairs >= 60:
+            break

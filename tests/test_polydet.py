@@ -9,10 +9,9 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from twistalex.cyclo import CYC, PHI_CAP, CyclotomicField
+from twistalex.cyclo import CYC, PHI_CAP, CyclotomicField, cyclotomic_polynomial
 from twistalex.domains import GF, QQ, ZZ, Domain, PrimeField, is_prime
-from twistalex.laurent import LaurentPoly, parse_poly
-from twistalex.matrix import mat_inverse
+from twistalex.laurent import LaurentPoly, parse_poly, poly_divmod
 from twistalex import polydet
 from twistalex.polydet import det_matrix, det_poly_matrix
 from twistalex.snf import _det_int
@@ -447,38 +446,42 @@ def _row_norm_product(rows, dom):
 
 
 def test_coordinate_bound_constants():
-    assert [polydet._coordinate_bound(m) for m in (1, 2, 12, 20, 28, 76)] == [1, 1, 2, 4, 6, 18]
+    ms = (1, 2, 3, 12, 20, 28, 76, 105, 131)
+    assert [polydet._coordinate_bound(m) for m in ms] == [1, 1, 1, 1, 1, 1, 1, 2, 1]
+    assert all(type(polydet._coordinate_bound(m)) is int for m in ms)
 
 
-def _coordinate_bound_by_trace_matrix(m):
-    """C_m by the first route: the rows of the inverse of the integer trace
-    matrix Tr(zeta^(i+k)) are the trace-dual basis."""
-    F = CYC(m)
-    d = F.degree
-    tr = [sum(F.coords(F.zeta(s + i))[i] for i in range(d)) for s in range(2 * d - 1)]
-    dual = mat_inverse(QQ, [[tr[i + k] for k in range(d)] for i in range(d)])
-    return d * max(sum(abs(x) for x in row) for row in dual)
-
-
-def test_coordinate_bound_matches_the_trace_matrix_inverse():
-    fields = [m for m in range(1, 131) if CYC(m).degree <= 24]
-    assert len(fields) == 53
-    for m in fields:
-        assert polydet._coordinate_bound(m) == _coordinate_bound_by_trace_matrix(m), m
+def test_coordinate_bound_matches_the_powers_of_x_mod_phi():
+    # the second route: each x^k, k < m, divided by Phi_m over ZZ
+    found = {}
+    for m in range(1, 211):
+        phi = cyclotomic_polynomial(m).coeffs()
+        found[m] = max(abs(c) for k in range(m) for c in poly_divmod(ZZ, [0] * k + [1], phi)[1])
+        assert polydet._coordinate_bound(m) == found[m], m
+    assert {m for m, v in found.items() if v > 1} == {105, 165, 195, 210}
 
 
 @pytest.mark.parametrize("m", ENGINE_MS)
 def test_coordinate_bound_holds(m):
     # integer coordinates, no negative exponents: the det's coordinates are
-    # bounded by C_m * H for the matrix itself
+    # bounded by M_m * H for the matrix itself
     dom = _engine_dom(m)
     rng = random.Random(6000 + m)
-    cm = polydet._coordinate_bound(m)
+    mm = polydet._coordinate_bound(m)
     for n in (2, 3, 4):
         rows = _rand_matrix(rng, dom, n, span=(0, 2), cmax=5, fractional=False)
         d = det_cofactor(rows, dom)
         biggest = max((abs(x) for _, v in d.terms() for x in _coords(dom, v)), default=0)
-        assert biggest <= cm * _row_norm_product(rows, dom), (m, n)
+        assert biggest <= mm * _row_norm_product(rows, dom), (m, n)
+
+
+def _spy_primes(monkeypatch):
+    """The primes the engine takes, in order, as one list."""
+    used = []
+    real = polydet._coords_mod_q
+    monkeypatch.setattr(polydet, "_coords_mod_q",
+                        lambda a, m, q, npoints: used.append(q) or real(a, m, q, npoints))
+    return used
 
 
 @pytest.mark.parametrize("m", [1, 12])
@@ -499,10 +502,7 @@ def test_large_coefficients_take_the_primes_the_bound_implies(m, monkeypatch):
             expected += 1
             prod *= q
         q -= 2
-    used = []
-    real = polydet._coords_mod_q
-    monkeypatch.setattr(polydet, "_coords_mod_q",
-                        lambda a, m_, q_, npoints: used.append(q_) or real(a, m_, q_, npoints))
+    used = _spy_primes(monkeypatch)
     d = engine_det(rows, dom)  # det_poly_matrix packs a 3 x 3
     assert expected >= 3
     assert len(used) == expected
@@ -521,23 +521,40 @@ def test_crt_lifts_a_coordinate_above_half_the_first_prime():
 
 
 def test_crt_takes_a_second_prime_past_twice_the_bound(monkeypatch):
-    # over Q(zeta_12) every power of zeta has coordinates in {-1, 0, 1}, so no
-    # coordinate passes H, half the bound C_12 H = 2H: the stop shows in the
-    # primes taken.  H = 2^15 (2^14 + 1) has 2H < q < 4H + 1 for the first
-    # prime q = 1 (mod 12), so mod > 2 * bound + 1 takes a second prime
+    # over Q(zeta_12), M_12 = 1: diag(a zeta, b zeta^3) has H = ab = 2^30 + 2^15
+    # between q/2 and q for the first prime q = 1 (mod 12), and its determinant
+    # ab zeta^4 = ab (zeta^2 - 1) has coordinates +-ab; stopping at mod > H
+    # would lift them to +-(ab - q), so the engine takes a second prime
     dom = CYC(12)
-    a, b = 2**15, 2**14 + 1
-    assert polydet._coordinate_bound(12) == 2
-    assert 2 * a * b < polydet._prime(12, 0) < 4 * a * b + 1
-    used = []
-    real = polydet._coords_mod_q
-    monkeypatch.setattr(polydet, "_coords_mod_q",
-                        lambda a_, m, q, npoints: used.append(q) or real(a_, m, q, npoints))
+    a, b = 2**15, 2**15 + 1
+    q = polydet._prime(12, 0)
+    assert polydet._coordinate_bound(12) == 1 and q / 2 < a * b < q
+    used = _spy_primes(monkeypatch)
     rows = _diagonal(dom, [LaurentPoly.from_terms(dom, {0: dom.scale(dom.zeta(k), y)})
                            for k, y in ((1, a), (3, b))])
-    want = dom.scale(dom.zeta(4), a * b)  # zeta^4 = zeta^2 - 1
+    want = dom.scale(dom.zeta(4), a * b)
     assert engine_det(rows, dom) == LaurentPoly.from_terms(dom, {0: want})
-    assert used == [polydet._prime(12, 0), polydet._prime(12, 1)]
+    assert used == [q, polydet._prime(12, 1)]
+
+
+def test_a_coordinate_of_two_takes_a_second_prime(monkeypatch):
+    # M_105 = 2: zeta^48 has a coordinate 2, so the determinant y zeta^48 of
+    # diag(zeta^47, y zeta) has a coordinate 2y, with H = y.  For y in
+    # (q/4, q/2), q the first prime = 1 (mod 210), 2y passes q/2: the bound
+    # 2y needs mod > 4y + 1 > q, a second prime; M = 1 would stop at q and
+    # lift 2y to 2y - q
+    dom = CYC(105)
+    q = polydet._prime(105, 0)
+    y = q // 4 + 1
+    assert q % 210 == 1 and q / 4 < y < q / 2
+    assert polydet._coordinate_bound(105) == 2
+    want = dom.scale(dom.zeta(48), y)
+    assert max(abs(x) for x in dom.coords(want)) == 2 * y
+    used = _spy_primes(monkeypatch)
+    rows = _diagonal(dom, [LaurentPoly.from_terms(dom, {0: dom.zeta(47)}),
+                           LaurentPoly.from_terms(dom, {0: dom.scale(dom.zeta(1), y)})])
+    assert engine_det(rows, dom) == LaurentPoly.from_terms(dom, {0: want})
+    assert used == [q, polydet._prime(105, 1)]
 
 
 @pytest.mark.parametrize("dom", [QQ, CYC(3), CYC(12), GF(5), ZZ], ids=str)
