@@ -21,8 +21,9 @@ when the checkout's ``src/`` differs from that commit.  The loop above makes
 ten parent/change pairs, alternating which side runs first, on one host.  Over the seeds both sides
 have, each workload gets a summary per end-to-end metric: both sides'
 quartiles, the change of the median (positive = worse), the pairs the change
-wins, the parent's IQR over its median, and a verdict against the
-BENCHMARK.json bound.
+wins, the parent's IQR over its median, the IQR of the per-seed
+change/parent ratios over their median (information only), and a verdict
+against the BENCHMARK.json bound.
 """
 from __future__ import annotations
 
@@ -80,6 +81,9 @@ def compare(metric: dict, parent: list[float], change: list[float]) -> dict:
     worse = sign * (cq[1] - pq[1]) / pq[1]
     iqr = (pq[2] - pq[0]) / pq[1]
     wins = sum(sign * (c - p) < 0 for p, c in zip(parent, change))
+    # the spread of the per-seed change/parent ratios: information only, no
+    # verdict reads it
+    rq = quartiles([c / p for p, c in zip(parent, change)])
     if len(parent) < MIN_PAIRS:
         verdict = "unresolved"
     elif all(sign * (c - p) < 0 for c in change for p in parent):
@@ -90,7 +94,8 @@ def compare(metric: dict, parent: list[float], change: list[float]) -> dict:
         verdict = "worse" if worse > metric["bound"] else "within bound"
     return {"parent_quartiles": pq, "change_quartiles": cq, "median_change": worse,
             "change_wins": wins, "pairs": len(parent), "parent_iqr": iqr,
-            "bound": metric["bound"], "verdict": verdict}
+            "pair_ratio_iqr": (rq[2] - rq[0]) / rq[1], "bound": metric["bound"],
+            "verdict": verdict}
 
 
 def summarize(entry: dict, metrics: list[dict]) -> None:

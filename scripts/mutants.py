@@ -111,6 +111,20 @@ MUTANTS = [
            "    powers = accumulate(repeat(F.zeta(1), m - 1), F.mul, initial=F.one())\n",
            "    powers = accumulate(repeat(F.zeta(1), F.degree - 1), F.mul, initial=F.one())\n",
            "only the powers below phi(m), the basis itself, are scanned: every M_m reads 1"),
+    # the determinant's one clearing of sparse rows
+    Mutant("cleared-skips-columns", "polydet.py",
+           "    rows = [[(e - lo - col_lows[j], j, v) for e, j, v in row]",
+           "    rows = [[(e - lo, j, v) for e, j, v in row]",
+           "term exponents skip the column clearing, which the shift still restores"),
+    Mutant("degree-bound-short", "polydet.py",
+           "    npoints = min(sum(row_tops), sum(col_tops)) + 1  # the degree bound, plus one\n",
+           "    npoints = min(sum(row_tops), sum(col_tops))  # the degree bound, plus one\n",
+           "the degree bound is one point short: the top coefficient is lost"),
+    # the norm inverse in Q(zeta_m)
+    Mutant("norm-inverse-conjugates", "cyclo.py",
+           "        for k in range(2, m):\n",
+           "        for k in range(2, m - 1):\n",
+           "the norm inverse skips the conjugate sigma_(m-1), complex conjugation"),
     Mutant("hensel-target", "factorint.py",
            "    target = 2 * bound + 1\n",
            "    target = bound\n",

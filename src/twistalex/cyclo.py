@@ -16,9 +16,10 @@ index over a common denominator, reduces only its keys >= phi(m) with the
 sparse rows of the integer table of Phi_m (monic), and reads the pairs off
 in lowest terms once (`_lowest`).  zeta^k is reduced mod Phi_m on demand.
 A rational inverts by one integer division, ±zeta^k by a table the first
-non-rational `inv` builds, anything else by the polynomial kernel
-(`laurent.poly_invmod`).  A field with phi(m) > PHI_CAP
-is refused before Phi_m is computed.
+non-rational `inv` builds, anything else by its norm: a^-1 is the product
+of its Galois conjugates sigma_k(a), k != 1 a unit mod m, over the rational
+N(a) (`_norm_inv`), each conjugate read off the same powers of zeta.  A
+field with phi(m) > PHI_CAP is refused before Phi_m is computed.
 
 `has_order` is the package's one multiplicative-order test, and the trial
 division it factors with (`_prime_factors`) is read nowhere else.
@@ -30,7 +31,7 @@ from functools import lru_cache
 from math import gcd, lcm
 
 from .domains import Domain, TwistalexError
-from .laurent import LaurentPoly, poly_divmod, poly_invmod, poly_trim
+from .laurent import LaurentPoly, poly_divmod
 from . import domains
 
 
@@ -141,7 +142,9 @@ class CyclotomicField(Domain):
             cur = [0] + cur[:-1]
             if top:
                 cur = [c + top * b for c, b in zip(cur, base)]
-        self._unit_inv = None  # ±zeta^k -> ±zeta^-k, built by the first inv
+        # zeta^k for k < m and ±zeta^k -> ±zeta^-k, built by the first
+        # non-rational inv
+        self._pows = self._unit_inv = None
 
     # ------------------------------------------------------------- domain API
     def zero(self):
@@ -238,8 +241,7 @@ class CyclotomicField(Domain):
 
     def inv(self, a):
         """a^-1: a rational x/d as ±d/|x| (already in lowest terms), a root of
-        unity ±zeta^k from the table, anything else by the polynomial kernel,
-        a^-1 mod Phi_m over QQ."""
+        unity ±zeta^k from the table, anything else by its norm (`_norm_inv`)."""
         if self.is_rational(a):
             if not a[0]:
                 raise ZeroDivisionError(f"division by zero in {self.name}")
@@ -249,13 +251,26 @@ class CyclotomicField(Domain):
             pows, z = [self.one()], self.zeta(1)
             for _ in range(self.m - 1):
                 pows.append(self.mul(pows[-1], z))
+            self._pows = pows
             self._unit_inv = {w: pows[-k] for k, w in enumerate(pows)}
             self._unit_inv.update({self.neg(w): self.neg(v) for w, v in self._unit_inv.items()})
         unit = self._unit_inv.get(a)
-        if unit is not None:
-            return unit
-        s = poly_invmod(domains.QQ, poly_trim(domains.QQ, self._dense(a)), self._phi)
-        return self.scale(self.coerce(tuple(s + [0] * (self.degree - len(s)))), a[1])
+        return self._norm_inv(a) if unit is None else unit
+
+    def _norm_inv(self, a):
+        """a^-1 = prod_{k != 1} sigma_k(a) / N(a) over the units k mod m, with
+        sigma_k: zeta -> zeta^k read off the powers of zeta; the norm
+        N(a) = a * prod_{k != 1} sigma_k(a) is rational."""
+        m, pows, (pairs, den) = self.m, self._pows, a
+        rest = self.one()
+        for k in range(2, m):
+            if gcd(k, m) == 1:
+                rest = self.mul(rest, self._integral_dot(
+                    ((((0, x),), den), pows[i * k % m]) for i, x in pairs))
+        norm = self.mul(a, rest)
+        if not self.is_rational(norm):
+            raise ArithmeticError(f"the norm of {self.to_str(a)} is not rational")
+        return self.mul(rest, self.inv(norm))
 
     def scale(self, a, q):
         num, den = q.as_integer_ratio()

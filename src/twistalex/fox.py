@@ -47,13 +47,16 @@ columns.  Each D(g) is sparse, one list of nonzero (exponent, column, value)
 entries per block row (a seed's is one entry per row), and `_combine` sends
 each image entry times each entry of the D(g) row it meets to its output
 cell, so no zero is multiplied; each nonzero cell is one dom.dot, so Q(zeta_m)
-normalizes once per cell.  It builds the reduced matrix afresh on every call
-and keeps nothing.
+normalizes once per cell.  The reduced matrix's rows are returned in that
+form, which `polydet.det_sparse` reads as they are: no LaurentPoly is built
+per cell.  It builds the reduced matrix afresh on every call and keeps
+nothing.
 
 Under the trivial image the reduced matrix presents the Alexander module
-itself (its pivots are units ±t^a).  `metabelian.reduced_module` keeps that
-one in the presentation's memo, and Delta and every branched-cover degree
-read it there; the full matrix (`metabelian.alexander_module`)
+itself (its pivots are units ±t^a).  `alexander_reduced_matrix` gives it as
+LaurentPolys, the one walk that builds them; `metabelian.reduced_module`
+keeps it in the presentation's memo, and Delta and every branched-cover
+degree read it there; the full matrix (`metabelian.alexander_module`)
 is built only for the SNF transform that characters are read through and for
 the epimorphism kernels.
 """
@@ -233,11 +236,12 @@ def _combine(rep, terms, d):
 
 def reduced_fox_matrix(rep, pres, column: int, dets):
     """(rows, unit): the substitution walker's reduced matrix, square of side
-    (seeds - 1) * n, and the monomial unit with det(Fox matrix without block
-    column `column`) = unit * det(rows) exactly.  dets are the determinants
-    of the generator images, indexed by generator.  The walk's words come
-    from the presentation's plan (`walk_plan`); only their images are
-    looked up here."""
+    (seeds - 1) * n, each row the list of its nonzero (exponent, column,
+    value) entries as `polydet.det_sparse` reads it, and the monomial unit
+    with det(Fox matrix without block column `column`) = unit * det(rows)
+    exactly.  dets are the determinants of the generator images, indexed by
+    generator.  The walk's words come from the presentation's plan
+    (`walk_plan`); only their images are looked up here."""
     n, dom = rep.dim, rep.dom
     plan = walk_plan(pres, column)
     one = dom.one()
@@ -246,14 +250,7 @@ def reduced_fox_matrix(rep, pres, column: int, dets):
         d[s] = [[(0, k * n + a, one)] for a in range(n)]
     for p, terms in plan.pivots:
         d[p] = _combine(rep, terms, d)
-    width = (len(plan.seeds) - 1) * n
-    rows = []
-    for terms in plan.rows:
-        for row in _combine(rep, terms, d):
-            cells = [{} for _ in range(width)]
-            for y, col, v in row:
-                cells[col][y] = v
-            rows.append([LaurentPoly.from_terms(dom, cell) for cell in cells])
+    rows = [row for terms in plan.rows for row in _combine(rep, terms, d)]
     c = one if plan.sign > 0 or n % 2 == 0 else dom.neg(one)
     for g, e in enumerate(plan.powers):
         if e:
@@ -262,6 +259,9 @@ def reduced_fox_matrix(rep, pres, column: int, dets):
 
 
 def alexander_reduced_matrix(pres, column: int):
-    """reduced_fox_matrix under the 1 x 1 trivial image over ZZ: the unit is
-    ±t^k and the determinant is the Alexander matrix's minor up to it."""
-    return reduced_fox_matrix(_Trivial(), pres, column, (1,) * pres.generator_count)
+    """reduced_fox_matrix under the 1 x 1 trivial image over ZZ, its cells as
+    LaurentPolys: the unit is ±t^k and the determinant is the Alexander
+    matrix's minor up to it."""
+    rows, unit = reduced_fox_matrix(_Trivial(), pres, column, (1,) * pres.generator_count)
+    return [[LaurentPoly.from_terms(ZZ, {y: v for y, c, v in row if c == col})
+             for col in range(len(rows))] for row in rows], unit

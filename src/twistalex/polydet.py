@@ -1,12 +1,17 @@
 """Exact determinants of matrices of Laurent polynomials.
 
-Both paths below take one cleared form (_cleared) from det_poly_matrix,
-their one entry, which reads sides 0 and 1 and a zero row or column off
-first.  Each row's lowest exponent, then each column's lowest left after
-that, is subtracted, and the total restored at the end; entry (i, j) then
-has degree at most tops[i][j], and the determinant's degree d is at most
-both sum_i max_j tops[i][j] and sum_j max_i tops[i][j] (a zero row or
-column is a zero determinant).  Each row is scaled by one lcm of the
+A matrix comes in one format: per row, the list of its nonzero (exponent,
+column, value) entries, at most one per (exponent, column).  Both paths
+below take one cleared form (_cleared) of it from det_sparse, their one
+entry, which reads sides 0 and 1 and a zero row or column off first.  The
+substitution walker's rows come in that format (`fox.reduced_fox_matrix`);
+det_poly_matrix, for a matrix of LaurentPolys (Delta_K, dense Wada
+denominators, det_matrix), hands det_sparse its cells' nonzero terms.  Each
+row's lowest exponent, then each column's lowest left after that, is
+subtracted, and the total restored at the end; entry (i, j) then has
+degree at most tops[i][j], and the determinant's degree d is at most both
+sum_i max_j tops[i][j] and sum_j max_i tops[i][j] (a zero row or column is
+a zero determinant).  Each row is scaled by one lcm of the
 denominators of its coefficients (a Q(zeta_m) element is its nonzero
 (index, integer numerator) pairs over one denominator, read here, and is
 built again from the dense coordinates by `cyclo._normal` at the exit),
@@ -15,7 +20,7 @@ and GF(p) as m = 1, GF(p) entries lifted to 0..p-1 so that their
 determinant is the integer one reduced mod p.  These are the only
 coefficient domains the package defines; any other is a TypeError.  A
 matrix whose elimination work side^3 * (d + 1) * phi(m) is above _WORK_CAP
-is refused before its terms are read.
+is refused, from its exponents alone, before its terms are built.
 
 The Kronecker path (_det_kronecker).  zeta -> 2^b and t -> 2^(b x) pack
 each entry into one integer (Kronecker substitution; von zur Gathen and
@@ -31,7 +36,7 @@ binary string after adding 2^(b-1) to every digit, and each t-coefficient
 is reduced mod Phi_m (monic, `cyclotomic_polynomial`).  No prime, evaluation point or
 numpy call is made, and the certification below covers both paths.
 
-det_poly_matrix takes the Kronecker path while n^2 * b * x * (d + 1),
+det_sparse takes the Kronecker path while n^2 * b * x * (d + 1),
 about the bits of the packed matrix, is at most _KRONECKER_BITS = 2^18, and
 the multimodular engine above it; sides 0 and 1 are read off.  Its time
 over the engine's, warm per call on random matrices of sides 2-15 with
@@ -101,7 +106,8 @@ product of two residues fits in int64; a product with a table (V, V^-1, D
 or T) splits the table into 16-bit halves (_mul_mod).
 
 Wada numerators and Delta_K come from the substitution walker's reduced
-matrices (`fox.reduced_fox_matrix`), (seeds - 1) n square: on the benchmark
+matrices (`fox.reduced_fox_matrix`; Delta_K's as LaurentPolys, kept once
+per presentation), (seeds - 1) n square: on the benchmark
 workloads at most 15 x 15 over ZZ, GF(p) and small cyclotomic fields
 (`conjecture-sweep`) and 6 x 6 over Q(zeta_12..28) (`cyclotomic-wada`),
 with more evaluation points per row than the full Fox minors they replace.
@@ -126,11 +132,11 @@ _CHUNK_CELLS = 1 << 16
 # _CHUNK_CELLS cells
 _TABLE_POINTS = isqrt(_CHUNK_CELLS)
 # the largest n^2 * b * x * points, about the bits of the packed matrix, that
-# det_poly_matrix hands to _det_kronecker; the multimodular engine takes the
+# det_sparse hands to _det_kronecker; the multimodular engine takes the
 # rest.  Of 2^16..2^20 it gave the fastest determinants over the workloads'
 # matrices (timings in the module doc)
 _KRONECKER_BITS = 1 << 18
-# the largest side^3 * points * phi(m) det_poly_matrix takes on, on either
+# the largest side^3 * points * phi(m) det_sparse takes on, on either
 # path: the engine's elimination work per prime.  Every test, script and
 # benchmark input stays below 6.4e6; metacyclic p = 53 on 3_1 is 1.6e7 and
 # takes 1.0 s
@@ -347,44 +353,49 @@ class _Cleared(NamedTuple):
 
 def _cleared(rows, dom: Domain):
     """The matrix with its exponents cleared and its rows scaled to integers,
-    or None when a row or column is zero; see the module doc.  A matrix whose
-    work side^3 * points * phi(m) is above _WORK_CAP is refused first."""
+    or None when a row or column is zero; see the module doc.  rows[i] holds
+    row i's nonzero (exponent, column, value) entries, at most one per
+    (exponent, column).  A matrix whose work side^3 * points * phi(m) is
+    above _WORK_CAP is refused first."""
     n = len(rows)
     cyclo = isinstance(dom, CyclotomicField)
     phi = dom.degree if cyclo else 1
     # each row's lowest exponent, then each column's lowest left after it, is
-    # cleared; tops[i][j] is then entry (i, j)'s highest exponent, and the
-    # determinant's degree is at most both the sum of the rows' highest
-    # exponents and the sum of the columns'
-    spans = [[(f.low(), f.deg()) if not f.is_zero() else None for f in row] for row in rows]
-    lows = [min((s[0] for s in row if s), default=None) for row in spans]
+    # cleared; the determinant's degree is then at most both the sum of the
+    # rows' highest exponents left and the sum of the columns'
+    lows = [min((e for e, _, _ in row), default=None) for row in rows]
     if None in lows:
         return None  # a zero row
-    col_lows = [min((row[j][0] - lo for row, lo in zip(spans, lows) if row[j]), default=None)
-                for j in range(n)]
+    col_lows = [None] * n
+    for row, lo in zip(rows, lows):
+        for e, j, _ in row:
+            if col_lows[j] is None or e - lo < col_lows[j]:
+                col_lows[j] = e - lo
     if None in col_lows:
         return None  # a zero column
-    tops = [[s[1] - lo - c if s else 0 for s, c in zip(row, col_lows)]
-            for row, lo in zip(spans, lows)]
-    row_tops = list(map(max, tops))
-    npoints = min(sum(row_tops), sum(map(max, zip(*tops)))) + 1  # the degree bound, plus one
+    rows = [[(e - lo - col_lows[j], j, v) for e, j, v in row] for row, lo in zip(rows, lows)]
+    col_tops = [0] * n
+    for row in rows:
+        for e, j, _ in row:
+            if e > col_tops[j]:
+                col_tops[j] = e
+    row_tops = [max(e for e, _, _ in row) for row in rows]
+    npoints = min(sum(row_tops), sum(col_tops)) + 1  # the degree bound, plus one
     work = n**3 * npoints * phi
     if work > _WORK_CAP:
         raise TwistalexError(f"determinant work side^3 * points * phi = {n}^3 * {npoints} * "
                              f"{phi} = {work} is above the cap _WORK_CAP = {_WORK_CAP}")
     terms, scale, widest, height = [], 1, 0, 1
-    for row, lo in zip(rows, lows):
-        raw = [(j, e, v) for j, f in enumerate(row)
-               for e, v in enumerate(f.coeffs(), f.low() - lo - col_lows[j])]
+    for row in rows:
         # each term as integer coordinates over the row's one denominator l: a
         # Q(zeta_m) element's (index, numerator) pairs over its den, and a
         # rational v the one coordinate v.numerator over v.denominator
         if cyclo:
-            l = lcm(*(den for _, _, (_, den) in raw))
-            out = [(j, e, k, y * (l // den)) for j, e, (pairs, den) in raw for k, y in pairs]
+            l = lcm(*(den for _, _, (_, den) in row))
+            out = [(j, e, k, y * (l // den)) for e, j, (pairs, den) in row for k, y in pairs]
         else:
-            l = lcm(*(v.denominator for _, _, v in raw))
-            out = [(j, e, 0, v.numerator * (l // v.denominator)) for j, e, v in raw if v]
+            l = lcm(*(v.denominator for _, _, v in row))
+            out = [(j, e, 0, v.numerator * (l // v.denominator)) for e, j, v in row if v]
         norm = sum(abs(t[3]) for t in out)  # the row's l1-norm, at least each coordinate
         terms.append(out)
         scale *= l
@@ -459,17 +470,24 @@ def det_matrix(a, dom: Domain):
 
 
 def det_poly_matrix(rows, dom: Domain) -> LaurentPoly:
-    """Exact determinant of a square matrix of LaurentPoly over dom: by
-    Kronecker substitution while n^2 * b * x * points is at most
-    _KRONECKER_BITS, else by the multimodular engine."""
+    """Exact determinant of a square matrix of LaurentPoly over dom: det_sparse
+    of its cells' nonzero terms."""
+    if any(len(row) != len(rows) for row in rows):
+        raise ValueError("matrix is not square")
+    return det_sparse([[(e, j, v) for j, f in enumerate(row) for e, v in f.terms()]
+                       for row in rows], dom)
+
+
+def det_sparse(rows, dom: Domain) -> LaurentPoly:
+    """Exact determinant over dom of the square matrix whose row i is the list
+    rows[i] of its nonzero (exponent, column, value) entries, at most one per
+    (exponent, column): by Kronecker substitution while n^2 * b * x * points
+    is at most _KRONECKER_BITS, else by the multimodular engine."""
     n = len(rows)
-    for row in rows:
-        if len(row) != n:
-            raise ValueError("matrix is not square")
     if not (dom is ZZ or dom is QQ or isinstance(dom, (PrimeField, CyclotomicField))):
         raise TypeError(f"no determinant engine for {dom.name}")
-    if n <= 1:
-        return rows[0][0] if n else LaurentPoly.one(dom)
+    if n <= 1:  # side 1 is its one cell, side 0 is 1
+        return LaurentPoly.from_terms(dom, {e: v for e, _, v in rows[0]} if n else {0: dom.one()})
     c = _cleared(rows, dom)
     if c is None:
         return LaurentPoly.zero(dom)

@@ -9,7 +9,8 @@ numerator shifted to lowest exponent 0 and scaled by the c in ±r whose
 lowest coefficient is least, which the text form prints and doteq compares.
 The numerator is the determinant of the substitution walker's reduced
 matrix (`fox.reduced_fox_matrix`), (seeds - 1) n square instead of one block
-row per relator, times the exact monomial unit the walker returns, so `value`
+row per relator, whose sparse rows `polydet.det_sparse` reads as they are,
+times the exact monomial unit the walker returns, so `value`
 is the column-deleted Fox minor's determinant itself, not only up to units.
 The generator determinants are read once per call and serve both that unit
 and the det subgroup.  The denominator det(I - rho(g_j) t^phi_j) of a
@@ -33,7 +34,7 @@ from .domains import Domain, ExactDivisionError, PrimeField, QQ, TwistalexError,
 from .fox import reduced_fox_matrix, specialize_matrix  # noqa: F401
 from .laurent import LaurentPoly, RationalFunction
 from .matrix import Monomial
-from .polydet import det_poly_matrix
+from .polydet import det_poly_matrix, det_sparse
 from .presentation import KnotPresentation
 
 
@@ -161,7 +162,7 @@ def wada_invariant(pres: KnotPresentation, rep, column: int | None = None) -> Tw
     den = _denominator(dom, rep.image_of_gen(column, 1), pres.phi[column])
     dets = rep.det_image_generators()
     rows, unit = reduced_fox_matrix(rep, pres, column, dets)
-    num = det_poly_matrix(rows, dom) * unit
+    num = det_sparse(rows, dom) * unit
     if dom is not field:
         num = num.copy_to(field)
         den = den.copy_to(field)

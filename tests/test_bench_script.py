@@ -122,6 +122,22 @@ def test_a_spread_wider_than_the_bound_is_unresolved():
     assert bench.compare(metric, parent, [4.0] * 10)["verdict"] == "within bound"
 
 
+def test_the_paired_ratio_spread_is_reported_and_moves_no_verdict():
+    # each seed draws its own ops, so the parent spreads over seeds while
+    # every pair moves by 10% or 12%: the ratios' IQR over their median is
+    # reported beside the parent's, and the verdict still reads the parent's
+    metric = {"name": "ops_per_s", "better": "higher", "bound": 0.15}
+    parent = [100.0, 200.0] * 5
+    change = [p * (1.1 if i < 5 else 1.12) for i, p in enumerate(parent)]
+    out = bench.compare(metric, parent, change)
+    ratios = bench.quartiles([c / p for p, c in zip(parent, change)])
+    assert out["pair_ratio_iqr"] == pytest.approx((ratios[2] - ratios[0]) / ratios[1])
+    assert 0 < out["pair_ratio_iqr"] < 0.02 < 0.15 < out["parent_iqr"]
+    assert out["verdict"] == "unresolved"
+    same = bench.compare(metric, [100.0] * 10, [100.0] * 10)
+    assert (same["pair_ratio_iqr"], same["verdict"]) == (0.0, "within bound")
+
+
 def test_a_workload_needs_both_runs(tmp_path):
     records = [r for r in _canned(tmp_path, "aaa") if r["trace"] == 0]
     with pytest.raises(ValueError, match="needs one --trace 0 and one --trace 1 record"):

@@ -230,14 +230,15 @@ def test_products_of_integral_elements_build_no_fraction(monkeypatch):
 def test_roots_of_unity_invert_by_table(monkeypatch):
     # inv(±zeta^k) is zeta^-k from the table and a rational inverts by one
     # integer division, both equal to the polynomial kernel's inverse and
-    # without calling it; any other element, such as 2 + zeta, still calls it
+    # without the norm; any other element, such as 2 + zeta, goes by the norm
     calls = []
+    norm_inv = cyclo.CyclotomicField._norm_inv
 
-    def counted(*args):
-        calls.append(args)
-        return poly_invmod(*args)
+    def counted(self, a):
+        calls.append(a)
+        return norm_inv(self, a)
 
-    monkeypatch.setattr(cyclo, "poly_invmod", counted)
+    monkeypatch.setattr(cyclo.CyclotomicField, "_norm_inv", counted)
     for m in range(1, 61):
         F = CYC(m)
         phi = [Fraction(c) for c in cyclotomic_polynomial(m).coeffs()]
@@ -257,6 +258,42 @@ def test_roots_of_unity_invert_by_table(monkeypatch):
             assert F.mul(x, F.inv(x)) == F.one()
             assert len(calls) == 1
             del calls[:]
+
+
+def _general_elements(F, rng, count):
+    """Seeded elements with every coordinate a nonzero rational of
+    denominator at most 12: neither rational nor ±zeta^k."""
+    return [F.coerce(tuple(Fraction(rng.choice((-1, 1)) * rng.randint(1, 9), rng.randint(1, 12))
+                           for _ in range(F.degree))) for _ in range(count)]
+
+
+@pytest.mark.parametrize("m", [3, 5, 7, 8, 12, 15, 20, 21, 28])
+def test_norm_inverse_equals_the_polynomial_kernel(m):
+    # a general element inverts by its norm to the inverse mod Phi_m over QQ
+    F, rng = CYC(m), random.Random(m)
+    phi = [Fraction(c) for c in cyclotomic_polynomial(m).coeffs()]
+    for a in _general_elements(F, rng, 4) + [F.add(F.coerce(2), F.zeta(1))]:
+        s = poly_invmod(QQ, poly_trim(QQ, list(F.coords(a))), phi)
+        assert F.coords(F.inv(a)) == tuple(s + [Fraction(0)] * (F.degree - len(s)))
+
+
+@pytest.mark.parametrize("m", [105, 131])
+def test_norm_inverse_at_large_phi(m):
+    # phi = 48 and 130, where the kernel over QQ takes seconds per element
+    F, rng = CYC(m), random.Random(m)
+    for a in _general_elements(F, rng, 2 if m == 105 else 1):
+        assert F.mul(a, F.inv(a)) == F.one()
+
+
+def test_a_norm_that_is_not_rational_is_a_fault(monkeypatch):
+    # the norm of a nonzero element is rational; if a defect ever breaks
+    # that, inv raises instead of returning a wrong inverse
+    F = CYC(7)
+    a = F.add(F.coerce(2), F.zeta(1))
+    F.inv(F.zeta(1))  # builds the powers of zeta
+    monkeypatch.setattr(F, "_pows", [F.zeta(1)] * F.m)
+    with pytest.raises(ArithmeticError, match="is not rational"):
+        F.inv(a)
 
 
 def test_rationals_invert_and_embed_without_fraction(monkeypatch):

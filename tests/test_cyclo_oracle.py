@@ -271,9 +271,10 @@ def test_arithmetic_matches_the_reference(m, data):
     assert F.coords(F.neg(x)) == R.neg(a)
     assert F.coords(F.mul(x, y)) == R.mul(a, b)
     assert F.coords(F.scale(x, q)) == R.scale(a, q)
-    # at m = 105 a general element inverts by `poly_invmod` over QQ on both
-    # sides, seconds per element at phi = 48, so only the rational and
-    # root-of-unity paths are compared there
+    # at m = 105 the reference inverts a general element by `poly_invmod`
+    # over QQ, seconds per element at phi = 48, so only the rational and
+    # root-of-unity paths are compared there (test_cyclo checks the norm
+    # inverse at m = 105 and 131 by a * a^-1 = 1)
     if not R.is_zero(a) and (m != 105 or R.is_rational(a) or a in R._unit_inv):
         assert F.coords(F.inv(x)) == R.inv(a)
     assert F.to_str(x) == R.to_str(a)

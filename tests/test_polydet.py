@@ -10,13 +10,14 @@ import numpy as np
 import pytest
 
 from twistalex.cyclo import CYC, PHI_CAP, CyclotomicField, cyclotomic_polynomial
-from twistalex.domains import GF, QQ, ZZ, Domain, PrimeField, is_prime
+from twistalex.domains import GF, QQ, ZZ, Domain, PrimeField, TwistalexError, is_prime
 from twistalex.laurent import LaurentPoly, parse_poly, poly_divmod
 from twistalex import polydet
 from twistalex.polydet import det_matrix, det_poly_matrix
 from twistalex.snf import _det_int
 
-from det_oracle import count_paths, det_cofactor, engine_det
+from det_oracle import (assert_clears_as_reference, cleared_reference, count_paths,
+                        det_cofactor, engine_det, sparse_rows)
 
 
 def rand_zz(rng, span=(-2, 3), cmax=4):
@@ -685,3 +686,41 @@ def test_newton_tables_match_newton(q, monkeypatch):
     rng = random.Random(7)
     engine_det([[rand_zz(rng) for _ in range(5)] for _ in range(5)], ZZ)
     assert all(t.shape[-1] <= 256 for t in polydet._newton_tables.values())
+
+
+# ------------------------------------------------- the sparse clearing
+
+@pytest.mark.parametrize("dom", [ZZ, QQ, GF(7), CYC(5), CYC(12)], ids=str)
+def test_sparse_clearing_edge_cases(dom):
+    t, one, z = (LaurentPoly.from_terms(dom, {e: dom.one()}) for e in (1, 0, -3))
+    zero = LaurentPoly.zero(dom)
+    two = LaurentPoly(dom, [dom.coerce(2), dom.zero(), dom.neg(dom.one())], -1)
+    # side 0 is 1; side 1 is its one cell, zeros and all
+    assert polydet.det_sparse([], dom) == one == det_poly_matrix([], dom)
+    for f in (two, z, zero):
+        assert polydet.det_sparse(sparse_rows([[f]]), dom) == f == det_poly_matrix([[f]], dom)
+    # an empty row, and a column that no row reaches: both read off as zero
+    for rows in ([[t, two, z], [zero, zero, zero], [one, t, two]],
+                 [[t, zero, z], [two, zero, one], [one, zero, t]]):
+        assert_clears_as_reference(sparse_rows(rows), rows, dom)
+        assert polydet._cleared(sparse_rows(rows), dom) is None
+        assert polydet.det_sparse(sparse_rows(rows), dom).is_zero()
+    rows = [[t, two, z], [z, zero, one], [one, t, two]]
+    assert_clears_as_reference(sparse_rows(rows), rows, dom)
+
+
+def test_sparse_clearing_refuses_above_the_work_cap_with_the_same_text():
+    # side 50 with one cell 1 + t^1000: 50^3 * 1001 points is above 10^8,
+    # refused from the exponents alone, before any term is built
+    n = 50
+    rows = [[LaurentPoly.from_terms(ZZ, {0: 1, 1000: 1} if i == j == 0 else {0: 1} if i == j
+                                    else {}) for j in range(n)] for i in range(n)]
+    with pytest.raises(TwistalexError) as want:
+        cleared_reference(rows, ZZ)
+    with pytest.raises(TwistalexError) as got:
+        polydet._cleared(sparse_rows(rows), ZZ)
+    assert str(got.value) == str(want.value) == (
+        "determinant work side^3 * points * phi = 50^3 * 1001 * 1 = 125125000 is above the "
+        "cap _WORK_CAP = 100000000")
+    with pytest.raises(TwistalexError, match="_WORK_CAP"):
+        det_poly_matrix(rows, ZZ)

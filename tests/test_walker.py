@@ -36,6 +36,7 @@ from twistalex.reps import (rep_dihedral, rep_gamma_compose, rep_metabelian,
                             rep_metacyclic, rep_mod_p, rep_onedim, rep_trivial)
 from twistalex.twisted import wada_invariant
 
+from det_oracle import assert_clears_as_reference
 from test_fox import PHI_PRESENTATIONS
 from test_oracles import _cover_workload_braids, _seeded_braids
 
@@ -164,6 +165,42 @@ def test_unit_carries_sign_and_determinant():
     _assert_every_column(pres, rep)
     rows, unit = reduced_fox_matrix(rep, pres, 0, rep.det_image_generators())
     assert len(rows) < 3 * (pres.generator_count - 1) and unit.low() == unit.deg()
+
+
+def _cells(rows, dom):
+    """The walker's sparse rows as a square matrix of LaurentPolys."""
+    cells = [[{} for _ in rows] for _ in rows]
+    for row, out in zip(rows, cells):
+        for e, j, v in row:
+            assert e not in out[j]  # at most one entry per (exponent, column)
+            out[j][e] = v
+    return [[LaurentPoly.from_terms(dom, cell) for cell in out] for out in cells]
+
+
+def test_sparse_clearing_equals_the_cell_by_cell_one_on_the_corpus():
+    # the walker's rows go to polydet._cleared as they are; on every corpus
+    # knot at every admissible column its fields, and each row's terms as a
+    # multiset, equal those of the old clearing of the same matrix as
+    # LaurentPolys, so each matrix takes the same path with the same b, x
+    # and primes
+    rng = random.Random(36)
+    labels = set()
+    for fx in corpus():
+        pres = presentation(fx.name)
+        reps = [rep_dihedral(pres, d) for p in (3, 5, 7) for d in find_dihedral_epis(pres, p)][:1]
+        reps += [rep_mod_p(rep, rep.dim) for rep in reps]
+        meta = _metabelian(pres)
+        if meta is not None:
+            reps += [meta, meta.conjugate(_dense(meta.dom, 2, rng))]
+        for rep in reps:
+            labels.add(rep.label.split("(")[0])
+            dom, dets = rep.dom, rep.det_image_generators()
+            for j in range(pres.generator_count):
+                if not pres.phi[j]:
+                    continue
+                rows, _ = reduced_fox_matrix(rep, pres, j, dets)
+                assert_clears_as_reference(rows, _cells(rows, dom), dom)
+    assert labels == {"dihedral", "modp", "metabelian", "conj"}, labels
 
 
 def _dot_operands(monkeypatch, rep, pres):
