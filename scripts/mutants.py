@@ -97,6 +97,15 @@ MUTANTS = [
            "    content_ok = d * d == abs(content)\n",
            "    content_ok = True\n",
            "a content that is not a square is paired as if it were"),
+    # the one reduction mod Phi_m and the determinant's exit through it
+    Mutant("fold-one-top-short", "cyclo.py",
+           "        for top in range(len(nums) - 1, d - 1, -1):\n",
+           "        for top in range(len(nums) - 1, d, -1):\n",
+           "the fold stops above x^phi, whose coefficient is cut off unreduced"),
+    Mutant("kronecker-exit-drops-tops", "polydet.py",
+           "        return dom.from_powers(coords, scale)\n",
+           "        return dom.from_powers(coords[:dom.degree], scale)\n",
+           "the Kronecker digits at zeta^phi and above are dropped, not folded"),
     # the order test
     Mutant("has-order-primes", "cyclo.py",
            "pow(a, e // q, n) != 1 for q in _prime_factors(e))",
@@ -108,8 +117,8 @@ MUTANTS = [
            "        if mod > bound:\n",
            "the symmetric CRT lift mis-signs a coordinate above mod / 2"),
     Mutant("coordinate-bound-below-phi", "polydet.py",
-           "    powers = accumulate(repeat(F.zeta(1), m - 1), F.mul, initial=F.one())\n",
-           "    powers = accumulate(repeat(F.zeta(1), F.degree - 1), F.mul, initial=F.one())\n",
+           "    return max(abs(x) for w in CYC(m).powers for _, x in w[0])\n",
+           "    return max(abs(x) for w in CYC(m).powers[:CYC(m).degree] for _, x in w[0])\n",
            "only the powers below phi(m), the basis itself, are scanned: every M_m reads 1"),
     # the determinant's one clearing of sparse rows
     Mutant("cleared-skips-columns", "polydet.py",

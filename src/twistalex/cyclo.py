@@ -6,20 +6,27 @@ basis 1, x, ..., x^(deg-1) modulo the m-th cyclotomic polynomial, as
 terms (Cohen 1993, 4.2).  Zero is ((), 1), so the form is unique and
 equality and hashing are structural; zeta^k is one pair for k < phi(m), so
 the values ±zeta^k of a metabelian representation and most entries built
-from them have few pairs.  Only this module and the determinant engine read
-the layout; every other module uses the field's methods.  Roots of unity
-never degrade to floats.  Products run on the pairs: two one-pair operands
-whose indices sum below phi(m) (a rational, ±zeta^k with k < phi(m)) make
-one pair and one gcd, and every other product or dot goes through
-`_integral_dot`, which convolves into a sparse integer accumulator keyed by
-index over a common denominator, reduces only its keys >= phi(m) with the
-sparse rows of the integer table of Phi_m (monic), and reads the pairs off
-in lowest terms once (`_lowest`).  zeta^k is reduced mod Phi_m on demand.
-A rational inverts by one integer division, ±zeta^k by a table the first
-non-rational `inv` builds, anything else by its norm: a^-1 is the product
-of its Galois conjugates sigma_k(a), k != 1 a unit mod m, over the rational
-N(a) (`_norm_inv`), each conjugate read off the same powers of zeta.  A
-field with phi(m) > PHI_CAP is refused before Phi_m is computed.
+from them have few pairs.  Only this module reads the layout; every other
+module uses the field's methods.  Roots of unity never degrade to floats.
+
+One reduction mod Phi_m (monic) serves the field: `_fold`, top-down and in
+place, of an integer coefficient list of any length, and `from_powers` is
+the way in from integer coordinates in the powers of zeta (the determinant
+engine's exit reads it).  The table of Phi_m's sparse rows, x^(phi+j) in
+the power basis, is built by it, one fold of x times the row before, and
+so is the one table of zeta's powers, `powers` (zeta^0 ... zeta^(m-1), one
+product by zeta each), which `zeta`, `inv` and the norm inverse read.
+Products run on the pairs: two one-pair operands whose indices sum below
+phi(m) (a rational, ±zeta^k with k < phi(m)) make one pair and one gcd, and
+every other product or dot goes through `_integral_dot`, which convolves
+into a sparse integer accumulator keyed by index over a common denominator,
+reduces only its keys >= phi(m) with the sparse rows, and reads the pairs
+off in lowest terms once (`_lowest`).  A rational inverts by one integer
+division, ±zeta^k by a table built from `powers` on the first non-rational
+`inv`, anything else by its norm: a^-1 is the product of its Galois
+conjugates sigma_k(a), k != 1 a unit mod m, over the rational N(a)
+(`_norm_inv`), each conjugate read off `powers`.  A field with
+phi(m) > PHI_CAP is refused before Phi_m is computed.
 
 `has_order` is the package's one multiplicative-order test, and the trial
 division it factors with (`_prime_factors`) is read nowhere else.
@@ -27,11 +34,12 @@ division it factors with (`_prime_factors`) is read nowhere else.
 from __future__ import annotations
 
 from fractions import Fraction
-from functools import lru_cache
+from functools import cached_property, lru_cache
+from itertools import accumulate, repeat
 from math import gcd, lcm
 
 from .domains import Domain, TwistalexError
-from .laurent import LaurentPoly, poly_divmod
+from .laurent import LaurentPoly
 from . import domains
 
 
@@ -127,24 +135,23 @@ class CyclotomicField(Domain):
         if m > 2 * PHI_CAP**2 or _euler_phi(m) > PHI_CAP:
             raise TwistalexError(f"Q(zeta_{m}) has degree phi({m}) above the cap PHI_CAP = {PHI_CAP}")
         self.m = m
+        self.torsion_exponent = lcm(2, m)  # the roots of unity are ±zeta^k
         self.name = f"Q(zeta_{m})"
         coeffs = cyclotomic_polynomial(m).coeffs()
-        self._phi = coeffs
         self.degree = d = len(coeffs) - 1
-        # reduction table: x^(deg+j) in the power basis.  Phi_m is monic, so
-        # the entries are integers; each row keeps its nonzero (i, c) pairs.
-        base = [-v for v in coeffs[:d]]
-        cur = base
+        # Phi_m's nonzero terms below its leading x^phi, which `_fold` reads
+        self._phi_terms = tuple((i, a) for i, a in enumerate(coeffs[:d]) if a)
+        # reduction table: row j is x^(phi+j) in the power basis, x times row
+        # j - 1 folded; Phi_m is monic, so the entries are integers, and each
+        # row keeps its nonzero (i, c) pairs
         self._red: list[tuple[tuple[int, int], ...]] = []
+        row = [0] * d + [1]
         for _ in range(d):
-            self._red.append(tuple((i, c) for i, c in enumerate(cur) if c))
-            top = cur[-1]
-            cur = [0] + cur[:-1]
-            if top:
-                cur = [c + top * b for c, b in zip(cur, base)]
-        # zeta^k for k < m and ±zeta^k -> ±zeta^-k, built by the first
-        # non-rational inv
-        self._pows = self._unit_inv = None
+            self._fold(row)
+            self._red.append(tuple((i, c) for i, c in enumerate(row) if c))
+            row.insert(0, 0)
+        # ±zeta^k -> ±zeta^-k, built by the first non-rational inv
+        self._unit_inv = None
 
     # ------------------------------------------------------------- domain API
     def zero(self):
@@ -248,10 +255,7 @@ class CyclotomicField(Domain):
             ((_, x),), d = a
             return (((0, d if x > 0 else -d),), abs(x))
         if self._unit_inv is None:  # ±zeta^k -> ±zeta^-k, at most 2m entries
-            pows, z = [self.one()], self.zeta(1)
-            for _ in range(self.m - 1):
-                pows.append(self.mul(pows[-1], z))
-            self._pows = pows
+            pows = self.powers
             self._unit_inv = {w: pows[-k] for k, w in enumerate(pows)}
             self._unit_inv.update({self.neg(w): self.neg(v) for w, v in self._unit_inv.items()})
         unit = self._unit_inv.get(a)
@@ -261,7 +265,7 @@ class CyclotomicField(Domain):
         """a^-1 = prod_{k != 1} sigma_k(a) / N(a) over the units k mod m, with
         sigma_k: zeta -> zeta^k read off the powers of zeta; the norm
         N(a) = a * prod_{k != 1} sigma_k(a) is rational."""
-        m, pows, (pairs, den) = self.m, self._pows, a
+        m, pows, (pairs, den) = self.m, self.powers, a
         rest = self.one()
         for k in range(2, m):
             if gcd(k, m) == 1:
@@ -272,18 +276,41 @@ class CyclotomicField(Domain):
             raise ArithmeticError(f"the norm of {self.to_str(a)} is not rational")
         return self.mul(rest, self.inv(norm))
 
-    def scale(self, a, q):
-        num, den = q.as_integer_ratio()
-        return _normal([x * num for x in self._dense(a)], a[1] * den)
-
     def div(self, a, b):
         return self.mul(a, self.inv(b))
 
+    # ---------------------------------------------------------- reduction
+    def _fold(self, nums: list) -> None:
+        """Reduce the integer coefficient list nums, of any length, mod Phi_m
+        in place: from the top down each nums[top], top >= phi(m), is folded
+        into the indices below it by Phi_m(zeta) = 0, and the list is cut to
+        the phi(m) (or fewer) coordinates left."""
+        d, terms = self.degree, self._phi_terms
+        for top in range(len(nums) - 1, d - 1, -1):
+            y = nums[top]
+            if y:
+                low = top - d
+                for i, a in terms:
+                    nums[low + i] -= y * a
+        del nums[d:]
+
+    def from_powers(self, nums: list, den: int):
+        """The element sum_k nums[k] zeta^k / den of the integer list nums
+        (folded in place) over den > 0."""
+        self._fold(nums)
+        return _normal(nums, den)
+
+    @cached_property
+    def powers(self) -> list:
+        """zeta^0, ..., zeta^(m-1), each the last times zeta: the field's one
+        table of zeta's powers."""
+        z = self.from_powers([0, 1], 1)
+        return list(accumulate(repeat(z, self.m - 1), self.mul, initial=self.one()))
+
     # ------------------------------------------------------------- utilities
     def zeta(self, k: int = 1):
-        """zeta_m^k as an element: x^(k mod m) reduced mod Phi_m."""
-        _, r = poly_divmod(domains.ZZ, [0] * (k % self.m) + [1], self._phi)
-        return _normal(r, 1)
+        """zeta_m^k as an element, from the table of powers."""
+        return self.powers[k % self.m]
 
     def _dense(self, a) -> list[int]:
         """The phi(m) integer numerators of a, zeros included."""

@@ -8,6 +8,13 @@ determinant and polynomial hot loops.  Integer representations reach QQ
 through Wada's invariant, and there every value (the ZZ numerator and
 denominator, their gcd, the quotients) is integral: as ints it never pays for
 a Fraction.
+
+Every domain states three numbers, so that no caller asks its type: `m` and
+`degree`, which are m and phi(m) for Q(zeta_m) and 1 and 1 for ZZ, QQ and
+GF(p) (the determinant engine reads every domain as Z[zeta_m], and a join
+takes the lcm of the two m), and `torsion_exponent`, an N with u^N = 1 for
+every root of unity u in the domain: 2 for ZZ and QQ, p - 1 for GF(p) and
+lcm(2, m) for Q(zeta_m).
 """
 from __future__ import annotations
 
@@ -64,6 +71,8 @@ def is_prime(n: int) -> bool:
 class Domain:
     is_field = False
     name = "?"
+    m = degree = 1
+    torsion_exponent = 2
 
     def zero(self):
         raise NotImplementedError
@@ -230,6 +239,7 @@ class PrimeField(Domain):
         if not is_prime(p):
             raise RepresentationError(f"p must be a prime, got {p}")
         self.p = p
+        self.torsion_exponent = p - 1
         self.name = f"GF({p})"
 
     def zero(self):
@@ -291,21 +301,18 @@ def odd_prime_field(p: int) -> PrimeField:
 
 
 def domain_join(a: Domain, b: Domain) -> Domain:
-    """Smallest common domain two coefficient domains both embed into."""
-    from .cyclo import CyclotomicField, CYC  # local import: cyclo depends on laurent
+    """Smallest common domain two coefficient domains both embed into: QQ
+    for ZZ and QQ, else Q(zeta_M) for M the lcm of their m (ZZ and QQ have
+    m = 1); GF(p) joins only itself."""
+    from .cyclo import CYC  # local import: cyclo depends on laurent
 
     if a is b:
         return a
-    pair = {a.name, b.name}
-    if pair == {"ZZ", "QQ"}:
+    if isinstance(a, PrimeField) or isinstance(b, PrimeField):
+        raise TypeError(f"no common domain for {a} and {b}")
+    if {a, b} == {ZZ, QQ}:
         return QQ
-    if isinstance(a, CyclotomicField) or isinstance(b, CyclotomicField):
-        ms = [d.m for d in (a, b) if isinstance(d, CyclotomicField)]
-        others = [d for d in (a, b) if not isinstance(d, CyclotomicField)]
-        if others and others[0].name not in ("ZZ", "QQ"):
-            raise TypeError(f"no common domain for {a} and {b}")
-        return CYC(lcm(*ms)) if len(ms) == 2 else CYC(ms[0])
-    raise TypeError(f"no common domain for {a} and {b}")
+    return CYC(lcm(a.m, b.m))
 
 
 def convert(x, src: Domain, dst: Domain):

@@ -14,13 +14,14 @@ sum_i max_j tops[i][j] and sum_j max_i tops[i][j] (a zero row or column is
 a zero determinant).  Each row is scaled by one lcm of the
 denominators of its coefficients (a Q(zeta_m) element is its nonzero
 (index, integer numerator) pairs over one denominator, read here, and is
-built again from the dense coordinates by `cyclo._normal` at the exit),
-so the matrix lies over Z[zeta_m][t]: ZZ, QQ
-and GF(p) as m = 1, GF(p) entries lifted to 0..p-1 so that their
-determinant is the integer one reduced mod p.  These are the only
-coefficient domains the package defines; any other is a TypeError.  A
-matrix whose elimination work side^3 * (d + 1) * phi(m) is above _WORK_CAP
-is refused, from its exponents alone, before its terms are built.
+built again from integer coordinates by the field's `from_powers` at the
+exit), so the matrix lies over Z[zeta_m][t], with m = dom.m and
+phi(m) = dom.degree: ZZ, QQ and GF(p) as m = 1, GF(p) entries lifted to
+0..p-1 so that their determinant is the integer one reduced mod p.  These
+are the only coefficient domains the package defines; any other is a
+TypeError.  A matrix whose elimination work side^3 * (d + 1) * phi(m) is
+above _WORK_CAP is refused, from its exponents alone, before its terms are
+built.
 
 The Kronecker path (_det_kronecker).  zeta -> 2^b and t -> 2^(b x) pack
 each entry into one integer (Kronecker substitution; von zur Gathen and
@@ -32,8 +33,9 @@ degree at most d.  Each of its coefficients is at most H, the product of
 the row l1-norms (Certification, below); with b = bitlength(H) + 1 each
 lies strictly inside (-2^(b-1), 2^(b-1)), so the x (d + 1) signed base-2^b
 digits of the integer are exactly the coefficients.  They are read off one
-binary string after adding 2^(b-1) to every digit, and each t-coefficient
-is reduced mod Phi_m (monic, `cyclotomic_polynomial`).  No prime, evaluation point or
+binary string after adding 2^(b-1) to every digit, and each t-coefficient's
+x digits, its coordinates in the powers of zeta, become an element by the
+field's `from_powers` (one fold mod Phi_m).  No prime, evaluation point or
 numpy call is made, and the certification below covers both paths.
 
 det_sparse takes the Kronecker path while n^2 * b * x * (d + 1),
@@ -95,8 +97,9 @@ so every coefficient of the unreduced expansion, in zeta and t, is at most
 H; the Kronecker path reads exactly these coefficients as its digits.
 Reducing zeta^K = zeta^(K mod m) to the power basis multiplies each product
 by coordinates at most M_m := max_{k < m} max |coordinate of zeta^k|
-(_coordinate_bound, an int computed once per m), so every power-basis
-coordinate of the determinant, which the engine reads, is at most M_m H.
+(_coordinate_bound, an int read once per m off the field's table of
+zeta's powers, `CYC(m).powers`), so every power-basis coordinate of the
+determinant, which the engine reads, is at most M_m H.
 M_1 = 1 over ZZ, QQ and GF(p), the classical product of row l1-norms; M_m = 1
 for every m <= 210 but 105, 165, 195 and 210, where it is 2.  The engine
 takes primes until their product exceeds 2 M_m H + 1, so the symmetric CRT
@@ -115,11 +118,11 @@ with more evaluation points per row than the full Fox minors they replace.
 from __future__ import annotations
 
 from functools import lru_cache, partial
-from itertools import accumulate, count, repeat
+from itertools import count
 from math import gcd, isqrt, lcm
 from typing import NamedTuple
 
-from .cyclo import CYC, CyclotomicField, _normal, cyclotomic_polynomial, has_order
+from .cyclo import CYC, CyclotomicField, cyclotomic_polynomial, has_order
 from .domains import Domain, PrimeField, QQ, TwistalexError, ZZ, is_prime
 from .laurent import LaurentPoly
 from .snf import _det_int
@@ -199,12 +202,9 @@ def _embeddings(m: int, q: int):
 
 @lru_cache(maxsize=None)
 def _coordinate_bound(m: int) -> int:
-    """M_m, the largest |power-basis coordinate| of any zeta_m^k, k < m: each
-    power is the last times zeta, one product per step and none kept (M_1 = 1
-    over ZZ, QQ and GF(p))."""
-    F = CYC(m)
-    powers = accumulate(repeat(F.zeta(1), m - 1), F.mul, initial=F.one())
-    return max(abs(x) for w in powers for _, x in w[0])
+    """M_m, the largest |power-basis coordinate| of any zeta_m^k, k < m, read
+    off the field's table of zeta's powers (M_1 = 1 over ZZ, QQ and GF(p))."""
+    return max(abs(x) for w in CYC(m).powers for _, x in w[0])
 
 
 # ------------------------------------------------------------------- engines
@@ -357,9 +357,7 @@ def _cleared(rows, dom: Domain):
     row i's nonzero (exponent, column, value) entries, at most one per
     (exponent, column).  A matrix whose work side^3 * points * phi(m) is
     above _WORK_CAP is refused first."""
-    n = len(rows)
-    cyclo = isinstance(dom, CyclotomicField)
-    phi = dom.degree if cyclo else 1
+    n, phi = len(rows), dom.degree
     # each row's lowest exponent, then each column's lowest left after it, is
     # cleared; the determinant's degree is then at most both the sum of the
     # rows' highest exponents left and the sum of the columns'
@@ -390,7 +388,7 @@ def _cleared(rows, dom: Domain):
         # each term as integer coordinates over the row's one denominator l: a
         # Q(zeta_m) element's (index, numerator) pairs over its den, and a
         # rational v the one coordinate v.numerator over v.denominator
-        if cyclo:
+        if isinstance(dom, CyclotomicField):
             l = lcm(*(den for _, _, (_, den) in row))
             out = [(j, e, k, y * (l // den)) for e, j, (pairs, den) in row for k, y in pairs]
         else:
@@ -406,10 +404,11 @@ def _cleared(rows, dom: Domain):
 
 
 def _exit(dom: Domain, coords: list, scale: int):
-    """The dom element with the integer power-basis coordinates coords over
-    scale (scale is 1 over ZZ and GF(p), whose rows have no denominators)."""
+    """The dom element sum_k coords[k] zeta^k / scale of the integer list
+    coords, of any length over Q(zeta_m) and one integer over ZZ, QQ and
+    GF(p) (scale is 1 over ZZ and GF(p), whose rows have no denominators)."""
     if isinstance(dom, CyclotomicField):
-        return _normal(coords, scale)
+        return dom.from_powers(coords, scale)
     return dom.div(coords[0], scale)
 
 
@@ -426,26 +425,14 @@ def _det_kronecker(c: _Cleared, dom: Domain, b: int, x: int) -> LaurentPoly:
     # each signed digit plus half lies in [1, 2^b): one binary string holds them all
     text = format(_det_int(packed) + int(("1" + "0" * (b - 1)) * count, 2), "b").zfill(b * count)
     digits = [int(text[i - b : i], 2) - half for i in range(b * count, 0, -b)]
-    phi = dom.degree if isinstance(dom, CyclotomicField) else 1
-    if x > phi:  # fold each zeta^top, top >= phi, down by Phi_m(zeta) = 0
-        phi_m = [(i, a) for i, a in enumerate(cyclotomic_polynomial(dom.m).coeffs()[:phi]) if a]
-        for d in range(0, count, x):
-            for top in range(d + x - 1, d + phi - 1, -1):
-                y = digits[top]
-                if y:
-                    for i, a in phi_m:
-                        digits[top - phi + i] -= y * a
-    return LaurentPoly(dom, [_exit(dom, digits[d : d + phi], c.scale)
+    return LaurentPoly(dom, [_exit(dom, digits[d : d + x], c.scale)
                              for d in range(0, count, x)], c.shift)
 
 
 def _det_multimodular(c: _Cleared, dom: Domain) -> LaurentPoly:
     """Exact determinant of the cleared matrix c over ZZ, QQ, GF(p) or
     Q(zeta_m) by the multimodular engine; see the module doc."""
-    n = len(c.terms)
-    cyclo = isinstance(dom, CyclotomicField)
-    m = dom.m if cyclo else 1
-    phi = dom.degree if cyclo else 1
+    n, m, phi = len(c.terms), dom.m, dom.degree
     cells = [[[[0] * n for _ in range(n)] for _ in range(phi)] for _ in range(c.depth)]
     for i, row in enumerate(c.terms):
         for j, e, k, y in row:
@@ -492,7 +479,7 @@ def det_sparse(rows, dom: Domain) -> LaurentPoly:
     if c is None:
         return LaurentPoly.zero(dom)
     b = c.height.bit_length() + 1  # every coefficient is at most H < 2^(b - 1)
-    x = n * (dom.degree - 1) + 1 if isinstance(dom, CyclotomicField) else 1
+    x = n * (dom.degree - 1) + 1  # zeta-slots of the unreduced determinant; 1 for m = 1
     if n * n * b * x * c.npoints <= _KRONECKER_BITS:
         return _det_kronecker(c, dom, b, x)
     return _det_multimodular(c, dom)

@@ -534,7 +534,7 @@ def parse_scalars(tokens, m: int = 1):
     """Scalar tokens as elements of one field Q(zeta_M), M the lcm of m and the
     orders of the root-of-unity tokens; returns (field, values)."""
     parsed = [_parse_scalar(t) for t in tokens]
-    field = CYC(lcm(m, *(d.m for _, d in parsed if isinstance(d, CyclotomicField))))
+    field = CYC(lcm(m, *(d.m for _, d in parsed)))
     return field, [convert(v, d, field) for v, d in parsed]
 
 

@@ -25,10 +25,9 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import cached_property
-from math import lcm
 
 from .cyclo import CyclotomicField
-from .domains import Domain, ExactDivisionError, PrimeField, QQ, TwistalexError, convert
+from .domains import Domain, ExactDivisionError, QQ, TwistalexError, convert
 # specialize_matrix is not called here: the name stays bound because
 # perfbench's tracer self-test patches it in this module
 from .fox import reduced_fox_matrix, specialize_matrix  # noqa: F401
@@ -82,15 +81,6 @@ class TwistedPolynomial:
         return num if den == "1" else f"({num}) / ({den})"
 
 
-def _torsion_exponent(dom: Domain) -> int:
-    """N with u^N = 1 for every root of unity u in dom."""
-    if isinstance(dom, CyclotomicField):
-        return lcm(2, dom.m)
-    if isinstance(dom, PrimeField):
-        return dom.p - 1
-    return 2
-
-
 _SUBGROUP_CAP = 20000  # the most elements unit_subgroup enumerates
 
 
@@ -102,7 +92,7 @@ def unit_subgroup(dom: Domain, gens) -> tuple:
     subgroup above _SUBGROUP_CAP elements while enumerating.
     """
     one = dom.one()
-    n = _torsion_exponent(dom)
+    n = dom.torsion_exponent
     # conjugate meridians share a determinant: drop repeats, keeping the
     # first of each, which leaves the enumeration order unchanged
     gens = list({dom.sort_key(g): g for g in gens}.values())
@@ -252,8 +242,7 @@ def satellite_twisted(dk: TwistedPolynomial, delta_c: LaurentPoly,
         except (ZeroDivisionError, TypeError):
             raise WadaError(f"scale factor {c} has no image in {dk.dom.name}") from None
         return dk.scale(c)
-    if isinstance(dk.dom, CyclotomicField):
-        target = dk.dom
-        if target.m % eigen_dom.m == 0:
-            return dk.scale(target.embed(factor, eigen_dom))
+    # factor is not rational, so eigen_dom.m > 2 and a dk.dom it embeds in is a Q(zeta_m)
+    if dk.dom.m % eigen_dom.m == 0:
+        return dk.scale(dk.dom.embed(factor, eigen_dom))
     raise WadaError("eigenvalue field does not embed into the polynomial's field")

@@ -11,8 +11,8 @@ import twistalex
 from twistalex import cyclo
 from twistalex.cyclo import (CYC, cyclotomic_polynomial, has_order,
                              is_cyclotomic_irreducible_mod_p)
-from twistalex.domains import QQ, ZZ, Domain, TwistalexError, convert
-from twistalex.laurent import LaurentPoly, parse_poly, poly_invmod, poly_trim
+from twistalex.domains import GF, QQ, ZZ, Domain, TwistalexError, convert
+from twistalex.laurent import LaurentPoly, parse_poly, poly_divmod, poly_invmod, poly_trim
 from twistalex.polydet import det_poly_matrix
 
 from det_oracle import det_cofactor
@@ -97,6 +97,55 @@ def test_zeta_orders():
             if k < m:
                 assert not F.eq(acc, F.one()), (m, k)
         assert F.eq(acc, F.one())
+
+
+def _remainder(nums, m):
+    """nums mod Phi_m by the polynomial kernel over ZZ, as phi(m) integers."""
+    _, r = poly_divmod(ZZ, nums, cyclotomic_polynomial(m).coeffs())
+    return r + [0] * (CYC(m).degree - len(r))
+
+
+def test_fold_is_the_remainder_mod_phi():
+    # the field's one reduction against poly_divmod's, on integer lists of
+    # every length class from 0 to 3m: below, at and just past phi, and m
+    # and beyond, where the fold runs over many tops
+    rng = random.Random(2024)
+    for m in range(1, 211):
+        F = CYC(m)
+        d = F.degree
+        lengths = {0, 1, d - 1, d, d + 1, m, 2 * m, 3 * m, rng.randint(0, 3 * m)}
+        for n in sorted(lengths):
+            nums = [rng.randint(-9, 9) for _ in range(n)]
+            folded = list(nums)
+            assert F._fold(folded) is None
+            assert folded + [0] * (d - len(folded)) == _remainder(nums, m), (m, n)
+            den = rng.randint(1, 6)
+            want = F.coerce(tuple(Fraction(x, den) for x in _remainder(nums, m)))
+            assert F.from_powers(list(nums), den) == want, (m, n)
+
+
+def test_powers_are_x_to_the_k_mod_phi():
+    for m in range(1, 211):
+        F = CYC(m)
+        assert len(F.powers) == m
+        for k, w in enumerate(F.powers):
+            assert list(F.coords(w)) == _remainder([0] * k + [1], m), (m, k)
+        for k in range(-m, 3 * m + 1):
+            assert F.zeta(k) is F.powers[k % m], (m, k)
+
+
+@pytest.mark.parametrize("dom, m, degree, exponent", [
+    (ZZ, 1, 1, 2), (QQ, 1, 1, 2), (GF(2), 1, 1, 1), (GF(7), 1, 1, 6),
+    (CYC(1), 1, 1, 2), (CYC(2), 2, 1, 2), (CYC(12), 12, 4, 12), (CYC(105), 105, 48, 210)])
+def test_every_domain_states_m_degree_and_torsion_exponent(dom, m, degree, exponent):
+    assert (dom.m, dom.degree, dom.torsion_exponent) == (m, degree, exponent)
+    # every root of unity u has u^N = 1 for the stated exponent N
+    units = [dom.one(), dom.neg(dom.one())]
+    if isinstance(dom, cyclo.CyclotomicField):
+        units += dom.powers
+    elif dom is not ZZ and dom is not QQ:
+        units += range(1, dom.p)
+    assert all(dom.pow(u, exponent) == dom.one() for u in units), dom
 
 
 def test_embeddings():
@@ -290,8 +339,8 @@ def test_a_norm_that_is_not_rational_is_a_fault(monkeypatch):
     # that, inv raises instead of returning a wrong inverse
     F = CYC(7)
     a = F.add(F.coerce(2), F.zeta(1))
-    F.inv(F.zeta(1))  # builds the powers of zeta
-    monkeypatch.setattr(F, "_pows", [F.zeta(1)] * F.m)
+    F.inv(F.zeta(1))  # builds the unit table from the powers of zeta
+    monkeypatch.setattr(F, "powers", [F.zeta(1)] * F.m)
     with pytest.raises(ArithmeticError, match="is not rational"):
         F.inv(a)
 
@@ -369,9 +418,9 @@ def test_every_result_is_in_the_one_canonical_form(m):
         _assert_same(canonical(F.coerce(F.coords(a))), a)
         _assert_same(canonical(F.add(a, canonical(F.neg(a)))), F.zero())
         for q in (0, 3, Fraction(-2, 9)):
-            s = canonical(F.scale(a, q))
+            s = canonical(F.mul(a, F.from_rational(q)))
             if q:
-                _assert_same(canonical(F.scale(s, 1 / Fraction(q))), a)
+                _assert_same(canonical(F.mul(s, F.from_rational(1 / Fraction(q)))), a)
         if not F.is_zero(a):
             _assert_same(canonical(F.mul(a, canonical(F.inv(a)))), F.one())
         for d in (d for d in range(1, m) if m % d == 0):
@@ -411,13 +460,14 @@ def _private_cyclo_names(source: str) -> set[str]:
     return names
 
 
-def test_only_polydet_reads_the_element_layout():
-    # the layout helpers (_normal, and any later one) are imported by the
-    # determinant engine alone; metabelian's two are integer number theory
-    # (the trial-division cap and Euler's phi), not elements
+def test_no_module_outside_cyclo_reads_the_element_layout():
+    # the layout helpers (_normal, _fold and any later one) stay in cyclo:
+    # the determinant engine builds its elements by `from_powers`, and
+    # metabelian's two names are integer number theory (the trial-division
+    # cap and Euler's phi), not elements
     assert _private_cyclo_names("from .cyclo import CYC, _normal\nx = cyclo._dense\n"
                                 "from twistalex.cyclo import _red\n") == {"_normal", "_dense", "_red"}
     readers = {path.name: names for path in Path(twistalex.__file__).parent.glob("*.py")
                if path.name != "cyclo.py"
                for names in [_private_cyclo_names(path.read_text())] if names}
-    assert readers == {"polydet.py": {"_normal"}, "metabelian.py": {"_TRIAL_CAP", "_euler_phi"}}
+    assert readers == {"metabelian.py": {"_TRIAL_CAP", "_euler_phi"}}

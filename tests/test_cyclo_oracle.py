@@ -270,7 +270,7 @@ def test_arithmetic_matches_the_reference(m, data):
     assert F.coords(F.sub(x, y)) == R.sub(a, b)
     assert F.coords(F.neg(x)) == R.neg(a)
     assert F.coords(F.mul(x, y)) == R.mul(a, b)
-    assert F.coords(F.scale(x, q)) == R.scale(a, q)
+    assert F.coords(F.mul(x, F.from_rational(q))) == R.scale(a, q)
     # at m = 105 the reference inverts a general element by `poly_invmod`
     # over QQ, seconds per element at phi = 48, so only the rational and
     # root-of-unity paths are compared there (test_cyclo checks the norm
@@ -309,6 +309,13 @@ def test_embedding_matches_the_reference(m, data):
     a = data.draw(elements(REF[d]))
     assert CYC(m).coords(CYC(m).embed(CYC(d).coerce(a), CYC(d))) == \
         REF[m].embed(a, REF[d])
+
+
+@pytest.mark.parametrize("m", MS)
+def test_reduction_table_matches_the_reference(m):
+    # the field builds its rows by folding x times the row before; the
+    # reference by its own shift-and-add recurrence
+    assert CYC(m)._red == REF[m]._red
 
 
 @pytest.mark.parametrize("m", MS)

@@ -82,7 +82,7 @@ def _galois_conjugate(dom, v, a=-1):
     acc = dom.zero()
     for k, c in enumerate(dom.coords(v)):
         if c:
-            acc = dom.add(acc, dom.scale(dom.zeta(a * k), c))
+            acc = dom.add(acc, dom.mul(dom.zeta(a * k), dom.from_rational(c)))
     return acc
 
 

@@ -531,9 +531,10 @@ def test_crt_takes_a_second_prime_past_twice_the_bound(monkeypatch):
     q = polydet._prime(12, 0)
     assert polydet._coordinate_bound(12) == 1 and q / 2 < a * b < q
     used = _spy_primes(monkeypatch)
-    rows = _diagonal(dom, [LaurentPoly.from_terms(dom, {0: dom.scale(dom.zeta(k), y)})
+    rows = _diagonal(dom, [LaurentPoly.from_terms(dom, {0: dom.mul(dom.zeta(k),
+                                                                   dom.from_rational(y))})
                            for k, y in ((1, a), (3, b))])
-    want = dom.scale(dom.zeta(4), a * b)
+    want = dom.mul(dom.zeta(4), dom.from_rational(a * b))
     assert engine_det(rows, dom) == LaurentPoly.from_terms(dom, {0: want})
     assert used == [q, polydet._prime(12, 1)]
 
@@ -549,11 +550,12 @@ def test_a_coordinate_of_two_takes_a_second_prime(monkeypatch):
     y = q // 4 + 1
     assert q % 210 == 1 and q / 4 < y < q / 2
     assert polydet._coordinate_bound(105) == 2
-    want = dom.scale(dom.zeta(48), y)
+    want = dom.mul(dom.zeta(48), dom.from_rational(y))
     assert max(abs(x) for x in dom.coords(want)) == 2 * y
     used = _spy_primes(monkeypatch)
     rows = _diagonal(dom, [LaurentPoly.from_terms(dom, {0: dom.zeta(47)}),
-                           LaurentPoly.from_terms(dom, {0: dom.scale(dom.zeta(1), y)})])
+                           LaurentPoly.from_terms(dom, {0: dom.mul(dom.zeta(1),
+                                                                   dom.from_rational(y))})])
     assert engine_det(rows, dom) == LaurentPoly.from_terms(dom, {0: want})
     assert used == [q, polydet._prime(105, 1)]
 
