@@ -134,6 +134,20 @@ MUTANTS = [
            "        for k in range(2, m):\n",
            "        for k in range(2, m - 1):\n",
            "the norm inverse skips the conjugate sigma_(m-1), complex conjugation"),
+    # the unit-cell elimination before the engine and the searches' fill-in
+    Mutant("elim-sign-parity", "polydet.py",
+           "    if perm_sign(pivot_rows + live) * perm_sign(pivot_cols + cols) < 0:\n",
+           "    if perm_sign(pivot_rows + live) * perm_sign(pivot_cols + cols) > 0:\n",
+           "the elimination's determinant takes the opposite sign of its row and column orders"),
+    Mutant("pivot-inverse-no-zeta", "cyclo.py",
+           "        return _lowest(tuple([(i, x * num) for i, x in self.powers[-k][0]]), abs(g))\n",
+           "        return _lowest(tuple([(i, x * num) for i, x in self.powers[0][0]]), abs(g))\n",
+           "a rational times zeta^k inverts without its zeta^-k"),
+    Mutant("fill-wrong-seed-column", "metabelian.py",
+           "    return ModulePresentation(tuple(map(tuple, rows))), tuple(map(tuple, columns))\n",
+           "    return (ModulePresentation(tuple(map(tuple, rows))),\n"
+           "            tuple(map(tuple, columns[:-1])) + (tuple(columns[-1][::-1]),))\n",
+           "the last generator is filled in from the seed columns in reverse order"),
     Mutant("hensel-target", "factorint.py",
            "    target = 2 * bound + 1\n",
            "    target = bound\n",

@@ -21,9 +21,10 @@ phi(m) (a rational, ±zeta^k with k < phi(m)) make one pair and one gcd, and
 every other product or dot goes through `_integral_dot`, which convolves
 into a sparse integer accumulator keyed by index over a common denominator,
 reduces only its keys >= phi(m) with the sparse rows, and reads the pairs
-off in lowest terms once (`_lowest`).  A rational inverts by one integer
-division, ±zeta^k by a table built from `powers` on the first non-rational
-`inv`, anything else by its norm: a^-1 is the product of its Galois
+off in lowest terms once (`_lowest`).  A rational times zeta^k inverts by
+one lookup in a table of primitive forms built from `powers`
+(`unit_inverse`, which the determinant's elimination reads to pick its
+pivots), anything else by its norm: a^-1 is the product of its Galois
 conjugates sigma_k(a), k != 1 a unit mod m, over the rational N(a)
 (`_norm_inv`), each conjugate read off `powers`.  A field with
 phi(m) > PHI_CAP is refused before Phi_m is computed.
@@ -150,8 +151,6 @@ class CyclotomicField(Domain):
             self._fold(row)
             self._red.append(tuple((i, c) for i, c in enumerate(row) if c))
             row.insert(0, 0)
-        # ±zeta^k -> ±zeta^-k, built by the first non-rational inv
-        self._unit_inv = None
 
     # ------------------------------------------------------------- domain API
     def zero(self):
@@ -247,19 +246,46 @@ class CyclotomicField(Domain):
         return a == b
 
     def inv(self, a):
-        """a^-1: a rational x/d as ±d/|x| (already in lowest terms), a root of
-        unity ±zeta^k from the table, anything else by its norm (`_norm_inv`)."""
-        if self.is_rational(a):
-            if not a[0]:
-                raise ZeroDivisionError(f"division by zero in {self.name}")
-            ((_, x),), d = a
-            return (((0, d if x > 0 else -d),), abs(x))
-        if self._unit_inv is None:  # ±zeta^k -> ±zeta^-k, at most 2m entries
-            pows = self.powers
-            self._unit_inv = {w: pows[-k] for k, w in enumerate(pows)}
-            self._unit_inv.update({self.neg(w): self.neg(v) for w, v in self._unit_inv.items()})
-        unit = self._unit_inv.get(a)
+        """a^-1: a rational times a power of zeta from the table of powers
+        (`unit_inverse`), anything else by its norm (`_norm_inv`)."""
+        if not a[0]:
+            raise ZeroDivisionError(f"division by zero in {self.name}")
+        unit = self.unit_inverse(a)
         return self._norm_inv(a) if unit is None else unit
+
+    def unit_inverse(self, a):
+        """a^-1 when a = r zeta^k, r a nonzero rational, else None; no norm
+        is taken.  a is (g / den) w with w primitive (coprime numerators,
+        the first positive), and zeta^k = c w in the table of powers
+        (`_primitive_powers`), so a^-1 = (c den / g) zeta^-k."""
+        pairs, den = a
+        if len(pairs) == 1:  # (g / den) zeta^k with k < phi(m)
+            ((k, g),), c = pairs, 1
+        else:
+            if not pairs:
+                return None
+            g = gcd(*[x for _, x in pairs])
+            if pairs[0][1] < 0:
+                g = -g
+            hit = self._primitive_powers.get(tuple([(i, x // g) for i, x in pairs]))
+            if hit is None:
+                return None
+            k, c = hit
+        num = c * den if g > 0 else -c * den
+        return _lowest(tuple([(i, x * num) for i, x in self.powers[-k][0]]), abs(g))
+
+    @cached_property
+    def _primitive_powers(self) -> dict:
+        """w -> (k, c) with zeta^k = c w, w primitive as in `unit_inverse`:
+        one entry per power in the table, the first k where two powers
+        share w (zeta^k and -zeta^(k + m/2))."""
+        out = {}
+        for k, (pairs, _) in enumerate(self.powers):
+            c = gcd(*[x for _, x in pairs])
+            if pairs[0][1] < 0:
+                c = -c
+            out.setdefault(tuple([(i, x // c) for i, x in pairs]), (k, c))
+        return out
 
     def _norm_inv(self, a):
         """a^-1 = prod_{k != 1} sigma_k(a) / N(a) over the units k mod m, with

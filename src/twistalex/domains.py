@@ -121,6 +121,12 @@ class Domain:
     def inv(self, a):
         return self.div(self.one(), a)
 
+    def unit_inverse(self, a):
+        """a^-1 when a is a unit the field inverts by one division (the
+        determinant's elimination pivots only on these), else None: over QQ
+        and GF(p) every nonzero element."""
+        return None if self.is_zero(a) else self.inv(a)
+
     def pow(self, a, k: int):
         """a^k by repeated squaring; for k < 0, the inverse of a to the -k."""
         if k < 0:
@@ -186,6 +192,10 @@ class IntegerDomain(_NumberDomain):
 
     def is_zero(self, a):
         return a == 0
+
+    def unit_inverse(self, a):
+        """a itself when a = ±1, the units of ZZ, else None."""
+        return a if a in (1, -1) else None
 
     def div(self, a, b):
         if b == 0:

@@ -50,15 +50,18 @@ cell, so no zero is multiplied; each nonzero cell is one dom.dot, so Q(zeta_m)
 normalizes once per cell.  The reduced matrix's rows are returned in that
 form, which `polydet.det_sparse` reads as they are: no LaurentPoly is built
 per cell.  It builds the reduced matrix afresh on every call and keeps
-nothing.
+nothing itself; it hands back the columns D(g) it built along with the
+matrix, and a twisted invariant drops them.
 
 Under the trivial image the reduced matrix presents the Alexander module
-itself (its pivots are units ±t^a).  `alexander_reduced_matrix` gives it as
+itself (its pivots are units ±t^a), and D(g) writes generator g's value in
+a solution through the seeds'.  `alexander_reduced_matrix` gives both as
 LaurentPolys, the one walk that builds them; `metabelian.reduced_module`
-keeps it in the presentation's memo, and Delta and every branched-cover
-degree read it there; the full matrix (`metabelian.alexander_module`)
-is built only for the SNF transform that characters are read through and for
-the epimorphism kernels.
+keeps them in the presentation's memo, and Delta, every branched-cover
+degree and the epimorphism searches (which solve at the seeds and fill the
+other generators in by D(g)) read them there; the full matrix
+(`metabelian.alexander_module`) is built only for the SNF transform that
+characters are read through.
 """
 from __future__ import annotations
 
@@ -235,13 +238,15 @@ def _combine(rep, terms, d):
 
 
 def reduced_fox_matrix(rep, pres, column: int, dets):
-    """(rows, unit): the substitution walker's reduced matrix, square of side
-    (seeds - 1) * n, each row the list of its nonzero (exponent, column,
-    value) entries as `polydet.det_sparse` reads it, and the monomial unit
-    with det(Fox matrix without block column `column`) = unit * det(rows)
-    exactly.  dets are the determinants of the generator images, indexed by
-    generator.  The walk's words come from the presentation's plan
-    (`walk_plan`); only their images are looked up here."""
+    """(rows, unit, columns): the substitution walker's reduced matrix, square
+    of side (seeds - 1) * n, each row the list of its nonzero (exponent,
+    column, value) entries as `polydet.det_sparse` reads it; the monomial
+    unit with det(Fox matrix without block column `column`) = unit * det(rows)
+    exactly; and columns[g] = D(g), generator g's block column in the seeds,
+    one such list per block row (() for `column` itself).  dets are the
+    determinants of the generator images, indexed by generator.  The walk's
+    words come from the presentation's plan (`walk_plan`); only their images
+    are looked up here."""
     n, dom = rep.dim, rep.dom
     plan = walk_plan(pres, column)
     one = dom.one()
@@ -255,13 +260,19 @@ def reduced_fox_matrix(rep, pres, column: int, dets):
     for g, e in enumerate(plan.powers):
         if e:
             c = dom.mul(c, dom.pow(dets[g], e))
-    return rows, LaurentPoly(dom, [c], n * plan.shift)
+    return rows, LaurentPoly(dom, [c], n * plan.shift), [d[g] for g in range(pres.generator_count)]
 
 
 def alexander_reduced_matrix(pres, column: int):
     """reduced_fox_matrix under the 1 x 1 trivial image over ZZ, its cells as
     LaurentPolys: the unit is ±t^k and the determinant is the Alexander
-    matrix's minor up to it."""
-    rows, unit = reduced_fox_matrix(_Trivial(), pres, column, (1,) * pres.generator_count)
-    return [[LaurentPoly.from_terms(ZZ, {y: v for y, c, v in row if c == col})
-             for col in range(len(rows))] for row in rows], unit
+    matrix's minor up to it.  columns[g] is D(g) as one LaurentPoly per seed
+    other than `column`: a solution (a_g) of the Alexander matrix with
+    a_column = 0 has a_g = sum_k D(g)[k] a_(k-th seed), at any t where the
+    pivots' units ±t^a invert."""
+    rows, unit, d = reduced_fox_matrix(_Trivial(), pres, column, (1,) * pres.generator_count)
+
+    def cells(row):
+        return [LaurentPoly.from_terms(ZZ, {y: v for y, c, v in row if c == col})
+                for col in range(len(rows))]
+    return [cells(row) for row in rows], unit, [cells(dg[0] if dg else ()) for dg in d]

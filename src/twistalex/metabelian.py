@@ -22,15 +22,18 @@ character is first evaluated.  Each quotient's order is checked against
 Fox's |Res(Delta, t^k - 1)| (`order_from_alexander`), the determinant of a
 k x k circulant.  The presentation's memo
 (`KnotPresentation.cached`) keeps what depends on it alone, each computed
-once: the meridian copy, the full module, the reduced module (which Delta
-and every cover degree k read), Delta, and the walker's plans.  The memo
-dies with the presentation.
+once: the meridian copy, the full module, the reduced module with the
+walk's columns (which Delta, every cover degree k and the epimorphism
+searches read), Delta, and the walker's plans.  The memo dies with the
+presentation.
 
 The three epimorphism searches are kernels of the same matrix: meridians
 sent to (1, a_j) in Z/m x| A define a homomorphism exactly when the a_j solve
 the Alexander matrix at t -> T, the action of Z/m on A = F_p^d (a Fox
-coloring).  That target, A = F_p[t]/(f) with T the companion matrix of f, is
-one class, `Target`, for D_p and G(m,p|k) (f = t - k) and for Z/n x| A_{p,n}
+coloring).  They solve it on the reduced module, one unknown per seed, and
+fill the other generators in by the walk's columns (`_kernel_epis`).  That
+target, A = F_p[t]/(f) with T the companion matrix of f, is one class,
+`Target`, for D_p and G(m,p|k) (f = t - k) and for Z/n x| A_{p,n}
 (f = Phi_n).  It also gives the permutation images that `reps` composes, and
 only this module reads its companion matrix.
 """
@@ -207,15 +210,23 @@ def reduced_module(pres: KnotPresentation) -> ModulePresentation:
     """The substitution walker's reduced Alexander matrix of
     `_with_meridian(pres)` at its deleted column (`fox.alexander_reduced_matrix`):
     its pivots are units ±t^a, so it presents H, and its determinant is Delta
-    up to ±t^k.  Delta and every cover degree read it; it is built once per
-    presentation (its memo)."""
-    return pres.cached("reduced module", _reduced_module)
+    up to ±t^k.  Delta, every cover degree and the epimorphism searches read
+    it; it is built once per presentation (its memo), by the walk that also
+    gives the searches their columns (`_reduced_walk`)."""
+    return _reduced_walk(pres)[0]
 
 
-def _reduced_module(pres: KnotPresentation) -> ModulePresentation:
+def _reduced_walk(pres: KnotPresentation):
+    """(reduced module, columns) of the one trivial walk of
+    `_with_meridian(pres)`, kept in pres's memo: columns[g] is D(g), each
+    generator's value in the seeds' (`fox.alexander_reduced_matrix`)."""
+    return pres.cached("reduced module", _walk_module)
+
+
+def _walk_module(pres: KnotPresentation):
     pres = _with_meridian(pres)
-    rows, _ = alexander_reduced_matrix(pres, deleted_column(pres))
-    return ModulePresentation(tuple(map(tuple, rows)))
+    rows, _, columns = alexander_reduced_matrix(pres, deleted_column(pres))
+    return ModulePresentation(tuple(map(tuple, rows))), tuple(map(tuple, columns))
 
 
 def normalize_integer_poly(f: LaurentPoly) -> LaurentPoly:
@@ -675,6 +686,18 @@ class _UnitTable(dict):
         return b
 
 
+def _at(target: Target, matrix) -> list:
+    """The F_p rows of a matrix of LaurentPolys at t -> the target's
+    companion matrix, each cell a d x d block."""
+    d = target.d
+    zero = [[0] * d] * d
+    rows = []
+    for r in matrix:
+        blocks = [zero if f.is_zero() else target.mul_matrix(f.terms()) for f in r]
+        rows.extend([x for b in blocks for x in b[i]] for i in range(d))
+    return rows
+
+
 def _kernel_epis(pres: KnotPresentation, target: Target):
     """Meridian images (1, a_j) in the target Z/order x| A.
 
@@ -682,20 +705,23 @@ def _kernel_epis(pres: KnotPresentation, target: Target):
     solutions of the Alexander matrix at t -> the companion matrix.  The
     constants always solve it (its rows sum to 0) and are the conjugation
     orbit of a_0 = 0, so the kernel of the module matrix (column 0 deleted)
-    holds one solution per class.  Each nonzero one is reported as its least
-    multiple by a unit of A; that normalization is refused when p^dim * |units|
-    exceeds _ENUM_CAP, after the span itself is held to the cap and before
-    any unit is built (|units| is `Target.unit_count`).
+    holds one solution per class.  That kernel is solved on the walker's
+    reduced module (`reduced_module`), one unknown per seed: each pivot
+    relator fixes its generator's value by a unit ±t^a, which T inverts, so
+    a_g = D(g)(T) (a_seed) for the walk's columns D(g) (`_reduced_walk`),
+    and filling every generator in maps the reduced kernel onto the full
+    one, of the same dimension.  Each nonzero solution is reported as its
+    least multiple by a unit of A; that normalization is refused when
+    p^dim * |units| exceeds _ENUM_CAP, after the span itself is held to the
+    cap and before any unit is built (|units| is `Target.unit_count`).
     """
     d, p0 = target.d, target.p
-    zero = [[0] * d] * d
-    rows = []
-    for r in alexander_module(pres).matrix:
-        blocks = [zero if f.is_zero() else target.mul_matrix(f.terms()) for f in r]
-        rows.extend([x for b in blocks for x in b[i]] for i in range(d))
-    basis = nullspace(target.F, rows, d * (pres.generator_count - 1))
-    if not basis:
+    module, columns = _reduced_walk(pres)
+    seeds = nullspace(target.F, _at(target, module.matrix), d * module.rank)
+    if not seeds:
         return []
+    fill = _at(target, columns[1:])  # column 0, the deleted meridian, is a_0 = 0
+    basis = [_mat_vec(fill, v, p0) for v in seeds]
     span, n_units = _enumerate_span(basis, p0), target.unit_count
     work = p0 ** len(basis) * n_units
     if work > _ENUM_CAP:

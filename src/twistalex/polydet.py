@@ -20,8 +20,9 @@ phi(m) = dom.degree: ZZ, QQ and GF(p) as m = 1, GF(p) entries lifted to
 0..p-1 so that their determinant is the integer one reduced mod p.  These
 are the only coefficient domains the package defines; any other is a
 TypeError.  A matrix whose elimination work side^3 * (d + 1) * phi(m) is
-above _WORK_CAP is refused, from its exponents alone, before its terms are
-built.
+above _WORK_CAP is refused, from its exponents alone, before any
+elimination or evaluation (_cleared); the cap is decided on det_sparse's
+input, never on the core below.
 
 The Kronecker path (_det_kronecker).  zeta -> 2^b and t -> 2^(b x) pack
 each entry into one integer (Kronecker substitution; von zur Gathen and
@@ -40,7 +41,8 @@ numpy call is made, and the certification below covers both paths.
 
 det_sparse takes the Kronecker path while n^2 * b * x * (d + 1),
 about the bits of the packed matrix, is at most _KRONECKER_BITS = 2^18, and
-the multimodular engine above it; sides 0 and 1 are read off.  Its time
+the multimodular engine above it, after the elimination below; sides 0 and
+1 are read off.  Its time
 over the engine's, warm per call on random matrices of sides 2-15 with
 linear and quadratic entries, ±zeta^k and dense coefficients (2 vCPU,
 Python 3.11.7, numpy 2.4.6):
@@ -56,15 +58,39 @@ Python 3.11.7, numpy 2.4.6):
 
 Summed over the determinants of a warm seed-1 pass of `conjecture-sweep`
 and `cyclotomic-wada`, the constant 2^16, 2^17, 2^18, 2^19 and 2^20 gave
-91, 81, 77, 79 and 91 ms, against 177 ms with every matrix on the engine;
-at 2^18 the engine takes 9 of the 305 determinants of a `conjecture-sweep`
-pass (sides 6 to 15) and none of `cyclotomic-wada`'s 207.  det_matrix
-(constant entries) takes the same route.  (Wada denominators of monomial
-images never get here: twisted reads them off the permutation's cycles.)
+91, 81, 77, 79 and 91 ms, against 177 ms with every matrix on the engine
+(before the elimination below).  det_matrix (constant entries) takes the
+same route.  (Wada denominators of monomial images never get here: twisted
+reads them off the permutation's cycles.)
+
+Elimination (_eliminate).  On the engine's side of _KRONECKER_BITS only, a
+matrix first loses its unit cells: a cell c t^a of one term whose c the
+domain inverts by one division (`Domain.unit_inverse`: ±1 over ZZ, so the
+core stays integral; any nonzero constant over QQ and GF(p); over Q(zeta_m)
+a rational times zeta^k, inverted by the field's table of zeta's powers,
+never by the norm).  Pivot by pivot, in Markowitz order (the unit cell
+(i, j) of least (r_i - 1)(c_j - 1), with r_i and c_j the nonzero cells of
+its row and column, so the least fill-in), the Schur complement subtracts
+cell(h, j) (c t^a)^-1 row i from every other row h, one dom.dot per output
+cell, until no unit cell is left.  With the pivot rows and columns moved to
+the front in pivot order, the matrix is block triangular after the
+eliminations, so det = sgn(row order) sgn(column order) prod (c t^a) *
+det(core) exactly, the core keeping the rest of the rows and columns in
+their order.  The core takes the route again (read off, packed or engine),
+cleared afresh but not held to the cap.  On `conjecture-sweep` 41-57% of
+the nonzero cells of the ZZ and GF(p) matrices that reach this point are
+units: a warm seed-1 pass sends 9 of its 305 determinants here (sides 14
+and 15 over ZZ and GF(5), GF(7), side 6 over Q(zeta_5)), they leave cores
+of sides 8 and 4, and every core packs, so none of the pass's determinants
+reaches the engine and its worker never loads numpy.  On the Kronecker
+side the elimination would only cost: small matrices there were up to
+twice as slow with it.  The 2 x 2 [[1 + t^N, t^N], [t^N, 1 + t^N + t^2N]]
+over ZZ (3N + 1 points, above the bits from N = 8000) leaves a 1 x 1 core
+at its unit cell t^N; the engine took 17.7 s on it at N = 8000.
 numpy is imported when the engine first reads it (`np` stands in for it
-until then), so a process whose determinants all take the Kronecker path,
-such as one computing Delta_K, branched covers and dihedral invariants of
-small knots, never loads it.
+until then), so a process whose determinants all pack, such as one
+computing Delta_K, branched covers, dihedral invariants of small knots or
+the conjecture checks of the corpus, never loads it.
 
 The multimodular engine (_det_multimodular) evaluates at d + 1 points.
 A word-size prime q = 1 (mod m) splits
@@ -125,6 +151,7 @@ from typing import NamedTuple
 from .cyclo import CYC, CyclotomicField, cyclotomic_polynomial, has_order
 from .domains import Domain, PrimeField, QQ, TwistalexError, ZZ, is_prime
 from .laurent import LaurentPoly
+from .matrix import perm_sign
 from .snf import _det_int
 
 # int64 cells per batched evaluation/elimination chunk (512 KiB): bounds the
@@ -352,12 +379,24 @@ class _Cleared(NamedTuple):
 
 
 def _cleared(rows, dom: Domain):
+    """_clear of det_sparse's input matrix, refused when its work side^3 *
+    points * phi(m) is above _WORK_CAP.  The core an elimination leaves is
+    cleared by _clear alone: the cap is decided on the input."""
+    c = _clear(rows, dom)
+    n = len(rows)
+    if c is not None and n**3 * c.npoints * dom.degree > _WORK_CAP:
+        raise TwistalexError(f"determinant work side^3 * points * phi = {n}^3 * {c.npoints} * "
+                             f"{dom.degree} = {n**3 * c.npoints * dom.degree} is above the cap "
+                             f"_WORK_CAP = {_WORK_CAP}")
+    return c
+
+
+def _clear(rows, dom: Domain):
     """The matrix with its exponents cleared and its rows scaled to integers,
     or None when a row or column is zero; see the module doc.  rows[i] holds
     row i's nonzero (exponent, column, value) entries, at most one per
-    (exponent, column).  A matrix whose work side^3 * points * phi(m) is
-    above _WORK_CAP is refused first."""
-    n, phi = len(rows), dom.degree
+    (exponent, column)."""
+    n = len(rows)
     # each row's lowest exponent, then each column's lowest left after it, is
     # cleared; the determinant's degree is then at most both the sum of the
     # rows' highest exponents left and the sum of the columns'
@@ -379,10 +418,6 @@ def _cleared(rows, dom: Domain):
                 col_tops[j] = e
     row_tops = [max(e for e, _, _ in row) for row in rows]
     npoints = min(sum(row_tops), sum(col_tops)) + 1  # the degree bound, plus one
-    work = n**3 * npoints * phi
-    if work > _WORK_CAP:
-        raise TwistalexError(f"determinant work side^3 * points * phi = {n}^3 * {npoints} * "
-                             f"{phi} = {work} is above the cap _WORK_CAP = {_WORK_CAP}")
     terms, scale, widest, height = [], 1, 0, 1
     for row in rows:
         # each term as integer coordinates over the row's one denominator l: a
@@ -469,17 +504,119 @@ def det_sparse(rows, dom: Domain) -> LaurentPoly:
     """Exact determinant over dom of the square matrix whose row i is the list
     rows[i] of its nonzero (exponent, column, value) entries, at most one per
     (exponent, column): by Kronecker substitution while n^2 * b * x * points
-    is at most _KRONECKER_BITS, else by the multimodular engine."""
+    is at most _KRONECKER_BITS, else by the multimodular engine on the core
+    that eliminating the unit cells leaves (_eliminate).  A matrix whose work
+    side^3 * points * phi(m) is above _WORK_CAP is refused first."""
     n = len(rows)
     if not (dom is ZZ or dom is QQ or isinstance(dom, (PrimeField, CyclotomicField))):
         raise TypeError(f"no determinant engine for {dom.name}")
-    if n <= 1:  # side 1 is its one cell, side 0 is 1
-        return LaurentPoly.from_terms(dom, {e: v for e, _, v in rows[0]} if n else {0: dom.one()})
+    if n <= 1:
+        return _read_off(rows, dom)
     c = _cleared(rows, dom)
     if c is None:
         return LaurentPoly.zero(dom)
+    det = _packed(c, dom)
+    if det is not None:
+        return det
+    unit, shift, core = _eliminate(rows, dom)
+    if len(core) <= 1:
+        det = _read_off(core, dom)
+    else:
+        c = _clear(core, dom)
+        det = LaurentPoly.zero(dom) if c is None else _packed(c, dom)
+        if det is None:
+            det = _det_multimodular(c, dom)
+    return det.scale(unit).shift(shift)
+
+
+def _read_off(rows, dom: Domain) -> LaurentPoly:
+    """The determinant of side 0 (1) or 1 (its one cell)."""
+    return LaurentPoly.from_terms(dom, {e: v for e, _, v in rows[0]} if rows else {0: dom.one()})
+
+
+def _packed(c: _Cleared, dom: Domain):
+    """The determinant of c by Kronecker substitution while n^2 * b * x *
+    points is at most _KRONECKER_BITS, else None."""
+    n = len(c.terms)
     b = c.height.bit_length() + 1  # every coefficient is at most H < 2^(b - 1)
     x = n * (dom.degree - 1) + 1  # zeta-slots of the unreduced determinant; 1 for m = 1
-    if n * n * b * x * c.npoints <= _KRONECKER_BITS:
-        return _det_kronecker(c, dom, b, x)
-    return _det_multimodular(c, dom)
+    return _det_kronecker(c, dom, b, x) if n * n * b * x * c.npoints <= _KRONECKER_BITS else None
+
+
+def _eliminate(rows, dom: Domain):
+    """(unit, shift, core) with det(rows) = unit t^shift det(core): Schur
+    complements at unit cells, one c t^a with c a unit that dom inverts by
+    one division (`unit_inverse`), until no unit cell is left; see the module
+    doc.  Each step takes the unit cell (i, j) of least Markowitz cost
+    (r_i - 1)(c_j - 1), the first in row order on a tie, r_i and c_j the
+    nonzero cells of its row and column, and subtracts
+    cell(h, j) (c t^a)^-1 row i from every other row h, one dom.dot per
+    output cell.  The core keeps the rows and columns left in their order,
+    each row as (exponent, column, value) entries; a row that cancels to
+    nothing stays, empty, and makes the core's determinant zero."""
+    n, one = len(rows), dom.one()
+    cells = [{} for _ in rows]  # cells[i][j]: entry (i, j) as {exponent: value}
+    for row, out in zip(rows, cells):
+        for e, j, v in row:
+            out.setdefault(j, {})[e] = v
+    live, pivot_rows, pivot_cols = list(range(n)), [], []
+    unit, shift = one, 0
+    while True:
+        counts = [0] * n
+        for i in live:
+            for j in cells[i]:
+                counts[j] += 1
+        best = None
+        for i in live:
+            for j, f in cells[i].items():
+                cost = (len(cells[i]) - 1) * (counts[j] - 1)
+                if len(f) == 1 and (best is None or cost < best[0]) and \
+                        dom.unit_inverse(*f.values()) is not None:
+                    best = cost, i, j
+        if best is None:
+            break
+        _, i, j = best
+        ((a, c),) = cells[i][j].items()
+        inv = dom.unit_inverse(c)
+        live.remove(i)
+        pivot_rows.append(i)
+        pivot_cols.append(j)
+        unit, shift = dom.mul(unit, c), shift + a
+        pivot = cells[i]
+        del pivot[j]
+        for h in live:
+            f = cells[h].pop(j, None)
+            if f is None:
+                continue
+            # row h -= f (c t^a)^-1 row i
+            factor = [(e - a, dom.neg(dom.mul(v, inv))) for e, v in f.items()]
+            row = cells[h]
+            for col, g in pivot.items():
+                gathered = {}
+                for e, u in factor:
+                    for y, w in g.items():
+                        products = gathered.get(e + y)
+                        if products is None:
+                            gathered[e + y] = ([u], [w])
+                        else:
+                            products[0].append(u)
+                            products[1].append(w)
+                cell = row.setdefault(col, {})
+                for e, (us, ws) in gathered.items():
+                    if e in cell:
+                        us.append(one)
+                        ws.append(cell[e])
+                    v = dom.dot(us, ws)
+                    if dom.is_zero(v):
+                        cell.pop(e, None)
+                    else:
+                        cell[e] = v
+                if not cell:
+                    del row[col]
+    gone = set(pivot_cols)
+    cols = [j for j in range(n) if j not in gone]
+    index = {j: k for k, j in enumerate(cols)}
+    if perm_sign(pivot_rows + live) * perm_sign(pivot_cols + cols) < 0:
+        unit = dom.neg(unit)
+    return unit, shift, [[(e, index[j], v) for j, f in cells[i].items() for e, v in f.items()]
+                         for i in live]

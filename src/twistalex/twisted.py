@@ -151,7 +151,7 @@ def wada_invariant(pres: KnotPresentation, rep, column: int | None = None) -> Tw
         raise WadaError(f"column {column} has phi = 0")
     den = _denominator(dom, rep.image_of_gen(column, 1), pres.phi[column])
     dets = rep.det_image_generators()
-    rows, unit = reduced_fox_matrix(rep, pres, column, dets)
+    rows, unit, _ = reduced_fox_matrix(rep, pres, column, dets)
     num = det_sparse(rows, dom) * unit
     if dom is not field:
         num = num.copy_to(field)

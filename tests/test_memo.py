@@ -105,7 +105,7 @@ def test_one_plan_serves_every_rep():
     plan = fox.walk_plan(pres, 1)
     for spec in WIRTINGER_SPECS:
         rep = parse_rep_spec(spec, pres)
-        rows, unit = reduced_fox_matrix(rep, pres, 1, rep.det_image_generators())
+        rows, unit, _ = reduced_fox_matrix(rep, pres, 1, rep.det_image_generators())
         assert len(rows) == (len(plan.seeds) - 1) * rep.dim
     assert fox.walk_plan(pres, 1) is plan
     assert alexander_reduced_matrix(pres, 1)[0] == alexander_reduced_matrix(pres, 1)[0]

@@ -382,3 +382,57 @@ def test_fibered_knots_have_full_degree_and_monic_ends():
             pairs += 1
         if pairs >= 60:
             break
+
+
+# ------------------------------------------------------ dihedral decomposition
+
+def _coloring_character(pres, d):
+    """The character chi of H/(t^2 - 1) to mu_p read off the coloring d:
+    chi(v_j) = zeta_p^(c_(j+1)) on the module's basis v_j = g_(j+1) g_0^-1,
+    which D_p sends to y^-(c_(j+1)) (its inverse gives the same product below)."""
+    F = CYC(d.p)
+    rank = pres.generator_count - 1
+    want = tuple(F.zeta(c) for c in d.colors[1:])
+    return next(chi for chi in characters_of_quotient(branched_cover_homology(pres, 2), d.p)
+                if tuple(chi.value_basis(j) for j in range(rank)) == want)
+
+
+def _dihedral_cases():
+    for name in KNOTS:
+        pres = presentation(name)
+        for p in (3, 5, 7):
+            for i, d in enumerate(find_dihedral_epis(pres, p)):
+                yield name, p, i
+
+
+DIHEDRAL_CASES = list(_dihedral_cases())
+
+
+@pytest.mark.parametrize("name,p,i", DIHEDRAL_CASES)
+def test_dihedral_rep_splits_into_metabelian_summands(name, p, i):
+    # over Q(zeta_p) the permutation rep of D_p is trivial + the sum of
+    # alpha(2, chi^j) for j = 1..(p - 1)/2 with z = 1 (Hartley 1983;
+    # Kirk-Livingston 1999), so W(dihedral) = Delta/(t - 1) prod_j W(alpha(2, chi^j))
+    # up to ±zeta_p^k t^l.  The dihedral side is taken over ZZ, as the
+    # conjecture checks take it: its p (seeds - 1)-side numerator is one the
+    # elimination reduces before the engine at p = 5 and 7
+    pres = presentation(name)
+    d = find_dihedral_epis(pres, p)[i]
+    F = CYC(p)
+    w = wada_invariant(pres, rep_dihedral(pres, d))
+    dihedral = RationalFunction(w.value.num.copy_to(F), w.value.den.copy_to(F))
+    chi = _coloring_character(pres, d)
+    t, one = LaurentPoly.t(F), LaurentPoly.one(F)
+    product = RationalFunction(alexander_polynomial(pres).copy_to(F), t - one)
+    for j in range(1, (p - 1) // 2 + 1):
+        alpha = rep_metabelian(pres, 2, _power(chi, j), z=1, dom=F)
+        product = product * wada_invariant(pres, alpha).value
+    roots = (F.neg(F.one()), F.zeta(1))
+    assert doteq_equal(TwistedPolynomial(dihedral, roots, w.column),
+                       TwistedPolynomial(product, roots, w.column))
+
+
+def test_dihedral_decomposition_covers_the_corpus_colorings():
+    # every (corpus knot, p) pair with a p-coloring, p = 3, 5, 7, is checked
+    pairs = {(name, p) for name, p, _ in DIHEDRAL_CASES}
+    assert len(pairs) >= 20 and {p for _, p in pairs} == {3, 5, 7}

@@ -163,7 +163,7 @@ def test_unit_carries_sign_and_determinant():
     pivots, _, _, _ = substitution_order(pres, 0)
     assert {pres.relators[ri][1][1] for ri, _, _ in pivots} == {1, -1}
     _assert_every_column(pres, rep)
-    rows, unit = reduced_fox_matrix(rep, pres, 0, rep.det_image_generators())
+    rows, unit, _ = reduced_fox_matrix(rep, pres, 0, rep.det_image_generators())
     assert len(rows) < 3 * (pres.generator_count - 1) and unit.low() == unit.deg()
 
 
@@ -198,7 +198,7 @@ def test_sparse_clearing_equals_the_cell_by_cell_one_on_the_corpus():
             for j in range(pres.generator_count):
                 if not pres.phi[j]:
                     continue
-                rows, _ = reduced_fox_matrix(rep, pres, j, dets)
+                rows, _, _ = reduced_fox_matrix(rep, pres, j, dets)
                 assert_clears_as_reference(rows, _cells(rows, dom), dom)
     assert labels == {"dihedral", "modp", "metabelian", "conj"}, labels
 
