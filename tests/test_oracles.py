@@ -414,8 +414,9 @@ def test_dihedral_rep_splits_into_metabelian_summands(name, p, i):
     # alpha(2, chi^j) for j = 1..(p - 1)/2 with z = 1 (Hartley 1983;
     # Kirk-Livingston 1999), so W(dihedral) = Delta/(t - 1) prod_j W(alpha(2, chi^j))
     # up to ±zeta_p^k t^l.  The dihedral side is taken over ZZ, as the
-    # conjecture checks take it: its p (seeds - 1)-side numerator is one the
-    # elimination reduces before the engine at p = 5 and 7
+    # conjecture checks take it: its largest p (seeds - 1)-side numerators
+    # (sides 14 and 15 at p = 5 and 7) are reduced by the unit-cell
+    # elimination before the engine
     pres = presentation(name)
     d = find_dihedral_epis(pres, p)[i]
     F = CYC(p)

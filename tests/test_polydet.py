@@ -713,7 +713,7 @@ def test_sparse_clearing_edge_cases(dom):
 
 def test_sparse_clearing_refuses_above_the_work_cap_with_the_same_text():
     # side 50 with one cell 1 + t^1000: 50^3 * 1001 points is above 10^8,
-    # refused from the exponents alone, before any term is built
+    # refused from the exponents alone, before any elimination or evaluation
     n = 50
     rows = [[LaurentPoly.from_terms(ZZ, {0: 1, 1000: 1} if i == j == 0 else {0: 1} if i == j
                                     else {}) for j in range(n)] for i in range(n)]
