@@ -76,9 +76,14 @@ MUTANTS = [
            "A M reads column j of A instead of perm[j]"),
     # the Fox walker and its unit
     Mutant("walker-sign", "fox.py",
-           "            coef = v if sign > 0 else dom.neg(v)\n",
-           "            coef = v\n",
+           "                parts[a].append((v if sign > 0 else dom.neg(v), x, dg[c]))\n",
+           "                parts[a].append((v, x, dg[c]))\n",
            "the walker drops the sign of each term's product"),
+    Mutant("combine-drops-row-exponent", "matrix.py",
+           "            key = s + y, col\n",
+           "            key = s, col\n",
+           "the sparse-row accumulator drops each entry's own exponent: unit columns "
+           "(y = 0) are unchanged, so only a reference built otherwise sees it"),
     Mutant("walker-unit-sign", "fox.py",
            "    c = one if plan.sign > 0 or n % 2 == 0 else dom.neg(one)\n",
            "    c = one\n",
@@ -112,6 +117,10 @@ MUTANTS = [
            "pow(a, e // q, n) != 1 for q in _prime_factors(e)[:1])",
            "the order test checks only the least prime of e"),
     # certified bounds (their survivors were killed by tier-1 tests)
+    Mutant("newton-level-inverse", "polydet.py",
+           "        dd[level:] = (dd[level:] - dd[level - 1 : -1]) * pow(level, -1, q) % q\n",
+           "        dd[level:] = (dd[level:] - dd[level - 1 : -1]) * pow(level, 1, q) % q\n",
+           "the divided differences multiply by each level instead of dividing by it"),
     Mutant("engine-crt-stop", "polydet.py",
            "        if mod > 2 * bound + 1:\n",
            "        if mod > bound:\n",
@@ -139,6 +148,10 @@ MUTANTS = [
            "    if perm_sign(pivot_rows + live) * perm_sign(pivot_cols + cols) < 0:\n",
            "    if perm_sign(pivot_rows + live) * perm_sign(pivot_cols + cols) > 0:\n",
            "the elimination's determinant takes the opposite sign of its row and column orders"),
+    Mutant("elim-merge-overwrites", "polydet.py",
+           "                v = dom.add(cell[e], v) if e in cell else v\n",
+           "                v = v if e in cell else v\n",
+           "the Schur update's product overwrites its cell instead of adding to it"),
     Mutant("pivot-inverse-no-zeta", "cyclo.py",
            "        return _lowest(tuple([(i, x * num) for i, x in self.powers[-k][0]]), abs(g))\n",
            "        return _lowest(tuple([(i, x * num) for i, x in self.powers[0][0]]), abs(g))\n",

@@ -44,12 +44,14 @@ column) and keeps them in the presentation's memo (`KnotPresentation.cached`),
 which lives as long as the presentation does.  `reduced_fox_matrix` is the
 evaluation: it looks each plan word up in the rep and combines the block
 columns.  Each D(g) is sparse, one list of nonzero (exponent, column, value)
-entries per block row (a seed's is one entry per row), and `_combine` sends
-each image entry times each entry of the D(g) row it meets to its output
-cell, so no zero is multiplied; each nonzero cell is one dom.dot, so Q(zeta_m)
-normalizes once per cell.  The reduced matrix's rows are returned in that
-form, which `polydet.det_sparse` reads as they are: no LaurentPoly is built
-per cell.  It builds the reduced matrix afresh on every call and keeps
+entries per block row (a seed's is one entry per row), and `_combine` hands
+each block row's parts, an image entry's sign * v t^x with the D(g) row it
+meets, to `matrix.combine_rows`, so no zero is multiplied and each nonzero
+cell is one dom.dot: Q(zeta_m) normalizes once per cell.  The full Fox rows
+(`specialize_element`) are the same `_combine` with every generator's own
+unit block column.  The reduced matrix's rows are returned in that form,
+which `polydet.det_sparse` reads as they are: no LaurentPoly is built per
+cell.  It builds the reduced matrix afresh on every call and keeps
 nothing itself; it hands back the columns D(g) it built along with the
 matrix, and a twisted invariant drops them.
 
@@ -69,7 +71,7 @@ from typing import NamedTuple
 
 from .domains import ZZ
 from .laurent import LaurentPoly
-from .matrix import Monomial, entries, perm_sign
+from .matrix import Monomial, combine_rows, entries, perm_sign
 from .words import Word, exponent_sum, reduce_syllables
 
 
@@ -101,15 +103,21 @@ def _terms(r: Word, phi, left: Word = ()):
 
 def specialize_element(r: Word, rep, pres) -> list[list[LaurentPoly]]:
     """One relator's Fox row through rho tensor t^phi: an n x (generators * n)
-    LaurentPoly block row, block column j holding (dr/dg_j)^(rho tensor t^phi)."""
-    n, dom = rep.dim, rep.dom
-    acc = [[{} for _ in range(pres.generator_count * n)] for _ in range(n)]
-    for _, g, w, x, sign in _terms(r, pres.phi):
-        for p, j, v in entries(dom, rep.image_of_word(w), n):
-            cell = acc[p][g * n + j]
-            v = v if sign > 0 else dom.neg(v)
-            cell[x] = dom.add(cell[x], v) if x in cell else v
-    return [[LaurentPoly.from_terms(dom, cell) for cell in row] for row in acc]
+    LaurentPoly block row, block column j holding (dr/dg_j)^(rho tensor t^phi).
+    It is the walk's `_combine` with every generator's own unit block column."""
+    n, dom, k = rep.dim, rep.dom, pres.generator_count
+    one = dom.one()
+    units = [[[(0, g * n + a, one)] for a in range(n)] for g in range(k)]
+    terms = [t[1:] for t in _terms(r, pres.phi)]
+    return [_laurent_row(dom, row, k * n) for row in _combine(rep, terms, units)]
+
+
+def _laurent_row(dom, row, width: int) -> list[LaurentPoly]:
+    """A sparse row of (exponent, column, value) entries as width LaurentPolys."""
+    cells = [{} for _ in range(width)]
+    for e, j, v in row:
+        cells[j][e] = v
+    return [LaurentPoly.from_terms(dom, cell) for cell in cells]
 
 
 def specialize_matrix(rep, pres) -> list[list[LaurentPoly]]:
@@ -206,35 +214,16 @@ def walk_plan(pres, column: int) -> WalkPlan:
 
 def _combine(rep, terms, d):
     """sum sign * rho(word) t^x D(g) over the terms (g, word, x, sign), as
-    one list of nonzero (exponent, column, value) entries per block row.  An
-    image entry (a, c, v) sends sign * v times each entry (y, column, u) of
-    D(g)'s row c to cell (x + y, column) of row a; each cell is then one
-    dom.dot of what it gathered, and a cell whose dot is zero is dropped."""
+    one sparse row per block row: an image entry (a, c, v) adds sign * v t^x
+    times D(g)'s row c to row a (`matrix.combine_rows`)."""
     n, dom = rep.dim, rep.dom
-    gathered = [{} for _ in range(n)]
+    parts = [[] for _ in range(n)]
     for g, w, x, sign in terms:
         dg = d[g]
-        if not dg:
-            continue
-        for a, c, v in entries(dom, rep.image_of_word(w), n):
-            coef = v if sign > 0 else dom.neg(v)
-            cells = gathered[a]
-            for y, col, u in dg[c]:
-                cell = cells.get((x + y, col))
-                if cell is None:
-                    cells[x + y, col] = ([coef], [u])
-                else:
-                    cell[0].append(coef)
-                    cell[1].append(u)
-    out = []
-    for cells in gathered:
-        row = []
-        for (y, col), (coefs, vals) in cells.items():
-            v = dom.dot(coefs, vals)
-            if not dom.is_zero(v):
-                row.append((y, col, v))
-        out.append(row)
-    return out
+        if dg:
+            for a, c, v in entries(dom, rep.image_of_word(w), n):
+                parts[a].append((v if sign > 0 else dom.neg(v), x, dg[c]))
+    return [combine_rows(dom, p) for p in parts]
 
 
 def reduced_fox_matrix(rep, pres, column: int, dets):
@@ -271,8 +260,6 @@ def alexander_reduced_matrix(pres, column: int):
     a_column = 0 has a_g = sum_k D(g)[k] a_(k-th seed), at any t where the
     pivots' units ±t^a invert."""
     rows, unit, d = reduced_fox_matrix(_Trivial(), pres, column, (1,) * pres.generator_count)
-
-    def cells(row):
-        return [LaurentPoly.from_terms(ZZ, {y: v for y, c, v in row if c == col})
-                for col in range(len(rows))]
-    return [cells(row) for row in rows], unit, [cells(dg[0] if dg else ()) for dg in d]
+    n = len(rows)
+    return ([_laurent_row(ZZ, row, n) for row in rows], unit,
+            [_laurent_row(ZZ, dg[0] if dg else (), n) for dg in d])

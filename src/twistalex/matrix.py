@@ -18,6 +18,12 @@ when small, else the multimodular engine).
 A monomial matrix's determinant, and det(I - M t^e) as a product over the
 cycles of its permutation (`Monomial.cycle_products`), are read off in
 closed form.
+
+This module also owns the one sparse-row accumulator (`combine_rows`).  A
+sparse row over Laurent polynomials is the list of its nonzero (exponent,
+column, value) entries, the format the Fox walker builds and
+`polydet.det_sparse` reads; the walk, the full Fox rows and the
+determinant's unit-cell elimination all add such rows up through it.
 """
 from __future__ import annotations
 
@@ -261,3 +267,27 @@ def entries(dom: Domain, img, n: int):
         return zip(img.perm, range(n), img.scales)
     return ((p, j, v) for p, row in enumerate(img) for j, v in enumerate(row)
             if not dom.is_zero(v))
+
+
+def combine_rows(dom: Domain, parts):
+    """sum c t^s row over the parts (c, s, row), each row a sparse row of
+    nonzero (exponent, column, value) entries: the sum as a sparse row.
+    Each product c u of an entry (y, column, u) goes to cell (s + y, column);
+    each cell is then one dom.dot of what it gathered, and a cell whose dot is
+    zero is dropped.  Cells come in the order they were first reached."""
+    gathered = {}
+    for c, s, row in parts:
+        for y, col, u in row:
+            key = s + y, col
+            cell = gathered.get(key)
+            if cell is None:
+                gathered[key] = ([c], [u])
+            else:
+                cell[0].append(c)
+                cell[1].append(u)
+    out = []
+    for (e, col), (cs, us) in gathered.items():
+        v = dom.dot(cs, us)
+        if not dom.is_zero(v):
+            out.append((e, col, v))
+    return out

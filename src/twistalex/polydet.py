@@ -71,12 +71,15 @@ a rational times zeta^k, inverted by the field's table of zeta's powers,
 never by the norm).  Pivot by pivot, in Markowitz order (the unit cell
 (i, j) of least (r_i - 1)(c_j - 1), with r_i and c_j the nonzero cells of
 its row and column, so the least fill-in), the Schur complement subtracts
-cell(h, j) (c t^a)^-1 row i from every other row h, one dom.dot per output
-cell, until no unit cell is left.  With the pivot rows and columns moved to
-the front in pivot order, the matrix is block triangular after the
-eliminations, so det = sgn(row order) sgn(column order) prod (c t^a) *
-det(core) exactly, the core keeping the rest of the rows and columns in
-their order.  The core takes the route again (read off, packed or engine),
+cell(h, j) (c t^a)^-1 row i from every other row h, until no unit cell is
+left.  Each row keeps its cells as {column: {exponent: value}} for the
+Markowitz scan; the update's products come from `matrix.combine_rows`, the
+package's one sparse-row accumulator (one dom.dot per product cell), and
+each is merged into its cell by one dom.add.  With the pivot rows and
+columns moved to the front in pivot order, the matrix is block triangular
+after the eliminations, so det = sgn(row order) sgn(column order)
+prod (c t^a) * det(core) exactly, the core keeping the rest of the rows
+and columns in their order.  The core takes the route again (read off, packed or engine),
 cleared afresh but not held to the cap.  On `conjecture-sweep` 41-57% of
 the nonzero cells of the ZZ and GF(p) matrices that reach this point are
 units: a warm seed-1 pass sends 9 of its 305 determinants here (sides 14
@@ -104,14 +107,12 @@ by Horner at x = 0..deg_bound, and one batched numpy forward elimination
 end, at most _CHUNK_CELLS cells at a time) gives every determinant value.
 One product with V^-1 turns the embedding values back
 into power-basis coordinates, and the one Newton interpolation gives the
-coefficients in t.  At the equally spaced points 0..k-1 Newton's two stages
-are triangular matrices whose leading k x k blocks do not depend on k: the
-divided differences D and the Newton form to power basis T (von zur Gathen
-and Gerhard, Modern Computer Algebra, ch. 5).  _divided_differences and
-_power_basis are the two stages; run on the identity, they build each table
-once per prime, grown to the next power of two up to _TABLE_POINTS, and
-_interpolate is then T[:k, :k] @ (D[:k, :k] @ ys) mod q; above
-_TABLE_POINTS points they run on the values.  CRT across the primes, into
+coefficients in t: at the equally spaced points 0..k-1, the divided
+differences (_divided_differences, each level's difference times the one
+inverse of the level mod q) and then the Newton form in the power basis
+(_power_basis), both run on the values of every coordinate at once, with
+no table kept between calls (von zur Gathen and Gerhard, Modern Computer
+Algebra, ch. 5).  CRT across the primes, into
 the symmetric range, gives the exact integer coordinates; the row scales
 and the t-shift are then undone.
 
@@ -132,8 +133,8 @@ for every m <= 210 but 105, 165, 195 and 210, where it is 2.  The engine
 takes primes until their product exceeds 2 M_m H + 1, so the symmetric CRT
 residue is the coordinate itself: no heuristic stopping (von zur Gathen and
 Gerhard, Modern Computer Algebra, 5.5).  Primes lie below 2^31, so every
-product of two residues fits in int64; a product with a table (V, V^-1, D
-or T) splits the table into 16-bit halves (_mul_mod).
+product of two residues fits in int64; a product with V or V^-1 splits the
+matrix into 16-bit halves (_mul_mod).
 
 Wada numerators and Delta_K come from the substitution walker's reduced
 matrices (`fox.reduced_fox_matrix`; Delta_K's as LaurentPolys, kept once
@@ -146,22 +147,18 @@ from __future__ import annotations
 
 from functools import lru_cache, partial
 from itertools import count
-from math import gcd, isqrt, lcm
+from math import gcd, lcm
 from typing import NamedTuple
 
 from .cyclo import CYC, CyclotomicField, cyclotomic_polynomial, has_order
 from .domains import Domain, PrimeField, QQ, TwistalexError, ZZ, is_prime
 from .laurent import LaurentPoly
-from .matrix import perm_sign
+from .matrix import combine_rows, perm_sign
 from .snf import _det_int
 
 # int64 cells per batched evaluation/elimination chunk (512 KiB): bounds the
 # peak memory of the engine whatever the matrix size and number of points
 _CHUNK_CELLS = 1 << 16
-# the most points interpolated through the cached Newton tables (_interpolate),
-# so each of a prime's four table halves (D and T, lo and hi) holds at most
-# _CHUNK_CELLS cells
-_TABLE_POINTS = isqrt(_CHUNK_CELLS)
 # the largest n^2 * b * x * points, about the bits of the packed matrix, that
 # det_sparse hands to _det_kronecker; the multimodular engine takes the
 # rest.  Of 2^16..2^20 it gave the fastest determinants over the workloads'
@@ -185,9 +182,6 @@ class _Numpy:
 
 
 np = _Numpy()
-
-# q -> the stacked split Newton tables (D, T) mod q (_interpolate)
-_newton_tables: dict = {}
 
 
 # --------------------------------------------------------------------- primes
@@ -293,9 +287,8 @@ def _inverses(x: np.ndarray, q: int) -> np.ndarray:
 
 
 def _divided_differences(ys: np.ndarray, q: int) -> np.ndarray:
-    """Newton's first stage D mod q: the divided differences of the values
-    ys[x] at x = 0..len(ys)-1, one poly per column of the (points, k) ys.
-    Run on the identity, it gives its table (_interpolate)."""
+    """Newton's first stage mod q: the divided differences of the values
+    ys[x] at x = 0..len(ys)-1, one poly per column of the (points, k) ys."""
     dd = ys.copy()
     for level in range(1, len(ys)):
         # equally spaced points: x_i - x_{i-level} = level at every i
@@ -304,9 +297,8 @@ def _divided_differences(ys: np.ndarray, q: int) -> np.ndarray:
 
 
 def _power_basis(dd: np.ndarray, q: int) -> np.ndarray:
-    """Newton's second stage T mod q: the Newton-form coefficients dd (one
-    poly per column) in the power basis.  Run on the identity, it gives its
-    table (_interpolate)."""
+    """Newton's second stage mod q: the Newton-form coefficients dd (one
+    poly per column) in the power basis."""
     coeffs = np.zeros_like(dd)
     basis = np.ones(1, dtype=np.int64)  # prod_{i<j}(t - i)
     for j in range(len(dd)):
@@ -325,26 +317,10 @@ def _split(a: np.ndarray) -> np.ndarray:
 
 def _mul_mod(halves: np.ndarray, x: np.ndarray, q: int) -> np.ndarray:
     """(lo + 2^16 hi) @ x mod q for x in [0, q).  Each sum in lo @ x and
-    hi @ x has at most max(_TABLE_POINTS, PHI_CAP) = 1024 products below
-    2^16 * 2^31 = 2^47, so it stays below 2^57: no int64 overflow."""
+    hi @ x has at most PHI_CAP = 1024 products below 2^16 * 2^31 = 2^47, so
+    it stays below 2^57: no int64 overflow."""
     lo, hi = halves
     return ((lo @ x) % q + ((hi @ x) % q << 16)) % q
-
-
-def _interpolate(ys: np.ndarray, q: int) -> np.ndarray:
-    """Coefficients mod q of the polys with values ys[x] at x = 0..k-1,
-    k = len(ys), one per column: T[:k, :k] @ (D[:k, :k] @ ys) from split
-    tables built once per prime and grown to the next power of two; above
-    _TABLE_POINTS points the two stages run on the values themselves."""
-    k = len(ys)
-    if k > _TABLE_POINTS:
-        return _power_basis(_divided_differences(ys, q), q)
-    tables = _newton_tables.get(q)
-    if tables is None or tables.shape[-1] < k:
-        eye = np.eye(1 << (k - 1).bit_length(), dtype=np.int64)
-        tables = _newton_tables[q] = np.stack((_split(_divided_differences(eye, q)),
-                                               _split(_power_basis(eye, q))))
-    return _mul_mod(tables[1, :, :k, :k], _mul_mod(tables[0, :, :k, :k], ys, q), q)
 
 
 def _coords_mod_q(a, m: int, q: int, npoints: int) -> np.ndarray:
@@ -365,7 +341,7 @@ def _coords_mod_q(a, m: int, q: int, npoints: int) -> np.ndarray:
             acc += layer
             acc %= q
         dets[x0 : x0 + len(xs)] = _det_mod_q(acc.reshape(-1, n, n), q).reshape(-1, phi)
-    return _interpolate(_mul_mod(vinv, dets.T, q).T, q)
+    return _power_basis(_divided_differences(_mul_mod(vinv, dets.T, q).T, q), q)
 
 
 class _Cleared(NamedTuple):
@@ -551,10 +527,12 @@ def _eliminate(rows, dom: Domain):
     doc.  Each step takes the unit cell (i, j) of least Markowitz cost
     (r_i - 1)(c_j - 1), the first in row order on a tie, r_i and c_j the
     nonzero cells of its row and column, and subtracts
-    cell(h, j) (c t^a)^-1 row i from every other row h, one dom.dot per
-    output cell.  The core keeps the rows and columns left in their order,
-    each row as (exponent, column, value) entries; a row that cancels to
-    nothing stays, empty, and makes the core's determinant zero."""
+    cell(h, j) (c t^a)^-1 row i from every other row h: the products come
+    from `matrix.combine_rows`, one dom.dot per product cell, and each is
+    merged into its cell by one dom.add.  The core keeps the rows and columns
+    left in their order, each row as (exponent, column, value) entries; a
+    row that cancels to nothing stays, empty, and makes the core's
+    determinant zero."""
     n, one = len(rows), dom.one()
     cells = [{} for _ in rows]  # cells[i][j]: entry (i, j) as {exponent: value}
     for row, out in zip(rows, cells):
@@ -585,35 +563,23 @@ def _eliminate(rows, dom: Domain):
         unit, shift = dom.mul(unit, c), shift + a
         pivot = cells[i]
         del pivot[j]
+        pivot_row = [(y, col, w) for col, g in pivot.items() for y, w in g.items()]
         for h in live:
             f = cells[h].pop(j, None)
             if f is None:
                 continue
-            # row h -= f (c t^a)^-1 row i
-            factor = [(e - a, dom.neg(dom.mul(v, inv))) for e, v in f.items()]
+            # row h -= f (c t^a)^-1 row i: each product merged into its cell
             row = cells[h]
-            for col, g in pivot.items():
-                gathered = {}
-                for e, u in factor:
-                    for y, w in g.items():
-                        products = gathered.get(e + y)
-                        if products is None:
-                            gathered[e + y] = ([u], [w])
-                        else:
-                            products[0].append(u)
-                            products[1].append(w)
+            for e, col, v in combine_rows(dom, [(dom.neg(dom.mul(u, inv)), e - a, pivot_row)
+                                                for e, u in f.items()]):
                 cell = row.setdefault(col, {})
-                for e, (us, ws) in gathered.items():
-                    if e in cell:
-                        us.append(one)
-                        ws.append(cell[e])
-                    v = dom.dot(us, ws)
-                    if dom.is_zero(v):
-                        cell.pop(e, None)
-                    else:
-                        cell[e] = v
-                if not cell:
-                    del row[col]
+                v = dom.add(cell[e], v) if e in cell else v
+                if dom.is_zero(v):  # only a sum cancels: combine_rows drops zeros
+                    del cell[e]
+                    if not cell:
+                        del row[col]
+                else:
+                    cell[e] = v
     gone = set(pivot_cols)
     cols = [j for j in range(n) if j not in gone]
     index = {j: k for k, j in enumerate(cols)}

@@ -5,8 +5,9 @@ import pytest
 
 from twistalex.cyclo import CYC, CyclotomicField
 from twistalex.domains import GF, QQ, ZZ, ExactDivisionError, PrimeField
-from twistalex.matrix import (Monomial, direct_sum, gen_inv, gen_mul, identity,
-                              is_identity, kron, mat_convert, mat_eq, mat_inverse,
+from twistalex.laurent import LaurentPoly
+from twistalex.matrix import (Monomial, combine_rows, direct_sum, gen_inv, gen_mul,
+                              identity, is_identity, kron, mat_convert, mat_eq, mat_inverse,
                               mat_mul, nullspace, perm_sign, rref, to_dense, transpose)
 
 
@@ -200,3 +201,59 @@ def test_mat_mul_is_entrywise_dot(dom):
                 if isinstance(dom, PrimeField):  # GF(p) keeps the residue in 0..p-1
                     assert out[i][j] == _dot(dom, a[i], col)
     assert mat_mul(dom, (), ()) == ()
+
+
+# ------------------------------------------------ the sparse-row accumulator
+
+def _rand_element(rng, dom):
+    if isinstance(dom, CyclotomicField):
+        return dom.coerce(tuple(Fraction(rng.randint(-3, 3), rng.choice((1, 2, 3)))
+                                for _ in range(dom.degree)))
+    if dom is QQ:
+        return Fraction(rng.randint(-3, 3), rng.randint(1, 4))
+    return dom.coerce(rng.randint(-3, 3))
+
+
+def _rand_sparse_row(rng, dom, width):
+    """Nonzero (exponent, column, value) entries, at most one per cell."""
+    cells = {(rng.randint(-3, 3), rng.randrange(width)) for _ in range(rng.randint(0, 8))}
+    return [(e, j, v) for e, j in cells
+            for v in [_rand_element(rng, dom)] if not dom.is_zero(v)]
+
+
+def _columns(dom, row, width):
+    """A sparse row as width LaurentPolys, one per column."""
+    return [LaurentPoly.from_terms(dom, {e: v for e, j, v in row if j == col})
+            for col in range(width)]
+
+
+@pytest.mark.parametrize("dom", [ZZ, QQ, GF(7), CYC(5), CYC(12)], ids=lambda d: d.name)
+def test_combine_rows_against_laurent_sums(dom):
+    rng = random.Random(3900 + (dom.m if isinstance(dom, CyclotomicField) else 0))
+    width = 4
+    for _ in range(40):
+        parts = [(_rand_element(rng, dom), rng.randint(-2, 2), _rand_sparse_row(rng, dom, width))
+                 for _ in range(rng.randint(0, 5))]
+        got = combine_rows(dom, parts)
+        # nonzero cells, at most one per (exponent, column)
+        assert all(not dom.is_zero(v) for _, _, v in got)
+        assert len({(e, j) for e, j, _ in got}) == len(got)
+        want = [LaurentPoly.zero(dom)] * width
+        for c, s, row in parts:
+            want = [w + f.scale(c).shift(s) for w, f in zip(want, _columns(dom, row, width))]
+        assert _columns(dom, got, width) == want
+
+
+@pytest.mark.parametrize("dom", [ZZ, QQ, GF(7), CYC(5), CYC(12)], ids=lambda d: d.name)
+def test_combine_rows_cancels_merges_and_skips_zero(dom):
+    row = [(0, 0, dom.one()), (2, 1, dom.coerce(-2)), (-1, 3, dom.one())]
+    c = dom.coerce(2)
+    # a part plus its negation is the empty row
+    assert combine_rows(dom, [(c, 1, row), (dom.neg(c), 1, row)]) == []
+    # products of different parts at one (exponent, column) merge into one cell:
+    # t^1 * (t^0 in column 0) and t^-1 * (t^2 in column 0) both land on (1, 0)
+    got = combine_rows(dom, [(c, 1, [(0, 0, dom.one())]), (dom.one(), -1, [(2, 0, dom.one())])])
+    assert got == [(1, 0, dom.coerce(3))]
+    # a zero coefficient adds nothing
+    assert combine_rows(dom, [(c, 0, row), (dom.zero(), 5, row)]) == combine_rows(dom, [(c, 0, row)])
+    assert combine_rows(dom, [(dom.zero(), 0, row)]) == []

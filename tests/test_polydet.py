@@ -592,11 +592,11 @@ def test_vandermonde_inverse_by_synthetic_division(m):
 
 
 def test_mul_mod_sums_stay_inside_int64():
-    # each sum in _mul_mod has at most max(_TABLE_POINTS, PHI_CAP) products of a
-    # 16-bit half and a residue below 2^31: a cap of 2^16 or more would let
-    # the int64 sums overflow without an error
+    # each sum in _mul_mod has at most PHI_CAP products (a row of V or V^-1)
+    # of a 16-bit half and a residue below 2^31: a cap of 2^16 or more would
+    # let the int64 sums overflow without an error
     assert polydet._prime(1, 0) < 2**31
-    assert max(polydet._TABLE_POINTS, PHI_CAP) * 2**47 < 2**63
+    assert PHI_CAP * 2**47 < 2**63
 
 
 # ------------------------------------- the degree bound by rows and columns
@@ -660,18 +660,19 @@ def test_column_skewed_exponents_against_cofactors(dom, monkeypatch):
     assert (kron, engine) == ([], [])
 
 
-# ------------------------------------------------- the Newton tables
+# ------------------------------------------- the interpolation on the values
 
 @pytest.mark.parametrize("q", [1009, 2**31 - 1])  # above the points: 1..k-1 are units
-def test_newton_tables_match_newton(q, monkeypatch):
-    monkeypatch.setattr(polydet, "_newton_tables", {})
+def test_newton_tables_match_newton(q):
+    # the one interpolation, divided differences then the power basis, run on
+    # the values: its coefficients take the values again under Horner at
+    # every point x = 0..k-1, three polys at a time
     rng = random.Random(q)
     for k in (1, 2, 3, 128, 256, 257):
         ys = np.array([[rng.randrange(q) for _ in range(3)] for _ in range(k - 1)]
                       + [[q - 1] * 3], dtype=np.int64)  # the largest residue, too
-        got = polydet._interpolate(ys, q)
-        assert (got == polydet._power_basis(polydet._divided_differences(ys, q), q)).all(), k
-        # and the coefficients take the values: Horner at x = 0..k-1
+        got = polydet._power_basis(polydet._divided_differences(ys, q), q)
+        assert got.shape == ys.shape and got.min() >= 0 and got.max() < q, k
         for c in range(3):
             coeffs = got[:, c].tolist()
             for x in range(k):
@@ -679,15 +680,9 @@ def test_newton_tables_match_newton(q, monkeypatch):
                 for a in reversed(coeffs):
                     acc = (acc * x + a) % q
                 assert acc == ys[x, c], (k, x, c)
-        # the tables grow to the next power of two, never past _TABLE_POINTS
-        side = polydet._newton_tables[q].shape[-1]
-        assert side == min(1 << (k - 1).bit_length(), 256) >= min(k, 256)
-    assert polydet._TABLE_POINTS == 256
-    assert polydet._newton_tables[q].shape == (2, 2, 256, 256)  # (D, T), each lo and hi
-    # the engine's own calls leave every prime's tables within the same size
-    rng = random.Random(7)
-    engine_det([[rand_zz(rng) for _ in range(5)] for _ in range(5)], ZZ)
-    assert all(t.shape[-1] <= 256 for t in polydet._newton_tables.values())
+    # no table is kept between calls: the module holds none
+    assert not any(name.startswith(("_newton", "_interpolate", "_TABLE"))
+                   for name in vars(polydet))
 
 
 # ------------------------------------------------- the sparse clearing
