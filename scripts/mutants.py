@@ -82,8 +82,8 @@ MUTANTS = [
     Mutant("combine-drops-row-exponent", "matrix.py",
            "            key = s + y, col\n",
            "            key = s, col\n",
-           "the sparse-row accumulator drops each entry's own exponent: unit columns "
-           "(y = 0) are unchanged, so only a reference built otherwise sees it"),
+           "the accumulator drops each entry's own exponent; the full Fox rows (unit "
+           "columns, y = 0) are unchanged, so the walker's reference still tells them apart"),
     Mutant("walker-unit-sign", "fox.py",
            "    c = one if plan.sign > 0 or n % 2 == 0 else dom.neg(one)\n",
            "    c = one\n",
